@@ -103,6 +103,10 @@ func main() {
 	fmt.Printf("  downgrades          %10d explicit, %d direct\n", st.DowngradesSent(), st.DowngradesDirect())
 	fmt.Printf("  LL/SC               %10d/%d (%d hw, %d failed)\n", st.LLs(), st.SCs(), st.SCHardware(), st.SCFailures())
 	fmt.Printf("  locks/barriers      %10d / %d\n", st.LockAcquires(), st.BarrierWaits())
+	sched := sys.Eng.SchedCounters()
+	fmt.Printf("  context switches    %10d (simulated)\n", sys.Eng.ContextSwitches())
+	fmt.Printf("  scheduler           %10d steps, %d coroutine switches, %d self-picks, %d heap fixes, %d cpu passes\n",
+		sched.Steps, sched.Switches, sched.SelfPicks, sched.HeapFixes, sched.CPUPasses)
 	if cfg.Faults.Enabled() {
 		net := sys.Net.Stats()
 		fmt.Printf("  faults (%s, seed %d): %d dropped, %d duplicated on the wire\n",

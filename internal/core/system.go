@@ -21,29 +21,49 @@ import (
 	"repro/internal/trace"
 )
 
-// queueBox couples a receive queue with the set of processes waiting on it.
-// Waiter registrations are reference-counted because stalls nest (a message
-// handler run inside one stall may itself stall).
+// queueBox couples a receive queue with the processes waiting on it, in
+// registration order. Waiter registrations are reference-counted because
+// stalls nest (a message handler run inside one stall may itself stall).
 type queueBox struct {
 	q       *memchannel.Queue[msg]
-	waiters map[*Proc]int
+	waiters []queueWaiter
+}
+
+type queueWaiter struct {
+	p    *Proc
+	refs int
 }
 
 func newQueueBox() *queueBox {
-	return &queueBox{q: memchannel.NewQueue[msg](), waiters: make(map[*Proc]int)}
+	return &queueBox{q: memchannel.NewQueue[msg]()}
 }
 
 func (b *queueBox) put(m msg, arrive sim.Time, ord memchannel.Ord) {
 	b.q.PutOrd(m, arrive, ord)
-	for w := range b.waiters {
-		w.Sim.NotifyAt(arrive)
+	for i := range b.waiters {
+		b.waiters[i].p.Sim.NotifyAt(arrive)
 	}
 }
 
-func (b *queueBox) addWaiter(p *Proc) { b.waiters[p]++ }
+func (b *queueBox) addWaiter(p *Proc) {
+	for i := range b.waiters {
+		if b.waiters[i].p == p {
+			b.waiters[i].refs++
+			return
+		}
+	}
+	b.waiters = append(b.waiters, queueWaiter{p, 1}) // hotlint:allow(append-growth): reaches the number of processes that wait on the box at once, then reuses its capacity
+}
+
 func (b *queueBox) removeWaiter(p *Proc) {
-	if b.waiters[p]--; b.waiters[p] <= 0 {
-		delete(b.waiters, p)
+	for i := range b.waiters {
+		if b.waiters[i].p == p {
+			if b.waiters[i].refs--; b.waiters[i].refs <= 0 {
+				copy(b.waiters[i:], b.waiters[i+1:])
+				b.waiters = b.waiters[:len(b.waiters)-1]
+			}
+			return
+		}
 	}
 }
 

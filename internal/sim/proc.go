@@ -17,6 +17,7 @@ type CPU struct {
 	lastRan  *Proc
 	freeAt   Time // time the CPU last became free
 	sliceEnd Time // when the current process's quantum expires
+	dirty    bool // listed in shard.dirty
 }
 
 // ID returns the global CPU index.
@@ -48,11 +49,18 @@ type Proc struct {
 	sleeping bool
 	abort    bool
 	// external marks a process driven from outside Engine.Run (no
-	// goroutine, never scheduled). It must not block; see ExternalProc.
+	// coroutine, never scheduled). It must not block; see ExternalProc.
 	external bool
 
-	resume chan Time
-	yield  chan struct{}
+	key  Time // cached effectiveTime, the heap key
+	hpos int  // index in shard.heap
+
+	// The process body runs as a coroutine created at its first resume:
+	// resume runs it until it yields or returns, stop unwinds it.
+	body   func(*Proc)
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 }
 
 // Now returns the process's local clock.
@@ -67,10 +75,9 @@ func (p *Proc) Node() int { return p.cpu.node }
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// run is the goroutine body wrapper.
-func (p *Proc) run(fn func(*Proc)) {
-	// Park until first scheduled.
-	p.window = <-p.resume
+// run is the coroutine body wrapper.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		r := recover()
 		if r != nil && r != any(abortSignal) && !p.abort {
@@ -79,15 +86,8 @@ func (p *Proc) run(fn func(*Proc)) {
 			p.cpu.shard.fail(fmt.Errorf("sim: process %s[%d] panicked at t=%d: %v\n%s", p.Name, p.ID, p.now, r, buf[:n]))
 		}
 		p.state = stateDone
-		// Always hand control back — during tear-down the engine's drain is
-		// listening, and the send serializes this goroutine's deferred guest
-		// cleanups (which touch shared state) against the other processes'.
-		p.yield <- struct{}{}
 	}()
-	if p.abort {
-		return
-	}
-	fn(p)
+	p.body(p)
 }
 
 type abortSignalType struct{}
@@ -109,9 +109,9 @@ func (p *Proc) yieldBack() {
 	if p.external {
 		panic(fmt.Sprintf("sim: external process %s attempted to block at t=%d (external steps must run to completion)", p.Name, p.now))
 	}
-	p.yield <- struct{}{}
-	p.window = <-p.resume
-	if p.abort {
+	// The yield fails once drain has stopped the coroutine, also for a
+	// deferred guest cleanup that blocks while the process unwinds.
+	if !p.yield(struct{}{}) {
 		panic(abortSignal)
 	}
 }
@@ -167,13 +167,14 @@ func (p *Proc) Sleep(d Time) {
 // notifications keep the earliest. Safe to call only from a running process
 // or before Run starts.
 func (p *Proc) NotifyAt(t Time) {
-	w := maxTime(t, p.now)
+	w := max(t, p.now)
 	if w < p.wakeAt {
 		p.wakeAt = w
+		p.cpu.touch()
 		// A sleeper parked on its CPU had its quantum anchored to the old
 		// wake time; track the earlier wake.
 		if c := p.cpu; c.current == p && p.state == stateBlocked && c.sliceEnd < Forever {
-			if end := maxTime(p.now, p.wakeAt) + p.eng.cfg.Quantum; end < c.sliceEnd {
+			if end := max(p.now, p.wakeAt) + p.eng.cfg.Quantum; end < c.sliceEnd {
 				c.sliceEnd = end
 			}
 		}

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic, conservative discrete-event
 // simulation engine for a cluster of SMP nodes.
 //
-// Each simulated process runs as a goroutine. The scheduler is organised
+// Each simulated process runs as a coroutine. The scheduler is organised
 // around *shards*: disjoint groups of CPUs (and the processes bound to
 // them) that each resume exactly one process at a time — always a process
 // whose next possible action is earliest in simulated time within the
@@ -133,16 +133,32 @@ const (
 // bound to them. All scheduler state that the sequential engine kept
 // globally lives per shard, so shards can run concurrently without sharing.
 type shard struct {
-	eng   *Engine
-	idx   int
-	cpus  []*CPU
-	procs []*Proc
+	eng  *Engine
+	idx  int
+	cpus []*CPU
+
+	// heap holds the live processes as an indexed binary min-heap ordered
+	// by (key, ID), key caching Proc.effectiveTime: the root is the next
+	// moment anything can happen here. An effective time depends on the
+	// process and on its CPU's current/sliceEnd/freeAt, so keys go stale
+	// only on the CPUs in dirty.
+	heap []*Proc
+	// dirty lists, in CPU order, the CPUs touched since their last pass:
+	// the CPU of the process that ran, of every NotifyAt target and of
+	// every spawned process. The next step re-keys and examines only these.
+	dirty []*CPU
+	// staleMin is a lower bound on the shard progress at which a clean
+	// CPU's waiting incumbent outlives its slice (see staleAt); reaching it
+	// makes every CPU dirty for one step.
+	staleMin Time
 
 	now     Time // time of the most recently resumed process
 	running *Proc
+	last    *Proc // the process resumed by the previous step
 	err     error
 	// ctxSwitches counts context switches performed by this shard.
 	ctxSwitches int64
+	counters    SchedCounters
 
 	// progressMark is the clock of the last process that performed charged
 	// work; itersNoProgress counts scheduler iterations since then. Both
@@ -155,6 +171,15 @@ type shard struct {
 	stallIters bool
 
 	tracer *trace.Tracer
+}
+
+// SchedCounters counts the scheduler's own work, summed over shards.
+type SchedCounters struct {
+	Steps     int64 // scheduler steps: one process resumed, one coroutine round trip
+	Switches  int64 // steps that resumed a different process than the step before
+	SelfPicks int64 // steps that resumed the process that had just yielded
+	HeapFixes int64 // heap keys that changed and were sifted
+	CPUPasses int64 // per-CPU preempt/dispatch passes
 }
 
 // Engine is the simulation scheduler.
@@ -175,6 +200,9 @@ type Engine struct {
 	// dumpHook, when set, contributes higher-layer state (protocol queues,
 	// outstanding misses) to StallError dumps.
 	dumpHook func() string
+	// probe, when set by a test, observes every scheduler step before it
+	// decides anything.
+	probe func(sh *shard, horizon Time)
 }
 
 // NewEngine creates an engine with the given topology.
@@ -188,7 +216,7 @@ func NewEngine(cfg Config) *Engine {
 			e.cpus = append(e.cpus, &CPU{id: len(e.cpus), node: n, sliceEnd: Forever})
 		}
 	}
-	sh := &shard{eng: e, idx: 0, cpus: e.cpus}
+	sh := &shard{eng: e, idx: 0, cpus: e.cpus, staleMin: Forever}
 	e.shards = []*shard{sh}
 	for _, c := range e.cpus {
 		c.shard = sh
@@ -204,7 +232,7 @@ func (e *Engine) ShardPerNode() {
 	}
 	e.shards = nil
 	for n := 0; n < e.cfg.Nodes; n++ {
-		sh := &shard{eng: e, idx: n}
+		sh := &shard{eng: e, idx: n, staleMin: Forever}
 		for _, c := range e.cpus {
 			if c.node == n {
 				sh.cpus = append(sh.cpus, c)
@@ -289,9 +317,7 @@ func (e *Engine) NodeOf(cpu int) int { return e.cpus[cpu].node }
 func (e *Engine) Now() Time {
 	var m Time
 	for _, sh := range e.shards {
-		if sh.now > m {
-			m = sh.now
-		}
+		m = max(m, sh.now)
 	}
 	return m
 }
@@ -301,6 +327,19 @@ func (e *Engine) ContextSwitches() int64 {
 	var n int64
 	for _, sh := range e.shards {
 		n += sh.ctxSwitches
+	}
+	return n
+}
+
+// SchedCounters reports the scheduler's work counters summed over shards.
+func (e *Engine) SchedCounters() SchedCounters {
+	var n SchedCounters
+	for _, sh := range e.shards {
+		n.Steps += sh.counters.Steps
+		n.Switches += sh.counters.Switches
+		n.SelfPicks += sh.counters.SelfPicks
+		n.HeapFixes += sh.counters.HeapFixes
+		n.CPUPasses += sh.counters.CPUPasses
 	}
 	return n
 }
@@ -332,23 +371,22 @@ func (e *Engine) SpawnAt(name string, cpu int, priority int, start Time, fn func
 		cpu:      e.cpus[cpu],
 		now:      start,
 		state:    stateNew,
-		resume:   make(chan Time),
-		yield:    make(chan struct{}),
+		body:     fn,
 		wakeAt:   Forever,
 		window:   Forever,
 	}
 	e.procs = append(e.procs, p)
-	p.cpu.shard.procs = append(p.cpu.shard.procs, p)
 	p.cpu.queue = append(p.cpu.queue, p)
+	p.cpu.shard.push(p)
+	p.cpu.touch()
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{T: start, Cat: "sched", Ev: "spawn", P: p.ID, O: cpu, S: name})
 	}
-	go p.run(fn)
 	return p
 }
 
 // ExternalProc creates a process that is driven from outside Engine.Run:
-// it has no goroutine, is never scheduled, and is invisible to the
+// it has no coroutine, is never scheduled, and is invisible to the
 // scheduler (not registered with the engine or any CPU queue). It exists
 // so higher-layer code that charges time (Proc.Advance) or reads clocks
 // can execute directly on the calling goroutine — the model checker uses
@@ -418,21 +456,12 @@ func (e *Engine) FirstErr() error {
 	return nil
 }
 
-// ShardMinEffective returns the earliest effective time of any live
-// process in shard i (Forever if none).
-func (e *Engine) ShardMinEffective(i int) Time { return e.shards[i].minEffective() }
-
 // GlobalMinEffective returns the earliest effective time of any live
 // process: the next moment anything can happen.
 func (e *Engine) GlobalMinEffective() Time {
 	m := Forever
-	for _, p := range e.procs {
-		if p.state == stateDone {
-			continue
-		}
-		if t := p.effectiveTime(); t < m {
-			m = t
-		}
+	for _, sh := range e.shards {
+		m = min(m, sh.minEffective())
 	}
 	return m
 }
@@ -466,9 +495,7 @@ func (e *Engine) ConfirmStall(i int) error {
 	}
 	var gm Time
 	for _, s := range e.shards {
-		if s.progressMark > gm {
-			gm = s.progressMark
-		}
+		gm = max(gm, s.progressMark)
 	}
 	if sh.stallIters || sh.stalled.now > gm+e.cfg.WatchdogCycles {
 		return e.stallErrorAt(sh, gm)
@@ -488,15 +515,14 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 		if sh.err != nil {
 			return WindowErr
 		}
+		if e.probe != nil {
+			e.probe(sh, horizon)
+		}
 		minEff := sh.minEffective()
 		if minEff >= horizon {
 			return WindowHorizon
 		}
-		for _, c := range sh.cpus {
-			sh.preemptIfStale(c, minEff)
-			preemptSleeper(c)
-			sh.dispatch(c)
-		}
+		sh.pass(minEff)
 		p, st := sh.pick(horizon)
 		if p == nil {
 			return st
@@ -518,23 +544,106 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 			}
 		}
 		sh.now = p.now
-		window := sh.windowFor(p, horizon)
+		// p may run until any other process could act: the root if p is
+		// not the root itself, else the smaller of the root's children.
+		window := horizon
+		if p.hpos != 0 {
+			window = min(window, sh.heap[0].key)
+		} else {
+			for i := 1; i <= 2 && i < len(sh.heap); i++ {
+				window = min(window, sh.heap[i].key)
+			}
+		}
 		if e.cfg.MaxTime > 0 && window > e.cfg.MaxTime+1 {
 			window = e.cfg.MaxTime + 1
 		}
+		sh.counters.Steps++
+		if p == sh.last {
+			sh.counters.SelfPicks++
+		} else {
+			sh.counters.Switches++
+		}
 		p.state = stateRunning
-		sh.running = p
-		p.resume <- window
-		<-p.yield
+		p.window = window
+		sh.running, sh.last = p, p
+		p.switchTo()
 		sh.running = nil
 		if p.state == stateRunning {
 			p.state = stateReady
 		}
-		if p.state == stateDone && sh.tracer != nil {
-			sh.tracer.Emit(trace.Event{T: p.now, Cat: "sched", Ev: "exit", P: p.ID, O: p.cpu.id, S: p.Name})
+		if p.state == stateDone {
+			sh.remove(p)
+			if sh.tracer != nil {
+				sh.tracer.Emit(trace.Event{T: p.now, Cat: "sched", Ev: "exit", P: p.ID, O: p.cpu.id, S: p.Name})
+			}
 		}
 		sh.reschedule(p)
 	}
+}
+
+// touch marks c as changed since its last scheduling pass.
+func (c *CPU) touch() {
+	if c.dirty {
+		return
+	}
+	c.dirty = true
+	d := append(c.shard.dirty, c) // hotlint:allow(append-growth): at most one entry per CPU of the shard
+	for i := len(d) - 1; i > 0 && d[i-1].id > c.id; i-- {
+		d[i], d[i-1] = d[i-1], d[i]
+	}
+	c.shard.dirty = d
+}
+
+// minEffective returns the earliest effective time of any live process in
+// the shard: the next moment anything can happen here.
+func (sh *shard) minEffective() Time {
+	for _, c := range sh.dirty {
+		sh.rekey(c)
+	}
+	if len(sh.heap) == 0 {
+		return Forever
+	}
+	return sh.heap[0].key
+}
+
+// pass runs the preempt/dispatch pass on the dirty CPUs, in CPU order. On
+// a clean CPU it would change nothing: the CPU is as its last pass left it,
+// and only preemptIfStale also reads shard progress, which staleMin tracks.
+// A CPU whose pass changed something stays dirty for the next step.
+func (sh *shard) pass(minEff Time) {
+	if minEff >= sh.staleMin {
+		sh.staleMin = Forever
+		for _, c := range sh.cpus {
+			c.touch()
+		}
+	}
+	keep := sh.dirty[:0]
+	for _, c := range sh.dirty {
+		sh.counters.CPUPasses++
+		changed := sh.preemptIfStale(c, minEff)
+		changed = preemptSleeper(c) || changed
+		changed = sh.dispatch(c) || changed
+		if changed {
+			sh.rekey(c)
+			keep = append(keep, c)
+		} else {
+			c.dirty = false
+		}
+		sh.staleMin = min(sh.staleMin, sh.staleAt(c))
+	}
+	sh.dirty = keep
+}
+
+// staleAt returns the shard progress at which c's incumbent, waiting past
+// its quantum while others want the CPU, is to be switched out; Forever if
+// c is in no such state.
+func (sh *shard) staleAt(c *CPU) Time {
+	p := c.current
+	if p != nil && sh.eng.cfg.Quantum > 0 && p.state == stateWaiting && !p.sleeping &&
+		p.wakeAt > c.sliceEnd && anyoneElseWants(c) {
+		return c.sliceEnd
+	}
+	return Forever
 }
 
 // preemptIfStale deschedules a current process that is waiting past its
@@ -544,51 +653,31 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 // spinner consumed its event mid-quantum and was never switched out.
 // (Cross-shard events cannot wake it before the slice end either: they
 // arrive at or after the horizon, which bounds every in-window wake.)
-func (sh *shard) preemptIfStale(c *CPU, minEff Time) {
+func (sh *shard) preemptIfStale(c *CPU, minEff Time) bool {
+	if minEff < sh.staleAt(c) {
+		return false
+	}
 	p := c.current
-	if p == nil || sh.eng.cfg.Quantum == 0 {
-		return
+	p.now = max(p.now, c.sliceEnd)
+	c.lastRan = p
+	c.freeAt = max(c.freeAt, p.now)
+	c.current = nil
+	c.queue = append(c.queue, p)
+	if sh.tracer != nil {
+		sh.tracer.Emit(trace.Event{T: p.now, Cat: "sched", Ev: "preempt", P: p.ID, O: c.id})
 	}
-	if p.state == stateWaiting && !p.sleeping && p.wakeAt > c.sliceEnd &&
-		minEff >= c.sliceEnd && anyoneElseWants(c) {
-		p.now = maxTime(p.now, c.sliceEnd)
-		c.lastRan = p
-		c.freeAt = maxTime(c.freeAt, p.now)
-		c.current = nil
-		c.queue = append(c.queue, p)
-		if sh.tracer != nil {
-			sh.tracer.Emit(trace.Event{T: p.now, Cat: "sched", Ev: "preempt", P: p.ID, O: c.id})
-		}
-	}
-}
-
-// minEffective returns the earliest effective time of any live process in
-// the shard: the next moment anything can happen here.
-func (sh *shard) minEffective() Time {
-	m := Forever
-	for _, p := range sh.procs {
-		if p.state == stateDone {
-			continue
-		}
-		if t := p.effectiveTime(); t < m {
-			m = t
-		}
-	}
-	return m
+	return true
 }
 
 // preemptSleeper displaces a dispatched sleeping process (it merely parks
 // on the CPU until its wake time) as soon as any other process could run
 // earlier: the CPU is semantically idle while its occupant sleeps.
-func preemptSleeper(c *CPU) {
+func preemptSleeper(c *CPU) bool {
 	p := c.current
 	if p == nil || p.state != stateWaiting || !p.sleeping {
-		return
+		return false
 	}
 	for _, q := range c.queue {
-		if q.state == stateDone {
-			continue
-		}
 		t := q.now
 		if q.state == stateBlocked || q.state == stateWaiting {
 			t = q.wakeAt
@@ -598,9 +687,10 @@ func preemptSleeper(c *CPU) {
 			c.current = nil
 			c.queue = append(c.queue, p)
 			p.state = stateBlocked
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // dispatch installs a current process on an idle CPU, choosing the process
@@ -609,27 +699,19 @@ func preemptSleeper(c *CPU) {
 // process's future wake tick from starving an immediately-ready one.
 //
 //hot:path
-func (sh *shard) dispatch(c *CPU) {
+func (sh *shard) dispatch(c *CPU) bool {
 	if c.current != nil {
-		return
+		return false
 	}
-	// Prune finished processes from the queue.
-	live := c.queue[:0]
-	for _, q := range c.queue {
-		if q.state != stateDone {
-			live = append(live, q)
-		}
-	}
-	c.queue = live
 	best := -1
 	var bestReady Time
 	for i, q := range c.queue {
 		if (q.state == stateBlocked || q.state == stateWaiting) && q.wakeAt >= Forever {
 			continue // nothing to run until notified
 		}
-		ready := maxTime(q.now, c.freeAt)
+		ready := max(q.now, c.freeAt)
 		if q.state == stateBlocked || q.state == stateWaiting {
-			ready = maxTime(q.wakeAt, c.freeAt)
+			ready = max(q.wakeAt, c.freeAt)
 		}
 		if best == -1 || ready < bestReady ||
 			(ready == bestReady && q.Priority < c.queue[best].Priority) {
@@ -638,11 +720,12 @@ func (sh *shard) dispatch(c *CPU) {
 		}
 	}
 	if best == -1 {
-		return
+		return false
 	}
 	p := c.queue[best]
-	c.queue = append(c.queue[:best], c.queue[best+1:]...)
-	start := maxTime(p.now, c.freeAt)
+	copy(c.queue[best:], c.queue[best+1:])
+	c.queue = c.queue[:len(c.queue)-1]
+	start := max(p.now, c.freeAt)
 	if c.lastRan != nil && c.lastRan != p {
 		start += sh.eng.cfg.CtxSwitch
 		sh.ctxSwitches++
@@ -650,65 +733,57 @@ func (sh *shard) dispatch(c *CPU) {
 			sh.tracer.Emit(trace.Event{T: start, Cat: "sched", Ev: "switch", P: p.ID, O: c.id})
 		}
 	}
-	resumeAt := start
-	switch p.state {
-	case stateBlocked:
-		// Parked on the CPU until its wake time. The clock advance to the
-		// wake is committed at pick time, not here: a notification sent
-		// later in global order may still pull the wake earlier, and the
-		// window engine's cross-shard notifications always land after
-		// dispatch (at a window barrier). Committing eagerly would make
-		// the two engines resume such sleepers at different times.
-		p.now = start
-		resumeAt = maxTime(start, p.wakeAt)
-	case stateWaiting:
-		// Keeps waiting; pick will resume it at its wake time.
-		p.now = start
-	default:
-		p.now = start
-	}
+	// A blocked process is parked on the CPU until its wake time. The clock
+	// advance to the wake is committed at pick time, not here: a
+	// notification sent later in global order may still pull the wake
+	// earlier, and the window engine's cross-shard notifications always
+	// land after dispatch (at a window barrier). Committing eagerly would
+	// make the two engines resume such sleepers at different times.
+	p.now = start
 	c.current = p
 	c.sliceEnd = Forever
 	if sh.eng.cfg.Quantum > 0 {
 		// For a parked sleeper the quantum starts at its (current) wake
 		// time; NotifyAt keeps sliceEnd in step if the wake moves earlier.
+		resumeAt := start
+		if p.state == stateBlocked {
+			resumeAt = max(start, p.wakeAt)
+		}
 		c.sliceEnd = resumeAt + sh.eng.cfg.Quantum
 	}
+	return true
 }
 
-// pick returns the schedulable process with the smallest effective time
-// below the horizon. The nil status distinguishes "nothing before the
-// horizon" (WindowHorizon) from "nothing ever" (WindowIdle).
+// pick returns the incumbent with the smallest (effective time, ID) below
+// the horizon. The nil status distinguishes "nothing before the horizon"
+// (WindowHorizon) from "nothing ever" (WindowIdle).
 func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
-	var best *Proc
-	bestT := Forever
-	for _, c := range sh.cpus {
-		p := c.current
-		if p == nil {
-			continue
-		}
-		t := p.effectiveTime()
-		if t >= Forever {
-			continue
-		}
-		if t < bestT || (t == bestT && (best == nil || p.ID < best.ID)) {
-			best = p
-			bestT = t
+	best := sh.heap[0]
+	if best.cpu.current != best {
+		// The earliest process is descheduled behind an incumbent that has
+		// outrun its slice but was not switched out yet; only incumbents
+		// can be resumed.
+		best = nil
+		for _, c := range sh.cpus {
+			if p := c.current; p != nil && (best == nil || p.before(best)) {
+				best = p
+			}
 		}
 	}
-	if best == nil {
+	if best == nil || best.key >= Forever {
 		return nil, WindowIdle
 	}
-	if bestT >= horizon {
+	if best.key >= horizon {
 		return nil, WindowHorizon
 	}
+	best.cpu.touch()
 	if best.state == stateWaiting || best.state == stateBlocked {
 		// Its event has arrived; advance its clock to the wake time. (A
 		// blocked process parked on its CPU commits the wake here — see
 		// dispatch. Its sleeping flag is deliberately left set, matching
 		// the historical dispatch-time transition.)
 		wasWaiting := best.state == stateWaiting
-		best.now = maxTime(best.now, best.wakeAt)
+		best.now = max(best.now, best.wakeAt)
 		best.wakeAt = Forever
 		best.state = stateReady
 		if wasWaiting {
@@ -728,22 +803,6 @@ func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
 	return best, WindowHorizon
 }
 
-// windowFor computes how far p may run before yielding: the minimum
-// effective time of any other process in the shard that could become
-// runnable, clamped to the shard's horizon.
-func (sh *shard) windowFor(p *Proc, horizon Time) Time {
-	w := horizon
-	for _, q := range sh.procs {
-		if q == p || q.state == stateDone {
-			continue
-		}
-		if t := q.effectiveTime(); t < w {
-			w = t
-		}
-	}
-	return w
-}
-
 // reschedule handles quantum expiry and blocking after p yields.
 func (sh *shard) reschedule(p *Proc) {
 	c := p.cpu
@@ -753,7 +812,7 @@ func (sh *shard) reschedule(p *Proc) {
 	switch p.state {
 	case stateDone, stateBlocked:
 		c.lastRan = p
-		c.freeAt = maxTime(c.freeAt, p.now)
+		c.freeAt = max(c.freeAt, p.now)
 		c.current = nil
 		if p.state == stateBlocked {
 			c.queue = append(c.queue, p)
@@ -762,7 +821,7 @@ func (sh *shard) reschedule(p *Proc) {
 		if p.now >= c.sliceEnd && anyoneElseWants(c) {
 			// Quantum expired and another process wants the CPU.
 			c.lastRan = p
-			c.freeAt = maxTime(c.freeAt, p.now)
+			c.freeAt = max(c.freeAt, p.now)
 			c.current = nil
 			c.queue = append(c.queue, p)
 			if sh.tracer != nil {
@@ -774,15 +833,88 @@ func (sh *shard) reschedule(p *Proc) {
 
 func anyoneElseWants(c *CPU) bool {
 	for _, q := range c.queue {
-		if q.state == stateDone {
-			continue
-		}
 		if (q.state == stateBlocked || q.state == stateWaiting) && q.wakeAt >= Forever {
 			continue
 		}
 		return true
 	}
 	return false
+}
+
+// before is the heap order: earlier effective time first, then lower ID.
+func (p *Proc) before(q *Proc) bool {
+	return p.key < q.key || (p.key == q.key && p.ID < q.ID)
+}
+
+// push adds a newly spawned process to the heap.
+func (sh *shard) push(p *Proc) {
+	p.key = p.effectiveTime()
+	p.hpos = len(sh.heap)
+	sh.heap = append(sh.heap, p)
+	sh.up(p.hpos)
+}
+
+// remove takes an exited process out of the heap.
+func (sh *shard) remove(p *Proc) {
+	i, last := p.hpos, len(sh.heap)-1
+	sh.swap(i, last)
+	sh.heap = sh.heap[:last]
+	if i < last && !sh.down(i) {
+		sh.up(i)
+	}
+}
+
+// rekey recomputes the key of every process bound to c.
+func (sh *shard) rekey(c *CPU) {
+	if c.current != nil {
+		sh.fix(c.current)
+	}
+	for _, q := range c.queue {
+		sh.fix(q)
+	}
+}
+
+func (sh *shard) fix(p *Proc) {
+	if k := p.effectiveTime(); k != p.key {
+		p.key = k
+		sh.counters.HeapFixes++
+		if !sh.down(p.hpos) {
+			sh.up(p.hpos)
+		}
+	}
+}
+
+func (sh *shard) swap(i, j int) {
+	h := sh.heap
+	h[i], h[j] = h[j], h[i]
+	h[i].hpos, h[j].hpos = i, j
+}
+
+func (sh *shard) up(i int) {
+	for i > 0 && sh.heap[i].before(sh.heap[(i-1)/2]) {
+		sh.swap(i, (i-1)/2)
+		i = (i - 1) / 2
+	}
+}
+
+// down sifts the entry at i towards the leaves and reports whether it moved.
+func (sh *shard) down(i int) bool {
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(sh.heap) {
+			break
+		}
+		if c+1 < len(sh.heap) && sh.heap[c+1].before(sh.heap[c]) {
+			c++
+		}
+		if !sh.heap[c].before(sh.heap[i]) {
+			break
+		}
+		sh.swap(i, c)
+		i = c
+	}
+	return i > start
 }
 
 func (e *Engine) allDone() bool {
@@ -885,22 +1017,18 @@ func (sh *shard) fail(err error) {
 	}
 }
 
-// drain unblocks any goroutines still parked so they can exit, one at a
-// time: each process fully unwinds (running its deferred cleanups, which
-// may touch state shared with other processes) before the next is resumed.
+// drain unwinds every process that is still suspended, one at a time:
+// each fully unwinds (running its deferred cleanups, which may touch state
+// shared with other processes) before the next is resumed. A process that
+// never ran has no coroutine to unwind.
 func (e *Engine) drain() {
 	for _, p := range e.procs {
 		if p.state != stateDone {
 			p.abort = true
-			p.resume <- Forever
-			<-p.yield
+			if p.stop != nil {
+				p.stop()
+			}
+			p.state = stateDone
 		}
 	}
-}
-
-func maxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
 }

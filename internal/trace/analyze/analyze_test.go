@@ -2,10 +2,16 @@ package analyze_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/load"
 	"repro/internal/memchannel"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -144,5 +150,90 @@ func TestAnalyzerFaultEvents(t *testing.T) {
 	}
 	if out := sum.Render(); !strings.Contains(out, "faults:") || !strings.Contains(out, "per-link totals") {
 		t.Errorf("render missing fault/link sections:\n%s", out)
+	}
+}
+
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/trace_digests.txt from this run")
+
+// goldenTraceCases are the runs whose whole JSONL trace (scheduler
+// switch/preempt/exit events included) is pinned byte for byte.
+var goldenTraceCases = []struct {
+	name string
+	run  func(tr *trace.Tracer) error
+}{
+	{"lu-8p-base", func(tr *trace.Tracer) error {
+		return runKernel("LU", 8, core.WithTrace(tr), core.WithVariant(core.BaseShasta()))
+	}},
+	{"ocean-16p-4x4-smp-dirinval", func(tr *trace.Tracer) error {
+		return runKernel("Ocean", 16, core.WithTrace(tr), core.WithProcs(4, 4),
+			core.WithVariant(core.SMPShasta()), core.WithProtocol("dirinval"))
+	}},
+	{"barnes-8p-8x1-tardis", func(tr *trace.Tracer) error {
+		return runKernel("Barnes", 8, core.WithTrace(tr), core.WithProcs(8, 1),
+			core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis"))
+	}},
+	{"load-4-tenants", func(tr *trace.Tracer) error {
+		const horizon = 400_000
+		ts := load.DefaultTenants(4, 1, 10)
+		for i := range ts {
+			// The mix of the oltp-open benchmark workload: the default
+			// 16-page DSS scans livelock on one seed in ten.
+			ts[i].Arrival, ts[i].DSSFraction = "poisson", 0
+		}
+		sys := core.Build(core.WithTrace(tr), core.WithMaxTime(4*horizon))
+		_, err := load.Run(sys, load.Config{Tenants: ts, Horizon: horizon, Policy: "locality", RowCompute: 500})
+		return err
+	}},
+}
+
+func runKernel(name string, procs int, opts ...core.Option) error {
+	app, ok := workloads.Get(name)
+	if !ok {
+		return fmt.Errorf("%s workload missing", name)
+	}
+	sys := core.Build(append([]core.Option{core.WithMaxTime(sim.Cycles(900e6))}, opts...)...)
+	_, err := workloads.Run(sys, app, workloads.RunConfig{Procs: procs})
+	return err
+}
+
+// TestGoldenTraceDigest pins the sequential engine's trace bytes to the
+// digests committed in testdata/trace_digests.txt, so a change to the
+// scheduler that reorders, drops or retimes any event fails here even
+// though it is deterministic. Regenerate with -update only when a change
+// is meant to alter the simulated schedule.
+func TestGoldenTraceDigest(t *testing.T) {
+	const path = "testdata/trace_digests.txt"
+	got := map[string]string{}
+	var out strings.Builder
+	for _, c := range goldenTraceCases {
+		h := sha256.New()
+		tr := trace.New(trace.DefaultRingSize, h)
+		if err := c.run(tr); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got[c.name] = hex.EncodeToString(h.Sum(nil))
+		fmt.Fprintf(&out, "%s %s\n", c.name, got[c.name])
+	}
+	if *updateGoldens {
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(raw))
+	if len(want) != 2*len(goldenTraceCases) {
+		t.Fatalf("%s: %d fields for %d cases", path, len(want), len(goldenTraceCases))
+	}
+	for i := 0; i < len(want); i += 2 {
+		if got[want[i]] != want[i+1] {
+			t.Errorf("%s: trace sha256 %s, golden %s", want[i], got[want[i]], want[i+1])
+		}
 	}
 }
