@@ -59,6 +59,19 @@ func BenchmarkTable3Overheads(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild measures system construction alone on the default
+// configuration (four SMP nodes, 4 MB shared region): what every short run
+// in BenchmarkTable3Overheads pays before it allocates or simulates
+// anything. Nothing here may scale with SharedBytes.
+func BenchmarkBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		builtSystem = core.Build()
+	}
+}
+
+var builtSystem *core.System
+
 // BenchmarkFigure3Speedups regenerates one Figure 3 series (Barnes, both
 // synchronization styles, 1-16 processors). The full nine-application
 // figure is produced by `shasta-bench -run figure3`.

@@ -539,7 +539,7 @@ func (d *dirInval) expCheck(e *Explorer) *ExpViolation {
 	s := e.sys
 	n := len(s.procs)
 	if !dis["swmr"] {
-		for line := 0; line < s.numLines; line++ {
+		for line := 0; line < s.allocCursor; line++ {
 			excl, shared := -1, -1
 			for a, am := range s.agents {
 				switch am.table[line] {

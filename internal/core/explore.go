@@ -267,10 +267,8 @@ func (s *System) spawnExternal(name string, cpu int) *Proc {
 		rng:          rand.New(rand.NewSource(s.Cfg.Seed + int64(len(s.procs))*7919)),
 	}
 	p.reqQ = newQueueBox()
-	m := newAgentMem(p.ID, s.Cfg.SharedBytes/8, s.numLines, false)
-	s.agents = append(s.agents, m)
-	p.mem = m
-	p.priv = m.table
+	p.mem = s.newAgent()
+	s.sizePriv(p)
 	p.agent = s.agentOf(p)
 	s.procs = append(s.procs, p)
 	p.Sim = s.Eng.ExternalProc(name, cpu)

@@ -145,10 +145,10 @@ func (e *Explorer) encodeWith(perm []int) string {
 		}
 		e.sys.proto.encodeProcExtra(e, &b, p, perm)
 		b.WriteString(" t")
-		for line := 0; line < e.sys.numLines; line++ {
+		for line := 0; line < e.sys.allocCursor; line++ {
 			fmt.Fprintf(&b, "%d", p.priv[line])
 		}
-		fmt.Fprintf(&b, " d%v}", p.mem.data)
+		fmt.Fprintf(&b, " d%v}", p.mem.data[:e.sys.allocCursor*e.sys.wordsPerLine])
 	}
 	for _, blk := range e.sys.blocks {
 		e.sys.proto.encodeBlock(e, &b, blk, perm)

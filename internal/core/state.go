@@ -241,17 +241,75 @@ type agentMem struct {
 	bufFree map[int][][]uint64
 }
 
-func newAgentMem(agent, words, lines int, smp bool) *agentMem {
+// newAgent appends an agent whose per-line arrays cover the current
+// allocated prefix (see growLines).
+func (s *System) newAgent() *agentMem {
 	m := &agentMem{
-		agent: agent, data: make([]uint64, words), table: make([]LineState, lines),
-		busy: make(map[int]*Proc), stateWaiters: make(map[*Proc]int),
+		agent: len(s.agents),
+		busy:  make(map[int]*Proc), stateWaiters: make(map[*Proc]int),
 		bufFree: make(map[int][][]uint64),
 	}
-	for i := range m.data {
-		m.data[i] = FlagWord
-	}
-	if smp {
-		m.sharerProcs = make([]uint64, lines)
-	}
+	s.sizeAgent(m, len(s.lineBlock))
+	s.agents = append(s.agents, m)
 	return m
+}
+
+// minGrowLines is the smallest non-empty size of the per-line arrays: the
+// locks, barriers and first small arrays of a run fit without regrowing.
+const minGrowLines = 256
+
+// growLines is the only place that sizes the per-line arrays —
+// System.lineBlock, each agent's data / table / sharerProcs and each
+// process's private table. They cover a prefix of the shared region that
+// always includes every allocated line, and Alloc calls this before it
+// moves the bump cursor, so they stay flat arrays indexed by line or word
+// with nothing between an access and mem.data[word]. Growth is geometric
+// and, as the whole region used to be, new lines are unallocated, Invalid
+// and flag-filled everywhere.
+//
+// A process may Alloc while others are suspended in the middle of an
+// operation (sequential engine only; Alloc refuses under a parallel one).
+// That is safe because growth replaces the arrays' backing stores and
+// nothing holds a slice of one across a yield: every use is an index
+// expression or an immediate copy through p.mem, p.priv or the System,
+// re-read after each stall. Keep it that way.
+func (s *System) growLines(lines int) {
+	if lines <= len(s.lineBlock) {
+		return
+	}
+	n := min(max(lines, 2*len(s.lineBlock), minGrowLines), s.numLines)
+	s.lineBlock = grown(s.lineBlock, n, -1)
+	for _, m := range s.agents {
+		s.sizeAgent(m, n)
+	}
+	for _, p := range s.procs {
+		s.sizePriv(p)
+	}
+}
+
+func (s *System) sizeAgent(m *agentMem, lines int) {
+	m.data = grown(m.data, lines*s.wordsPerLine, FlagWord)
+	m.table = grown(m.table, lines, Invalid)
+	if s.Cfg.SMP {
+		m.sharerProcs = grown(m.sharerProcs, lines, 0)
+	}
+}
+
+// sizePriv sizes p's private state table to the agent table: its own
+// array in SMP-Shasta, the agent table itself in Base-Shasta.
+func (s *System) sizePriv(p *Proc) {
+	if s.Cfg.SMP {
+		p.priv = grown(p.priv, len(p.mem.table), Invalid)
+	} else {
+		p.priv = p.mem.table
+	}
+}
+
+// grown returns a copy of a extended to n elements, the new ones set to fill.
+func grown[T any](a []T, n int, fill T) []T {
+	out := make([]T, n)
+	for i := copy(out, a); i < n; i++ {
+		out[i] = fill
+	}
+	return out
 }

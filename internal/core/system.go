@@ -89,9 +89,9 @@ type System struct {
 	agents []*agentMem
 	cpus   []*cpuState
 
-	numLines     int
+	numLines     int // lines in the virtual shared region (SharedBytes)
 	wordsPerLine int
-	lineBlock    []int32 // line index -> block ID, -1 if unallocated
+	lineBlock    []int32 // line index -> block ID, -1 if unallocated; sized by growLines
 	blocks       []*blockInfo
 	allocCursor  int // next free line
 	homeRR       int
@@ -188,17 +188,11 @@ func newSystem(cfg Config) *System {
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		pooling:      !cfg.NoPooling,
 	}
-	s.lineBlock = make([]int32, s.numLines)
-	for i := range s.lineBlock {
-		s.lineBlock[i] = -1
-	}
-	words := cfg.SharedBytes / 8
 	if cfg.SMP {
 		for n := 0; n < cfg.Nodes; n++ {
-			s.agents = append(s.agents, newAgentMem(n, words, s.numLines, true))
+			s.newAgent()
 		}
 	}
-	_ = words
 	for i := 0; i < s.Eng.NumCPUs(); i++ {
 		s.cpus = append(s.cpus, &cpuState{reqQ: newQueueBox()})
 	}
@@ -317,16 +311,10 @@ func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func
 	}
 	if s.Cfg.SMP {
 		p.mem = s.agents[node]
-		p.priv = make([]LineState, s.numLines)
 	} else {
-		// Each process is its own agent; extend the agent array.
-		m := newAgentMem(p.ID, s.Cfg.SharedBytes/8, s.numLines, false)
-		s.agents = append(s.agents, m)
-		p.mem = m
-		p.priv = m.table // the private table is the agent table
-		// Copy home data for already-allocated blocks if this agent is
-		// a home (only relevant before allocation; Alloc handles homes).
+		p.mem = s.newAgent() // each process is its own agent
 	}
+	s.sizePriv(p)
 	p.agent = s.agentOf(p)
 	s.procs = append(s.procs, p)
 	for len(s.nodeProcs) <= node {
@@ -406,10 +394,15 @@ func (s *System) lineOf(addr uint64) int {
 		panic(fmt.Sprintf("core: address %#x is not shared", addr))
 	}
 	off := addr - SharedBase
-	if off >= uint64(s.Cfg.SharedBytes) {
-		panic(fmt.Sprintf("core: shared address %#x out of range", addr))
+	line := int(off / uint64(s.Cfg.LineSize))
+	if line >= s.allocCursor {
+		// Past the arrays growLines sized: fail by name, not by index.
+		if off >= uint64(s.Cfg.SharedBytes) {
+			panic(fmt.Sprintf("core: shared address %#x out of range", addr))
+		}
+		panic(fmt.Sprintf("core: line %d not allocated", line))
 	}
-	return int(off) / s.Cfg.LineSize
+	return line
 }
 
 // wordOf converts a shared address to a word index in an agent copy.
@@ -436,7 +429,8 @@ type AllocOptions struct {
 }
 
 // Alloc carves bytes out of the shared region, creating coherence blocks
-// and assigning homes. The home's copy starts exclusive and zeroed.
+// and assigning homes. The home's copy starts exclusive and zeroed. A
+// running process may call it on the sequential engine (see growLines).
 func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 	if bytes <= 0 {
 		panic("core: Alloc of non-positive size")
@@ -451,6 +445,10 @@ func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 	if startLine+nblocks*blockLines > s.numLines {
 		panic(fmt.Sprintf("core: shared region exhausted (%d lines)", s.numLines))
 	}
+	if s.started && s.par != nil {
+		panic("core: Alloc during a run under WithEngine(parallel): it mutates the block list and reallocates every agent's memory, which other shards are reading; allocate before Run, or use the sequential engine")
+	}
+	s.growLines(startLine + nblocks*blockLines)
 	for b := 0; b < nblocks; b++ {
 		home := opts.Home
 		if home < 0 {

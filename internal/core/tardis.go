@@ -956,7 +956,7 @@ func (t *tardis) expCheck(e *Explorer) *ExpViolation {
 	s := e.sys
 	n := len(s.procs)
 	if !dis["swmr"] {
-		for line := 0; line < s.numLines; line++ {
+		for line := 0; line < s.allocCursor; line++ {
 			excl := -1
 			for a, am := range s.agents {
 				if am.table[line] == Exclusive {

@@ -1,0 +1,93 @@
+package workloads
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+)
+
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/kernel_digests.txt from this run")
+
+// TestKernelDigests pins, for the nine kernels on both protocols and both
+// agent layouts at 4 processes, the completion time, a digest of
+// AggregateStats and a digest of SnapshotShared to the values committed in
+// testdata/kernel_digests.txt (recorded on the commit before agent memory
+// became sized to the allocated prefix). A change to how the system lays
+// out or constructs memory must not move any of them. Regenerate with
+// -update only when a change is meant to alter simulated behaviour.
+func TestKernelDigests(t *testing.T) {
+	const path = "testdata/kernel_digests.txt"
+	var out strings.Builder
+	for _, app := range All() {
+		for _, proto := range core.ProtocolNames() {
+			for _, v := range []struct {
+				name    string
+				variant core.ProtocolVariant
+			}{{"smp", core.SMPShasta()}, {"base", core.BaseShasta()}} {
+				sys := core.Build(core.WithMaxTime(sim.Cycles(900e6)),
+					core.WithVariant(v.variant), core.WithProtocol(proto))
+				res, err := Run(sys, app, RunConfig{Procs: 4})
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", app.Name, proto, v.name, err)
+				}
+				stats := sha256.Sum256([]byte(fmt.Sprintf("%v", sys.AggregateStats())))
+				mem := sha256.New()
+				var word [8]byte
+				for _, w := range sys.SnapshotShared() {
+					binary.LittleEndian.PutUint64(word[:], w)
+					mem.Write(word[:])
+				}
+				fmt.Fprintf(&out, "%s-%s-%s %d %x %x\n", app.Name, proto, v.name,
+					res.Elapsed, stats[:8], mem.Sum(nil)[:8])
+			}
+		}
+	}
+	if *updateGoldens {
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	got := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d lines for %d cases", path, len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("got  %s (case cycles stats mem)\nwant %s", got[i], want[i])
+		}
+	}
+}
+
+// TestKernelRunAllocationBounded guards short runs against paying for the
+// whole shared region again: Barnes at one process allocates 48 KB of
+// shared memory, and building the default 4-node system, running it and
+// tearing it down must allocate no more than a small multiple of
+// agents x that (2.5x when written; 100x when every agent's image was
+// sized to SharedBytes).
+func TestKernelRunAllocationBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys := core.Build()
+	if _, err := Run(sys, Barnes(), RunConfig{Procs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	agents, shared := sys.Cfg.Nodes, len(sys.SnapshotShared())*8
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*agents*shared); got > limit {
+		t.Errorf("run allocated %d bytes for %d shared bytes on %d agents, want at most %d", got, shared, agents, limit)
+	}
+}
