@@ -33,7 +33,7 @@ type Sim struct {
 func RegisterSim(fs *flag.FlagSet) *Sim {
 	s := &Sim{}
 	fs.StringVar(&s.Engine, "engine", "seq",
-		"simulation engine: seq or parallel (conservative PDES, identical output)")
+		"simulation engine: seq (the built-in driver: one thread, per-node lookahead windows) or parallel (the same shards in rounds on a worker pool; identical output)")
 	fs.IntVar(&s.Workers, "workers", 0,
 		"parallel engine worker-pool size (0 = one per host core)")
 	fs.StringVar(&s.FaultProfile, "fault-profile", "none",

@@ -81,7 +81,11 @@ type fd struct {
 	off  int
 }
 
-// New creates the OS layer and installs its message handler.
+// New creates the OS layer and installs its message handler. The OS signals
+// and forks across nodes with no latency, which only strict global order
+// runs exactly: build sys on one scheduling shard (core.WithOS, which Build
+// applies, or Config.ProtocolProcs). On per-node shards the engine fails the
+// run at the first such signal or fork.
 func New(sys *core.System, fs *clusterfs.FS) *OS {
 	os := &OS{
 		sys:           sys,

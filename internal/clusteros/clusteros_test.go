@@ -1,6 +1,7 @@
 package clusteros
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/clusterfs"
@@ -260,5 +261,23 @@ func TestJoinGroup(t *testing.T) {
 	})
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrossNodeForkNeedsOneShard: the OS layer's cross-node signals and
+// forks take no simulated time, so a system whose nodes run in lookahead
+// windows (no WithOS, no ProtocolProcs) cannot carry them. The run fails at
+// the fork and names the cause; it must not hang or drift.
+func TestCrossNodeForkNeedsOneShard(t *testing.T) {
+	sys := core.Build()
+	os := New(sys, clusterfs.New(sys.Cfg.Nodes))
+	sys.Spawn("init", 0, func(p *core.Proc) {
+		os.Attach(p)
+		p.Compute(1000)
+		os.Fork(p, sys.Eng.Config().CPUsPerNode, func(c *core.Proc) {})
+		os.Wait(p)
+	})
+	if err := sys.Run(); err == nil || !strings.Contains(err.Error(), "less than the lookahead (1200)") {
+		t.Errorf("fork onto another node of a %d-shard system: want an error naming the lookahead, got %v", sys.Eng.NumShards(), err)
 	}
 }

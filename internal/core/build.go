@@ -150,7 +150,7 @@ func Build(opts ...Option) *System {
 	for _, o := range opts {
 		o(&b)
 	}
-	s := newSystem(b.cfg)
+	s := newSystem(b.cfg, b.wantOS)
 	if b.tracer != nil {
 		s.SetTracer(b.tracer)
 	}

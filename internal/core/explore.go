@@ -213,7 +213,7 @@ func NewExplorer(c ExpConfig) *Explorer {
 		Net:               memchannel.DefaultConfig(),
 		Seed:              1,
 	}
-	s := newSystem(cfg)
+	s := newSystem(cfg, false)
 	// The explorer hashes and restores full system states and holds MSHR
 	// pointers across await points; free-list reuse would let distinct
 	// logical states share storage, so pooling is always off here.

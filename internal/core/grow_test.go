@@ -180,8 +180,8 @@ func TestRunTimeAllocGrowsUnderLoad(t *testing.T) {
 	}
 }
 
-// TestAllocDuringParallelRunPanics: run-time allocation is a sequential-
-// engine feature; under a parallel engine it must refuse by name.
+// TestAllocDuringParallelRunPanics: run-time allocation needs the built-in
+// driver's single thread; under a parallel engine it must refuse by name.
 func TestAllocDuringParallelRunPanics(t *testing.T) {
 	s := Build(WithConfig(baseConfig()), WithEngine(parallel.New(2)))
 	s.Spawn("w", 0, func(p *Proc) { s.Alloc(64, AllocOptions{Home: 0}) })
@@ -189,6 +189,31 @@ func TestAllocDuringParallelRunPanics(t *testing.T) {
 	err := s.Run()
 	if err == nil || !strings.Contains(err.Error(), "core: Alloc during a run under WithEngine(parallel)") {
 		t.Fatalf("error %v, want the Alloc-under-parallel panic", err)
+	}
+}
+
+// TestRunTimeSpawn: on the built-in driver a running process may start
+// another on a different node, which is a different shard, one wire latency
+// ahead; the child sees what the parent stored before. Under a parallel
+// engine the spawn refuses by name.
+func TestRunTimeSpawn(t *testing.T) {
+	run := func(opts ...Option) (uint64, error) {
+		s := Build(append([]Option{WithConfig(baseConfig())}, opts...)...)
+		var addr, got uint64
+		s.Spawn("parent", 0, func(p *Proc) {
+			p.Store(addr, 7)
+			p.MemBar()
+			s.SpawnAt("child", s.Cfg.CPUsPerNode, p.Sim.Now()+s.Cfg.Net.WireLatency, func(c *Proc) { got = c.Load(addr) })
+		})
+		addr = s.Alloc(64, AllocOptions{Home: 0})
+		err := s.Run()
+		return got, err
+	}
+	if got, err := run(); err != nil || got != 7 {
+		t.Errorf("built-in driver: child read %d (error %v), want 7", got, err)
+	}
+	if _, err := run(WithEngine(parallel.New(2))); err == nil || !strings.Contains(err.Error(), "during a parallel run") {
+		t.Errorf("parallel engine: error %v, want the spawn-during-a-parallel-run panic", err)
 	}
 }
 

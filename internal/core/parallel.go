@@ -6,9 +6,11 @@ import (
 	"repro/internal/trace"
 )
 
-// This file wires the DSM layer to a parallel (per-node-sharded) simulation
-// engine. The engine side lives in internal/sim + internal/sim/parallel;
-// the DSM layer's obligations are:
+// This file wires the DSM layer to a sim.Runner that runs the engine's
+// per-node shards concurrently, in rounds (internal/sim/parallel). The
+// built-in driver runs one shard window at a time and needs none of it:
+// cross-node puts go straight into the destination queue and every event
+// into the main tracer. Under a Runner the DSM layer's obligations are:
 //
 //   - stage cross-node message puts during a window and commit them at the
 //     window barrier (in-window, shards may only mutate their own node's
@@ -47,40 +49,34 @@ type stagedPut struct {
 }
 
 // WithEngine installs a sim.Runner (e.g. parallel.New(workers)) that drives
-// the simulation in place of the sequential scheduler, and shards the
-// engine per node. The parallel engine requires a static process layout:
-// it rejects WithOS (the cluster OS performs zero-latency cross-node
-// notifications) and ProtocolProcs (protocol processes share CPUs with
-// application processes, making quantum preemption points schedule-
-// dependent); dynamic Spawn during the run panics in the engine.
+// the engine's per-node shards in place of the built-in driver. It needs
+// the shards, so it rejects the two configurations that run on one: WithOS
+// (the cluster OS performs zero-latency cross-node notifications) and
+// ProtocolProcs (protocol processes share CPUs with application processes,
+// making quantum preemption points schedule-dependent). It also requires a
+// static layout: Spawn and Alloc during the run panic by name.
 func WithEngine(r sim.Runner) Option {
 	return func(b *builder) { b.runner = r }
 }
 
-// enableParallel shards the engine per node and installs the staging
-// machinery. Called from Build before any process is spawned.
+// enableParallel installs the runner and the staging machinery. Called
+// from Build before any process is spawned.
 func (s *System) enableParallel(r sim.Runner, wantOS bool) {
 	if r == nil {
 		return
 	}
 	if wantOS {
-		panic("core: WithEngine(parallel) is incompatible with WithOS (the cluster OS layer performs zero-latency cross-node notifications; run it on the sequential engine)")
+		panic("core: WithEngine(parallel) is incompatible with WithOS (the cluster OS layer performs zero-latency cross-node notifications; run it on the built-in driver)")
 	}
 	if s.Cfg.ProtocolProcs {
-		panic("core: WithEngine(parallel) is incompatible with ProtocolProcs (dedicated protocol processes share CPUs with application processes, which makes preemption points depend on the schedule; run them on the sequential engine)")
+		panic("core: WithEngine(parallel) is incompatible with ProtocolProcs (dedicated protocol processes share CPUs with application processes, which makes preemption points depend on the schedule; run them on the built-in driver)")
 	}
 	s.par = &parState{
 		runner: r,
 		active: true,
 		staged: make([][]stagedPut, s.Cfg.Nodes),
 	}
-	s.Eng.ShardPerNode()
 	s.Eng.SetRunner(r)
-	// Lookahead: the minimum simulated latency of any cross-node effect.
-	// Every cross-node interaction goes over the Memory Channel, so a
-	// message sent at t arrives no earlier than t + WireLatency (occupancy
-	// and injected delay faults only add on top).
-	s.Eng.SetLookahead(s.Cfg.Net.WireLatency)
 	s.Eng.SetBarrierHook(s.commitRound)
 	s.wireShardTracers()
 }

@@ -268,7 +268,7 @@ const minGrowLines = 256
 // and flag-filled everywhere.
 //
 // A process may Alloc while others are suspended in the middle of an
-// operation (sequential engine only; Alloc refuses under a parallel one).
+// operation (built-in driver only; Alloc refuses under a parallel engine).
 // That is safe because growth replaces the arrays' backing stores and
 // nothing holds a slice of one across a yield: every use is an index
 // expression or an immediate copy through p.mem, p.priv or the System,

@@ -166,11 +166,23 @@ type barrierState struct {
 	maxTs   int64 // max protocol timestamp over arrivals this epoch (tardis)
 }
 
-func newSystem(cfg Config) *System {
+// newSystem wires a system. immediate says that something above this
+// package will act across nodes with no latency (the cluster OS does).
+func newSystem(cfg Config, immediate bool) *System {
 	cfg.validate()
 	wd := cfg.WatchdogCycles
 	if wd < 0 {
 		wd = 0 // explicit disable
+	}
+	// The engine's lookahead: every cross-node effect of this package goes
+	// over the Memory Channel, so one initiated at t lands no earlier than
+	// t + WireLatency (occupancy and injected delay faults only add to
+	// that). Dedicated protocol processes share CPUs with application
+	// processes, which makes preemption points depend on the schedule, so
+	// they run in strict global order like the cluster OS.
+	lookahead := cfg.Net.WireLatency
+	if immediate || cfg.ProtocolProcs {
+		lookahead = 0
 	}
 	s := &System{
 		Cfg: cfg,
@@ -180,6 +192,7 @@ func newSystem(cfg Config) *System {
 			Quantum:        cfg.Cost.Quantum,
 			CtxSwitch:      cfg.Cost.CtxSwitch,
 			MaxTime:        cfg.MaxTime,
+			Lookahead:      lookahead,
 			WatchdogCycles: wd,
 		}),
 		Net:          memchannel.NewNetwork(cfg.Nodes, cfg.Net),
@@ -430,7 +443,7 @@ type AllocOptions struct {
 
 // Alloc carves bytes out of the shared region, creating coherence blocks
 // and assigning homes. The home's copy starts exclusive and zeroed. A
-// running process may call it on the sequential engine (see growLines).
+// running process may call it on the built-in driver (see growLines).
 func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 	if bytes <= 0 {
 		panic("core: Alloc of non-positive size")
@@ -446,7 +459,7 @@ func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 		panic(fmt.Sprintf("core: shared region exhausted (%d lines)", s.numLines))
 	}
 	if s.started && s.par != nil {
-		panic("core: Alloc during a run under WithEngine(parallel): it mutates the block list and reallocates every agent's memory, which other shards are reading; allocate before Run, or use the sequential engine")
+		panic("core: Alloc during a run under WithEngine(parallel): it mutates the block list and reallocates every agent's memory, which other shards are reading; allocate before Run, or use the built-in driver")
 	}
 	s.growLines(startLine + nblocks*blockLines)
 	for b := 0; b < nblocks; b++ {
@@ -619,9 +632,11 @@ func (s *System) sendWire(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 		// Each surviving wire copy gets a canonical ordering key (send
 		// time, sender, per-sender sequence): queue order among equal
 		// arrival times is then a property of the messages, not of
-		// enqueue order, which is what lets a parallel engine commit
-		// staged cross-node traffic at window barriers without replaying
-		// the sequential enqueue sequence.
+		// enqueue order, which is what lets the built-in driver put
+		// cross-node traffic straight into the queue from whichever
+		// node's window runs first, and a parallel engine commit staged
+		// traffic at window barriers, without replaying the enqueue
+		// sequence of strict global order.
 		if copies >= 1 {
 			ord1 := sender.nextOrd(now)
 			if staging {

@@ -56,9 +56,9 @@ func (a *EngineRun) Diff(b *EngineRun) string {
 }
 
 // EngineOptions returns the core build options selecting an engine:
-// workers < 0 picks the built-in sequential scheduler, otherwise the
-// conservative PDES coordinator with that worker-pool size (0 = one per
-// host core). Shared by the equivalence tests and the command-line
+// workers < 0 picks the built-in driver (one thread, lookahead windows),
+// otherwise the conservative PDES coordinator that runs the same shards in
+// rounds on a worker pool of that size (0 = one per host core). Shared by the equivalence tests and the command-line
 // -engine/-workers flags.
 func EngineOptions(workers int) []core.Option {
 	if workers < 0 {
@@ -68,7 +68,7 @@ func EngineOptions(workers int) []core.Option {
 }
 
 // ParseEngine maps the -engine/-workers flag pair to EngineOptions input:
-// "seq" (or "") selects the sequential engine, "parallel" the PDES engine.
+// "seq" (or "") selects the built-in driver, "parallel" the PDES engine.
 func ParseEngine(engine string, workers int) (int, error) {
 	switch engine {
 	case "", "seq", "sequential":

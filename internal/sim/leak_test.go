@@ -43,21 +43,18 @@ func TestNoGoroutineLeak(t *testing.T) {
 		{name: "build without run", body: func(p *sim.Proc) { p.Advance(100) }},
 	}
 	for _, sc := range scenarios {
-		for _, workers := range []int{-1, 2} {
-			name := sc.name + "/sequential"
-			if workers >= 0 {
-				name = sc.name + "/parallel"
-			}
-			t.Run(name, func(t *testing.T) {
+		for _, drv := range []struct {
+			name      string
+			lookahead sim.Time
+			runner    sim.Runner
+		}{{"one shard", 0, nil}, {"per-node shards", 500, nil}, {"parallel", 500, parallel.New(2)}} {
+			t.Run(sc.name+"/"+drv.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				cfg := sc.cfg
 				cfg.Nodes, cfg.CPUsPerNode = 2, 2
+				cfg.Lookahead = drv.lookahead
 				e := sim.NewEngine(cfg)
-				if workers >= 0 {
-					e.ShardPerNode()
-					e.SetRunner(parallel.New(workers))
-					e.SetLookahead(500)
-				}
+				e.SetRunner(drv.runner)
 				cleaned := false
 				if sc.wantErr != "" {
 					// Spawned first: of the processes ready at time 0 the

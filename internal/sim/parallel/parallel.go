@@ -1,6 +1,11 @@
-// Package parallel drives a per-node-sharded sim.Engine as a conservative
-// parallel discrete-event simulation (PDES) with deterministic, sequential-
-// equivalent results.
+// Package parallel drives a sim.Engine's per-node shards concurrently, as a
+// conservative parallel discrete-event simulation (PDES) with deterministic,
+// sequential-equivalent results. It is the several-threads case of the rule
+// in package sim's comment (a shard may run to the earliest event of any
+// other shard plus the lookahead): so that all shards can run at once, every
+// shard gets the same, shortest window, and cross-shard effects wait for the
+// barrier between rounds. The engine's built-in driver applies the same rule
+// one shard at a time, with a horizon per shard and no rounds.
 //
 // # The window/lookahead rule
 //
@@ -31,8 +36,8 @@
 //
 // # Determinism and sequential equivalence (proof sketch)
 //
-// The sequential engine is itself a one-shard instance of the same
-// scheduler (sim.Engine.Run calls runWindow with an infinite horizon), so
+// Strict global order is a one-shard instance of the same scheduler
+// (lookahead 0: sim.Engine.Run calls runWindow with an infinite horizon), so
 // equivalence reduces to three observations:
 //
 //  1. Shard projection. Scheduling decisions — dispatch, quantum expiry,
@@ -113,7 +118,7 @@ func (p *Engine) Run(e *sim.Engine) error {
 	n := e.NumShards()
 	lookahead := e.Lookahead()
 	if lookahead <= 0 {
-		panic("parallel: engine has no lookahead; the coordinator cannot form a window (SetLookahead to the minimum cross-shard latency)")
+		panic("parallel: engine has no lookahead; the coordinator cannot form a window (set sim.Config.Lookahead to the minimum cross-node latency)")
 	}
 	workers := p.workers
 	if workers <= 0 {

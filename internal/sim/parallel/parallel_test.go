@@ -47,20 +47,22 @@ const lookahead = sim.Time(500)
 // pingRing builds one engine running a notification ring across nodes:
 // every proc alternates charged work with sending a wake-up to the proc on
 // the next node, and records the simulated time of every wake-up it
-// receives. parallelWorkers < 0 selects the sequential engine (direct
-// NotifyAt at send time); otherwise the engine is sharded per node and
-// driven by parallel.New(parallelWorkers), with sends staged and committed
-// at window barriers. Both deliver the identical wake time t+lookahead.
+// receives. parallelWorkers < 0 runs the built-in driver on one shard, in
+// strict global order (direct NotifyAt at send time); otherwise per-node
+// shards are driven by parallel.New(parallelWorkers), with sends staged and
+// committed at window barriers. Both deliver the identical wake time
+// t+lookahead.
 func pingRing(t *testing.T, nodes, rounds, parallelWorkers int) (times [][]sim.Time, err error) {
 	t.Helper()
 	cfg := sim.Config{Nodes: nodes, CPUsPerNode: 1, Quantum: 4000, CtxSwitch: 50}
-	e := sim.NewEngine(cfg)
 	par := parallelWorkers >= 0
+	if par {
+		cfg.Lookahead = lookahead
+	}
+	e := sim.NewEngine(cfg)
 	var mb mailbox
 	if par {
-		e.ShardPerNode()
 		e.SetRunner(parallel.New(parallelWorkers))
-		e.SetLookahead(lookahead)
 		e.SetBarrierHook(mb.commit)
 	}
 	procs := make([]*sim.Proc, nodes)
@@ -86,7 +88,8 @@ func pingRing(t *testing.T, nodes, rounds, parallelWorkers int) (times [][]sim.T
 
 // TestRingMatchesSequential is the sim-level equivalence check: the same
 // cross-shard notification pattern must wake every process at the exact
-// same simulated times on both engines, for several worker counts.
+// same simulated times in strict global order and in rounds, for several
+// worker counts.
 func TestRingMatchesSequential(t *testing.T) {
 	const nodes, rounds = 4, 200
 	seqTimes, err := pingRing(t, nodes, rounds, -1)
@@ -117,11 +120,9 @@ func TestRingMatchesSequential(t *testing.T) {
 // must surface the engine's deadlock error through the coordinator, not
 // hang the worker pool.
 func TestDeadlockDetected(t *testing.T) {
-	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1}
+	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1, Lookahead: lookahead}
 	e := sim.NewEngine(cfg)
-	e.ShardPerNode()
 	e.SetRunner(parallel.New(2))
-	e.SetLookahead(lookahead)
 	e.Spawn("worker", 0, 0, func(p *sim.Proc) { p.Advance(1000) })
 	e.Spawn("stuck", 1, 0, func(p *sim.Proc) { p.Wait() })
 	err := e.Run()
@@ -137,11 +138,9 @@ func TestDeadlockDetected(t *testing.T) {
 // caller after the round completes.
 func TestProcErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1}
+	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1, Lookahead: lookahead}
 	e := sim.NewEngine(cfg)
-	e.ShardPerNode()
 	e.SetRunner(parallel.New(2))
-	e.SetLookahead(lookahead)
 	e.Spawn("ok", 0, 0, func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			p.Advance(100)
@@ -158,11 +157,9 @@ func TestProcErrorPropagates(t *testing.T) {
 
 // TestMaxTimePropagates: the MaxTime safety stop fires inside a window.
 func TestMaxTimePropagates(t *testing.T) {
-	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1, MaxTime: 50_000}
+	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1, Lookahead: lookahead, MaxTime: 50_000}
 	e := sim.NewEngine(cfg)
-	e.ShardPerNode()
 	e.SetRunner(parallel.New(2))
-	e.SetLookahead(lookahead)
 	for i := 0; i < 2; i++ {
 		e.Spawn("spin", i, 0, func(p *sim.Proc) {
 			for {
@@ -181,11 +178,9 @@ func TestMaxTimePropagates(t *testing.T) {
 // coordinator confirms the stall into a StallError — satellite 3's
 // "dump only at the barrier" behavior.
 func TestGenuineStallConfirmedAtBarrier(t *testing.T) {
-	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1, WatchdogCycles: 10_000, WatchdogIters: 1 << 12}
+	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1, Lookahead: lookahead, WatchdogCycles: 10_000, WatchdogIters: 1 << 12}
 	e := sim.NewEngine(cfg)
-	e.ShardPerNode()
 	e.SetRunner(parallel.New(2))
-	e.SetLookahead(lookahead)
 	e.Spawn("ok", 0, 0, func(p *sim.Proc) {
 		for i := 0; i < 1000; i++ {
 			p.Advance(100)
@@ -211,11 +206,9 @@ func TestGenuineStallConfirmedAtBarrier(t *testing.T) {
 // re-checking at the barrier, resyncing the mark, and completing cleanly.
 func TestFalseAlarmStallResyncs(t *testing.T) {
 	const dogCycles = 10_000
-	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1, WatchdogCycles: dogCycles}
+	cfg := sim.Config{Nodes: 2, CPUsPerNode: 1, Lookahead: lookahead, WatchdogCycles: dogCycles}
 	e := sim.NewEngine(cfg)
-	e.ShardPerNode()
 	e.SetRunner(parallel.New(2))
-	e.SetLookahead(lookahead)
 	e.Spawn("busy", 0, 0, func(p *sim.Proc) {
 		for i := 0; i < 2000; i++ {
 			p.Advance(100) // keeps global progress current through t=200000
@@ -235,11 +228,9 @@ func TestFalseAlarmStallResyncs(t *testing.T) {
 // TestWorkersCapped: more workers than shards must not deadlock the
 // round barrier (the pool is clamped to the shard count).
 func TestWorkersCapped(t *testing.T) {
-	cfg := sim.Config{Nodes: 2, CPUsPerNode: 2}
+	cfg := sim.Config{Nodes: 2, CPUsPerNode: 2, Lookahead: lookahead}
 	e := sim.NewEngine(cfg)
-	e.ShardPerNode()
 	e.SetRunner(parallel.New(16))
-	e.SetLookahead(lookahead)
 	for i := 0; i < 4; i++ {
 		e.Spawn("w", i, 0, func(p *sim.Proc) {
 			for j := 0; j < 50; j++ {

@@ -130,6 +130,14 @@ func (p *Proc) Advance(c Time) {
 			sh.progressMark = p.now
 		}
 		sh.itersNoProgress = 0
+		if p.wakeAt <= p.now {
+			// The process has run past a pending notification. It is
+			// dropped here, on the process's own trajectory; dropping it
+			// at the next resume instead (see pick) would let the next
+			// Wait return at once or not, depending on whether a window
+			// happened to end in between.
+			p.wakeAt = Forever
+		}
 	}
 	if p.now >= p.window {
 		p.yieldBack()
@@ -168,9 +176,15 @@ func (p *Proc) Sleep(d Time) {
 // or before Run starts.
 func (p *Proc) NotifyAt(t Time) {
 	w := max(t, p.now)
+	sh := p.cpu.shard
 	if w < p.wakeAt {
 		p.wakeAt = w
 		p.cpu.touch()
+		if cur := p.eng.cur; cur != nil && cur != sh {
+			// p may act from w on, and what it does reaches the notifier's
+			// shard a lookahead later.
+			cur.crossShard("notifies", p, t, w)
+		}
 		// A sleeper parked on its CPU had its quantum anchored to the old
 		// wake time; track the earlier wake.
 		if c := p.cpu; c.current == p && p.state == stateBlocked && c.sliceEnd < Forever {
@@ -181,10 +195,10 @@ func (p *Proc) NotifyAt(t Time) {
 	}
 	// The notifier must yield control by the wake time, or the waiter
 	// would be resumed only after the notifier's (possibly unbounded)
-	// window expires. (Only meaningful for a notifier in the same shard;
-	// cross-shard notifications happen at window barriers, when no process
-	// is running.)
-	if r := p.cpu.shard.running; r != nil && r != p && w < r.window {
+	// window expires. (A notifier in another shard is held back by clamp
+	// above, or is not running at all: a Runner delivers cross-shard
+	// notifications at window barriers.)
+	if r := sh.running; r != nil && r != p && w < r.window {
 		r.window = w
 	}
 }

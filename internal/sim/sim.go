@@ -10,16 +10,56 @@
 // other process in the shard, clamped to the shard's horizon), at which
 // point it yields back to the scheduler.
 //
-// By default the engine has a single shard containing every CPU and a
-// horizon of Forever, which is exactly the classic sequential
-// discrete-event schedule: causally correct and fully deterministic. A
-// Runner (see internal/sim/parallel) may instead partition the engine into
-// one shard per node and drive all shards concurrently in bounded time
-// windows — conservative parallel discrete-event simulation. Within a
-// window shards share no mutable state (higher layers stage cross-shard
-// effects until the window barrier), so the parallel schedule commits the
-// same state transitions at the same simulated times as the sequential
-// one.
+// # One rule
+//
+// A shard may run up to its horizon: the earliest moment anything can
+// happen in any other shard, plus the lookahead. The lookahead
+// (Config.Lookahead) is the least simulated time an effect takes to get
+// from one node to another, so whatever the other shards still have to do
+// cannot reach this one before the horizon, and the schedule inside the
+// window is the one strict global time order would have produced.
+//
+// With a positive lookahead every node is a shard. The built-in driver
+// (Engine.Run) runs one window at a time on the calling goroutine: it takes
+// the shard whose next event is earliest and runs it to its horizon, and a
+// shard that is the only one with anything left to do runs to the end
+// without yielding to anyone. Effects on other shards — NotifyAt, a spawn,
+// whatever a higher layer puts in another node's queues — are applied on
+// the spot. With lookahead 0 some cross-node effect is immediate (a cluster
+// OS that signals across nodes): all CPUs form one shard, it is alone, its
+// horizon is Forever, and the same loop is the classic sequential
+// discrete-event schedule. A Runner (internal/sim/parallel) is the special
+// case for several host threads: every shard runs the same window
+// [B, B+lookahead), B the global minimum, concurrently, and higher layers
+// stage cross-shard effects until the barrier between rounds.
+//
+// Two rules make the windows exact rather than merely safe:
+//
+//   - When a running process gives another shard something to do at time w
+//     (a NotifyAt that moves a wake forward, a spawn), that shard may answer
+//     from w on, so the running shard's horizon and the running process's
+//     window drop to w + lookahead (shard.clamp). The horizon a window
+//     starts with accounts only for what the other shards already had to do.
+//   - A process that advances past a pending notification drops it there, in
+//     Advance, on its own trajectory. How often a process yields depends on
+//     the driver; what it has seen by a given step must not.
+//
+// What the engine promises in return is that every process does the same
+// things at the same simulated times under every driver, given two things
+// of the layers above. Cross-node effects take at least the lookahead (the
+// built-in driver panics, naming both processes, at a notification or spawn
+// that does not: the other shard may already be that far ahead). And
+// notifications are hints: NotifyAt keeps one pending wake per process, the
+// earliest, and a wake consumes it, so which of two notifications survives
+// can depend on the order drivers deliver them in. A process that parks
+// must therefore re-arm from the state the notification stands for (the
+// DSM layer's queues: "next arrival"), as a device driver re-reads the
+// status register after an edge-triggered interrupt. Preemption points
+// (quantum expiry, displacing a process that released its CPU) are taken
+// when a process yields, so they too follow the driver wherever several
+// processes share a CPU; the DSM layer runs the two configurations that do
+// share CPUs, dedicated protocol processes and the cluster OS, with
+// lookahead 0.
 //
 // Time is measured in CPU cycles of the modeled machine (300 MHz Alpha
 // 21164 in the Shasta configuration, so 300 cycles per microsecond).
@@ -85,6 +125,14 @@ type Config struct {
 	CtxSwitch   Time // cost of a context switch
 	MaxTime     Time // safety stop; 0 means no limit
 
+	// Lookahead is the minimum simulated latency of any effect one node has
+	// on another (a cross-node NotifyAt, a queue put, a spawn). When it is
+	// positive the engine schedules each node as its own shard and lets a
+	// shard run up to Lookahead past the earliest moment anything can
+	// happen in the others. 0 means some cross-node effect is immediate:
+	// one shard holds every CPU and processes run in strict global order.
+	Lookahead Time
+
 	// WatchdogCycles enables the stall watchdog: if no process performs any
 	// charged work (Proc.Advance with a positive cost) for this many
 	// simulated cycles while the engine keeps scheduling, the run fails
@@ -104,10 +152,10 @@ type Config struct {
 // phase (barrier release cascades, queue drains) finishes long before it.
 const defaultWatchdogIters = 4 << 20
 
-// Runner drives Engine.Run in place of the built-in sequential scheduler.
-// Implementations (internal/sim/parallel) repeatedly call RunShardWindow on
-// every shard, CommitRound at each window barrier, and return the first
-// error. Engine.Run still owns process tear-down (drain) around the runner.
+// Runner drives Engine.Run in place of the built-in driver. Implementations
+// (internal/sim/parallel) repeatedly call RunShardWindow on every shard,
+// CommitRound at each window barrier, and return the first error. Engine.Run
+// still owns process tear-down (drain) around the runner.
 type Runner interface {
 	Run(e *Engine) error
 }
@@ -124,14 +172,14 @@ const (
 	WindowIdle
 	// WindowErr: the shard recorded an error (guest panic, MaxTime, Fail).
 	WindowErr
-	// WindowStall: the shard's watchdog tripped; the coordinator must
-	// confirm (ConfirmStall) at the window barrier.
+	// WindowStall: the shard's watchdog tripped; the driver must confirm
+	// (ConfirmStall) between windows.
 	WindowStall
 )
 
 // shard is one scheduling domain: a disjoint set of CPUs and the processes
-// bound to them. All scheduler state that the sequential engine kept
-// globally lives per shard, so shards can run concurrently without sharing.
+// bound to them. All scheduler state lives per shard, so a Runner can run
+// shards concurrently without sharing.
 type shard struct {
 	eng  *Engine
 	idx  int
@@ -151,11 +199,11 @@ type shard struct {
 	// CPU's waiting incumbent outlives its slice (see staleAt); reaching it
 	// makes every CPU dirty for one step.
 	staleMin Time
-
-	now     Time // time of the most recently resumed process
-	running *Proc
-	last    *Proc // the process resumed by the previous step
-	err     error
+	now      Time // time of the most recently resumed process
+	horizon  Time // end of the window being run; clamp may lower it mid-window
+	running  *Proc
+	last     *Proc // the process resumed by the previous step
+	err      error
 	// ctxSwitches counts context switches performed by this shard.
 	ctxSwitches int64
 	counters    SchedCounters
@@ -180,6 +228,10 @@ type SchedCounters struct {
 	SelfPicks int64 // steps that resumed the process that had just yielded
 	HeapFixes int64 // heap keys that changed and were sifted
 	CPUPasses int64 // per-CPU preempt/dispatch passes
+	// Windows counts shard windows run; HorizonClamps the cross-shard
+	// notifications and spawns that ended the sender's window early.
+	Windows       int64
+	HorizonClamps int64
 }
 
 // Engine is the simulation scheduler.
@@ -189,12 +241,15 @@ type Engine struct {
 	procs  []*Proc
 	shards []*shard
 
-	runner    Runner
-	lookahead Time
+	runner Runner
 	// barrierHook runs at every window barrier of a parallel run; higher
 	// layers use it to commit staged cross-shard effects.
 	barrierHook func()
 	inRounds    bool
+	// cur is the shard whose window the built-in driver is running, nil
+	// between windows and throughout a Runner's rounds. An effect on any
+	// other shard clamps cur's horizon (see clamp).
+	cur *shard
 
 	tracer *trace.Tracer
 	// dumpHook, when set, contributes higher-layer state (protocol queues,
@@ -205,58 +260,49 @@ type Engine struct {
 	probe func(sh *shard, horizon Time)
 }
 
-// NewEngine creates an engine with the given topology.
+// NewEngine creates an engine with the given topology: one shard per node
+// when cfg.Lookahead is positive, one shard in all otherwise.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Nodes <= 0 || cfg.CPUsPerNode <= 0 {
 		panic("sim: topology must have at least one node and one CPU")
 	}
-	e := &Engine{cfg: cfg}
-	for n := 0; n < cfg.Nodes; n++ {
-		for c := 0; c < cfg.CPUsPerNode; c++ {
-			e.cpus = append(e.cpus, &CPU{id: len(e.cpus), node: n, sliceEnd: Forever})
-		}
+	if cfg.Lookahead < 0 {
+		panic("sim: negative lookahead")
 	}
-	sh := &shard{eng: e, idx: 0, cpus: e.cpus, staleMin: Forever}
-	e.shards = []*shard{sh}
-	for _, c := range e.cpus {
-		c.shard = sh
+	e := &Engine{cfg: cfg}
+	perShard := cfg.Nodes * cfg.CPUsPerNode
+	if cfg.Lookahead > 0 {
+		perShard = cfg.CPUsPerNode
+	}
+	e.cpus = make([]*CPU, cfg.Nodes*cfg.CPUsPerNode)
+	e.shards = make([]*shard, len(e.cpus)/perShard)
+	for i := range e.shards {
+		// One allocation per shard: a Runner's threads write to them.
+		sh := &shard{eng: e, idx: i, cpus: e.cpus[i*perShard : (i+1)*perShard], staleMin: Forever}
+		e.shards[i] = sh
+		for j := range sh.cpus {
+			id := i*perShard + j
+			sh.cpus[j] = &CPU{id: id, node: id / cfg.CPUsPerNode, shard: sh, sliceEnd: Forever}
+		}
 	}
 	return e
 }
 
-// ShardPerNode partitions the engine into one shard per node for a parallel
-// run. Must be called before any process is spawned.
-func (e *Engine) ShardPerNode() {
-	if len(e.procs) > 0 {
-		panic("sim: ShardPerNode after processes were spawned")
-	}
-	e.shards = nil
-	for n := 0; n < e.cfg.Nodes; n++ {
-		sh := &shard{eng: e, idx: n, staleMin: Forever}
-		for _, c := range e.cpus {
-			if c.node == n {
-				sh.cpus = append(sh.cpus, c)
-				c.shard = sh
-			}
-		}
-		e.shards = append(e.shards, sh)
-	}
-}
-
-// NumShards returns the number of scheduling shards (1 unless ShardPerNode
-// was called).
+// NumShards returns the number of scheduling shards: the number of nodes
+// when the lookahead is positive, else 1.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
 // SetTracer installs a structured event tracer (nil disables tracing).
-// With a single shard the tracer also receives scheduling events; a
-// per-node-sharded engine needs SetShardTracers for those.
+// Every shard writes its scheduling events to it too: the built-in driver
+// runs one window at a time. A Runner that runs windows concurrently
+// gives the shards tracers of their own with SetShardTracers.
 func (e *Engine) SetTracer(t *trace.Tracer) {
 	e.tracer = t
-	if len(e.shards) == 1 {
-		e.shards[0].tracer = t
+	for _, sh := range e.shards {
+		sh.tracer = t
 	}
 }
 
@@ -264,9 +310,9 @@ func (e *Engine) SetTracer(t *trace.Tracer) {
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // SetShardTracers installs one tracer per shard (indexed like shards, i.e.
-// by node after ShardPerNode). Shard tracers receive the scheduling events
-// emitted inside windows; a parallel coordinator merges them into the main
-// tracer at each barrier.
+// by node). Shard tracers receive the scheduling events emitted inside
+// windows; a parallel coordinator merges them into the main tracer at each
+// barrier.
 func (e *Engine) SetShardTracers(ts []*trace.Tracer) {
 	if len(ts) != len(e.shards) {
 		panic(fmt.Sprintf("sim: %d shard tracers for %d shards", len(ts), len(e.shards)))
@@ -281,16 +327,11 @@ func (e *Engine) SetShardTracers(ts []*trace.Tracer) {
 func (e *Engine) SetDumpHook(fn func() string) { e.dumpHook = fn }
 
 // SetRunner installs a Runner that Run delegates to (nil restores the
-// built-in sequential scheduler).
+// built-in driver).
 func (e *Engine) SetRunner(r Runner) { e.runner = r }
 
-// SetLookahead records the minimum cross-shard interaction latency of the
-// modeled system; a parallel runner adds it to the global minimum effective
-// time to obtain each round's safe horizon.
-func (e *Engine) SetLookahead(l Time) { e.lookahead = l }
-
 // Lookahead returns the configured lookahead.
-func (e *Engine) Lookahead() Time { return e.lookahead }
+func (e *Engine) Lookahead() Time { return e.cfg.Lookahead }
 
 // SetBarrierHook installs the callback CommitRound invokes at every window
 // barrier of a parallel run.
@@ -340,6 +381,8 @@ func (e *Engine) SchedCounters() SchedCounters {
 		n.SelfPicks += sh.counters.SelfPicks
 		n.HeapFixes += sh.counters.HeapFixes
 		n.CPUPasses += sh.counters.CPUPasses
+		n.Windows += sh.counters.Windows
+		n.HorizonClamps += sh.counters.HorizonClamps
 	}
 	return n
 }
@@ -361,7 +404,7 @@ func (e *Engine) SpawnAt(name string, cpu int, priority int, start Time, fn func
 		panic(fmt.Sprintf("sim: spawn %q on invalid cpu %d", name, cpu))
 	}
 	if e.inRounds {
-		panic(fmt.Sprintf("sim: spawn %q during a parallel run (dynamic process creation requires the sequential engine)", name))
+		panic(fmt.Sprintf("sim: spawn %q during a parallel run (dynamic process creation requires the built-in driver)", name))
 	}
 	p := &Proc{
 		ID:       len(e.procs),
@@ -379,6 +422,9 @@ func (e *Engine) SpawnAt(name string, cpu int, priority int, start Time, fn func
 	p.cpu.queue = append(p.cpu.queue, p)
 	p.cpu.shard.push(p)
 	p.cpu.touch()
+	if e.cur != nil && e.cur != p.cpu.shard {
+		e.cur.crossShard("spawns", p, start, start)
+	}
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{T: start, Cat: "sched", Ev: "spawn", P: p.ID, O: cpu, S: name})
 	}
@@ -419,24 +465,83 @@ func (e *Engine) Run() error {
 		e.inRounds = false
 		return err
 	}
-	sh := e.shards[0]
-	switch sh.runWindow(Forever) {
-	case WindowErr:
-		return sh.err
-	case WindowStall:
-		return e.stallErrorAt(sh, sh.progressMark)
-	default: // WindowHorizon, WindowIdle: nothing left before Forever
-		if e.allDone() {
+	return e.drive()
+}
+
+// drive is the built-in driver: one window at a time, always of the shard
+// whose next event is earliest, up to the lookahead past the earliest event
+// of any other shard. Nothing another shard does can take effect here before
+// that horizon, and what this window does to another shard clamps the
+// horizon as it happens (see clamp), so cross-shard effects are applied
+// directly. A shard that is alone — the only shard, or the only one with
+// anything left to do — runs to the end in a single window.
+func (e *Engine) drive() error {
+	// A window that takes no step is not idle: its pass may have dispatched
+	// a process behind a context switch, which moves the shard's next step,
+	// or it leaves the shard settled so that nextStep is exact. Either
+	// happens a bounded number of times per CPU before some shard steps.
+	// Beyond that the driver is offering the same window again and again;
+	// steps are what MaxTime and the watchdog count, so say so here.
+	idle, maxIdle := 0, 4*(len(e.cpus)+len(e.shards))
+	for {
+		var sh *shard
+		first, second := Forever, Forever // the two earliest next steps
+		for _, s := range e.shards {
+			if r := s.nextStep(); r < first {
+				sh, first, second = s, r, first
+			} else if r < second {
+				second = r
+			}
+		}
+		if sh == nil {
+			if e.allDone() {
+				return nil
+			}
+			return e.DeadlockError()
+		}
+		horizon := Forever
+		if second < Forever {
+			horizon = second + e.cfg.Lookahead
+		}
+		steps := sh.counters.Steps
+		e.cur = sh
+		st := sh.runWindow(horizon)
+		e.cur = nil
+		switch st {
+		case WindowErr:
+			return sh.err
+		case WindowStall:
+			if err := e.confirmStallInOrder(sh); err != nil {
+				return err
+			}
+		default:
+			if sh.counters.Steps > steps {
+				idle = 0
+			} else if idle++; idle > maxIdle {
+				return fmt.Errorf("sim: driver stuck: %d windows in a row took no step; shard %d next steps at t=%d, window [%d, %d)", idle, sh.idx, sh.nextStep(), first, horizon)
+			}
+		}
+	}
+}
+
+// confirmStallInOrder resolves a watchdog trip of the built-in driver. The
+// trip is shard-local; the watchdog's question is global and asked in time
+// order. While another shard still has something to do before the tripping
+// process's clock, that comes first (the process trips again when its shard
+// is next the earliest); after that ConfirmStall decides.
+func (e *Engine) confirmStallInOrder(sh *shard) error {
+	for _, s := range e.shards {
+		if s != sh && s.nextStep() < sh.stalled.now {
+			sh.stalled = nil
 			return nil
 		}
-		return e.DeadlockError()
 	}
+	return e.ConfirmStall(sh.idx)
 }
 
 // RunShardWindow runs one shard until nothing in it can act before the
 // horizon (or an error/stall interrupts it). A parallel runner calls it
-// for different shards concurrently; the sequential engine calls it once
-// with horizon Forever.
+// for different shards concurrently.
 func (e *Engine) RunShardWindow(i int, horizon Time) WindowStatus {
 	return e.shards[i].runWindow(horizon)
 }
@@ -481,8 +586,8 @@ func (e *Engine) DeadlockError() error {
 	return fmt.Errorf("sim: deadlock, %d processes stuck: %v", len(stuck), stuck)
 }
 
-// ConfirmStall resolves a WindowStall from shard i at a window barrier.
-// An iteration-budget trip is always genuine (a zero-time livelock cannot
+// ConfirmStall resolves a WindowStall from shard i between windows. An
+// iteration-budget trip is always genuine (a zero-time livelock cannot
 // span shards inside one window). A cycle-budget trip is re-checked
 // against global progress: another shard may have performed charged work
 // the tripping shard could not see, in which case the shard's watchdog
@@ -507,23 +612,25 @@ func (e *Engine) ConfirmStall(i int) error {
 }
 
 // runWindow drives the shard's scheduling loop until nothing in the shard
-// can act before the horizon. It is re-entrant: a parallel runner calls it
-// once per round with an increasing horizon.
+// can act before the horizon. It is re-entrant: every driver calls it again
+// and again with later horizons.
 func (sh *shard) runWindow(horizon Time) WindowStatus {
 	e := sh.eng
+	sh.horizon = horizon
+	sh.counters.Windows++
 	for {
 		if sh.err != nil {
 			return WindowErr
 		}
 		if e.probe != nil {
-			e.probe(sh, horizon)
+			e.probe(sh, sh.horizon)
 		}
 		minEff := sh.minEffective()
-		if minEff >= horizon {
+		if minEff >= sh.horizon {
 			return WindowHorizon
 		}
 		sh.pass(minEff)
-		p, st := sh.pick(horizon)
+		p, st := sh.pick(sh.horizon)
 		if p == nil {
 			return st
 		}
@@ -546,7 +653,7 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 		sh.now = p.now
 		// p may run until any other process could act: the root if p is
 		// not the root itself, else the smaller of the root's children.
-		window := horizon
+		window := sh.horizon
 		if p.hpos != 0 {
 			window = min(window, sh.heap[0].key)
 		} else {
@@ -592,6 +699,55 @@ func (c *CPU) touch() {
 		d[i], d[i-1] = d[i-1], d[i]
 	}
 	c.shard.dirty = d
+}
+
+// crossShard accounts for the process running in sh, the shard whose window
+// the built-in driver is in, notifying or spawning q in another shard for
+// time t, which makes q schedulable at w (t, or q's own clock if later).
+// That shard may answer from w on, so nothing here may run past w +
+// lookahead: the window is clamped. (The horizon it started with allowed for
+// what the other shards already had to do, not for this.) And t must be at
+// least a lookahead after the running process's clock, the one thing the
+// windows take on trust: q's shard may already have run up to that far
+// ahead, so an earlier effect would silently reorder the run instead.
+func (sh *shard) crossShard(verb string, q *Proc, t, w Time) {
+	la := sh.eng.cfg.Lookahead
+	if r := sh.running; r != nil && t < r.now+la {
+		panic(fmt.Sprintf("sim: %s[%d] on node %d %s %s[%d] on node %d for t=%d, less than the lookahead (%d) after its own clock t=%d: cross-node effects this fast need Config.Lookahead 0",
+			r.Name, r.ID, r.cpu.node, verb, q.Name, q.ID, q.cpu.node, t, la, r.now))
+	}
+	sh.clamp(w + la)
+}
+
+// clamp ends the shard's current window at h if that is earlier.
+func (sh *shard) clamp(h Time) {
+	if h >= sh.horizon {
+		return
+	}
+	sh.horizon = h
+	sh.counters.HorizonClamps++
+	if r := sh.running; r != nil && h < r.window {
+		r.window = h
+	}
+}
+
+// nextStep returns a lower bound on the time of the step the shard would
+// take next, for the built-in driver to order shards by and to bound the
+// others' horizons with. It is computed from the shard as it stands, every
+// time: normally the heap root, minEffective. While a pass still has CPUs
+// to look at, that is all that can be said, and the window that runs the
+// pass settles it. After it, the bound is exact: a root queued behind an
+// incumbent that overran its slice when nobody wanted the CPU cannot run
+// before the incumbent yields, so the next step is the earliest incumbent's.
+func (sh *shard) nextStep() Time {
+	m := sh.minEffective()
+	if m >= Forever || len(sh.dirty) > 0 || m >= sh.staleMin {
+		return m
+	}
+	if p := sh.earliestIncumbent(); p != nil {
+		return p.key
+	}
+	return Forever
 }
 
 // minEffective returns the earliest effective time of any live process in
@@ -754,22 +910,30 @@ func (sh *shard) dispatch(c *CPU) bool {
 	return true
 }
 
-// pick returns the incumbent with the smallest (effective time, ID) below
-// the horizon. The nil status distinguishes "nothing before the horizon"
-// (WindowHorizon) from "nothing ever" (WindowIdle).
-func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
+// earliestIncumbent returns the process the next step would resume: the
+// heap root, or, when the root is descheduled behind an incumbent that has
+// outrun its slice but was not switched out yet, the incumbent with the
+// smallest (effective time, ID), since only incumbents can be resumed. nil
+// if there is none.
+func (sh *shard) earliestIncumbent() *Proc {
 	best := sh.heap[0]
-	if best.cpu.current != best {
-		// The earliest process is descheduled behind an incumbent that has
-		// outrun its slice but was not switched out yet; only incumbents
-		// can be resumed.
-		best = nil
-		for _, c := range sh.cpus {
-			if p := c.current; p != nil && (best == nil || p.before(best)) {
-				best = p
-			}
+	if best.cpu.current == best {
+		return best
+	}
+	best = nil
+	for _, c := range sh.cpus {
+		if p := c.current; p != nil && (best == nil || p.before(best)) {
+			best = p
 		}
 	}
+	return best
+}
+
+// pick returns the process to resume, the earliest incumbent if it can act
+// before the horizon. Otherwise it returns nil and distinguishes "nothing
+// before the horizon" (WindowHorizon) from "nothing ever" (WindowIdle).
+func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
+	best := sh.earliestIncumbent()
 	if best == nil || best.key >= Forever {
 		return nil, WindowIdle
 	}
@@ -778,10 +942,12 @@ func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
 	}
 	best.cpu.touch()
 	if best.state == stateWaiting || best.state == stateBlocked {
-		// Its event has arrived; advance its clock to the wake time. (A
-		// blocked process parked on its CPU commits the wake here — see
-		// dispatch. Its sleeping flag is deliberately left set, matching
-		// the historical dispatch-time transition.)
+		// Its event has arrived: the wake is committed here, in time order
+		// within the shard and before the horizon, so every notification
+		// that could still have made it earlier has been delivered. The
+		// clock moves to the wake time and the one wake consumes whatever
+		// was pending. (A blocked process parked on its CPU is woken here
+		// too — see dispatch; its sleeping flag stays set.)
 		wasWaiting := best.state == stateWaiting
 		best.now = max(best.now, best.wakeAt)
 		best.wakeAt = Forever
@@ -791,13 +957,13 @@ func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
 		}
 	}
 	if best.wakeAt <= best.now {
-		// A pending notification the process has already reached (it was
-		// delivered while the process was descheduled mid-run, clamped to
-		// its clock then). The process observes it now; left in place it
-		// would mask a later, larger re-arm (NotifyAt keeps the minimum)
-		// and force a spurious wake at the next park — at a wall-order-
-		// dependent point, since the two engines deliver cross-node
-		// notifications at different moments (put time vs window barrier).
+		// A notification for a time the process is already at or past. It
+		// arrived while the process was descheduled mid-run, either
+		// clamped to its clock then or overtaken since by a dispatch that
+		// moved the clock (Advance drops the ones it runs past itself).
+		// The process has nothing to wait for, so it is dropped before the
+		// process takes another step: how often a process yields differs
+		// between drivers, what it has seen by a given step must not.
 		best.wakeAt = Forever
 	}
 	return best, WindowHorizon

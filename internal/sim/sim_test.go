@@ -3,6 +3,7 @@ package sim
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSingleProcAdvances(t *testing.T) {
@@ -267,5 +268,160 @@ func TestMicrosecondsConversion(t *testing.T) {
 	}
 	if Cycles(20) != 6000 {
 		t.Fatalf("Cycles(20)=%v", Cycles(20))
+	}
+}
+
+// TestRunPastNotificationDropped: a process that is notified for a time,
+// advances past it and then parks has nothing to wake for. It must sleep
+// until the next notification, and the same whether it ran straight through
+// or a busy neighbour made it yield at every Advance: a notification used
+// to be dropped only at a resume, so the straight run woke at once.
+func TestRunPastNotificationDropped(t *testing.T) {
+	for _, tc := range []struct {
+		park string
+		want Time
+	}{{"Wait", 5000}, {"Block", 5000}, {"Sleep", 1160}} {
+		for _, busy := range []bool{false, true} {
+			e := NewEngine(Config{Nodes: 1, CPUsPerNode: 3})
+			var woke Time
+			subject := e.SpawnAt("subject", 0, 0, 10, func(p *Proc) {
+				p.Advance(50)
+				p.Advance(100) // t=160, past the notification for t=100
+				switch tc.park {
+				case "Wait":
+					p.Wait()
+				case "Block":
+					p.Block()
+				case "Sleep":
+					p.Sleep(1000)
+				}
+				woke = p.Now()
+			})
+			e.Spawn("notifier", 1, 0, func(p *Proc) {
+				subject.NotifyAt(100) // before the subject starts
+				p.Advance(5000)
+				subject.NotifyAt(p.Now())
+			})
+			if busy {
+				e.Spawn("neighbour", 2, 0, func(p *Proc) {
+					for i := 0; i < 300; i++ {
+						p.Advance(1)
+					}
+				})
+			}
+			if err := e.Run(); err != nil {
+				t.Fatalf("%s, busy neighbour %v: %v", tc.park, busy, err)
+			}
+			if woke != tc.want {
+				t.Errorf("%s, busy neighbour %v: woke at t=%d, want %d", tc.park, busy, woke, tc.want)
+			}
+		}
+	}
+}
+
+// TestHeldShardLetsOthersPass: a shard whose earliest process is queued
+// behind an incumbent that overran its slice cannot take a step before that
+// incumbent's clock, however early the queued process's wake is. The driver
+// must order the shard by the step it can take, not by its heap root, or it
+// would offer the shard the same too-short window for ever.
+func TestHeldShardLetsOthersPass(t *testing.T) {
+	woke := func(lookahead Time) (sleeperWoke Time) {
+		e := NewEngine(Config{Nodes: 2, CPUsPerNode: 1, Quantum: 4000, Lookahead: lookahead, MaxTime: 100_000})
+		sleeper := e.Spawn("sleeper", 0, 0, func(p *Proc) {
+			p.Block() // gives the CPU to the runner; woken from the other node
+			sleeperWoke = p.Now()
+		})
+		e.Spawn("runner", 0, 0, func(p *Proc) {
+			p.Advance(5000) // one step, past the slice end; nobody wants the CPU yet
+			p.Advance(100)
+		})
+		e.SpawnAt("waker", 1, 0, 3700, func(p *Proc) {
+			sleeper.NotifyAt(p.Now() + 500) // t=4200, inside the runner's long step
+			for i := 0; i < 30; i++ {
+				p.Advance(100)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sleeperWoke
+	}
+	if global, windows := woke(0), woke(400); windows != global || global < 5000 {
+		t.Errorf("sleeper resumed at t=%d in windows, t=%d in strict global order (no earlier than 5000, when the runner can first be switched out)", windows, global)
+	}
+}
+
+// TestDispatchAtWindowEndKeepsDriverMoving: the last thing a window does may
+// be a pass that dispatches a process with a context-switch charge, which
+// moves the shard's next step to or past the horizon without any step being
+// taken. The driver must order the shards by what they can do after that
+// pass, not before it, or it offers node 0 the same window for ever (MaxTime
+// and the watchdog count steps, so neither would end such a run).
+func TestDispatchAtWindowEndKeepsDriverMoving(t *testing.T) {
+	woke := func(lookahead Time) (aWoke Time) {
+		e := NewEngine(Config{Nodes: 2, CPUsPerNode: 1, CtxSwitch: 2000, Lookahead: lookahead, MaxTime: 200_000})
+		e.Spawn("a", 0, 0, func(p *Proc) {
+			p.NotifyAt(5000)
+			p.Block()
+			aWoke = p.Now()
+		})
+		e.Spawn("b", 0, 0, func(p *Proc) {
+			p.Advance(2000)
+			p.NotifyAt(50_000)
+			p.Block()
+		})
+		e.Spawn("c", 1, 0, func(p *Proc) {
+			for i := 0; i < 600; i++ {
+				p.Advance(100)
+			}
+		})
+		done := make(chan error, 1)
+		go func() { done <- e.Run() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("lookahead %d: %v", lookahead, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("lookahead %d: the driver is still running after 20 s", lookahead)
+		}
+		return aWoke
+	}
+	if global, windows := woke(0), woke(400); windows != global || global != 6000 {
+		t.Errorf("a woke at t=%d in windows, t=%d in strict global order, want 6000 (its switch-in ends then)", windows, global)
+	}
+}
+
+// TestCrossNodeEffectInsideLookaheadRefused: per-node shards rest on every
+// cross-node effect taking at least the lookahead. A layer that signals or
+// spawns across nodes any faster (a cluster OS) must be run with lookahead
+// 0, where the same program is legal; with a lookahead the run fails at the
+// first such effect, naming both processes, instead of drifting from strict
+// global order.
+func TestCrossNodeEffectInsideLookaheadRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		effect func(e *Engine, p, peer *Proc)
+		want   string
+	}{
+		{"NotifyAt", func(e *Engine, p, peer *Proc) { peer.NotifyAt(p.Now() + 399) }, "sender[1] on node 1 notifies peer[0] on node 0 for t=499, less than the lookahead (400)"},
+		{"SpawnAt", func(e *Engine, p, peer *Proc) { e.SpawnAt("child", 0, 0, p.Now(), func(*Proc) {}) }, "sender[1] on node 1 spawns child[2] on node 0 for t=100, less than the lookahead (400)"},
+	} {
+		for _, lookahead := range []Time{0, 400} {
+			e := NewEngine(Config{Nodes: 2, CPUsPerNode: 1, Lookahead: lookahead})
+			peer := e.Spawn("peer", 0, 0, func(p *Proc) { p.Wait() })
+			e.Spawn("sender", 1, 0, func(p *Proc) {
+				p.Advance(100)
+				tc.effect(e, p, peer)
+				peer.NotifyAt(p.Now() + 400) // legal either way; lets peer finish
+			})
+			err := e.Run()
+			switch {
+			case lookahead == 0 && err != nil:
+				t.Errorf("%s, lookahead 0: %v", tc.name, err)
+			case lookahead > 0 && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s, lookahead %d: want an error containing %q, got %v", tc.name, lookahead, tc.want, err)
+			}
+		}
 	}
 }

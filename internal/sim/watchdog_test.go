@@ -98,3 +98,65 @@ func TestWatchdogQuietWhenProgressing(t *testing.T) {
 		t.Fatalf("watchdog misfired on a progressing run: %v", err)
 	}
 }
+
+// TestWatchdogShardTripCheckedAgainstGlobalProgress: on per-node shards the
+// watchdog trips on a shard's own progress mark. A node whose only process
+// sleeps a little longer than the budget trips at every wake-up, but the
+// other node keeps charging work, so there is no stall: the built-in driver
+// must check the trip against global progress and carry on, as strict
+// global order (one progress mark) does.
+func TestWatchdogShardTripCheckedAgainstGlobalProgress(t *testing.T) {
+	const budget = 10_000
+	for _, lookahead := range []Time{0, 500} {
+		e := NewEngine(Config{Nodes: 2, CPUsPerNode: 1, Lookahead: lookahead, WatchdogCycles: budget})
+		e.Spawn("busy", 0, 0, func(p *Proc) {
+			for i := 0; i < 2000; i++ {
+				p.Advance(100) // global progress through t=200000
+			}
+		})
+		e.Spawn("napper", 1, 0, func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Sleep(budget + 2000) // every wake is past the node's own mark
+				p.Advance(1)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Errorf("lookahead %d: watchdog misfired while another node was making progress: %v", lookahead, err)
+		}
+	}
+}
+
+// TestWatchdogLivelockSameOnShards: a genuine livelock — one node's work
+// ends, the other's process keeps waking without ever charging any — fails
+// with the same StallError, dump included, in strict global order and on
+// per-node shards. (All but the iteration count, which a shard starts again
+// each time its trip turns out to be a false alarm.)
+func TestWatchdogLivelockSameOnShards(t *testing.T) {
+	stall := func(lookahead Time) *StallError {
+		e := NewEngine(Config{Nodes: 2, CPUsPerNode: 1, Lookahead: lookahead, WatchdogCycles: 20_000})
+		e.Spawn("worker", 0, 0, func(p *Proc) {
+			for i := 0; i < 50; i++ {
+				p.Advance(100)
+			}
+			p.Wait() // parks forever, live for the dump
+		})
+		e.Spawn("drifter", 1, 0, func(p *Proc) {
+			for {
+				p.Sleep(1000)
+			}
+		})
+		var se *StallError
+		if err := e.Run(); !errors.As(err, &se) {
+			t.Fatalf("lookahead %d: want StallError, got %v", lookahead, err)
+		}
+		return se
+	}
+	global, sharded := stall(0), stall(500)
+	if global.LastProgress != 5000 || global.At != 26_000 {
+		t.Errorf("strict global order: stall at t=%d after progress at t=%d, want 26000 and 5000", global.At, global.LastProgress)
+	}
+	sharded.Iters = global.Iters
+	if global.Error() != sharded.Error() {
+		t.Errorf("per-node shards report a different stall:\n%v\nstrict global order:\n%v", sharded, global)
+	}
+}

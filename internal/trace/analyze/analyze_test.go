@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -153,7 +154,7 @@ func TestAnalyzerFaultEvents(t *testing.T) {
 	}
 }
 
-var updateGoldens = flag.Bool("update", false, "rewrite testdata/trace_digests.txt from this run")
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/trace_digests.txt and testdata/trace_multiset_digests.txt from this run")
 
 // goldenTraceCases are the runs whose whole JSONL trace (scheduler
 // switch/preempt/exit events included) is pinned byte for byte.
@@ -196,44 +197,65 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 	return err
 }
 
-// TestGoldenTraceDigest pins the sequential engine's trace bytes to the
-// digests committed in testdata/trace_digests.txt, so a change to the
-// scheduler that reorders, drops or retimes any event fails here even
-// though it is deterministic. Regenerate with -update only when a change
-// is meant to alter the simulated schedule.
+// TestGoldenTraceDigest pins every golden run's trace twice.
+//
+// testdata/trace_multiset_digests.txt holds trace.MultisetDigest of the
+// stream: which events a run emits, with which timestamps and payloads, in
+// any order. It was recorded on the commit before the built-in driver
+// learned lookahead windows, when one shard ran every process in global
+// time order, and a scheduler change must not move it.
+//
+// testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
+// windows in driver order: within a node by time, across nodes as the
+// driver ran their windows, each up to a lookahead past the others. That
+// order is deterministic run to run, so a change that reorders, drops or
+// retimes any event fails here even though it repeats.
+//
+// Regenerate with -update only when a change is meant to alter the
+// simulated schedule, and look at which of the two files moved.
 func TestGoldenTraceDigest(t *testing.T) {
-	const path = "testdata/trace_digests.txt"
-	got := map[string]string{}
-	var out strings.Builder
+	files := []struct {
+		path string
+		got  map[string]string
+		out  strings.Builder
+	}{{path: "testdata/trace_digests.txt"}, {path: "testdata/trace_multiset_digests.txt"}}
+	for i := range files {
+		files[i].got = map[string]string{}
+	}
 	for _, c := range goldenTraceCases {
-		h := sha256.New()
-		tr := trace.New(trace.DefaultRingSize, h)
+		h, md := sha256.New(), trace.NewMultisetDigest()
+		tr := trace.New(trace.DefaultRingSize, io.MultiWriter(h, md))
 		if err := c.run(tr); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if err := tr.Flush(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		got[c.name] = hex.EncodeToString(h.Sum(nil))
-		fmt.Fprintf(&out, "%s %s\n", c.name, got[c.name])
+		for i, d := range []string{hex.EncodeToString(h.Sum(nil)), fmt.Sprintf("%016x", md.Sum64())} {
+			files[i].got[c.name] = d
+			fmt.Fprintf(&files[i].out, "%s %s\n", c.name, d)
+		}
 	}
-	if *updateGoldens {
-		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+	for i := range files {
+		f := &files[i]
+		if *updateGoldens {
+			if err := os.WriteFile(f.path, []byte(f.out.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		raw, err := os.ReadFile(f.path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Fields(string(raw))
-	if len(want) != 2*len(goldenTraceCases) {
-		t.Fatalf("%s: %d fields for %d cases", path, len(want), len(goldenTraceCases))
-	}
-	for i := 0; i < len(want); i += 2 {
-		if got[want[i]] != want[i+1] {
-			t.Errorf("%s: trace sha256 %s, golden %s", want[i], got[want[i]], want[i+1])
+		want := strings.Fields(string(raw))
+		if len(want) != 2*len(goldenTraceCases) {
+			t.Fatalf("%s: %d fields for %d cases", f.path, len(want), len(goldenTraceCases))
+		}
+		for j := 0; j < len(want); j += 2 {
+			if f.got[want[j]] != want[j+1] {
+				t.Errorf("%s: %s: got %s, golden %s", f.path, want[j], f.got[want[j]], want[j+1])
+			}
 		}
 	}
 }

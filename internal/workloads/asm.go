@@ -192,18 +192,24 @@ func AsmConfig() core.Config {
 }
 
 func RunAsm(k AsmKernel, opt rewriter.Options, sanitize bool, opts ...core.Option) (*AsmResult, error) {
+	_, res, err := runAsm(k, opt, sanitize, opts...)
+	return res, err
+}
+
+// runAsm is RunAsm, returning the system it ran on as well.
+func runAsm(k AsmKernel, opt rewriter.Options, sanitize bool, opts ...core.Option) (*core.System, *AsmResult, error) {
 	prog, err := isa.Assemble(k.Source)
 	if err != nil {
-		return nil, fmt.Errorf("kernel %s: %w", k.Name, err)
+		return nil, nil, fmt.Errorf("kernel %s: %w", k.Name, err)
 	}
 	out, rst, err := rewriter.Rewrite(prog, opt)
 	if err != nil {
-		return nil, fmt.Errorf("kernel %s: %w", k.Name, err)
+		return nil, nil, fmt.Errorf("kernel %s: %w", k.Name, err)
 	}
 	cfg := AsmConfig()
 	s := core.Build(append([]core.Option{core.WithConfig(cfg)}, opts...)...)
 	if c := s.Cfg; c.Nodes != cfg.Nodes || c.CPUsPerNode != cfg.CPUsPerNode {
-		return nil, fmt.Errorf("kernel %s: options changed the cluster topology (%d×%d)", k.Name, c.Nodes, c.CPUsPerNode)
+		return nil, nil, fmt.Errorf("kernel %s: options changed the cluster topology (%d×%d)", k.Name, c.Nodes, c.CPUsPerNode)
 	}
 	cfg = s.Cfg
 	bar := dsmsync.NewMPBarrier(s, 0, k.Ranks)
@@ -230,10 +236,10 @@ func RunAsm(k AsmKernel, opt rewriter.Options, sanitize bool, opts ...core.Optio
 	}
 	s.Alloc(32<<10, core.AllocOptions{Home: 0})
 	if err := s.Run(); err != nil {
-		return nil, fmt.Errorf("kernel %s: %w", k.Name, err)
+		return nil, nil, fmt.Errorf("kernel %s: %w", k.Name, err)
 	}
 	if len(errs) > 0 {
-		return nil, errs[0]
+		return nil, nil, errs[0]
 	}
-	return &AsmResult{Memory: s.SnapshotShared(), Stats: s.AggregateStats(), Rewrite: rst, Program: out}, nil
+	return s, &AsmResult{Memory: s.SnapshotShared(), Stats: s.AggregateStats(), Rewrite: rst, Program: out}, nil
 }

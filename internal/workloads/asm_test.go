@@ -2,10 +2,12 @@ package workloads
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/rewriter"
+	"repro/internal/sim"
 )
 
 // elimOptions is the pure straight-line optimizer configuration (PR 3
@@ -174,6 +176,35 @@ func TestAsmKernelCheckHoistEquivalence(t *testing.T) {
 	}
 	if kernelsOver15 < 2 {
 		t.Errorf("only %d kernels gained >=15%% beyond elimination, want >=2", kernelsOver15)
+	}
+}
+
+// TestAsmRankExitIndependentOfYields pins when lu-contig's ranks stop
+// serving after their programs end. Rank 0 parks in serveAfterExit, whose
+// back-off grows with every wake-up, holding a notification for a time it
+// has already run past. While such a notification was dropped only at the
+// process's next resume, that park returned at once or not depending on
+// whether the process had yielded in between: the rank ended at 63687 in
+// strict global order and one 6000-cycle back-off later, at 69687, under a
+// driver that lets it run on. sim.Proc.Advance drops it now.
+func TestAsmRankExitIndependentOfYields(t *testing.T) {
+	for _, k := range AsmKernels() {
+		if k.Name != "lu-contig" {
+			continue
+		}
+		for _, proto := range core.ProtocolNames() {
+			sys, _, err := runAsm(k, rewriter.DefaultOptions(), false, core.WithProtocol(proto))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", k.Name, proto, err)
+			}
+			var ended []sim.Time
+			for _, p := range sys.Procs() {
+				ended = append(ended, p.Sim.Now())
+			}
+			if want := []sim.Time{63687, 63579, 64809, 60039}; !reflect.DeepEqual(ended, want) {
+				t.Errorf("%s/%s: ranks ended at %v, want %v", k.Name, proto, ended, want)
+			}
+		}
 	}
 }
 

@@ -91,3 +91,27 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 		t.Errorf("run allocated %d bytes for %d shared bytes on %d agents, want at most %d", got, shared, agents, limit)
 	}
 }
+
+// TestLookaheadWindowsSaveSteps pins the point of the built-in driver's
+// lookahead windows: on eight single-CPU nodes, where strict global order
+// switched process at nearly every Advance (517 242 scheduler steps for
+// Barnes at scale 4 under Tardis), each node now runs a wire latency past
+// the others before it yields. The cycles are the ones recorded then.
+func TestLookaheadWindowsSaveSteps(t *testing.T) {
+	sys := core.Build(core.WithMaxTime(sim.Cycles(900e6)), core.WithProcs(8, 1),
+		core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis"))
+	res, err := Run(sys, Barnes(), RunConfig{Procs: 8, Scale: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Elapsed != 51510240 {
+		t.Errorf("elapsed %d cycles, want 51510240", res.Elapsed)
+	}
+	c := sys.Eng.SchedCounters()
+	if c.Steps >= 517242/2 || c.Steps != c.Switches+c.SelfPicks {
+		t.Errorf("%d scheduler steps (%d switches + %d self-picks), want fewer than half of 517242", c.Steps, c.Switches, c.SelfPicks)
+	}
+	if c.Windows == 0 || c.HorizonClamps == 0 {
+		t.Errorf("%d windows, %d horizon clamps for %d steps", c.Windows, c.HorizonClamps, c.Steps)
+	}
+}
