@@ -105,8 +105,8 @@ func main() {
 	fmt.Printf("  locks/barriers      %10d / %d\n", st.LockAcquires(), st.BarrierWaits())
 	sched := sys.Eng.SchedCounters()
 	fmt.Printf("  context switches    %10d (simulated)\n", sys.Eng.ContextSwitches())
-	fmt.Printf("  scheduler           %10d steps, %d coroutine switches, %d self-picks, %d heap fixes, %d cpu passes, %d windows, %d horizon clamps\n",
-		sched.Steps, sched.Switches, sched.SelfPicks, sched.HeapFixes, sched.CPUPasses, sched.Windows, sched.HorizonClamps)
+	fmt.Printf("  scheduler           %10d steps, %d coroutine switches, %d self-picks, %d heap fixes, %d cpu passes, %d windows, %d horizon clamps, %d parks, %d early wakes\n",
+		sched.Steps, sched.Switches, sched.SelfPicks, sched.HeapFixes, sched.CPUPasses, sched.Windows, sched.HorizonClamps, sched.Parks, sched.EarlyWakes)
 	if cfg.Faults.Enabled() {
 		net := sys.Net.Stats()
 		fmt.Printf("  faults (%s, seed %d): %d dropped, %d duplicated on the wire\n",

@@ -70,8 +70,10 @@ type Protocol interface {
 	// reconstruct write timestamps when a version later leaves its
 	// owner records the writer's logical time here.
 	noteStoreHit(p *Proc, line int)
-	// pollTick runs on every in-line message poll; backends use it for
-	// time-based bookkeeping (lease self-expiry).
+	// pollTick runs on every System.pollTickEvery-th in-line message poll
+	// of a process, a period the backend sets in attach (0: never); it is
+	// for time-based bookkeeping (lease self-expiry). The polls in between
+	// do nothing of the backend's, which is what lets Compute skip them.
 	pollTick(p *Proc)
 	// scFailRetains reports whether a failed SC upgrade leaves the
 	// requester's copy valid. dirinval always drops it (the copy was

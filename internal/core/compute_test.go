@@ -1,0 +1,421 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/memchannel"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// The differential test of Compute: every program below runs twice, once
+// with each back-edge poll an event of its own (System.pollEach, the loop
+// lookahead-0 systems keep) and once in closed form, and everything a run
+// leaves behind must be the same — per-process clocks, statistics, the values
+// every load returned, final memory and the multiset of trace events.
+
+// computeRun is what one run leaves behind.
+type computeRun struct {
+	Err     string     // the run's error, with nothing else filled in
+	Clocks  []sim.Time // each process's clock when its program ended
+	Final   []sim.Time // and when the run did, post-exit service included
+	Stats   []Stats
+	Seen    []uint64 // per process, a checksum of every value it loaded
+	Mem     []uint64
+	Events  uint64 // trace.MultisetDigest
+	CtxSw   int64
+	counted sim.SchedCounters
+	retx    int64
+}
+
+// computeCase is one system to run programs on, one process per CPU.
+type computeCase struct {
+	name string
+	cfg  Config
+}
+
+// computeCases are 2x2 SMP-Shasta and 4x1 Base-Shasta under both protocols
+// and consistency models, with and without the lossy fault profile (so that
+// a retransmit deadline is something a poll finds).
+func computeCases(seed int64) []computeCase {
+	var cases []computeCase
+	for _, smp := range []bool{true, false} {
+		for _, proto := range []string{"dirinval", "tardis"} {
+			for _, cons := range []ConsistencyModel{ReleaseConsistent, SequentiallyConsistent} {
+				for _, lossy := range []bool{false, true} {
+					cfg := testConfig()
+					cfg.Protocol, cfg.Consistency, cfg.Seed = proto, cons, seed
+					cfg.MaxTime = 5_000_000 // ten times what a program takes
+					cfg.Nodes, cfg.CPUsPerNode = 2, 2
+					name := "2x2 smp"
+					if !smp {
+						cfg.Nodes, cfg.CPUsPerNode = 4, 1
+						cfg.SMP, cfg.DirectDowngrade, cfg.SharedQueues = false, false, false
+						name = "4x1 base"
+					}
+					if lossy {
+						cfg.Faults, _ = memchannel.FaultProfile("lossy", seed)
+						name += " lossy"
+					}
+					cases = append(cases, computeCase{fmt.Sprintf("%s %s %v", name, proto, cons), cfg})
+				}
+			}
+		}
+	}
+	return cases
+}
+
+// runComputeProgram runs one seeded random program on c. Every process
+// executes its own sequence of Compute(1..5000), loads, stores, MP-lock and
+// LL/SC-lock critical sections (the LL/SC lock backs off with Computes under
+// a stall override, as a lock acquired inside a stall would), memory
+// barriers, and the two Computes that end on the edges of the closed form:
+// within the gap to the next poll, and exactly on a poll. Two barriers keep
+// the processes together.
+func runComputeProgram(t *testing.T, c computeCase, seed int64, pollEach bool) *computeRun {
+	t.Helper()
+	md := trace.NewMultisetDigest()
+	s := Build(WithConfig(c.cfg), WithTrace(trace.New(0, md)))
+	s.pollEach = s.pollEach || pollEach
+	const n = 4
+	run := &computeRun{Clocks: make([]sim.Time, n), Final: make([]sim.Time, n), Seen: make([]uint64, n)}
+	const words, ops = 64, 48
+	var data, counters, smLock uint64
+	var mpLock, bar int
+	interval := s.Cfg.PollInterval
+	for i := 0; i < n; i++ {
+		i := i
+		s.Spawn(fmt.Sprintf("w%d", i), i, func(p *Proc) {
+			r := rand.New(rand.NewSource(seed*1000 + int64(i)))
+			load := func(addr uint64) uint64 {
+				v := p.Load(addr)
+				run.Seen[i] = run.Seen[i]*1099511628211 + v
+				return v
+			}
+			for op := 0; op < ops; op++ {
+				if op == ops/2 {
+					p.BarrierWait(bar)
+				}
+				switch k := r.Intn(12); k {
+				case 0, 1, 2, 3:
+					p.Compute(sim.Time(1 + r.Intn(5000)))
+				case 4:
+					if p.pollGap > 0 {
+						p.Compute(1 + sim.Time(r.Int63n(int64(p.pollGap))))
+					}
+				case 5:
+					p.Compute(p.pollGap + interval*sim.Time(r.Intn(4)))
+				case 6, 7:
+					load(data + uint64(r.Intn(words))*8)
+				case 8:
+					p.Store(data+uint64(r.Intn(words))*8, uint64(i)<<32|uint64(op))
+				case 9:
+					p.LockAcquire(mpLock)
+					v := load(counters)
+					p.Compute(sim.Time(r.Intn(300)))
+					p.Store(counters, v+1)
+					p.LockRelease(mpLock)
+				case 10:
+					backoff := sim.Time(200)
+					for load(smLock) != 0 || p.LoadLocked(smLock) != 0 || !p.StoreCond(smLock, 1) {
+						p.Poll()
+						p.overridden, p.override = true, CatSyncStall
+						p.Compute(backoff)
+						p.overridden = false
+						if backoff < 6000 {
+							backoff *= 2
+						}
+					}
+					p.MemBar()
+					p.Store(counters+64, load(counters+64)+1)
+					p.MemBar()
+					p.Store(smLock, 0)
+				case 11:
+					p.MemBar()
+				}
+			}
+			p.BarrierWait(bar)
+			run.Clocks[i] = p.Now()
+		})
+	}
+	// Four blocks of data homed round-robin, and a line each for the two
+	// counters and the LL/SC lock.
+	data = s.Alloc(words*8, AllocOptions{BlockLines: 2, Home: -1})
+	counters = s.Alloc(128, AllocOptions{Home: 1})
+	smLock = s.Alloc(64, AllocOptions{Home: 2})
+	mpLock, bar = s.NewLock(3), s.NewBarrier(0, n)
+	if err := s.Run(); err != nil {
+		// A deadlock names every process and its clock. A run that spins to
+		// MaxTime stops at whichever yield first passes it.
+		run.Err, _, _ = strings.Cut(err.Error(), " at proc")
+		return run
+	}
+	for i, p := range s.procs {
+		run.Final[i] = p.Sim.Now()
+		run.Stats = append(run.Stats, p.stats)
+		run.retx += p.stats.N[CntRetransmits]
+	}
+	run.Mem, run.Events, run.CtxSw = s.SnapshotShared(), md.Sum64(), s.Eng.ContextSwitches()
+	run.counted = s.Eng.SchedCounters()
+	return run
+}
+
+// TestComputeClosedFormMatchesPolling sweeps PollInterval over {1, 7, 120,
+// 10000} and Cost.Poll over {0, 3}: every case meets every pair five times
+// in 40 seeds. With interval 1 and a free poll every cycle is a poll
+// instant, so every message arrives exactly on one.
+func TestComputeClosedFormMatchesPolling(t *testing.T) {
+	seeds := int64(40)
+	if testing.Short() {
+		seeds = 8
+	}
+	intervals, pollCosts := []sim.Time{1, 7, 120, 10000}, []sim.Time{0, 3}
+	var total, ref sim.SchedCounters
+	var retx int64
+	pairs, failed := 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		for ci, c := range computeCases(seed) {
+			mix := int(seed) + ci
+			c.cfg.PollInterval = intervals[mix%4]
+			c.cfg.Cost.Poll = pollCosts[mix/4%2]
+			want := runComputeProgram(t, c, seed, true)
+			got := runComputeProgram(t, c, seed, false)
+			if diff := DiffExported(*want, *got); diff != "" {
+				t.Fatalf("%s seed %d interval %d poll cost %d: %s", c.name, seed, c.cfg.PollInterval, c.cfg.Cost.Poll, diff)
+			}
+			pairs++
+			if want.Err != "" {
+				failed++
+				t.Logf("%s seed %d interval %d poll cost %d, both ways: %.60s", c.name, seed, c.cfg.PollInterval, c.cfg.Cost.Poll, want.Err)
+				continue
+			}
+			ref.Steps += want.counted.Steps
+			total.Steps += got.counted.Steps
+			total.Parks += got.counted.Parks
+			total.EarlyWakes += got.counted.EarlyWakes
+			retx += got.retx
+			if want.counted.Parks != 0 {
+				t.Fatalf("%s seed %d: the polling loop parked %d times", c.name, seed, want.counted.Parks)
+			}
+		}
+	}
+	t.Logf("%d pairs of runs, %d of them failed the same way both ways; %d scheduler steps polling, %d in closed form (%d parks, %d woken early), %d retransmissions",
+		pairs, failed, ref.Steps, total.Steps, total.Parks, total.EarlyWakes, retx)
+	// The programs are hard on the protocol: their stores race, and
+	// SMP-Shasta with the directory protocol deadlocks or livelocks on one
+	// in fifty (an upgrade by a process on the home's node against a remote
+	// upgrade of the same line, each deferred behind the other's fill;
+	// ROADMAP item 3). Such a run must end the same way both ways, down to
+	// the clocks the deadlock names. Most runs must not be of that kind.
+	if 4*failed > pairs {
+		t.Errorf("%d of %d pairs of runs failed", failed, pairs)
+	}
+	// The closed form must have been exercised: parked and woken early by an
+	// arrival, with retransmit deadlines among the wake sources.
+	if total.Parks == 0 || total.EarlyWakes == 0 || retx == 0 || total.Steps >= ref.Steps {
+		t.Errorf("sweep did not exercise the closed form: %d parks, %d early wakes, %d retransmissions, %d steps against %d",
+			total.Parks, total.EarlyWakes, retx, total.Steps, ref.Steps)
+	}
+}
+
+// TestComputeArrivalOnPollInstant slides a remote read request across a
+// home that is in the middle of a Compute, one cycle at a time over two
+// poll spacings, so that it arrives just before, exactly on and just after
+// a poll instant: the poll that serves it, and so the reader's clock, must
+// be the one the polling loop gives.
+func TestComputeArrivalOnPollInstant(t *testing.T) {
+	for _, pollCost := range []sim.Time{0, 3} {
+		cfg := baseConfig()
+		cfg.Nodes, cfg.CPUsPerNode = 2, 1
+		cfg.Cost.Poll = pollCost
+		spacing := cfg.PollInterval + pollCost
+		onInstant := 0
+		for offset := sim.Time(0); offset < 2*spacing; offset++ {
+			var clocks [2][2]sim.Time
+			for mode, pollEach := range []bool{true, false} {
+				s := Build(WithConfig(cfg))
+				s.pollEach = pollEach
+				var addr uint64
+				var first, arrive sim.Time
+				debugDeliver = func(from, to *Proc, kind string, at sim.Time) {
+					if to.ID == 0 && arrive == 0 {
+						arrive = at
+					}
+				}
+				s.Spawn("home", 0, func(p *Proc) {
+					p.Store(addr, 7)
+					first = p.Now() + p.pollGap + pollCost
+					p.Compute(20 * cfg.PollInterval)
+					clocks[mode][0] = p.Now()
+				})
+				s.Spawn("reader", 1, func(p *Proc) {
+					p.ChargeTime(CatTask, 5*spacing+offset)
+					if p.Load(addr) != 7 {
+						t.Errorf("offset %d: reader did not see the home's store", offset)
+					}
+					clocks[mode][1] = p.Now()
+				})
+				addr = s.Alloc(64, AllocOptions{Home: 0})
+				err := s.Run()
+				debugDeliver = nil
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !pollEach && arrive > first && (arrive-first)%spacing == 0 {
+					onInstant++
+				}
+			}
+			if clocks[0] != clocks[1] {
+				t.Errorf("poll cost %d offset %d: clocks %v polling, %v in closed form", pollCost, offset, clocks[0], clocks[1])
+			}
+		}
+		if onInstant == 0 {
+			t.Errorf("poll cost %d: no request arrived exactly on a poll instant", pollCost)
+		}
+	}
+}
+
+// TestLongComputesAreNotAStall: two processes on one node that each compute
+// for three times the watchdog's budget, between two stores, finish. Neither
+// can run through (the other could act first), so both park, and the time
+// they are parked for is charged work like any other.
+func TestLongComputesAreNotAStall(t *testing.T) {
+	cfg := testConfig()
+	cfg.Nodes, cfg.CPUsPerNode = 1, 2
+	cfg.WatchdogCycles = 1_000_000
+	cfg.MaxTime = 10 * cfg.WatchdogCycles
+	s := Build(WithConfig(cfg))
+	var addr uint64
+	for i := 0; i < 2; i++ {
+		i := i
+		s.Spawn("w", i, func(p *Proc) {
+			p.Store(addr+uint64(i)*8, 1)
+			p.Compute(3 * cfg.WatchdogCycles)
+			p.Store(addr+uint64(i)*8, 2)
+		})
+	}
+	addr = s.Alloc(64, AllocOptions{Home: 0})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Eng.SchedCounters(); c.Parks == 0 {
+		t.Errorf("no Compute parked: %+v", c)
+	}
+	if a, b := s.Peek(addr), s.Peek(addr+8); a != 2 || b != 2 {
+		t.Errorf("final values %d and %d, want 2 and 2", a, b)
+	}
+}
+
+// TestSharedCPUTakesPollsOneByOne: two processes on one CPU compute one
+// after the other, a quantum at a time. A process parked in the middle of a
+// stretch would go on computing while the quantum gives the CPU to the other,
+// so processes that share a CPU keep the polling loop, whatever the engine's
+// lookahead; and a request that either takes first from the CPU's shared
+// queue is served exactly as before.
+func TestSharedCPUTakesPollsOneByOne(t *testing.T) {
+	const work = 60_000
+	var runs [2][3]sim.Time
+	for mode, pollEach := range []bool{true, false} {
+		cfg := testConfig()
+		cfg.Nodes, cfg.CPUsPerNode = 2, 2
+		cfg.Cost.Quantum = 3000
+		s := Build(WithConfig(cfg))
+		s.pollEach = pollEach
+		var addr [2]uint64
+		for i := 0; i < 2; i++ {
+			i := i
+			s.Spawn("sharer", 0, func(p *Proc) {
+				p.Store(addr[i], uint64(i+1))
+				for done := 0; done < work; done += 10_000 {
+					p.Compute(10_000)
+				}
+				runs[mode][i] = p.Now()
+			})
+		}
+		s.Spawn("reader", 2, func(p *Proc) {
+			for i := 0; i < 20; i++ {
+				p.Compute(2500)
+				p.Load(addr[i%2] + uint64(i/2)*64)
+			}
+			runs[mode][2] = p.Now()
+		})
+		addr[0] = s.Alloc(10*64, AllocOptions{Home: 0})
+		addr[1] = s.Alloc(10*64, AllocOptions{Home: 1})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if last := max(runs[mode][0], runs[mode][1]); last < 2*work {
+			t.Errorf("pollEach=%v: two computes of %d cycles on one CPU were over at t=%d", pollEach, work, last)
+		}
+		if s.Eng.ContextSwitches() < 2*work/cfg.Cost.Quantum/2 {
+			t.Errorf("pollEach=%v: %d context switches", pollEach, s.Eng.ContextSwitches())
+		}
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("clocks %v polling, %v with the closed form elsewhere", runs[0], runs[1])
+	}
+}
+
+// TestTardisLeaseExpiresOnSamePollAcrossParks: under Tardis a write does not
+// invalidate leased copies, so a process spinning on one sees the new value
+// only once its own every-64th-poll tick has expired the lease. The spinner
+// shares its node with a busy neighbour, so in closed form each of its
+// Computes parks; the tick must still fall on the same poll, and the new
+// value be seen at the same time, as when every poll is an event.
+func TestTardisLeaseExpiresOnSamePollAcrossParks(t *testing.T) {
+	type seen struct {
+		polls int64
+		at    sim.Time
+	}
+	var runs [2]seen
+	for mode, pollEach := range []bool{true, false} {
+		cfg := baseConfig()
+		cfg.Nodes, cfg.CPUsPerNode, cfg.Protocol = 2, 2, "tardis"
+		cfg.MaxTime = 1_000_000 // a spinner whose lease never expires spins for ever
+		s := Build(WithConfig(cfg))
+		s.pollEach = pollEach
+		var addr uint64
+		spinning := false
+		s.Spawn("writer", 0, func(p *Proc) {
+			for !spinning {
+				p.Compute(1000)
+			}
+			p.Store(addr, 1)
+			p.MemBar()
+		})
+		spinner := s.Spawn("spinner", 2, func(p *Proc) {
+			if p.Load(addr) != 0 {
+				t.Error("spinner read the flag before it was written")
+			}
+			spinning = true
+			for p.Load(addr) == 0 {
+				p.Compute(320)
+			}
+			runs[mode] = seen{p.stats.N[CntPolls], p.Now()}
+		})
+		s.Spawn("neighbour", 3, func(p *Proc) {
+			for !spinner.Exited() {
+				p.Compute(50)
+			}
+		})
+		addr = s.Alloc(64, AllocOptions{Home: 0})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if parks := s.Eng.SchedCounters().Parks; pollEach != (parks == 0) {
+			t.Errorf("pollEach=%v: %d parks", pollEach, parks)
+		}
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("new value seen after %d polls at t=%d polling, after %d polls at t=%d in closed form",
+			runs[0].polls, runs[0].at, runs[1].polls, runs[1].at)
+	}
+	// The lease, not the write, decided when: the spinner was still reading
+	// the old value on its 63rd poll and needed no second tick.
+	if p := runs[1].polls; p < tardisPollPeriod || p >= 2*tardisPollPeriod {
+		t.Errorf("new value seen after %d polls, want within one poll period of the %d-th", p, tardisPollPeriod)
+	}
+}

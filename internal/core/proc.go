@@ -125,11 +125,17 @@ func (p *Proc) Tracer() *trace.Tracer { return p.sys.tr(p) }
 // stall is in progress (override set), all time funnels into the stall's
 // category, matching the paper's breakdowns.
 func (p *Proc) charge(cat TimeCategory, c sim.Time) {
-	if p.overridden {
-		cat = p.override
-	}
-	p.stats.Time[cat] += c
+	p.stats.Time[p.chargedTo(cat)] += c
 	p.Sim.Advance(c)
+}
+
+// chargedTo returns the category time of category cat is attributed to: the
+// stall's, while one is in progress.
+func (p *Proc) chargedTo(cat TimeCategory) TimeCategory {
+	if p.overridden {
+		return p.override
+	}
+	return cat
 }
 
 // chargeWallClock attributes time that passed while waiting (Sim.Wait).
@@ -137,19 +143,35 @@ func (p *Proc) chargeWallClock(cat TimeCategory, c sim.Time) {
 	if c <= 0 {
 		return
 	}
-	if p.overridden {
-		cat = p.override
-	}
-	p.stats.Time[cat] += c
+	p.stats.Time[p.chargedTo(cat)] += c
 }
 
-// Compute models application work: it advances time, inserting loop
-// back-edge polls at the configured interval (§2.1).
+// Compute models application work: c cycles of it, with a loop back-edge
+// poll every PollInterval cycles (§2.1).
+//
+// A poll that finds nothing is three instructions on a cached flag and
+// changes nothing anybody can see, so a stretch of them is arithmetic, not
+// events (computeQuiet). Two kinds of process still take every poll as an
+// event of its own (computePolling): one on an engine without lookahead (the
+// cluster OS, dedicated protocol processes), because there quantum expiry
+// and sleeper displacement are taken where a process yields, and one that
+// shares its CPU, because a process parked in the middle of a stretch would
+// keep computing while the quantum gives the CPU to another.
 func (p *Proc) Compute(c sim.Time) {
-	if !p.sys.Cfg.Checks {
+	s := p.sys
+	switch {
+	case !s.Cfg.Checks:
 		p.charge(CatTask, c)
-		return
+	case s.pollEach || s.cpus[p.cpu].procs > 1:
+		p.computePolling(c)
+	default:
+		p.computeQuiet(c)
 	}
+}
+
+// computePolling is Compute one poll at a time, and the reference the closed
+// form is tested against.
+func (p *Proc) computePolling(c sim.Time) {
 	for c > 0 {
 		if p.pollGap <= 0 {
 			p.Poll()
@@ -165,6 +187,96 @@ func (p *Proc) Compute(c sim.Time) {
 	}
 }
 
+// computeQuiet is Compute with every stretch of polls that find nothing
+// taken in one move. With g = pollGap, I = PollInterval and P = Cost.Poll,
+// the k-th poll from now has been charged at T(k) = now + g + P + (k-1)(I+P),
+// and there are n = ceil((c-g)/I) of them before the compute ends at
+// now + c + nP. A poll finds something only if a message is due (or a
+// retransmission, which nextArrival includes) or if it is the backend's
+// pollTickEvery-th. So the stretch runs to the first T(k) at or after the
+// next arrival, or the tick if that comes first, or else to the end of the
+// compute, trailing task chunk included — unless a notification from one of
+// the two queues says something new is due at w, in which case it is the
+// first T(j) >= w instead. (Every put notifies for its arrival, which is
+// later than the sender's clock, so nothing reaches a poll before w; a wake
+// for a message somebody else then takes first just makes poll j one more
+// that finds nothing.) There the process accounts for j polls and the task
+// time between them and does what Poll does after its charge. A wake past
+// T(n), inside the trailing chunk, is for no poll of this compute, and the
+// process sleeps on.
+func (p *Proc) computeQuiet(c sim.Time) {
+	if c > p.pollGap {
+		reqBox := p.sys.requestBox(p)
+		p.replyQ.addWaiter(p)
+		reqBox.addWaiter(p)
+		for c > p.pollGap {
+			c = p.pollQuietly(c)
+		}
+		p.replyQ.removeWaiter(p)
+		reqBox.removeWaiter(p)
+	}
+	if c > 0 {
+		p.charge(CatTask, c)
+		p.pollGap -= c
+	}
+}
+
+// pollQuietly runs a compute of c cycles, with a poll in it and the process
+// registered on its queues, up to and including the first poll that may find
+// something, and returns the cycles of it still to do.
+func (p *Proc) pollQuietly(c sim.Time) sim.Time {
+	s := p.sys
+	interval, pollCost := s.Cfg.PollInterval, s.Cfg.Cost.Poll
+	spacing := interval + pollCost
+	start := p.Sim.Now()
+	first := start + p.pollGap + pollCost
+	// pollFor returns the index of the first poll charged at or after t.
+	pollFor := func(t sim.Time) sim.Time {
+		if t <= first {
+			return 1
+		}
+		return 1 + (t-first+spacing-1)/spacing
+	}
+	n := (c - p.pollGap + interval - 1) / interval
+	k := n + 1 // the poll to take for real; n+1 for none
+	if a, ok := p.nextArrival(); ok {
+		k = min(k, pollFor(a))
+	}
+	if every := s.pollTickEvery; every > 0 {
+		k = min(k, every-p.stats.N[CntPolls]%every)
+	}
+	stop := start + c + n*pollCost
+	if k <= n {
+		stop = first + (k-1)*spacing
+	}
+	for w := start; w < stop; {
+		w += p.Sim.AdvanceUnlessNotified(stop - w)
+		if j := pollFor(w); w < stop && j <= n {
+			k, stop = j, first+(j-1)*spacing
+			p.Sim.Advance(stop - w)
+			break
+		}
+	}
+	if k > n {
+		p.chargedPolls(n, c)
+		p.pollGap += n*interval - c
+		return 0
+	}
+	task := p.pollGap + (k-1)*interval
+	p.chargedPolls(k, task)
+	p.pollGap = interval
+	p.polled()
+	return c - task
+}
+
+// chargedPolls accounts for n polls and the task cycles around them, which
+// the clock has already been moved over.
+func (p *Proc) chargedPolls(n int64, task sim.Time) {
+	p.stats.N[CntPolls] += n
+	p.stats.Time[p.chargedTo(CatPoll)] += n * p.sys.Cfg.Cost.Poll
+	p.stats.Time[p.chargedTo(CatTask)] += task
+}
+
 // Poll executes one in-line message poll ("three instructions"): it tests
 // the receive flag and services any ready messages.
 //
@@ -172,7 +284,16 @@ func (p *Proc) Compute(c sim.Time) {
 func (p *Proc) Poll() {
 	p.stats.N[CntPolls]++
 	p.charge(CatPoll, p.sys.Cfg.Cost.Poll)
-	p.sys.proto.pollTick(p)
+	p.polled()
+}
+
+// polled is what a poll does once it is charged and counted.
+//
+//hot:path
+func (p *Proc) polled() {
+	if every := p.sys.pollTickEvery; every > 0 && p.stats.N[CntPolls]%every == 0 {
+		p.sys.proto.pollTick(p) // hotlint:allow(iface-call): one poll in pollTickEvery, and a Proc lives on the heap anyway
+	}
 	for p.serviceReady(CatMessage) {
 	}
 }

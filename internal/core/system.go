@@ -71,6 +71,9 @@ func (b *queueBox) removeWaiter(p *Proc) {
 // §4.3.2 when SharedQueues is enabled).
 type cpuState struct {
 	reqQ *queueBox
+	// procs counts the processes ever bound to this CPU; a process that
+	// shares its CPU takes its polls one at a time (see Proc.Compute).
+	procs int
 }
 
 // UserHandler services application-defined messages (the cluster OS layer
@@ -99,6 +102,15 @@ type System struct {
 	// proto is the coherence backend selected by Cfg.Protocol; it owns
 	// all per-block home-side protocol state (see coherence.go).
 	proto Protocol
+	// pollTickEvery is the backend's poll period, set by its attach: the
+	// backend's pollTick runs on every pollTickEvery-th in-line poll of a
+	// process (by its CntPolls), never if 0.
+	pollTickEvery int64
+	// pollEach makes Compute execute every back-edge poll as an event of
+	// its own instead of in closed form (see Proc.Compute): set when the
+	// engine has no lookahead, and by tests as the reference to compare
+	// the closed form against.
+	pollEach bool
 
 	locks    []*lockState
 	barriers []*barrierState
@@ -200,6 +212,7 @@ func newSystem(cfg Config, immediate bool) *System {
 		wordsPerLine: cfg.LineSize / 8,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		pooling:      !cfg.NoPooling,
+		pollEach:     lookahead == 0,
 	}
 	if cfg.SMP {
 		for n := 0; n < cfg.Nodes; n++ {
@@ -334,6 +347,7 @@ func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func
 		s.nodeProcs = append(s.nodeProcs, nil)
 	}
 	s.nodeProcs[node] = append(s.nodeProcs[node], p)
+	s.cpus[cpu].procs++
 	if priority == 0 {
 		s.appStarted++
 	}

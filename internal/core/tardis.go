@@ -83,8 +83,7 @@ type tardisLease struct {
 
 // tardisProcState lives on Proc.protoData.
 type tardisProcState struct {
-	pts   int64 // program timestamp
-	polls int64 // inline polls since start (drives pollTick expiry)
+	pts int64 // program timestamp
 }
 
 // tardisAgentState lives on agentMem.protoData.
@@ -128,6 +127,7 @@ func (t *tardis) name() string { return "tardis" }
 
 func (t *tardis) attach(s *System) {
 	t.s = s
+	s.pollTickEvery = tardisPollPeriod
 	t.hist = make(map[int][]tardisVersion)
 }
 
@@ -681,10 +681,6 @@ func (t *tardis) refreshLL(p *Proc, line int) {
 // (they track other processes' pts and can be far ahead of a spinner's).
 func (t *tardis) pollTick(p *Proc) {
 	ps := t.pstate(p)
-	ps.polls++
-	if ps.polls%tardisPollPeriod != 0 {
-		return
-	}
 	oldest := int64(-1)
 	for _, l := range t.astate(p.mem).leases {
 		if oldest < 0 || l.leaseEnd < oldest {

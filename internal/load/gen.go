@@ -239,8 +239,9 @@ func (d *driver) homeWorker(page int) int { return page % d.workers }
 // steps. The dispatcher never truly sleeps: it owns ring and head lines
 // exclusively after writing them, so it must keep executing inline polls
 // for the workers' coherence requests to be serviced. (ProtocolProcs would
-// serve them for a sleeping process, but that machinery is restricted to
-// the sequential engine, and the loadgen must run identically on both.)
+// serve them for a sleeping process, but they share its CPU, which puts the
+// whole run in one shard in strict global order.) The spin is cheap on the
+// host: polls that find nothing cost no scheduler step (core.Proc.Compute).
 func pollUntil(p *core.Proc, target sim.Time) {
 	for {
 		now := p.Now()

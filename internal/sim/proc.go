@@ -47,7 +47,11 @@ type Proc struct {
 	// dispatched sleeper is displaced instantly when another process
 	// becomes runnable earlier (it holds the CPU only nominally).
 	sleeping bool
-	abort    bool
+	// working marks a process parked in AdvanceUnlessNotified: its wait is
+	// charged work, which the stall watchdog credits at its wake (or when it
+	// is about to trip, see creditParkedWork).
+	working bool
+	abort   bool
 	// external marks a process driven from outside Engine.Run (no
 	// coroutine, never scheduled). It must not block; see ExternalProc.
 	external bool
@@ -124,12 +128,7 @@ func (p *Proc) Advance(c Time) {
 	}
 	p.now += c
 	if c > 0 {
-		// Charged work is the stall watchdog's definition of progress.
-		sh := p.cpu.shard
-		if p.now > sh.progressMark {
-			sh.progressMark = p.now
-		}
-		sh.itersNoProgress = 0
+		p.cpu.shard.progress(p.now)
 		if p.wakeAt <= p.now {
 			// The process has run past a pending notification. It is
 			// dropped here, on the process's own trajectory; dropping it
@@ -142,6 +141,50 @@ func (p *Proc) Advance(c Time) {
 	if p.now >= p.window {
 		p.yieldBack()
 	}
+}
+
+// AdvanceUnlessNotified charges up to c cycles of private work — work that
+// reads and writes nothing another process can see — and stops early at a
+// notification: the clock moves to the earlier of now+c and the process's
+// wake, a pending one included, which is consumed, and the cycles charged
+// are returned. It is "NotifyAt(now+c); Wait()" for a process that is busy
+// rather than idle, which makes two differences. If the stretch ends below
+// the window, nobody in this shard or any other can act, let alone notify,
+// before it does, so the clock moves there without a yield. And the time is
+// charged work, the stall watchdog's definition of progress, also while the
+// process is parked: two processes that each work for longer than the
+// watchdog's budget are not a stall. As before a Wait, the caller registers
+// wherever its notifications come from first and re-reads that state after.
+//
+// It is for a process that has its CPU to itself. One that shares it can
+// lose it to the quantum like any waiting process; its clock then moves past
+// now+c, charged for work it had no CPU to do.
+func (p *Proc) AdvanceUnlessNotified(c Time) Time {
+	if c < 0 {
+		panic("sim: negative advance")
+	}
+	start, sh := p.now, p.cpu.shard
+	end := min(start+c, p.wakeAt)
+	if end >= p.window {
+		p.wakeAt = end
+		p.working = true
+		p.state = stateWaiting
+		sh.counters.Parks++
+		p.yieldBack() // pick moves the clock to the wake and consumes it
+		p.working = false
+		if p.now < start+c {
+			sh.counters.EarlyWakes++
+		}
+		return p.now - start
+	}
+	p.now = end
+	if end > start {
+		sh.progress(end)
+	}
+	if p.wakeAt <= end {
+		p.wakeAt = Forever
+	}
+	return end - start
 }
 
 // Wait parks the process until another process calls NotifyAt. The process

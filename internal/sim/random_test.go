@@ -82,11 +82,11 @@ type randomRun struct {
 
 // randomProgram runs one seeded random program under the differential
 // oracle. Every process executes a random sequence of Advance, bounded
-// Wait and Block, Sleep, YieldCPU and sends. A send puts mail in the
-// receiver's box and notifies it, at once within a node, one lookahead or
-// more into the future across nodes. Under a parallel runner cross-node
-// sends are staged to the window barrier, and there are no spawns: children
-// start one lookahead ahead on the next node.
+// Wait, Block and AdvanceUnlessNotified, Sleep, YieldCPU and sends. A send
+// puts mail in the receiver's box and notifies it, at once within a node,
+// one lookahead or more into the future across nodes. Under a parallel
+// runner cross-node sends are staged to the window barrier, and there are no
+// spawns: children start one lookahead ahead on the next node.
 //
 // Every fourth process is a loner: nobody sends to it, and only loners
 // call Sleep, which overwrites a pending notification rather than merging
@@ -169,14 +169,21 @@ func randomProgram(t *testing.T, seed int64, drv driver, sh shape) *randomRun {
 					// A bounded wait: the process arms its own time-out,
 					// or the next mail if that is due earlier.
 					read()
-					wake := p.Now() + sim.Time(1+r.Intn(2000))
+					d := sim.Time(1 + r.Intn(2000))
+					wake := p.Now() + d
 					if self >= 0 && len(boxes[self]) > 0 && boxes[self][0].at < wake {
 						wake = boxes[self][0].at
 					}
 					p.NotifyAt(wake)
-					if op == 4 || !sh.release {
+					switch {
+					case op == 4 && d%2 == 0:
+						// The same wait as private work: whether it parks or
+						// runs straight through is the driver's business, and
+						// the clocks are those of the Wait it replaces.
+						p.AdvanceUnlessNotified(d)
+					case op == 4 || !sh.release:
 						p.Wait()
-					} else {
+					default:
 						p.Block()
 					}
 					read()

@@ -44,6 +44,16 @@
 //     Advance, on its own trajectory. How often a process yields depends on
 //     the driver; what it has seen by a given step must not.
 //
+// A third lets a process skip what cannot matter. Work that nothing but a
+// notification can interrupt is one move, not one per unit of it
+// (AdvanceUnlessNotified): if it ends below the window nobody can act, so
+// nobody can notify, before it does, and the clock moves there without a
+// step; otherwise the process parks until the end or the first notification,
+// as it would with NotifyAt and Wait, except that the time it is parked for
+// is charged work to the stall watchdog. Which of the two happens depends on
+// the driver; what the call returns does not. The DSM layer runs stretches of
+// back-edge polls that find nothing this way.
+//
 // What the engine promises in return is that every process does the same
 // things at the same simulated times under every driver, given two things
 // of the layers above. Cross-node effects take at least the lookahead (the
@@ -134,9 +144,10 @@ type Config struct {
 	Lookahead Time
 
 	// WatchdogCycles enables the stall watchdog: if no process performs any
-	// charged work (Proc.Advance with a positive cost) for this many
-	// simulated cycles while the engine keeps scheduling, the run fails
-	// with a StallError describing every process. This catches livelocks
+	// charged work (Proc.Advance or AdvanceUnlessNotified with a positive
+	// cost) for this many simulated cycles while the engine keeps
+	// scheduling, the run fails with a StallError describing every process.
+	// This catches livelocks
 	// where time still creeps forward (e.g. protocol processes polling an
 	// empty queue forever) that the all-blocked deadlock check cannot see.
 	// 0 disables the watchdog.
@@ -232,6 +243,11 @@ type SchedCounters struct {
 	// notifications and spawns that ended the sender's window early.
 	Windows       int64
 	HorizonClamps int64
+	// Parks counts the AdvanceUnlessNotified calls that had to park (the
+	// others moved the clock without a step); EarlyWakes the parks that a
+	// notification ended before their time.
+	Parks      int64
+	EarlyWakes int64
 }
 
 // Engine is the simulation scheduler.
@@ -383,6 +399,8 @@ func (e *Engine) SchedCounters() SchedCounters {
 		n.CPUPasses += sh.counters.CPUPasses
 		n.Windows += sh.counters.Windows
 		n.HorizonClamps += sh.counters.HorizonClamps
+		n.Parks += sh.counters.Parks
+		n.EarlyWakes += sh.counters.EarlyWakes
 	}
 	return n
 }
@@ -591,8 +609,10 @@ func (e *Engine) DeadlockError() error {
 // span shards inside one window). A cycle-budget trip is re-checked
 // against global progress: another shard may have performed charged work
 // the tripping shard could not see, in which case the shard's watchdog
-// state is synchronized and the run continues. Returns the StallError to
-// fail with, or nil to continue.
+// state is synchronized and the run continues. Either kind of trip is a
+// false alarm if a process parked in AdvanceUnlessNotified has been working
+// in the meantime (creditParkedWork). Returns the StallError to fail with,
+// or nil to continue.
 func (e *Engine) ConfirmStall(i int) error {
 	sh := e.shards[i]
 	if sh.stalled == nil {
@@ -600,9 +620,10 @@ func (e *Engine) ConfirmStall(i int) error {
 	}
 	var gm Time
 	for _, s := range e.shards {
+		s.creditParkedWork(sh.stalled.now)
 		gm = max(gm, s.progressMark)
 	}
-	if sh.stallIters || sh.stalled.now > gm+e.cfg.WatchdogCycles {
+	if sh.stallIters && sh.itersNoProgress > 0 || sh.stalled.now > gm+e.cfg.WatchdogCycles {
 		return e.stallErrorAt(sh, gm)
 	}
 	sh.progressMark = gm
@@ -639,6 +660,9 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 			return WindowErr
 		}
 		if e.cfg.WatchdogCycles > 0 {
+			if p.working && p.now > sh.progressMark {
+				sh.progress(p.now) // it worked until this wake
+			}
 			sh.itersNoProgress++
 			iters := e.cfg.WatchdogIters
 			if iters <= 0 {
@@ -685,6 +709,29 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 			}
 		}
 		sh.reschedule(p)
+	}
+}
+
+// progress records charged work up to t, the stall watchdog's definition of
+// progress.
+func (sh *shard) progress(t Time) {
+	if t > sh.progressMark {
+		sh.progressMark = t
+	}
+	sh.itersNoProgress = 0
+}
+
+// creditParkedWork brings the progress mark up to date, at time t, with the
+// processes still parked in AdvanceUnlessNotified. They charge work all the
+// while but say so only when they wake; ConfirmStall asks here before it
+// believes a trip.
+func (sh *shard) creditParkedWork(t Time) {
+	for _, q := range sh.heap {
+		if q.working && q.state == stateWaiting && q.now <= t {
+			if m := min(q.wakeAt, t); m > sh.progressMark {
+				sh.progress(m)
+			}
+		}
 	}
 }
 

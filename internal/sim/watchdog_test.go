@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -159,4 +160,131 @@ func TestWatchdogLivelockSameOnShards(t *testing.T) {
 	if global.Error() != sharded.Error() {
 		t.Errorf("per-node shards report a different stall:\n%v\nstrict global order:\n%v", sharded, global)
 	}
+}
+
+// TestWatchdogParkedWorkIsProgress: a process that works for three times the
+// watchdog's budget is not a stall. It cannot run through (a peer could act
+// first), so it parks, and a park is charged work: built from NotifyAt and
+// Wait instead, the same program trips the watchdog at the first wake a
+// whole budget after anybody last charged anything. The peers are a napper
+// that keeps waking without charging while the worker is parked, in the
+// worker's shard or in another (the trip must look at the parked worker), or
+// a single nap that leaves the worker to wake alone long after (the wake
+// must count the work it ends).
+func TestWatchdogParkedWorkIsProgress(t *testing.T) {
+	const budget = 10_000
+	run := func(lookahead Time, peerCPU, naps int, nap Time, work func(p *Proc, c Time)) (*Engine, error) {
+		cfg := Config{Nodes: 2, CPUsPerNode: 2, Lookahead: lookahead, WatchdogCycles: budget}
+		if lookahead == 0 || peerCPU < 2 {
+			// In the worker's shard a hundred naps are also more steps
+			// without a charge than this allows, well inside the budget of
+			// cycles. (Another shard counts its own, as it always did.)
+			cfg.WatchdogIters = 30
+		}
+		e := NewEngine(cfg)
+		e.Spawn("worker", 0, 0, func(p *Proc) {
+			p.Advance(1)
+			work(p, 3*budget)
+			p.Advance(1)
+		})
+		e.Spawn("napper", peerCPU, 0, func(p *Proc) {
+			for i := 0; i < naps; i++ {
+				p.Sleep(nap)
+			}
+		})
+		return e, e.Run()
+	}
+	for _, lookahead := range []Time{0, 500} {
+		for _, peerCPU := range []int{1, 2} {
+			for _, naps := range []int{1, 100} {
+				name := fmt.Sprintf("lookahead %d, napper on cpu %d, %d naps", lookahead, peerCPU, naps)
+				e, err := run(lookahead, peerCPU, naps, 3*budget/2/Time(naps), func(p *Proc, c Time) {
+					for c > 0 {
+						c -= p.AdvanceUnlessNotified(c)
+					}
+				})
+				if err != nil {
+					t.Errorf("%s: watchdog misfired on parked work: %v", name, err)
+				}
+				if c := e.SchedCounters(); c.Parks != 1 || c.EarlyWakes != 0 {
+					t.Errorf("%s: %d parks, %d early wakes, want 1 and 0", name, c.Parks, c.EarlyWakes)
+				}
+				if w := e.Procs()[0]; w.Now() != 3*budget+2 {
+					t.Errorf("%s: worker finished at t=%d, want %d", name, w.Now(), 3*budget+2)
+				}
+				_, err = run(lookahead, peerCPU, naps, 3*budget/2/Time(naps), func(p *Proc, c Time) {
+					p.NotifyAt(p.Now() + c)
+					p.Wait()
+				})
+				var se *StallError
+				if !errors.As(err, &se) {
+					t.Errorf("%s: a park built from NotifyAt and Wait should trip the watchdog, got %v", name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestAdvanceUnlessNotified pins what the primitive returns: the whole
+// stretch when nobody notifies, the part before a notification otherwise —
+// one that was pending at the call included — and the same whether the
+// process parks (a peer could act first) or runs straight through.
+func TestAdvanceUnlessNotified(t *testing.T) {
+	for _, peer := range []bool{false, true} {
+		e := NewEngine(Config{Nodes: 1, CPUsPerNode: 2})
+		var got []Time
+		w := e.Spawn("worker", 0, 0, func(p *Proc) {
+			got = append(got, p.AdvanceUnlessNotified(1000)) // notified for t=400 on the way
+			got = append(got, p.AdvanceUnlessNotified(1000)) // nobody notifies
+			p.NotifyAt(p.Now() + 250)
+			got = append(got, p.AdvanceUnlessNotified(1000)) // pending at the call
+			got = append(got, p.AdvanceUnlessNotified(0))
+		})
+		w.NotifyAt(400)
+		if peer {
+			e.Spawn("peer", 1, 0, func(p *Proc) {
+				for i := 0; i < 30; i++ {
+					p.Advance(100)
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := []Time{400, 1000, 250, 0}; !equalTimes(got, want) || w.Now() != 1650 {
+			t.Errorf("peer %v: charged %v, finished at t=%d, want %v and 1650", peer, got, w.Now(), want)
+		}
+		if c := e.SchedCounters(); peer != (c.Parks > 0) || peer != (c.EarlyWakes > 0) {
+			t.Errorf("peer %v: %d parks, %d early wakes", peer, c.Parks, c.EarlyWakes)
+		}
+	}
+}
+
+func equalTimes(a, b []Time) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestExternalProcCannotPark: an external process has no scheduler to park
+// with. A stretch it cannot run straight through fails by name, as every
+// other attempt to block does.
+func TestExternalProcCannotPark(t *testing.T) {
+	e := NewEngine(Config{Nodes: 1, CPUsPerNode: 1})
+	p := e.ExternalProc("mc0", 0)
+	if got := p.AdvanceUnlessNotified(500); got != 500 || p.Now() != 500 {
+		t.Errorf("external process charged %d to t=%d, want 500 and 500", got, p.Now())
+	}
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "external process mc0 attempted to block") {
+			t.Errorf("want the external-process panic, got %q", r)
+		}
+	}()
+	p.AdvanceUnlessNotified(Forever)
 }

@@ -92,26 +92,47 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 	}
 }
 
-// TestLookaheadWindowsSaveSteps pins the point of the built-in driver's
-// lookahead windows: on eight single-CPU nodes, where strict global order
-// switched process at nearly every Advance (517 242 scheduler steps for
-// Barnes at scale 4 under Tardis), each node now runs a wire latency past
-// the others before it yields. The cycles are the ones recorded then.
+// TestLookaheadWindowsSaveSteps pins the two things that keep a process
+// running where strict global order switched at nearly every Advance.
+// Lookahead windows: on eight single-CPU nodes (517 242 scheduler steps for
+// Barnes at scale 4 under Tardis in global order, 99 073 in windows) each
+// node runs a wire latency past the others before it yields. And Compute in
+// closed form: on four 4-CPU nodes, where a node's processes hem each other
+// in and windows alone left Barnes at 455 131 steps and Raytrace at 140 572,
+// a stretch of polls that find nothing is one step, not one per poll. It
+// must not cost the eight single-CPU nodes anything, whose shards hold one
+// process each. The cycles are the ones recorded before either change.
 func TestLookaheadWindowsSaveSteps(t *testing.T) {
-	sys := core.Build(core.WithMaxTime(sim.Cycles(900e6)), core.WithProcs(8, 1),
-		core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis"))
-	res, err := Run(sys, Barnes(), RunConfig{Procs: 8, Scale: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Elapsed != 51510240 {
-		t.Errorf("elapsed %d cycles, want 51510240", res.Elapsed)
-	}
-	c := sys.Eng.SchedCounters()
-	if c.Steps >= 517242/2 || c.Steps != c.Switches+c.SelfPicks {
-		t.Errorf("%d scheduler steps (%d switches + %d self-picks), want fewer than half of 517242", c.Steps, c.Switches, c.SelfPicks)
-	}
-	if c.Windows == 0 || c.HorizonClamps == 0 {
-		t.Errorf("%d windows, %d horizon clamps for %d steps", c.Windows, c.HorizonClamps, c.Steps)
+	for _, c := range []struct {
+		app      *App
+		opts     []core.Option
+		procs    int
+		elapsed  sim.Time
+		maxSteps int64
+	}{
+		{Barnes(), []core.Option{core.WithProcs(8, 1), core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")},
+			8, 51510240, 99073 * 101 / 100},
+		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 35062201, 455131 * 10 / 18},
+		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 6371876, 140572 / 3},
+	} {
+		sys := core.Build(append(c.opts, core.WithMaxTime(sim.Cycles(900e6)))...)
+		res, err := Run(sys, c.app, RunConfig{Procs: c.procs, Scale: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s at %d procs", c.app.Name, c.procs)
+		if res.Elapsed != c.elapsed {
+			t.Errorf("%s: elapsed %d cycles, want %d", name, res.Elapsed, c.elapsed)
+		}
+		n := sys.Eng.SchedCounters()
+		if n.Steps > c.maxSteps || n.Steps != n.Switches+n.SelfPicks {
+			t.Errorf("%s: %d scheduler steps (%d switches + %d self-picks), want at most %d", name, n.Steps, n.Switches, n.SelfPicks, c.maxSteps)
+		}
+		if n.Windows == 0 || n.HorizonClamps == 0 {
+			t.Errorf("%s: %d windows, %d horizon clamps for %d steps", name, n.Windows, n.HorizonClamps, n.Steps)
+		}
+		if n.Parks == 0 || n.EarlyWakes == 0 || n.EarlyWakes > n.Parks || n.Parks > n.Steps {
+			t.Errorf("%s: %d parks, %d early wakes for %d steps", name, n.Parks, n.EarlyWakes, n.Steps)
+		}
 	}
 }
