@@ -168,6 +168,8 @@ func runLoadgen(simFlags *cliflags.Sim, loadFlags *cliflags.Load, horizon sim.Ti
 		loadFlags.Tenants, loadFlags.Arrival, loadFlags.LB, loadFlags.Admission, sys.Cfg.Protocol, res.Workers)
 	fmt.Printf("  offered/admitted/shed %10d / %d / %d\n", m.Offered, m.Admitted, m.Shed)
 	fmt.Printf("  latency p50/p95/p99   %10d / %d / %d cycles\n", m.P50, m.P95, m.P99)
+	fmt.Printf("  mean latency split    %10d front door, %d dispatch, %d ring wait, %d service cycles\n",
+		m.MeanFrontDoor, m.MeanDispatch, m.MeanRingWait, m.MeanService)
 	fmt.Printf("  mean service split    %10d db, %d protocol, %d sync cycles\n", m.MeanDB, m.MeanProt, m.MeanSync)
 	for _, tm := range m.Tenants {
 		fmt.Printf("  %-6s offered=%-5d shed=%-4d p99=%-9d slo=%d attained=%.2f\n",

@@ -146,8 +146,9 @@ func loadgenConfig(cases LoadgenCases, tenants int) load.Config {
 		Tenants: ts,
 		Horizon: cases.Horizon,
 		// Per-row compute sized so protocol stalls are a visible share of
-		// service time: large enough that the single dispatcher is not the
-		// bottleneck, small enough that coherence misses are.
+		// service time. (Up to about 330 transactions per Mcycle the single
+		// dispatcher is not the bottleneck, whatever this is: load's front
+		// door, DESIGN.md §6.13.)
 		RowCompute: 500,
 		// Locality placement makes the light end of the sweep genuinely
 		// light (row RMWs hit home pages), so the latency growth the sweep

@@ -140,14 +140,22 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			case homeAgent:
 				// Home agent owns it: downgrade locally and reply — but
 				// defer if the home's own exclusive fill is incomplete,
-				// exactly as a forwarded request would be.
+				// exactly as a forwarded request would be. The downgrade
+				// can stall for a co-resident process's ack, servicing
+				// messages meanwhile, so the entry is busy for as long: a
+				// second request handled in that window (by this process,
+				// re-entrantly, or by another on its CPU) queues behind
+				// this one and does not act on the state of before it.
 				if p.deferIfPending(m, blk) {
 					return
 				}
+				dir.state = dirBusy
 				p.downgradeAgent(blk, Shared, false)
+				dir = &d.dirs[blk.id] // dirs may have grown during the stall
 				dir.state = dirShared
 				dir.sharers = 1<<uint(homeAgent) | 1<<uint(reqAgent)
 				p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)})
+				d.drainDirQueue(p, blk)
 			default:
 				dir.state = dirBusy
 				owner := s.agentLeader(dir.owner)
@@ -214,9 +222,13 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 				if p.deferIfPending(m, blk) {
 					return
 				}
+				dir.state = dirBusy // as for a read: busy across the downgrade
 				data := p.downgradeAgent(blk, Invalid, true)
+				dir = &d.dirs[blk.id]
+				dir.state = dirExclusive
 				dir.owner = reqAgent
 				p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data})
+				d.drainDirQueue(p, blk)
 			default:
 				dir.state = dirBusy
 				dir.pendingOwner = reqAgent

@@ -333,10 +333,18 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			// its owning agent here, so it is stamped with the dirty
 			// record (see tardisAgentState.dirty): the owner's stores were
 			// inline hits that never touched e.wts.
+			// The downgrade can stall for a co-resident process's ack,
+			// servicing messages meanwhile, so the entry is busy for as
+			// long: a second request handled in that window (by this
+			// process, re-entrantly, or by another on its CPU) queues
+			// behind this one and does not act on the state of before it.
 			if p.deferIfPending(m, blk) {
 				return
 			}
+			e.busy = true
 			p.downgradeAgent(blk, Shared, false)
+			e = &t.entries[blk.id] // entries may have grown during the stall
+			e.busy = false
 			e.owner = -1
 			if d := t.takeDirty(homeMem, blk.id); d > e.wts {
 				e.wts = d
@@ -347,6 +355,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			end := extendLease(e, m.ts)
 			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
 				data: s.blockData(homeMem, blk), ts: e.wts, rts: end})
+			t.drainQueue(p, blk)
 		default:
 			// Remote owner: recall ownership. The owner demotes to a
 			// leaseholder of the version it wrote, the data comes back
@@ -389,11 +398,15 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			if d := t.takeDirty(homeMem, blk.id) + 1; d > grant {
 				grant = d
 			}
+			e.busy = true // as for a read: busy across the downgrade
 			data := p.downgradeAgent(blk, Invalid, true)
+			e = &t.entries[blk.id]
+			e.busy = false
 			e.wts, e.rts = grant, grant
 			e.owner = reqAgent
 			p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
 				data: data, ts: grant})
+			t.drainQueue(p, blk)
 		default:
 			// 3-hop ownership transfer. The grant timestamp is fixed
 			// here, before the forward: requests that queue behind the

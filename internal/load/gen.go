@@ -46,25 +46,31 @@ type Result struct {
 	Elapsed  sim.Time // last completion relative to measurement start
 }
 
-// Ring geometry: each worker has a ring of ringSlots fixed 64-byte entries
-// (one coherence block each), a head word the dispatcher publishes through,
-// and a completed word the worker publishes through. The ring doubles as
-// the hard in-flight bound per worker — a full ring backpressures the
-// dispatcher even with admission "none", the way a full listen queue
-// eventually stalls any real front end.
+// Ring geometry: each worker has a ring of ringSlots fixed 64-byte entries,
+// one coherence block each, homed at the worker, and a completed word the
+// worker publishes through. A dispatch is one block: the entry's last word is
+// its publish flag, the stamp, holding ring position + 1 and stored last.
+// Entry and flag share a block, so the dispatcher's eight stores merge into
+// one miss, perform together when it completes, and reach the worker as a
+// unit; the dispatcher issues them and moves on with the miss outstanding
+// (release consistency), and the worker spins on the stamp of the slot it
+// expects next. The ring doubles as the hard in-flight bound per worker — a
+// full ring backpressures the dispatcher even with admission "none", the way
+// a full listen queue eventually stalls any real front end.
 const (
 	ringSlots  = 64
 	entryWords = 8
 
-	// pollGap is the worker's idle poll interval: the gap between head
+	// pollGap is the worker's idle poll interval: the gap between stamp
 	// checks while its ring is empty.
 	pollGap = 500
 	// retryTick is how long the dispatcher waits before re-checking
 	// completion counters when admission or ring capacity is blocking it.
 	retryTick = 20_000
 	// refreshPeriod bounds how stale the dispatcher's completion view may
-	// get while it is otherwise unblocked, so the least-loaded policy and
-	// the admission controller see progress even under light load.
+	// get under a placement policy that reads backlogs (Policy.ReadsBacklog).
+	// Nothing else consumes a completion count before it is needed: a full
+	// ring and an admission decision at capacity read it on demand.
 	refreshPeriod = 100_000
 )
 
@@ -77,6 +83,7 @@ const (
 	ewRow
 	ewPages
 	ewArrive
+	ewStamp // ring position + 1: the publish flag, stored last
 )
 
 const kindStop = 2
@@ -136,14 +143,13 @@ func Run(sys *core.System, cfg Config) (*Result, error) {
 	// Spawn first (homes are proc ids), then allocate.
 	d := &driver{
 		sys: sys, cfg: cfg, sched: sched, policy: policy, ctrl: ctrl,
-		workers:    workers,
-		issued:     make([]int64, workers),
-		doneView:   make([]int64, workers),
-		tenantFIFO: make([][]int32, workers),
-		ringAddr:   make([]uint64, workers),
-		headAddr:   make([]uint64, workers),
-		doneAddr:   make([]uint64, workers),
-		records:    make([][]TxnRecord, workers),
+		workers:  workers,
+		issued:   make([]int64, workers),
+		doneView: make([]int64, workers),
+		fifo:     make([][]published, workers),
+		ringAddr: make([]uint64, workers),
+		doneAddr: make([]uint64, workers),
+		records:  make([][]TxnRecord, workers),
 	}
 	sys.Spawn("lb", 0, d.dispatcher)
 	for w := 0; w < workers; w++ {
@@ -168,7 +174,6 @@ func Run(sys *core.System, cfg Config) (*Result, error) {
 	}
 	for w := 0; w < workers; w++ {
 		d.ringAddr[w] = sys.Alloc(ringSlots*entryWords*8, core.AllocOptions{BlockLines: 1, Home: w + 1})
-		d.headAddr[w] = sys.Alloc(64, core.AllocOptions{BlockLines: 1, Home: w + 1})
 		d.doneAddr[w] = sys.Alloc(64, core.AllocOptions{BlockLines: 1, Home: w + 1})
 	}
 	d.bar = dsmsync.NewMPBarrier(sys, 0, workers+1)
@@ -177,18 +182,10 @@ func Run(sys *core.System, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("load: %w", err)
 	}
 
-	// Merge per-worker records into (tenant, seq) order: a deterministic
-	// total order independent of worker count or engine.
-	var recs []TxnRecord
-	for w := 0; w < workers; w++ {
-		recs = append(recs, d.records[w]...)
+	recs, err := d.merge()
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(recs, func(a, b int) bool {
-		if recs[a].Tenant != recs[b].Tenant {
-			return recs[a].Tenant < recs[b].Tenant
-		}
-		return recs[a].Seq < recs[b].Seq
-	})
 	sheds := make([]int64, len(cfg.Tenants))
 	for tn := range sheds {
 		sheds[tn] = ctrl.ShedCount(tn)
@@ -205,11 +202,49 @@ func Run(sys *core.System, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// merge returns the workers' records in (tenant, seq) order: a deterministic
+// total order independent of worker count or engine. A worker's k-th record
+// is its reading of the k-th entry of its ring, so on the way each is checked
+// against, and takes its dispatch times from, the k-th entry the dispatcher
+// published there.
+func (d *driver) merge() ([]TxnRecord, error) {
+	var recs []TxnRecord
+	for w := range d.records {
+		if got, want := len(d.records[w]), len(d.fifo[w])-1; got != want {
+			return nil, fmt.Errorf("load: worker %d stopped after %d of the %d transactions in its ring: stale ring entry", w, got, want)
+		}
+		for k := range d.records[w] {
+			rec, pub := &d.records[w][k], d.fifo[w][k]
+			if rec.Tenant != int(pub.tenant) || rec.Seq != int(pub.seq) {
+				return nil, fmt.Errorf("load: worker %d read (tenant %d, seq %d) at ring position %d, where the dispatcher published (tenant %d, seq %d): torn or stale ring entry",
+					w, rec.Tenant, rec.Seq, k, pub.tenant, pub.seq)
+			}
+			rec.Admitted, rec.Dispatched = pub.admitted, pub.dispatched
+		}
+		recs = append(recs, d.records[w]...)
+	}
+	sort.Slice(recs, func(a, b int) bool {
+		if recs[a].Tenant != recs[b].Tenant {
+			return recs[a].Tenant < recs[b].Tenant
+		}
+		return recs[a].Seq < recs[b].Seq
+	})
+	return recs, nil
+}
+
+// published is the dispatcher's host-side note of one ring entry: whose it
+// is and when it went through the front door.
+type published struct {
+	tenant, seq int32    // tenant -1: the poison entry
+	admitted    sim.Time // the dispatcher took the transaction up
+	dispatched  sim.Time // its entry was published
+}
+
 // driver holds the host-side run state shared between spawn-time setup and
 // the simulated processes. Host-side mutation follows the parallel engine's
-// shard-isolation rules: the dispatcher owns issued/doneView/tenantFIFO and
-// the controller; each worker owns only records[w]; t0 is written once by
-// the dispatcher before any worker reads it (ordered by the start barrier).
+// shard-isolation rules: the dispatcher owns issued/doneView/fifo and the
+// controller; each worker owns only records[w]; t0 is written once by the
+// dispatcher before any worker reads it (ordered by the start barrier).
 type driver struct {
 	sys    *core.System
 	cfg    Config
@@ -219,13 +254,12 @@ type driver struct {
 	ctrl   *Controller
 	bar    dsmsync.Barrier
 
-	workers    int
-	issued     []int64   // dispatcher: entries published per worker
-	doneView   []int64   // dispatcher: last refreshed completion counts
-	tenantFIFO [][]int32 // dispatcher: tenant of each entry, per worker, in ring order
-	ringAddr   []uint64
-	headAddr   []uint64
-	doneAddr   []uint64
+	workers  int
+	issued   []int64       // dispatcher: entries published per worker
+	doneView []int64       // dispatcher: completion counts as last read
+	fifo     [][]published // dispatcher: every entry published, per worker, in ring order
+	ringAddr []uint64
+	doneAddr []uint64
 
 	t0      sim.Time      // measurement origin (set after the start barrier)
 	records [][]TxnRecord // per-worker outcomes (worker-owned)
@@ -236,12 +270,12 @@ type driver struct {
 func (d *driver) homeWorker(page int) int { return page % d.workers }
 
 // pollUntil spins the process forward to absolute time target in pollGap
-// steps. The dispatcher never truly sleeps: it owns ring and head lines
-// exclusively after writing them, so it must keep executing inline polls
-// for the workers' coherence requests to be serviced. (ProtocolProcs would
-// serve them for a sleeping process, but they share its CPU, which puts the
-// whole run in one shard in strict global order.) The spin is cheap on the
-// host: polls that find nothing cost no scheduler step (core.Proc.Compute).
+// steps. The dispatcher never truly sleeps: it owns a ring line exclusively
+// after writing it, so it must keep executing inline polls for the workers'
+// coherence requests to be serviced. (ProtocolProcs would serve them for a
+// sleeping process, but they share its CPU, which puts the whole run in one
+// shard in strict global order.) The spin is cheap on the host: polls that
+// find nothing cost no scheduler step (core.Proc.Compute).
 func pollUntil(p *core.Proc, target sim.Time) {
 	for {
 		now := p.Now()
@@ -256,7 +290,7 @@ func pollUntil(p *core.Proc, target sim.Time) {
 	}
 }
 
-// refresh pulls worker w's completion counter and credits finished
+// refresh reads worker w's completion counter and credits finished
 // transactions back to the admission controller. The MemBar gives the
 // refresh acquire semantics so the load observes the worker's latest
 // published count under both protocols.
@@ -264,70 +298,57 @@ func (d *driver) refresh(p *core.Proc, w int) {
 	p.MemBar()
 	nd := int64(p.Load(d.doneAddr[w]))
 	for k := d.doneView[w]; k < nd; k++ {
-		d.ctrl.Complete(int(d.tenantFIFO[w][k]))
+		d.ctrl.Complete(int(d.fifo[w][k].tenant))
 	}
 	d.doneView[w] = nd
 }
 
-// refreshAll refreshes every worker's counter (used when admission is
-// blocked and the dispatcher needs any completion it can find).
+// refreshAll refreshes every worker's counter: when admission is blocked
+// and the dispatcher needs any completion it can find, and on the timer a
+// backlog-reading policy asks for.
 func (d *driver) refreshAll(p *core.Proc) {
 	for w := 0; w < d.workers; w++ {
 		d.refresh(p, w)
 	}
 }
 
-// dispatch publishes one entry into worker w's ring, waiting for a slot if
-// the ring is full (the hard backpressure path).
-func (d *driver) dispatch(p *core.Proc, w int, t Txn, view *ClusterView) {
+// publish writes one entry into worker w's ring, waiting for a slot if the
+// ring is full (the hard backpressure path, and the one place an unblocked
+// dispatcher reads a completion counter: once per ringSlots entries per
+// worker). The stores are left outstanding on purpose: under RC they are
+// one miss that completes while the dispatcher moves on (its inline polls
+// service the reply), and the stamp, last of them, performs with the words
+// it publishes. Waiting here would serialize every dispatch behind a full
+// ownership round trip and make the single dispatcher, not the protocol, the
+// measured bottleneck.
+func (d *driver) publish(p *core.Proc, w int, words [ewStamp]uint64, pub published) {
 	for d.issued[w]-d.doneView[w] >= ringSlots {
-		d.refresh(p, w)
-		if d.issued[w]-d.doneView[w] < ringSlots {
-			break
+		if d.refresh(p, w); d.issued[w]-d.doneView[w] >= ringSlots {
+			pollUntil(p, p.Now()+retryTick)
 		}
-		pollUntil(p, p.Now()+retryTick)
 	}
-	slot := d.issued[w] % ringSlots
-	base := d.ringAddr[w] + uint64(slot)*entryWords*8
-	p.Store(base+ewTenant*8, uint64(t.Tenant))
-	p.Store(base+ewSeq*8, uint64(t.Seq))
-	p.Store(base+ewKind*8, uint64(t.Kind))
-	p.Store(base+ewPage*8, uint64(t.Page))
-	p.Store(base+ewRow*8, uint64(t.Row))
-	p.Store(base+ewPages*8, uint64(t.Pages))
-	p.Store(base+ewArrive*8, uint64(d.t0+t.At))
-	p.MemBar() // release: entry words before head publish
+	base := d.ringAddr[w] + uint64(d.issued[w]%ringSlots)*entryWords*8
+	for i, v := range words {
+		p.Store(base+uint64(i)*8, v)
+	}
 	d.issued[w]++
-	d.tenantFIFO[w] = append(d.tenantFIFO[w], int32(t.Tenant))
-	// The head store is left outstanding on purpose: under RC it completes
-	// asynchronously while the dispatcher moves on (its inline polls service
-	// the reply), and the next dispatch's release barrier — or the final
-	// flush in dispatcher() — retires it. Waiting here would serialize every
-	// dispatch behind a full ownership round trip and make the single
-	// dispatcher, not the protocol, the measured bottleneck.
-	p.Store(d.headAddr[w], uint64(d.issued[w]))
+	p.Store(base+ewStamp*8, uint64(d.issued[w]))
+	pub.dispatched = p.Now()
+	d.fifo[w] = append(d.fifo[w], pub)
+}
+
+// dispatch places one admitted transaction and publishes it.
+func (d *driver) dispatch(p *core.Proc, t Txn, view *ClusterView) {
+	admitted := p.Now()
+	w := d.policy.Pick(&t, view)
+	d.publish(p, w, [ewStamp]uint64{
+		ewTenant: uint64(t.Tenant), ewSeq: uint64(t.Seq), ewKind: uint64(t.Kind),
+		ewPage: uint64(t.Page), ewRow: uint64(t.Row), ewPages: uint64(t.Pages),
+		ewArrive: uint64(d.t0 + t.At),
+	}, published{tenant: int32(t.Tenant), seq: int32(t.Seq), admitted: admitted})
 	if tr := p.Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(p.Now()), Cat: "load", Ev: "dispatch", P: p.ID, O: t.Tenant, Blk: w, A: int64(t.Seq)})
 	}
-}
-
-// stop publishes the poison entry that makes worker w exit after draining
-// its ring.
-func (d *driver) stop(p *core.Proc, w int) {
-	for d.issued[w]-d.doneView[w] >= ringSlots {
-		d.refresh(p, w)
-		if d.issued[w]-d.doneView[w] < ringSlots {
-			break
-		}
-		pollUntil(p, p.Now()+retryTick)
-	}
-	slot := d.issued[w] % ringSlots
-	base := d.ringAddr[w] + uint64(slot)*entryWords*8
-	p.Store(base+ewKind*8, kindStop)
-	p.MemBar()
-	d.issued[w]++
-	d.tenantFIFO[w] = append(d.tenantFIFO[w], -1)
-	p.Store(d.headAddr[w], uint64(d.issued[w]))
 }
 
 // dispatcher is the load-balancer process: it sleeps until each scheduled
@@ -340,10 +361,11 @@ func (d *driver) dispatcher(p *core.Proc) {
 	tr := p.Tracer()
 
 	i := 0
+	timed := d.policy.ReadsBacklog()
 	var lastRefresh sim.Time
 	for {
 		now := p.Now() - d.t0
-		if now-lastRefresh >= refreshPeriod {
+		if timed && now-lastRefresh >= refreshPeriod {
 			d.refreshAll(p)
 			lastRefresh = now
 		}
@@ -356,7 +378,7 @@ func (d *driver) dispatcher(p *core.Proc) {
 			}
 			switch d.ctrl.Arrive(t) {
 			case Admit:
-				d.dispatch(p, d.policy.Pick(&t, view), t, view)
+				d.dispatch(p, t, view)
 			case Shed:
 				if tr != nil {
 					tr.Emit(trace.Event{T: int64(p.Now()), Cat: "load", Ev: "shed", P: p.ID, O: t.Tenant, A: int64(t.Seq)})
@@ -375,7 +397,7 @@ func (d *driver) dispatcher(p *core.Proc) {
 				if !ok {
 					break
 				}
-				d.dispatch(p, d.policy.Pick(&t, view), t, view)
+				d.dispatch(p, t, view)
 			}
 		}
 		if i >= len(d.sched) && !d.ctrl.HasQueued() {
@@ -396,12 +418,13 @@ func (d *driver) dispatcher(p *core.Proc) {
 			pollUntil(p, d.t0+next)
 		}
 	}
+	// The poison entry that makes a worker exit after draining its ring.
 	for w := 0; w < d.workers; w++ {
-		d.stop(p, w)
+		d.publish(p, w, [ewStamp]uint64{ewKind: kindStop}, published{tenant: -1})
 	}
-	// Flush the outstanding poison head stores before exiting: a finished
-	// process no longer polls, so anything still buffered here would never
-	// be seen by the workers.
+	// Flush the outstanding entry stores before exiting: a finished process
+	// no longer polls, so anything still buffered here would never be seen
+	// by the workers.
 	p.MemBar()
 }
 
@@ -410,65 +433,60 @@ func (d *driver) worker(p *core.Proc, w int) {
 	d.env.WarmOwned(p, w+1)
 	d.bar.Wait(p)
 	st := p.Stats()
-	var consumed int64
 	// Group commit: batch GroupCommitEvery OLTP transactions' redo into one
 	// log append. The counter depends only on this worker's processed
 	// sequence, so it is identical across engines.
 	groupEvery, inGroup := d.env.GroupCommitEvery(), 0
-	for {
-		h := int64(p.Load(d.headAddr[w]))
-		if h == consumed {
+	for consumed := int64(0); ; consumed++ {
+		base := d.ringAddr[w] + uint64(consumed%ringSlots)*entryWords*8
+		for int64(p.Load(base+ewStamp*8)) != consumed+1 {
 			// Idle poll: the Compute's inline poll tick also expires
 			// stale Tardis leases, keeping the spin live.
 			p.Compute(pollGap)
-			continue
 		}
-		p.MemBar() // acquire: head observed before entry words
-		for consumed < h {
-			slot := consumed % ringSlots
-			base := d.ringAddr[w] + uint64(slot)*entryWords*8
-			kind := p.Load(base + ewKind*8)
-			if kind == kindStop {
-				return
+		// Acquire: stamp observed before entry words. Nothing of the
+		// worker's own is outstanding here, so it is the base charge only.
+		p.MemBar()
+		kind := p.Load(base + ewKind*8)
+		if kind == kindStop {
+			return
+		}
+		rec := TxnRecord{
+			Tenant: int(p.Load(base + ewTenant*8)),
+			Seq:    int(p.Load(base + ewSeq*8)),
+			Kind:   TxnKind(kind),
+			Worker: w,
+			Arrive: sim.Time(p.Load(base + ewArrive*8)),
+			Start:  p.Now(),
+		}
+		page := int(p.Load(base + ewPage*8))
+		row := int(p.Load(base + ewRow*8))
+		pages := int(p.Load(base + ewPages*8))
+		if tr := p.Tracer(); tr != nil {
+			tr.Emit(trace.Event{T: int64(p.Now()), Cat: "load", Ev: "start", P: p.ID, O: rec.Tenant, A: int64(rec.Seq), B: int64(rec.Start - rec.Arrive)})
+		}
+		db0 := st.Time[core.CatTask] + st.Time[core.CatCheck] + st.Time[core.CatPoll]
+		pr0 := st.Time[core.CatReadStall] + st.Time[core.CatWriteStall] + st.Time[core.CatMBStall] + st.Time[core.CatMessage]
+		sy0 := st.Time[core.CatSyncStall]
+		if rec.Kind == KindDSS {
+			d.env.DSSTxn(p, page, pages)
+		} else {
+			inGroup++
+			commit := inGroup >= groupEvery
+			if commit {
+				inGroup = 0
 			}
-			rec := TxnRecord{
-				Tenant: int(p.Load(base + ewTenant*8)),
-				Seq:    int(p.Load(base + ewSeq*8)),
-				Kind:   TxnKind(kind),
-				Worker: w,
-				Arrive: sim.Time(p.Load(base + ewArrive*8)),
-				Start:  p.Now(),
-			}
-			page := int(p.Load(base + ewPage*8))
-			row := int(p.Load(base + ewRow*8))
-			pages := int(p.Load(base + ewPages*8))
-			if tr := p.Tracer(); tr != nil {
-				tr.Emit(trace.Event{T: int64(p.Now()), Cat: "load", Ev: "start", P: p.ID, O: rec.Tenant, A: int64(rec.Seq), B: int64(rec.Start - rec.Arrive)})
-			}
-			db0 := st.Time[core.CatTask] + st.Time[core.CatCheck] + st.Time[core.CatPoll]
-			pr0 := st.Time[core.CatReadStall] + st.Time[core.CatWriteStall] + st.Time[core.CatMBStall] + st.Time[core.CatMessage]
-			sy0 := st.Time[core.CatSyncStall]
-			if rec.Kind == KindDSS {
-				d.env.DSSTxn(p, page, pages)
-			} else {
-				inGroup++
-				commit := inGroup >= groupEvery
-				if commit {
-					inGroup = 0
-				}
-				d.env.OLTPTxn(p, page, row, commit)
-			}
-			rec.Done = p.Now()
-			rec.DB = st.Time[core.CatTask] + st.Time[core.CatCheck] + st.Time[core.CatPoll] - db0
-			rec.Protocol = st.Time[core.CatReadStall] + st.Time[core.CatWriteStall] + st.Time[core.CatMBStall] + st.Time[core.CatMessage] - pr0
-			rec.Sync = st.Time[core.CatSyncStall] - sy0
-			d.records[w] = append(d.records[w], rec)
-			consumed++
-			p.Store(d.doneAddr[w], uint64(consumed))
-			p.MemBar() // release: publish the completion count
-			if tr := p.Tracer(); tr != nil {
-				tr.Emit(trace.Event{T: int64(p.Now()), Cat: "load", Ev: "done", P: p.ID, O: rec.Tenant, A: int64(rec.Seq), B: int64(rec.Done - rec.Arrive), S: rec.Kind.String()})
-			}
+			d.env.OLTPTxn(p, page, row, commit)
+		}
+		rec.Done = p.Now()
+		rec.DB = st.Time[core.CatTask] + st.Time[core.CatCheck] + st.Time[core.CatPoll] - db0
+		rec.Protocol = st.Time[core.CatReadStall] + st.Time[core.CatWriteStall] + st.Time[core.CatMBStall] + st.Time[core.CatMessage] - pr0
+		rec.Sync = st.Time[core.CatSyncStall] - sy0
+		d.records[w] = append(d.records[w], rec)
+		p.Store(d.doneAddr[w], uint64(consumed+1))
+		p.MemBar() // release: publish the completion count
+		if tr := p.Tracer(); tr != nil {
+			tr.Emit(trace.Event{T: int64(p.Now()), Cat: "load", Ev: "done", P: p.ID, O: rec.Tenant, A: int64(rec.Seq), B: int64(rec.Done - rec.Arrive), S: rec.Kind.String()})
 		}
 	}
 }

@@ -4,11 +4,14 @@ import "fmt"
 
 // ClusterView is the dispatcher's view of worker load. Issued counts are
 // exact (the dispatcher did the issuing); Done counts come from per-worker
-// shared-memory completion counters and are only as fresh as the last
-// refresh — exactly the staleness a real load balancer lives with.
+// shared-memory completion counters and are only as fresh as the last time
+// the dispatcher read them — exactly the staleness a real load balancer
+// lives with. It reads one when something consumes it: a full ring, an
+// admission decision at capacity, or, on a timer, a policy that asks for it
+// (Policy.ReadsBacklog).
 type ClusterView struct {
 	Issued []int64 // transactions dispatched, per worker
-	Done   []int64 // completions, per worker, as of the last refresh
+	Done   []int64 // completions, per worker, as last read
 	// HomeWorker maps a buffer-cache page to the worker whose process
 	// homes it (the placement signal for the locality policy).
 	HomeWorker func(page int) int
@@ -23,12 +26,18 @@ func (v *ClusterView) Backlog(w int) int64 { return v.Issued[w] - v.Done[w] }
 type Policy interface {
 	Name() string
 	Pick(t *Txn, view *ClusterView) int
+	// ReadsBacklog reports whether Pick reads view.Done (through Backlog).
+	// The dispatcher keeps every worker's completion count no staler than
+	// refreshPeriod for such a policy, at a read miss per worker per
+	// period; for any other it reads no counter on placement's account.
+	ReadsBacklog() bool
 }
 
 // roundRobin cycles through workers regardless of load.
 type roundRobin struct{ next int }
 
-func (p *roundRobin) Name() string { return "rr" }
+func (p *roundRobin) Name() string       { return "rr" }
+func (p *roundRobin) ReadsBacklog() bool { return false }
 func (p *roundRobin) Pick(t *Txn, view *ClusterView) int {
 	w := p.next
 	p.next = (p.next + 1) % len(view.Issued)
@@ -39,7 +48,8 @@ func (p *roundRobin) Pick(t *Txn, view *ClusterView) int {
 // ties toward the lowest index.
 type leastLoaded struct{}
 
-func (leastLoaded) Name() string { return "least" }
+func (leastLoaded) Name() string       { return "least" }
+func (leastLoaded) ReadsBacklog() bool { return true }
 func (leastLoaded) Pick(t *Txn, view *ClusterView) int {
 	best := 0
 	for w := 1; w < len(view.Issued); w++ {
@@ -56,7 +66,8 @@ func (leastLoaded) Pick(t *Txn, view *ClusterView) int {
 // bench sweep shows where locality beats balance and where it loses.
 type locality struct{}
 
-func (locality) Name() string { return "locality" }
+func (locality) Name() string       { return "locality" }
+func (locality) ReadsBacklog() bool { return false }
 func (locality) Pick(t *Txn, view *ClusterView) int {
 	return view.HomeWorker(t.Page)
 }

@@ -7,15 +7,23 @@ import (
 )
 
 // TxnRecord is the outcome of one admitted transaction, recorded by the
-// worker that executed it, in simulated time only.
+// worker that executed it, in simulated time only. Its five times are in
+// order, and the four stretches between them are its latency exactly.
 type TxnRecord struct {
 	Tenant int
 	Seq    int
 	Kind   TxnKind
 	Worker int
 	Arrive sim.Time // scheduled arrival
-	Start  sim.Time // worker began service
-	Done   sim.Time // worker finished
+	// Admitted and Dispatched are the dispatcher's: when it took the
+	// transaction up (admission passed, placement next) and when it had
+	// published the ring entry. They never travel through simulated memory:
+	// the dispatcher notes them host-side in ring order and Run merges them
+	// into the worker's records afterwards.
+	Admitted   sim.Time
+	Dispatched sim.Time
+	Start      sim.Time // worker began service
+	Done       sim.Time // worker finished
 	// Service-time breakdown from the worker's stats buckets: DB is
 	// compute (task + check + poll overhead), Protocol is miss and
 	// message stalls, Sync is lock/flag stalls — the queueing vs. service
@@ -25,12 +33,29 @@ type TxnRecord struct {
 	Sync     sim.Time
 }
 
-// Latency is the full arrival-to-completion latency.
+// Latency is the full arrival-to-completion latency: FrontDoor + Dispatch +
+// RingWait + Service.
 func (r *TxnRecord) Latency() sim.Time { return r.Done - r.Arrive }
 
-// Queueing is the time from arrival until a worker began service
-// (dispatcher queue + ring wait).
+// Queueing is the time from arrival until a worker began service:
+// FrontDoor + Dispatch + RingWait.
 func (r *TxnRecord) Queueing() sim.Time { return r.Start - r.Arrive }
+
+// FrontDoor is the wait for the dispatcher: from arrival until it took the
+// transaction up, behind earlier arrivals, its own protocol work, and any
+// time in an admission queue.
+func (r *TxnRecord) FrontDoor() sim.Time { return r.Admitted - r.Arrive }
+
+// Dispatch is what the dispatcher spent on the transaction: placement, any
+// wait for a ring slot, and the stores of the entry.
+func (r *TxnRecord) Dispatch() sim.Time { return r.Dispatched - r.Admitted }
+
+// RingWait is the time from the entry's publication until the worker began
+// service: the block's way to the worker, and the worker's earlier entries.
+func (r *TxnRecord) RingWait() sim.Time { return r.Start - r.Dispatched }
+
+// Service is the time the worker spent executing the transaction.
+func (r *TxnRecord) Service() sim.Time { return r.Done - r.Start }
 
 // TenantMetrics summarizes one tenant's outcomes.
 type TenantMetrics struct {
@@ -62,6 +87,12 @@ type Metrics struct {
 	MeanProt sim.Time        `json:"mean_prot"`
 	MeanSync sim.Time        `json:"mean_sync"`
 	Tenants  []TenantMetrics `json:"tenants"`
+
+	// Per-txn means of the four stretches of a latency (TxnRecord).
+	MeanFrontDoor sim.Time `json:"mean_front_door"`
+	MeanDispatch  sim.Time `json:"mean_dispatch"`
+	MeanRingWait  sim.Time `json:"mean_ring_wait"`
+	MeanService   sim.Time `json:"mean_service"`
 }
 
 // pctile returns the nearest-rank percentile of sorted (ascending); zero
@@ -87,7 +118,8 @@ func Summarize(recs []TxnRecord, sheds []int64, tenants []TenantConfig) *Metrics
 	m := &Metrics{Tenants: make([]TenantMetrics, len(tenants))}
 	perTenant := make([][]sim.Time, len(tenants))
 	var all []sim.Time
-	var sumDB, sumProt, sumSync, sumQueue int64
+	var sumDB, sumProt, sumSync int64
+	var sumFrontDoor, sumDispatch, sumRingWait, sumService int64
 	queuePer := make([]int64, len(tenants))
 	attained := make([]int64, len(tenants))
 	counts := make([]int64, len(tenants))
@@ -98,7 +130,10 @@ func Summarize(recs []TxnRecord, sheds []int64, tenants []TenantConfig) *Metrics
 		perTenant[r.Tenant] = append(perTenant[r.Tenant], lat)
 		counts[r.Tenant]++
 		queuePer[r.Tenant] += int64(r.Queueing())
-		sumQueue += int64(r.Queueing())
+		sumFrontDoor += int64(r.FrontDoor())
+		sumDispatch += int64(r.Dispatch())
+		sumRingWait += int64(r.RingWait())
+		sumService += int64(r.Service())
 		sumDB += int64(r.DB)
 		sumProt += int64(r.Protocol)
 		sumSync += int64(r.Sync)
@@ -114,6 +149,10 @@ func Summarize(recs []TxnRecord, sheds []int64, tenants []TenantConfig) *Metrics
 		m.MeanDB = sim.Time(sumDB / n)
 		m.MeanProt = sim.Time(sumProt / n)
 		m.MeanSync = sim.Time(sumSync / n)
+		m.MeanFrontDoor = sim.Time(sumFrontDoor / n)
+		m.MeanDispatch = sim.Time(sumDispatch / n)
+		m.MeanRingWait = sim.Time(sumRingWait / n)
+		m.MeanService = sim.Time(sumService / n)
 	}
 	for tn := range tenants {
 		lats := perTenant[tn]

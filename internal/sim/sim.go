@@ -76,6 +76,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -477,13 +478,20 @@ func (e *Engine) ExternalProc(name string, cpu int) *Proc {
 // installed, Run delegates the schedule to it (tear-down stays here).
 func (e *Engine) Run() error {
 	defer e.drain()
+	var err error
 	if e.runner != nil {
 		e.inRounds = true
-		err := e.runner.Run(e)
+		err = e.runner.Run(e)
 		e.inRounds = false
-		return err
+	} else {
+		err = e.drive()
 	}
-	return e.drive()
+	// Every shard is parked now, so the dump is a consistent snapshot.
+	var over *MaxTimeError
+	if errors.As(err, &over) && e.dumpHook != nil {
+		over.Extra = e.dumpHook()
+	}
+	return err
 }
 
 // drive is the built-in driver: one window at a time, always of the shard
@@ -656,7 +664,7 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 			return st
 		}
 		if e.cfg.MaxTime > 0 && p.now > e.cfg.MaxTime {
-			sh.err = fmt.Errorf("sim: exceeded MaxTime %d at proc %s (t=%d)", e.cfg.MaxTime, p.Name, p.now)
+			sh.err = &MaxTimeError{MaxTime: e.cfg.MaxTime, Proc: p.Name, At: p.now}
 			return WindowErr
 		}
 		if e.cfg.WatchdogCycles > 0 {
@@ -1137,6 +1145,25 @@ func (e *Engine) allDone() bool {
 		}
 	}
 	return true
+}
+
+// MaxTimeError reports a run that was still going at Config.MaxTime. A run
+// in which one process waits for ever while the others keep polling gets
+// here, not to the watchdog (they are making progress), so like StallError
+// it carries the dump hook's output: the dump says where.
+type MaxTimeError struct {
+	MaxTime Time
+	Proc    string // the process whose next step passed MaxTime
+	At      Time   // its clock
+	Extra   string // higher-layer dump-hook output
+}
+
+func (e *MaxTimeError) Error() string {
+	s := fmt.Sprintf("sim: exceeded MaxTime %d at proc %s (t=%d)", e.MaxTime, e.Proc, e.At)
+	if e.Extra != "" {
+		s += "\n" + e.Extra
+	}
+	return s
 }
 
 // StallError reports a watchdog-detected livelock: the engine kept

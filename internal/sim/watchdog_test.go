@@ -53,6 +53,31 @@ func TestWatchdogNotifyLivelock(t *testing.T) {
 	}
 }
 
+// TestMaxTimeSaysWhere: a run in which one process is stuck while another
+// keeps working is no stall, so it spins to MaxTime; that error must carry the
+// dump hook's protocol state, as a StallError does.
+func TestMaxTimeSaysWhere(t *testing.T) {
+	e := NewEngine(Config{Nodes: 1, CPUsPerNode: 2, MaxTime: 1_000_000, WatchdogCycles: 100_000})
+	e.SetDumpHook(func() string { return "hook-state" })
+	e.Spawn("stuck", 0, 0, func(p *Proc) { p.Wait() })
+	e.Spawn("busy", 1, 0, func(p *Proc) {
+		for {
+			p.Advance(1000)
+		}
+	})
+	err := e.Run()
+	var over *MaxTimeError
+	if !errors.As(err, &over) {
+		t.Fatalf("want MaxTimeError, got %T: %v", err, err)
+	}
+	if over.Proc != "busy" || over.At <= over.MaxTime || over.Extra != "hook-state" {
+		t.Errorf("MaxTimeError %+v: want proc busy past %d with the hook's dump", *over, over.MaxTime)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "exceeded MaxTime 1000000 at proc busy") || !strings.HasSuffix(msg, "\nhook-state") {
+		t.Errorf("message does not say where:\n%s", msg)
+	}
+}
+
 // TestWatchdogZeroTimeLivelock spins a process that never advances its clock
 // at all; the iteration bound must catch it even though simulated time is
 // frozen.
