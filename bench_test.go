@@ -138,7 +138,7 @@ func BenchmarkProtocolRemoteMiss(b *testing.B) {
 		var addr uint64
 		ready := false
 		s.Spawn("home", 0, func(p *core.Proc) {
-			addr = s.Alloc(64<<10, core.AllocOptions{Home: 0})
+			addr = s.Alloc(64<<10, core.AllocOptions{Home: core.HomeAt(0)})
 			for k := 0; k < 1024; k++ {
 				p.Store(addr+uint64(k*64), uint64(k))
 			}

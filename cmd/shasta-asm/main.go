@@ -53,7 +53,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	})
-	s.Alloc(64<<10, core.AllocOptions{Home: 0})
+	s.Alloc(64<<10, core.AllocOptions{Home: core.HomeAt(0)})
 	if err := s.Run(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -12,7 +12,6 @@
 //	shasta-bench -json out.json -bench-quick   # CI smoke variant
 //	shasta-bench -shootout BENCH_PR6.json      # protocol shootout (dirinval vs tardis)
 //	shasta-bench -checks BENCH_PR8.json        # static-overhead shootout (noopt/elim/hoist)
-//	shasta-bench -allocs BENCH_PR9.json        # allocation trajectory (pooled vs unpooled)
 //	shasta-bench -loadgen BENCH_PR10.json      # tenant-count sweep to the saturation knee
 package main
 
@@ -96,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	benchQuick := fs.Bool("bench-quick", false, "with -json/-shootout/-loadgen: run the cut-down CI smoke suite")
 	shootout := fs.String("shootout", "", "run the cross-protocol shootout and write the JSON report to this file")
 	checks := fs.String("checks", "", "run the static-overhead shootout and write the JSON report to this file")
-	allocs := fs.String("allocs", "", "run the allocation-trajectory suite and write the JSON report to this file")
 	loadgen := fs.String("loadgen", "", "run the multi-tenant load sweep and write the JSON report to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -122,32 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				sw.Protocol, sw.KneeTenants, sw.ProtocolBound, sw.ProtGrowth, sw.DBGrowth, last.Tenants, last.P99)
 		}
 		fmt.Fprintf(stdout, "loadgen sweep (engines_agree=%v) → %s\n", report.EnginesAgree, *loadgen)
-		return 0
-	}
-
-	if *allocs != "" {
-		cases := bench.DefaultAllocCases()
-		if *benchQuick {
-			cases = bench.QuickAllocCases()
-		}
-		report, err := bench.RunAllocSuite(cases, core.ProtocolNames())
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := writeReport(report, *allocs); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		for _, c := range report.Cases {
-			fmt.Fprintf(stdout, "%-12s mem_equal=%v sim_invariant=%v", c.Name, c.MemEqual, c.SimTimeInvariant)
-			for _, p := range report.Protocols {
-				fmt.Fprintf(stdout, " reduction[%s]=%.1f%%", p, c.ReductionPct[p])
-			}
-			fmt.Fprintln(stdout)
-		}
-		fmt.Fprintf(stdout, "alloc trajectory: min reduction %.1f%% mem_equal=%v sim_invariant=%v → %s\n",
-			report.MinReductionPct, report.AllMemEqual, report.AllSimTimeInvariant, *allocs)
 		return 0
 	}
 

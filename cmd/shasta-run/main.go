@@ -99,6 +99,8 @@ func main() {
 	fmt.Printf("  remote misses       %10d read, %d write\n", st.ReadMisses(), st.WriteMisses())
 	fmt.Printf("  SMP local fills     %10d\n", st.LocalFills())
 	fmt.Printf("  messages            %10d sent\n", st.MessagesSent())
+	busiest, msgShare, cycleShare := sys.Busiest()
+	fmt.Printf("  busiest process: p%d handled %.0f %% of messages, %.0f %% of handler cycles\n", busiest.ID, 100*msgShare, 100*cycleShare)
 	fmt.Printf("  invalidations       %10d\n", st.Invalidations())
 	fmt.Printf("  downgrades          %10d explicit, %d direct\n", st.DowngradesSent(), st.DowngradesDirect())
 	fmt.Printf("  LL/SC               %10d/%d (%d hw, %d failed)\n", st.LLs(), st.SCs(), st.SCHardware(), st.SCFailures())

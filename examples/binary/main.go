@@ -63,7 +63,7 @@ func main() {
 			}
 		})
 	}
-	sys.Alloc(4096, core.AllocOptions{Home: 0})
+	sys.Alloc(4096, core.AllocOptions{Home: core.HomeAt(0)})
 	if err := sys.Run(); err != nil {
 		panic(err)
 	}

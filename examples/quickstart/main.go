@@ -25,7 +25,7 @@ func main() {
 
 	// A producer on node 0 writes 64 words.
 	producer := sys.Spawn("producer", 0, func(p *core.Proc) {
-		data = sys.Alloc(64*8, core.AllocOptions{Home: 0})
+		data = sys.Alloc(64*8, core.AllocOptions{Home: core.HomeAt(0)})
 		for i := 0; i < 64; i++ {
 			p.Store(data+uint64(i*8), uint64(i*i))
 		}

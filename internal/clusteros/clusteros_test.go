@@ -126,7 +126,7 @@ func TestShmgetShmatSharing(t *testing.T) {
 	sys, os := newOS(t)
 	sys.Spawn("init", 0, func(p *core.Proc) {
 		os.Attach(p)
-		seg := os.Shmget(p, 4096, core.AllocOptions{Home: 0})
+		seg := os.Shmget(p, 4096, core.AllocOptions{Home: core.HomeAt(0)})
 		addr, err := os.Shmat(p, seg)
 		if err != nil {
 			t.Error(err)
@@ -157,7 +157,7 @@ func TestFileReadWriteWithValidation(t *testing.T) {
 	os.FS().Create("/data")
 	sys.Spawn("init", 0, func(p *core.Proc) {
 		os.Attach(p)
-		buf := sys.Alloc(8192, core.AllocOptions{Home: 0})
+		buf := sys.Alloc(8192, core.AllocOptions{Home: core.HomeAt(0)})
 		// Fill the shared buffer, write it out, read it back elsewhere.
 		for i := 0; i < 1024; i++ {
 			p.Store(buf+uint64(i*8), uint64(i)*7)
@@ -171,7 +171,7 @@ func TestFileReadWriteWithValidation(t *testing.T) {
 		if n, err := os.Write(p, fd, buf, 8192); n != 8192 || err != nil {
 			t.Errorf("write n=%d err=%v", n, err)
 		}
-		dst := sys.Alloc(8192, core.AllocOptions{Home: 0})
+		dst := sys.Alloc(8192, core.AllocOptions{Home: core.HomeAt(0)})
 		os.Seek(p, fd, 0)
 		if n, err := os.Read(p, fd, dst, 8192); n != 8192 || err != nil {
 			t.Errorf("read n=%d err=%v", n, err)
@@ -206,9 +206,9 @@ func TestValidationCostShape(t *testing.T) {
 		var avg float64
 		sys.Spawn("m", 0, func(p *core.Proc) {
 			os.Attach(p)
-			buf := sys.Alloc(8192, core.AllocOptions{Home: 0})
+			buf := sys.Alloc(8192, core.AllocOptions{Home: core.HomeAt(0)})
 			fd, _ := os.Open(p, "/t", 0)
-			seed := sys.Alloc(8192, core.AllocOptions{Home: 0})
+			seed := sys.Alloc(8192, core.AllocOptions{Home: core.HomeAt(0)})
 			os.Write(p, fd, seed, 8192) // populate the file
 			var total sim.Time
 			const reps = 10

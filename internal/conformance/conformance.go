@@ -96,7 +96,7 @@ func MissSequence(protocol string, smp bool) (*MissReport, error) {
 		rep.WriteMisses = p.Stats().WriteMisses() - w0
 		p.BarrierWait(bar)
 	})
-	addr = s.Alloc(64, core.AllocOptions{Home: 0})
+	addr = s.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
 	if err := s.Run(); err != nil {
 		return nil, fmt.Errorf("%s smp=%v: %w", protocol, smp, err)
 	}
@@ -152,7 +152,7 @@ func ProducerConsumer(protocol string, smp bool, words int) error {
 		p.LockRelease(lk)
 		p.BarrierWait(done)
 	})
-	addr = s.Alloc(words*8, core.AllocOptions{Home: 0})
+	addr = s.Alloc(words*8, core.AllocOptions{Home: core.HomeAt(0)})
 	if err := s.Run(); err != nil {
 		return fmt.Errorf("%s smp=%v: %w", protocol, smp, err)
 	}

@@ -221,6 +221,28 @@ func (s *System) emitStats() {
 	}
 }
 
+// starvedMiss is the engine's starve probe: it names the first process, and
+// its lowest block, with a miss outstanding for longer than budget at now.
+func (s *System) starvedMiss(now, budget sim.Time) string {
+	for _, p := range s.procs {
+		if p.outstanding == 0 {
+			continue
+		}
+		starved := -1
+		for blk, m := range p.mshr {
+			if now-m.issued > budget && (starved < 0 || blk < starved) {
+				starved = blk
+			}
+		}
+		if starved >= 0 {
+			m := p.mshr[starved]
+			return fmt.Sprintf("%s has had a miss on block %d outstanding since t=%d (excl=%v,reply=%v,acks=%d/%d)",
+				p, starved, m.issued, m.wantExcl, m.haveReply, m.acksGot, m.acksWanted)
+		}
+	}
+	return ""
+}
+
 // dumpProtocolState describes per-process protocol state for watchdog stall
 // dumps: outstanding misses, pending queue contents, downgrade waits.
 func (s *System) dumpProtocolState() string {

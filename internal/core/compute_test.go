@@ -143,9 +143,9 @@ func runComputeProgram(t *testing.T, c computeCase, seed int64, pollEach bool) *
 	}
 	// Four blocks of data homed round-robin, and a line each for the two
 	// counters and the LL/SC lock.
-	data = s.Alloc(words*8, AllocOptions{BlockLines: 2, Home: -1})
-	counters = s.Alloc(128, AllocOptions{Home: 1})
-	smLock = s.Alloc(64, AllocOptions{Home: 2})
+	data = s.Alloc(words*8, AllocOptions{BlockLines: 2})
+	counters = s.Alloc(128, AllocOptions{Home: HomeAt(1)})
+	smLock = s.Alloc(64, AllocOptions{Home: HomeAt(2)})
 	mpLock, bar = s.NewLock(3), s.NewBarrier(0, n)
 	if err := s.Run(); err != nil {
 		// A deadlock names every process and its clock. A run that spins to
@@ -202,15 +202,13 @@ func TestComputeClosedFormMatchesPolling(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d pairs of runs, %d of them failed the same way both ways; %d scheduler steps polling, %d in closed form (%d parks, %d woken early), %d retransmissions",
+	t.Logf("%d pairs of runs, %d of them failed; %d scheduler steps polling, %d in closed form (%d parks, %d woken early), %d retransmissions",
 		pairs, failed, ref.Steps, total.Steps, total.Parks, total.EarlyWakes, retx)
-	// The programs are hard on the protocol: their stores race, and
-	// SMP-Shasta with the directory protocol deadlocks or livelocks on one
-	// in fifty (an upgrade by a process on the home's node against a remote
-	// upgrade of the same line, each deferred behind the other's fill;
-	// ROADMAP item 3). Such a run must end the same way both ways, down to
-	// the clocks the deadlock names. Most runs must not be of that kind.
-	if 4*failed > pairs {
+	// The programs are hard on the protocol (their stores race), and every
+	// one of them must finish: until the home invalidated its own node's
+	// copy the way a remote sharer does, one in fifty wedged 2x2 SMP-Shasta
+	// under dirinval (DESIGN.md §8 finding 9).
+	if failed > 0 {
 		t.Errorf("%d of %d pairs of runs failed", failed, pairs)
 	}
 	// The closed form must have been exercised: parked and woken early by an
@@ -258,7 +256,7 @@ func TestComputeArrivalOnPollInstant(t *testing.T) {
 					}
 					clocks[mode][1] = p.Now()
 				})
-				addr = s.Alloc(64, AllocOptions{Home: 0})
+				addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 				err := s.Run()
 				debugDeliver = nil
 				if err != nil {
@@ -297,7 +295,7 @@ func TestLongComputesAreNotAStall(t *testing.T) {
 			p.Store(addr+uint64(i)*8, 2)
 		})
 	}
-	addr = s.Alloc(64, AllocOptions{Home: 0})
+	addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +340,8 @@ func TestSharedCPUTakesPollsOneByOne(t *testing.T) {
 			}
 			runs[mode][2] = p.Now()
 		})
-		addr[0] = s.Alloc(10*64, AllocOptions{Home: 0})
-		addr[1] = s.Alloc(10*64, AllocOptions{Home: 1})
+		addr[0] = s.Alloc(10*64, AllocOptions{Home: HomeAt(0)})
+		addr[1] = s.Alloc(10*64, AllocOptions{Home: HomeAt(1)})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +399,7 @@ func TestTardisLeaseExpiresOnSamePollAcrossParks(t *testing.T) {
 				p.Compute(50)
 			}
 		})
-		addr = s.Alloc(64, AllocOptions{Home: 0})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}

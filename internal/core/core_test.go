@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -42,7 +44,7 @@ func TestSingleProcessReadWrite(t *testing.T) {
 		s := Build(WithConfig(cfg))
 		var got uint64
 		p0 := s.Spawn("w", 0, func(p *Proc) {
-			addr := p.sys.Alloc(4096, AllocOptions{Home: 0})
+			addr := p.sys.Alloc(4096, AllocOptions{Home: HomeAt(0)})
 			p.Store(addr, 42)
 			p.Store(addr+8, 43)
 			got = p.Load(addr) + p.Load(addr+8)
@@ -67,7 +69,7 @@ func TestRemoteReadMiss(t *testing.T) {
 		ready := false
 		// Producer on node 0 (home), consumer on node 1.
 		s.Spawn("prod", 0, func(p *Proc) {
-			addr = s.Alloc(64, AllocOptions{Home: 0})
+			addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 			p.Store(addr, 7)
 			p.MemBar()
 			ready = true
@@ -101,7 +103,7 @@ func TestInvalidationPropagatesNewValue(t *testing.T) {
 	var got1, got2 uint64
 	phase := 0
 	s.Spawn("writer", 0, func(p *Proc) {
-		addr = s.Alloc(64, AllocOptions{Home: 0})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		p.Store(addr, 1)
 		p.MemBar()
 		phase = 1
@@ -146,7 +148,7 @@ func TestThreeHopDirtyForwarding(t *testing.T) {
 	var got uint64
 	phase := 0
 	s.Spawn("home", 0, func(p *Proc) {
-		addr = s.Alloc(64, AllocOptions{Home: 0})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		phase = 1
 		for phase < 3 {
 			p.Compute(500)
@@ -196,7 +198,7 @@ func TestLLSCAtomicIncrement(t *testing.T) {
 			for i := range bodies {
 				bodies[i] = func(p *Proc) {
 					if p.ID == 0 {
-						addr = s.Alloc(64, AllocOptions{Home: 0})
+						addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 						p.MemBar()
 					}
 					p.BarrierWait(0)
@@ -257,7 +259,7 @@ func TestMPLockMutualExclusion(t *testing.T) {
 	for i := 0; i < nproc; i++ {
 		s.Spawn("lk", i%s.Eng.NumCPUs(), func(p *Proc) {
 			if p.ID == 0 {
-				addr = s.Alloc(64, AllocOptions{Home: 0})
+				addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 				p.MemBar()
 			}
 			p.BarrierWait(bar)
@@ -309,7 +311,7 @@ func TestFalseMissOnFlagValue(t *testing.T) {
 	cfg := testConfig()
 	s := Build(WithConfig(cfg))
 	s.Spawn("w", 0, func(p *Proc) {
-		addr := s.Alloc(64, AllocOptions{Home: 0})
+		addr := s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		p.Store(addr, FlagWord) // application data equal to the flag
 		if v := p.Load(addr); v != FlagWord {
 			t.Errorf("load = %#x", v)
@@ -330,7 +332,7 @@ func TestSMPLocalFillAvoidsRemoteMiss(t *testing.T) {
 	phase := 0
 	// Both processes on node 1; home on node 0.
 	s.Spawn("home", 0, func(p *Proc) {
-		addr = s.Alloc(64, AllocOptions{Home: 0})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		p.Store(addr, 5)
 		p.MemBar()
 		phase = 1
@@ -374,7 +376,7 @@ func TestRCNonblockingStoreAndMB(t *testing.T) {
 	var addr uint64
 	phase := 0
 	s.Spawn("a", 0, func(p *Proc) {
-		addr = s.Alloc(64, AllocOptions{Home: 0})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		phase = 1
 		for phase < 2 {
 			p.Compute(500)
@@ -414,7 +416,7 @@ func TestSCBlockingStore(t *testing.T) {
 	var addr uint64
 	phase := 0
 	s.Spawn("a", 0, func(p *Proc) {
-		addr = s.Alloc(64, AllocOptions{Home: 0})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		phase = 1
 		for phase < 2 {
 			p.Compute(500)
@@ -441,7 +443,7 @@ func TestVariableBlockSizeFetchesWholeBlock(t *testing.T) {
 	var addr uint64
 	phase := 0
 	s.Spawn("a", 0, func(p *Proc) {
-		addr = s.Alloc(4*64, AllocOptions{Home: 0, BlockLines: 4})
+		addr = s.Alloc(4*64, AllocOptions{Home: HomeAt(0), BlockLines: 4})
 		for i := 0; i < 32; i++ {
 			p.Store(addr+uint64(i*8), uint64(i))
 		}
@@ -481,7 +483,7 @@ func TestRemoteMissLatencyNearPaper(t *testing.T) {
 	var lat sim.Time
 	phase := 0
 	s.Spawn("home", 0, func(p *Proc) {
-		addr = s.Alloc(64, AllocOptions{Home: 0})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		p.Store(addr, 1)
 		p.MemBar()
 		phase = 1
@@ -513,8 +515,8 @@ func TestBatchValidationAndAccess(t *testing.T) {
 	var src, dst uint64
 	phase := 0
 	s.Spawn("a", 0, func(p *Proc) {
-		src = s.Alloc(1024, AllocOptions{Home: 0})
-		dst = s.Alloc(1024, AllocOptions{Home: 0})
+		src = s.Alloc(1024, AllocOptions{Home: HomeAt(0)})
+		dst = s.Alloc(1024, AllocOptions{Home: HomeAt(0)})
 		for i := 0; i < 128; i++ {
 			p.Store(src+uint64(i*8), uint64(i*3))
 		}
@@ -566,7 +568,7 @@ func TestDeterministicRuns(t *testing.T) {
 		for i := 0; i < nproc; i++ {
 			s.Spawn("d", i%s.Eng.NumCPUs(), func(p *Proc) {
 				if p.ID == 0 {
-					addr = s.Alloc(4096, AllocOptions{Home: 0})
+					addr = s.Alloc(4096, AllocOptions{Home: HomeAt(0)})
 					p.MemBar()
 				}
 				p.BarrierWait(bar)
@@ -607,7 +609,7 @@ func TestFlagInvariant(t *testing.T) {
 		for i := 0; i < nproc; i++ {
 			s.Spawn("f", i%s.Eng.NumCPUs(), func(p *Proc) {
 				if p.ID == 0 {
-					addr = s.Alloc(words*8, AllocOptions{})
+					addr = s.Alloc(words*8, AllocOptions{Home: HomeAt(0)})
 					p.MemBar()
 				}
 				p.BarrierWait(bar)
@@ -665,7 +667,7 @@ func TestCoherenceStress(t *testing.T) {
 		for i := 0; i < nproc; i++ {
 			s.Spawn("s", i%s.Eng.NumCPUs(), func(p *Proc) {
 				if p.ID == 0 {
-					addr = s.Alloc(4*64, AllocOptions{})
+					addr = s.Alloc(4*64, AllocOptions{Home: HomeAt(0)})
 					p.MemBar()
 				}
 				p.BarrierWait(bar)
@@ -703,7 +705,7 @@ func TestReadOwnWriteForwarding(t *testing.T) {
 	var addr uint64
 	phase := 0
 	s.Spawn("a", 0, func(p *Proc) {
-		addr = s.Alloc(64, AllocOptions{Home: 0})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		phase = 1
 		for phase < 2 {
 			p.Compute(500)
@@ -725,5 +727,74 @@ func TestReadOwnWriteForwarding(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocDefaultSpreadsHomes: the zero AllocOptions homes an allocation's
+// blocks round-robin over the home processes, in HomeProcs order (every
+// process when that is empty), continuing from one allocation to the next,
+// for one-line and multi-line blocks alike, so that over N blocks each of P
+// home processes gets floor or ceil N/P of them; HomeAt is honoured for
+// every block; and a round-robin request before any process exists still
+// panics by name.
+func TestAllocDefaultSpreadsHomes(t *testing.T) {
+	for _, homes := range [][]int{nil, {5, 2, 3}} {
+		cfg := testConfig()
+		cfg.HomeProcs = homes
+		s := Build(WithConfig(cfg))
+		if homes == nil {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Alloc before any process spawned") {
+						t.Errorf("round-robin Alloc with no process and no HomeProcs: recovered %v", r)
+					}
+				}()
+				s.Alloc(64, AllocOptions{})
+			}()
+		}
+		const procs = 6
+		for i := 0; i < procs; i++ {
+			s.Spawn("w", i, func(p *Proc) {})
+		}
+		order := homes
+		if order == nil {
+			order = []int{0, 1, 2, 3, 4, 5}
+		}
+		s.Alloc(64, AllocOptions{Home: HomeAt(4)}) // does not advance the rotation
+		s.Alloc(7*64, AllocOptions{})              // 7 blocks of one line
+		s.Alloc(9*4*64-8, AllocOptions{BlockLines: 4})
+		pinned := s.Alloc(3*2*64, AllocOptions{BlockLines: 2, Home: HomeAt(1)})
+		s.Alloc(4*64, AllocOptions{})
+		count := map[int]int{}
+		spread := 0
+		for _, blk := range s.blocks {
+			switch {
+			case blk.id == 0:
+				if blk.home != 4 {
+					t.Errorf("HomeAt(4): block homed at process %d", blk.home)
+				}
+			case blk.firstLine >= s.lineOf(pinned) && blk.firstLine < s.lineOf(pinned)+3*2:
+				if blk.home != 1 || blk.lines != 2 {
+					t.Errorf("HomeAt(1), two lines a block: block %d has %d lines, homed at process %d", blk.id, blk.lines, blk.home)
+				}
+			default:
+				if want := order[spread%len(order)]; blk.home != want {
+					t.Errorf("HomeProcs %v: round-robin block %d (%d lines) homed at process %d, want %d", homes, spread, blk.lines, blk.home, want)
+				}
+				count[blk.home]++
+				spread++
+			}
+		}
+		if spread != 7+9+4 {
+			t.Fatalf("%d round-robin blocks, want 20", spread)
+		}
+		for _, h := range order {
+			if n := count[h]; n != spread/len(order) && n != (spread+len(order)-1)/len(order) {
+				t.Errorf("HomeProcs %v: process %d is home to %d of %d blocks", homes, h, n, spread)
+			}
+		}
+		if len(count) != len(order) {
+			t.Errorf("HomeProcs %v: homes %v", homes, count)
+		}
 	}
 }

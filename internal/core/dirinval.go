@@ -211,7 +211,11 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			}
 			p.reply(reqProc, &msg{kind: k, block: blk.id, from: p.ID, invals: nacks, data: data})
 			if homeIsSharer && homeAgent != reqAgent {
-				p.downgradeAgent(blk, Invalid, false)
+				if s.brokenHomeInval {
+					p.downgradeAgent(blk, Invalid, false)
+				} else {
+					d.invalidateAgent(p, blk)
+				}
 				p.reply(reqProc, &msg{kind: msgInvalAck, block: blk.id, from: p.ID})
 			}
 		case dirExclusive:
@@ -287,17 +291,27 @@ func (d *dirInval) handleInval(p *Proc, m *msg) {
 	s := d.s
 	blk := s.blocks[m.block]
 	p.stats.N[CntInvalidations]++
-	missInFlight := false
-	holder := p
-	if s.Cfg.SMP {
-		if h := p.mem.busy[blk.id]; h != nil && h.mshr[blk.id] != nil {
-			missInFlight = true
-			holder = h
-		}
-	} else {
-		missInFlight = p.mshr[blk.id] != nil
+	d.invalidateAgent(p, blk)
+	reqProc := s.procs[m.reqProc]
+	if reqProc == p {
+		d.handleInvalAck(p, &msg{kind: msgInvalAck, block: blk.id, from: p.ID})
+		return
 	}
-	if missInFlight {
+	s.deliver(p, reqProc, &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
+}
+
+// invalidateAgent drops this agent's copy of a block for a writer the home
+// has already made owner: a remote sharer's on an invalidation message,
+// the home's own from handleHome. It never waits for a local miss on the
+// block, because that miss may itself be waiting, through the home or
+// through the writer's fill, for the ack that follows (DESIGN.md §8
+// finding 9).
+func (d *dirInval) invalidateAgent(p *Proc, blk *blockInfo) {
+	holder := p
+	if d.s.Cfg.SMP {
+		holder = p.mem.busy[blk.id]
+	}
+	if holder != nil && holder.mshr[blk.id] != nil {
 		// A miss by a local process is in flight. Local private copies
 		// are dropped either way, but what the pending fill will install
 		// depends on the miss kind. An upgrade serializes after this
@@ -314,12 +328,6 @@ func (d *dirInval) handleInval(p *Proc, m *msg) {
 	} else if p.mem.table[blk.firstLine] != Invalid {
 		p.downgradeAgent(blk, Invalid, false)
 	}
-	reqProc := s.procs[m.reqProc]
-	if reqProc == p {
-		d.handleInvalAck(p, &msg{kind: msgInvalAck, block: blk.id, from: p.ID})
-		return
-	}
-	s.deliver(p, reqProc, &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
 }
 
 // handleShareWB installs written-back data at the home and reopens the

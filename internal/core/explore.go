@@ -225,7 +225,7 @@ func NewExplorer(c ExpConfig) *Explorer {
 		e.eps = append(e.eps, &expProc{p: p, prog: c.Programs[i], llWord: -1})
 	}
 	for _, home := range c.Homes {
-		s.Alloc(lineSize, AllocOptions{Home: home})
+		s.Alloc(lineSize, AllocOptions{Home: HomeAt(home)})
 	}
 	e.ghost = make([]ghostWord, len(c.Homes)*c.WordsPerLine)
 	for i := range e.ghost {

@@ -43,7 +43,7 @@ func TestUnallocatedAddressPanics(t *testing.T) {
 					cfg.SMP, cfg.FlagCheck = smp, flag
 					s := Build(WithConfig(cfg))
 					s.Spawn("w", 0, func(p *Proc) {
-						base := s.Alloc(64, AllocOptions{Home: 0})
+						base := s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 						if len(s.lineBlock) >= farLine {
 							t.Errorf("arrays cover %d lines, the far line is not past them", len(s.lineBlock))
 						}
@@ -105,7 +105,7 @@ func TestRunTimeAllocGrowsUnderLoad(t *testing.T) {
 						before[i] = &m.data[0]
 					}
 					privBefore, linesBefore := &linker.priv[0], len(s.lineBlock)
-					d = s.Alloc(dBytes, AllocOptions{Home: 0})
+					d = s.Alloc(dBytes, AllocOptions{Home: HomeAt(0)})
 					for i, m := range s.agents {
 						if &m.data[0] == before[i] {
 							t.Errorf("agent %d memory was not reallocated", i)
@@ -164,9 +164,9 @@ func TestRunTimeAllocGrowsUnderLoad(t *testing.T) {
 					arrived++
 					readBack(p)
 				})
-				a = s.Alloc(64, AllocOptions{Home: 0})
-				b = s.Alloc(64, AllocOptions{Home: 0})
-				c = s.Alloc(64, AllocOptions{Home: 0})
+				a = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
+				b = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
+				c = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 				if err := s.Run(); err != nil { // includes CheckInvariants
 					t.Fatal(err)
 				}
@@ -184,8 +184,8 @@ func TestRunTimeAllocGrowsUnderLoad(t *testing.T) {
 // driver's single thread; under a parallel engine it must refuse by name.
 func TestAllocDuringParallelRunPanics(t *testing.T) {
 	s := Build(WithConfig(baseConfig()), WithEngine(parallel.New(2)))
-	s.Spawn("w", 0, func(p *Proc) { s.Alloc(64, AllocOptions{Home: 0}) })
-	s.Alloc(64, AllocOptions{Home: 0}) // before Run: allowed
+	s.Spawn("w", 0, func(p *Proc) { s.Alloc(64, AllocOptions{Home: HomeAt(0)}) })
+	s.Alloc(64, AllocOptions{Home: HomeAt(0)}) // before Run: allowed
 	err := s.Run()
 	if err == nil || !strings.Contains(err.Error(), "core: Alloc during a run under WithEngine(parallel)") {
 		t.Fatalf("error %v, want the Alloc-under-parallel panic", err)
@@ -205,7 +205,7 @@ func TestRunTimeSpawn(t *testing.T) {
 			p.MemBar()
 			s.SpawnAt("child", s.Cfg.CPUsPerNode, p.Sim.Now()+s.Cfg.Net.WireLatency, func(c *Proc) { got = c.Load(addr) })
 		})
-		addr = s.Alloc(64, AllocOptions{Home: 0})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 		err := s.Run()
 		return got, err
 	}

@@ -42,11 +42,7 @@ func homeDowngradeSystem(protocol string, write, helper bool) (s *System, addr u
 	}
 	s = Build(WithConfig(cfg))
 	got = new([2]uint64)
-	until := func(p *Proc, t sim.Time) {
-		if now := p.Now(); now < t {
-			p.Compute(t - now)
-		}
-	}
+	until := computeUntil
 	const end = 3 * hdIssueAt
 	s.Spawn("home", 0, func(p *Proc) { until(p, end) })
 	s.Spawn("owner", 1, func(p *Proc) {
@@ -70,7 +66,7 @@ func homeDowngradeSystem(protocol string, write, helper bool) (s *System, addr u
 	if helper {
 		s.Spawn("helper", 0, func(p *Proc) { until(p, end) })
 	}
-	addr = s.Alloc(64, AllocOptions{BlockLines: 1, Home: 0})
+	addr = s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(0)})
 	return s, addr, got
 }
 

@@ -78,7 +78,7 @@ func runChaosMix(t *testing.T, cfg Config, opts ...Option) []uint64 {
 		lk[i] = s.NewLock(i)
 	}
 	bar = s.NewBarrier(0, 4)
-	arr = s.Alloc(words*8, AllocOptions{Home: -1})
+	arr = s.Alloc(words*8, AllocOptions{})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

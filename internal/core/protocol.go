@@ -31,6 +31,7 @@ func (p *Proc) issueMissKind(blk *blockInfo, wantExcl bool, stores []pendingStor
 	m.scMode = scMode
 	m.stores = append(m.stores, stores...)
 	m.batch = p.curBatch
+	m.issued = p.Sim.Now()
 	p.mshr[blk.id] = m // hotlint:allow(map-write): MSHR table, bounded by outstanding misses
 	p.outstanding++
 

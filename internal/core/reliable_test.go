@@ -63,7 +63,7 @@ func runMixWorkload(t *testing.T, cfg Config) (*System, []uint64) {
 		lk[i] = s.NewLock(i)
 	}
 	bar[0] = s.NewBarrier(0, 4)
-	arr = s.Alloc(words*8, AllocOptions{Home: -1})
+	arr = s.Alloc(words*8, AllocOptions{})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestUnreachablePeerFailsStructured(t *testing.T) {
 	s.Spawn("idle", 1, func(p *Proc) {
 		p.Compute(100)
 	})
-	arr = s.Alloc(64, AllocOptions{Home: 1})
+	arr = s.Alloc(64, AllocOptions{Home: HomeAt(1)})
 	err := s.Run()
 	if err == nil {
 		t.Fatal("run with a total-loss link completed")

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // LineState is the state of one coherence line in a state table (§2.1):
 // invalid, shared (this agent and possibly others hold valid copies), or
@@ -194,7 +198,8 @@ type mshrEntry struct {
 	// must not be read afterwards.
 	scMode bool
 	stores []pendingStore
-	batch  *Batch // non-nil if issued as part of a batch
+	batch  *Batch   // non-nil if issued as part of a batch
+	issued sim.Time // when; the watchdog asks how long ago (starvedMiss)
 }
 
 // pendingStore is a store buffered behind a non-blocking (RC) store miss;

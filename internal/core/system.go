@@ -151,10 +151,13 @@ type System struct {
 	// performed against an agent copy (ghost-memory bookkeeping).
 	// brokenSkipInvalAck enables a deliberately broken protocol variant —
 	// the requester forgets one expected invalidation ack — used by the
-	// counterexample-replay golden test.
+	// counterexample-replay golden test. brokenHomeInval makes the home
+	// invalidate its own node's copy under the transition lock again (the
+	// wedge of DESIGN.md §8 finding 9), for the starved-miss probe's test.
 	mcCapture          func(sender, dst *Proc, m msg) bool
 	onStorePerform     func(p *Proc, addr, val uint64)
 	brokenSkipInvalAck bool
+	brokenHomeInval    bool
 
 	// Reliability sublayer link state, indexed [srcNode*Nodes+dstNode]:
 	// per-link sequence counters and receiver-side resequencers.
@@ -229,6 +232,7 @@ func newSystem(cfg Config, immediate bool) *System {
 		s.reseq[i] = &linkReseq{}
 	}
 	s.Eng.SetDumpHook(s.dumpProtocolState)
+	s.Eng.SetStarveProbe(s.starvedMiss)
 	s.proto = newProtocol(cfg.Protocol)
 	s.proto.attach(s)
 	return s
@@ -451,8 +455,22 @@ type AllocOptions struct {
 	// BlockLines is the coherence block size in lines; 0 uses the default.
 	// Shasta supports different block sizes for different data (§2.1).
 	BlockLines int
-	// Home fixes the home process; -1 assigns round-robin over HomeProcs.
-	Home int
+	// Home is the block's home process. The zero value spreads the blocks
+	// round-robin over HomeProcs (every process when that is empty), so no
+	// one process serves every miss (§2.1); HomeAt fixes one.
+	Home Home
+}
+
+// Home names a home process; only HomeAt makes one, so an explicit home
+// cannot be mistaken for the round-robin default.
+type Home struct{ procPlus1 int }
+
+// HomeAt homes every block of an allocation at the given process.
+func HomeAt(proc int) Home {
+	if proc < 0 {
+		panic(fmt.Sprintf("core: HomeAt(%d): negative process", proc))
+	}
+	return Home{proc + 1}
 }
 
 // Alloc carves bytes out of the shared region, creating coherence blocks
@@ -477,7 +495,7 @@ func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 	}
 	s.growLines(startLine + nblocks*blockLines)
 	for b := 0; b < nblocks; b++ {
-		home := opts.Home
+		home := opts.Home.procPlus1 - 1
 		if home < 0 {
 			home = s.nextHome()
 		}
@@ -561,6 +579,28 @@ func (s *System) AggregateStats() Stats {
 		total.Add(&p.stats)
 	}
 	return total
+}
+
+// Busiest returns the process that spent the most cycles handling messages
+// (CatMessage; the lowest ID on a tie), with its share of the messages the
+// system handled and of those cycles. Homes spread over the processes keep
+// both near 1/len(Procs); a home hot spot shows here first.
+func (s *System) Busiest() (busiest *Proc, msgShare, cycleShare float64) {
+	total := s.AggregateStats()
+	busiest = s.procs[0]
+	for _, p := range s.procs[1:] {
+		if p.stats.Time[CatMessage] > busiest.stats.Time[CatMessage] {
+			busiest = p
+		}
+	}
+	share := func(part, whole int64) float64 {
+		if whole == 0 {
+			return 0
+		}
+		return float64(part) / float64(whole)
+	}
+	return busiest, share(busiest.stats.MessagesHandled(), total.MessagesHandled()),
+		share(int64(busiest.stats.Time[CatMessage]), int64(total.Time[CatMessage]))
 }
 
 // requestBox returns the queue that carries requests for process p.

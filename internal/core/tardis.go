@@ -90,7 +90,7 @@ type tardisProcState struct {
 type tardisAgentState struct {
 	// leases records, per block, the lease under which this agent's
 	// Shared copy was obtained. Master copies at the home have no record.
-	leases map[int]tardisLease
+	leases leaseIndex
 	// tenure records, per block, the grant timestamp of this agent's
 	// current (or most recent) exclusive tenure; all stores the agent
 	// performs while owning the block belong to that version. Used by
@@ -153,7 +153,6 @@ func (t *tardis) astate(mem *agentMem) *tardisAgentState {
 	st, ok := mem.protoData.(*tardisAgentState)
 	if !ok {
 		st = &tardisAgentState{
-			leases: make(map[int]tardisLease),
 			tenure: make(map[int]int64),
 			dirty:  make(map[int]int64),
 		}
@@ -227,7 +226,7 @@ func (t *tardis) stampRequest(p *Proc, blk *blockInfo, m *msg) {
 	if m.kind != msgSCUpgradeReq {
 		return
 	}
-	if l, ok := t.astate(p.mem).leases[blk.id]; ok {
+	if l, ok := t.astate(p.mem).leases.get(blk.id); ok {
 		m.rts = l.dataWts
 	} else if p.agent == t.homeAgent(blk) {
 		// Master copy: current by construction.
@@ -465,7 +464,7 @@ func (t *tardis) handleFwdRead(p *Proc, m *msg) {
 	}
 	// The demoted owner keeps its copy under the same lease the
 	// requester gets: it holds the version it just wrote back.
-	t.astate(p.mem).leases[blk.id] = tardisLease{dataWts: wts, leaseEnd: rts}
+	t.astate(p.mem).leases.set(blk.id, tardisLease{dataWts: wts, leaseEnd: rts}, len(s.blocks))
 	// The reply and the writeback each get their own buffer: both are
 	// recycled independently at their consumers, so they must not alias.
 	// Both snapshots are taken before either message is sent: a send
@@ -496,7 +495,7 @@ func (t *tardis) handleFwdReadExcl(p *Proc, m *msg) {
 		return
 	}
 	data := p.downgradeAgent(blk, Invalid, true)
-	delete(t.astate(p.mem).leases, blk.id)
+	t.astate(p.mem).leases.del(blk.id)
 	// Serialize the new grant after every store the yielding agent's
 	// processes performed (their stores never advanced the home's e.wts).
 	ts := m.ts
@@ -601,9 +600,9 @@ func (t *tardis) handleReply(p *Proc, m *msg) {
 	switch {
 	case mshr.scFailed:
 		// finishMiss drops the line; the lease record goes with it.
-		delete(as.leases, m.block)
+		as.leases.del(m.block)
 	case mshr.grant == Exclusive:
-		delete(as.leases, m.block)
+		as.leases.del(m.block)
 		as.tenure[m.block] = m.ts
 		t.advancePts(p, m.ts)
 	default:
@@ -612,7 +611,7 @@ func (t *tardis) handleReply(p *Proc, m *msg) {
 		// in step by ShareWB) and must never be expired.
 		blk := t.s.blocks[m.block]
 		if p.agent != t.homeAgent(blk) {
-			as.leases[m.block] = tardisLease{dataWts: m.ts, leaseEnd: m.rts}
+			as.leases.set(m.block, tardisLease{dataWts: m.ts, leaseEnd: m.rts}, len(t.s.blocks))
 		}
 		t.advancePts(p, m.ts)
 	}
@@ -634,25 +633,18 @@ func (t *tardis) advancePts(p *Proc, ts int64) {
 // periodically from pollTick.
 func (t *tardis) expire(p *Proc) {
 	as := t.astate(p.mem)
-	if len(as.leases) == 0 {
-		return
-	}
 	pts := t.pstate(p).pts
-	var ids []int
-	for id, l := range as.leases {
-		if l.leaseEnd < pts {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
+	if end, ok := as.leases.minEnd(); !ok || end >= pts {
 		return
 	}
+	// Dropped in ascending block order: the order is simulated behaviour.
+	ids := as.leases.endedBefore(pts)
 	sort.Ints(ids)
 	wasIn := p.inProtocol
 	p.inProtocol = true
 	defer func() { p.inProtocol = wasIn }()
 	for _, id := range ids {
-		old, ok := as.leases[id]
+		old, ok := as.leases.get(id)
 		if !ok || old.leaseEnd >= t.pstate(p).pts {
 			continue // refreshed while an earlier drop stalled
 		}
@@ -662,8 +654,8 @@ func (t *tardis) expire(p *Proc) {
 		}
 		// A miss in flight installs a fresh copy with a fresh lease (the
 		// record is overwritten at the reply); just forget this one.
-		if l, still := as.leases[id]; still && l == old {
-			delete(as.leases, id)
+		if l, still := as.leases.get(id); still && l == old {
+			as.leases.del(id)
 		}
 	}
 }
@@ -675,7 +667,7 @@ func (t *tardis) expire(p *Proc) {
 func (t *tardis) refreshLL(p *Proc, line int) {
 	blk := t.s.blockOf(line)
 	as := t.astate(p.mem)
-	if _, ok := as.leases[blk.id]; !ok {
+	if _, ok := as.leases.get(blk.id); !ok {
 		return
 	}
 	wasIn := p.inProtocol
@@ -684,7 +676,7 @@ func (t *tardis) refreshLL(p *Proc, line int) {
 	if p.mem.table[blk.firstLine] == Shared {
 		p.downgradeAgent(blk, Invalid, false)
 	}
-	delete(as.leases, blk.id)
+	as.leases.del(blk.id)
 }
 
 // pollTick advances logical time with real time: every tardisPollPeriod
@@ -694,13 +686,7 @@ func (t *tardis) refreshLL(p *Proc, line int) {
 // (they track other processes' pts and can be far ahead of a spinner's).
 func (t *tardis) pollTick(p *Proc) {
 	ps := t.pstate(p)
-	oldest := int64(-1)
-	for _, l := range t.astate(p.mem).leases {
-		if oldest < 0 || l.leaseEnd < oldest {
-			oldest = l.leaseEnd
-		}
-	}
-	if oldest >= ps.pts {
+	if oldest, ok := t.astate(p.mem).leases.minEnd(); ok && oldest >= ps.pts {
 		ps.pts = oldest + 1
 	} else {
 		ps.pts++
@@ -801,7 +787,7 @@ func (t *tardis) checkQuiescent(s *System) error {
 							"block %d line %d: home master copy holds state %v", blk.id, line, st)}
 					}
 				case st == Shared:
-					l, ok := t.astate(am).leases[blk.id]
+					l, ok := t.astate(am).leases.get(blk.id)
 					if !ok {
 						return &InvariantError{"ts-agreement", fmt.Sprintf(
 							"block %d line %d: agent %d holds a shared copy with no lease record",
@@ -881,18 +867,14 @@ func (t *tardis) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, pe
 func (t *tardis) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int) {
 	fmt.Fprintf(b, " pts%d", t.pstate(p).pts)
 	as := t.astate(p.mem)
-	ids := make([]int, 0, len(as.leases))
-	for id := range as.leases {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		l := as.leases[id]
-		fmt.Fprintf(b, " L%d:%d.%d", id, l.dataWts, l.leaseEnd)
+	for id := range as.leases.pos {
+		if l, ok := as.leases.get(id); ok {
+			fmt.Fprintf(b, " L%d:%d.%d", id, l.dataWts, l.leaseEnd)
+		}
 	}
 	// The dirty records decide how future departures are stamped, so two
 	// states differing only in them are distinct.
-	ids = ids[:0]
+	ids := make([]int, 0, len(as.dirty))
 	for id := range as.dirty {
 		ids = append(ids, id)
 	}
@@ -949,7 +931,7 @@ func (t *tardis) expectedValue(e *Explorer, a int, blk *blockInfo, word int) (ui
 	if a == te.owner || (te.busy && te.pendingOwner == a) || a == home {
 		return e.ghost[word].val, "last performed store"
 	}
-	if l, ok := t.astate(e.sys.agents[a]).leases[blk.id]; ok {
+	if l, ok := t.astate(e.sys.agents[a]).leases.get(blk.id); ok {
 		return t.histAt(word, l.dataWts), fmt.Sprintf("the version at wts %d", l.dataWts)
 	}
 	// Unleased non-master copy: ts-agreement reports it; against the
@@ -1086,7 +1068,7 @@ func (t *tardis) checkTs(e *Explorer, blk *blockInfo) *ExpViolation {
 		if am.table[line] != Shared || a == home {
 			continue
 		}
-		l, ok := t.astate(am).leases[blk.id]
+		l, ok := t.astate(am).leases.get(blk.id)
 		if !ok {
 			return e.record("dir-agreement", fmt.Sprintf(
 				"p%d holds a shared copy of block %d with no lease record", a, blk.id))

@@ -27,7 +27,7 @@ func exerciseLock(t *testing.T, s *core.System, mkLock func() Lock, mkBar func(n
 	for i := 0; i < nproc; i++ {
 		s.Spawn("w", i%s.Eng.NumCPUs(), func(p *core.Proc) {
 			if p.ID == 0 {
-				addr = s.Alloc(64, core.AllocOptions{Home: 0})
+				addr = s.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
 				lk = mkLock()
 				bar = mkBar(nproc)
 				p.MemBar()
@@ -67,7 +67,7 @@ func TestSMLockWithMPBarrier(t *testing.T) {
 	for _, smp := range []bool{true, false} {
 		s := testSystem(t, smp)
 		exerciseLock(t, s,
-			func() Lock { return NewSMLock(s, core.AllocOptions{Home: 0}) },
+			func() Lock { return NewSMLock(s, core.AllocOptions{Home: core.HomeAt(0)}) },
 			func(n int) Barrier { return NewMPBarrier(s, 0, n) })
 	}
 }
@@ -79,7 +79,7 @@ func TestSMLockWithPrefetch(t *testing.T) {
 	cfg.MaxTime = sim.Cycles(60e6)
 	s := core.Build(core.WithConfig(cfg))
 	exerciseLock(t, s,
-		func() Lock { return NewSMLock(s, core.AllocOptions{Home: 0}) },
+		func() Lock { return NewSMLock(s, core.AllocOptions{Home: core.HomeAt(0)}) },
 		func(n int) Barrier { return NewMPBarrier(s, 0, n) })
 	if st := s.AggregateStats(); st.Prefetches() == 0 {
 		t.Fatal("prefetch-exclusive never issued")
@@ -90,8 +90,8 @@ func TestSMBarrier(t *testing.T) {
 	for _, smp := range []bool{true, false} {
 		s := testSystem(t, smp)
 		exerciseLock(t, s,
-			func() Lock { return NewSMLock(s, core.AllocOptions{Home: 0}) },
-			func(n int) Barrier { return NewSMBarrier(s, n, core.AllocOptions{Home: 0}) })
+			func() Lock { return NewSMLock(s, core.AllocOptions{Home: core.HomeAt(0)}) },
+			func(n int) Barrier { return NewSMBarrier(s, n, core.AllocOptions{Home: core.HomeAt(0)}) })
 	}
 }
 
@@ -104,7 +104,7 @@ func TestAtomicAdd(t *testing.T) {
 	for i := 0; i < nproc; i++ {
 		s.Spawn("a", i%s.Eng.NumCPUs(), func(p *core.Proc) {
 			if p.ID == 0 {
-				addr = s.Alloc(64, core.AllocOptions{Home: 0})
+				addr = s.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
 				p.MemBar()
 			}
 			bar.Wait(p)
@@ -134,7 +134,7 @@ func TestCompareAndSwap(t *testing.T) {
 	for i := 0; i < nproc; i++ {
 		s.Spawn("c", i%s.Eng.NumCPUs(), func(p *core.Proc) {
 			if p.ID == 0 {
-				addr = s.Alloc(64, core.AllocOptions{Home: 0})
+				addr = s.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
 				p.MemBar()
 			}
 			bar.Wait(p)
@@ -168,7 +168,7 @@ func TestTable1Shape(t *testing.T) {
 		var turnAddr uint64
 		var lk Lock
 		s.Spawn("home", 0, func(p *core.Proc) {
-			turnAddr = s.Alloc(64, core.AllocOptions{Home: 0})
+			turnAddr = s.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
 			lk = mk(s)
 			p.MemBar()
 			for i := 0; i < reps; i++ {
@@ -206,7 +206,7 @@ func TestTable1Shape(t *testing.T) {
 		return sim.Microseconds(total) / reps
 	}
 	mpRemote := measure(func(s *core.System) Lock { return NewMPLock(s, 0) })
-	smRemote := measure(func(s *core.System) Lock { return NewSMLock(s, core.AllocOptions{Home: 0}) })
+	smRemote := measure(func(s *core.System) Lock { return NewSMLock(s, core.AllocOptions{Home: core.HomeAt(0)}) })
 	if mpRemote >= smRemote {
 		t.Fatalf("MP remote %.2fus should beat SM remote %.2fus", mpRemote, smRemote)
 	}

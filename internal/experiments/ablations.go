@@ -157,8 +157,8 @@ func oversubscribedRun(cfg core.Config) sim.Time {
 	for i := 0; i < nproc; i++ {
 		procs = append(procs, s.Spawn("w", cpus[i], func(p *core.Proc) {
 			if p.ID == 0 {
-				addr = s.Alloc(64, core.AllocOptions{Home: 0})
-				lk = dsmsync.NewSMLock(s, core.AllocOptions{Home: 0})
+				addr = s.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
+				lk = dsmsync.NewSMLock(s, core.AllocOptions{Home: core.HomeAt(0)})
 				p.MemBar()
 			}
 			bar.Wait(p)

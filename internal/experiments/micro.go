@@ -57,7 +57,7 @@ func lockLatencyWith(cfg core.Config, sm bool, scenario string) float64 {
 	s := build(cfg)
 	mk := func(home int) dsmsync.Lock {
 		if sm {
-			return dsmsync.NewSMLock(s, core.AllocOptions{Home: home})
+			return dsmsync.NewSMLock(s, core.AllocOptions{Home: core.HomeAt(home)})
 		}
 		return dsmsync.NewMPLock(s, home)
 	}
@@ -89,7 +89,7 @@ func lockLatencyWith(cfg core.Config, sm bool, scenario string) float64 {
 		var lk dsmsync.Lock
 		ready := false
 		s.Spawn("home", 0, func(p *core.Proc) {
-			turn = s.Alloc(64, core.AllocOptions{Home: 0})
+			turn = s.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
 			lk = mk(0)
 			ready = true
 			p.MemBar()
@@ -219,8 +219,8 @@ func Table2() *Table {
 		var m meas
 		sys.Spawn("m", 0, func(p *core.Proc) {
 			osl.Attach(p)
-			buf := sys.Alloc(128<<10, core.AllocOptions{Home: 0})
-			nameAddr := sys.Alloc(64, core.AllocOptions{Home: 0})
+			buf := sys.Alloc(128<<10, core.AllocOptions{Home: core.HomeAt(0)})
+			nameAddr := sys.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
 			fd, _ := osl.Open(p, "/t", 0)
 			osl.Write(p, fd, buf, 96<<10)
 			const reps = 8

@@ -93,7 +93,7 @@ endproc
 			t.Error(err)
 		}
 	})
-	s.Alloc(4096, core.AllocOptions{Home: 0}) // back the address
+	s.Alloc(4096, core.AllocOptions{Home: core.HomeAt(0)}) // back the address
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ endproc
 			t.Error(err)
 		}
 	})
-	s.Alloc(64, core.AllocOptions{Home: 0})
+	s.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -173,8 +173,8 @@ func Run(sys *core.System, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	for w := 0; w < workers; w++ {
-		d.ringAddr[w] = sys.Alloc(ringSlots*entryWords*8, core.AllocOptions{BlockLines: 1, Home: w + 1})
-		d.doneAddr[w] = sys.Alloc(64, core.AllocOptions{BlockLines: 1, Home: w + 1})
+		d.ringAddr[w] = sys.Alloc(ringSlots*entryWords*8, core.AllocOptions{BlockLines: 1, Home: core.HomeAt(w + 1)})
+		d.doneAddr[w] = sys.Alloc(64, core.AllocOptions{BlockLines: 1, Home: core.HomeAt(w + 1)})
 	}
 	d.bar = dsmsync.NewMPBarrier(sys, 0, workers+1)
 

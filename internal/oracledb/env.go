@@ -83,7 +83,7 @@ func NewEnv(sys *core.System, prm Params, pageHomes []int, logHome int) (*Env, e
 	for pg := 0; pg < prm.Pages; pg++ {
 		home := pageHomes[pg%len(pageHomes)]
 		e.pageHomes[pg] = home
-		addr := sys.Alloc(PageBytes, core.AllocOptions{BlockLines: blockLines, Home: home})
+		addr := sys.Alloc(PageBytes, core.AllocOptions{BlockLines: blockLines, Home: core.HomeAt(home)})
 		if pg == 0 {
 			e.sga = addr
 		} else if addr != e.sga+uint64(pg*PageBytes) {
@@ -105,8 +105,8 @@ func NewEnv(sys *core.System, prm Params, pageHomes []int, logHome int) (*Env, e
 			home = pageHomes[s%len(pageHomes)]
 		}
 		e.logLatch[s] = dsmsync.NewMPLock(sys, home)
-		e.logSeq[s] = sys.Alloc(64, core.AllocOptions{Home: home})
-		e.logBuf[s] = sys.Alloc(envLogSlots*8, core.AllocOptions{Home: home})
+		e.logSeq[s] = sys.Alloc(64, core.AllocOptions{Home: core.HomeAt(home)})
+		e.logBuf[s] = sys.Alloc(envLogSlots*8, core.AllocOptions{Home: core.HomeAt(home)})
 	}
 	return e, nil
 }

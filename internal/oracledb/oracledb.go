@@ -152,9 +152,9 @@ func Run(sys *core.System, osl *clusteros.OS, prm Params) (*Result, error) {
 		// SGA: buffer cache pages + per-page latches + daemon mailboxes.
 		// Each page is its own coherence block (variable granularity,
 		// §2.1), so a page travels as a unit.
-		seg := osl.Shmget(p, prm.Pages*PageBytes, core.AllocOptions{BlockLines: PageBytes / 64})
+		seg := osl.Shmget(p, prm.Pages*PageBytes, core.AllocOptions{BlockLines: PageBytes / 64, Home: core.HomeAt(0)})
 		sga, _ := osl.Shmat(p, seg)
-		mboxSeg := osl.Shmget(p, 3*64, core.AllocOptions{Home: 0})
+		mboxSeg := osl.Shmget(p, 3*64, core.AllocOptions{Home: core.HomeAt(0)})
 		mbox, _ := osl.Shmat(p, mboxSeg)
 
 		latches := make([]dsmsync.Lock, 16)
@@ -255,7 +255,7 @@ func (d *daemons) logHandoff(c *core.Proc, osl *clusteros.OS, myPID int) {
 // and wakes the requesting server (§4.3.1's daemon interaction).
 func (d *daemons) logWriter(c *core.Proc) {
 	fd, _ := d.os.Open(c, "/db/redo.log", 0)
-	buf := d.sys.Alloc(512, core.AllocOptions{})
+	buf := d.sys.Alloc(512, core.AllocOptions{Home: core.HomeAt(0)})
 	for {
 		d.os.PidBlock(c)
 		if d.shutdown {

@@ -110,7 +110,7 @@ func TestHoistDynamicEquivalence(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		s.Alloc(4096, core.AllocOptions{Home: 0})
+		s.Alloc(4096, core.AllocOptions{Home: core.HomeAt(0)})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -181,7 +181,7 @@ func execProgram(t *testing.T, prog *isa.Program, sanitize bool) execResult {
 			t.Error(err)
 		}
 	})
-	s.Alloc(1024, core.AllocOptions{Home: 0})
+	s.Alloc(1024, core.AllocOptions{Home: core.HomeAt(0)})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func TestRewrittenProgramRunsCorrectly(t *testing.T) {
 			}
 			got = p.Load(core.SharedBase)
 		})
-		s.Alloc(4096, core.AllocOptions{Home: 0})
+		s.Alloc(4096, core.AllocOptions{Home: core.HomeAt(0)})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ endproc
 			_ = i
 		})
 	}
-	s.Alloc(64, core.AllocOptions{Home: 0})
+	s.Alloc(64, core.AllocOptions{Home: core.HomeAt(0)})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -229,6 +229,7 @@ type shard struct {
 	// marks an iteration-budget (rather than cycle-budget) trip.
 	stalled    *Proc
 	stallIters bool
+	probeAt    Time // when this shard next asks the starve probe
 
 	tracer *trace.Tracer
 }
@@ -272,10 +273,19 @@ type Engine struct {
 	// dumpHook, when set, contributes higher-layer state (protocol queues,
 	// outstanding misses) to StallError dumps.
 	dumpHook func() string
+	// starveProbe, when set, is asked by each shard, starveProbesPerBudget
+	// times per watchdog budget of simulated time, for an operation
+	// outstanding longer than the budget.
+	starveProbe func(now, budget Time) string
 	// probe, when set by a test, observes every scheduler step before it
 	// decides anything.
 	probe func(sh *shard, horizon Time)
 }
+
+// starveProbesPerBudget sets how late a starved operation is reported (at
+// most a thirty-second of the budget past it) and what the probe costs: a
+// compare per step and a handful of calls per run.
+const starveProbesPerBudget = 32
 
 // NewEngine creates an engine with the given topology: one shard per node
 // when cfg.Lookahead is positive, one shard in all otherwise.
@@ -342,6 +352,17 @@ func (e *Engine) SetShardTracers(ts []*trace.Tracer) {
 // SetDumpHook installs a callback that contributes extra state to watchdog
 // stall dumps (the DSM layer uses it to describe protocol queues).
 func (e *Engine) SetDumpHook(fn func() string) { e.dumpHook = fn }
+
+// SetStarveProbe installs the watchdog's second question. The first, "has
+// any process done charged work lately", is answered yes by a run in which
+// one process waits for ever for a reply while others spin on a lock it
+// holds; such a run used to end only at MaxTime. The built-in driver calls
+// fn between steps, each time a shard's clock has moved on by a thirty-second
+// of the watchdog budget, with the clock of the process about to run and the
+// budget; a non-empty answer names an operation outstanding for longer than
+// the budget and fails the run with a StallError that starts with it. The
+// call is not an event: it charges nothing and wakes nobody.
+func (e *Engine) SetStarveProbe(fn func(now, budget Time) string) { e.starveProbe = fn }
 
 // SetRunner installs a Runner that Run delegates to (nil restores the
 // built-in driver).
@@ -680,6 +701,18 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 				sh.stalled = p
 				sh.stallIters = sh.itersNoProgress > iters && p.now <= sh.progressMark+e.cfg.WatchdogCycles
 				return WindowStall
+			}
+			// Between a Runner's barriers other shards are running; only the
+			// built-in driver may look across them here.
+			if p.now >= sh.probeAt && e.starveProbe != nil && !e.inRounds {
+				sh.probeAt = p.now + e.cfg.WatchdogCycles/starveProbesPerBudget
+				if who := e.starveProbe(p.now, e.cfg.WatchdogCycles); who != "" {
+					sh.stalled = p
+					se := e.stallErrorAt(sh, sh.progressMark)
+					se.Starved = who
+					sh.err = se
+					return WindowErr
+				}
 			}
 		}
 		sh.now = p.now
@@ -1178,12 +1211,19 @@ type StallError struct {
 	CPUs         []string // one line per CPU scheduling state
 	Extra        string   // higher-layer dump-hook output
 	Recent       []trace.Event
+	// Starved is the starve probe's answer when that is what failed the
+	// run: the operation that waited longer than Budget while others worked.
+	Starved string
 }
 
 func (e *StallError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sim: stall watchdog: no process progress for %d cycles (t=%d, last progress t=%d, %d scheduler iterations)",
-		e.At-e.LastProgress, e.At, e.LastProgress, e.Iters)
+	if e.Starved != "" {
+		fmt.Fprintf(&b, "sim: stall watchdog: %s, longer than the budget of %d cycles (t=%d)", e.Starved, e.Budget, e.At)
+	} else {
+		fmt.Fprintf(&b, "sim: stall watchdog: no process progress for %d cycles (t=%d, last progress t=%d, %d scheduler iterations)",
+			e.At-e.LastProgress, e.At, e.LastProgress, e.Iters)
+	}
 	fmt.Fprintf(&b, "\nlive processes:")
 	for _, p := range e.Procs {
 		fmt.Fprintf(&b, "\n  %s", p)
@@ -1207,7 +1247,7 @@ func (e *StallError) Error() string {
 // stallErrorAt builds a StallError for the watchdog trip recorded in sh.
 // On a parallel engine it runs only at a window barrier, when every shard
 // is parked, so the multi-process dump is a consistent snapshot.
-func (e *Engine) stallErrorAt(sh *shard, lastProgress Time) error {
+func (e *Engine) stallErrorAt(sh *shard, lastProgress Time) *StallError {
 	p := sh.stalled
 	se := &StallError{
 		At:           p.now,

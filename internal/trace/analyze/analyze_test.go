@@ -203,7 +203,10 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // stream: which events a run emits, with which timestamps and payloads, in
 // any order. It was recorded on the commit before the built-in driver
 // learned lookahead windows, when one shard ran every process in global
-// time order, and a scheduler change must not move it.
+// time order, and a scheduler change must not move it. (lu-8p-base and
+// barnes-8p-8x1-tardis were recorded again when Alloc began to spread homes
+// round-robin by default: LU's matrix and Barnes' bodies and tree were all
+// homed at process 0 until then.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the

@@ -234,7 +234,7 @@ func runAsm(k AsmKernel, opt rewriter.Options, sanitize bool, opts ...core.Optio
 			}
 		})
 	}
-	s.Alloc(32<<10, core.AllocOptions{Home: 0})
+	s.Alloc(32<<10, core.AllocOptions{Home: core.HomeAt(0)})
 	if err := s.Run(); err != nil {
 		return nil, nil, fmt.Errorf("kernel %s: %w", k.Name, err)
 	}

@@ -19,34 +19,50 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/kernel_digests.
 // TestKernelDigests pins, for the nine kernels on both protocols and both
 // agent layouts at 4 processes, the completion time, a digest of
 // AggregateStats and a digest of SnapshotShared to the values committed in
-// testdata/kernel_digests.txt (recorded on the commit before agent memory
-// became sized to the allocated prefix). A change to how the system lays
-// out or constructs memory must not move any of them. Regenerate with
-// -update only when a change is meant to alter simulated behaviour.
+// testdata/kernel_digests.txt, and the same for LU and LU-Contig at 12 and
+// 16 processes, which deadlocked until PR 19 (ROADMAP item 1a). A change to
+// how the system lays out or constructs memory must not move any of them;
+// one that moves where blocks are homed moves cycles and statistics of the
+// kernels it touches and never a memory digest. Regenerate with -update only
+// when a change is meant to alter simulated behaviour.
 func TestKernelDigests(t *testing.T) {
 	const path = "testdata/kernel_digests.txt"
+	type layout struct {
+		name    string
+		variant core.ProtocolVariant
+	}
+	layouts := []layout{{"smp", core.SMPShasta()}, {"base", core.BaseShasta()}}
 	var out strings.Builder
+	digest := func(app *App, proto string, v layout, procs int, suffix string) {
+		sys := core.Build(core.WithMaxTime(sim.Cycles(900e6)),
+			core.WithVariant(v.variant), core.WithProtocol(proto))
+		res, err := Run(sys, app, RunConfig{Procs: procs})
+		if err != nil {
+			t.Fatalf("%s %s %s %d procs: %v", app.Name, proto, v.name, procs, err)
+		}
+		stats := sha256.Sum256([]byte(fmt.Sprintf("%v", sys.AggregateStats())))
+		mem := sha256.New()
+		var word [8]byte
+		for _, w := range sys.SnapshotShared() {
+			binary.LittleEndian.PutUint64(word[:], w)
+			mem.Write(word[:])
+		}
+		fmt.Fprintf(&out, "%s-%s-%s%s %d %x %x\n", app.Name, proto, v.name, suffix,
+			res.Elapsed, stats[:8], mem.Sum(nil)[:8])
+	}
 	for _, app := range All() {
 		for _, proto := range core.ProtocolNames() {
-			for _, v := range []struct {
-				name    string
-				variant core.ProtocolVariant
-			}{{"smp", core.SMPShasta()}, {"base", core.BaseShasta()}} {
-				sys := core.Build(core.WithMaxTime(sim.Cycles(900e6)),
-					core.WithVariant(v.variant), core.WithProtocol(proto))
-				res, err := Run(sys, app, RunConfig{Procs: 4})
-				if err != nil {
-					t.Fatalf("%s %s %s: %v", app.Name, proto, v.name, err)
+			for _, v := range layouts {
+				digest(app, proto, v, 4, "")
+			}
+		}
+	}
+	for _, app := range []*App{LU(), LUContig()} {
+		for _, proto := range core.ProtocolNames() {
+			for _, v := range layouts {
+				for _, procs := range []int{12, 16} {
+					digest(app, proto, v, procs, fmt.Sprintf("-%dp", procs))
 				}
-				stats := sha256.Sum256([]byte(fmt.Sprintf("%v", sys.AggregateStats())))
-				mem := sha256.New()
-				var word [8]byte
-				for _, w := range sys.SnapshotShared() {
-					binary.LittleEndian.PutUint64(word[:], w)
-					mem.Write(word[:])
-				}
-				fmt.Fprintf(&out, "%s-%s-%s %d %x %x\n", app.Name, proto, v.name,
-					res.Elapsed, stats[:8], mem.Sum(nil)[:8])
 			}
 		}
 	}
@@ -94,14 +110,18 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 
 // TestLookaheadWindowsSaveSteps pins the two things that keep a process
 // running where strict global order switched at nearly every Advance.
-// Lookahead windows: on eight single-CPU nodes (517 242 scheduler steps for
-// Barnes at scale 4 under Tardis in global order, 99 073 in windows) each
-// node runs a wire latency past the others before it yields. And Compute in
-// closed form: on four 4-CPU nodes, where a node's processes hem each other
-// in and windows alone left Barnes at 455 131 steps and Raytrace at 140 572,
-// a stretch of polls that find nothing is one step, not one per poll. It
-// must not cost the eight single-CPU nodes anything, whose shards hold one
-// process each. The cycles are the ones recorded before either change.
+// Lookahead windows: on eight single-CPU nodes each node runs a wire latency
+// past the others before it yields (Barnes at scale 4 under Tardis, with
+// every array homed at process 0 as it then was: 517 242 scheduler steps in
+// global order, 99 073 in windows). And Compute in closed form: on four
+// 4-CPU nodes, where a node's processes hem each other in and windows alone
+// left Barnes at 455 131 steps and Raytrace at 140 572, a stretch of polls
+// that find nothing is one step, not one per poll. It must not cost the
+// eight single-CPU nodes anything, whose shards hold one process each.
+// Cycles and Barnes' step caps are those of round-robin homes (the Alloc
+// default since PR 21): the processes that sat stalled behind process 0 now
+// run, so Barnes finishes in 0.65x and 0.47x the cycles and takes 118 198
+// and 312 822 steps for them, where it took 99 073 and 216 203.
 func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	for _, c := range []struct {
 		app      *App
@@ -111,9 +131,9 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 		maxSteps int64
 	}{
 		{Barnes(), []core.Option{core.WithProcs(8, 1), core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")},
-			8, 51510240, 99073 * 101 / 100},
-		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 35062201, 455131 * 10 / 18},
-		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 6371876, 140572 / 3},
+			8, 33535188, 118198 * 101 / 100},
+		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 16622136, 312822 * 101 / 100},
+		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 5151902, 140572 / 3},
 	} {
 		sys := core.Build(append(c.opts, core.WithMaxTime(sim.Cycles(900e6)))...)
 		res, err := Run(sys, c.app, RunConfig{Procs: c.procs, Scale: 4})
@@ -133,6 +153,27 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 		}
 		if n.Parks == 0 || n.EarlyWakes == 0 || n.EarlyWakes > n.Parks || n.Parks > n.Steps {
 			t.Errorf("%s: %d parks, %d early wakes for %d steps", name, n.Parks, n.EarlyWakes, n.Steps)
+		}
+	}
+}
+
+// TestNoHomeHotSpot: with sixteen processes on four 4-CPU nodes no process
+// does more than a quarter of the system's message handling, on either
+// protocol. While every block of Barnes' bodies and tree and of Water-Nsq's
+// molecules was homed at process 0, that process spent 77 % and 53 % of all
+// handler cycles (92 % and 65 % under Tardis) and everyone else waited for it.
+func TestNoHomeHotSpot(t *testing.T) {
+	for _, app := range []*App{Barnes(), WaterNsq()} {
+		for _, proto := range core.ProtocolNames() {
+			sys := core.Build(core.WithMaxTime(sim.Cycles(900e6)), core.WithProcs(4, 4),
+				core.WithVariant(core.SMPShasta()), core.WithProtocol(proto))
+			if _, err := Run(sys, app, RunConfig{Procs: 16, Scale: 4}); err != nil {
+				t.Fatalf("%s %s: %v", app.Name, proto, err)
+			}
+			if p, msgs, cycles := sys.Busiest(); cycles > 0.25 {
+				t.Errorf("%s %s: p%d handled %.0f %% of messages and spent %.0f %% of handler cycles, want at most 25 %%",
+					app.Name, proto, p.ID, 100*msgs, 100*cycles)
+			}
 		}
 	}
 }

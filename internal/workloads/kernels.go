@@ -165,7 +165,7 @@ func LUContig() *App {
 			per := blocks / c.Cfg.Procs
 			var base uint64
 			for r := 0; r < c.Cfg.Procs; r++ {
-				a := c.Sys.Alloc(per*8*wordBytes, core.AllocOptions{Home: r, BlockLines: 4})
+				a := c.Sys.Alloc(per*8*wordBytes, core.AllocOptions{Home: core.HomeAt(r), BlockLines: 4})
 				if r == 0 {
 					base = a
 				}
@@ -266,7 +266,7 @@ func Raytrace() *App {
 		Name: "Raytrace", Procedures: 300, CodeKB: 300, LockCount: 1,
 		Setup: func(c *Ctx) {
 			c.Alloc("scene", 1024*wordBytes, core.AllocOptions{})
-			c.Alloc("queue", 64, core.AllocOptions{Home: 0})
+			c.Alloc("queue", 64, core.AllocOptions{Home: core.HomeAt(0)})
 			c.AllocStriped("image", 512*wordBytes)
 		},
 		Body: func(c *Ctx, p *core.Proc, rank int) {
@@ -316,7 +316,7 @@ func Volrend() *App {
 		Name: "Volrend", Procedures: 290, CodeKB: 270, LockCount: 4,
 		Setup: func(c *Ctx) {
 			c.Alloc("volume", 2048*wordBytes, core.AllocOptions{})
-			c.Alloc("counters", 4*64, core.AllocOptions{Home: 0})
+			c.Alloc("counters", 4*64, core.AllocOptions{Home: core.HomeAt(0)})
 			c.AllocStriped("img", 256*wordBytes)
 		},
 		Body: func(c *Ctx, p *core.Proc, rank int) {

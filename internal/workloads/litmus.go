@@ -41,7 +41,7 @@ import (
 // LitmusAlloc is one shared allocation of a litmus kernel.
 type LitmusAlloc struct {
 	Bytes int
-	Home  int // home RANK (process), as in core.AllocOptions
+	Home  int // home RANK (process), as in core.HomeAt
 }
 
 // LitmusKernel is one litmus test program.
@@ -301,7 +301,7 @@ func RunLitmusOn(k LitmusKernel, cons core.ConsistencyModel, protocol string, d1
 		})
 	}
 	for _, a := range k.Allocs {
-		s.Alloc(a.Bytes, core.AllocOptions{Home: a.Home})
+		s.Alloc(a.Bytes, core.AllocOptions{Home: core.HomeAt(a.Home)})
 	}
 	if err := s.Run(); err != nil {
 		return "", fmt.Errorf("litmus %s: %w", k.Name, err)

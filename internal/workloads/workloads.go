@@ -93,7 +93,7 @@ func (c *Ctx) Alloc(name string, bytes int, opts core.AllocOptions) uint64 {
 func (c *Ctx) AllocStriped(name string, bytesPerProc int) uint64 {
 	var base uint64
 	for r := 0; r < c.Cfg.Procs; r++ {
-		a := c.Sys.Alloc(bytesPerProc, core.AllocOptions{Home: r})
+		a := c.Sys.Alloc(bytesPerProc, core.AllocOptions{Home: core.HomeAt(r)})
 		if r == 0 {
 			base = a
 		}
@@ -148,13 +148,13 @@ func Run(sys *core.System, app *App, cfg RunConfig) (*Result, error) {
 	for i := 0; i < nl; i++ {
 		home := i % cfg.Procs
 		if cfg.Sync == SMSync {
-			ctx.locks = append(ctx.locks, dsmsync.NewSMLock(sys, core.AllocOptions{Home: home}))
+			ctx.locks = append(ctx.locks, dsmsync.NewSMLock(sys, core.AllocOptions{Home: core.HomeAt(home)}))
 		} else {
 			ctx.locks = append(ctx.locks, dsmsync.NewMPLock(sys, home))
 		}
 	}
 	if cfg.Sync == SMSync {
-		ctx.bar = dsmsync.NewSMBarrier(sys, cfg.Procs, core.AllocOptions{Home: 0})
+		ctx.bar = dsmsync.NewSMBarrier(sys, cfg.Procs, core.AllocOptions{Home: core.HomeAt(0)})
 	} else {
 		ctx.bar = dsmsync.NewMPBarrier(sys, 0, cfg.Procs)
 	}
