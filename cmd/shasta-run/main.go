@@ -101,6 +101,16 @@ func main() {
 	fmt.Printf("  messages            %10d sent\n", st.MessagesSent())
 	busiest, msgShare, cycleShare := sys.Busiest()
 	fmt.Printf("  busiest process: p%d handled %.0f %% of messages, %.0f %% of handler cycles\n", busiest.ID, 100*msgShare, 100*cycleShare)
+	var inNode *core.Proc
+	var inNodeRatio float64
+	for n := 0; n < cfg.Nodes; n++ {
+		if p, r := sys.BusiestInNode(n); r > inNodeRatio {
+			inNode, inNodeRatio = p, r
+		}
+	}
+	if inNode != nil {
+		fmt.Printf("  busiest process within its node: p%d spends %.1fx the handler cycles of its node-mates' mean\n", inNode.ID, inNodeRatio)
+	}
 	fmt.Printf("  invalidations       %10d\n", st.Invalidations())
 	fmt.Printf("  downgrades          %10d explicit, %d direct\n", st.DowngradesSent(), st.DowngradesDirect())
 	fmt.Printf("  LL/SC               %10d/%d (%d hw, %d failed)\n", st.LLs(), st.SCs(), st.SCHardware(), st.SCFailures())

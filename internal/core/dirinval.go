@@ -123,6 +123,7 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 	reqAgent := s.agentOf(reqProc)
 	homeAgent := s.agentOf(s.procs[blk.home])
 	homeMem := s.agents[homeAgent]
+	s.noteRequester(blk, reqProc)
 
 	switch m.kind {
 	case msgReadReq:
@@ -158,7 +159,7 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 				d.drainDirQueue(p, blk)
 			default:
 				dir.state = dirBusy
-				owner := s.agentLeader(dir.owner)
+				owner := s.requesterOf(blk, dir.owner)
 				s.deliver(p, owner, &msg{kind: msgFwdRead, block: blk.id, from: p.ID, reqProc: m.reqProc}, CatMessage)
 			}
 		}
@@ -201,7 +202,7 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			for a := 0; remote != 0; a++ {
 				if remote&(1<<uint(a)) != 0 {
 					remote &^= 1 << uint(a)
-					s.deliver(p, s.agentLeader(a), &msg{kind: msgInvalReq, block: blk.id, from: p.ID, reqProc: m.reqProc}, CatMessage)
+					s.deliver(p, s.requesterOf(blk, a), &msg{kind: msgInvalReq, block: blk.id, from: p.ID, reqProc: m.reqProc}, CatMessage)
 				}
 			}
 			// Reply before doing the (possibly slow) local invalidation.
@@ -236,7 +237,7 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			default:
 				dir.state = dirBusy
 				dir.pendingOwner = reqAgent
-				owner := s.agentLeader(dir.owner)
+				owner := s.requesterOf(blk, dir.owner)
 				s.deliver(p, owner, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID, reqProc: m.reqProc}, CatMessage)
 			}
 		}

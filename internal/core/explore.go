@@ -37,7 +37,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -250,27 +249,7 @@ func (s *System) spawnExternal(name string, cpu int) *Proc {
 	if s.Cfg.SMP {
 		panic("core: external processes require Base-Shasta (SMP off)")
 	}
-	node := s.Eng.NodeOf(cpu)
-	p := &Proc{
-		ID:           len(s.procs),
-		Name:         name,
-		sys:          s,
-		node:         node,
-		cpu:          cpu,
-		replyQ:       newQueueBox(),
-		mshr:         make(map[int]*mshrEntry),
-		dgAcks:       make(map[int]int),
-		granted:      make(map[int]bool),
-		barrierSeen:  make(map[int]int),
-		barrierWaits: make(map[int]int),
-		pinnedLines:  make(map[int]bool),
-		rng:          rand.New(rand.NewSource(s.Cfg.Seed + int64(len(s.procs))*7919)),
-	}
-	p.reqQ = newQueueBox()
-	p.mem = s.newAgent()
-	s.sizePriv(p)
-	p.agent = s.agentOf(p)
-	s.procs = append(s.procs, p)
+	p := s.newProc(name, cpu)
 	p.Sim = s.Eng.ExternalProc(name, cpu)
 	p.Sim.Data = p
 	return p

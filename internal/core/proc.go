@@ -45,9 +45,12 @@ type Proc struct {
 
 	deferredReqs []msg       // forwarded requests deferred behind a fill
 	dgAcks       map[int]int // downgrade acks received, by block
-	granted      map[int]bool
-	barrierSeen  map[int]int
-	barrierWaits map[int]int
+	// Message-passing synchronization, indexed by lock / barrier ID and
+	// grown by NewLock / NewBarrier: a grant not yet consumed, barrier
+	// releases seen, barrier waits begun.
+	granted      []bool
+	barrierSeen  []int
+	barrierWaits []int
 
 	// inProtocol is the not-in-application-code flag of §4.3.4: set while
 	// executing protocol code or a system call, it permits other processes

@@ -136,7 +136,7 @@ func (p *Proc) dispatch(m *msg, cat TimeCategory) {
 		p.handleLockReq(m)
 	case msgLockGrant:
 		s.proto.observeTs(p, m.ts)
-		p.grantedLock(m.id)
+		p.granted[m.id] = true
 	case msgLockRelease:
 		p.handleLockRelease(m)
 	case msgBarrierEnter:

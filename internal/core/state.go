@@ -264,9 +264,9 @@ func (s *System) newAgent() *agentMem {
 const minGrowLines = 256
 
 // growLines is the only place that sizes the per-line arrays —
-// System.lineBlock, each agent's data / table / sharerProcs and each
-// process's private table. They cover a prefix of the shared region that
-// always includes every allocated line, and Alloc calls this before it
+// System.lineBlock and requester, each agent's data / table / sharerProcs
+// and each process's private table. They cover a prefix of the shared region
+// that always includes every allocated line, and Alloc calls this before it
 // moves the bump cursor, so they stay flat arrays indexed by line or word
 // with nothing between an access and mem.data[word]. Growth is geometric
 // and, as the whole region used to be, new lines are unallocated, Invalid
@@ -284,6 +284,9 @@ func (s *System) growLines(lines int) {
 	}
 	n := min(max(lines, 2*len(s.lineBlock), minGrowLines), s.numLines)
 	s.lineBlock = grown(s.lineBlock, n, -1)
+	if s.Cfg.SMP {
+		s.requester = grown(s.requester, n*s.Cfg.Nodes, 0)
+	}
 	for _, m := range s.agents {
 		s.sizeAgent(m, n)
 	}

@@ -37,11 +37,8 @@ func (p *Proc) LockAcquire(id int) {
 		home := s.procs[lk.home]
 		s.deliver(p, home, &msg{kind: msgLockReq, id: id, from: p.ID, reqProc: p.ID}, CatSyncStall)
 	}
-	if p.granted == nil {
-		p.granted = make(map[int]bool)
-	}
 	p.stallWhile(CatSyncStall, func() bool { return !p.granted[id] })
-	delete(p.granted, id)
+	p.granted[id] = false
 }
 
 // LockRelease releases a lock acquired with LockAcquire. Like Shasta's own
@@ -81,33 +78,16 @@ func (p *Proc) releaseLock(lk *lockState) {
 
 func (p *Proc) grantLock(lk *lockState, to int) {
 	dst := p.sys.procs[to]
-	id := p.lockIndex(lk)
 	// The grant carries the maximum timestamp of prior releases, so an
 	// acquiring process observes everything the releaser's critical
 	// section produced (release-consistency ordering under tardis; relTs
 	// stays zero under dirinval).
 	if dst == p {
 		p.sys.proto.observeTs(p, lk.relTs)
-		p.grantedLock(id)
+		p.granted[lk.id] = true
 		return
 	}
-	p.sys.deliver(p, dst, &msg{kind: msgLockGrant, id: id, from: p.ID, ts: lk.relTs}, CatMessage)
-}
-
-func (p *Proc) lockIndex(lk *lockState) int {
-	for i, l := range p.sys.locks {
-		if l == lk {
-			return i
-		}
-	}
-	panic("core: unknown lock")
-}
-
-func (p *Proc) grantedLock(id int) {
-	if p.granted == nil {
-		p.granted = make(map[int]bool)
-	}
-	p.granted[id] = true
+	p.sys.deliver(p, dst, &msg{kind: msgLockGrant, id: lk.id, from: p.ID, ts: lk.relTs}, CatMessage)
 }
 
 func (p *Proc) handleLockReq(m *msg) {
@@ -141,12 +121,8 @@ func (p *Proc) BarrierWait(id int) {
 	defer p.exitProtocol()
 	p.drainOutstanding()
 	p.charge(CatSyncStall, s.Cfg.Cost.ProtocolEntry)
-	if p.barrierSeen == nil {
-		p.barrierSeen = make(map[int]int)
-		p.barrierWaits = make(map[int]int)
-	}
-	target := p.barrierWaits[id] + 1
-	p.barrierWaits[id] = target
+	p.barrierWaits[id]++
+	target := p.barrierWaits[id]
 	if b.home == p.ID {
 		p.charge(CatSyncStall, s.Cfg.Cost.SyncLocal)
 		p.barrierArrive(b, p.ID, s.proto.syncTs(p))
@@ -177,7 +153,6 @@ func (p *Proc) barrierArrive(b *barrierState, who int, ts int64) {
 	if len(b.arrived) < b.needed {
 		return
 	}
-	id := p.barrierIndex(b)
 	arrived := b.arrived
 	b.arrived = nil
 	b.epoch++
@@ -193,31 +168,22 @@ func (p *Proc) barrierArrive(b *barrierState, who int, ts int64) {
 		// agents' state, which other shards may be mutating; the end-of-
 		// run CheckInvariants still covers parallel runs.)
 		if err := p.sys.checkInvariantsLight(); err != nil {
-			panic(fmt.Sprintf("core: %v (at barrier %d release, epoch %d)", err, id, b.epoch))
+			panic(fmt.Sprintf("core: %v (at barrier %d release, epoch %d)", err, b.id, b.epoch))
 		}
 	}
 	for _, proc := range arrived {
 		dst := p.sys.procs[proc]
 		if dst == p {
 			p.sys.proto.observeTs(p, maxTs)
-			p.barrierSeen[id]++
+			p.barrierSeen[b.id]++
 			continue
 		}
-		p.sys.deliver(p, dst, &msg{kind: msgBarrierRelease, id: id, from: p.ID, ts: maxTs}, CatMessage)
+		p.sys.deliver(p, dst, &msg{kind: msgBarrierRelease, id: b.id, from: p.ID, ts: maxTs}, CatMessage)
 	}
 	// Hand the drained arrival slice back for the next epoch.
 	if b.arrived == nil {
 		b.arrived = arrived[:0]
 	}
-}
-
-func (p *Proc) barrierIndex(b *barrierState) int {
-	for i, x := range p.sys.barriers {
-		if x == b {
-			return i
-		}
-	}
-	panic("core: unknown barrier")
 }
 
 // SendUser delivers an application-defined message (used by the cluster OS

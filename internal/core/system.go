@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -98,6 +99,10 @@ type System struct {
 	blocks       []*blockInfo
 	allocCursor  int // next free line
 	homeRR       int
+	// requester, SMP-Shasta only, is indexed [block*Nodes+node]: ID+1 of the
+	// last process of the node whose request for the block the home served,
+	// 0 for none. Sized by growLines; touched by the block's home alone.
+	requester []uint8
 
 	// proto is the coherence backend selected by Cfg.Protocol; it owns
 	// all per-block home-side protocol state (see coherence.go).
@@ -166,6 +171,7 @@ type System struct {
 }
 
 type lockState struct {
+	id      int // index in System.locks
 	home    int // home process
 	held    bool
 	holder  int
@@ -174,6 +180,7 @@ type lockState struct {
 }
 
 type barrierState struct {
+	id      int // index in System.barriers
 	home    int
 	needed  int
 	arrived []int
@@ -214,6 +221,7 @@ func newSystem(cfg Config, immediate bool) *System {
 		numLines:     cfg.SharedBytes / cfg.LineSize,
 		wordsPerLine: cfg.LineSize / 8,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		nodeProcs:    make([][]*Proc, cfg.Nodes),
 		pooling:      !cfg.NoPooling,
 		pollEach:     lookahead == 0,
 	}
@@ -259,26 +267,29 @@ func (s *System) agentOf(p *Proc) int {
 	return p.ID
 }
 
-// agentLeader returns the process that receives agent-addressed messages
-// (invalidation requests) for the given agent.
-func (s *System) agentLeader(agent int) *Proc {
+// noteRequester records, as the block's home serves a request, that req is
+// the last process of its node to have asked for the block.
+func (s *System) noteRequester(blk *blockInfo, req *Proc) {
+	if s.Cfg.SMP {
+		s.requester[blk.id*s.Cfg.Nodes+req.node] = uint8(req.ID + 1)
+	}
+}
+
+// requesterOf returns the process the home sends a forward, recall or
+// invalidation for the agent's copy to: the one noteRequester recorded, which
+// most likely holds the line in its private table and need downgrade nobody
+// (Base-Shasta: the agent is the process). An agent holds a copy only through
+// a request the home served, and the home's own node is never sent to, so an
+// empty record is a protocol bug.
+func (s *System) requesterOf(blk *blockInfo, agent int) *Proc {
 	if !s.Cfg.SMP {
 		return s.procs[agent]
 	}
-	for _, p := range s.procs {
-		if p.node == agent {
-			return p
-		}
+	id := s.requester[blk.id*s.Cfg.Nodes+agent]
+	if id == 0 {
+		panic(fmt.Sprintf("core: block %d: the home served no request from node %d, yet sends to it", blk.id, agent))
 	}
-	panic(fmt.Sprintf("core: no process on node %d", agent))
-}
-
-// agentNode returns the node hosting the agent (for network latency).
-func (s *System) agentNode(agent int) int {
-	if s.Cfg.SMP {
-		return agent
-	}
-	return s.procs[agent].node
+	return s.procs[id-1]
 }
 
 // localProcs returns processes sharing the agent's memory (SMP: the node's
@@ -319,20 +330,24 @@ func (s *System) SpawnAt(name string, cpu int, start sim.Time, body func(*Proc))
 	return s.spawn(name, cpu, 0, start, body)
 }
 
-func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func(*Proc)) *Proc {
-	node := s.Eng.NodeOf(cpu)
+// newProc makes the next process, on the given CPU, and gives it its memory
+// and queues; the sim.Proc is the caller's to attach.
+func (s *System) newProc(name string, cpu int) *Proc {
+	if s.Cfg.SMP && len(s.procs) >= math.MaxUint8 {
+		panic("core: SMP-Shasta takes at most 255 processes (the requester record is a byte each)")
+	}
 	p := &Proc{
 		ID:           len(s.procs),
 		Name:         name,
 		sys:          s,
-		node:         node,
+		node:         s.Eng.NodeOf(cpu),
 		cpu:          cpu,
 		replyQ:       newQueueBox(),
 		mshr:         make(map[int]*mshrEntry),
 		dgAcks:       make(map[int]int),
-		granted:      make(map[int]bool),
-		barrierSeen:  make(map[int]int),
-		barrierWaits: make(map[int]int),
+		granted:      make([]bool, len(s.locks)),
+		barrierSeen:  make([]int, len(s.barriers)),
+		barrierWaits: make([]int, len(s.barriers)),
 		pinnedLines:  make(map[int]bool),
 		rng:          rand.New(rand.NewSource(s.Cfg.Seed + int64(len(s.procs))*7919)),
 	}
@@ -340,18 +355,20 @@ func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func
 		p.reqQ = newQueueBox()
 	}
 	if s.Cfg.SMP {
-		p.mem = s.agents[node]
+		p.mem = s.agents[p.node]
 	} else {
 		p.mem = s.newAgent() // each process is its own agent
 	}
 	s.sizePriv(p)
 	p.agent = s.agentOf(p)
 	s.procs = append(s.procs, p)
-	for len(s.nodeProcs) <= node {
-		s.nodeProcs = append(s.nodeProcs, nil)
-	}
-	s.nodeProcs[node] = append(s.nodeProcs[node], p)
+	s.nodeProcs[p.node] = append(s.nodeProcs[p.node], p)
 	s.cpus[cpu].procs++
+	return p
+}
+
+func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func(*Proc)) *Proc {
+	p := s.newProc(name, cpu)
 	if priority == 0 {
 		s.appStarted++
 	}
@@ -539,15 +556,24 @@ func (s *System) nextHome() int {
 
 // NewLock creates a message-passing lock homed at the given process.
 func (s *System) NewLock(home int) int {
-	s.locks = append(s.locks, &lockState{home: home})
-	return len(s.locks) - 1
+	id := len(s.locks)
+	s.locks = append(s.locks, &lockState{id: id, home: home})
+	for _, p := range s.procs {
+		p.granted = append(p.granted, false)
+	}
+	return id
 }
 
 // NewBarrier creates a message-passing barrier for n participants, homed
 // at the given process.
 func (s *System) NewBarrier(home, n int) int {
-	s.barriers = append(s.barriers, &barrierState{home: home, needed: n})
-	return len(s.barriers) - 1
+	id := len(s.barriers)
+	s.barriers = append(s.barriers, &barrierState{id: id, home: home, needed: n})
+	for _, p := range s.procs {
+		p.barrierSeen = append(p.barrierSeen, 0)
+		p.barrierWaits = append(p.barrierWaits, 0)
+	}
+	return id
 }
 
 // Peek reads a shared word from the backend's authoritative copy of its
@@ -586,9 +612,28 @@ func (s *System) AggregateStats() Stats {
 // system handled and of those cycles. Homes spread over the processes keep
 // both near 1/len(Procs); a home hot spot shows here first.
 func (s *System) Busiest() (busiest *Proc, msgShare, cycleShare float64) {
-	total := s.AggregateStats()
-	busiest = s.procs[0]
-	for _, p := range s.procs[1:] {
+	return busiestOf(s.procs)
+}
+
+// BusiestInNode is Busiest among one node's processes, its cycles as a
+// multiple of its node-mates' mean (nil and 0 without mates). Messages for a
+// node's copy of a block go to the process that asked for it, which keeps
+// this near 1 unless the mates are homes of different things; sent to the
+// node's first process they made it 4.
+func (s *System) BusiestInNode(node int) (busiest *Proc, ratio float64) {
+	mates := s.nodeProcs[node]
+	if len(mates) < 2 {
+		return nil, 0
+	}
+	busiest, _, share := busiestOf(mates)
+	return busiest, share * float64(len(mates)-1) / (1 - share)
+}
+
+func busiestOf(procs []*Proc) (busiest *Proc, msgShare, cycleShare float64) {
+	var total Stats
+	busiest = procs[0]
+	for _, p := range procs {
+		total.Add(&p.stats)
 		if p.stats.Time[CatMessage] > busiest.stats.Time[CatMessage] {
 			busiest = p
 		}

@@ -310,6 +310,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 	reqAgent := s.agentOf(reqProc)
 	homeAgent := t.homeAgent(blk)
 	homeMem := s.agents[homeAgent]
+	s.noteRequester(blk, reqProc)
 
 	switch m.kind {
 	case msgReadReq:
@@ -362,7 +363,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			// SC upgrades never have to reason about remote owners.
 			end := extendLease(e, m.ts)
 			e.busy = true
-			owner := s.agentLeader(e.owner)
+			owner := s.requesterOf(blk, e.owner)
 			s.deliver(p, owner, &msg{kind: msgFwdRead, block: blk.id, from: p.ID,
 				reqProc: m.reqProc, ts: e.wts, rts: end}, CatMessage)
 		}
@@ -414,7 +415,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			e.wts, e.rts = grant, grant
 			e.busy = true
 			e.pendingOwner = reqAgent
-			owner := s.agentLeader(e.owner)
+			owner := s.requesterOf(blk, e.owner)
 			s.deliver(p, owner, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID,
 				reqProc: m.reqProc, ts: grant}, CatMessage)
 		}

@@ -206,7 +206,10 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // time order, and a scheduler change must not move it. (lu-8p-base and
 // barnes-8p-8x1-tardis were recorded again when Alloc began to spread homes
 // round-robin by default: LU's matrix and Barnes' bodies and tree were all
-// homed at process 0 until then.)
+// homed at process 0 until then; ocean-16p-4x4-smp-dirinval when forwards
+// and invalidations began to go to the process that asked for the block and
+// not to its node's first process, the one case here with several processes
+// to a node.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the
