@@ -1,6 +1,6 @@
 // shasta-bench regenerates the tables and figures of the Shasta paper's
-// evaluation (§6) on the simulated cluster, and measures the repo's own
-// wall-clock performance trajectory (sequential vs parallel engine).
+// evaluation (§6) on the simulated cluster, plus the repo's own ablations,
+// chaos table and multi-tenant load table.
 //
 // Usage:
 //
@@ -8,22 +8,15 @@
 //	shasta-bench -run table1,table2
 //	shasta-bench -run all
 //	shasta-bench -run loadgen -tenants 8 -lb least   # multi-tenant load table
-//	shasta-bench -json BENCH_PR5.json          # engine benchmark suite
-//	shasta-bench -json out.json -bench-quick   # CI smoke variant
-//	shasta-bench -shootout BENCH_PR6.json      # protocol shootout (dirinval vs tardis)
-//	shasta-bench -checks BENCH_PR8.json        # static-overhead shootout (noopt/elim/hoist)
-//	shasta-bench -loadgen BENCH_PR10.json      # tenant-count sweep to the saturation knee
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -67,15 +60,6 @@ func registryNames() []string {
 	return names
 }
 
-// writeReport marshals a suite report to path.
-func writeReport(report any, path string) error {
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -91,110 +75,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	watchdog := fs.Int64("watchdog-cycles", 0, "stall watchdog budget in cycles (0 = default, negative = off)")
 	simFlags := cliflags.RegisterSim(fs)
 	loadFlags := cliflags.RegisterLoad(fs)
-	jsonOut := fs.String("json", "", "run the engine benchmark suite and write the JSON report to this file")
-	benchQuick := fs.Bool("bench-quick", false, "with -json/-shootout/-loadgen: run the cut-down CI smoke suite")
-	shootout := fs.String("shootout", "", "run the cross-protocol shootout and write the JSON report to this file")
-	checks := fs.String("checks", "", "run the static-overhead shootout and write the JSON report to this file")
-	loadgen := fs.String("loadgen", "", "run the multi-tenant load sweep and write the JSON report to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *loadgen != "" {
-		cases := bench.DefaultLoadgenCases()
-		if *benchQuick {
-			cases = bench.QuickLoadgenCases()
-		}
-		report, err := bench.RunLoadgenSuite(cases, core.ProtocolNames())
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := writeReport(report, *loadgen); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		for _, sw := range report.Sweeps {
-			last := sw.Points[len(sw.Points)-1]
-			fmt.Fprintf(stdout, "%-10s knee=%d tenants protocol_bound=%v prot_growth=%.2fx db_growth=%.2fx (max point: %d tenants p99=%d)\n",
-				sw.Protocol, sw.KneeTenants, sw.ProtocolBound, sw.ProtGrowth, sw.DBGrowth, last.Tenants, last.P99)
-		}
-		fmt.Fprintf(stdout, "loadgen sweep (engines_agree=%v) → %s\n", report.EnginesAgree, *loadgen)
-		return 0
-	}
-
-	if *checks != "" {
-		report, err := bench.RunCheckSuite(core.ProtocolNames())
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := writeReport(report, *checks); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		for _, c := range report.Cases {
-			top := c.Runs[len(c.Runs)-1]
-			fmt.Fprintf(stdout, "%-12s mem_equal=%v elim_cut=%.1f%% hoist_cut=%.1f%% loop_batches=%d hoisted=%d widened=%d\n",
-				c.Kernel, c.MemEqual, c.ElimReductionPct, c.HoistReductionPct,
-				top.LoopBatches, top.HoistedChecks, top.WidenedBatches)
-		}
-		fmt.Fprintf(stdout, "check-overhead shootout (%s ladder; protocols %s) → %s\n",
-			strings.Join(report.Configs, "/"), strings.Join(report.Protocols, ","), *checks)
-		return 0
-	}
-
-	if *shootout != "" {
-		cases := bench.DefaultProtocolCases()
-		if *benchQuick {
-			cases = bench.QuickProtocolCases()
-		}
-		report, err := bench.RunProtocolSuite(cases, core.ProtocolNames())
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := writeReport(report, *shootout); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		for _, c := range report.Cases {
-			fmt.Fprintf(stdout, "%-12s %-14s mem_equal=%v", c.Name, c.Profile, c.MemEqual)
-			for _, p := range report.Protocols[1:] {
-				fmt.Fprintf(stdout, " sim_speedup[%s]=%.3fx", p, c.SimSpeedup[p])
-			}
-			fmt.Fprintln(stdout)
-		}
-		fmt.Fprintf(stdout, "protocol shootout (%s baseline) → %s\n", report.Baseline, *shootout)
-		return 0
-	}
-
-	if *jsonOut != "" {
-		cases := bench.DefaultCases()
-		if *benchQuick {
-			cases = bench.QuickCases()
-		}
-		report, err := bench.RunSuite(cases, bench.DefaultWorkers)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := writeReport(report, *jsonOut); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		for _, c := range report.Cases {
-			best := 1.0
-			for _, r := range c.Runs {
-				if r.Speedup > best {
-					best = r.Speedup
-				}
-			}
-			fmt.Fprintf(stdout, "%-16s sim=%d cycles invariant=%v best speedup %.2fx\n",
-				c.Name, c.SimElapsedCycles, c.SimTimeInvariant && c.StatsInvariant, best)
-		}
-		fmt.Fprintf(stdout, "best speedup at 4 workers: %.2fx → %s\n", report.BestSpeedup4, *jsonOut)
-		return 0
 	}
 
 	opts, err := simFlags.Options()

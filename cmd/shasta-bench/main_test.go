@@ -63,3 +63,22 @@ func TestBadLoadFlagRejected(t *testing.T) {
 		t.Errorf("error does not mention the arrival flag: %q", errOut.String())
 	}
 }
+
+// TestLegacyReportFlagsGone: the four JSON report modes and their quick
+// switch are unknown flags, refused before anything runs.
+func TestLegacyReportFlagsGone(t *testing.T) {
+	for _, args := range [][]string{
+		{"-json", "x"}, {"-shootout", "x"}, {"-checks", "x"}, {"-loadgen", "x"}, {"-bench-quick"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit code = %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr does not name the flag: %q", args, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: something ran: %q", args, out.String())
+		}
+	}
+}

@@ -244,7 +244,10 @@ func (s *System) starvedMiss(now, budget sim.Time) string {
 }
 
 // dumpProtocolState describes per-process protocol state for watchdog stall
-// dumps: outstanding misses, pending queue contents, downgrade waits.
+// dumps: outstanding misses, pending queue contents, downgrade waits. The
+// hot closure reaches it only through reliable.go's node-unreachable report.
+//
+//hot:cold
 func (s *System) dumpProtocolState() string {
 	out := "protocol state:"
 	for _, p := range s.procs {

@@ -175,13 +175,6 @@ type Config struct {
 	// See ProtocolNames for the registered set.
 	Protocol string
 
-	// NoPooling disables the host-side free-list pools for msg.data
-	// buffers and MSHR entries (see pool.go). Pooling only changes where
-	// host allocations come from — never simulated time, statistics, or
-	// memory contents — so this knob exists for measurement (a case run
-	// pooled and unpooled) and as a bisection aid.
-	NoPooling bool
-
 	// MaxTime aborts runs that exceed this simulated time (safety net).
 	MaxTime sim.Time
 

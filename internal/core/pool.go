@@ -7,7 +7,7 @@ package core
 // are recycled only at points where the protocol has finished with them,
 // and the pools are plain LIFO free lists touched in simulated-event
 // order, so reuse never depends on host scheduling and results stay
-// byte-identical with pooling on or off (Config.NoPooling flips it).
+// byte-identical with pooling on or off (pool_chaos_test.go runs both).
 //
 // Buffer lifecycle. A buffer is taken from the composing proc's agent
 // pool (blockData / downgradeAgent), travels inside exactly one message,

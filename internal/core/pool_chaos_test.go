@@ -45,10 +45,12 @@ var chaosProfiles = []struct {
 }
 
 // runChaosMix drives the shared-counter mix workload (reliable_test.go)
-// under the given config and options, returning the final snapshot.
-func runChaosMix(t *testing.T, cfg Config, opts ...Option) []uint64 {
+// under the given config and options, with the buffer and MSHR pools on or
+// off, returning the final snapshot.
+func runChaosMix(t *testing.T, cfg Config, pooled bool, opts ...Option) []uint64 {
 	t.Helper()
 	s := Build(append([]Option{WithConfig(cfg)}, opts...)...)
+	s.pooling = pooled
 	const words = 64
 	var arr uint64
 	var lk [4]int
@@ -92,7 +94,7 @@ func runChaosMix(t *testing.T, cfg Config, opts ...Option) []uint64 {
 // match the unpooled run under identical faults.
 func TestChaosRecycleAudit(t *testing.T) {
 	for _, protocol := range ProtocolNames() {
-		base := runChaosMix(t, chaosAliasConfig(protocol))
+		base := runChaosMix(t, chaosAliasConfig(protocol), true)
 		for _, prof := range chaosProfiles {
 			t.Run(fmt.Sprintf("%s/%s", protocol, prof.name), func(t *testing.T) {
 				var recycles atomic.Int64
@@ -111,7 +113,7 @@ func TestChaosRecycleAudit(t *testing.T) {
 				defer SetDebugBufRecycle(nil)
 				cfg := chaosAliasConfig(protocol)
 				cfg.Faults = prof.faults
-				snap := runChaosMix(t, cfg)
+				snap := runChaosMix(t, cfg, true)
 				if auditErr != nil {
 					t.Fatal(auditErr)
 				}
@@ -122,8 +124,7 @@ func TestChaosRecycleAudit(t *testing.T) {
 					t.Error("faulty pooled run diverged from fault-free memory")
 				}
 				SetDebugBufRecycle(nil)
-				cfg.NoPooling = true
-				unpooled := runChaosMix(t, cfg)
+				unpooled := runChaosMix(t, cfg, false)
 				if !equalWords(snap, unpooled) {
 					t.Error("pooling changed final memory under faults")
 				}
@@ -142,13 +143,12 @@ func TestChaosRecycleParallelEngine(t *testing.T) {
 		t.Run(protocol, func(t *testing.T) {
 			cfg := chaosAliasConfig(protocol)
 			cfg.Faults = chaosProfiles[2].faults // mixed drop+dup+delay
-			seq := runChaosMix(t, cfg)
-			par := runChaosMix(t, cfg, WithEngine(parallel.New(2)))
+			seq := runChaosMix(t, cfg, true)
+			par := runChaosMix(t, cfg, true, WithEngine(parallel.New(2)))
 			if !equalWords(seq, par) {
 				t.Error("parallel pooled run diverged from sequential memory under faults")
 			}
-			cfg.NoPooling = true
-			parNo := runChaosMix(t, cfg, WithEngine(parallel.New(2)))
+			parNo := runChaosMix(t, cfg, false, WithEngine(parallel.New(2)))
 			if !equalWords(seq, parNo) {
 				t.Error("parallel unpooled run diverged from sequential memory under faults")
 			}

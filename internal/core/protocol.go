@@ -169,12 +169,11 @@ func (p *Proc) reply(to *Proc, m *msg) {
 }
 
 // protoHandle invokes the coherence backend's message handler through a
-// concrete-type fast path. Calling through the Protocol interface makes
+// concrete-type switch. Calling through the Protocol interface makes
 // every *msg argument escape to the heap (the compiler cannot see the
-// callee), which would turn each stack-composed reply into an allocation;
-// the in-tree backends are devirtualized here, and an out-of-tree backend
-// falls back to the interface with a private copy so the caller's message
-// still never escapes.
+// callee), which would turn each stack-composed reply into an allocation.
+// Protocol's methods are unexported, so the cases are every backend there
+// can be.
 func (s *System) protoHandle(p *Proc, m *msg) {
 	switch pr := s.proto.(type) {
 	case *dirInval:
@@ -182,8 +181,7 @@ func (s *System) protoHandle(p *Proc, m *msg) {
 	case *tardis:
 		pr.handle(p, m)
 	default:
-		mm := *m
-		s.proto.handle(p, &mm) // hotlint:allow(iface-call): out-of-tree backend fallback, never taken in-tree
+		panic(fmt.Sprintf("core: protoHandle: no fast path for backend %T", s.proto))
 	}
 }
 
@@ -195,9 +193,7 @@ func (s *System) protoStamp(p *Proc, blk *blockInfo, m *msg) {
 	case *tardis:
 		pr.stampRequest(p, blk, m)
 	default:
-		mm := *m
-		s.proto.stampRequest(p, blk, &mm) // hotlint:allow(iface-call): out-of-tree backend fallback, never taken in-tree
-		*m = mm
+		panic(fmt.Sprintf("core: protoStamp: no fast path for backend %T", s.proto))
 	}
 }
 

@@ -139,8 +139,8 @@ type System struct {
 	// single largest allocation source on the store/downgrade hot path.
 	nodeProcs [][]*Proc
 	// pooling enables the msg.data / MSHR free-list pools (see pool.go).
-	// Off under Config.NoPooling and under the model-checking explorer,
-	// which captures and replays whole msg values.
+	// Off only under the model-checking explorer, which captures and
+	// replays whole msg values, and in the pool's own audit tests.
 	pooling bool
 
 	tracer *trace.Tracer
@@ -222,7 +222,7 @@ func newSystem(cfg Config, immediate bool) *System {
 		wordsPerLine: cfg.LineSize / 8,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		nodeProcs:    make([][]*Proc, cfg.Nodes),
-		pooling:      !cfg.NoPooling,
+		pooling:      true,
 		pollEach:     lookahead == 0,
 	}
 	if cfg.SMP {
@@ -301,19 +301,6 @@ func (s *System) requesterOf(blk *blockInfo, agent int) *Proc {
 func (s *System) localProcs(agent int) []*Proc {
 	if !s.Cfg.SMP {
 		return s.procs[agent : agent+1]
-	}
-	if !s.pooling {
-		// NoPooling runs reproduce the pre-refactor steady-state
-		// allocation profile for A/B measurement (see pool.go): rebuild
-		// the slice per call exactly as the old code did. The result and
-		// its order are identical to the cache.
-		var out []*Proc // hotlint:allow(append-growth): NoPooling A/B leg only
-		for _, p := range s.procs {
-			if p.node == agent {
-				out = append(out, p)
-			}
-		}
-		return out
 	}
 	return s.nodeProcs[agent]
 }

@@ -199,8 +199,9 @@ func TestAblationFlagCheck(t *testing.T) {
 }
 
 // TestAblationCheckElim holds the check-elimination ablation to the PR's
-// acceptance bar: at least three kernels execute strictly fewer dynamic
-// checks, and every kernel's final shared memory is byte-identical.
+// acceptance bar: no kernel executes more dynamic checks, at least three
+// execute strictly fewer, and every kernel's final shared memory is
+// byte-identical.
 func TestAblationCheckElim(t *testing.T) {
 	tab := AblationCheckElim()
 	if len(tab.Rows) != len(workloads.AsmKernels()) {
@@ -209,6 +210,9 @@ func TestAblationCheckElim(t *testing.T) {
 	fewer := 0
 	for i, row := range tab.Rows {
 		off, on := cell(t, tab, i, 1), cell(t, tab, i, 2)
+		if on > off {
+			t.Errorf("%s: elimination increased dynamic checks (%.0f -> %.0f)", row[0], off, on)
+		}
 		if on < off {
 			fewer++
 		}

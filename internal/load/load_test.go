@@ -35,32 +35,39 @@ func newLoadSystem(protocol string, parWorkers int) *core.System {
 }
 
 func TestLoadgenSmoke(t *testing.T) {
-	sys := newLoadSystem("dirinval", -1)
-	res, err := Run(sys, Config{
-		Tenants: testTenants(20),
-		Horizon: 2_000_000,
-		Policy:  "rr",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Arrivals == 0 {
-		t.Fatal("no arrivals generated")
-	}
-	if len(res.Records) != res.Arrivals {
-		t.Fatalf("admitted %d of %d arrivals with admission none", len(res.Records), res.Arrivals)
-	}
-	m := res.Metrics
-	if m.P50 <= 0 || m.P95 < m.P50 || m.P99 < m.P95 {
-		t.Fatalf("implausible percentiles: p50=%d p95=%d p99=%d", m.P50, m.P95, m.P99)
-	}
-	if m.MeanDB <= 0 {
-		t.Fatal("no database service time recorded")
-	}
-	for _, tm := range m.Tenants {
-		if tm.Admitted == 0 {
-			t.Fatalf("tenant %s admitted no transactions", tm.Name)
-		}
+	for _, proto := range core.ProtocolNames() {
+		t.Run(proto, func(t *testing.T) {
+			sys := newLoadSystem(proto, -1)
+			res, err := Run(sys, Config{
+				Tenants: testTenants(20),
+				Horizon: 2_000_000,
+				Policy:  "rr",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Arrivals == 0 {
+				t.Fatal("no arrivals generated")
+			}
+			if len(res.Records) != res.Arrivals {
+				t.Fatalf("admitted %d of %d arrivals with admission none", len(res.Records), res.Arrivals)
+			}
+			m := res.Metrics
+			if m.P50 <= 0 || m.P95 < m.P50 || m.P99 < m.P95 {
+				t.Fatalf("implausible percentiles: p50=%d p95=%d p99=%d", m.P50, m.P95, m.P99)
+			}
+			if m.MeanDB <= 0 || m.MeanProt <= 0 {
+				t.Fatalf("service breakdown empty: db=%d prot=%d", m.MeanDB, m.MeanProt)
+			}
+			for _, tm := range m.Tenants {
+				if tm.Admitted == 0 {
+					t.Fatalf("tenant %s admitted no transactions", tm.Name)
+				}
+				if tm.SLOAttained <= 0 || tm.SLOAttained > 1 {
+					t.Fatalf("tenant %s: SLO attainment out of range: %g", tm.Name, tm.SLOAttained)
+				}
+			}
+		})
 	}
 }
 

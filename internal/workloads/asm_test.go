@@ -3,6 +3,7 @@ package workloads
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -208,33 +209,29 @@ func TestAsmRankExitIndependentOfYields(t *testing.T) {
 	}
 }
 
-// TestAsmKernelCheckHoistBothProtocols is the CI ablation smoke property:
-// on a loop-heavy kernel, hoisting on vs off must produce identical
-// memory images under both coherence protocols.
+// TestAsmKernelCheckHoistBothProtocols: on every kernel, hoisting on vs
+// off must produce identical memory images under both coherence protocols,
+// and the hoisted code the same image under each protocol as under the
+// first.
 func TestAsmKernelCheckHoistBothProtocols(t *testing.T) {
-	var k AsmKernel
-	found := false
-	for _, c := range AsmKernels() {
-		if c.Name == "lu-contig" {
-			k, found = c, true
-		}
-	}
-	if !found {
-		t.Fatal("lu-contig kernel missing")
-	}
-	for _, proto := range core.ProtocolNames() {
-		off, err := RunAsm(k, elimOptions(), true, core.WithProtocol(proto))
-		if err != nil {
-			t.Fatalf("%s/%s: %v", k.Name, proto, err)
-		}
-		on, err := RunAsm(k, rewriter.DefaultOptions(), true, core.WithProtocol(proto))
-		if err != nil {
-			t.Fatalf("%s/%s: %v", k.Name, proto, err)
-		}
-		for i := range off.Memory {
-			if off.Memory[i] != on.Memory[i] {
-				t.Fatalf("%s/%s: shared word %d differs with hoisting: %#x vs %#x",
-					k.Name, proto, i, off.Memory[i], on.Memory[i])
+	for _, k := range AsmKernels() {
+		var ref []uint64
+		for _, proto := range core.ProtocolNames() {
+			off, err := RunAsm(k, elimOptions(), true, core.WithProtocol(proto))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", k.Name, proto, err)
+			}
+			on, err := RunAsm(k, rewriter.DefaultOptions(), true, core.WithProtocol(proto))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", k.Name, proto, err)
+			}
+			if !slices.Equal(off.Memory, on.Memory) {
+				t.Errorf("%s/%s: shared memory differs with hoisting", k.Name, proto)
+			}
+			if ref == nil {
+				ref = on.Memory
+			} else if !slices.Equal(ref, on.Memory) {
+				t.Errorf("%s: shared memory under %s differs from %s", k.Name, proto, core.ProtocolNames()[0])
 			}
 		}
 	}
