@@ -243,8 +243,9 @@ func (s *System) starvedMiss(now, budget sim.Time) string {
 	return ""
 }
 
-// dumpProtocolState describes per-process protocol state for watchdog stall
-// dumps: outstanding misses, pending queue contents, downgrade waits. The
+// dumpProtocolState describes protocol state for watchdog stall dumps: per
+// process, outstanding misses, pending queue contents, downgrade waits; per
+// block whose home record is not at rest, the busy window and its queue. The
 // hot closure reaches it only through reliable.go's node-unreachable report.
 //
 //hot:cold
@@ -304,6 +305,16 @@ func (s *System) dumpProtocolState() string {
 				out += fmt.Sprintf("\n  cpu%d sharedQ=%d", i, n)
 			}
 		}
+	}
+	for _, blk := range s.blocks {
+		if s.blockQuiet(blk) {
+			continue
+		}
+		h, busy := &s.homes[blk.id], ""
+		if h.busy {
+			busy = " busy"
+		}
+		out += fmt.Sprintf("\n  block %d:%s owner=%d pending=%d queued=%d", blk.id, busy, h.owner, h.pendingOwner, len(h.queue))
 	}
 	return out
 }

@@ -3,17 +3,20 @@ package core
 // The coherence-protocol backend interface. The core keeps everything a
 // protocol does NOT define — processes, agent memories and state tables,
 // the MSHR/miss machinery, intra-node downgrades, the reliability
-// sublayer, both PDES engines — and delegates the protocol proper to a
-// Protocol implementation: what request a miss issues, how every
-// coherence message is handled, what per-block home state exists, and
-// how that state is inspected by the runtime invariant checker and the
-// model-checking explorer.
+// sublayer, both PDES engines — and the home-side skeleton every
+// home-based protocol shares (home.go): the per-block record of owner,
+// busy window and queued requests, the forward to the owner and its way
+// back, the reply's entry into the MSHR. It delegates the protocol proper
+// to a Protocol implementation: what request a miss issues, how every
+// coherence message is handled and what a grant means, what per-block
+// home state exists beyond that record, and how that state is inspected
+// by the runtime invariant checker and the model-checking explorer.
 //
 // Two backends are registered:
 //
 //   - "dirinval" (dirinval.go): the paper's directory-based invalidation
 //     protocol (§2.1) — sharer bitmasks, invalidation multicast with acks
-//     collected at the requester, 3-hop forwarding through dirBusy.
+//     collected at the requester.
 //   - "tardis" (tardis.go): timestamp-ordered coherence after Yu &
 //     Devadas, "Tardis: Time Traveling Coherence Algorithm for
 //     Distributed Shared Memory" — lease-based reads and per-block
@@ -36,14 +39,12 @@ import (
 // unexported: the backend surface is an internal contract, while the
 // selection surface (WithProtocol, ProtocolNames) is public API.
 type Protocol interface {
-	// name returns the registry name ("dirinval", "tardis").
-	name() string
 	// attach binds the backend to its system; called once from newSystem
 	// before any process or block exists.
 	attach(s *System)
 	// initBlock creates the backend's per-block home state for a freshly
 	// allocated block (called from Alloc, after the block is appended to
-	// s.blocks; the home agent's copy is already Exclusive and zeroed).
+	// s.blocks and its record, owned by the home agent, to s.homes).
 	initBlock(blk *blockInfo)
 
 	// missKind selects the request kind issueMissKind sends for a miss.
@@ -89,12 +90,9 @@ type Protocol interface {
 	syncTs(p *Proc) int64
 	observeTs(p *Proc, ts int64)
 
-	// checkLight verifies the backend's always-true invariants (single
-	// writer, bounded home queues); safe at any quiesce point.
+	// checkLight verifies what the backend adds to the core's always-true
+	// invariants (checkHomesLight); safe at any quiesce point.
 	checkLight(s *System) error
-	// blockQuiet reports whether the backend's home state for the block
-	// is at rest (no transfer in flight, no queued request).
-	blockQuiet(blk *blockInfo) bool
 	// checkQuiescent verifies exact home-state/state-table/data
 	// agreement when the system is fully quiescent.
 	checkQuiescent(s *System) error

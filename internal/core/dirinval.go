@@ -1,11 +1,11 @@
 package core
 
 // The directory-based invalidation backend: Shasta's own protocol
-// (§2.1). Each block's home keeps a directory entry — shared/exclusive/
-// busy state, an owner, a sharer bitmask, and a queue for requests that
-// arrive while a 3-hop transfer is in flight. Writes invalidate every
-// other sharer (multicast invalidations, acks collected at the
-// requester); reads of a remotely-owned block are forwarded to the
+// (§2.1). On top of the core's home record (home.go: the owner, the busy
+// window of a 3-hop transfer and its queue) each block's home keeps a
+// directory entry — shared or exclusive, and a sharer bitmask. Writes
+// invalidate every other sharer (multicast invalidations, acks collected
+// at the requester); reads of a remotely-owned block are forwarded to the
 // owner, which downgrades and writes the data back.
 
 import (
@@ -18,34 +18,12 @@ func init() {
 	registerProtocol("dirinval", func() Protocol { return &dirInval{} })
 }
 
-// dirState is the directory's view of a block at its home (§2.1).
-type dirState uint8
-
-const (
-	dirShared    dirState = iota // home memory valid; sharers hold copies
-	dirExclusive                 // one agent (owner) holds the only copy
-	dirBusy                      // a forwarded request is in flight
-)
-
-func (s dirState) String() string {
-	switch s {
-	case dirShared:
-		return "shared"
-	case dirExclusive:
-		return "exclusive"
-	case dirBusy:
-		return "busy"
-	}
-	return "bad-dir-state"
-}
-
-// dirEntry is the per-block directory record kept at the block's home.
+// dirEntry is what the directory adds to the block's homeEntry (§2.1).
+// Either the home memory is valid and sharers hold copies (shared), or one
+// agent, the home record's owner, holds the only copy (exclusive).
 type dirEntry struct {
-	state        dirState
-	owner        int    // owning agent when state == dirExclusive
-	pendingOwner int    // next owner during a busy ownership transfer
-	sharers      uint64 // bitmask of agents holding shared copies
-	queue        []msg  // requests queued while state == dirBusy
+	shared  bool
+	sharers uint64 // bitmask of agents holding shared copies
 }
 
 // dirInval is the directory-invalidation backend; dirs is indexed by
@@ -55,16 +33,13 @@ type dirInval struct {
 	dirs []dirEntry
 }
 
-func (d *dirInval) name() string     { return "dirinval" }
 func (d *dirInval) attach(s *System) { d.s = s }
 
 func (d *dirInval) initBlock(blk *blockInfo) {
-	s := d.s
-	homeAgent := s.agentOf(s.procs[blk.home])
 	if blk.id != len(d.dirs) {
 		panic(fmt.Sprintf("core: dirinval initBlock out of order (block %d, have %d)", blk.id, len(d.dirs)))
 	}
-	d.dirs = append(d.dirs, dirEntry{state: dirExclusive, owner: homeAgent})
+	d.dirs = append(d.dirs, dirEntry{}) // exclusive at the home agent
 }
 
 func (d *dirInval) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKind {
@@ -114,59 +89,44 @@ func (d *dirInval) handle(p *Proc, m *msg) {
 func (d *dirInval) handleHome(p *Proc, m *msg) {
 	s := d.s
 	blk := s.blocks[m.block]
-	dir := &d.dirs[blk.id]
-	if dir.state == dirBusy {
-		dir.queue = append(dir.queue, *m)
+	reqProc := s.homeAdmit(blk, m)
+	if reqProc == nil {
 		return
 	}
-	reqProc := s.procs[m.reqProc]
 	reqAgent := s.agentOf(reqProc)
-	homeAgent := s.agentOf(s.procs[blk.home])
+	homeAgent := blk.homeAgent
 	homeMem := s.agents[homeAgent]
-	s.noteRequester(blk, reqProc)
+	dir, h := &d.dirs[blk.id], &s.homes[blk.id]
 
 	switch m.kind {
 	case msgReadReq:
-		switch dir.state {
-		case dirShared:
+		switch {
+		case dir.shared:
 			dir.sharers |= 1 << uint(reqAgent)
 			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)})
-		case dirExclusive:
-			switch dir.owner {
-			case reqAgent:
-				// Another process on the requester's agent took
-				// ownership while this request was in flight; the data
-				// is already local and the grant is exclusive.
-				p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, downTo: Exclusive})
-			case homeAgent:
-				// Home agent owns it: downgrade locally and reply — but
-				// defer if the home's own exclusive fill is incomplete,
-				// exactly as a forwarded request would be. The downgrade
-				// can stall for a co-resident process's ack, servicing
-				// messages meanwhile, so the entry is busy for as long: a
-				// second request handled in that window (by this process,
-				// re-entrantly, or by another on its CPU) queues behind
-				// this one and does not act on the state of before it.
-				if p.deferIfPending(m, blk) {
-					return
-				}
-				dir.state = dirBusy
-				p.downgradeAgent(blk, Shared, false)
-				dir = &d.dirs[blk.id] // dirs may have grown during the stall
-				dir.state = dirShared
-				dir.sharers = 1<<uint(homeAgent) | 1<<uint(reqAgent)
-				p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)})
-				d.drainDirQueue(p, blk)
-			default:
-				dir.state = dirBusy
-				owner := s.requesterOf(blk, dir.owner)
-				s.deliver(p, owner, &msg{kind: msgFwdRead, block: blk.id, from: p.ID, reqProc: m.reqProc}, CatMessage)
+		case h.owner == reqAgent:
+			// Another process on the requester's agent took ownership
+			// while this request was in flight; the data is already local
+			// and the grant is exclusive.
+			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, downTo: Exclusive})
+		case h.owner == homeAgent:
+			// Home agent owns it: downgrade locally and reply — but defer
+			// if the home's own exclusive fill is incomplete, exactly as a
+			// forwarded request would be.
+			if p.deferIfPending(m, blk, nil) {
+				return
 			}
+			p.downgradeHome(blk, Shared, false)
+			d.dirs[blk.id] = dirEntry{shared: true, sharers: 1<<uint(homeAgent) | 1<<uint(reqAgent)}
+			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)})
+			s.drainHome(p, blk)
+		default:
+			s.forwardToOwner(p, blk, &msg{kind: msgFwdRead, block: blk.id, from: p.ID, reqProc: m.reqProc})
 		}
 
 	case msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq:
 		isUpgrade := m.kind == msgUpgradeReq || m.kind == msgSCUpgradeReq
-		if isUpgrade && !(dir.state == dirShared && dir.sharers&(1<<uint(reqAgent)) != 0) {
+		if isUpgrade && !(dir.shared && dir.sharers&(1<<uint(reqAgent)) != 0) {
 			if m.kind == msgSCUpgradeReq {
 				// The requester lost its shared copy: the SC fails
 				// (§3.1.2); crucially no invalidations are sent, which
@@ -178,15 +138,15 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			// converted to a full read-exclusive.
 			isUpgrade = false
 		}
-		if m.kind == msgSCUpgradeReq && dir.state == dirExclusive {
+		if m.kind == msgSCUpgradeReq && !dir.shared {
 			// Exclusivity moved (possibly to the requester's own agent
 			// via another local process) — some write serialized ahead
 			// of this SC, so it must fail.
 			p.reply(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID})
 			return
 		}
-		switch dir.state {
-		case dirShared:
+		switch {
+		case dir.shared:
 			others := dir.sharers &^ (1 << uint(reqAgent))
 			homeIsSharer := others&(1<<uint(homeAgent)) != 0
 			remote := others &^ (1 << uint(homeAgent))
@@ -195,9 +155,8 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			if !isUpgrade {
 				data = s.blockData(homeMem, blk)
 			}
-			dir.state = dirExclusive
-			dir.owner = reqAgent
-			dir.sharers = 0
+			*dir = dirEntry{}
+			h.owner = reqAgent
 			// Send remote invalidations; acks flow to the requester.
 			for a := 0; remote != 0; a++ {
 				if remote&(1<<uint(a)) != 0 {
@@ -219,27 +178,19 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 				}
 				p.reply(reqProc, &msg{kind: msgInvalAck, block: blk.id, from: p.ID})
 			}
-		case dirExclusive:
-			switch dir.owner {
-			case reqAgent:
-				p.reply(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID})
-			case homeAgent:
-				if p.deferIfPending(m, blk) {
-					return
-				}
-				dir.state = dirBusy // as for a read: busy across the downgrade
-				data := p.downgradeAgent(blk, Invalid, true)
-				dir = &d.dirs[blk.id]
-				dir.state = dirExclusive
-				dir.owner = reqAgent
-				p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data})
-				d.drainDirQueue(p, blk)
-			default:
-				dir.state = dirBusy
-				dir.pendingOwner = reqAgent
-				owner := s.requesterOf(blk, dir.owner)
-				s.deliver(p, owner, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID, reqProc: m.reqProc}, CatMessage)
+		case h.owner == reqAgent:
+			p.reply(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID})
+		case h.owner == homeAgent:
+			if p.deferIfPending(m, blk, nil) {
+				return
 			}
+			data := p.downgradeHome(blk, Invalid, true)
+			s.homes[blk.id].owner = reqAgent
+			p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data})
+			s.drainHome(p, blk)
+		default:
+			h.pendingOwner = reqAgent
+			s.forwardToOwner(p, blk, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID, reqProc: m.reqProc})
 		}
 	}
 }
@@ -249,21 +200,14 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 func (d *dirInval) handleFwdRead(p *Proc, m *msg) {
 	s := d.s
 	blk := s.blocks[m.block]
-	if p.deferIfPending(m, blk) {
+	if p.deferIfPending(m, blk, nil) {
 		return
 	}
 	p.downgradeAgent(blk, Shared, false)
 	// The reply and the writeback each get their own buffer: both are
 	// recycled independently at their consumers, so they must not alias.
-	reqProc := s.procs[m.reqProc]
-	p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(p.mem, blk)})
-	home := s.procs[blk.home]
-	wb := msg{kind: msgShareWB, block: blk.id, from: p.ID, reqProc: m.reqProc, data: s.blockData(p.mem, blk)}
-	if home == p {
-		d.handleShareWB(p, &wb)
-	} else {
-		s.deliver(p, home, &wb, CatMessage)
-	}
+	p.reply(s.procs[m.reqProc], &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(p.mem, blk)})
+	p.reply(s.procs[blk.home], &msg{kind: msgShareWB, block: blk.id, from: p.ID, reqProc: m.reqProc, data: s.blockData(p.mem, blk)})
 }
 
 // handleFwdReadExcl services a forwarded read-exclusive at the owning
@@ -272,19 +216,12 @@ func (d *dirInval) handleFwdRead(p *Proc, m *msg) {
 func (d *dirInval) handleFwdReadExcl(p *Proc, m *msg) {
 	s := d.s
 	blk := s.blocks[m.block]
-	if p.deferIfPending(m, blk) {
+	if p.deferIfPending(m, blk, nil) {
 		return
 	}
 	data := p.downgradeAgent(blk, Invalid, true)
-	reqProc := s.procs[m.reqProc]
-	p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data})
-	home := s.procs[blk.home]
-	ot := msg{kind: msgOwnerTransfer, block: blk.id, from: p.ID}
-	if home == p {
-		d.handleOwnerTransfer(p, &ot)
-	} else {
-		s.deliver(p, home, &ot, CatMessage)
-	}
+	p.reply(s.procs[m.reqProc], &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data})
+	p.reply(s.procs[blk.home], &msg{kind: msgOwnerTransfer, block: blk.id, from: p.ID})
 }
 
 // handleInval invalidates this agent's copy and acks the requester (§2.1).
@@ -336,75 +273,30 @@ func (d *dirInval) invalidateAgent(p *Proc, blk *blockInfo) {
 func (d *dirInval) handleShareWB(p *Proc, m *msg) {
 	s := d.s
 	blk := s.blocks[m.block]
-	dir := &d.dirs[blk.id]
-	homeAgent := s.agentOf(s.procs[blk.home])
-	homeMem := s.agents[homeAgent]
-	base := blk.firstLine * s.wordsPerLine
-	copy(homeMem.data[base:base+len(m.data)], m.data)
-	s.recycleMsgData(p, m)
-	// The home memory is valid again; the home agent becomes a sharer so
-	// the state table and flag invariants hold.
-	if homeMem.table[blk.firstLine] == Invalid {
-		s.setAgentState(homeMem, blk, Shared)
-	}
-	traceEvent(p, blk, "shareWB")
+	s.installAtHome(p, blk, m)
 	fromAgent := s.agentOf(s.procs[m.from])
 	reqAgent := s.agentOf(s.procs[m.reqProc])
-	dir.state = dirShared
-	dir.sharers = 1<<uint(homeAgent) | 1<<uint(fromAgent) | 1<<uint(reqAgent)
-	d.drainDirQueue(p, blk)
+	d.dirs[blk.id] = dirEntry{shared: true, sharers: 1<<uint(blk.homeAgent) | 1<<uint(fromAgent) | 1<<uint(reqAgent)}
+	s.endBusy(p, blk)
 }
 
 // handleOwnerTransfer completes a 3-hop exclusive transfer at the home.
 func (d *dirInval) handleOwnerTransfer(p *Proc, m *msg) {
-	blk := d.s.blocks[m.block]
-	dir := &d.dirs[blk.id]
-	dir.state = dirExclusive
-	dir.owner = dir.pendingOwner
-	d.drainDirQueue(p, blk)
-}
-
-// drainDirQueue re-services requests that queued while the entry was busy.
-func (d *dirInval) drainDirQueue(p *Proc, blk *blockInfo) {
-	dir := &d.dirs[blk.id]
-	for len(dir.queue) > 0 && dir.state != dirBusy {
-		m := dir.queue[0]
-		// Pop by shifting down so the slice's base (and capacity) is kept
-		// for reuse; queues are bounded by the process count, so the copy
-		// is cheap.
-		n := copy(dir.queue, dir.queue[1:])
-		dir.queue = dir.queue[:n]
-		d.handleHome(p, &m)
-	}
+	s := d.s
+	blk := s.blocks[m.block]
+	h := &s.homes[blk.id]
+	h.owner = h.pendingOwner
+	s.endBusy(p, blk)
 }
 
 // handleReply completes (part of) an outstanding miss at the requester.
 func (d *dirInval) handleReply(p *Proc, m *msg) {
-	mshr := p.mshr[m.block]
-	if mshr == nil {
-		panic(fmt.Sprintf("core: %s got %s for block %d with no MSHR", p, m.kind, m.block))
-	}
-	mshr.haveReply = true
-	mshr.acksWanted = m.invals
+	mshr := p.noteReply(m)
 	if d.s.brokenSkipInvalAck && m.invals > 1 {
 		// Broken variant for counterexample tests: forget one expected
 		// invalidation ack, so the miss can complete while a stale
 		// sharer still holds a valid copy (single-writer violation).
 		mshr.acksWanted = m.invals - 1
-	}
-	mshr.grant = Shared
-	if m.kind == msgReadExclReply || m.kind == msgUpgradeAck || m.downTo == Exclusive {
-		mshr.grant = Exclusive
-	}
-	if m.kind == msgSCFail {
-		mshr.scFailed = true
-	}
-	if m.data != nil {
-		s := d.s
-		blk := s.blocks[m.block]
-		base := blk.firstLine * s.wordsPerLine
-		copy(p.mem.data[base:base+len(m.data)], m.data)
-		s.recycleMsgData(p, m)
 	}
 	if mshr.complete() {
 		p.finishMiss(mshr)
@@ -434,18 +326,14 @@ func (d *dirInval) scFailRetains(p *Proc, blk *blockInfo) bool { return false }
 func (d *dirInval) syncTs(p *Proc) int64                       { return 0 }
 func (d *dirInval) observeTs(p *Proc, ts int64)                {}
 
-// checkLight verifies single-writer over the agent tables and directory
-// queue boundedness (see System.checkInvariantsLight).
+// checkLight adds the directory's half of single-writer to the core's
+// checkHomesLight: no shared copy beside an exclusive one.
 func (d *dirInval) checkLight(s *System) error {
 	for line := 0; line < s.allocCursor; line++ {
 		excl, shared := -1, -1
 		for a, am := range s.agents {
 			switch am.table[line] {
 			case Exclusive:
-				if excl >= 0 {
-					return &InvariantError{"swmr", fmt.Sprintf(
-						"line %d exclusive at agents %d and %d", line, excl, a)}
-				}
 				excl = a
 			case Shared:
 				shared = a
@@ -457,19 +345,7 @@ func (d *dirInval) checkLight(s *System) error {
 				line, excl, shared)}
 		}
 	}
-	for _, blk := range s.blocks {
-		if len(d.dirs[blk.id].queue) > len(s.procs) {
-			return &InvariantError{"bounded", fmt.Sprintf(
-				"block %d directory queue holds %d requests (max %d)",
-				blk.id, len(d.dirs[blk.id].queue), len(s.procs))}
-		}
-	}
 	return nil
-}
-
-func (d *dirInval) blockQuiet(blk *blockInfo) bool {
-	dir := &d.dirs[blk.id]
-	return dir.state != dirBusy && len(dir.queue) == 0
 }
 
 // checkQuiescent verifies the invariants that hold exactly when nothing
@@ -479,25 +355,24 @@ func (d *dirInval) blockQuiet(blk *blockInfo) bool {
 // behind an open batch).
 func (d *dirInval) checkQuiescent(s *System) error {
 	for _, blk := range s.blocks {
-		dir := d.dirs[blk.id]
+		dir, owner := d.dirs[blk.id], s.homes[blk.id].owner
 		for line := blk.firstLine; line < blk.firstLine+blk.lines; line++ {
-			switch dir.state {
-			case dirExclusive:
+			if !dir.shared {
 				for a, am := range s.agents {
 					st := am.table[line]
-					if a == dir.owner {
+					if a == owner {
 						if st != Exclusive {
 							return &InvariantError{"dir-agreement", fmt.Sprintf(
 								"block %d quiescent owner agent %d holds state %v on line %d",
-								blk.id, dir.owner, st, line)}
+								blk.id, owner, st, line)}
 						}
 					} else if st != Invalid {
 						return &InvariantError{"dir-agreement", fmt.Sprintf(
 							"block %d owned by agent %d but agent %d holds state %v on line %d",
-							blk.id, dir.owner, a, st, line)}
+							blk.id, owner, a, st, line)}
 					}
 				}
-			case dirShared:
+			} else {
 				for a, am := range s.agents {
 					st := am.table[line]
 					inSet := dir.sharers&(1<<uint(a)) != 0
@@ -508,7 +383,7 @@ func (d *dirInval) checkQuiescent(s *System) error {
 					}
 					if st == Exclusive {
 						return &InvariantError{"dir-agreement", fmt.Sprintf(
-							"block %d line %d: dirShared but agent %d holds it exclusive",
+							"block %d line %d: shared but agent %d holds it exclusive",
 							blk.id, line, a)}
 					}
 					if inSet && st != Shared {
@@ -518,7 +393,7 @@ func (d *dirInval) checkQuiescent(s *System) error {
 					}
 				}
 			}
-			if err := s.checkLineData(blk, line); err != nil {
+			if err := s.checkLineData(line); err != nil {
 				return err
 			}
 		}
@@ -535,19 +410,21 @@ func (d *dirInval) snapshotSource(line int) int {
 			return a
 		}
 	}
-	blk := s.blockOf(line)
-	return s.agentOf(s.procs[blk.home])
+	return s.blockOf(line).homeAgent
 }
 
 func (d *dirInval) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
-	dir := d.dirs[blk.id]
-	fmt.Fprintf(b, "B%d{%d o%d po%d sh%x", blk.id, dir.state,
-		perm[dir.owner], perm[dir.pendingOwner], remapMask(dir.sharers, perm))
-	for _, qm := range dir.queue {
-		b.WriteString(" q")
-		b.WriteString(e.encMsg(qm, perm))
+	dir, h := d.dirs[blk.id], e.sys.homes[blk.id]
+	state := 1 // 0 shared, 1 exclusive, 2 busy: the explorer's encodings are pinned byte for byte
+	switch {
+	case h.busy:
+		state = 2
+	case dir.shared:
+		state = 0
 	}
-	b.WriteByte('}')
+	fmt.Fprintf(b, "B%d{%d o%d po%d sh%x", blk.id, state,
+		perm[h.owner], perm[h.pendingOwner], remapMask(dir.sharers, perm))
+	e.encodeHomeQueue(b, blk, perm)
 }
 
 func (d *dirInval) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int) {}
@@ -558,7 +435,6 @@ func (d *dirInval) encodeMsgExtra(m msg) string                                 
 func (d *dirInval) expCheck(e *Explorer) *ExpViolation {
 	dis := e.cfg.Disabled
 	s := e.sys
-	n := len(s.procs)
 	if !dis["swmr"] {
 		for line := 0; line < s.allocCursor; line++ {
 			excl, shared := -1, -1
@@ -606,50 +482,6 @@ func (d *dirInval) expCheck(e *Explorer) *ExpViolation {
 			}
 		}
 	}
-	if !dis["bounded"] {
-		for _, ep := range e.eps {
-			p := ep.p
-			if p.outstanding != len(p.mshr) {
-				return e.record("bounded", fmt.Sprintf(
-					"p%d outstanding=%d but %d MSHRs", p.ID, p.outstanding, len(p.mshr)))
-			}
-			if len(p.deferredReqs) > n {
-				return e.record("bounded", fmt.Sprintf(
-					"p%d has %d deferred requests (max %d)", p.ID, len(p.deferredReqs), n))
-			}
-		}
-		for _, blk := range s.blocks {
-			if len(d.dirs[blk.id].queue) > n {
-				return e.record("bounded", fmt.Sprintf(
-					"block %d directory queue holds %d requests (max %d)",
-					blk.id, len(d.dirs[blk.id].queue), n))
-			}
-		}
-		limit := 4*len(s.blocks)*n + 4
-		for k, q := range e.chans {
-			if len(q) > limit {
-				return e.record("bounded", fmt.Sprintf(
-					"link %d->%d holds %d messages (limit %d)", k[0], k[1], len(q), limit))
-			}
-		}
-	}
-	if !dis["fwd-owner"] {
-		for k, q := range e.chans {
-			for _, m := range q {
-				if m.kind != msgFwdRead && m.kind != msgFwdReadExcl {
-					continue
-				}
-				dst := k[1]
-				blk := s.blocks[m.block]
-				st := s.agents[dst].table[blk.firstLine]
-				if st != Exclusive && s.procs[dst].mshr[m.block] == nil {
-					return e.record("fwd-owner", fmt.Sprintf(
-						"%s for block %d in flight to p%d, which holds state %d with no miss outstanding",
-						m.kind, m.block, dst, st))
-				}
-			}
-		}
-	}
 	return nil
 }
 
@@ -659,15 +491,21 @@ func (d *dirInval) expCheck(e *Explorer) *ExpViolation {
 // flight to stale sharers).
 func (d *dirInval) checkDir(e *Explorer, blk *blockInfo) *ExpViolation {
 	s := e.sys
-	dir := d.dirs[blk.id]
+	dir, h := d.dirs[blk.id], s.homes[blk.id]
 	line := blk.firstLine
-	switch dir.state {
-	case dirShared:
+	switch {
+	case h.busy:
+		if !e.busyJustified(blk.id) {
+			return e.record("dir-agreement", fmt.Sprintf(
+				"block %d is busy with no forward, writeback, or ownership transfer in flight",
+				blk.id))
+		}
+	case dir.shared:
 		for a, am := range s.agents {
 			st := am.table[line]
 			if st == Exclusive {
 				return e.record("dir-agreement", fmt.Sprintf(
-					"block %d is dirShared but p%d holds it exclusive", blk.id, a))
+					"block %d is shared but p%d holds it exclusive", blk.id, a))
 			}
 			if (st == Shared) && dir.sharers&(1<<uint(a)) == 0 {
 				return e.record("dir-agreement", fmt.Sprintf(
@@ -675,19 +513,19 @@ func (d *dirInval) checkDir(e *Explorer, blk *blockInfo) *ExpViolation {
 					blk.id, a, dir.sharers))
 			}
 		}
-		if st := s.agents[blk.home].table[line]; st != Shared {
+		if st := s.agents[blk.homeAgent].table[line]; st != Shared {
 			return e.record("dir-agreement", fmt.Sprintf(
-				"block %d is dirShared but its home p%d holds state %d", blk.id, blk.home, st))
+				"block %d is shared but its home p%d holds state %d", blk.id, blk.home, st))
 		}
-	case dirExclusive:
-		st := s.agents[dir.owner].table[line]
+	default:
+		st := s.agents[h.owner].table[line]
 		if st != Exclusive && st != Pending {
 			return e.record("dir-agreement", fmt.Sprintf(
 				"block %d owner p%d holds state %d (want exclusive or pending)",
-				blk.id, dir.owner, st))
+				blk.id, h.owner, st))
 		}
 		for a, am := range s.agents {
-			if a == dir.owner {
+			if a == h.owner {
 				continue
 			}
 			ast := am.table[line]
@@ -700,14 +538,8 @@ func (d *dirInval) checkDir(e *Explorer, blk *blockInfo) *ExpViolation {
 			if !e.invalPending(blk.id, a) {
 				return e.record("dir-agreement", fmt.Sprintf(
 					"block %d owned by p%d but p%d holds a stale valid copy with no invalidation in flight",
-					blk.id, dir.owner, a))
+					blk.id, h.owner, a))
 			}
-		}
-	case dirBusy:
-		if !e.busyJustified(blk.id) {
-			return e.record("dir-agreement", fmt.Sprintf(
-				"block %d is dirBusy with no forward, writeback, or ownership transfer in flight",
-				blk.id))
 		}
 	}
 	return nil

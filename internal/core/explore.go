@@ -702,7 +702,7 @@ func (e *Explorer) Terminal() bool {
 		}
 	}
 	for _, blk := range e.sys.blocks {
-		if !e.sys.proto.blockQuiet(blk) {
+		if !e.sys.blockQuiet(blk) {
 			return false
 		}
 	}

@@ -202,6 +202,16 @@ func (e *Explorer) encMsg(m msg, perm []int) string {
 		e.sys.proto.encodeMsgExtra(m)
 }
 
+// encodeHomeQueue closes a backend's encodeBlock: the requests queued at
+// the block's home, in order, and the closing brace.
+func (e *Explorer) encodeHomeQueue(b *strings.Builder, blk *blockInfo, perm []int) {
+	for _, qm := range e.sys.homes[blk.id].queue {
+		b.WriteString(" q")
+		b.WriteString(e.encMsg(qm, perm))
+	}
+	b.WriteByte('}')
+}
+
 func remapMask(mask uint64, perm []int) uint64 {
 	var out uint64
 	for a := 0; a < len(perm); a++ {
@@ -220,19 +230,23 @@ func remapMask(mask uint64, perm []int) uint64 {
 //	swmr          I1: at most one exclusive copy; never exclusive+shared
 //	data-value    I2: every valid copy holds the last performed store
 //	dir-agreement I3: directory state agrees with the agent state tables
-//	bounded       I4: MSHRs, directory queues, deferred requests, and
+//	bounded       I4: MSHRs, home queues, deferred requests, and
 //	               in-flight traffic are bounded
 //	fwd-owner     I5: forwarded requests target a live owner
 //	llsc          I6: a successful SC pairs atomically with its LL
 //
-// The catalogue itself is the protocol backend's (dir-agreement becomes
-// timestamp agreement under tardis); data-value and llsc violations are
-// recorded eagerly during Apply and returned here.
+// I1-I3 are the protocol backend's (dir-agreement becomes timestamp
+// agreement under tardis); I4 and I5 read only what the core owns and are
+// checked here after them; data-value and llsc violations are recorded
+// eagerly during Apply and returned here.
 func (e *Explorer) Check() *ExpViolation {
 	if e.viol != nil {
 		return e.viol
 	}
-	return e.sys.proto.expCheck(e)
+	if v := e.sys.proto.expCheck(e); v != nil {
+		return v
+	}
+	return e.checkBoundedAndForwards()
 }
 
 // invalPending reports whether an msgInvalReq for the block is in flight
@@ -256,7 +270,59 @@ func (e *Explorer) invalPending(block, a int) bool {
 	return false
 }
 
-// busyJustified reports whether a dirBusy entry has its resolving message
+// checkBoundedAndForwards evaluates bounded (I4) and fwd-owner (I5), the
+// same under every backend.
+func (e *Explorer) checkBoundedAndForwards() *ExpViolation {
+	dis := e.cfg.Disabled
+	s := e.sys
+	n := len(s.procs)
+	if !dis["bounded"] {
+		for _, ep := range e.eps {
+			p := ep.p
+			if p.outstanding != len(p.mshr) {
+				return e.record("bounded", fmt.Sprintf(
+					"p%d outstanding=%d but %d MSHRs", p.ID, p.outstanding, len(p.mshr)))
+			}
+			if len(p.deferredReqs) > n {
+				return e.record("bounded", fmt.Sprintf(
+					"p%d has %d deferred requests (max %d)", p.ID, len(p.deferredReqs), n))
+			}
+		}
+		for id := range s.homes {
+			if q := len(s.homes[id].queue); q > n {
+				return e.record("bounded", fmt.Sprintf(
+					"block %d home queue holds %d requests (max %d)", id, q, n))
+			}
+		}
+		limit := 4*len(s.blocks)*n + 4
+		for k, q := range e.chans {
+			if len(q) > limit {
+				return e.record("bounded", fmt.Sprintf(
+					"link %d->%d holds %d messages (limit %d)", k[0], k[1], len(q), limit))
+			}
+		}
+	}
+	if !dis["fwd-owner"] {
+		for k, q := range e.chans {
+			for _, m := range q {
+				if m.kind != msgFwdRead && m.kind != msgFwdReadExcl {
+					continue
+				}
+				dst := k[1]
+				blk := s.blocks[m.block]
+				st := s.agents[dst].table[blk.firstLine]
+				if st != Exclusive && s.procs[dst].mshr[m.block] == nil {
+					return e.record("fwd-owner", fmt.Sprintf(
+						"%s for block %d in flight to p%d, which holds state %d with no miss outstanding",
+						m.kind, m.block, dst, st))
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// busyJustified reports whether a busy home entry has its resolving message
 // somewhere: a forward in flight or deferred, or the resulting writeback
 // or ownership transfer heading back to the home.
 func (e *Explorer) busyJustified(block int) bool {

@@ -1,0 +1,163 @@
+package core
+
+// The home side every backend shares (§2.1): a block's home names an
+// owner, forwards a request it cannot serve to that owner, and holds
+// later requests until the transfer lands. The record and the busy window
+// are the core's; what a grant means — sharer sets, timestamps, the
+// forwarded message and the entry's next state — is the caller's, passed
+// in or set around these calls. Nothing here asks which backend that is.
+
+import "fmt"
+
+// homeEntry is the per-block record kept at the block's home, indexed by
+// block ID in System.homes and touched by home-side handlers alone.
+type homeEntry struct {
+	owner        int   // owning agent; meaningful while the backend says the block is owned
+	pendingOwner int   // next owner during a busy ownership transfer
+	busy         bool  // a forward, or the home's own downgrade, is in flight
+	queue        []msg // requests that arrived while busy
+}
+
+// homeAdmit is the preamble of every home request handler: a request that
+// finds the block busy queues behind the transfer in flight (nil: the
+// caller returns); otherwise the requester is recorded as the process of
+// its node to send later forwards and invalidations to, and returned.
+func (s *System) homeAdmit(blk *blockInfo, m *msg) *Proc {
+	if h := &s.homes[blk.id]; h.busy {
+		h.queue = append(h.queue, *m)
+		return nil
+	}
+	req := s.procs[m.reqProc]
+	s.noteRequester(blk, req)
+	return req
+}
+
+// downgradeHome downgrades the home agent's own copy for a request the
+// home is serving, after the caller's deferIfPending. The downgrade can
+// stall for a co-resident process's ack, servicing messages meanwhile, so
+// the entry is busy for as long: a second request handled in that window
+// (by this process, re-entrantly, or by another on its CPU) queues behind
+// this one and does not act on the state of before it (DESIGN.md §8
+// finding 8). The window is over on return — the caller installs the new
+// state, replies, and calls drainHome — and s.homes and the backend's own
+// array may have grown during the stall, so pointers into them are stale.
+func (p *Proc) downgradeHome(blk *blockInfo, to LineState, wantData bool) []uint64 {
+	s := p.sys
+	s.homes[blk.id].busy = true
+	data := p.downgradeAgent(blk, to, wantData)
+	s.homes[blk.id].busy = false
+	return data
+}
+
+// forwardToOwner sends a request the home cannot serve to the process that
+// last asked for the block on the owner's behalf; the entry is busy until
+// the owner's writeback or ownership transfer comes back (endBusy).
+func (s *System) forwardToOwner(p *Proc, blk *blockInfo, fwd *msg) {
+	h := &s.homes[blk.id]
+	h.busy = true
+	s.deliver(p, s.requesterOf(blk, h.owner), fwd, CatMessage)
+}
+
+// installData copies a message's block payload into an agent's memory and
+// recycles the buffer.
+func (s *System) installData(p *Proc, mem *agentMem, m *msg) {
+	base := s.blocks[m.block].firstLine * s.wordsPerLine
+	copy(mem.data[base:base+len(m.data)], m.data)
+	s.recycleMsgData(p, m)
+}
+
+// installAtHome installs written-back data at the home. The home memory is
+// valid again; the home agent becomes a sharer so the state table and flag
+// invariants hold.
+func (s *System) installAtHome(p *Proc, blk *blockInfo, m *msg) {
+	homeMem := s.agents[blk.homeAgent]
+	s.installData(p, homeMem, m)
+	if homeMem.table[blk.firstLine] == Invalid {
+		s.setAgentState(homeMem, blk, Shared)
+	}
+	traceEvent(p, blk, "shareWB")
+}
+
+// endBusy closes the window forwardToOwner opened, once the caller has
+// installed the state the transfer leaves, and serves what queued.
+func (s *System) endBusy(p *Proc, blk *blockInfo) {
+	s.homes[blk.id].busy = false
+	s.drainHome(p, blk)
+}
+
+// drainHome re-services requests that queued while the entry was busy,
+// until one of them makes it busy again.
+func (s *System) drainHome(p *Proc, blk *blockInfo) {
+	for {
+		h := &s.homes[blk.id] // re-read: a replayed request can stall, and homes grow
+		if h.busy || len(h.queue) == 0 {
+			return
+		}
+		m := h.queue[0]
+		// Pop by shifting down so the slice's base (and capacity) is kept
+		// for reuse; queues are bounded by the process count, so the copy
+		// is cheap.
+		n := copy(h.queue, h.queue[1:])
+		h.queue = h.queue[:n]
+		s.protoHandle(p, &m)
+	}
+}
+
+// noteReply records a home's (or forwarded owner's) reply in the
+// requester's MSHR and installs the data it carries; what the grant means
+// beyond shared or exclusive is the backend's.
+func (p *Proc) noteReply(m *msg) *mshrEntry {
+	mshr := p.mshr[m.block]
+	if mshr == nil {
+		panic(fmt.Sprintf("core: %s got %s for block %d with no MSHR", p, m.kind, m.block))
+	}
+	mshr.haveReply = true
+	mshr.acksWanted = m.invals
+	mshr.grant = Shared
+	if m.kind == msgReadExclReply || m.kind == msgUpgradeAck || m.downTo == Exclusive {
+		mshr.grant = Exclusive
+	}
+	if m.kind == msgSCFail {
+		mshr.scFailed = true
+	}
+	if m.data != nil {
+		p.sys.installData(p, p.mem, m)
+	}
+	return mshr
+}
+
+// blockQuiet reports whether the block's home record is at rest: no
+// transfer in flight, no queued request.
+func (s *System) blockQuiet(blk *blockInfo) bool {
+	h := &s.homes[blk.id]
+	return !h.busy && len(h.queue) == 0
+}
+
+// checkHomesLight verifies the always-true invariants every backend
+// shares: at most one exclusive copy of a line over the agent tables, and
+// no home queue longer than the process count (one request per process and
+// block). It allocates only once it has found a violation.
+//
+//hot:cold
+func (s *System) checkHomesLight() error {
+	for line := 0; line < s.allocCursor; line++ {
+		excl := -1
+		for a, am := range s.agents {
+			if am.table[line] != Exclusive {
+				continue
+			}
+			if excl >= 0 {
+				return &InvariantError{"swmr", fmt.Sprintf(
+					"line %d exclusive at agents %d and %d", line, excl, a)}
+			}
+			excl = a
+		}
+	}
+	for id := range s.homes {
+		if n := len(s.homes[id].queue); n > len(s.procs) {
+			return &InvariantError{"bounded", fmt.Sprintf(
+				"block %d home queue holds %d requests (max %d)", id, n, len(s.procs))}
+		}
+	}
+	return nil
+}

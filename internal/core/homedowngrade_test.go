@@ -15,8 +15,14 @@ import (
 // second request for the block that is handled inside that window must find
 // the directory entry busy and queue behind the first.
 //
+// The same window opened the other way, by a forward to an owner on a node
+// of its own (remote), is the home record's everyday use: the second request
+// must queue at the home until the owner's writeback or ownership transfer
+// ends the window, and be served then.
+//
 // One agent has at most one request per block outstanding (the transition
-// lock), so two requests need two remote agents: three nodes of two CPUs.
+// lock), so two requests need two remote agents: three nodes of two CPUs,
+// and a fourth for the remote owner.
 // The owner makes the window wide and its position certain by running a
 // stretch of code without a back-edge poll: the first request is issued at
 // hdIssueAt and reaches the home some 9 000 cycles later, the owner answers
@@ -28,26 +34,48 @@ const (
 	hdSlice   = 20_000  // keepsBothSharers: the home's time slice ends this long after hdIssueAt
 )
 
-// homeDowngradeSystem builds the scenario: home on CPU 0, owner on CPU 1
-// (same node), one requester on each of nodes 1 and 2. helper adds a second
-// process on the home's CPU and ends the home's time slice inside the
-// window, between the two requests, so that the helper takes the second one
-// from the CPU's shared request queue.
-func homeDowngradeSystem(protocol string, write, helper bool) (s *System, addr uint64, got *[2]uint64) {
+// homeDowngradeRun is one scenario: home on CPU 0, owner on CPU 1 (same
+// node) or, remote, alone on node 3, one requester on each of nodes 1 and 2.
+// helper adds a second process on the home's CPU and ends the home's time
+// slice inside the window, between the two requests, so that the helper
+// takes the second one from the CPU's shared request queue. With a remote
+// owner the home process never stalls, and mid is the block's home record as
+// it finds it between two polls in the middle of the owner's deaf stretch,
+// after the second request has arrived.
+type homeDowngradeRun struct {
+	write, helper, remote bool
+
+	s    *System
+	addr uint64
+	got  [2]uint64
+	mid  homeEntry
+}
+
+func (r *homeDowngradeRun) build(protocol string) {
 	cfg := testConfig()
 	cfg.Nodes, cfg.CPUsPerNode = 3, 2
+	ownerCPU := 1
+	if r.remote {
+		cfg.Nodes, ownerCPU = 4, 3*cfg.CPUsPerNode
+	}
 	cfg.Protocol = protocol
-	if helper {
+	if r.helper {
 		cfg.Cost.Quantum = hdIssueAt + hdSlice
 	}
-	s = Build(WithConfig(cfg))
-	got = new([2]uint64)
+	s := Build(WithConfig(cfg))
+	r.s = s
 	until := computeUntil
 	const end = 3 * hdIssueAt
-	s.Spawn("home", 0, func(p *Proc) { until(p, end) })
-	s.Spawn("owner", 1, func(p *Proc) {
+	s.Spawn("home", 0, func(p *Proc) {
+		if r.remote {
+			until(p, hdIssueAt+hdDeaf/2)
+			r.mid = s.homes[s.blockOf(s.lineOf(r.addr)).id]
+		}
+		until(p, end)
+	})
+	s.Spawn("owner", ownerCPU, func(p *Proc) {
 		until(p, hdIssueAt/2)
-		p.Store(addr, 7) // local fill: exclusive in this private table only
+		p.Store(r.addr, 7) // local fill: exclusive in this private table only
 		until(p, hdIssueAt)
 		p.ChargeTime(CatTask, hdDeaf)
 		until(p, end)
@@ -56,32 +84,35 @@ func homeDowngradeSystem(protocol string, write, helper bool) (s *System, addr u
 		i := i
 		s.Spawn(fmt.Sprintf("req%d", i), (i+1)*cfg.CPUsPerNode, func(p *Proc) {
 			until(p, hdIssueAt+sim.Time(i)*hdSecond)
-			if write {
-				p.Store(addr+8*uint64(i+1), uint64(10+i))
+			if r.write {
+				p.Store(r.addr+8*uint64(i+1), uint64(10+i))
 				p.MemBar()
 			}
-			got[i] = p.Load(addr)
+			r.got[i] = p.Load(r.addr)
 		})
 	}
-	if helper {
+	if r.helper {
 		s.Spawn("helper", 0, func(p *Proc) { until(p, end) })
 	}
-	addr = s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(0)})
-	return s, addr, got
+	r.addr = s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(0)})
 }
 
 // homeDowngradeCases runs body for both backends and both branches of
-// handleHome's "the owner is the home agent".
-func homeDowngradeCases(t *testing.T, helper bool, body func(t *testing.T, s *System, addr uint64, got *[2]uint64, write bool)) {
+// handleHome's "the owner is the home agent" or, remote, "is another agent".
+func homeDowngradeCases(t *testing.T, helper, remote bool, body func(t *testing.T, r *homeDowngradeRun)) {
 	for _, proto := range []string{"dirinval", "tardis"} {
 		for _, write := range []bool{false, true} {
 			name := proto + "/read"
 			if write {
 				name = proto + "/read-exclusive"
 			}
+			if remote {
+				name += "/forwarded"
+			}
 			t.Run(name, func(t *testing.T) {
-				s, addr, got := homeDowngradeSystem(proto, write, helper)
-				body(t, s, addr, got, write)
+				r := &homeDowngradeRun{write: write, helper: helper, remote: remote}
+				r.build(proto)
+				body(t, r)
 			})
 		}
 	}
@@ -89,26 +120,34 @@ func homeDowngradeCases(t *testing.T, helper bool, body func(t *testing.T, s *Sy
 
 // TestHomeDowngradeReentrancy is the wedge: the home process pops the second
 // request inside its own waitDowngrades stall, reaches the same branch, and
-// waits for ever for the transition lock its outer frame holds.
+// waits for ever for the transition lock its outer frame holds. Its forwarded
+// rows are the window that never wedged, through the same record.
 func TestHomeDowngradeReentrancy(t *testing.T) {
-	homeDowngradeCases(t, false, func(t *testing.T, s *System, addr uint64, got *[2]uint64, write bool) {
-		if err := s.Run(); err != nil {
-			t.Fatalf("second request inside the home's downgrade window wedged the run:\n%v", err)
-		}
-		if s.procs[0].stats.DowngradesSent() == 0 {
-			t.Fatal("the home never sent an explicit downgrade: the window was not exercised")
-		}
-		if *got != [2]uint64{7, 7} {
-			t.Fatalf("requesters read %v, want [7 7]", *got)
-		}
-		if write {
-			for i := 0; i < 2; i++ {
-				if v := s.Peek(addr + 8*uint64(i+1)); v != uint64(10+i) {
-					t.Fatalf("requester %d's store was lost: word holds %d", i, v)
+	for _, remote := range []bool{false, true} {
+		homeDowngradeCases(t, false, remote, func(t *testing.T, r *homeDowngradeRun) {
+			s := r.s
+			if err := s.Run(); err != nil {
+				t.Fatalf("second request inside the home's busy window wedged the run:\n%v", err)
+			}
+			if remote {
+				if !r.mid.busy || len(r.mid.queue) != 1 || r.mid.owner != 3 {
+					t.Fatalf("home record inside the window %+v, want busy for owner 3 with one request queued", r.mid)
+				}
+			} else if s.procs[0].stats.DowngradesSent() == 0 {
+				t.Fatal("the home never sent an explicit downgrade: the window was not exercised")
+			}
+			if r.got != [2]uint64{7, 7} {
+				t.Fatalf("requesters read %v, want [7 7]", r.got)
+			}
+			if r.write {
+				for i := 0; i < 2; i++ {
+					if v := s.Peek(r.addr + 8*uint64(i+1)); v != uint64(10+i) {
+						t.Fatalf("requester %d's store was lost: word holds %d", i, v)
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestHomeDowngradeKeepsBothSharers is the silent variant: a second process
@@ -118,7 +157,8 @@ func TestHomeDowngradeReentrancy(t *testing.T) {
 // sharer set, dropping the first requester (whose copy no write would then
 // invalidate); a second read-exclusive was granted a second owner.
 func TestHomeDowngradeKeepsBothSharers(t *testing.T) {
-	homeDowngradeCases(t, true, func(t *testing.T, s *System, addr uint64, got *[2]uint64, write bool) {
+	homeDowngradeCases(t, true, false, func(t *testing.T, r *homeDowngradeRun) {
+		s := r.s
 		// Run ends with CheckInvariants: directory and state tables must
 		// agree copy for copy.
 		if err := s.Run(); err != nil {
@@ -127,13 +167,13 @@ func TestHomeDowngradeKeepsBothSharers(t *testing.T) {
 		if helper := s.procs[4]; helper.stats.MessagesHandled() == 0 {
 			t.Fatal("the helper handled no message: the second request did not reach another process")
 		}
-		if *got != [2]uint64{7, 7} {
-			t.Fatalf("requesters read %v, want [7 7]", *got)
+		if r.got != [2]uint64{7, 7} {
+			t.Fatalf("requesters read %v, want [7 7]", r.got)
 		}
-		if d, ok := s.proto.(*dirInval); ok && !write {
-			blk := s.blockOf(s.lineOf(addr))
-			if dir := d.dirs[blk.id]; dir.state != dirShared || dir.sharers != 0b111 {
-				t.Fatalf("directory entry %v sharers %03b, want shared by agents 0, 1 and 2", dir.state, dir.sharers)
+		if d, ok := s.proto.(*dirInval); ok && !r.write {
+			blk := s.blockOf(s.lineOf(r.addr))
+			if dir := d.dirs[blk.id]; !dir.shared || s.homes[blk.id].busy || dir.sharers != 0b111 {
+				t.Fatalf("directory entry %+v, home record %+v, want shared by agents 0, 1 and 2", dir, s.homes[blk.id])
 			}
 		}
 	})

@@ -127,8 +127,14 @@ func TestStarvedMissFailsWithinWatchdogBudget(t *testing.T) {
 			t.Errorf("error does not contain %q:\n%v", want, err)
 		}
 	}
-	if blk := s.blockOf(s.lineOf(addr)).id; !strings.Contains(se.Starved, fmt.Sprintf("block %d ", blk)) {
+	blk := s.blockOf(s.lineOf(addr)).id
+	if !strings.Contains(se.Starved, fmt.Sprintf("block %d ", blk)) {
 		t.Errorf("starved miss %q is not on block %d", se.Starved, blk)
+	}
+	// Message 5: the home forwarded q's read to p's node and waits for the
+	// writeback, and the dump says so.
+	if want := fmt.Sprintf("block %d: busy owner=0 pending=0 queued=0", blk); !strings.Contains(err.Error(), want) {
+		t.Errorf("error does not name the busy home, %q:\n%v", want, err)
 	}
 
 	// Nothing about the probe is simulated: the fixed protocol runs the

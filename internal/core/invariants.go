@@ -41,11 +41,18 @@ func (s *System) CheckInvariants() error {
 	return nil
 }
 
-// checkInvariantsLight runs the always-true invariants: the backend's
-// own (single writer over agent tables, home-queue boundedness) plus
-// MSHR accounting. O(lines × agents); safe at any point, including
-// mid-transition.
+// checkInvariantsLight runs the always-true invariants: at most one
+// exclusive copy of a line and bounded home queues (checkHomesLight),
+// whatever the backend adds to single-writer, and MSHR accounting.
+// O(lines × agents); safe at any point, including mid-transition. Reached
+// from the barrier release under InvariantChecks only, and it allocates
+// only once it has found a violation.
+//
+//hot:cold
 func (s *System) checkInvariantsLight() error {
+	if err := s.checkHomesLight(); err != nil {
+		return err
+	}
 	if err := s.proto.checkLight(s); err != nil {
 		return err
 	}
@@ -90,7 +97,7 @@ func (s *System) fullyQuiescent() bool {
 		}
 	}
 	for _, blk := range s.blocks {
-		if !s.proto.blockQuiet(blk) {
+		if !s.blockQuiet(blk) {
 			return false
 		}
 	}
@@ -106,31 +113,39 @@ func (s *System) checkQuiescent() error {
 }
 
 // checkLineData verifies that all valid copies of a line agree word for
-// word, and that invalid copies are flag-filled (the §4.1 flag
-// technique), skipping lines whose fill is still deferred.
-func (s *System) checkLineData(blk *blockInfo, line int) error {
+// word, and that invalid copies are flag-filled.
+func (s *System) checkLineData(line int) error {
 	ref := -1
 	for a, am := range s.agents {
-		st := am.table[line]
-		if st == Shared || st == Exclusive {
-			if ref < 0 {
-				ref = a
-				continue
-			}
-			for w := 0; w < s.wordsPerLine; w++ {
-				word := line*s.wordsPerLine + w
-				if am.data[word] != s.agents[ref].data[word] {
-					return &InvariantError{"copies-agree", fmt.Sprintf(
-						"line %d word %d: agent %d holds %#x, agent %d holds %#x",
-						line, w, a, am.data[word], ref, s.agents[ref].data[word])}
-				}
-			}
+		if st := am.table[line]; st != Shared && st != Exclusive {
 			continue
 		}
-		if st != Invalid || !s.Cfg.FlagCheck {
+		if ref < 0 {
+			ref = a
 			continue
 		}
-		if s.fillDeferred(line) {
+		for w := 0; w < s.wordsPerLine; w++ {
+			word := line*s.wordsPerLine + w
+			if am.data[word] != s.agents[ref].data[word] {
+				return &InvariantError{"copies-agree", fmt.Sprintf(
+					"line %d word %d: agent %d holds %#x, agent %d holds %#x",
+					line, w, a, am.data[word], ref, s.agents[ref].data[word])}
+			}
+		}
+	}
+	return s.checkFlagFill(line)
+}
+
+// checkFlagFill verifies that invalid copies of a line are flag-filled
+// (the §4.1 flag technique), unless the line's fill is still deferred. It
+// is all of checkLineData a backend can ask for whose valid copies are
+// allowed to disagree (Tardis: leased copies against the master).
+func (s *System) checkFlagFill(line int) error {
+	if !s.Cfg.FlagCheck || s.fillDeferred(line) {
+		return nil
+	}
+	for a, am := range s.agents {
+		if am.table[line] != Invalid {
 			continue
 		}
 		for w := 0; w < s.wordsPerLine; w++ {

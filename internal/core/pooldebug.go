@@ -71,21 +71,10 @@ func AuditRecycle(s *System, p *Proc, b []uint64) error {
 	for i, c := range s.cpus {
 		checkBox(fmt.Sprintf("cpu %d shared reqQ", i), c.reqQ)
 	}
-	switch proto := s.proto.(type) {
-	case *dirInval:
-		for i := range proto.dirs {
-			for _, qm := range proto.dirs[i].queue {
-				if aliases(qm.data) {
-					fail("buffer aliases %s queued at directory for block %d", qm.kind, i)
-				}
-			}
-		}
-	case *tardis:
-		for i := range proto.entries {
-			for _, qm := range proto.entries[i].queue {
-				if aliases(qm.data) {
-					fail("buffer aliases %s queued at timestamp home for block %d", qm.kind, i)
-				}
+	for i := range s.homes {
+		for _, qm := range s.homes[i].queue {
+			if aliases(qm.data) {
+				fail("buffer aliases %s queued at the home of block %d", qm.kind, i)
 			}
 		}
 	}

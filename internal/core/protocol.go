@@ -9,9 +9,11 @@ import (
 
 // This file is the protocol-independent half of the coherence machinery:
 // miss issue and completion (MSHRs), message dispatch, and the intra-node
-// downgrade path shared by every backend. The protocol proper — home-side
-// state, request servicing, reply semantics — lives behind the Protocol
-// interface (coherence.go) in the backend files (dirinval.go, tardis.go).
+// downgrade path shared by every backend. The home record (owner, busy
+// window, queue) and the steps every home takes over it are in home.go;
+// the protocol proper — what else a home keeps, request servicing, reply
+// semantics — lives behind the Protocol interface (coherence.go) in the
+// backend files (dirinval.go, tardis.go).
 
 // issueMiss allocates an MSHR for the block and sends the appropriate
 // request to the home (§2.1: read, read-exclusive, or exclusive/upgrade).
@@ -158,8 +160,8 @@ func (p *Proc) dispatch(m *msg, cat TimeCategory) {
 	}
 }
 
-// reply routes a response to the requesting process, short-circuiting when
-// the servicer is the requester (home-local miss).
+// reply routes a response to the process that handles it, in place when
+// that is the servicer itself (home-local miss).
 func (p *Proc) reply(to *Proc, m *msg) {
 	if to == p {
 		p.sys.protoHandle(p, m)
@@ -216,20 +218,19 @@ func (s *System) setAgentState(mem *agentMem, blk *blockInfo, st LineState) {
 
 // deferIfPending queues a forwarded request when this agent's copy is still
 // in flight (the grant from the home can outrun the data reply). The
-// request is re-executed when the local miss completes.
-func (p *Proc) deferIfPending(m *msg, blk *blockInfo) bool {
-	if !p.sys.Cfg.SMP {
-		if p.mshr[blk.id] != nil {
-			p.deferredReqs = append(p.deferredReqs, *m)
-			return true
-		}
+// request is re-executed when the local miss completes. A miss of except's
+// (nil: nobody's) does not count: a request does not defer behind its own
+// requester.
+func (p *Proc) deferIfPending(m *msg, blk *blockInfo, except *Proc) bool {
+	holder := p
+	if p.sys.Cfg.SMP {
+		holder = p.mem.busy[blk.id]
+	}
+	if holder == nil || holder == except || holder.mshr[blk.id] == nil {
 		return false
 	}
-	if holder := p.mem.busy[blk.id]; holder != nil && holder.mshr[blk.id] != nil {
-		holder.deferredReqs = append(holder.deferredReqs, *m)
-		return true
-	}
-	return false
+	holder.deferredReqs = append(holder.deferredReqs, *m)
+	return true
 }
 
 // downgradeAgent transitions this agent's copy of a block to the target
@@ -442,7 +443,7 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 			s.proto.noteStoreHit(p, s.lineOf(st.addr))
 		}
 		if debugTrace != nil || p.sys.tracer != nil {
-			traceEvent(p, blk, fmt.Sprintf("finish:grant-%v-data%v-acks%d", st, m.grant != 0 && len(m.stores) >= 0, m.acksWanted))
+			traceEvent(p, blk, fmt.Sprintf("finish:grant-%v-data%v-acks%d", st, m.grant != 0, m.acksWanted))
 		}
 	}
 	delete(p.mshr, m.block)

@@ -48,12 +48,14 @@ func (s LineState) String() string {
 const FlagWord uint64 = 0x8badf00d8badf00d
 
 // blockInfo describes one variable-granularity coherence block (§2.1):
-// a range of lines fetched and kept coherent as a unit. The per-block
-// home-side protocol state (directory entry, timestamp entry) lives in
-// the protocol backend, indexed by block ID (see Protocol.initBlock).
+// a range of lines fetched and kept coherent as a unit. Its home-side
+// state is indexed by block ID: the owner, busy window and queue in
+// System.homes (home.go), what the protocol backend adds to them (sharer
+// set, timestamps) in the backend (see Protocol.initBlock).
 type blockInfo struct {
 	id        int
 	home      int // home process ID
+	homeAgent int // the home process's agent
 	firstLine int
 	lines     int
 }

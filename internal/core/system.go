@@ -97,7 +97,8 @@ type System struct {
 	wordsPerLine int
 	lineBlock    []int32 // line index -> block ID, -1 if unallocated; sized by growLines
 	blocks       []*blockInfo
-	allocCursor  int // next free line
+	homes        []homeEntry // per-block home record, beside blocks (home.go)
+	allocCursor  int         // next free line
 	homeRR       int
 	// requester, SMP-Shasta only, is indexed [block*Nodes+node]: ID+1 of the
 	// last process of the node whose request for the block the home served,
@@ -105,7 +106,7 @@ type System struct {
 	requester []uint8
 
 	// proto is the coherence backend selected by Cfg.Protocol; it owns
-	// all per-block home-side protocol state (see coherence.go).
+	// the per-block home-side state that homes does not (see coherence.go).
 	proto Protocol
 	// pollTickEvery is the backend's poll period, set by its attach: the
 	// backend's pollTick runs on every pollTickEvery-th in-line poll of a
@@ -506,13 +507,14 @@ func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 		blk := &blockInfo{
 			id:        len(s.blocks),
 			home:      home,
+			homeAgent: s.agentOf(s.procs[home]),
 			firstLine: startLine + b*blockLines,
 			lines:     blockLines,
 		}
-		homeAgent := s.agentOf(s.procs[home])
 		s.blocks = append(s.blocks, blk)
+		s.homes = append(s.homes, homeEntry{owner: blk.homeAgent})
 		s.proto.initBlock(blk)
-		mem := s.agents[homeAgent]
+		mem := s.agents[blk.homeAgent]
 		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
 			s.lineBlock[l] = int32(blk.id)
 			mem.table[l] = Exclusive

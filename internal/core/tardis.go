@@ -17,12 +17,13 @@ package core
 //
 // Mapping onto the Shasta machinery:
 //
-//   - The home entry holds {wts, rts, owner} where owner is an agent
-//     index or -1 ("home master copy valid"). Exclusive ownership works
-//     like dirinval's dirExclusive including 3-hop forwards (busy +
-//     queue); a remote read RECALLS ownership (FwdRead demotes the owner
-//     to a leaseholder and writes back), which keeps the LL/SC and
-//     upgrade paths sound without owner-side timestamp bookkeeping.
+//   - The home keeps {wts, rts} beside the core's home record (home.go),
+//     whose owner is an agent index or -1 ("home master copy valid").
+//     Exclusive ownership works like dirinval's, through the same 3-hop
+//     forwards (busy + queue); a remote read RECALLS ownership (FwdRead
+//     demotes the owner to a leaseholder and writes back), which keeps
+//     the LL/SC and upgrade paths sound without owner-side timestamp
+//     bookkeeping.
 //   - Leaseholders drop their own copies: eagerly whenever pts advances
 //     past a lease (expire), on every LoadLocked (refreshLL, so the SC
 //     currency check can succeed), and every tardisPollPeriod inline
@@ -65,14 +66,11 @@ const tardisLeaseLen = 8
 // synchronizes. Runtime liveness only — the model checker never polls.
 const tardisPollPeriod = 64
 
-// tardisEntry is the per-block home record.
+// tardisEntry is what Tardis adds to the block's homeEntry, whose owner is
+// -1 while the home master copy is valid.
 type tardisEntry struct {
-	wts          int64 // write ts of the current version
-	rts          int64 // end of the latest read lease
-	owner        int   // owning agent; -1 = home master copy valid
-	pendingOwner int   // next owner during a busy ownership transfer
-	busy         bool  // a forwarded recall/transfer is in flight
-	queue        []msg // requests queued while busy
+	wts int64 // write ts of the current version
+	rts int64 // end of the latest read lease
 }
 
 // tardisLease is one agent's record of a leased read copy.
@@ -123,8 +121,6 @@ type tardis struct {
 	hist map[int][]tardisVersion
 }
 
-func (t *tardis) name() string { return "tardis" }
-
 func (t *tardis) attach(s *System) {
 	t.s = s
 	s.pollTickEvery = tardisPollPeriod
@@ -132,12 +128,11 @@ func (t *tardis) attach(s *System) {
 }
 
 func (t *tardis) initBlock(blk *blockInfo) {
-	s := t.s
-	homeAgent := s.agentOf(s.procs[blk.home])
 	if blk.id != len(t.entries) {
 		panic(fmt.Sprintf("core: tardis initBlock out of order (block %d, have %d)", blk.id, len(t.entries)))
 	}
-	t.entries = append(t.entries, tardisEntry{owner: homeAgent, pendingOwner: -1})
+	t.entries = append(t.entries, tardisEntry{})
+	t.s.homes[blk.id].pendingOwner = -1
 }
 
 func (t *tardis) pstate(p *Proc) *tardisProcState {
@@ -159,10 +154,6 @@ func (t *tardis) astate(mem *agentMem) *tardisAgentState {
 		mem.protoData = st
 	}
 	return st
-}
-
-func (t *tardis) homeAgent(blk *blockInfo) int {
-	return t.s.agentOf(t.s.procs[blk.home])
 }
 
 // grantTs is the serialization timestamp of a write grant: after the
@@ -228,7 +219,7 @@ func (t *tardis) stampRequest(p *Proc, blk *blockInfo, m *msg) {
 	}
 	if l, ok := t.astate(p.mem).leases.get(blk.id); ok {
 		m.rts = l.dataWts
-	} else if p.agent == t.homeAgent(blk) {
+	} else if p.agent == blk.homeAgent {
 		// Master copy: current by construction.
 		m.rts = t.entries[blk.id].wts
 	} else {
@@ -257,35 +248,6 @@ func (t *tardis) handle(p *Proc, m *msg) {
 	}
 }
 
-// deferLocalFill parks a home request behind a fill another local
-// process has in flight on the same block. An exclusive grant from the
-// home calls downgradeAgent on the home agent's own copy, which blocks
-// on that fill's transition lock — and the fill can in turn depend on
-// this handler's reply: once the grant names the requester as owner, a
-// recall of the block defers behind the requester's open miss, closing
-// a three-way cycle (grant waits on fill, fill waits on recall, recall
-// waits on grant). Deferring the request onto the fill's holder breaks
-// the cycle: finishMiss replays it once the local transition is over.
-// The requester's own miss must not defer behind itself — when the
-// requester is local it IS the holder, and the guards below skip the
-// downgrade for that case anyway.
-func (t *tardis) deferLocalFill(p *Proc, m *msg, blk *blockInfo) bool {
-	req := t.s.procs[m.reqProc]
-	if !t.s.Cfg.SMP {
-		if p != req && p.mshr[blk.id] != nil {
-			p.deferredReqs = append(p.deferredReqs, *m)
-			return true
-		}
-		return false
-	}
-	holder := p.mem.busy[blk.id]
-	if holder != nil && holder != req && holder.mshr[blk.id] != nil {
-		holder.deferredReqs = append(holder.deferredReqs, *m)
-		return true
-	}
-	return false
-}
-
 // extendLease bumps rts for a read at the requester's pts and returns
 // the lease end.
 func extendLease(e *tardisEntry, reqPts int64) int64 {
@@ -301,51 +263,42 @@ func extendLease(e *tardisEntry, reqPts int64) int64 {
 func (t *tardis) handleHome(p *Proc, m *msg) {
 	s := t.s
 	blk := s.blocks[m.block]
-	e := &t.entries[blk.id]
-	if e.busy {
-		e.queue = append(e.queue, *m)
+	reqProc := s.homeAdmit(blk, m)
+	if reqProc == nil {
 		return
 	}
-	reqProc := s.procs[m.reqProc]
 	reqAgent := s.agentOf(reqProc)
-	homeAgent := t.homeAgent(blk)
+	homeAgent := blk.homeAgent
 	homeMem := s.agents[homeAgent]
-	s.noteRequester(blk, reqProc)
+	e, h := &t.entries[blk.id], &s.homes[blk.id]
 
 	switch m.kind {
 	case msgReadReq:
-		switch {
-		case e.owner == -1:
+		switch h.owner {
+		case -1:
 			// Master copy valid: lease the current version from memory.
 			end := extendLease(e, m.ts)
 			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
 				data: s.blockData(homeMem, blk), ts: e.wts, rts: end})
-		case e.owner == reqAgent:
+		case reqAgent:
 			// Another process on the requester's agent took ownership
 			// while this request was in flight; the data is already
 			// local and the grant is exclusive.
 			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
 				downTo: Exclusive, ts: e.wts})
-		case e.owner == homeAgent:
+		case homeAgent:
 			// Home agent owns it: demote locally to master and reply —
 			// but defer if the home's own exclusive fill is incomplete,
 			// exactly as a forwarded request would be. The version leaves
 			// its owning agent here, so it is stamped with the dirty
 			// record (see tardisAgentState.dirty): the owner's stores were
 			// inline hits that never touched e.wts.
-			// The downgrade can stall for a co-resident process's ack,
-			// servicing messages meanwhile, so the entry is busy for as
-			// long: a second request handled in that window (by this
-			// process, re-entrantly, or by another on its CPU) queues
-			// behind this one and does not act on the state of before it.
-			if p.deferIfPending(m, blk) {
+			if p.deferIfPending(m, blk, nil) {
 				return
 			}
-			e.busy = true
-			p.downgradeAgent(blk, Shared, false)
+			p.downgradeHome(blk, Shared, false)
 			e = &t.entries[blk.id] // entries may have grown during the stall
-			e.busy = false
-			e.owner = -1
+			s.homes[blk.id].owner = -1
 			if d := t.takeDirty(homeMem, blk.id); d > e.wts {
 				e.wts = d
 			}
@@ -355,30 +308,41 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			end := extendLease(e, m.ts)
 			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
 				data: s.blockData(homeMem, blk), ts: e.wts, rts: end})
-			t.drainQueue(p, blk)
+			s.drainHome(p, blk)
 		default:
 			// Remote owner: recall ownership. The owner demotes to a
 			// leaseholder of the version it wrote, the data comes back
 			// via ShareWB, and the home is master again — so LL/SC and
 			// SC upgrades never have to reason about remote owners.
 			end := extendLease(e, m.ts)
-			e.busy = true
-			owner := s.requesterOf(blk, e.owner)
-			s.deliver(p, owner, &msg{kind: msgFwdRead, block: blk.id, from: p.ID,
-				reqProc: m.reqProc, ts: e.wts, rts: end}, CatMessage)
+			s.forwardToOwner(p, blk, &msg{kind: msgFwdRead, block: blk.id, from: p.ID,
+				reqProc: m.reqProc, ts: e.wts, rts: end})
 		}
 
 	case msgReadExclReq:
-		switch {
-		case e.owner == reqAgent:
+		switch h.owner {
+		case reqAgent:
 			p.reply(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: e.wts})
-		case e.owner == -1:
-			if t.deferLocalFill(p, m, blk) {
+		case -1:
+			// Park the request behind a fill another local process has in
+			// flight on the block. The grant below calls downgradeAgent on
+			// the home agent's own copy, which blocks on that fill's
+			// transition lock — and the fill can in turn depend on this
+			// handler's reply: once the grant names the requester as owner,
+			// a recall of the block defers behind the requester's open
+			// miss, closing a three-way cycle (grant waits on fill, fill
+			// waits on recall, recall waits on grant). Deferring the request
+			// onto the fill's holder breaks the cycle: finishMiss replays it
+			// once the local transition is over. The requester's own miss
+			// must not defer behind itself — when the requester is local it
+			// IS the holder, and the guard below skips the downgrade for
+			// that case anyway.
+			if p.deferIfPending(m, blk, reqProc) {
 				return
 			}
 			grant := grantTs(e, m.ts)
 			e.wts, e.rts = grant, grant
-			e.owner = reqAgent
+			h.owner = reqAgent
 			data := s.blockData(homeMem, blk)
 			// Local master copy becomes stale and has no lease record to
 			// bound it — drop it. Remote leaseholders keep their copies:
@@ -388,8 +352,8 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			}
 			p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
 				data: data, ts: grant})
-		case e.owner == homeAgent:
-			if p.deferIfPending(m, blk) {
+		case homeAgent:
+			if p.deferIfPending(m, blk, nil) {
 				return
 			}
 			grant := grantTs(e, m.ts)
@@ -398,26 +362,21 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			if d := t.takeDirty(homeMem, blk.id) + 1; d > grant {
 				grant = d
 			}
-			e.busy = true // as for a read: busy across the downgrade
-			data := p.downgradeAgent(blk, Invalid, true)
-			e = &t.entries[blk.id]
-			e.busy = false
-			e.wts, e.rts = grant, grant
-			e.owner = reqAgent
+			data := p.downgradeHome(blk, Invalid, true)
+			t.entries[blk.id] = tardisEntry{wts: grant, rts: grant}
+			s.homes[blk.id].owner = reqAgent
 			p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
 				data: data, ts: grant})
-			t.drainQueue(p, blk)
+			s.drainHome(p, blk)
 		default:
 			// 3-hop ownership transfer. The grant timestamp is fixed
 			// here, before the forward: requests that queue behind the
 			// busy entry serialize after it.
 			grant := grantTs(e, m.ts)
 			e.wts, e.rts = grant, grant
-			e.busy = true
-			e.pendingOwner = reqAgent
-			owner := s.requesterOf(blk, e.owner)
-			s.deliver(p, owner, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID,
-				reqProc: m.reqProc, ts: grant}, CatMessage)
+			h.pendingOwner = reqAgent
+			s.forwardToOwner(p, blk, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID,
+				reqProc: m.reqProc, ts: grant})
 		}
 
 	case msgSCUpgradeReq:
@@ -425,16 +384,18 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 		// the SC succeeds only if the LL read the current version and no
 		// ownership moved. Crucially no third party is disturbed on
 		// failure, which avoids livelock (§3.1.2).
-		if e.owner != -1 || e.wts != m.rts {
+		if h.owner != -1 || e.wts != m.rts {
 			p.reply(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID})
 			return
 		}
-		if t.deferLocalFill(p, m, blk) {
+		// As for a read-exclusive from the master copy: behind another
+		// local process's fill, or the three-way cycle closes.
+		if p.deferIfPending(m, blk, reqProc) {
 			return
 		}
 		grant := grantTs(e, m.ts)
 		e.wts, e.rts = grant, grant
-		e.owner = reqAgent
+		h.owner = reqAgent
 		if homeAgent != reqAgent && homeMem.table[blk.firstLine] != Invalid {
 			p.downgradeAgent(blk, Invalid, false)
 		}
@@ -448,7 +409,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 func (t *tardis) handleFwdRead(p *Proc, m *msg) {
 	s := t.s
 	blk := s.blocks[m.block]
-	if p.deferIfPending(m, blk) {
+	if p.deferIfPending(m, blk, nil) {
 		return
 	}
 	p.downgradeAgent(blk, Shared, false)
@@ -474,17 +435,10 @@ func (t *tardis) handleFwdRead(p *Proc, m *msg) {
 	// snapshot would ship the flag pattern to the home as the master copy.
 	data := s.blockData(p.mem, blk)
 	wbData := s.blockData(p.mem, blk)
-	reqProc := s.procs[m.reqProc]
-	p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
+	p.reply(s.procs[m.reqProc], &msg{kind: msgReadReply, block: blk.id, from: p.ID,
 		data: data, ts: wts, rts: rts})
-	home := s.procs[blk.home]
-	wb := msg{kind: msgShareWB, block: blk.id, from: p.ID, reqProc: m.reqProc,
-		data: wbData, ts: wts, rts: rts}
-	if home == p {
-		t.handleShareWB(p, &wb)
-	} else {
-		s.deliver(p, home, &wb, CatMessage)
-	}
+	p.reply(s.procs[blk.home], &msg{kind: msgShareWB, block: blk.id, from: p.ID, reqProc: m.reqProc,
+		data: wbData, ts: wts, rts: rts})
 }
 
 // handleFwdReadExcl yields ownership at the owning agent: invalidate the
@@ -492,7 +446,7 @@ func (t *tardis) handleFwdRead(p *Proc, m *msg) {
 func (t *tardis) handleFwdReadExcl(p *Proc, m *msg) {
 	s := t.s
 	blk := s.blocks[m.block]
-	if p.deferIfPending(m, blk) {
+	if p.deferIfPending(m, blk, nil) {
 		return
 	}
 	data := p.downgradeAgent(blk, Invalid, true)
@@ -503,16 +457,9 @@ func (t *tardis) handleFwdReadExcl(p *Proc, m *msg) {
 	if d := t.takeDirty(p.mem, blk.id) + 1; d > ts {
 		ts = d
 	}
-	reqProc := s.procs[m.reqProc]
-	p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
+	p.reply(s.procs[m.reqProc], &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
 		data: data, ts: ts})
-	home := s.procs[blk.home]
-	ot := msg{kind: msgOwnerTransfer, block: blk.id, from: p.ID, ts: ts}
-	if home == p {
-		t.handleOwnerTransfer(p, &ot)
-	} else {
-		s.deliver(p, home, &ot, CatMessage)
-	}
+	p.reply(s.procs[blk.home], &msg{kind: msgOwnerTransfer, block: blk.id, from: p.ID, ts: ts})
 }
 
 // handleShareWB installs written-back data at the home; the home is
@@ -520,83 +467,42 @@ func (t *tardis) handleFwdReadExcl(p *Proc, m *msg) {
 func (t *tardis) handleShareWB(p *Proc, m *msg) {
 	s := t.s
 	blk := s.blocks[m.block]
-	e := &t.entries[blk.id]
-	homeMem := s.agents[t.homeAgent(blk)]
-	base := blk.firstLine * s.wordsPerLine
-	copy(homeMem.data[base:base+len(m.data)], m.data)
-	s.recycleMsgData(p, m)
-	if homeMem.table[blk.firstLine] == Invalid {
-		s.setAgentState(homeMem, blk, Shared)
-	}
-	traceEvent(p, blk, "shareWB")
+	s.installAtHome(p, blk, m)
 	// Adopt the stamped timestamps from the recall (the recalled owner
 	// may have raised them past what the home recorded at forward time).
+	e := &t.entries[blk.id]
 	if m.ts > e.wts {
 		e.wts = m.ts
 	}
 	if m.rts > e.rts {
 		e.rts = m.rts
 	}
-	e.owner = -1
-	e.busy = false
-	t.drainQueue(p, blk)
+	s.homes[blk.id].owner = -1
+	s.endBusy(p, blk)
 }
 
 // handleOwnerTransfer completes a 3-hop exclusive transfer at the home.
 func (t *tardis) handleOwnerTransfer(p *Proc, m *msg) {
-	blk := t.s.blocks[m.block]
-	e := &t.entries[blk.id]
+	s := t.s
+	blk := s.blocks[m.block]
 	// Adopt the stamped grant from the yield (the yielding owner may have
 	// raised it past the grant the home fixed at forward time).
+	e := &t.entries[blk.id]
 	if m.ts > e.wts {
 		e.wts = m.ts
 	}
 	if e.rts < e.wts {
 		e.rts = e.wts
 	}
-	e.owner = e.pendingOwner
-	e.pendingOwner = -1
-	e.busy = false
-	t.drainQueue(p, blk)
-}
-
-// drainQueue re-services requests that queued while the entry was busy.
-func (t *tardis) drainQueue(p *Proc, blk *blockInfo) {
-	e := &t.entries[blk.id]
-	for len(e.queue) > 0 && !e.busy {
-		m := e.queue[0]
-		// Pop by shifting down so the slice's base (and capacity) is kept
-		// for reuse; queues are bounded by the process count, so the copy
-		// is cheap.
-		n := copy(e.queue, e.queue[1:])
-		e.queue = e.queue[:n]
-		t.handleHome(p, &m)
-	}
+	h := &s.homes[blk.id]
+	h.owner, h.pendingOwner = h.pendingOwner, -1
+	s.endBusy(p, blk)
 }
 
 // handleReply completes an outstanding miss at the requester and does
 // the lease bookkeeping for the installed copy.
 func (t *tardis) handleReply(p *Proc, m *msg) {
-	mshr := p.mshr[m.block]
-	if mshr == nil {
-		panic(fmt.Sprintf("core: %s got %s for block %d with no MSHR", p, m.kind, m.block))
-	}
-	mshr.haveReply = true
-	mshr.acksWanted = m.invals // always 0: Tardis collects no acks
-	mshr.grant = Shared
-	if m.kind == msgReadExclReply || m.kind == msgUpgradeAck || m.downTo == Exclusive {
-		mshr.grant = Exclusive
-	}
-	if m.kind == msgSCFail {
-		mshr.scFailed = true
-	}
-	if m.data != nil {
-		s := t.s
-		blk := s.blocks[m.block]
-		base := blk.firstLine * s.wordsPerLine
-		copy(p.mem.data[base:base+len(m.data)], m.data)
-		s.recycleMsgData(p, m)
-	}
+	mshr := p.noteReply(m) // acksWanted is always 0: Tardis collects no acks
 	as := t.astate(p.mem)
 	switch {
 	case mshr.scFailed:
@@ -610,8 +516,7 @@ func (t *tardis) handleReply(p *Proc, m *msg) {
 		// Shared fill: record the lease — except at the block's home,
 		// whose copies are master copies (current by construction, kept
 		// in step by ShareWB) and must never be expired.
-		blk := t.s.blocks[m.block]
-		if p.agent != t.homeAgent(blk) {
+		if p.agent != t.s.blocks[m.block].homeAgent {
 			as.leases.set(m.block, tardisLease{dataWts: m.ts, leaseEnd: m.rts}, len(t.s.blocks))
 		}
 		t.advancePts(p, m.ts)
@@ -702,7 +607,7 @@ func (t *tardis) pollTick(p *Proc) {
 // home keeps serving reads from it. Everywhere else the failed SC's
 // copy was a (possibly stale) lease and reverts to invalid as usual.
 func (t *tardis) scFailRetains(p *Proc, blk *blockInfo) bool {
-	return p.agent == t.homeAgent(blk) && t.entries[blk.id].owner == -1
+	return p.agent == blk.homeAgent && t.s.homes[blk.id].owner == -1
 }
 
 func (t *tardis) syncTs(p *Proc) int64 { return t.pstate(p).pts }
@@ -723,36 +628,11 @@ func (t *tardis) observeTs(p *Proc, ts int64) {
 	t.expire(p)
 }
 
-// checkLight: at most one exclusive copy per line. Exclusive alongside
-// remote Shared copies is legal here — those are bounded-stale leases —
-// which is exactly why this check is the backend's and not the core's.
-func (t *tardis) checkLight(s *System) error {
-	for line := 0; line < s.allocCursor; line++ {
-		excl := -1
-		for a, am := range s.agents {
-			if am.table[line] == Exclusive {
-				if excl >= 0 {
-					return &InvariantError{"swmr", fmt.Sprintf(
-						"line %d exclusive at agents %d and %d", line, excl, a)}
-				}
-				excl = a
-			}
-		}
-	}
-	for _, blk := range s.blocks {
-		if len(t.entries[blk.id].queue) > len(s.procs) {
-			return &InvariantError{"bounded", fmt.Sprintf(
-				"block %d timestamp queue holds %d requests (max %d)",
-				blk.id, len(t.entries[blk.id].queue), len(s.procs))}
-		}
-	}
-	return nil
-}
-
-func (t *tardis) blockQuiet(blk *blockInfo) bool {
-	e := &t.entries[blk.id]
-	return !e.busy && len(e.queue) == 0
-}
+// checkLight adds nothing to the core's checkHomesLight. Exclusive
+// alongside remote Shared copies is legal here — those are bounded-stale
+// leases — which is exactly why that half of single-writer is dirinval's
+// and not the core's.
+func (t *tardis) checkLight(s *System) error { return nil }
 
 // checkQuiescent verifies home-entry/state-table agreement when nothing
 // is in flight. Stale leased copies are legal at quiescence (leases
@@ -762,27 +642,26 @@ func (t *tardis) blockQuiet(blk *blockInfo) bool {
 // within the home's timestamps.
 func (t *tardis) checkQuiescent(s *System) error {
 	for _, blk := range s.blocks {
-		e := t.entries[blk.id]
+		e, owner := t.entries[blk.id], s.homes[blk.id].owner
 		if e.wts > e.rts {
 			return &InvariantError{"ts-agreement", fmt.Sprintf(
 				"block %d has wts %d > rts %d", blk.id, e.wts, e.rts)}
 		}
-		homeAgent := t.homeAgent(blk)
 		for line := blk.firstLine; line < blk.firstLine+blk.lines; line++ {
 			for a, am := range s.agents {
 				st := am.table[line]
 				switch {
-				case e.owner == a:
+				case owner == a:
 					if st != Exclusive {
 						return &InvariantError{"ts-agreement", fmt.Sprintf(
 							"block %d quiescent owner agent %d holds state %v on line %d",
-							blk.id, e.owner, st, line)}
+							blk.id, owner, st, line)}
 					}
 				case st == Exclusive:
 					return &InvariantError{"ts-agreement", fmt.Sprintf(
 						"block %d line %d: agent %d exclusive but the home names agent %d owner",
-						blk.id, line, a, e.owner)}
-				case a == homeAgent && e.owner == -1:
+						blk.id, line, a, owner)}
+				case a == blk.homeAgent && owner == -1:
 					if st != Shared {
 						return &InvariantError{"ts-agreement", fmt.Sprintf(
 							"block %d line %d: home master copy holds state %v", blk.id, line, st)}
@@ -801,31 +680,8 @@ func (t *tardis) checkQuiescent(s *System) error {
 					}
 				}
 			}
-			if err := t.checkFlagFill(s, line); err != nil {
+			if err := s.checkFlagFill(line); err != nil {
 				return err
-			}
-		}
-	}
-	return nil
-}
-
-// checkFlagFill verifies invalid copies are flag-filled (the valid-copy
-// half of System.checkLineData does not apply: leased copies are allowed
-// to disagree with the master).
-func (t *tardis) checkFlagFill(s *System, line int) error {
-	if !s.Cfg.FlagCheck || s.fillDeferred(line) {
-		return nil
-	}
-	for a, am := range s.agents {
-		if am.table[line] != Invalid {
-			continue
-		}
-		for w := 0; w < s.wordsPerLine; w++ {
-			word := line*s.wordsPerLine + w
-			if am.data[word] != FlagWord {
-				return &InvariantError{"flag-fill", fmt.Sprintf(
-					"line %d word %d: invalid copy at agent %d holds %#x instead of the flag value",
-					line, w, a, am.data[word])}
 			}
 		}
 	}
@@ -837,11 +693,10 @@ func (t *tardis) checkFlagFill(s *System, line int) error {
 func (t *tardis) snapshotSource(line int) int {
 	s := t.s
 	blk := s.blockOf(line)
-	e := t.entries[blk.id]
-	if e.owner >= 0 && s.agents[e.owner].table[blk.firstLine] == Exclusive {
-		return e.owner
+	if owner := s.homes[blk.id].owner; owner >= 0 && s.agents[owner].table[blk.firstLine] == Exclusive {
+		return owner
 	}
-	return t.homeAgent(blk)
+	return blk.homeAgent
 }
 
 func tardisPermAgent(a int, perm []int) int {
@@ -852,17 +707,13 @@ func tardisPermAgent(a int, perm []int) int {
 }
 
 func (t *tardis) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
-	te := t.entries[blk.id]
+	te, h := t.entries[blk.id], e.sys.homes[blk.id]
 	fmt.Fprintf(b, "B%d{w%d r%d o%d po%d", blk.id, te.wts, te.rts,
-		tardisPermAgent(te.owner, perm), tardisPermAgent(te.pendingOwner, perm))
-	if te.busy {
+		tardisPermAgent(h.owner, perm), tardisPermAgent(h.pendingOwner, perm))
+	if h.busy {
 		b.WriteString(" busy")
 	}
-	for _, qm := range te.queue {
-		b.WriteString(" q")
-		b.WriteString(e.encMsg(qm, perm))
-	}
-	b.WriteByte('}')
+	e.encodeHomeQueue(b, blk, perm)
 }
 
 func (t *tardis) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int) {
@@ -927,9 +778,8 @@ func (t *tardis) noteGhostStore(e *Explorer, pid, word int, val uint64) {
 // performed store for owners, pending owners, and master copies, and the
 // leased version for leaseholders.
 func (t *tardis) expectedValue(e *Explorer, a int, blk *blockInfo, word int) (uint64, string) {
-	te := t.entries[blk.id]
-	home := t.homeAgent(blk)
-	if a == te.owner || (te.busy && te.pendingOwner == a) || a == home {
+	h := e.sys.homes[blk.id]
+	if a == h.owner || (h.busy && h.pendingOwner == a) || a == blk.homeAgent {
 		return e.ghost[word].val, "last performed store"
 	}
 	if l, ok := t.astate(e.sys.agents[a]).leases.get(blk.id); ok {
@@ -946,7 +796,6 @@ func (t *tardis) expectedValue(e *Explorer, a int, blk *blockInfo, word int) (ui
 func (t *tardis) expCheck(e *Explorer) *ExpViolation {
 	dis := e.cfg.Disabled
 	s := e.sys
-	n := len(s.procs)
 	if !dis["swmr"] {
 		for line := 0; line < s.allocCursor; line++ {
 			excl := -1
@@ -960,11 +809,11 @@ func (t *tardis) expCheck(e *Explorer) *ExpViolation {
 				}
 			}
 			if excl >= 0 {
-				te := t.entries[s.blockOf(line).id]
-				if te.owner != excl && !(te.busy && te.pendingOwner == excl) {
+				h := s.homes[s.blockOf(line).id]
+				if h.owner != excl && !(h.busy && h.pendingOwner == excl) {
 					return e.record("swmr", fmt.Sprintf(
 						"line %d exclusive at p%d but the home names agent %d owner",
-						line, excl, te.owner))
+						line, excl, h.owner))
 				}
 			}
 		}
@@ -995,50 +844,6 @@ func (t *tardis) expCheck(e *Explorer) *ExpViolation {
 			}
 		}
 	}
-	if !dis["bounded"] {
-		for _, ep := range e.eps {
-			p := ep.p
-			if p.outstanding != len(p.mshr) {
-				return e.record("bounded", fmt.Sprintf(
-					"p%d outstanding=%d but %d MSHRs", p.ID, p.outstanding, len(p.mshr)))
-			}
-			if len(p.deferredReqs) > n {
-				return e.record("bounded", fmt.Sprintf(
-					"p%d has %d deferred requests (max %d)", p.ID, len(p.deferredReqs), n))
-			}
-		}
-		for _, blk := range s.blocks {
-			if len(t.entries[blk.id].queue) > n {
-				return e.record("bounded", fmt.Sprintf(
-					"block %d timestamp queue holds %d requests (max %d)",
-					blk.id, len(t.entries[blk.id].queue), n))
-			}
-		}
-		limit := 4*len(s.blocks)*n + 4
-		for k, q := range e.chans {
-			if len(q) > limit {
-				return e.record("bounded", fmt.Sprintf(
-					"link %d->%d holds %d messages (limit %d)", k[0], k[1], len(q), limit))
-			}
-		}
-	}
-	if !dis["fwd-owner"] {
-		for k, q := range e.chans {
-			for _, m := range q {
-				if m.kind != msgFwdRead && m.kind != msgFwdReadExcl {
-					continue
-				}
-				dst := k[1]
-				blk := s.blocks[m.block]
-				st := s.agents[dst].table[blk.firstLine]
-				if st != Exclusive && s.procs[dst].mshr[m.block] == nil {
-					return e.record("fwd-owner", fmt.Sprintf(
-						"%s for block %d in flight to p%d, which holds state %d with no miss outstanding",
-						m.kind, m.block, dst, st))
-				}
-			}
-		}
-	}
 	return nil
 }
 
@@ -1047,19 +852,19 @@ func (t *tardis) expCheck(e *Explorer) *ExpViolation {
 // with its resolving message in flight, a pending home fill).
 func (t *tardis) checkTs(e *Explorer, blk *blockInfo) *ExpViolation {
 	s := e.sys
-	te := t.entries[blk.id]
+	te, h := t.entries[blk.id], s.homes[blk.id]
 	line := blk.firstLine
-	home := t.homeAgent(blk)
+	home := blk.homeAgent
 	if te.wts > te.rts {
 		return e.record("dir-agreement", fmt.Sprintf(
 			"block %d has wts %d > rts %d", blk.id, te.wts, te.rts))
 	}
-	if te.busy && !e.busyJustified(blk.id) {
+	if h.busy && !e.busyJustified(blk.id) {
 		return e.record("dir-agreement", fmt.Sprintf(
 			"block %d is busy with no forward, writeback, or ownership transfer in flight",
 			blk.id))
 	}
-	if te.owner == -1 {
+	if h.owner == -1 {
 		if st := s.agents[home].table[line]; st != Shared && st != Pending {
 			return e.record("dir-agreement", fmt.Sprintf(
 				"block %d has no owner but its home master copy holds state %d", blk.id, st))
@@ -1077,7 +882,7 @@ func (t *tardis) checkTs(e *Explorer, blk *blockInfo) *ExpViolation {
 		// While a recall is busy the recalled owner (and the requester)
 		// may already hold the stamped lease, ahead of the home adopting
 		// the stamped timestamps from the ShareWB still in flight.
-		if te.busy {
+		if h.busy {
 			continue
 		}
 		if l.dataWts > te.wts || l.leaseEnd > te.rts {
