@@ -116,20 +116,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	want := map[string]bool{}
-	for _, n := range strings.Split(*runNames, ",") {
-		want[strings.TrimSpace(n)] = true
-	}
 	known := map[string]bool{"all": true}
 	for _, e := range registry {
 		known[e.name] = true
 	}
-	for n := range want {
+	// The first unknown name in command-line order is the one reported.
+	want := map[string]bool{}
+	for _, n := range strings.Split(*runNames, ",") {
+		n = strings.TrimSpace(n)
 		if !known[n] {
 			fmt.Fprintf(stderr, "unknown experiment %q; valid names: all, %s\n",
 				n, strings.Join(registryNames(), ", "))
 			return 1
 		}
+		want[n] = true
 	}
 	for _, e := range registry {
 		if want["all"] || want[e.name] {

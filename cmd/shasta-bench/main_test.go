@@ -25,19 +25,25 @@ func TestUnknownRunNameListsSuites(t *testing.T) {
 	}
 }
 
-// TestUnknownRunNameAmongValid rejects a list with one bad entry even when
-// the others are valid, before running anything.
+// TestUnknownRunNameAmongValid rejects a list with bad entries even when
+// the others are valid, before running anything: a bad name after a valid
+// one, and with two bad names the first on the command line, every time
+// (repeated, since a map-ordered check would pick either).
 func TestUnknownRunNameAmongValid(t *testing.T) {
-	var out, errOut bytes.Buffer
-	code := run([]string{"-run", "table1,nope"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), `unknown experiment "nope"`) {
-		t.Errorf("error does not name the bad suite: %q", errOut.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("experiments ran before validation: %q", out.String())
+	for _, names := range []string{"table1,nope", "nope,table1,zz"} {
+		for i := 0; i < 20; i++ {
+			var out, errOut bytes.Buffer
+			code := run([]string{"-run", names}, &out, &errOut)
+			if code != 1 {
+				t.Fatalf("-run %s: exit code = %d, want 1; stderr: %s", names, code, errOut.String())
+			}
+			if !strings.Contains(errOut.String(), `unknown experiment "nope"`) {
+				t.Fatalf("-run %s: error does not name the first bad suite: %q", names, errOut.String())
+			}
+			if out.Len() != 0 {
+				t.Fatalf("-run %s: experiments ran before validation: %q", names, out.String())
+			}
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ package core
 // back, the reply's entry into the MSHR. It delegates the protocol proper
 // to a Protocol implementation: what request a miss issues, how every
 // coherence message is handled and what a grant means, what per-block
-// home state exists beyond that record, and how that state is inspected
-// by the runtime invariant checker and the model-checking explorer.
+// home state exists beyond that record, and the clauses of the invariant
+// catalogue (invariants.go) that read that state.
 //
 // Two backends are registered:
 //
@@ -90,26 +90,30 @@ type Protocol interface {
 	syncTs(p *Proc) int64
 	observeTs(p *Proc, ts int64)
 
-	// checkLight verifies what the backend adds to the core's always-true
-	// invariants (checkHomesLight); safe at any quiesce point.
-	checkLight(s *System) error
-	// checkQuiescent verifies exact home-state/state-table/data
-	// agreement when the system is fully quiescent.
-	checkQuiescent(s *System) error
+	// The backend's clauses of the invariant catalogue (invariants.go),
+	// for both of its worlds: e is the explorer, or nil for the live system.
+	//
+	// checkExclusive is the backend's half of swmr, for a line exclusive
+	// at agent excl and at no other.
+	checkExclusive(s *System, line, excl int) *InvariantError
+	// checkAgreement is dir-agreement: the backend's home state against
+	// the agent state tables, tolerating only transients the explorer
+	// shows in flight.
+	checkAgreement(s *System, e *Explorer) *InvariantError
+	// expectedValue is the value agent a's valid copy of word must hold,
+	// given the word's current value cur; false when this world cannot say.
+	expectedValue(s *System, e *Explorer, a int, blk *blockInfo, word int, cur uint64) (uint64, bool)
 	// snapshotSource returns the agent index whose copy of the line is
-	// authoritative for host-side reads (Peek, SnapshotShared).
+	// authoritative for host-side reads (Peek, SnapshotShared) and for the
+	// live catalogue's current value.
 	snapshotSource(line int) int
 
 	// Model-checker surface (explore.go / explore_state.go): canonical
 	// encodings of the backend's per-block, per-process, and per-message
-	// state, plus the backend's invariant catalogue.
+	// state.
 	encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int)
 	encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int)
 	encodeMsgExtra(m msg) string
-	expCheck(e *Explorer) *ExpViolation
-	// expCheckRead runs the eager data-value check when an explorer read
-	// completes with value v (never called for forwarded own-stores).
-	expCheckRead(e *Explorer, ep *expProc, op ExpOp, v uint64)
 	// noteGhostStore observes each performed store (explorer only), with
 	// the performing process; backends that validate stale copies keep
 	// per-word version history here.

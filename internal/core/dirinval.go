@@ -326,79 +326,68 @@ func (d *dirInval) scFailRetains(p *Proc, blk *blockInfo) bool { return false }
 func (d *dirInval) syncTs(p *Proc) int64                       { return 0 }
 func (d *dirInval) observeTs(p *Proc, ts int64)                {}
 
-// checkLight adds the directory's half of single-writer to the core's
-// checkHomesLight: no shared copy beside an exclusive one.
-func (d *dirInval) checkLight(s *System) error {
-	for line := 0; line < s.allocCursor; line++ {
-		excl, shared := -1, -1
-		for a, am := range s.agents {
-			switch am.table[line] {
-			case Exclusive:
-				excl = a
-			case Shared:
-				shared = a
-			}
-		}
-		if excl >= 0 && shared >= 0 {
-			return &InvariantError{"swmr", fmt.Sprintf(
-				"line %d exclusive at agent %d while agent %d holds a shared copy",
-				line, excl, shared)}
+// checkExclusive is the directory's half of single-writer: no shared copy
+// beside the exclusive one. A writer's fill completes only once every other
+// sharer has acknowledged its invalidation.
+func (d *dirInval) checkExclusive(s *System, line, excl int) *InvariantError {
+	for a, am := range s.agents {
+		if am.table[line] == Shared {
+			return violated("swmr", "line %d exclusive at agent %d while agent %d holds a shared copy", line, excl, a)
 		}
 	}
 	return nil
 }
 
-// checkQuiescent verifies the invariants that hold exactly when nothing
-// is in flight: the directory agrees with the agent tables copy for
-// copy, all valid copies of a line hold identical data, and invalid
-// lines are filled with the flag value (modulo fills still deferred
-// behind an open batch).
-func (d *dirInval) checkQuiescent(s *System) error {
+// checkAgreement verifies the directory against the agent tables copy for
+// copy: a shared entry's sharer set is exactly the agents with shared
+// copies, the home's among them; an exclusive entry's owner holds the only
+// valid copy. It tolerates exactly the transients the protocol creates: a
+// busy entry whose forward, writeback or ownership transfer is in flight
+// (nothing else of the entry is settled), a requester's copy Pending on its
+// miss, and a stale copy whose invalidation is in flight or deferred.
+func (d *dirInval) checkAgreement(s *System, e *Explorer) *InvariantError {
 	for _, blk := range s.blocks {
-		dir, owner := d.dirs[blk.id], s.homes[blk.id].owner
-		for line := blk.firstLine; line < blk.firstLine+blk.lines; line++ {
-			if !dir.shared {
-				for a, am := range s.agents {
-					st := am.table[line]
-					if a == owner {
-						if st != Exclusive {
-							return &InvariantError{"dir-agreement", fmt.Sprintf(
-								"block %d quiescent owner agent %d holds state %v on line %d",
-								blk.id, owner, st, line)}
-						}
-					} else if st != Invalid {
-						return &InvariantError{"dir-agreement", fmt.Sprintf(
-							"block %d owned by agent %d but agent %d holds state %v on line %d",
-							blk.id, owner, a, st, line)}
-					}
-				}
-			} else {
-				for a, am := range s.agents {
-					st := am.table[line]
-					inSet := dir.sharers&(1<<uint(a)) != 0
-					if st == Shared && !inSet {
-						return &InvariantError{"dir-agreement", fmt.Sprintf(
-							"block %d line %d: agent %d holds a shared copy but is not in sharer set %x",
-							blk.id, line, a, dir.sharers)}
-					}
-					if st == Exclusive {
-						return &InvariantError{"dir-agreement", fmt.Sprintf(
-							"block %d line %d: shared but agent %d holds it exclusive",
-							blk.id, line, a)}
-					}
-					if inSet && st != Shared {
-						return &InvariantError{"dir-agreement", fmt.Sprintf(
-							"block %d line %d: agent %d in sharer set %x but holds state %v",
-							blk.id, line, a, dir.sharers, st)}
-					}
-				}
+		dir, h := d.dirs[blk.id], s.homes[blk.id]
+		if h.busy {
+			if !e.busyJustified(blk.id) {
+				return violated("dir-agreement", "block %d is busy with no forward, writeback or ownership transfer in flight", blk.id)
 			}
-			if err := s.checkLineData(line); err != nil {
-				return err
+			continue
+		}
+		for line := blk.firstLine; line < blk.firstLine+blk.lines; line++ {
+			for a, am := range s.agents {
+				st := am.table[line]
+				filling := s.fillInFlight(a, blk, st)
+				inSet := dir.sharers&(1<<uint(a)) != 0
+				switch {
+				case !dir.shared && a == h.owner:
+					if st != Exclusive && !filling {
+						return violated("dir-agreement", "block %d line %d: owner agent %d holds state %v", blk.id, line, a, st)
+					}
+				case !dir.shared:
+					if st != Invalid && !filling && !e.invalPending(blk.id, a) {
+						return violated("dir-agreement", "block %d line %d: owned by agent %d, but agent %d holds state %v with no invalidation in flight",
+							blk.id, line, h.owner, a, st)
+					}
+				case st == Exclusive:
+					return violated("dir-agreement", "block %d line %d: shared, but agent %d holds it exclusive", blk.id, line, a)
+				case st == Shared && !inSet:
+					return violated("dir-agreement", "block %d line %d: agent %d holds a shared copy but is not in sharer set %x",
+						blk.id, line, a, dir.sharers)
+				case (inSet || a == blk.homeAgent) && st != Shared && !filling:
+					return violated("dir-agreement", "block %d line %d: shared (sharer set %x, home agent %d), but agent %d holds state %v",
+						blk.id, line, dir.sharers, blk.homeAgent, a, st)
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// expectedValue: every valid copy is current, because the directory
+// invalidates every other copy before it grants a write.
+func (d *dirInval) expectedValue(s *System, e *Explorer, a int, blk *blockInfo, word int, cur uint64) (uint64, bool) {
+	return cur, true
 }
 
 // snapshotSource: any agent with a valid copy; all-invalid can only
@@ -429,134 +418,5 @@ func (d *dirInval) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, 
 
 func (d *dirInval) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int) {}
 func (d *dirInval) encodeMsgExtra(m msg) string                                          { return "" }
-
-// expCheck evaluates the directory backend's safety invariant catalogue
-// (see Explorer.Check for the invariant naming).
-func (d *dirInval) expCheck(e *Explorer) *ExpViolation {
-	dis := e.cfg.Disabled
-	s := e.sys
-	if !dis["swmr"] {
-		for line := 0; line < s.allocCursor; line++ {
-			excl, shared := -1, -1
-			for a, am := range s.agents {
-				switch am.table[line] {
-				case Exclusive:
-					if excl >= 0 {
-						return e.record("swmr", fmt.Sprintf(
-							"line %d exclusive at both p%d and p%d", line, excl, a))
-					}
-					excl = a
-				case Shared:
-					shared = a
-				}
-			}
-			if excl >= 0 && shared >= 0 {
-				return e.record("swmr", fmt.Sprintf(
-					"line %d exclusive at p%d while p%d holds a shared copy",
-					line, excl, shared))
-			}
-		}
-	}
-	if !dis["data-value"] {
-		for _, blk := range s.blocks {
-			line := blk.firstLine
-			for a, am := range s.agents {
-				if st := am.table[line]; st != Shared && st != Exclusive {
-					continue
-				}
-				for w := 0; w < s.wordsPerLine; w++ {
-					word := line*s.wordsPerLine + w
-					if am.data[word] != e.ghost[word].val {
-						return e.record("data-value", fmt.Sprintf(
-							"p%d holds %#x for w%d, last performed store was %#x",
-							a, am.data[word], word, e.ghost[word].val))
-					}
-				}
-			}
-		}
-	}
-	if !dis["dir-agreement"] {
-		for _, blk := range s.blocks {
-			if v := d.checkDir(e, blk); v != nil {
-				return v
-			}
-		}
-	}
-	return nil
-}
-
-// checkDir verifies directory/state-table agreement for one block,
-// tolerating exactly the transients the protocol creates (pending
-// requesters already counted as sharers or owner, invalidations still in
-// flight to stale sharers).
-func (d *dirInval) checkDir(e *Explorer, blk *blockInfo) *ExpViolation {
-	s := e.sys
-	dir, h := d.dirs[blk.id], s.homes[blk.id]
-	line := blk.firstLine
-	switch {
-	case h.busy:
-		if !e.busyJustified(blk.id) {
-			return e.record("dir-agreement", fmt.Sprintf(
-				"block %d is busy with no forward, writeback, or ownership transfer in flight",
-				blk.id))
-		}
-	case dir.shared:
-		for a, am := range s.agents {
-			st := am.table[line]
-			if st == Exclusive {
-				return e.record("dir-agreement", fmt.Sprintf(
-					"block %d is shared but p%d holds it exclusive", blk.id, a))
-			}
-			if (st == Shared) && dir.sharers&(1<<uint(a)) == 0 {
-				return e.record("dir-agreement", fmt.Sprintf(
-					"block %d: p%d holds a shared copy but is not in the sharer set %x",
-					blk.id, a, dir.sharers))
-			}
-		}
-		if st := s.agents[blk.homeAgent].table[line]; st != Shared {
-			return e.record("dir-agreement", fmt.Sprintf(
-				"block %d is shared but its home p%d holds state %d", blk.id, blk.home, st))
-		}
-	default:
-		st := s.agents[h.owner].table[line]
-		if st != Exclusive && st != Pending {
-			return e.record("dir-agreement", fmt.Sprintf(
-				"block %d owner p%d holds state %d (want exclusive or pending)",
-				blk.id, h.owner, st))
-		}
-		for a, am := range s.agents {
-			if a == h.owner {
-				continue
-			}
-			ast := am.table[line]
-			if ast != Shared && ast != Exclusive {
-				continue
-			}
-			// A non-owner valid copy is legal only while its
-			// invalidation is still in flight (or deferred behind the
-			// holder's own fill).
-			if !e.invalPending(blk.id, a) {
-				return e.record("dir-agreement", fmt.Sprintf(
-					"block %d owned by p%d but p%d holds a stale valid copy with no invalidation in flight",
-					blk.id, h.owner, a))
-			}
-		}
-	}
-	return nil
-}
-
-// expCheckRead: the eager data-value check at read completion. Every
-// copy a directory-protocol read observes must be the globally last
-// performed store.
-func (d *dirInval) expCheckRead(e *Explorer, ep *expProc, op ExpOp, v uint64) {
-	if e.cfg.Disabled["data-value"] {
-		return
-	}
-	if g := e.ghost[op.Word]; v != g.val {
-		e.fail("data-value", fmt.Sprintf(
-			"p%d %s read %#x, last performed store was %#x (version %d)",
-			ep.p.ID, op, v, g.val, g.version))
-	}
-}
 
 func (d *dirInval) noteGhostStore(e *Explorer, pid, word int, val uint64) {}

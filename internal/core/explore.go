@@ -95,7 +95,7 @@ type ExpConfig struct {
 	// "tardis"); empty selects "dirinval".
 	Protocol string
 	// Disabled names invariants to skip ("swmr", "data-value",
-	// "dir-agreement", "bounded", "fwd-owner", "llsc").
+	// "dir-agreement", "flag-fill", "bounded", "fwd-owner", "llsc").
 	Disabled map[string]bool
 }
 
@@ -132,16 +132,6 @@ func ParseExpAction(s string) (ExpAction, error) {
 	return a, nil
 }
 
-// ExpViolation reports one invariant violation.
-type ExpViolation struct {
-	Invariant string
-	Detail    string
-}
-
-func (v *ExpViolation) Error() string {
-	return fmt.Sprintf("invariant %s violated: %s", v.Invariant, v.Detail)
-}
-
 type ghostWord struct {
 	val     uint64
 	version int64   // total performed stores
@@ -176,7 +166,7 @@ type Explorer struct {
 	chans  map[[2]int][]msg
 	ghost  []ghostWord
 	events []trace.Event
-	viol   *ExpViolation
+	viol   *InvariantError
 	perms  [][]int // proc-ID permutations for symmetry reduction
 }
 
@@ -518,8 +508,11 @@ func (e *Explorer) completeRead(ep *expProc, op ExpOp, v uint64, forwarded, ll b
 	e.events = append(e.events, trace.Event{
 		Cat: "mc", Ev: "value", P: p.ID, A: int64(v), S: fmt.Sprintf("%s -> %d", op, v),
 	})
-	if !forwarded {
-		e.sys.proto.expCheckRead(e, ep, op, v)
+	if !forwarded && !e.disabled("data-value") {
+		s := e.sys
+		if want, ok := s.proto.expectedValue(s, e, p.agent, e.blkOf(op.Word), op.Word, e.ghost[op.Word].val); ok && v != want {
+			e.fail("data-value", fmt.Sprintf("p%d %s read %#x, want %#x", p.ID, op, v, want))
+		}
 	}
 }
 
@@ -640,7 +633,7 @@ func (e *Explorer) finalizeSC(ep *expProc, op ExpOp, m *mshrEntry) {
 // this SC. The explorer's own store has already been counted, so the
 // others' write count must match the LL snapshot exactly.
 func (e *Explorer) checkSCAtomicity(ep *expProc, op ExpOp) {
-	if e.cfg.Disabled["llsc"] || !ep.llGhostValid || ep.llWord != op.Word {
+	if e.disabled("llsc") || !ep.llGhostValid || ep.llWord != op.Word {
 		return
 	}
 	g := &e.ghost[op.Word]
@@ -670,7 +663,7 @@ func (e *Explorer) fail(inv, detail string) {
 	if e.viol != nil {
 		return
 	}
-	e.viol = &ExpViolation{Invariant: inv, Detail: detail}
+	e.viol = &InvariantError{Invariant: inv, Detail: detail}
 	e.events = append(e.events, trace.Event{Cat: "mc", Ev: "violation", S: inv + ": " + detail})
 }
 
@@ -685,24 +678,16 @@ func (e *Explorer) Done() bool {
 }
 
 // Terminal reports a clean final state: programs done, no message in
-// flight, no miss outstanding, no queued or deferred request, and no
-// busy directory entry.
+// flight, and the system fully quiescent (no miss outstanding, no deferred
+// request, every home record at rest).
 func (e *Explorer) Terminal() bool {
-	if !e.Done() {
-		return false
-	}
+	return e.Done() && e.linksEmpty() && e.sys.fullyQuiescent()
+}
+
+// linksEmpty reports whether no message is in flight on any link.
+func (e *Explorer) linksEmpty() bool {
 	for _, q := range e.chans {
 		if len(q) > 0 {
-			return false
-		}
-	}
-	for _, ep := range e.eps {
-		if len(ep.p.mshr) > 0 || ep.p.outstanding != 0 || len(ep.p.deferredReqs) > 0 {
-			return false
-		}
-	}
-	for _, blk := range e.sys.blocks {
-		if !e.sys.blockQuiet(blk) {
 			return false
 		}
 	}

@@ -1,7 +1,7 @@
 package core
 
-// Canonical state encoding, symmetry reduction, and the invariant
-// catalogue for the model-checking explorer (explore.go).
+// Canonical state encoding and symmetry reduction for the model-checking
+// explorer (explore.go); the invariants it checks are in invariants.go.
 
 import (
 	"fmt"
@@ -220,140 +220,4 @@ func remapMask(mask uint64, perm []int) uint64 {
 		}
 	}
 	return out
-}
-
-// Check evaluates the safety invariant catalogue against the current
-// state and returns the first violation found (or one recorded eagerly
-// during Apply — data-value and LL/SC-atomicity fire at the moment the
-// offending read or SC completes).
-//
-//	swmr          I1: at most one exclusive copy; never exclusive+shared
-//	data-value    I2: every valid copy holds the last performed store
-//	dir-agreement I3: directory state agrees with the agent state tables
-//	bounded       I4: MSHRs, home queues, deferred requests, and
-//	               in-flight traffic are bounded
-//	fwd-owner     I5: forwarded requests target a live owner
-//	llsc          I6: a successful SC pairs atomically with its LL
-//
-// I1-I3 are the protocol backend's (dir-agreement becomes timestamp
-// agreement under tardis); I4 and I5 read only what the core owns and are
-// checked here after them; data-value and llsc violations are recorded
-// eagerly during Apply and returned here.
-func (e *Explorer) Check() *ExpViolation {
-	if e.viol != nil {
-		return e.viol
-	}
-	if v := e.sys.proto.expCheck(e); v != nil {
-		return v
-	}
-	return e.checkBoundedAndForwards()
-}
-
-// invalPending reports whether an msgInvalReq for the block is in flight
-// to, or deferred at, process a.
-func (e *Explorer) invalPending(block, a int) bool {
-	for k, q := range e.chans {
-		if k[1] != a {
-			continue
-		}
-		for _, m := range q {
-			if m.kind == msgInvalReq && m.block == block {
-				return true
-			}
-		}
-	}
-	for _, m := range e.sys.procs[a].deferredReqs {
-		if m.kind == msgInvalReq && m.block == block {
-			return true
-		}
-	}
-	return false
-}
-
-// checkBoundedAndForwards evaluates bounded (I4) and fwd-owner (I5), the
-// same under every backend.
-func (e *Explorer) checkBoundedAndForwards() *ExpViolation {
-	dis := e.cfg.Disabled
-	s := e.sys
-	n := len(s.procs)
-	if !dis["bounded"] {
-		for _, ep := range e.eps {
-			p := ep.p
-			if p.outstanding != len(p.mshr) {
-				return e.record("bounded", fmt.Sprintf(
-					"p%d outstanding=%d but %d MSHRs", p.ID, p.outstanding, len(p.mshr)))
-			}
-			if len(p.deferredReqs) > n {
-				return e.record("bounded", fmt.Sprintf(
-					"p%d has %d deferred requests (max %d)", p.ID, len(p.deferredReqs), n))
-			}
-		}
-		for id := range s.homes {
-			if q := len(s.homes[id].queue); q > n {
-				return e.record("bounded", fmt.Sprintf(
-					"block %d home queue holds %d requests (max %d)", id, q, n))
-			}
-		}
-		limit := 4*len(s.blocks)*n + 4
-		for k, q := range e.chans {
-			if len(q) > limit {
-				return e.record("bounded", fmt.Sprintf(
-					"link %d->%d holds %d messages (limit %d)", k[0], k[1], len(q), limit))
-			}
-		}
-	}
-	if !dis["fwd-owner"] {
-		for k, q := range e.chans {
-			for _, m := range q {
-				if m.kind != msgFwdRead && m.kind != msgFwdReadExcl {
-					continue
-				}
-				dst := k[1]
-				blk := s.blocks[m.block]
-				st := s.agents[dst].table[blk.firstLine]
-				if st != Exclusive && s.procs[dst].mshr[m.block] == nil {
-					return e.record("fwd-owner", fmt.Sprintf(
-						"%s for block %d in flight to p%d, which holds state %d with no miss outstanding",
-						m.kind, m.block, dst, st))
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// busyJustified reports whether a busy home entry has its resolving message
-// somewhere: a forward in flight or deferred, or the resulting writeback
-// or ownership transfer heading back to the home.
-func (e *Explorer) busyJustified(block int) bool {
-	resolving := func(m msg) bool {
-		if m.block != block {
-			return false
-		}
-		switch m.kind {
-		case msgFwdRead, msgFwdReadExcl, msgShareWB, msgOwnerTransfer:
-			return true
-		}
-		return false
-	}
-	for _, q := range e.chans {
-		for _, m := range q {
-			if resolving(m) {
-				return true
-			}
-		}
-	}
-	for _, p := range e.sys.procs {
-		for _, m := range p.deferredReqs {
-			if resolving(m) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (e *Explorer) record(inv, detail string) *ExpViolation {
-	e.fail(inv, detail)
-	return e.viol
 }

@@ -132,32 +132,3 @@ func (s *System) blockQuiet(blk *blockInfo) bool {
 	h := &s.homes[blk.id]
 	return !h.busy && len(h.queue) == 0
 }
-
-// checkHomesLight verifies the always-true invariants every backend
-// shares: at most one exclusive copy of a line over the agent tables, and
-// no home queue longer than the process count (one request per process and
-// block). It allocates only once it has found a violation.
-//
-//hot:cold
-func (s *System) checkHomesLight() error {
-	for line := 0; line < s.allocCursor; line++ {
-		excl := -1
-		for a, am := range s.agents {
-			if am.table[line] != Exclusive {
-				continue
-			}
-			if excl >= 0 {
-				return &InvariantError{"swmr", fmt.Sprintf(
-					"line %d exclusive at agents %d and %d", line, excl, a)}
-			}
-			excl = a
-		}
-	}
-	for id := range s.homes {
-		if n := len(s.homes[id].queue); n > len(s.procs) {
-			return &InvariantError{"bounded", fmt.Sprintf(
-				"block %d home queue holds %d requests (max %d)", id, n, len(s.procs))}
-		}
-	}
-	return nil
-}

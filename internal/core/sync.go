@@ -167,8 +167,8 @@ func (p *Proc) barrierArrive(b *barrierState, who int, ts int64) {
 		// mid-run under the parallel engine — the checker reads all
 		// agents' state, which other shards may be mutating; the end-of-
 		// run CheckInvariants still covers parallel runs.)
-		if err := p.sys.checkInvariantsLight(); err != nil {
-			panic(fmt.Sprintf("core: %v (at barrier %d release, epoch %d)", err, b.id, b.epoch))
+		if v := p.sys.checkLight(nil); v != nil {
+			panic(fmt.Sprintf("core: %v (at barrier %d release, epoch %d)", v, b.id, b.epoch))
 		}
 	}
 	for _, proc := range arrived {

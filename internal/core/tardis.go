@@ -628,60 +628,71 @@ func (t *tardis) observeTs(p *Proc, ts int64) {
 	t.expire(p)
 }
 
-// checkLight adds nothing to the core's checkHomesLight. Exclusive
-// alongside remote Shared copies is legal here — those are bounded-stale
-// leases — which is exactly why that half of single-writer is dirinval's
-// and not the core's.
-func (t *tardis) checkLight(s *System) error { return nil }
+// checkExclusive is Tardis's half of single-writer. Leased copies beside
+// the exclusive one are legal — they are bounded-stale — but the exclusive
+// holder is the owner the home names, or the pending owner of a transfer in
+// flight.
+func (t *tardis) checkExclusive(s *System, line, excl int) *InvariantError {
+	h := s.homes[s.blockOf(line).id]
+	if excl != h.owner && !(h.busy && excl == h.pendingOwner) {
+		return violated("swmr", "line %d exclusive at agent %d, but the home names agent %d owner", line, excl, h.owner)
+	}
+	return nil
+}
 
-// checkQuiescent verifies home-entry/state-table agreement when nothing
-// is in flight. Stale leased copies are legal at quiescence (leases
-// expire lazily), so data agreement is NOT checked across copies; what
-// is checked is the structure that bounds the staleness: wts <= rts,
-// every non-master Shared copy has a lease record, and every lease lies
-// within the home's timestamps.
-func (t *tardis) checkQuiescent(s *System) error {
+// checkAgreement verifies home-entry/state-table agreement — what
+// dir-agreement, the name both backends share so that one
+// ExpConfig.Disabled applies to either, means under timestamps. Stale
+// leased copies are legal (leases expire lazily), so what is checked is the
+// structure that bounds the staleness: wts <= rts, the owner holds the
+// exclusive copy, the home's copy is the master while nobody owns the
+// block, and every other shared copy has a lease record within the home's
+// timestamps. Tolerated in flight: a busy recall or transfer with its
+// resolving message somewhere, and a copy Pending on its agent's miss.
+func (t *tardis) checkAgreement(s *System, e *Explorer) *InvariantError {
 	for _, blk := range s.blocks {
-		e, owner := t.entries[blk.id], s.homes[blk.id].owner
-		if e.wts > e.rts {
-			return &InvariantError{"ts-agreement", fmt.Sprintf(
-				"block %d has wts %d > rts %d", blk.id, e.wts, e.rts)}
+		te, h := t.entries[blk.id], s.homes[blk.id]
+		if te.wts > te.rts {
+			return violated("dir-agreement", "block %d has wts %d > rts %d", blk.id, te.wts, te.rts)
+		}
+		if h.busy && !e.busyJustified(blk.id) {
+			return violated("dir-agreement", "block %d is busy with no forward, writeback or ownership transfer in flight", blk.id)
 		}
 		for line := blk.firstLine; line < blk.firstLine+blk.lines; line++ {
 			for a, am := range s.agents {
 				st := am.table[line]
 				switch {
-				case owner == a:
-					if st != Exclusive {
-						return &InvariantError{"ts-agreement", fmt.Sprintf(
-							"block %d quiescent owner agent %d holds state %v on line %d",
-							blk.id, owner, st, line)}
+				case a == h.owner:
+					// While busy the owner may already have handed its copy on.
+					if st != Exclusive && !h.busy && !s.fillInFlight(a, blk, st) {
+						return violated("dir-agreement", "block %d line %d: owner agent %d holds state %v", blk.id, line, a, st)
 					}
-				case st == Exclusive:
-					return &InvariantError{"ts-agreement", fmt.Sprintf(
-						"block %d line %d: agent %d exclusive but the home names agent %d owner",
-						blk.id, line, a, owner)}
-				case a == blk.homeAgent && owner == -1:
-					if st != Shared {
-						return &InvariantError{"ts-agreement", fmt.Sprintf(
-							"block %d line %d: home master copy holds state %v", blk.id, line, st)}
+				case a == blk.homeAgent && h.owner == -1:
+					if st != Shared && !s.fillInFlight(a, blk, st) {
+						return violated("dir-agreement", "block %d line %d: home master copy holds state %v", blk.id, line, st)
+					}
+				case a == blk.homeAgent:
+					// The home's copies carry no lease: beside an owner one is
+					// stale with nothing to bound it, unless it was filled by a
+					// recall whose writeback has yet to land.
+					if st == Shared && !h.busy {
+						return violated("dir-agreement", "block %d line %d: home agent %d holds a shared copy while agent %d owns the block",
+							blk.id, line, a, h.owner)
 					}
 				case st == Shared:
 					l, ok := t.astate(am).leases.get(blk.id)
 					if !ok {
-						return &InvariantError{"ts-agreement", fmt.Sprintf(
-							"block %d line %d: agent %d holds a shared copy with no lease record",
-							blk.id, line, a)}
+						return violated("dir-agreement", "block %d line %d: agent %d holds a shared copy with no lease record", blk.id, line, a)
 					}
-					if l.dataWts > e.wts || l.leaseEnd > e.rts {
-						return &InvariantError{"ts-agreement", fmt.Sprintf(
-							"block %d line %d: agent %d lease (wts %d, end %d) outside home timestamps (wts %d, rts %d)",
-							blk.id, line, a, l.dataWts, l.leaseEnd, e.wts, e.rts)}
+					// While a recall is busy the recalled owner (and the
+					// requester) may already hold the stamped lease, ahead of
+					// the home adopting the stamped timestamps from the ShareWB
+					// still in flight.
+					if !h.busy && (l.dataWts > te.wts || l.leaseEnd > te.rts) {
+						return violated("dir-agreement", "block %d line %d: agent %d lease (wts %d, end %d) outside home timestamps (wts %d, rts %d)",
+							blk.id, line, a, l.dataWts, l.leaseEnd, te.wts, te.rts)
 					}
 				}
-			}
-			if err := s.checkFlagFill(line); err != nil {
-				return err
 			}
 		}
 	}
@@ -774,137 +785,23 @@ func (t *tardis) noteGhostStore(e *Explorer, pid, word int, val uint64) {
 	}
 }
 
-// expectedValue is what a valid copy at the agent must hold: the last
-// performed store for owners, pending owners, and master copies, and the
-// leased version for leaseholders.
-func (t *tardis) expectedValue(e *Explorer, a int, blk *blockInfo, word int) (uint64, string) {
-	h := e.sys.homes[blk.id]
+// expectedValue: owners, pending owners and the home's master copy are
+// current. A read of a leased copy may legally return a stale value, but
+// only the exact version its lease names, which only the explorer's history
+// can say.
+func (t *tardis) expectedValue(s *System, e *Explorer, a int, blk *blockInfo, word int, cur uint64) (uint64, bool) {
+	h := s.homes[blk.id]
 	if a == h.owner || (h.busy && h.pendingOwner == a) || a == blk.homeAgent {
-		return e.ghost[word].val, "last performed store"
+		return cur, true
 	}
-	if l, ok := t.astate(e.sys.agents[a]).leases.get(blk.id); ok {
-		return t.histAt(word, l.dataWts), fmt.Sprintf("the version at wts %d", l.dataWts)
+	if e == nil {
+		return 0, false
 	}
-	// Unleased non-master copy: ts-agreement reports it; against the
-	// current value here.
-	return e.ghost[word].val, "last performed store"
-}
-
-// expCheck evaluates the Tardis safety catalogue. The invariant names
-// match the directory backend's so ExpConfig.Disabled applies uniformly;
-// "dir-agreement" here means timestamp/lease agreement.
-func (t *tardis) expCheck(e *Explorer) *ExpViolation {
-	dis := e.cfg.Disabled
-	s := e.sys
-	if !dis["swmr"] {
-		for line := 0; line < s.allocCursor; line++ {
-			excl := -1
-			for a, am := range s.agents {
-				if am.table[line] == Exclusive {
-					if excl >= 0 {
-						return e.record("swmr", fmt.Sprintf(
-							"line %d exclusive at both p%d and p%d", line, excl, a))
-					}
-					excl = a
-				}
-			}
-			if excl >= 0 {
-				h := s.homes[s.blockOf(line).id]
-				if h.owner != excl && !(h.busy && h.pendingOwner == excl) {
-					return e.record("swmr", fmt.Sprintf(
-						"line %d exclusive at p%d but the home names agent %d owner",
-						line, excl, h.owner))
-				}
-			}
-		}
+	l, ok := t.astate(s.agents[a]).leases.get(blk.id)
+	if !ok {
+		// An unleased non-master copy is dir-agreement's to report; against
+		// the current value here.
+		return cur, true
 	}
-	if !dis["data-value"] {
-		for _, blk := range s.blocks {
-			line := blk.firstLine
-			for a, am := range s.agents {
-				if st := am.table[line]; st != Shared && st != Exclusive {
-					continue
-				}
-				for w := 0; w < s.wordsPerLine; w++ {
-					word := line*s.wordsPerLine + w
-					want, desc := t.expectedValue(e, a, blk, word)
-					if am.data[word] != want {
-						return e.record("data-value", fmt.Sprintf(
-							"p%d holds %#x for w%d, %s is %#x",
-							a, am.data[word], word, desc, want))
-					}
-				}
-			}
-		}
-	}
-	if !dis["dir-agreement"] {
-		for _, blk := range s.blocks {
-			if v := t.checkTs(e, blk); v != nil {
-				return v
-			}
-		}
-	}
-	return nil
-}
-
-// checkTs verifies timestamp/lease agreement for one block, tolerating
-// exactly the transients the protocol creates (a busy recall or transfer
-// with its resolving message in flight, a pending home fill).
-func (t *tardis) checkTs(e *Explorer, blk *blockInfo) *ExpViolation {
-	s := e.sys
-	te, h := t.entries[blk.id], s.homes[blk.id]
-	line := blk.firstLine
-	home := blk.homeAgent
-	if te.wts > te.rts {
-		return e.record("dir-agreement", fmt.Sprintf(
-			"block %d has wts %d > rts %d", blk.id, te.wts, te.rts))
-	}
-	if h.busy && !e.busyJustified(blk.id) {
-		return e.record("dir-agreement", fmt.Sprintf(
-			"block %d is busy with no forward, writeback, or ownership transfer in flight",
-			blk.id))
-	}
-	if h.owner == -1 {
-		if st := s.agents[home].table[line]; st != Shared && st != Pending {
-			return e.record("dir-agreement", fmt.Sprintf(
-				"block %d has no owner but its home master copy holds state %d", blk.id, st))
-		}
-	}
-	for a, am := range s.agents {
-		if am.table[line] != Shared || a == home {
-			continue
-		}
-		l, ok := t.astate(am).leases.get(blk.id)
-		if !ok {
-			return e.record("dir-agreement", fmt.Sprintf(
-				"p%d holds a shared copy of block %d with no lease record", a, blk.id))
-		}
-		// While a recall is busy the recalled owner (and the requester)
-		// may already hold the stamped lease, ahead of the home adopting
-		// the stamped timestamps from the ShareWB still in flight.
-		if h.busy {
-			continue
-		}
-		if l.dataWts > te.wts || l.leaseEnd > te.rts {
-			return e.record("dir-agreement", fmt.Sprintf(
-				"p%d lease on block %d (wts %d, end %d) outside home timestamps (wts %d, rts %d)",
-				a, blk.id, l.dataWts, l.leaseEnd, te.wts, te.rts))
-		}
-	}
-	return nil
-}
-
-// expCheckRead: the eager check at read completion. A Tardis read may
-// legally return a stale value — but only the exact version its lease
-// names.
-func (t *tardis) expCheckRead(e *Explorer, ep *expProc, op ExpOp, v uint64) {
-	if e.cfg.Disabled["data-value"] {
-		return
-	}
-	blk := e.blkOf(op.Word)
-	want, desc := t.expectedValue(e, ep.p.agent, blk, op.Word)
-	if v != want {
-		e.fail("data-value", fmt.Sprintf(
-			"p%d %s read %#x, %s is %#x", ep.p.ID, op, v, desc, want))
-	}
+	return t.histAt(word, l.dataWts), true
 }

@@ -238,7 +238,7 @@ func Check(m Model, opts Options) *Result {
 	}
 	sort.Strings(res.Outcomes)
 	if res.Converged && opts.Liveness {
-		if bad := findLivelock(visited, edges, terminals); bad != "" {
+		if findLivelock(visited, edges, terminals) {
 			res.Violation = &Violation{
 				Invariant: "livelock",
 				Detail:    "a reachable state cannot reach any clean terminal state",
@@ -248,11 +248,10 @@ func Check(m Model, opts Options) *Result {
 	return res
 }
 
-// findLivelock returns the key of a state from which no clean terminal
-// state is reachable (bounded liveness over the explored graph), or "".
-// Only meaningful after a converged sweep, when the edge relation is
-// complete.
-func findLivelock(visited map[string]bool, edges map[string][]string, terminals map[string]bool) string {
+// findLivelock reports whether some state cannot reach any clean terminal
+// state (bounded liveness over the explored graph). Only meaningful after a
+// converged sweep, when the edge relation is complete.
+func findLivelock(visited map[string]bool, edges map[string][]string, terminals map[string]bool) bool {
 	// Reverse reachability from the terminal states.
 	rev := make(map[string][]string)
 	for src, dsts := range edges {
@@ -278,10 +277,10 @@ func findLivelock(visited map[string]bool, edges map[string][]string, terminals 
 	}
 	for k := range visited {
 		if !ok[k] {
-			return k
+			return true
 		}
 	}
-	return ""
+	return false
 }
 
 // Replay re-executes an action path against a fresh instance of the

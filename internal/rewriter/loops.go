@@ -2,6 +2,7 @@ package rewriter
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/isa"
 )
@@ -305,9 +306,17 @@ func proveLoop(c *CFG, defs *defsInfo, l natLoop, classify func(int) loopClass, 
 	back := l.backSrcs[0]
 	bb := c.Blocks[back]
 
+	// Both scans below go in block order: the first reject is the
+	// instruction the verifier reports.
+	blocks := make([]int, 0, len(l.blocks))
+	for b := range l.blocks {
+		blocks = append(blocks, b)
+	}
+	sort.Ints(blocks)
+
 	// Textual contiguity: the loop blocks tile [hb.Start, bb.End) exactly.
 	span := 0
-	for b := range l.blocks {
+	for _, b := range blocks {
 		blk := c.Blocks[b]
 		if blk.Start < hb.Start || blk.End > bb.End {
 			return nil, reject(blk.Start, "loop-batch-body", "loop block @%d..%d outside the body span [%d,%d)", blk.Start, blk.End, hb.Start, bb.End)
@@ -320,7 +329,7 @@ func proveLoop(c *CFG, defs *defsInfo, l natLoop, classify func(int) loopClass, 
 
 	// Single exit: only the back-edge block leaves the loop, by falling
 	// through past its bottom test.
-	for b := range l.blocks {
+	for _, b := range blocks {
 		for _, s := range c.Blocks[b].Succs {
 			if l.blocks[s] {
 				continue

@@ -13,7 +13,9 @@
 //     collecting the *values* into a slice inside `for k, v := range m`
 //     produces run-dependent results. (Collecting just the keys and
 //     sorting them afterwards is the sanctioned pattern and is not
-//     flagged.)
+//     flagged.) Returning from inside a map range is order-sensitive too
+//     when what is returned depends on the key or value: which element
+//     is found first is up to the runtime.
 //
 // detlint type-checks the named package directories using only the
 // standard library: imports within this module are resolved by
@@ -276,6 +278,86 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 		})
 	}
 
+	// lintMapRangeReturns flags a return inside a map range whose results
+	// use the key, the value, or a local the body derived from them: which
+	// element is returned depends on iteration order. A local is derived if
+	// it is assigned from, or ranges over, something that already is.
+	lintMapRangeReturns := func(rs *ast.RangeStmt) {
+		derived := map[types.Object]bool{}
+		changed := false
+		mark := func(e ast.Expr) {
+			if id, ok := e.(*ast.Ident); ok {
+				if obj := info.ObjectOf(id); obj != nil && !derived[obj] {
+					derived[obj] = true
+					changed = true
+				}
+			}
+		}
+		uses := func(n ast.Node) bool {
+			found := false
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && derived[info.ObjectOf(id)] {
+					found = true
+				}
+				return !found
+			})
+			return found
+		}
+		for _, e := range []ast.Expr{rs.Key, rs.Value} {
+			if e != nil {
+				mark(e)
+			}
+		}
+		for changed {
+			changed = false
+			ast.Inspect(rs.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, r := range n.Rhs {
+						if uses(r) {
+							for _, l := range n.Lhs {
+								mark(l)
+							}
+							break
+						}
+					}
+				case *ast.ValueSpec:
+					for _, v := range n.Values {
+						if uses(v) {
+							for _, name := range n.Names {
+								mark(name)
+							}
+							break
+						}
+					}
+				case *ast.RangeStmt:
+					if uses(n.X) {
+						for _, e := range []ast.Expr{n.Key, n.Value} {
+							if e != nil {
+								mark(e)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		ast.Inspect(rs.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false // its returns leave the literal, not the range
+			case *ast.ReturnStmt:
+				for _, r := range n.Results {
+					if uses(r) {
+						add(n, "map-range-return", "return inside a map range uses its key or value: which element is returned depends on the randomized iteration order — iterate sorted keys instead")
+						break
+					}
+				}
+			}
+			return true
+		})
+	}
+
 	// Pass 1: wall-clock time and the global RNG, anywhere in the file.
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -313,6 +395,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 			val = id
 		}
 		lintMapRangeBody(rs.Body, val)
+		lintMapRangeReturns(rs)
 		return true
 	})
 
