@@ -46,7 +46,7 @@ type CostModel struct {
 	QueueLock       sim.Time // SMP: lock/unlock a shared message queue (§4.3.2)
 	MBBase          sim.Time // memory-barrier protocol check, Base-Shasta (§6.2)
 	MBSMP           sim.Time // memory-barrier protocol check, SMP-Shasta (§6.2)
-	SyncLocal       sim.Time // home-local MP lock/barrier manipulation
+	SyncLocal       sim.Time // one MP lock/barrier step in agent memory (see sync.go)
 	DirectDowngrade sim.Time // directly editing another process's table (§4.3.4)
 	DowngradeHandle sim.Time // servicing an explicit downgrade message
 	LLSCExtra       sim.Time // in-line state save/branch around LL...SC (§3.1.2)

@@ -51,6 +51,11 @@ type Proc struct {
 	granted      []bool
 	barrierSeen  []int
 	barrierWaits []int
+	// handed is set with handedTs when a process of this agent wakes this
+	// one from a lock or barrier wait: the release or grant timestamp this
+	// process has yet to observe (see Proc.handOff).
+	handed   bool
+	handedTs int64
 
 	// inProtocol is the not-in-application-code flag of §4.3.4: set while
 	// executing protocol code or a system call, it permits other processes

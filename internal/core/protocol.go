@@ -144,8 +144,7 @@ func (p *Proc) dispatch(m *msg, cat TimeCategory) {
 	case msgBarrierEnter:
 		p.handleBarrierEnter(m)
 	case msgBarrierRelease:
-		s.proto.observeTs(p, m.ts)
-		p.barrierSeen[m.id]++
+		p.handleBarrierRelease(m)
 	case msgNetAck:
 		p.handleNetAck(m)
 	case msgUser:

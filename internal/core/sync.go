@@ -6,11 +6,14 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements Shasta's message-passing synchronization: the
-// queue-based locks and centralized barriers that applications can use
-// instead of (or alongside) transparent Alpha LL/SC sequences (§6.2's "MP"
-// synchronization). Both are implemented directly on the message layer
-// rather than on top of the shared-memory abstraction.
+// This file implements Shasta's message-passing synchronization (§6.2's
+// "MP" synchronization): queue-based locks and combining barriers that
+// applications can use instead of (or alongside) transparent Alpha LL/SC
+// sequences. Both are grouped by coherence agent. Processes that share an
+// agent's memory (a node's, in SMP-Shasta) synchronize through it at
+// SyncLocal a step; only what crosses agents is a message. In Base-Shasta
+// every process is its own agent, so every lock and barrier operation of a
+// process other than the home is a message to or from the home.
 
 // LockAcquire obtains the message-passing lock with the given ID, blocking
 // until it is granted. Grants are queue-based: a release hands the lock
@@ -24,21 +27,29 @@ func (p *Proc) LockAcquire(id int) {
 	p.enterProtocol()
 	defer p.exitProtocol()
 	p.charge(CatSyncStall, s.Cfg.Cost.ProtocolEntry)
-	if lk.home == p.ID {
-		// Home-local acquire: manipulate the lock state directly.
+	home := s.procs[lk.home]
+	if home.agent == p.agent {
+		// The home shares this process's memory: manipulate the lock state
+		// directly.
 		p.charge(CatSyncStall, s.Cfg.Cost.SyncLocal)
 		if !lk.held {
 			lk.held = true
 			lk.holder = p.ID
+			if p.ID != lk.home {
+				// What a grant would have carried. The home's own acquire
+				// of a free lock does not observe relTs: a known gap under
+				// Tardis, whose fix moves every Base-Shasta Tardis run.
+				s.proto.observeTs(p, lk.relTs)
+			}
 			return
 		}
 		lk.waiters = append(lk.waiters, p.ID)
 	} else {
-		home := s.procs[lk.home]
 		s.deliver(p, home, &msg{kind: msgLockReq, id: id, from: p.ID, reqProc: p.ID}, CatSyncStall)
 	}
 	p.stallWhile(CatSyncStall, func() bool { return !p.granted[id] })
 	p.granted[id] = false
+	p.observeHanded()
 }
 
 // LockRelease releases a lock acquired with LockAcquire. Like Shasta's own
@@ -52,7 +63,8 @@ func (p *Proc) LockRelease(id int) {
 	defer p.exitProtocol()
 	p.drainOutstanding()
 	p.charge(CatTask, s.Cfg.Cost.ProtocolEntry)
-	if lk.home == p.ID {
+	home := s.procs[lk.home]
+	if home.agent == p.agent {
 		p.charge(CatTask, s.Cfg.Cost.SyncLocal)
 		if ts := s.proto.syncTs(p); ts > lk.relTs {
 			lk.relTs = ts
@@ -60,7 +72,6 @@ func (p *Proc) LockRelease(id int) {
 		p.releaseLock(lk)
 		return
 	}
-	home := s.procs[lk.home]
 	s.deliver(p, home, &msg{kind: msgLockRelease, id: id, from: p.ID, ts: s.proto.syncTs(p)}, CatTask)
 }
 
@@ -76,18 +87,22 @@ func (p *Proc) releaseLock(lk *lockState) {
 	lk.holder = -1
 }
 
+// grantLock hands the lock to process to. The grant carries the maximum
+// timestamp of prior releases, so an acquiring process observes everything
+// the releaser's critical section produced (release-consistency ordering
+// under tardis; relTs stays zero under dirinval).
 func (p *Proc) grantLock(lk *lockState, to int) {
 	dst := p.sys.procs[to]
-	// The grant carries the maximum timestamp of prior releases, so an
-	// acquiring process observes everything the releaser's critical
-	// section produced (release-consistency ordering under tardis; relTs
-	// stays zero under dirinval).
-	if dst == p {
+	switch {
+	case dst == p:
 		p.sys.proto.observeTs(p, lk.relTs)
 		p.granted[lk.id] = true
-		return
+	case dst.agent == p.agent:
+		dst.granted[lk.id] = true
+		p.handOff(dst, lk.relTs)
+	default:
+		p.sys.deliver(p, dst, &msg{kind: msgLockGrant, id: lk.id, from: p.ID, ts: lk.relTs}, CatMessage)
 	}
-	p.sys.deliver(p, dst, &msg{kind: msgLockGrant, id: lk.id, from: p.ID, ts: lk.relTs}, CatMessage)
 }
 
 func (p *Proc) handleLockReq(m *msg) {
@@ -109,9 +124,40 @@ func (p *Proc) handleLockRelease(m *msg) {
 	p.releaseLock(lk)
 }
 
+// handOff wakes q, which shares p's agent, from a lock or barrier wait whose
+// flag the caller has just set in the memory they share: no message. q pays
+// for the wake and observes the timestamp itself as it wakes
+// (observeHanded).
+func (p *Proc) handOff(q *Proc, ts int64) {
+	q.handed = true
+	if ts > q.handedTs {
+		q.handedTs = ts
+	}
+	q.Sim.NotifyAt(p.Sim.Now())
+}
+
+// observeHanded ends a wait a node-mate ended with handOff. The woken
+// process re-reads the flag its waker wrote, from agent memory, for one
+// SyncLocal: the cost of a wake falls on the process woken, as a spinning
+// waiter's miss on the flag does, so waking k mates costs the waker nothing
+// and each mate one step. It then observes the handed timestamp, which may
+// expire leases and so must run on its own coroutine.
+func (p *Proc) observeHanded() {
+	if !p.handed {
+		return
+	}
+	ts := p.handedTs
+	p.handed, p.handedTs = false, 0
+	p.charge(CatSyncStall, p.sys.Cfg.Cost.SyncLocal)
+	p.sys.proto.observeTs(p, ts)
+}
+
 // BarrierWait enters the message-passing barrier and blocks until every
-// participant has arrived. The barrier home counts arrivals and broadcasts
-// a release.
+// participant has arrived. Arrivals combine in their agent's slot; the last
+// of an agent reports the agent's participants to the home, by message
+// unless it shares the home's agent. The home counts participants and
+// releases each agent through the process that reported it, which wakes the
+// agent's other arrivals.
 func (p *Proc) BarrierWait(id int) {
 	s := p.sys
 	b := s.barriers[id]
@@ -123,14 +169,28 @@ func (p *Proc) BarrierWait(id int) {
 	p.charge(CatSyncStall, s.Cfg.Cost.ProtocolEntry)
 	p.barrierWaits[id]++
 	target := p.barrierWaits[id]
-	if b.home == p.ID {
+	slot := b.slotOf(p)
+	home := s.procs[b.home]
+	// An agent's only participant, away from the home, keeps nothing in
+	// the agent's memory: its arrival is the message.
+	if slot.need > 1 || p.agent == home.agent {
 		p.charge(CatSyncStall, s.Cfg.Cost.SyncLocal)
-		p.barrierArrive(b, p.ID, s.proto.syncTs(p))
-	} else {
-		home := s.procs[b.home]
-		s.deliver(p, home, &msg{kind: msgBarrierEnter, id: id, from: p.ID, reqProc: p.ID, ts: s.proto.syncTs(p)}, CatSyncStall)
+	}
+	slot.arrived.add(p.ID)
+	if ts := s.proto.syncTs(p); ts > slot.maxTs {
+		slot.maxTs = ts
+	}
+	if slot.arrived.len() == slot.need {
+		ts := slot.maxTs
+		slot.maxTs = 0
+		if p.agent == home.agent {
+			p.barrierArrive(b, p.ID, ts)
+		} else {
+			s.deliver(p, home, &msg{kind: msgBarrierEnter, id: id, from: p.ID, reqProc: p.ID, ts: ts}, CatSyncStall)
+		}
 	}
 	p.stallWhile(CatSyncStall, func() bool { return p.barrierSeen[id] < target })
+	p.observeHanded()
 	p.emitSync("barrier-leave", id)
 }
 
@@ -145,16 +205,18 @@ func (p *Proc) handleBarrierEnter(m *msg) {
 	p.barrierArrive(p.sys.barriers[m.id], m.reqProc, m.ts)
 }
 
+// barrierArrive counts, at the home's agent, the participants of the agent
+// whose last arrival was who, and releases the episode once all are in.
 func (p *Proc) barrierArrive(b *barrierState, who int, ts int64) {
-	b.arrived = append(b.arrived, who)
+	b.reporters.add(who)
+	b.count += b.slots[p.sys.procs[who].agent].need
 	if ts > b.maxTs {
 		b.maxTs = ts
 	}
-	if len(b.arrived) < b.needed {
+	if b.count < b.needed {
 		return
 	}
-	arrived := b.arrived
-	b.arrived = nil
+	b.count = 0
 	b.epoch++
 	// The release broadcasts the maximum arrival timestamp: after the
 	// barrier every participant observes every pre-barrier store (tardis;
@@ -171,18 +233,33 @@ func (p *Proc) barrierArrive(b *barrierState, who int, ts int64) {
 			panic(fmt.Sprintf("core: %v (at barrier %d release, epoch %d)", v, b.id, b.epoch))
 		}
 	}
-	for _, proc := range arrived {
-		dst := p.sys.procs[proc]
-		if dst == p {
-			p.sys.proto.observeTs(p, maxTs)
-			p.barrierSeen[b.id]++
+	for _, who := range b.reporters.take() {
+		dst := p.sys.procs[who]
+		if dst.agent == p.agent {
+			p.releaseSlot(b, maxTs)
 			continue
 		}
 		p.sys.deliver(p, dst, &msg{kind: msgBarrierRelease, id: b.id, from: p.ID, ts: maxTs}, CatMessage)
 	}
-	// Hand the drained arrival slice back for the next epoch.
-	if b.arrived == nil {
-		b.arrived = arrived[:0]
+}
+
+// handleBarrierRelease runs on the process that reported its agent.
+func (p *Proc) handleBarrierRelease(m *msg) {
+	p.releaseSlot(p.sys.barriers[m.id], m.ts)
+}
+
+// releaseSlot ends the episode for every arrival in p's agent's slot. p
+// observes ts itself; it wakes the others, which pay for their own wakes.
+func (p *Proc) releaseSlot(b *barrierState, ts int64) {
+	for _, id := range b.slots[p.agent].arrived.take() {
+		q := p.sys.procs[id]
+		if q == p {
+			p.sys.proto.observeTs(p, ts)
+			p.barrierSeen[b.id]++
+			continue
+		}
+		q.barrierSeen[b.id]++
+		p.handOff(q, ts)
 	}
 }
 

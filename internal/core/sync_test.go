@@ -1,0 +1,177 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// syncSends runs n processes, one to a CPU in order, each doing body with a
+// lock and an n-way barrier homed at process 0, and counts the lock and
+// barrier messages sent, by kind, and the barrier-enters sent to the home.
+func syncSends(t *testing.T, cfg Config, n int, body func(p *Proc, lock, barrier int)) (sent map[string]int, homeEnters int) {
+	t.Helper()
+	s := Build(WithConfig(cfg))
+	lock, barrier := s.NewLock(0), s.NewBarrier(0, n)
+	for i := 0; i < n; i++ {
+		s.Spawn(fmt.Sprintf("p%d", i), i, func(p *Proc) { body(p, lock, barrier) })
+	}
+	sent = map[string]int{}
+	debugDeliver = func(from, to *Proc, kind string, _ sim.Time) {
+		switch kind {
+		case "barrier-enter", "barrier-release", "lock-req", "lock-grant", "lock-release":
+			sent[kind]++
+			if kind == "barrier-enter" && to.ID == 0 {
+				homeEnters++
+			}
+		}
+	}
+	defer func() { debugDeliver = nil }()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return sent, homeEnters
+}
+
+// TestBarrierMessagesPerAgent: a barrier episode costs one barrier-enter and
+// one barrier-release per agent other than the home's, whatever the number of
+// participants. On 4x4 SMP-Shasta, 16 participants send 2·(Nodes−1) barrier
+// messages an episode, and the home handles Nodes−1 enters: arrivals combine
+// in their node's memory. On 8x1 Base-Shasta every process is its own agent,
+// so each of the other seven sends an enter and gets a release, as when the
+// home counted every arrival.
+func TestBarrierMessagesPerAgent(t *testing.T) {
+	const episodes = 5
+	for _, c := range []struct {
+		name             string
+		nodes, cpus      int
+		smp              bool
+		perEpisode, home int
+	}{
+		{"4x4 SMP", 4, 4, true, 2 * 3, 3},
+		{"8x1 Base", 8, 1, false, 2 * 7, 7},
+	} {
+		cfg := testConfig()
+		cfg.Nodes, cfg.CPUsPerNode, cfg.SMP = c.nodes, c.cpus, c.smp
+		n := c.nodes * c.cpus
+		sent, homeEnters := syncSends(t, cfg, n, func(p *Proc, _, bar int) {
+			for e := 0; e < episodes; e++ {
+				// Arrive in a different order every episode.
+				p.Compute(sim.Time(200 + 150*((p.ID*7+e*5)%n)))
+				p.BarrierWait(bar)
+			}
+		})
+		if got, want := sent["barrier-enter"]+sent["barrier-release"], episodes*c.perEpisode; got != want {
+			t.Errorf("%s: %d barrier messages in %d episodes (%v), want %d", c.name, got, episodes, sent, want)
+		}
+		if want := episodes * c.home; homeEnters != want {
+			t.Errorf("%s: the home received %d barrier-enters in %d episodes, want %d", c.name, homeEnters, episodes, want)
+		}
+	}
+}
+
+// TestLockMessagesByAgent: an acquire and release by a process that shares
+// the lock's home's agent sends nothing; from another agent it is a request,
+// a grant and a release, as before.
+func TestLockMessagesByAgent(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		smp  bool
+		want int
+	}{
+		{"SMP node-mate", true, 0},
+		{"Base other process", false, 3},
+	} {
+		cfg := testConfig()
+		cfg.SMP = c.smp
+		sent, _ := syncSends(t, cfg, 2, func(p *Proc, lk, _ int) {
+			if p.ID == 1 {
+				p.LockAcquire(lk)
+				p.LockRelease(lk)
+			}
+		})
+		if got := sent["lock-req"] + sent["lock-grant"] + sent["lock-release"]; got != c.want {
+			t.Errorf("%s of the home: acquire and release sent %v, want %d messages", c.name, sent, c.want)
+		}
+	}
+}
+
+// TestWokenMateExpiresLease: under Tardis-SMP a process woken by a node-mate
+// from a barrier, and then from a lock wait, must expire a lease as it
+// observes the release timestamp, and that runs on its own coroutine: the
+// expiry downgrades the other waiter's private table. Node 0 holds p0 and p1,
+// which read block B (homed on node 1) and wait, and p4, which homes the
+// lock and the barrier and has exited. Node 1 writes B past node 0's lease
+// and arrives, then releases the lock, so p4 wakes node 0's waiters from its
+// handler, with no message.
+func TestWokenMateExpiresLease(t *testing.T) {
+	const step = sim.Time(100_000)
+	cfg := testConfig()
+	cfg.Protocol = "tardis"
+	cfg.Nodes, cfg.CPUsPerNode = 2, 3
+	s := Build(WithConfig(cfg))
+	bar, lk := s.NewBarrier(4, 4), s.NewLock(4)
+	var b uint64
+	reader := func(p *Proc) {
+		computeUntil(p, step/2)
+		p.Load(b)
+		p.BarrierWait(bar)
+		computeUntil(p, 3*step+step/2)
+		p.Load(b)
+		p.LockAcquire(lk)
+		p.LockRelease(lk)
+	}
+	bodies := []func(p *Proc){
+		reader,
+		reader,
+		func(p *Proc) {
+			p.BarrierWait(bar)
+			computeUntil(p, 3*step)
+			p.LockAcquire(lk)
+			computeUntil(p, 4*step)
+			p.Store(b+8, 2)
+			p.MemBar()
+			computeUntil(p, 4*step+step/2)
+			p.LockRelease(lk)
+		},
+		func(p *Proc) {
+			computeUntil(p, step)
+			p.Store(b, 1)
+			p.MemBar()
+			p.BarrierWait(bar)
+		},
+	}
+	for i, cpu := range []int{0, 1, 3, 4} {
+		body := bodies[i]
+		s.Spawn(fmt.Sprintf("p%d", i), cpu, func(p *Proc) {
+			body(p)
+			p.BarrierWait(bar)
+		})
+	}
+	s.Spawn("p4", 2, func(p *Proc) {})
+	b = s.Alloc(64, AllocOptions{Home: HomeAt(3)})
+	blk := s.blockOf(s.lineOf(b))
+	type expiry struct{ proc, step int }
+	var expired []expiry
+	debugTrace = func(p *Proc, bi *blockInfo, site string) {
+		if bi == blk && p.node == 0 && site == downgradeSiteNames[Invalid] {
+			expired = append(expired, expiry{p.ID, int(p.Now() / step)})
+		}
+	}
+	defer func() { debugTrace = nil }()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Once by a woken reader after the barrier (step 1), once by the one
+	// granted the lock (step 4).
+	if len(expired) != 2 || expired[0].proc > 1 || expired[0].step != 1 || expired[1].proc > 1 || expired[1].step != 4 {
+		t.Errorf("node 0's lease of B expired at %v (process, step), want once by p0 or p1 in step 1 and once in step 4", expired)
+	}
+	if v, w := s.Peek(b), s.Peek(b+8); v != 1 || w != 2 {
+		t.Errorf("B holds %d and %d, want 1 and 2", v, w)
+	}
+}

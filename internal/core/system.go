@@ -180,13 +180,75 @@ type lockState struct {
 	relTs   int64 // max protocol timestamp carried by releases (tardis)
 }
 
+// barrierState is one MP barrier. Its participants are processes 0 to
+// needed-1; the home's agent keeps the count, each agent its own slot.
 type barrierState struct {
-	id      int // index in System.barriers
-	home    int
-	needed  int
-	arrived []int
-	epoch   int
-	maxTs   int64 // max protocol timestamp over arrivals this epoch (tardis)
+	id     int // index in System.barriers
+	home   int
+	needed int
+	epoch  int
+	// This episode at the home: participants counted, the max protocol
+	// timestamp they carried (tardis), and the process that reported each
+	// agent, in report order.
+	count     int
+	maxTs     int64
+	reporters idList
+	slots     []barrierSlot // by agent; sized by the first arrival
+	sizing    sync.Once
+}
+
+// barrierSlot is one agent's part of a barrier episode, kept in the agent's
+// memory: its arrivals, the last of which reports to the home.
+type barrierSlot struct {
+	need    int // participants on the agent
+	arrived idList
+	maxTs   int64
+}
+
+// slotOf returns p's agent's slot, sizing every slot on the first arrival
+// of all.
+func (b *barrierState) slotOf(p *Proc) *barrierSlot {
+	s := p.sys
+	b.sizing.Do(func() {
+		if len(s.procs) < b.needed {
+			panic(fmt.Sprintf("core: barrier %d has %d participants, but only %d processes exist at its first arrival", b.id, b.needed, len(s.procs)))
+		}
+		b.slots = make([]barrierSlot, len(s.agents))
+		for _, q := range s.procs[:b.needed] {
+			b.slots[q.agent].need++
+		}
+		for a := range b.slots {
+			b.slots[a].arrived = newIDList(b.slots[a].need)
+		}
+		b.reporters = newIDList(len(b.slots))
+	})
+	if p.ID >= b.needed {
+		panic(fmt.Sprintf("core: %s waits at barrier %d, whose participants are processes 0 to %d", p, b.id, b.needed-1))
+	}
+	return &b.slots[p.agent]
+}
+
+// idList is a fixed-capacity list of process IDs, kept in two buffers:
+// take hands back one episode's entries and starts the next in the other
+// buffer, so a release can walk one while the processes it has woken arrive
+// again in the other. The next take comes only once all of them are back,
+// after the walk.
+type idList struct{ cur, next []int }
+
+func newIDList(n int) idList { return idList{make([]int, 0, n), make([]int, 0, n)} }
+
+func (l *idList) len() int { return len(l.cur) }
+
+// add appends without growing: the capacity is the number of participants.
+func (l *idList) add(id int) {
+	l.cur = l.cur[:len(l.cur)+1]
+	l.cur[len(l.cur)-1] = id
+}
+
+func (l *idList) take() []int {
+	ids := l.cur
+	l.cur, l.next = l.next[:0], ids
+	return ids
 }
 
 // newSystem wires a system. immediate says that something above this
@@ -554,7 +616,8 @@ func (s *System) NewLock(home int) int {
 }
 
 // NewBarrier creates a message-passing barrier for n participants, homed
-// at the given process.
+// at the given process. The participants are processes 0 to n-1, which must
+// all exist by the first arrival.
 func (s *System) NewBarrier(home, n int) int {
 	id := len(s.barriers)
 	s.barriers = append(s.barriers, &barrierState{id: id, home: home, needed: n})

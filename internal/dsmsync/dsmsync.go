@@ -3,7 +3,9 @@
 //
 //   - MP ("message-passing") locks and barriers, implemented directly on the
 //     message layer with queue-based grant hand-off — the special high-level
-//     constructs traditional software DSM systems require; and
+//     constructs traditional software DSM systems require. Processes that
+//     share a node's memory (SMP-Shasta) synchronize through it, and only
+//     what crosses nodes is a message; and
 //   - SM ("shared-memory") locks and barriers, built from transparently
 //     supported Alpha load-locked/store-conditional sequences and memory
 //     barriers — exactly what an unmodified hardware-multiprocessor binary
@@ -33,7 +35,8 @@ type Barrier interface {
 }
 
 // MPLock is the message-passing lock: the home process queues waiters and
-// hands the lock directly to the next on release.
+// hands the lock directly to the next on release. The home's node-mates
+// acquire and release it in node memory.
 type MPLock struct{ id int }
 
 // NewMPLock creates a message-passing lock homed at the given process.
@@ -44,8 +47,9 @@ func NewMPLock(s *core.System, home int) *MPLock {
 func (l *MPLock) Acquire(p *core.Proc) { p.LockAcquire(l.id) }
 func (l *MPLock) Release(p *core.Proc) { p.LockRelease(l.id) }
 
-// MPBarrier is the message-passing barrier: the home counts arrivals and
-// broadcasts the release.
+// MPBarrier is the message-passing barrier: arrivals combine per node, the
+// last of each node reports to the home, and the home releases each node
+// through that process. Its n participants are processes 0 to n-1.
 type MPBarrier struct{ id int }
 
 // NewMPBarrier creates a message-passing barrier for n participants homed

@@ -124,7 +124,10 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 // and 312 822 steps for them, where it took 99 073 and 216 203. The two SMP
 // rows are also those of forwards and invalidations sent to the process that
 // asked for the block, not to the first process of its node (PR 22): 0.93x
-// and 0.91x the cycles again, for 313 940 steps in Barnes.
+// and 0.91x the cycles again, for 313 940 steps in Barnes. And those of MP
+// barriers and locks whose node-mates synchronize through node memory: 0.99x
+// the cycles in Barnes, for 315 435 steps, and 1.15x in Raytrace, whose one
+// lock is handed on in a different order.
 func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	for _, c := range []struct {
 		app      *App
@@ -135,8 +138,8 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	}{
 		{Barnes(), []core.Option{core.WithProcs(8, 1), core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")},
 			8, 33535188, 118198 * 101 / 100},
-		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 15452905, 313940 * 101 / 100},
-		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 4702324, 140572 / 3},
+		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 15317671, 313940 * 101 / 100},
+		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 5429272, 140572 / 3},
 	} {
 		sys := core.Build(append(c.opts, core.WithMaxTime(sim.Cycles(900e6)))...)
 		res, err := Run(sys, c.app, RunConfig{Procs: c.procs, Scale: 4})
@@ -165,8 +168,12 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 // protocol. While every block of Barnes' bodies and tree and of Water-Nsq's
 // molecules was homed at process 0, that process spent 77 % and 53 % of all
 // handler cycles (92 % and 65 % under Tardis) and everyone else waited for it.
+// LU's p0, the home of its barrier, spent 44 % (60 % under Tardis) while
+// every arrival and release was a message to or from it; Volrend's spent
+// 48 % while its four work counters were all homed there and its four locks
+// on its node.
 func TestNoHomeHotSpot(t *testing.T) {
-	for _, app := range []*App{Barnes(), WaterNsq()} {
+	for _, app := range []*App{Barnes(), WaterNsq(), LU(), Volrend()} {
 		for _, proto := range core.ProtocolNames() {
 			sys := core.Build(core.WithMaxTime(sim.Cycles(900e6)), core.WithProcs(4, 4),
 				core.WithVariant(core.SMPShasta()), core.WithProtocol(proto))
@@ -185,10 +192,13 @@ func TestNoHomeHotSpot(t *testing.T) {
 // than 1.5x the handler cycles of its node-mates' mean. While every forward,
 // recall and invalidation for a node's copy went to the node's first process,
 // which then had to downgrade the node-mate that held the line, that process
-// spent 4.3x (Barnes) and 7x (Volrend) its mates' mean on dirinval. Volrend's
-// node 0 is left out: its four work-queue locks are homed at processes 0 to 3
-// and all four counters at process 0, which is home work and stays where the
-// kernel put it.
+// spent 4.3x (Barnes) and 7x (Volrend) its mates' mean on dirinval. One
+// exception: on dirinval, a process that homes one of Volrend's four
+// work-queue locks (processes 0, 4, 8 and 12, one to a node) is held to 2x.
+// Each lock is shared by one rank per node, so its home serves the requests
+// and releases of three ranks on other nodes whichever process it is. That is
+// home work, placed by the kernel, and it takes those four processes to 1.5x
+// to 1.7x; on Tardis they stay under 1.5x.
 func TestNoNodeLeaderHotSpot(t *testing.T) {
 	for _, app := range []*App{Barnes(), Volrend()} {
 		for _, proto := range core.ProtocolNames() {
@@ -198,12 +208,14 @@ func TestNoNodeLeaderHotSpot(t *testing.T) {
 				t.Fatalf("%s %s: %v", app.Name, proto, err)
 			}
 			for node := 0; node < sys.Cfg.Nodes; node++ {
-				if app.Name == "Volrend" && node == 0 {
-					continue
+				p, ratio := sys.BusiestInNode(node)
+				limit := 1.5
+				if app.Name == "Volrend" && proto == "dirinval" && p.ID%4 == 0 {
+					limit = 2
 				}
-				if p, ratio := sys.BusiestInNode(node); ratio > 1.5 {
-					t.Errorf("%s %s: p%d spends %.1fx the handler cycles of its node-mates' mean, want at most 1.5x",
-						app.Name, proto, p.ID, ratio)
+				if ratio > limit {
+					t.Errorf("%s %s: p%d spends %.1fx the handler cycles of its node-mates' mean, want at most %.1fx",
+						app.Name, proto, p.ID, ratio, limit)
 				}
 			}
 		}

@@ -316,7 +316,7 @@ func Volrend() *App {
 		Name: "Volrend", Procedures: 290, CodeKB: 270, LockCount: 4,
 		Setup: func(c *Ctx) {
 			c.Alloc("volume", 2048*wordBytes, core.AllocOptions{})
-			c.Alloc("counters", 4*64, core.AllocOptions{Home: core.HomeAt(0)})
+			c.Alloc("counters", 4*64, core.AllocOptions{})
 			c.AllocStriped("img", 256*wordBytes)
 		},
 		Body: func(c *Ctx, p *core.Proc, rank int) {

@@ -140,13 +140,14 @@ func Run(sys *core.System, app *App, cfg RunConfig) (*Result, error) {
 			ctx.Barrier(p)
 		}))
 	}
-	// Synchronization objects; locks spread across processes.
+	// Synchronization objects. Locks spread evenly across the processes, so
+	// fewer locks than processes do not all land on the first node.
 	nl := app.LockCount
 	if nl <= 0 {
 		nl = 1
 	}
 	for i := 0; i < nl; i++ {
-		home := i % cfg.Procs
+		home := (i * max(1, cfg.Procs/nl)) % cfg.Procs
 		if cfg.Sync == SMSync {
 			ctx.locks = append(ctx.locks, dsmsync.NewSMLock(sys, core.AllocOptions{Home: core.HomeAt(home)}))
 		} else {
