@@ -245,8 +245,8 @@ func (s *System) starvedMiss(now, budget sim.Time) string {
 
 // dumpProtocolState describes protocol state for watchdog stall dumps: per
 // process, outstanding misses, pending queue contents, downgrade waits; per
-// block whose home record is not at rest, the busy window and its queue. The
-// hot closure reaches it only through reliable.go's node-unreachable report.
+// block whose home record is not at rest, the busy window and its queue. It
+// describes a run that is ending.
 //
 //hot:cold
 func (s *System) dumpProtocolState() string {

@@ -2,15 +2,17 @@ package core
 
 // The coherence-protocol backend interface. The core keeps everything a
 // protocol does NOT define — processes, agent memories and state tables,
-// the MSHR/miss machinery, intra-node downgrades, the reliability
-// sublayer, both PDES engines — and the home-side skeleton every
-// home-based protocol shares (home.go): the per-block record of owner,
-// busy window and queued requests, the forward to the owner and its way
-// back, the reply's entry into the MSHR. It delegates the protocol proper
-// to a Protocol implementation: what request a miss issues, how every
-// coherence message is handled and what a grant means, what per-block
-// home state exists beyond that record, and the clauses of the invariant
-// catalogue (invariants.go) that read that state.
+// the MSHR/miss machinery, intra-node downgrades, the one sender
+// (Proc.send), the reliability sublayer, both PDES engines — and the
+// 3-hop skeleton every home-based protocol shares (home.go): the
+// per-block record of owner, busy window and queued requests, the forward
+// to the owner, the owner's downgrade, reply and writeback, and the
+// reply's entry into the MSHR. It delegates the protocol proper to a
+// Protocol implementation: what request a miss issues and what it and an
+// owner's reply are stamped with, how every other coherence message is
+// handled and what a grant means, what per-block home state exists beyond
+// that record, and the clauses of the invariant catalogue (invariants.go)
+// that read that state.
 //
 // Two backends are registered:
 //
@@ -49,16 +51,20 @@ type Protocol interface {
 
 	// missKind selects the request kind issueMissKind sends for a miss.
 	missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKind
-	// stampRequest lets the backend add fields (timestamps) to an
-	// outgoing miss request before it is delivered.
-	stampRequest(p *Proc, blk *blockInfo, m *msg)
+	// stamp lets the backend add fields (timestamps) to a message the core
+	// composes: a miss request before it is sent, and an owner's reply to a
+	// forward (msgReadReply to a forwarded read, msgReadExclReply to a
+	// forwarded read-exclusive) once the owner's copy is downgraded. The
+	// owner's message to the home carries the reply's stamps.
+	stamp(p *Proc, blk *blockInfo, m *msg)
 	// handle services one coherence message (any of the request, reply,
-	// forward, invalidation, or home-bookkeeping kinds). Non-coherence
-	// traffic (locks, barriers, downgrades, user messages, net acks)
-	// never reaches the backend. The message is borrowed for the duration
-	// of the call: an implementation that must keep it (home queues,
-	// deferred requests) appends a copy, never the pointer. Hot callers
-	// devirtualize through protoHandle so the argument does not escape.
+	// invalidation, or home-bookkeeping kinds). Forwards (the core's
+	// serveForward) and non-coherence traffic (locks, barriers, downgrades,
+	// user messages, net acks) never reach the backend. The message is
+	// borrowed for the duration of the call: an implementation that must
+	// keep it (home queues, deferred requests) appends a copy, never the
+	// pointer. Hot callers devirtualize through protoHandle so the argument
+	// does not escape.
 	handle(p *Proc, m *msg)
 
 	// refreshLL runs at the top of LoadLocked, before the line-state

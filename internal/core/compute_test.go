@@ -234,15 +234,11 @@ func TestComputeArrivalOnPollInstant(t *testing.T) {
 		for offset := sim.Time(0); offset < 2*spacing; offset++ {
 			var clocks [2][2]sim.Time
 			for mode, pollEach := range []bool{true, false} {
-				s := Build(WithConfig(cfg))
+				tr := trace.NewBuffer()
+				s := Build(WithConfig(cfg), WithTrace(tr))
 				s.pollEach = pollEach
 				var addr uint64
 				var first, arrive sim.Time
-				debugDeliver = func(from, to *Proc, kind string, at sim.Time) {
-					if to.ID == 0 && arrive == 0 {
-						arrive = at
-					}
-				}
 				s.Spawn("home", 0, func(p *Proc) {
 					p.Store(addr, 7)
 					first = p.Now() + p.pollGap + pollCost
@@ -257,10 +253,14 @@ func TestComputeArrivalOnPollInstant(t *testing.T) {
 					clocks[mode][1] = p.Now()
 				})
 				addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
-				err := s.Run()
-				debugDeliver = nil
-				if err != nil {
+				if err := s.Run(); err != nil {
 					t.Fatal(err)
+				}
+				for _, ev := range tr.TakeBuffered() {
+					if ev.Cat == "msg" && ev.Ev == "send" && ev.O == 0 {
+						arrive = ev.A
+						break
+					}
 				}
 				if !pollEach && arrive > first && (arrive-first)%spacing == 0 {
 					onInstant++

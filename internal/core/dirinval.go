@@ -6,7 +6,7 @@ package core
 // directory entry — shared or exclusive, and a sharer bitmask. Writes
 // invalidate every other sharer (multicast invalidations, acks collected
 // at the requester); reads of a remotely-owned block are forwarded to the
-// owner, which downgrades and writes the data back.
+// owner, whose downgrade and writeback are the core's (serveForward).
 
 import (
 	"fmt"
@@ -60,16 +60,13 @@ func (d *dirInval) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgK
 	return kind
 }
 
-func (d *dirInval) stampRequest(p *Proc, blk *blockInfo, m *msg) {}
+// stamp: no logical time, so nothing to add to a request or an owner's reply.
+func (d *dirInval) stamp(p *Proc, blk *blockInfo, m *msg) {}
 
 func (d *dirInval) handle(p *Proc, m *msg) {
 	switch m.kind {
 	case msgReadReq, msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq:
 		d.handleHome(p, m)
-	case msgFwdRead:
-		d.handleFwdRead(p, m)
-	case msgFwdReadExcl:
-		d.handleFwdReadExcl(p, m)
 	case msgInvalReq:
 		d.handleInval(p, m)
 	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail:
@@ -103,12 +100,12 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 		switch {
 		case dir.shared:
 			dir.sharers |= 1 << uint(reqAgent)
-			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)})
+			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)}, CatMessage)
 		case h.owner == reqAgent:
 			// Another process on the requester's agent took ownership
 			// while this request was in flight; the data is already local
 			// and the grant is exclusive.
-			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, downTo: Exclusive})
+			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, downTo: Exclusive}, CatMessage)
 		case h.owner == homeAgent:
 			// Home agent owns it: downgrade locally and reply — but defer
 			// if the home's own exclusive fill is incomplete, exactly as a
@@ -118,7 +115,7 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			}
 			p.downgradeHome(blk, Shared, false)
 			d.dirs[blk.id] = dirEntry{shared: true, sharers: 1<<uint(homeAgent) | 1<<uint(reqAgent)}
-			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)})
+			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)}, CatMessage)
 			s.drainHome(p, blk)
 		default:
 			s.forwardToOwner(p, blk, &msg{kind: msgFwdRead, block: blk.id, from: p.ID, reqProc: m.reqProc})
@@ -131,7 +128,7 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 				// The requester lost its shared copy: the SC fails
 				// (§3.1.2); crucially no invalidations are sent, which
 				// avoids livelock.
-				p.reply(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID})
+				p.send(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
 				return
 			}
 			// A plain upgrade whose copy was invalidated in flight is
@@ -142,7 +139,7 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			// Exclusivity moved (possibly to the requester's own agent
 			// via another local process) — some write serialized ahead
 			// of this SC, so it must fail.
-			p.reply(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID})
+			p.send(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
 			return
 		}
 		switch {
@@ -157,11 +154,16 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			}
 			*dir = dirEntry{}
 			h.owner = reqAgent
-			// Send remote invalidations; acks flow to the requester.
+			// Send remote invalidations; acks flow to the requester. Each is
+			// composed afresh, since a send may number it for the reliability
+			// sublayer, in a variable declared outside the loop: a literal
+			// inside the loop would escape to the heap.
+			var inv msg
 			for a := 0; remote != 0; a++ {
 				if remote&(1<<uint(a)) != 0 {
 					remote &^= 1 << uint(a)
-					s.deliver(p, s.requesterOf(blk, a), &msg{kind: msgInvalReq, block: blk.id, from: p.ID, reqProc: m.reqProc}, CatMessage)
+					inv = msg{kind: msgInvalReq, block: blk.id, from: p.ID, reqProc: m.reqProc}
+					p.send(s.requesterOf(blk, a), &inv, CatMessage)
 				}
 			}
 			// Reply before doing the (possibly slow) local invalidation.
@@ -169,24 +171,24 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			if isUpgrade {
 				k = msgUpgradeAck
 			}
-			p.reply(reqProc, &msg{kind: k, block: blk.id, from: p.ID, invals: nacks, data: data})
+			p.send(reqProc, &msg{kind: k, block: blk.id, from: p.ID, invals: nacks, data: data}, CatMessage)
 			if homeIsSharer && homeAgent != reqAgent {
 				if s.brokenHomeInval {
 					p.downgradeAgent(blk, Invalid, false)
 				} else {
 					d.invalidateAgent(p, blk)
 				}
-				p.reply(reqProc, &msg{kind: msgInvalAck, block: blk.id, from: p.ID})
+				p.send(reqProc, &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
 			}
 		case h.owner == reqAgent:
-			p.reply(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID})
+			p.send(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID}, CatMessage)
 		case h.owner == homeAgent:
 			if p.deferIfPending(m, blk, nil) {
 				return
 			}
 			data := p.downgradeHome(blk, Invalid, true)
 			s.homes[blk.id].owner = reqAgent
-			p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data})
+			p.send(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data}, CatMessage)
 			s.drainHome(p, blk)
 		default:
 			h.pendingOwner = reqAgent
@@ -195,47 +197,13 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 	}
 }
 
-// handleFwdRead services a forwarded read at the owning agent: downgrade to
-// shared, send the data to the requester, and write it back to the home.
-func (d *dirInval) handleFwdRead(p *Proc, m *msg) {
-	s := d.s
-	blk := s.blocks[m.block]
-	if p.deferIfPending(m, blk, nil) {
-		return
-	}
-	p.downgradeAgent(blk, Shared, false)
-	// The reply and the writeback each get their own buffer: both are
-	// recycled independently at their consumers, so they must not alias.
-	p.reply(s.procs[m.reqProc], &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(p.mem, blk)})
-	p.reply(s.procs[blk.home], &msg{kind: msgShareWB, block: blk.id, from: p.ID, reqProc: m.reqProc, data: s.blockData(p.mem, blk)})
-}
-
-// handleFwdReadExcl services a forwarded read-exclusive at the owning
-// agent: invalidate the local copy, ship the data to the requester, and
-// notify the home of the ownership transfer.
-func (d *dirInval) handleFwdReadExcl(p *Proc, m *msg) {
-	s := d.s
-	blk := s.blocks[m.block]
-	if p.deferIfPending(m, blk, nil) {
-		return
-	}
-	data := p.downgradeAgent(blk, Invalid, true)
-	p.reply(s.procs[m.reqProc], &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data})
-	p.reply(s.procs[blk.home], &msg{kind: msgOwnerTransfer, block: blk.id, from: p.ID})
-}
-
 // handleInval invalidates this agent's copy and acks the requester (§2.1).
 func (d *dirInval) handleInval(p *Proc, m *msg) {
 	s := d.s
 	blk := s.blocks[m.block]
 	p.stats.N[CntInvalidations]++
 	d.invalidateAgent(p, blk)
-	reqProc := s.procs[m.reqProc]
-	if reqProc == p {
-		d.handleInvalAck(p, &msg{kind: msgInvalAck, block: blk.id, from: p.ID})
-		return
-	}
-	s.deliver(p, reqProc, &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
+	p.send(s.procs[m.reqProc], &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
 }
 
 // invalidateAgent drops this agent's copy of a block for a writer the home

@@ -260,17 +260,6 @@ func (e *Explorer) ghostStore(pid int, addr, val uint64) {
 	e.sys.proto.noteGhostStore(e, pid, word, val)
 }
 
-// isReplyClass mirrors the queue selection in System.sendWire: these
-// kinds land in the reply queue, which serviceReady drains first.
-func isReplyClass(k msgKind) bool {
-	switch k {
-	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail, msgInvalAck,
-		msgDowngradeReq, msgDowngradeAck, msgLockGrant, msgBarrierRelease, msgNetAck:
-		return true
-	}
-	return false
-}
-
 // linkKeys returns the non-empty link keys in deterministic order.
 func (e *Explorer) linkKeys() [][2]int {
 	keys := make([][2]int, 0, len(e.chans))
@@ -300,9 +289,9 @@ func (e *Explorer) Enabled() []ExpAction {
 	for _, k := range e.linkKeys() {
 		q := e.chans[k]
 		out = append(out, ExpAction{Src: k[0], Dst: k[1], Idx: 0})
-		if !isReplyClass(q[0].kind) {
+		if !q[0].kind.isReply() {
 			for i := 1; i < len(q); i++ {
-				if isReplyClass(q[i].kind) {
+				if q[i].kind.isReply() {
 					out = append(out, ExpAction{Src: k[0], Dst: k[1], Idx: i})
 					break
 				}
@@ -364,11 +353,11 @@ func (e *Explorer) applyDeliver(a ExpAction) {
 		panic(fmt.Sprintf("core: explorer delivery %v out of range (queue %d)", a, len(q)))
 	}
 	if a.Idx > 0 {
-		if !isReplyClass(q[a.Idx].kind) {
+		if !q[a.Idx].kind.isReply() {
 			panic(fmt.Sprintf("core: explorer delivery %v would reorder a request", a))
 		}
 		for j := 0; j < a.Idx; j++ {
-			if isReplyClass(q[j].kind) {
+			if q[j].kind.isReply() {
 				panic(fmt.Sprintf("core: explorer delivery %v would reorder replies", a))
 			}
 		}

@@ -1,11 +1,13 @@
 package core
 
-// The home side every backend shares (§2.1): a block's home names an
+// The 3-hop skeleton every backend shares (§2.1): a block's home names an
 // owner, forwards a request it cannot serve to that owner, and holds
-// later requests until the transfer lands. The record and the busy window
-// are the core's; what a grant means — sharer sets, timestamps, the
-// forwarded message and the entry's next state — is the caller's, passed
-// in or set around these calls. Nothing here asks which backend that is.
+// later requests until the transfer lands; the owner downgrades, replies to
+// the requester and writes back to the home (serveForward). The record,
+// the busy window and the owner's half are the core's; what a grant means —
+// sharer sets, timestamps, the forwarded message and the entry's next
+// state — is the caller's, passed in, set around these calls, or stamped
+// by the backend (Protocol.stamp). Nothing here asks which backend that is.
 
 import "fmt"
 
@@ -55,7 +57,42 @@ func (p *Proc) downgradeHome(blk *blockInfo, to LineState, wantData bool) []uint
 func (s *System) forwardToOwner(p *Proc, blk *blockInfo, fwd *msg) {
 	h := &s.homes[blk.id]
 	h.busy = true
-	s.deliver(p, s.requesterOf(blk, h.owner), fwd, CatMessage)
+	p.send(s.requesterOf(blk, h.owner), fwd, CatMessage)
+}
+
+// serveForward is the owner's half of a 3-hop transfer, at the process the
+// forward reached. Behind a local fill still in flight it defers. Otherwise
+// it downgrades the owner's copy: to shared for a forwarded read, whose data
+// the home gets back, or to invalid for a forwarded read-exclusive, whose
+// ownership moves. It then sends the requester its reply and the home its
+// writeback or ownership transfer. The reply starts from the stamps the
+// home put on the forward, the backend adds its own (Protocol.stamp), and
+// the home's message carries the same. Both payloads are taken before
+// either send: a send can yield, and a node-mate's protocol activity in
+// that window may flag-invalidate the copy just demoted (DESIGN.md §8
+// finding 7).
+func (p *Proc) serveForward(m *msg) {
+	s := p.sys
+	blk := s.blocks[m.block]
+	if p.deferIfPending(m, blk, nil) {
+		return
+	}
+	rep := msg{block: blk.id, from: p.ID, ts: m.ts, rts: m.rts}
+	home := msg{block: blk.id, from: p.ID}
+	if m.kind == msgFwdRead {
+		rep.kind, home.kind, home.reqProc = msgReadReply, msgShareWB, m.reqProc
+		p.downgradeAgent(blk, Shared, false)
+		// Each message gets its own buffer: both are recycled independently
+		// at their consumers, so they must not alias.
+		rep.data, home.data = s.blockData(p.mem, blk), s.blockData(p.mem, blk)
+	} else {
+		rep.kind, home.kind = msgReadExclReply, msgOwnerTransfer
+		rep.data = p.downgradeAgent(blk, Invalid, true)
+	}
+	s.protoStamp(p, blk, &rep)
+	home.ts, home.rts = rep.ts, rep.rts
+	p.send(s.procs[m.reqProc], &rep, CatMessage)
+	p.send(s.procs[blk.home], &home, CatMessage)
 }
 
 // installData copies a message's block payload into an agent's memory and

@@ -494,21 +494,6 @@ func (p *Proc) endTransition(blk *blockInfo) {
 	p.notifyAgentWaiters()
 }
 
-// debugTrace, when non-nil, observes protocol events (tests only).
-var debugTrace func(p *Proc, blk *blockInfo, site string)
-
-// DebugSvcDelay observes message service delays (tests only).
-var debugSvcDelay func(p *Proc, kind string, delay sim.Time)
-
-// SetDebugSvcDelay installs a service-delay observer (tests only).
-func SetDebugSvcDelay(fn func(p *Proc, kind string, delay sim.Time)) { debugSvcDelay = fn }
-
-// debugDeliver observes message deliveries (tests only).
-var debugDeliver func(from, to *Proc, kind string, arrive sim.Time)
-
-// SetDebugDeliver installs a delivery observer (tests only).
-func SetDebugDeliver(fn func(from, to *Proc, kind string, arrive sim.Time)) { debugDeliver = fn }
-
 // debugForceDup, when non-nil, is consulted with a global index for each
 // message offered to the wire; returning true injects a duplicate copy of
 // that message (sequenced messages only — tests of delivery idempotence).
@@ -518,9 +503,6 @@ var debugForceDup func(n int64) bool
 func SetDebugForceDup(fn func(n int64) bool) { debugForceDup = fn }
 
 func traceEvent(p *Proc, blk *blockInfo, site string) {
-	if debugTrace != nil {
-		debugTrace(p, blk, site)
-	}
 	if t := p.sys.tr(p); t != nil {
 		t.Emit(trace.Event{T: p.Sim.Now(), Cat: "line", Ev: site, P: p.ID, Blk: blk.id})
 	}
@@ -809,20 +791,15 @@ func (p *Proc) serviceReady(cat TimeCategory) bool {
 		p.handleMessage(&m, cat)
 		return true
 	}
-	box := p.sys.requestBox(p)
-	if p.sys.Cfg.SMP && p.sys.Cfg.SharedQueues {
-		if m, ok := box.q.Pop(now); ok {
-			p.charge(cat, p.sys.Cfg.Cost.QueueLock)
-			p.handleMessage(&m, cat)
-			return true
-		}
+	m, ok := p.sys.requestBox(p).q.Pop(now)
+	if !ok {
 		return false
 	}
-	if m, ok := box.q.Pop(now); ok {
-		p.handleMessage(&m, cat)
-		return true
+	if p.sys.Cfg.SMP && p.sys.Cfg.SharedQueues {
+		p.charge(cat, p.sys.Cfg.Cost.QueueLock)
 	}
-	return false
+	p.handleMessage(&m, cat)
+	return true
 }
 
 // resetLocalLLs clears the lock flag of any other local process that has a

@@ -8,12 +8,13 @@ import (
 )
 
 // This file is the protocol-independent half of the coherence machinery:
-// miss issue and completion (MSHRs), message dispatch, and the intra-node
-// downgrade path shared by every backend. The home record (owner, busy
-// window, queue) and the steps every home takes over it are in home.go;
-// the protocol proper — what else a home keeps, request servicing, reply
-// semantics — lives behind the Protocol interface (coherence.go) in the
-// backend files (dirinval.go, tardis.go).
+// miss issue and completion (MSHRs), the one sender (send), message
+// dispatch, and the intra-node downgrade path shared by every backend. The
+// home record (owner, busy window, queue), the steps every home takes over
+// it and the owner's half of a 3-hop transfer are in home.go; the protocol
+// proper — what else a home keeps, request servicing, reply semantics —
+// lives behind the Protocol interface (coherence.go) in the backend files
+// (dirinval.go, tardis.go).
 
 // issueMiss allocates an MSHR for the block and sends the appropriate
 // request to the home (§2.1: read, read-exclusive, or exclusive/upgrade).
@@ -47,13 +48,24 @@ func (p *Proc) issueMissKind(blk *blockInfo, wantExcl bool, stores []pendingStor
 	traceEvent(p, blk, issueSiteNames[kind])
 	req := msg{kind: kind, block: blk.id, from: p.ID, reqProc: p.ID}
 	s.protoStamp(p, blk, &req)
-	home := s.procs[blk.home]
-	if home == p {
-		p.handleMessage(&req, CatMessage)
-	} else {
-		p.sys.deliver(p, home, &req, CatReadStall)
-	}
+	p.send(s.procs[blk.home], &req, CatReadStall)
 	return m
+}
+
+// send is the one way a process sends a message. To another process m goes
+// over the wire (System.deliver), charged to cat. Sent to the process
+// itself it never touches the wire: a reply (msgKind.isReply) is applied in
+// place, and a request is handled as an arrival, at one MsgHandle charged
+// to CatMessage.
+func (p *Proc) send(to *Proc, m *msg, cat TimeCategory) {
+	switch {
+	case to != p:
+		p.sys.deliver(p, to, m, cat)
+	case m.kind.isReply():
+		p.dispatch(m)
+	default:
+		p.handleMessage(m, CatMessage)
+	}
 }
 
 // issueSiteNames precomputes the per-kind "issue:" trace labels so the
@@ -82,9 +94,6 @@ var downgradeSiteNames = [...]string{
 //hot:path
 func (p *Proc) handleMessage(m *msg, cat TimeCategory) {
 	s := p.sys
-	if debugSvcDelay != nil && m.arrive > 0 {
-		debugSvcDelay(p, m.kind.String(), p.Sim.Now()-m.arrive)
-	}
 	if t := s.tr(p); t != nil {
 		var delay sim.Time
 		if m.arrive > 0 {
@@ -116,20 +125,22 @@ func (p *Proc) handleMessage(m *msg, cat TimeCategory) {
 		// those replays must not look like duplicate deliveries.
 		m.seq = 0
 	}
-	p.dispatch(m, cat)
+	p.dispatch(m)
 }
 
 // dispatch routes an in-order, deduplicated message to its handler:
-// coherence traffic goes to the protocol backend, everything else
-// (downgrades, locks, barriers, user messages, net acks) is shared.
-func (p *Proc) dispatch(m *msg, cat TimeCategory) {
+// coherence traffic goes to the protocol backend, except the owner's half
+// of a 3-hop transfer, which is the core's; everything else (downgrades,
+// locks, barriers, user messages, net acks) is shared.
+func (p *Proc) dispatch(m *msg) {
 	s := p.sys
 	switch m.kind {
-	case msgReadReq, msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq,
-		msgFwdRead, msgFwdReadExcl, msgInvalReq,
+	case msgReadReq, msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq, msgInvalReq,
 		msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail, msgInvalAck,
 		msgShareWB, msgOwnerTransfer:
 		s.protoHandle(p, m)
+	case msgFwdRead, msgFwdReadExcl:
+		p.serveForward(m)
 	case msgDowngradeReq:
 		p.handleDowngradeReq(m)
 	case msgDowngradeAck:
@@ -159,16 +170,6 @@ func (p *Proc) dispatch(m *msg, cat TimeCategory) {
 	}
 }
 
-// reply routes a response to the process that handles it, in place when
-// that is the servicer itself (home-local miss).
-func (p *Proc) reply(to *Proc, m *msg) {
-	if to == p {
-		p.sys.protoHandle(p, m)
-		return
-	}
-	p.sys.deliver(p, to, m, CatMessage)
-}
-
 // protoHandle invokes the coherence backend's message handler through a
 // concrete-type switch. Calling through the Protocol interface makes
 // every *msg argument escape to the heap (the compiler cannot see the
@@ -186,13 +187,13 @@ func (s *System) protoHandle(p *Proc, m *msg) {
 	}
 }
 
-// protoStamp is the same devirtualization for Protocol.stampRequest.
+// protoStamp is the same devirtualization for Protocol.stamp.
 func (s *System) protoStamp(p *Proc, blk *blockInfo, m *msg) {
 	switch pr := s.proto.(type) {
 	case *dirInval:
-		pr.stampRequest(p, blk, m)
+		pr.stamp(p, blk, m)
 	case *tardis:
-		pr.stampRequest(p, blk, m)
+		pr.stamp(p, blk, m)
 	default:
 		panic(fmt.Sprintf("core: protoStamp: no fast path for backend %T", s.proto))
 	}
@@ -322,7 +323,7 @@ func (p *Proc) waitDowngrades(blk *blockInfo, to LineState) {
 		// Explicit downgrade message; the target handles it at its next
 		// poll or protocol entry.
 		p.stats.N[CntDowngradesSent]++
-		s.deliver(p, q, &msg{kind: msgDowngradeReq, block: blk.id, from: p.ID, downTo: to}, CatMessage)
+		p.send(q, &msg{kind: msgDowngradeReq, block: blk.id, from: p.ID, downTo: to}, CatMessage)
 		expected++
 	}
 	if expected > 0 {
@@ -382,7 +383,7 @@ func (p *Proc) handleDowngradeReq(m *msg) {
 	p.stats.N[CntDowngradesReceived]++
 	p.charge(CatMessage, s.Cfg.Cost.DowngradeHandle)
 	p.downgradeSelf(blk, m.downTo)
-	s.deliver(p, s.procs[m.from], &msg{kind: msgDowngradeAck, block: blk.id, from: p.ID}, CatMessage)
+	p.send(s.procs[m.from], &msg{kind: msgDowngradeAck, block: blk.id, from: p.ID}, CatMessage)
 }
 
 // finishMiss installs the final line states, performs buffered stores, and
@@ -441,7 +442,7 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 			p.resetLocalLLs(s.lineOf(st.addr))
 			s.proto.noteStoreHit(p, s.lineOf(st.addr))
 		}
-		if debugTrace != nil || p.sys.tracer != nil {
+		if p.sys.tracer != nil {
 			traceEvent(p, blk, fmt.Sprintf("finish:grant-%v-data%v-acks%d", st, m.grant != 0, m.acksWanted))
 		}
 	}

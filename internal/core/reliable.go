@@ -200,7 +200,7 @@ func (s *System) reseqEnqueue(srcNode int, dst *Proc, m msg, box *queueBox, arri
 // absorbs the retry.
 func (p *Proc) sendNetAck(m *msg, cat TimeCategory) {
 	p.stats.N[CntNetAcksSent]++
-	p.sys.deliver(p, p.sys.procs[m.from], &msg{
+	p.send(p.sys.procs[m.from], &msg{
 		kind: msgNetAck, block: m.block, from: p.ID, reqProc: m.from, ack: m.seq,
 	}, cat)
 }
@@ -308,6 +308,8 @@ func (p *Proc) pumpReliability(cat TimeCategory) bool {
 
 // failUnreachable aborts the simulation with a structured error for the
 // exhausted entry. It does not return.
+//
+//hot:cold
 func (p *Proc) failUnreachable(e *retxEntry) {
 	var blks []int
 	for blk := range p.mshr {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // The directory's requester record. Two nodes of two CPUs: p0 (the block's
@@ -29,7 +30,8 @@ func requesterRun(t *testing.T, proto string, seam func(s *System, blk *blockInf
 	cfg := testConfig()
 	cfg.Nodes, cfg.CPUsPerNode = 2, 2
 	cfg.Protocol = proto
-	s := Build(WithConfig(cfg))
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(cfg), WithTrace(tr))
 	for i := 0; i < 4; i++ {
 		i := i
 		s.Spawn(fmt.Sprintf("p%d", i), i, func(p *Proc) {
@@ -46,15 +48,16 @@ func requesterRun(t *testing.T, proto string, seam func(s *System, blk *blockInf
 	if a := s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(0)}); a != rqAddr {
 		t.Fatalf("first allocation at %#x, want %#x", a, uint64(rqAddr))
 	}
+	err := s.Run()
 	var sends []string
-	debugDeliver = func(from, to *Proc, kind string, _ sim.Time) {
-		switch kind {
-		case "fwd-read", "fwd-read-excl", "inval-req":
-			sends = append(sends, fmt.Sprintf("%s->p%d", kind, to.ID))
+	for _, ev := range tr.TakeBuffered() {
+		if ev.Cat == "msg" && ev.Ev == "send" {
+			switch ev.S {
+			case "fwd-read", "fwd-read-excl", "inval-req":
+				sends = append(sends, fmt.Sprintf("%s->p%d", ev.S, ev.O))
+			}
 		}
 	}
-	defer func() { debugDeliver = nil }()
-	err := s.Run()
 	return s, sends, err
 }
 

@@ -132,6 +132,19 @@ var msgKindNames = [...]string{
 	msgNetAck:         "net-ack",
 }
 
+// isReply reports whether a message of kind k travels in its receiver's
+// reply queue, which is served ahead of requests: answers the receiver waits
+// on, and the downgrade request a stalled node-mate must see. Sent by a
+// process to itself, such a message is applied in place (Proc.send).
+func (k msgKind) isReply() bool {
+	switch k {
+	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail, msgInvalAck,
+		msgDowngradeReq, msgDowngradeAck, msgLockGrant, msgBarrierRelease, msgNetAck:
+		return true
+	}
+	return false
+}
+
 func (k msgKind) String() string {
 	if int(k) < len(msgKindNames) {
 		return msgKindNames[k]

@@ -45,7 +45,7 @@ func (p *Proc) LockAcquire(id int) {
 		}
 		lk.waiters = append(lk.waiters, p.ID)
 	} else {
-		s.deliver(p, home, &msg{kind: msgLockReq, id: id, from: p.ID, reqProc: p.ID}, CatSyncStall)
+		p.send(home, &msg{kind: msgLockReq, id: id, from: p.ID, reqProc: p.ID}, CatSyncStall)
 	}
 	p.stallWhile(CatSyncStall, func() bool { return !p.granted[id] })
 	p.granted[id] = false
@@ -72,7 +72,7 @@ func (p *Proc) LockRelease(id int) {
 		p.releaseLock(lk)
 		return
 	}
-	s.deliver(p, home, &msg{kind: msgLockRelease, id: id, from: p.ID, ts: s.proto.syncTs(p)}, CatTask)
+	p.send(home, &msg{kind: msgLockRelease, id: id, from: p.ID, ts: s.proto.syncTs(p)}, CatTask)
 }
 
 func (p *Proc) releaseLock(lk *lockState) {
@@ -90,19 +90,16 @@ func (p *Proc) releaseLock(lk *lockState) {
 // grantLock hands the lock to process to. The grant carries the maximum
 // timestamp of prior releases, so an acquiring process observes everything
 // the releaser's critical section produced (release-consistency ordering
-// under tardis; relTs stays zero under dirinval).
+// under tardis; relTs stays zero under dirinval). A node-mate is woken in
+// the memory they share; a grant to this process itself is applied in place.
 func (p *Proc) grantLock(lk *lockState, to int) {
 	dst := p.sys.procs[to]
-	switch {
-	case dst == p:
-		p.sys.proto.observeTs(p, lk.relTs)
-		p.granted[lk.id] = true
-	case dst.agent == p.agent:
+	if dst != p && dst.agent == p.agent {
 		dst.granted[lk.id] = true
 		p.handOff(dst, lk.relTs)
-	default:
-		p.sys.deliver(p, dst, &msg{kind: msgLockGrant, id: lk.id, from: p.ID, ts: lk.relTs}, CatMessage)
+		return
 	}
+	p.send(dst, &msg{kind: msgLockGrant, id: lk.id, from: p.ID, ts: lk.relTs}, CatMessage)
 }
 
 func (p *Proc) handleLockReq(m *msg) {
@@ -186,7 +183,7 @@ func (p *Proc) BarrierWait(id int) {
 		if p.agent == home.agent {
 			p.barrierArrive(b, p.ID, ts)
 		} else {
-			s.deliver(p, home, &msg{kind: msgBarrierEnter, id: id, from: p.ID, reqProc: p.ID, ts: ts}, CatSyncStall)
+			p.send(home, &msg{kind: msgBarrierEnter, id: id, from: p.ID, reqProc: p.ID, ts: ts}, CatSyncStall)
 		}
 	}
 	p.stallWhile(CatSyncStall, func() bool { return p.barrierSeen[id] < target })
@@ -239,7 +236,7 @@ func (p *Proc) barrierArrive(b *barrierState, who int, ts int64) {
 			p.releaseSlot(b, maxTs)
 			continue
 		}
-		p.sys.deliver(p, dst, &msg{kind: msgBarrierRelease, id: b.id, from: p.ID, ts: maxTs}, CatMessage)
+		p.send(dst, &msg{kind: msgBarrierRelease, id: b.id, from: p.ID, ts: maxTs}, CatMessage)
 	}
 }
 
@@ -267,11 +264,5 @@ func (p *Proc) releaseSlot(b *barrierState, ts int64) {
 // layer for fork, signals, process management...). The registered
 // UserHandler runs on the receiving process.
 func (p *Proc) SendUser(to int, tag int, payload any) {
-	dst := p.sys.procs[to]
-	m := msg{kind: msgUser, id: tag, from: p.ID, reqProc: to, payload: payload}
-	if dst == p {
-		p.handleMessage(&m, CatMessage)
-		return
-	}
-	p.sys.deliver(p, dst, &m, CatTask)
+	p.send(p.sys.procs[to], &msg{kind: msgUser, id: tag, from: p.ID, reqProc: to, payload: payload}, CatTask)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // syncSends runs n processes, one to a CPU in order, each doing body with a
@@ -12,24 +13,27 @@ import (
 // barrier messages sent, by kind, and the barrier-enters sent to the home.
 func syncSends(t *testing.T, cfg Config, n int, body func(p *Proc, lock, barrier int)) (sent map[string]int, homeEnters int) {
 	t.Helper()
-	s := Build(WithConfig(cfg))
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(cfg), WithTrace(tr))
 	lock, barrier := s.NewLock(0), s.NewBarrier(0, n)
 	for i := 0; i < n; i++ {
 		s.Spawn(fmt.Sprintf("p%d", i), i, func(p *Proc) { body(p, lock, barrier) })
 	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
 	sent = map[string]int{}
-	debugDeliver = func(from, to *Proc, kind string, _ sim.Time) {
-		switch kind {
+	for _, ev := range tr.TakeBuffered() {
+		if ev.Cat != "msg" || ev.Ev != "send" {
+			continue
+		}
+		switch ev.S {
 		case "barrier-enter", "barrier-release", "lock-req", "lock-grant", "lock-release":
-			sent[kind]++
-			if kind == "barrier-enter" && to.ID == 0 {
+			sent[ev.S]++
+			if ev.S == "barrier-enter" && ev.O == 0 {
 				homeEnters++
 			}
 		}
-	}
-	defer func() { debugDeliver = nil }()
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
 	}
 	return sent, homeEnters
 }
@@ -110,7 +114,8 @@ func TestWokenMateExpiresLease(t *testing.T) {
 	cfg := testConfig()
 	cfg.Protocol = "tardis"
 	cfg.Nodes, cfg.CPUsPerNode = 2, 3
-	s := Build(WithConfig(cfg))
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(cfg), WithTrace(tr))
 	bar, lk := s.NewBarrier(4, 4), s.NewLock(4)
 	var b uint64
 	reader := func(p *Proc) {
@@ -152,19 +157,18 @@ func TestWokenMateExpiresLease(t *testing.T) {
 	s.Spawn("p4", 2, func(p *Proc) {})
 	b = s.Alloc(64, AllocOptions{Home: HomeAt(3)})
 	blk := s.blockOf(s.lineOf(b))
-	type expiry struct{ proc, step int }
-	var expired []expiry
-	debugTrace = func(p *Proc, bi *blockInfo, site string) {
-		if bi == blk && p.node == 0 && site == downgradeSiteNames[Invalid] {
-			expired = append(expired, expiry{p.ID, int(p.Now() / step)})
-		}
-	}
-	defer func() { debugTrace = nil }()
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	type expiry struct{ proc, step int }
+	var expired []expiry
+	for _, ev := range tr.TakeBuffered() {
+		if ev.Cat == "line" && ev.Ev == downgradeSiteNames[Invalid] && ev.Blk == blk.id && s.procs[ev.P].node == 0 {
+			expired = append(expired, expiry{ev.P, int(ev.T / step)})
+		}
 	}
 	// Once by a woken reader after the barrier (step 1), once by the one
 	// granted the lock (step 4).

@@ -708,10 +708,11 @@ func (s *System) requestBox(p *Proc) *queueBox {
 	return p.reqQ
 }
 
-// deliver routes message m from sender to the destination process dst,
-// computing network latency and charging the sender's send cost. With
-// ReliableDelivery on, inter-node messages are sequenced and registered
-// for retransmission until acknowledged (net acks themselves are not).
+// deliver routes message m from sender to another process dst, computing
+// network latency and charging the sender's send cost; Proc.send is its one
+// caller. With ReliableDelivery on, inter-node messages are sequenced and
+// registered for retransmission until acknowledged (net acks themselves
+// are not).
 func (s *System) deliver(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 	if s.mcCapture != nil && s.mcCapture(sender, dst, *m) {
 		return
@@ -742,12 +743,8 @@ func (s *System) sendWire(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 	size := m.wireSize(s.Cfg.LineSize)
 	now := sender.Sim.Now()
 	a1, a2, copies := s.Net.Send(sender.node, dst.node, size, now)
-	var box *queueBox
-	switch m.kind {
-	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail, msgInvalAck,
-		msgDowngradeReq, msgDowngradeAck, msgLockGrant, msgBarrierRelease, msgNetAck:
-		box = dst.replyQ
-	default:
+	box := dst.replyQ
+	if !m.kind.isReply() {
 		box = s.requestBox(dst)
 	}
 	arrive := a1
@@ -818,8 +815,5 @@ func (s *System) sendWire(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 			P: sender.ID, O: dst.ID, Blk: m.block, S: m.kind.String(),
 			A: arrive, B: int64(size),
 		})
-	}
-	if debugDeliver != nil {
-		debugDeliver(sender, dst, m.kind.String(), arrive)
 	}
 }

@@ -20,10 +20,12 @@ package core
 //   - The home keeps {wts, rts} beside the core's home record (home.go),
 //     whose owner is an agent index or -1 ("home master copy valid").
 //     Exclusive ownership works like dirinval's, through the same 3-hop
-//     forwards (busy + queue); a remote read RECALLS ownership (FwdRead
-//     demotes the owner to a leaseholder and writes back), which keeps
-//     the LL/SC and upgrade paths sound without owner-side timestamp
-//     bookkeeping.
+//     forwards (busy + queue) and the same owner's half (serveForward); a
+//     remote read RECALLS ownership (FwdRead demotes the owner to a
+//     leaseholder and writes back), which keeps the LL/SC and upgrade
+//     paths sound without owner-side timestamp bookkeeping. What the owner
+//     adds is stamp's: the departing version's timestamp, and the demoted
+//     owner's lease or the yielding owner's lease drop.
 //   - Leaseholders drop their own copies: eagerly whenever pts advances
 //     past a lease (expire), on every LoadLocked (refreshLL, so the SC
 //     currency check can succeed), and every tardisPollPeriod inline
@@ -209,21 +211,45 @@ func (t *tardis) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKin
 	}
 }
 
-// stampRequest: every request carries the requester's pts; an SC upgrade
+// stamp: every request carries the requester's pts; an SC upgrade
 // additionally carries the wts of the copy the LL read, which the home
-// compares against the current version.
-func (t *tardis) stampRequest(p *Proc, blk *blockInfo, m *msg) {
-	m.ts = t.pstate(p).pts
-	if m.kind != msgSCUpgradeReq {
-		return
-	}
-	if l, ok := t.astate(p.mem).leases.get(blk.id); ok {
-		m.rts = l.dataWts
-	} else if p.agent == blk.homeAgent {
-		// Master copy: current by construction.
-		m.rts = t.entries[blk.id].wts
-	} else {
-		m.rts = -1 // no identifiable read copy; the SC will fail
+// compares against the current version. An owner's reply to a forward
+// carries a version leaving its owning agent, so it is stamped with the
+// dirty record (see tardisAgentState.dirty): the owner's stores were inline
+// hits that never advanced the home's wts.
+func (t *tardis) stamp(p *Proc, blk *blockInfo, m *msg) {
+	switch m.kind {
+	case msgReadReply:
+		// A recall: keep the lease end past the stamp. The demoted owner
+		// keeps its copy under the same lease the requester gets: it holds
+		// the version it just wrote back.
+		if d := t.takeDirty(p.mem, blk.id); d > m.ts {
+			m.ts = d
+		}
+		if end := m.ts + tardisLeaseLen; end > m.rts {
+			m.rts = end
+		}
+		t.astate(p.mem).leases.set(blk.id, tardisLease{dataWts: m.ts, leaseEnd: m.rts}, len(t.s.blocks))
+	case msgReadExclReply:
+		// A yield: the owner's copy is gone, and the new grant serializes
+		// after every store the yielding agent's processes performed.
+		t.astate(p.mem).leases.del(blk.id)
+		if d := t.takeDirty(p.mem, blk.id) + 1; d > m.ts {
+			m.ts = d
+		}
+	default: // a miss request
+		m.ts = t.pstate(p).pts
+		if m.kind != msgSCUpgradeReq {
+			return
+		}
+		if l, ok := t.astate(p.mem).leases.get(blk.id); ok {
+			m.rts = l.dataWts
+		} else if p.agent == blk.homeAgent {
+			// Master copy: current by construction.
+			m.rts = t.entries[blk.id].wts
+		} else {
+			m.rts = -1 // no identifiable read copy; the SC will fail
+		}
 	}
 }
 
@@ -231,10 +257,6 @@ func (t *tardis) handle(p *Proc, m *msg) {
 	switch m.kind {
 	case msgReadReq, msgReadExclReq, msgSCUpgradeReq:
 		t.handleHome(p, m)
-	case msgFwdRead:
-		t.handleFwdRead(p, m)
-	case msgFwdReadExcl:
-		t.handleFwdReadExcl(p, m)
 	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail:
 		t.handleReply(p, m)
 	case msgShareWB:
@@ -278,14 +300,14 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 		case -1:
 			// Master copy valid: lease the current version from memory.
 			end := extendLease(e, m.ts)
-			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
-				data: s.blockData(homeMem, blk), ts: e.wts, rts: end})
+			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
+				data: s.blockData(homeMem, blk), ts: e.wts, rts: end}, CatMessage)
 		case reqAgent:
 			// Another process on the requester's agent took ownership
 			// while this request was in flight; the data is already
 			// local and the grant is exclusive.
-			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
-				downTo: Exclusive, ts: e.wts})
+			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
+				downTo: Exclusive, ts: e.wts}, CatMessage)
 		case homeAgent:
 			// Home agent owns it: demote locally to master and reply —
 			// but defer if the home's own exclusive fill is incomplete,
@@ -306,8 +328,8 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 				e.rts = e.wts
 			}
 			end := extendLease(e, m.ts)
-			p.reply(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
-				data: s.blockData(homeMem, blk), ts: e.wts, rts: end})
+			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
+				data: s.blockData(homeMem, blk), ts: e.wts, rts: end}, CatMessage)
 			s.drainHome(p, blk)
 		default:
 			// Remote owner: recall ownership. The owner demotes to a
@@ -322,7 +344,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 	case msgReadExclReq:
 		switch h.owner {
 		case reqAgent:
-			p.reply(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: e.wts})
+			p.send(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: e.wts}, CatMessage)
 		case -1:
 			// Park the request behind a fill another local process has in
 			// flight on the block. The grant below calls downgradeAgent on
@@ -350,8 +372,8 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			if homeAgent != reqAgent && homeMem.table[blk.firstLine] != Invalid {
 				p.downgradeAgent(blk, Invalid, false)
 			}
-			p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
-				data: data, ts: grant})
+			p.send(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
+				data: data, ts: grant}, CatMessage)
 		case homeAgent:
 			if p.deferIfPending(m, blk, nil) {
 				return
@@ -365,8 +387,8 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			data := p.downgradeHome(blk, Invalid, true)
 			t.entries[blk.id] = tardisEntry{wts: grant, rts: grant}
 			s.homes[blk.id].owner = reqAgent
-			p.reply(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
-				data: data, ts: grant})
+			p.send(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
+				data: data, ts: grant}, CatMessage)
 			s.drainHome(p, blk)
 		default:
 			// 3-hop ownership transfer. The grant timestamp is fixed
@@ -385,7 +407,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 		// ownership moved. Crucially no third party is disturbed on
 		// failure, which avoids livelock (§3.1.2).
 		if h.owner != -1 || e.wts != m.rts {
-			p.reply(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID})
+			p.send(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
 			return
 		}
 		// As for a read-exclusive from the master copy: behind another
@@ -399,67 +421,8 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 		if homeAgent != reqAgent && homeMem.table[blk.firstLine] != Invalid {
 			p.downgradeAgent(blk, Invalid, false)
 		}
-		p.reply(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: grant})
+		p.send(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: grant}, CatMessage)
 	}
-}
-
-// handleFwdRead recalls ownership at the owning agent: demote to a
-// leaseholder of the written-back version, send the data to the
-// requester, and write it back to the home.
-func (t *tardis) handleFwdRead(p *Proc, m *msg) {
-	s := t.s
-	blk := s.blocks[m.block]
-	if p.deferIfPending(m, blk, nil) {
-		return
-	}
-	p.downgradeAgent(blk, Shared, false)
-	// The version leaves its owning agent: stamp it with the dirty
-	// record (the owner's stores were inline hits that never advanced
-	// the home's e.wts) and keep the lease end past the stamp.
-	wts := m.ts
-	if d := t.takeDirty(p.mem, blk.id); d > wts {
-		wts = d
-	}
-	rts := m.rts
-	if end := wts + tardisLeaseLen; end > rts {
-		rts = end
-	}
-	// The demoted owner keeps its copy under the same lease the
-	// requester gets: it holds the version it just wrote back.
-	t.astate(p.mem).leases.set(blk.id, tardisLease{dataWts: wts, leaseEnd: rts}, len(s.blocks))
-	// The reply and the writeback each get their own buffer: both are
-	// recycled independently at their consumers, so they must not alias.
-	// Both snapshots are taken before either message is sent: a send
-	// yields to the engine, and a co-resident process's lease expiry may
-	// flag-invalidate the just-demoted copy in that window — a later
-	// snapshot would ship the flag pattern to the home as the master copy.
-	data := s.blockData(p.mem, blk)
-	wbData := s.blockData(p.mem, blk)
-	p.reply(s.procs[m.reqProc], &msg{kind: msgReadReply, block: blk.id, from: p.ID,
-		data: data, ts: wts, rts: rts})
-	p.reply(s.procs[blk.home], &msg{kind: msgShareWB, block: blk.id, from: p.ID, reqProc: m.reqProc,
-		data: wbData, ts: wts, rts: rts})
-}
-
-// handleFwdReadExcl yields ownership at the owning agent: invalidate the
-// local copy, ship the data to the requester, and notify the home.
-func (t *tardis) handleFwdReadExcl(p *Proc, m *msg) {
-	s := t.s
-	blk := s.blocks[m.block]
-	if p.deferIfPending(m, blk, nil) {
-		return
-	}
-	data := p.downgradeAgent(blk, Invalid, true)
-	t.astate(p.mem).leases.del(blk.id)
-	// Serialize the new grant after every store the yielding agent's
-	// processes performed (their stores never advanced the home's e.wts).
-	ts := m.ts
-	if d := t.takeDirty(p.mem, blk.id) + 1; d > ts {
-		ts = d
-	}
-	p.reply(s.procs[m.reqProc], &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
-		data: data, ts: ts})
-	p.reply(s.procs[blk.home], &msg{kind: msgOwnerTransfer, block: blk.id, from: p.ID, ts: ts})
 }
 
 // handleShareWB installs written-back data at the home; the home is
