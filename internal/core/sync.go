@@ -69,22 +69,45 @@ func (p *Proc) LockRelease(id int) {
 		if ts := s.proto.syncTs(p); ts > lk.relTs {
 			lk.relTs = ts
 		}
-		p.releaseLock(lk)
+		p.releaseLock(lk, p.agent)
 		return
 	}
 	p.send(home, &msg{kind: msgLockRelease, id: id, from: p.ID, ts: s.proto.syncTs(p)}, CatTask)
 }
 
-func (p *Proc) releaseLock(lk *lockState) {
-	if len(lk.waiters) > 0 {
-		next := lk.waiters[0]
-		lk.waiters = lk.waiters[1:]
-		lk.holder = next
-		p.grantLock(lk, next)
+// releaseLock hands lk on from a holder on the given agent, or frees it.
+// The next holder is the first waiter on that agent, which finds the data
+// of the critical section dirty in the memory they share, unless the lock
+// has already been handed on within the agent as many times in a row as
+// the agent has processes; then, and when no waiter shares the agent, it
+// is the first waiter of all. In Base-Shasta the releaser is its agent's
+// only process and cannot be waiting, so hand-offs are FIFO there.
+func (p *Proc) releaseLock(lk *lockState, agent int) {
+	s := p.sys
+	if len(lk.waiters) == 0 {
+		lk.held = false
+		lk.holder = -1
 		return
 	}
-	lk.held = false
-	lk.holder = -1
+	i := 0
+	if lk.streak < len(s.localProcs(agent)) {
+		for j, w := range lk.waiters {
+			if s.procs[w].agent == agent {
+				i = j
+				break
+			}
+		}
+	}
+	next := lk.waiters[i]
+	copy(lk.waiters[i:], lk.waiters[i+1:])
+	lk.waiters = lk.waiters[:len(lk.waiters)-1]
+	if s.procs[next].agent == agent {
+		lk.streak++
+	} else {
+		lk.streak = 0
+	}
+	lk.holder = next
+	p.grantLock(lk, next)
 }
 
 // grantLock hands the lock to process to. The grant carries the maximum
@@ -110,7 +133,7 @@ func (p *Proc) handleLockReq(m *msg) {
 		p.grantLock(lk, m.reqProc)
 		return
 	}
-	lk.waiters = append(lk.waiters, m.reqProc)
+	lk.waiters = append(lk.waiters, m.reqProc) // hotlint:allow(append-growth): at most one entry per process, and a hand-off removes in place, so the capacity is reused
 }
 
 func (p *Proc) handleLockRelease(m *msg) {
@@ -118,7 +141,7 @@ func (p *Proc) handleLockRelease(m *msg) {
 	if m.ts > lk.relTs {
 		lk.relTs = m.ts
 	}
-	p.releaseLock(lk)
+	p.releaseLock(lk, p.sys.procs[m.from].agent)
 }
 
 // handOff wakes q, which shares p's agent, from a lock or barrier wait whose

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/sim"
@@ -177,5 +179,127 @@ func TestWokenMateExpiresLease(t *testing.T) {
 	}
 	if v, w := s.Peek(b), s.Peek(b+8); v != 1 || w != 2 {
 		t.Errorf("B holds %d and %d, want 1 and 2", v, w)
+	}
+}
+
+// lockTurn is one process's n-th request for a lock, or its n-th hold.
+type lockTurn struct{ proc, n int }
+
+// lockOrder runs bodies[i] as process i on CPU i, all sharing one MP lock
+// homed at process 0, and reads from the trace the turns in the order they
+// asked for the lock and in the order they held it (a release ends a hold).
+func lockOrder(t *testing.T, cfg Config, bodies []func(p *Proc, lock int)) (asked, held []lockTurn) {
+	t.Helper()
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(cfg), WithTrace(tr))
+	lock := s.NewLock(0)
+	for i, body := range bodies {
+		s.Spawn(fmt.Sprintf("p%d", i), i, func(p *Proc) { body(p, lock) })
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	evs := tr.TakeBuffered()
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
+	asks, holds := map[int]int{}, map[int]int{}
+	for _, ev := range evs {
+		if ev.Cat != "sync" {
+			continue
+		}
+		switch ev.Ev {
+		case "lock-acquire":
+			asked = append(asked, lockTurn{ev.P, asks[ev.P]})
+			asks[ev.P]++
+		case "lock-release":
+			held = append(held, lockTurn{ev.P, holds[ev.P]})
+			holds[ev.P]++
+		}
+	}
+	return asked, held
+}
+
+// holdAt returns a body that asks for the lock at cycle at and holds it
+// until cycle until.
+func holdAt(at, until sim.Time) func(p *Proc, lock int) {
+	return func(p *Proc, lock int) {
+		computeUntil(p, at)
+		p.LockAcquire(lock)
+		computeUntil(p, until)
+		p.LockRelease(lock)
+	}
+}
+
+// TestLockHandOffPrefersAgent: a release hands an MP lock to a waiter on the
+// releaser's agent first, and a waiter elsewhere is passed over by at most as
+// many hand-offs in a row as that agent has processes. On 4x4 SMP-Shasta, p5
+// asks after p8 but shares p4's node, so it holds the lock before p8; and
+// when p4's three node-mates ask after p8 and all four keep asking, p8 is
+// passed over by exactly four of their turns. On 8x1 Base-Shasta every agent
+// is one process, which cannot be waiting while it releases, so the lock goes
+// in the order it was asked for.
+func TestLockHandOffPrefersAgent(t *testing.T) {
+	idle := func(*Proc, int) {}
+	for _, proto := range []string{"dirinval", "tardis"} {
+		cfg := testConfig()
+		cfg.Protocol = proto
+		bodies := make([]func(*Proc, int), 16)
+		for i := range bodies {
+			bodies[i] = idle
+		}
+		bodies[4] = holdAt(0, 100_000)
+		bodies[8] = holdAt(20_000, 120_000)
+		bodies[5] = holdAt(50_000, 140_000)
+		_, held := lockOrder(t, cfg, bodies)
+		if want := []lockTurn{{4, 0}, {5, 0}, {8, 0}}; fmt.Sprint(held) != fmt.Sprint(want) {
+			t.Errorf("%s: node-mate asking later: holders %v, want %v", proto, held, want)
+		}
+
+		// p4 holds the lock from the start, p8 asks while it does, and p4's
+		// node-mates ask after p8; then all four keep asking.
+		churn := func(p *Proc, lock int) {
+			for n := 0; n < 8; n++ {
+				p.LockAcquire(lock)
+				p.Compute(2_000)
+				p.LockRelease(lock)
+				p.Compute(200)
+			}
+		}
+		bodies[4] = func(p *Proc, lock int) {
+			holdAt(0, 100_000)(p, lock)
+			churn(p, lock)
+		}
+		for i := 5; i < 8; i++ {
+			bodies[i] = func(p *Proc, lock int) {
+				computeUntil(p, 40_000)
+				churn(p, lock)
+			}
+		}
+		bodies[8] = holdAt(20_000, 0)
+		asked, held := lockOrder(t, cfg, bodies)
+		at, turn := slices.Index(asked, lockTurn{8, 0}), slices.Index(held, lockTurn{8, 0})
+		if turn < 0 {
+			t.Fatalf("%s: p8 never held the lock: holders %v", proto, held)
+		}
+		passed := 0
+		for _, h := range held[:turn] {
+			if slices.Index(asked, h) > at {
+				passed++
+			}
+		}
+		if bound := cfg.CPUsPerNode; passed != bound {
+			t.Errorf("%s: p8 was passed over by %d hand-offs within node 1, want the bound %d: holders %v", proto, passed, bound, held)
+		}
+
+		cfg.Nodes, cfg.CPUsPerNode, cfg.SMP = 8, 1, false
+		bodies = []func(*Proc, int){idle, holdAt(0, 100_000),
+			holdAt(20_000, 0), holdAt(40_000, 0), holdAt(60_000, 0),
+			holdAt(10_000, 0), holdAt(50_000, 0), holdAt(30_000, 0)}
+		asked, held = lockOrder(t, cfg, bodies)
+		if fmt.Sprint(held) != fmt.Sprint(asked) {
+			t.Errorf("%s Base-Shasta: holders %v, want the request order %v", proto, held, asked)
+		}
 	}
 }

@@ -176,7 +176,8 @@ type lockState struct {
 	home    int // home process
 	held    bool
 	holder  int
-	waiters []int // process IDs queued for the lock
+	waiters []int // process IDs queued for the lock, in request order
+	streak  int   // consecutive hand-offs within the releaser's agent
 	relTs   int64 // max protocol timestamp carried by releases (tardis)
 }
 
