@@ -538,9 +538,7 @@ func (e *Explorer) finalizeWrite(ep *expProc, op ExpOp) {
 			panic("core: explorer write retry livelock")
 		}
 		if p.priv[line] == Exclusive {
-			p.mem.data[e.sys.wordOf(addr)] = op.Val
-			e.ghostStore(p.ID, addr, op.Val)
-			p.resetLocalLLs(line)
+			e.storeInPlace(p, addr, line, op.Val)
 			ep.await = nil
 			ep.pc++
 			return
@@ -565,15 +563,12 @@ func (e *Explorer) stepSC(ep *expProc, op ExpOp) {
 	p := ep.p
 	addr := e.addrOf(op.Word)
 	line := e.sys.lineOf(addr)
-	w := e.sys.wordOf(addr)
 	blk := e.blkOf(op.Word)
 	if p.llState == Exclusive {
 		ok := p.llValid && p.priv[line] == Exclusive && p.llLine == line
 		p.llValid = false
 		if ok {
-			p.mem.data[w] = op.Val
-			e.ghostStore(p.ID, addr, op.Val)
-			p.resetLocalLLs(line)
+			e.storeInPlace(p, addr, line, op.Val)
 			e.checkSCAtomicity(ep, op)
 		}
 		e.completeSC(ep, op, ok)
@@ -609,12 +604,25 @@ func (e *Explorer) finalizeSC(ep *expProc, op ExpOp, m *mshrEntry) {
 	ok := !m.scFailed && p.scWatchValid && p.priv[line] == Exclusive
 	p.scWatchValid = false
 	if ok {
-		p.mem.data[e.sys.wordOf(addr)] = op.Val
-		e.ghostStore(p.ID, addr, op.Val)
-		p.resetLocalLLs(line)
+		e.storeInPlace(p, addr, line, op.Val)
 		e.checkSCAtomicity(ep, op)
 	}
 	e.completeSC(ep, op, ok)
+}
+
+// storeInPlace performs a store on the process's exclusive copy, as an
+// in-line store hit and a successful SC do, and then runs the backend's
+// store-hit hook, as they do: dirinval's clears a granted-unwritten record.
+// Tardis's is left out, as it always was here: its dirty stamps of in-place
+// stores are not modelled, and its pinned state counts are those without
+// them (DESIGN.md §6.8).
+func (e *Explorer) storeInPlace(p *Proc, addr uint64, line int, val uint64) {
+	p.mem.data[e.sys.wordOf(addr)] = val
+	e.ghostStore(p.ID, addr, val)
+	p.resetLocalLLs(line)
+	if d, ok := e.sys.proto.(*dirInval); ok {
+		d.noteStoreHit(p, line)
+	}
 }
 
 // checkSCAtomicity asserts the LL/SC atomicity invariant on a successful

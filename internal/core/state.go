@@ -166,8 +166,9 @@ type msg struct {
 	payload any // user message body
 	arrive  int64
 	// Timestamp fields (tardis backend; also piggybacked on lock grants
-	// and barrier releases for release-consistency ordering). Always zero
-	// under dirinval, so wire sizes and encodings are unchanged there.
+	// and barrier releases for release-consistency ordering). Under
+	// dirinval only an owner's stamp uses ts, for unwrittenMark; wire sizes
+	// do not count them.
 	ts  int64 // requests: requester's pts; replies: the copy's wts
 	rts int64 // replies: lease end; SC requests: the LL copy's data wts
 	// Reliability sublayer (ReliableDelivery only; zero otherwise).

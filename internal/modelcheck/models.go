@@ -102,6 +102,30 @@ func Models() []Model {
 			},
 		},
 		{
+			Name:        "mig",
+			Description: "migratory sharing: 2 processes read then write one block, a third reads it twice (a read granted exclusive, then given up unwritten)",
+			Cfg: core.ExpConfig{
+				Programs: [][]core.ExpOp{
+					{{Kind: core.ExpRead, Word: 0}, {Kind: core.ExpWrite, Word: 0, Val: 1}},
+					{{Kind: core.ExpRead, Word: 0}, {Kind: core.ExpWrite, Word: 0, Val: 2}},
+					{{Kind: core.ExpRead, Word: 0}, {Kind: core.ExpRead, Word: 0}},
+				},
+				Homes: []int{0},
+			},
+		},
+		{
+			Name:        "mig-llsc",
+			Description: "migratory sharing beside LL/SC: 2 processes read then write one block, a third LL/SCs it (a migratory grant to a read that absorbed an invalidation)",
+			Cfg: core.ExpConfig{
+				Programs: [][]core.ExpOp{
+					{{Kind: core.ExpRead, Word: 0}, {Kind: core.ExpWrite, Word: 0, Val: 1}},
+					{{Kind: core.ExpLL, Word: 0}, {Kind: core.ExpSC, Word: 0, Val: 2}},
+					{{Kind: core.ExpRead, Word: 0}, {Kind: core.ExpWrite, Word: 0, Val: 3}},
+				},
+				Homes: []int{0},
+			},
+		},
+		{
 			Name:        "broken-upgrade",
 			Description: "deliberately broken variant: the upgrade requester skips one InvalAck (must violate swmr)",
 			Cfg: core.ExpConfig{

@@ -15,14 +15,22 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/state_counts.tx
 // TestStateCounts pins the size of the reachable state space — distinct
 // canonical states, transitions and depth — of every catalogue model
 // (minus the broken variant) under both consistency models on both
-// backends to testdata/state_counts.txt. A refactor that keeps all 24 rows
+// backends to testdata/state_counts.txt. A refactor that keeps all 32 rows
 // has not added, lost or reordered a transition the models reach. It says
-// less about the encoding: in these six models the home record is a
+// less about the encoding: in the first six models the home record is a
 // function of what the encoding already holds (state tables, MSHRs,
 // messages in flight), so of the fields of the two encodeBlocks only
 // Tardis's rts moves a row when dropped (sb tardis RC, 179 -> 143 states;
-// tried field by field in PR 24). Regenerate with -update only when a
-// change is meant to alter the protocol or the models.
+// tried field by field when the counts were first pinned). Of dirinval's
+// migratory-sharing state, tried the same way when mig and mig-llsc came
+// in, dropping the migratory bit moves all four dirinval rows of the two
+// (mig SC 2074 -> 2025) and dropping the never bit both SC rows (mig SC
+// 2074 -> 2054). The has-writer bit, the agents' granted-unwritten records
+// and the owner's unwritten mark on its reply move no row: in these models
+// each is a function of the owner, the state tables and the program
+// counters.
+// Regenerate with -update only when a change is meant to alter the
+// protocol or the models.
 func TestStateCounts(t *testing.T) {
 	const path = "testdata/state_counts.txt"
 	var out strings.Builder

@@ -63,7 +63,16 @@ type Summary struct {
 	// kind (oltp, dss), from "load"/"done" events.
 	LoadDone        map[string]int64
 	LoadDoneLatency map[string]int64
+
+	// Migratory counts the directory's migratory-sharing "line" events by
+	// name: migratory (a home classified a block), grant-migratory (it
+	// granted a read exclusive) and declassify (it made a block ordinary for
+	// good).
+	Migratory map[string]int64
 }
+
+// migratoryEvents are the Migratory keys, in the order Render prints them.
+var migratoryEvents = []string{"migratory", "grant-migratory", "declassify"}
 
 // Read parses a JSONL trace stream.
 func Read(r io.Reader) (*Summary, error) {
@@ -78,6 +87,7 @@ func Read(r io.Reader) (*Summary, error) {
 		LoadEvents:      map[string]int64{},
 		LoadDone:        map[string]int64{},
 		LoadDoneLatency: map[string]int64{},
+		Migratory:       map[string]int64{},
 	}
 	procs := map[int]bool{}
 	sc := bufio.NewScanner(r)
@@ -115,6 +125,11 @@ func Read(r io.Reader) (*Summary, error) {
 			case "handle":
 				s.MsgHandles[e.S]++
 				s.MsgHandleDelay[e.S] += e.A
+			}
+		case "line":
+			switch e.Ev {
+			case "migratory", "grant-migratory", "declassify":
+				s.Migratory[e.Ev]++
 			}
 		case "sched":
 			s.Sched[e.Ev]++
@@ -235,6 +250,13 @@ func (s *Summary) Render() string {
 					k, n, float64(s.LoadDoneLatency[k])/float64(n))
 			}
 		}
+	}
+	if len(s.Migratory) > 0 {
+		fmt.Fprintf(&b, "\nmigratory sharing:")
+		for _, k := range migratoryEvents {
+			fmt.Fprintf(&b, " %s=%d", k, s.Migratory[k])
+		}
+		fmt.Fprintf(&b, "\n")
 	}
 	if len(s.Sched) > 0 {
 		fmt.Fprintf(&b, "\nscheduler:")

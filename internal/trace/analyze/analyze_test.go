@@ -154,6 +154,30 @@ func TestAnalyzerFaultEvents(t *testing.T) {
 	}
 }
 
+// TestAnalyzerMigratoryEvents: the summary counts the directory's
+// migratory-sharing line events by name, ignores every other line event,
+// and prints the counts in a line of their own.
+func TestAnalyzerMigratoryEvents(t *testing.T) {
+	var buf bytes.Buffer
+	tr := trace.New(trace.DefaultRingSize, &buf)
+	for _, ev := range []string{"migratory", "grant-migratory", "grant-migratory", "declassify", "shareWB"} {
+		tr.Emit(trace.Event{Cat: "line", Ev: ev})
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := analyze.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(sum.Migratory); got != "map[declassify:1 grant-migratory:2 migratory:1]" {
+		t.Errorf("migratory counts %s", got)
+	}
+	if out := sum.Render(); !strings.Contains(out, "migratory sharing: migratory=1 grant-migratory=2 declassify=1\n") {
+		t.Errorf("render missing the migratory-sharing line:\n%s", out)
+	}
+}
+
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/trace_digests.txt and testdata/trace_multiset_digests.txt from this run")
 
 // goldenTraceCases are the runs whose whole JSONL trace (scheduler
