@@ -31,7 +31,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -127,32 +126,16 @@ type Protocol interface {
 	noteGhostStore(e *Explorer, pid, word int, val uint64)
 }
 
-// protocolFactories is the backend registry; registerProtocol is called
-// from init functions of the backend files.
-var protocolFactories = map[string]func() Protocol{}
-
-func registerProtocol(name string, f func() Protocol) {
-	if _, dup := protocolFactories[name]; dup {
-		panic(fmt.Sprintf("core: duplicate protocol %q", name))
-	}
-	protocolFactories[name] = f
-}
-
-// ProtocolNames returns the registered backend names, sorted.
-func ProtocolNames() []string {
-	names := make([]string, 0, len(protocolFactories))
-	for n := range protocolFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// ProtocolNames returns the backend names, sorted.
+func ProtocolNames() []string { return []string{"dirinval", "tardis"} }
 
 // newProtocol constructs the named backend.
 func newProtocol(name string) Protocol {
-	f := protocolFactories[name]
-	if f == nil {
-		panic(fmt.Sprintf("core: unknown protocol %q (have %v)", name, ProtocolNames()))
+	switch name {
+	case "dirinval":
+		return &dirInval{}
+	case "tardis":
+		return &tardis{}
 	}
-	return f()
+	panic(fmt.Sprintf("core: unknown protocol %q (have %v)", name, ProtocolNames()))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/memchannel"
 	"repro/internal/sim"
@@ -172,7 +173,7 @@ type Config struct {
 
 	// Protocol names the coherence backend ("dirinval", "tardis"); empty
 	// selects "dirinval", the paper's directory-invalidation protocol.
-	// See ProtocolNames for the registered set.
+	// ProtocolNames lists them.
 	Protocol string
 
 	// MaxTime aborts runs that exceed this simulated time (safety net).
@@ -251,7 +252,7 @@ func (c *Config) validate() {
 	if c.Protocol == "" {
 		c.Protocol = "dirinval"
 	}
-	if protocolFactories[c.Protocol] == nil {
+	if !slices.Contains(ProtocolNames(), c.Protocol) {
 		panic(fmt.Sprintf("core: unknown protocol %q (have %v)", c.Protocol, ProtocolNames()))
 	}
 	if c.WatchdogCycles == 0 {

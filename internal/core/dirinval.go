@@ -19,10 +19,6 @@ import (
 	"strings"
 )
 
-func init() {
-	registerProtocol("dirinval", func() Protocol { return &dirInval{} })
-}
-
 // dirEntry is what the directory adds to the block's homeEntry (§2.1).
 // Either the home memory is valid and sharers hold copies (shared), or one
 // agent, the home record's owner, holds the only copy (exclusive).

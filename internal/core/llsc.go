@@ -136,11 +136,23 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 			return false
 		}
 	}
-	// Shared: ask the home for an SC upgrade, which fails if we are no
-	// longer a sharer (§3.1.2). The reservation can still be broken while
-	// the request is in flight — by another local process's store or by
-	// an invalidation — so it is re-checked before the store is performed
-	// within the protocol.
+	// Shared: the store is performed within the protocol once the upgrade
+	// succeeds.
+	if !p.scUpgrade(line) {
+		return false
+	}
+	p.mem.data[w] = v
+	p.resetLocalLLs(line)
+	s.proto.noteStoreHit(p, line)
+	return true
+}
+
+// scUpgrade asks the home for an SC upgrade of line, which fails if p is no
+// longer a sharer (§3.1.2), and reports whether the SC may complete. The
+// reservation can still be broken while the request is in flight — by
+// another local process's store or by an invalidation — so it is
+// re-checked once the reply is in. A failure is counted.
+func (p *Proc) scUpgrade(line int) bool {
 	blk := p.sys.blockOf(line)
 	if !p.tryBeginTransition(blk, CatWriteStall) {
 		// Another local transition is in flight for this block; a write
@@ -156,19 +168,9 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 	p.scWatchValid = false
 	if !ok {
 		p.stats.N[CntSCFailures]++
-		return false
 	}
-	p.mem.data[p.sys.wordOf(addr)] = v
-	p.resetLocalLLs(line)
-	s.proto.noteStoreHit(p, line)
-	if debugSC != nil {
-		debugSC(p, addr, v)
-	}
-	return true
+	return ok
 }
-
-// debugSC, when non-nil, observes slow-path SC successes (tests only).
-var debugSC func(p *Proc, addr, v uint64)
 
 // storeCondEmulated is the §3.1.2-footnote fallback for deprecated LL/SC
 // sequences: it emulates the lock flag directly.
@@ -186,24 +188,9 @@ func (p *Proc) storeCondEmulated(addr, v uint64, line int) bool {
 	// Obtain exclusive ownership, then re-check the reservation: a store
 	// or invalidation during the upgrade fails the SC.
 	if p.priv[line] != Exclusive {
-		if s.Cfg.SMP && p.mem.table[line] == Exclusive && p.localFill(line) && p.priv[line] == Exclusive {
-			// Filled locally; fall through to the store below.
-		} else {
-			blk := s.blockOf(line)
-			if !p.tryBeginTransition(blk, CatWriteStall) {
-				p.stats.N[CntSCFailures]++
-				return false
-			}
-			p.scWatchValid = true
-			p.scWatchLine = line
-			p.issueMissKind(blk, true, nil, true)
-			p.stallWhile(CatWriteStall, func() bool { return p.mshr[blk.id] != nil })
-			ok := !p.scMissFailed && p.scWatchValid && p.priv[line] == Exclusive
-			p.scWatchValid = false
-			if !ok {
-				p.stats.N[CntSCFailures]++
-				return false
-			}
+		filled := s.Cfg.SMP && p.mem.table[line] == Exclusive && p.localFill(line) && p.priv[line] == Exclusive
+		if !filled && !p.scUpgrade(line) {
+			return false
 		}
 	}
 	p.mem.data[s.wordOf(addr)] = v

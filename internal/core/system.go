@@ -756,55 +756,38 @@ func (s *System) sendWire(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 	// at the next window barrier; it arrives at or past the horizon, so no
 	// shard could have observed it within the current window anyway.
 	staging := s.parActive() && sender.node != dst.node
-	if m.seq != 0 {
+	// The copies to enqueue, in order: the wire's first and second, then a
+	// test-injected duplicate of a sequenced message.
+	arrivals := [3]sim.Time{a1, a2}
+	n := copies
+	if m.seq != 0 && !staging && debugForceDup != nil && copies >= 1 && debugForceDup(s.deliveryCount) {
+		arrivals[n] = a1 + 500
+		n++
+	}
+	for _, at := range arrivals[:n] {
 		// Sequenced traffic goes through the destination node's link
 		// resequencer, which restores FIFO order before the queues (and
-		// assigns the canonical (link, seq) ordering key itself).
-		if copies >= 1 {
-			if staging {
-				s.stagePut(sender.node, dst, *m, box, a1, memchannel.Ord{})
-			} else {
-				s.reseqEnqueue(sender.node, dst, *m, box, a1)
-			}
+		// assigns the canonical (link, seq) ordering key itself). Any other
+		// copy gets a canonical ordering key (send time, sender, per-sender
+		// sequence): queue order among equal arrival times is then a
+		// property of the messages, not of enqueue order, which is what lets
+		// the built-in driver put cross-node traffic straight into the queue
+		// from whichever node's window runs first, and a parallel engine
+		// commit staged traffic at window barriers, without replaying the
+		// enqueue sequence of strict global order.
+		var ord memchannel.Ord
+		if m.seq == 0 {
+			ord = sender.nextOrd(now)
 		}
-		if copies >= 2 {
-			if staging {
-				s.stagePut(sender.node, dst, *m, box, a2, memchannel.Ord{})
-			} else {
-				s.reseqEnqueue(sender.node, dst, *m, box, a2)
-			}
-		}
-		if !staging && debugForceDup != nil && copies >= 1 && debugForceDup(s.deliveryCount) {
-			s.reseqEnqueue(sender.node, dst, *m, box, a1+500)
-		}
-	} else {
-		// Each surviving wire copy gets a canonical ordering key (send
-		// time, sender, per-sender sequence): queue order among equal
-		// arrival times is then a property of the messages, not of
-		// enqueue order, which is what lets the built-in driver put
-		// cross-node traffic straight into the queue from whichever
-		// node's window runs first, and a parallel engine commit staged
-		// traffic at window barriers, without replaying the enqueue
-		// sequence of strict global order.
-		if copies >= 1 {
-			ord1 := sender.nextOrd(now)
-			if staging {
-				s.stagePut(sender.node, dst, *m, box, a1, ord1)
-			} else {
-				mm := *m
-				mm.arrive = a1
-				box.put(mm, a1, ord1)
-			}
-		}
-		if copies >= 2 {
-			ord2 := sender.nextOrd(now)
-			if staging {
-				s.stagePut(sender.node, dst, *m, box, a2, ord2)
-			} else {
-				mm := *m
-				mm.arrive = a2
-				box.put(mm, a2, ord2)
-			}
+		switch {
+		case staging:
+			s.stagePut(sender.node, dst, *m, box, at, ord)
+		case m.seq != 0:
+			s.reseqEnqueue(sender.node, dst, *m, box, at)
+		default:
+			mm := *m
+			mm.arrive = at
+			box.put(mm, at, ord)
 		}
 	}
 	if !s.parActive() {

@@ -50,10 +50,6 @@ import (
 	"strings"
 )
 
-func init() {
-	registerProtocol("tardis", func() Protocol { return &tardis{} })
-}
-
 // tardisLeaseLen is the length of a read lease in logical time: a read
 // at pts P extends the block's rts to at least P+tardisLeaseLen. Longer
 // leases mean fewer re-fetches on read-mostly data but push write

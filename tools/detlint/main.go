@@ -17,10 +17,8 @@
 //     when what is returned depends on the key or value: which element
 //     is found first is up to the runtime.
 //
-// detlint type-checks the named package directories using only the
-// standard library: imports within this module are resolved by
-// type-checking their directories recursively, everything else through
-// go/importer's source importer. Test files are skipped. Any finding makes
+// detlint loads the named package directories through tools/lintkit, which
+// uses only the standard library and skips test files. Any finding makes
 // the exit status 1.
 //
 // Usage: detlint DIR...
@@ -29,14 +27,13 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
+
+	"repro/tools/lintkit"
 )
 
 type finding struct {
@@ -45,131 +42,18 @@ type finding struct {
 	msg  string
 }
 
-type linter struct {
-	fset    *token.FileSet
-	modRoot string // directory containing go.mod
-	modPath string // module path from go.mod
-	cache   map[string]*types.Package
-	std     types.Importer
-}
-
-func newLinter(modRoot, modPath string) *linter {
-	fset := token.NewFileSet()
-	return &linter{
-		fset:    fset,
-		modRoot: modRoot,
-		modPath: modPath,
-		cache:   map[string]*types.Package{},
-		std:     importer.ForCompiler(fset, "source", nil),
-	}
-}
-
-// Import implements types.Importer over the hybrid resolution scheme.
-func (l *linter) Import(path string) (*types.Package, error) {
-	if pkg, ok := l.cache[path]; ok {
-		return pkg, nil
-	}
-	if l.modPath != "" && (path == l.modPath || strings.HasPrefix(path, l.modPath+"/")) {
-		dir := filepath.Join(l.modRoot, strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/"))
-		pkg, _, _, err := l.check(dir, path, nil)
-		if err != nil {
-			return nil, err
-		}
-		l.cache[path] = pkg
-		return pkg, nil
-	}
-	pkg, err := l.std.Import(path)
-	if err != nil {
-		return nil, err
-	}
-	l.cache[path] = pkg
-	return pkg, nil
-}
-
-// check parses and type-checks one package directory. Test files are
-// ignored; info may be nil when the caller only needs the package for an
-// import.
-func (l *linter) check(dir, path string, info *types.Info) (*types.Package, []*ast.File, string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	var files []*ast.File
-	var name string
-	for _, e := range entries {
-		fn := e.Name()
-		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, fn), nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if f.Name.Name == "main" && path != "main" {
-			// A command directory imported by path would not type-check as
-			// a library; commands are only ever named directly.
-			path = "main"
-		}
-		name = f.Name.Name
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil, "", fmt.Errorf("no Go files in %s", dir)
-	}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(error) {}, // best-effort: keep partial type info
-	}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil && pkg == nil {
-		return nil, nil, "", err
-	}
-	return pkg, files, name, nil
-}
-
 // lintDir type-checks and lints one directory, returning its findings.
-func (l *linter) lintDir(dir string) ([]finding, error) {
-	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Defs:  map[*ast.Ident]types.Object{},
-	}
-	importPath := dir
-	if l.modPath != "" {
-		if rel, err := filepath.Rel(l.modRoot, dir); err == nil && !strings.HasPrefix(rel, "..") {
-			importPath = l.modPath + "/" + filepath.ToSlash(rel)
-		}
-	}
-	_, files, _, err := l.check(dir, importPath, info)
+func lintDir(l *lintkit.Loader, dir string) ([]finding, error) {
+	pkg, err := l.Load(dir)
 	if err != nil {
 		return nil, err
 	}
 	var out []finding
-	for _, f := range files {
-		out = append(out, lintFile(l.fset, f, info)...)
+	for _, f := range pkg.Files {
+		out = append(out, lintFile(l.Fset, f, pkg.Info)...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].pos, out[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Offset < b.Offset
-	})
+	lintkit.SortByPos(out, func(f finding) (token.Position, string) { return f.pos, f.kind })
 	return out, nil
-}
-
-// pkgOf resolves a selector like time.Now to its package path, when the
-// receiver is a package name.
-func pkgOf(info *types.Info, sel *ast.SelectorExpr) string {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok {
-		return ""
-	}
-	return pn.Imported().Path()
 }
 
 // statefulRand is the set of math/rand package-level functions backed by
@@ -183,44 +67,17 @@ var statefulRand = map[string]bool{
 }
 
 func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
-	// A comment containing "detlint:allow" suppresses findings on its own
-	// line and the next — for provably-sound cases the heuristics cannot
-	// see (e.g. collecting map values that are sorted by a total key
-	// immediately afterwards). Each use should say why it is safe.
-	allowed := map[int]bool{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, "detlint:allow") {
-				line := fset.Position(c.Pos()).Line
-				allowed[line] = true
-				allowed[line+1] = true
-			}
-		}
-	}
+	// A detlint:allow comment is for provably-sound cases the heuristics
+	// cannot see (e.g. collecting map values that are sorted by a total key
+	// immediately afterwards).
+	allows := lintkit.ParseAllows(fset, f, "detlint")
 	var out []finding
 	add := func(n ast.Node, kind, format string, args ...any) {
 		pos := fset.Position(n.Pos())
-		if allowed[pos.Line] {
+		if allows.Allowed(pos.Line, kind) {
 			return
 		}
 		out = append(out, finding{pos: pos, kind: kind, msg: fmt.Sprintf(format, args...)})
-	}
-
-	isMapRange := func(rs *ast.RangeStmt) bool {
-		tv, ok := info.Types[rs.X]
-		if !ok || tv.Type == nil {
-			return false
-		}
-		_, isMap := tv.Type.Underlying().(*types.Map)
-		return isMap
-	}
-	isString := func(e ast.Expr) bool {
-		tv, ok := info.Types[e]
-		if !ok || tv.Type == nil {
-			return false
-		}
-		b, ok := tv.Type.Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsString != 0
 	}
 
 	// lintMapRangeBody flags order-sensitive accumulation in the body of a
@@ -245,14 +102,14 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				// String concatenation accumulates in iteration order.
-				if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isString(n.Lhs[0]) {
+				if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && lintkit.IsString(info.Types[n.Lhs[0]].Type) {
 					add(n, "map-range-string", "string built up inside a map range: iteration order is randomized — collect and sort the keys first")
 				}
 			case *ast.CallExpr:
 				switch fun := n.Fun.(type) {
 				case *ast.SelectorExpr:
 					// Writes into a stream or builder are order-sensitive.
-					if p := pkgOf(info, fun); p == "fmt" && strings.HasPrefix(fun.Sel.Name, "Fprint") {
+					if p := lintkit.PkgPath(info, fun); p == "fmt" && strings.HasPrefix(fun.Sel.Name, "Fprint") {
 						add(n, "map-range-write", "fmt.%s inside a map range: iteration order is randomized — collect and sort the keys first", fun.Sel.Name)
 					}
 					switch fun.Sel.Name {
@@ -263,8 +120,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 					// Appending the *value* leaks iteration order into the
 					// slice; appending just the key (then sorting) is the
 					// sanctioned pattern.
-					_, isBuiltin := info.Uses[fun].(*types.Builtin)
-					if fun.Name == "append" && (isBuiltin || info.Uses[fun] == nil) && len(n.Args) > 1 {
+					if lintkit.BuiltinCall(info, n) == "append" && len(n.Args) > 1 {
 						for _, a := range n.Args[1:] {
 							if usesVal(a) {
 								add(n, "map-range-append-value", "map value appended to a slice inside a map range: the slice order is randomized — iterate sorted keys instead")
@@ -368,7 +224,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 		if !ok {
 			return true
 		}
-		switch pkgOf(info, sel) {
+		switch lintkit.PkgPath(info, sel) {
 		case "time":
 			switch sel.Sel.Name {
 			case "Now", "Since", "Until":
@@ -387,7 +243,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 	// findings are collapsed below.
 	ast.Inspect(f, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
-		if !ok || !isMapRange(rs) {
+		if !ok || !lintkit.IsMap(info.Types[rs.X].Type) {
 			return true
 		}
 		var val *ast.Ident
@@ -411,40 +267,13 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 	return dedup
 }
 
-// findModule walks up from dir to the enclosing go.mod, returning its
-// directory and module path.
-func findModule(dir string) (root, path string) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return "", ""
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if strings.HasPrefix(line, "module ") {
-					return d, strings.TrimSpace(strings.TrimPrefix(line, "module "))
-				}
-			}
-			return d, ""
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", ""
-		}
-		d = parent
-	}
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		fmt.Fprintln(os.Stderr, "usage: detlint DIR...")
 		os.Exit(2)
 	}
 	dirs := os.Args[1:]
-	root, mod := findModule(dirs[0])
-	l := newLinter(root, mod)
+	l := lintkit.NewLoader(lintkit.FindModule(dirs[0]))
 	bad := false
 	for _, dir := range dirs {
 		abs, err := filepath.Abs(dir)
@@ -452,7 +281,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
 			os.Exit(2)
 		}
-		fs, err := l.lintDir(abs)
+		fs, err := lintDir(l, abs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "detlint: %s: %v\n", dir, err)
 			os.Exit(2)

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/tools/lintkit"
 )
 
 // lintFixture writes the files into a fresh package directory and lints it.
@@ -17,8 +19,7 @@ func lintFixture(t *testing.T, files map[string]string) []finding {
 			t.Fatal(err)
 		}
 	}
-	l := newLinter("", "")
-	fs, err := l.lintDir(dir)
+	fs, err := lintDir(lintkit.NewLoader("", ""), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ var when = time.Now()
 // under internal/ and cmd/ stays clean. It lints the list CI lints, from the
 // same `go list -f '{{.Dir}}' ./internal/... ./cmd/...`.
 func TestDetlintRepoPackages(t *testing.T) {
-	root, mod := findModule(".")
+	root, mod := lintkit.FindModule(".")
 	if root == "" || mod == "" {
 		t.Fatal("module root not found")
 	}
@@ -222,10 +223,10 @@ func TestDetlintRepoPackages(t *testing.T) {
 			t.Fatalf("go list did not name %s: %v", want, dirs)
 		}
 	}
-	l := newLinter(root, mod)
+	l := lintkit.NewLoader(root, mod)
 	for _, dir := range dirs {
 		rel, _ := filepath.Rel(root, dir)
-		fs, err := l.lintDir(dir)
+		fs, err := lintDir(l, dir)
 		if err != nil {
 			t.Fatalf("%s: %v", rel, err)
 		}

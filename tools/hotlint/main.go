@@ -27,20 +27,11 @@
 // the recorded debt is paid down incrementally. -write-baseline records
 // the current findings.
 //
-// With -escape, hotlint additionally shells out to `go build
-// -gcflags=-m` and cross-checks its static verdicts against the
-// compiler's escape analysis: findings the compiler proves non-escaping
-// ("does not escape") are suppressed, and compiler-reported escapes
-// inside hot functions that the shape rules missed are surfaced as
-// findings of kind "escape".
+// hotlint loads the named package directories through tools/lintkit, which
+// uses only the standard library and skips test files. New findings make
+// the exit status 1; usage or analysis errors make it 2.
 //
-// Like detlint, hotlint uses only the standard library: module-internal
-// imports are resolved by type-checking their directories recursively,
-// everything else through go/importer's source importer. Test files are
-// skipped. New findings make the exit status 1; usage or analysis errors
-// make it 2.
-//
-// Usage: hotlint [-escape] [-baseline file] [-write-baseline] DIR...
+// Usage: hotlint [-baseline file] [-write-baseline] DIR...
 package main
 
 import (
@@ -48,18 +39,16 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"sort"
 	"strings"
+
+	"repro/tools/lintkit"
 )
 
 // bigCopyBytes is the pass-by-value size threshold: copying this many
@@ -84,17 +73,10 @@ func (f finding) key(modRoot string) string {
 	return file + ":" + f.fn + ":" + f.kind + ":" + f.detail
 }
 
-// pkgInfo is one analyzed directory with its type-check results.
-type pkgInfo struct {
-	dir   string
-	path  string
-	files []*ast.File
-	info  *types.Info
-}
-
 // funcInfo is one function declaration found in the analyzed set.
 type funcInfo struct {
-	pkg      *pkgInfo
+	info     *types.Info    // its package's
+	allows   lintkit.Allows // its file's hotlint:allow directives
 	decl     *ast.FuncDecl
 	fullName string // types.Func.FullName — stable across re-checks
 	short    string // Recv.Name or Name
@@ -103,125 +85,44 @@ type funcInfo struct {
 }
 
 type analyzer struct {
-	fset    *token.FileSet
-	modRoot string
-	modPath string
-	cache   map[string]*types.Package
-	std     types.Importer
-	sizes   types.Sizes
-	pkgs    []*pkgInfo
-	decls   map[string]*funcInfo // keyed by fullName
+	*lintkit.Loader
+	sizes types.Sizes
+	decls map[string]*funcInfo // keyed by fullName
 }
 
 func newAnalyzer(modRoot, modPath string) *analyzer {
-	fset := token.NewFileSet()
 	sizes := types.SizesFor("gc", runtime.GOARCH)
 	if sizes == nil {
 		sizes = &types.StdSizes{WordSize: 8, MaxAlign: 8}
 	}
 	return &analyzer{
-		fset:    fset,
-		modRoot: modRoot,
-		modPath: modPath,
-		cache:   map[string]*types.Package{},
-		std:     importer.ForCompiler(fset, "source", nil),
-		sizes:   sizes,
-		decls:   map[string]*funcInfo{},
+		Loader: lintkit.NewLoader(modRoot, modPath),
+		sizes:  sizes,
+		decls:  map[string]*funcInfo{},
 	}
 }
 
-// Import implements types.Importer over the same hybrid resolution scheme
-// as detlint: module-internal packages by recursive directory check,
-// everything else through the source importer.
-func (a *analyzer) Import(path string) (*types.Package, error) {
-	if pkg, ok := a.cache[path]; ok {
-		return pkg, nil
-	}
-	if a.modPath != "" && (path == a.modPath || strings.HasPrefix(path, a.modPath+"/")) {
-		dir := filepath.Join(a.modRoot, strings.TrimPrefix(strings.TrimPrefix(path, a.modPath), "/"))
-		pkg, _, err := a.check(dir, path, nil)
-		if err != nil {
-			return nil, err
-		}
-		a.cache[path] = pkg
-		return pkg, nil
-	}
-	pkg, err := a.std.Import(path)
-	if err != nil {
-		return nil, err
-	}
-	a.cache[path] = pkg
-	return pkg, nil
-}
-
-// check parses and type-checks one package directory, skipping tests.
-func (a *analyzer) check(dir, path string, info *types.Info) (*types.Package, []*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		fn := e.Name()
-		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(a.fset, filepath.Join(dir, fn), nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, err
-		}
-		if f.Name.Name == "main" && path != "main" {
-			path = "main"
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	conf := types.Config{
-		Importer: a,
-		Error:    func(error) {}, // best-effort: keep partial type info
-	}
-	pkg, err := conf.Check(path, a.fset, files, info)
-	if err != nil && pkg == nil {
-		return nil, nil, err
-	}
-	return pkg, files, nil
-}
-
-// load type-checks one target directory with full info and indexes its
-// function declarations (and directives) into the analyzer.
+// load type-checks one target directory and indexes its function
+// declarations (and directives) into the analyzer.
 func (a *analyzer) load(dir string) error {
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	importPath := dir
-	if a.modPath != "" {
-		if rel, err := filepath.Rel(a.modRoot, dir); err == nil && !strings.HasPrefix(rel, "..") {
-			importPath = a.modPath + "/" + filepath.ToSlash(rel)
-		}
-	}
-	_, files, err := a.check(dir, importPath, info)
+	pkg, err := a.Load(dir)
 	if err != nil {
 		return err
 	}
-	p := &pkgInfo{dir: dir, path: importPath, files: files, info: info}
-	a.pkgs = append(a.pkgs, p)
-	for _, f := range files {
+	for _, f := range pkg.Files {
+		allows := lintkit.ParseAllows(a.Fset, f, "hotlint")
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			obj, ok := info.Defs[fd.Name].(*types.Func)
+			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
 			fi := &funcInfo{
-				pkg:      p,
+				info:     pkg.Info,
+				allows:   allows,
 				decl:     fd,
 				fullName: obj.FullName(),
 				short:    shortName(fd),
@@ -295,13 +196,7 @@ func (a *analyzer) hotClosure() []*funcInfo {
 			work = append(work, c)
 		}
 	}
-	sort.Slice(hot, func(i, j int) bool {
-		pi, pj := a.fset.Position(hot[i].decl.Pos()), a.fset.Position(hot[j].decl.Pos())
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		return pi.Offset < pj.Offset
-	})
+	lintkit.SortByPos(hot, func(fi *funcInfo) (token.Position, string) { return a.Fset.Position(fi.decl.Pos()), "" })
 	return hot
 }
 
@@ -310,14 +205,14 @@ func (a *analyzer) hotClosure() []*funcInfo {
 // which have no declaration in the analyzed set and terminate the walk
 // there (and are flagged separately as iface-call findings).
 func (a *analyzer) callees(fi *funcInfo) []string {
-	info := fi.pkg.info
+	info := fi.info
 	var out []string
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if isPanic(info, call) {
+		if lintkit.BuiltinCall(info, call) == "panic" {
 			return false // panic arguments are cold by definition
 		}
 		switch fun := call.Fun.(type) {
@@ -335,51 +230,6 @@ func (a *analyzer) callees(fi *funcInfo) []string {
 	return out
 }
 
-func isPanic(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "panic" {
-		return false
-	}
-	_, builtin := info.Uses[id].(*types.Builtin)
-	return builtin || info.Uses[id] == nil
-}
-
-var allowRe = regexp.MustCompile(`hotlint:allow\(([^)]*)\)`)
-
-// allowedKinds maps line -> set of suppressed kinds ("*" = all) for one
-// file: a hotlint:allow comment covers its own line and the next.
-func allowedKinds(fset *token.FileSet, f *ast.File) map[int]map[string]bool {
-	out := map[int]map[string]bool{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			m := allowRe.FindStringSubmatch(c.Text)
-			if m == nil {
-				continue
-			}
-			kinds := map[string]bool{}
-			for _, k := range strings.Split(m[1], ",") {
-				k = strings.TrimSpace(k)
-				if k != "" {
-					kinds[k] = true
-				}
-			}
-			if len(kinds) == 0 {
-				kinds["*"] = true
-			}
-			line := fset.Position(c.Pos()).Line
-			for _, ln := range []int{line, line + 1} {
-				if out[ln] == nil {
-					out[ln] = map[string]bool{}
-				}
-				for k := range kinds {
-					out[ln][k] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
 // typeStr renders a type without package qualification, for stable and
 // readable finding details.
 func typeStr(t types.Type) string {
@@ -389,15 +239,24 @@ func typeStr(t types.Type) string {
 	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
 }
 
+// lint reports the allocation-shaped constructs in the hot functions, in
+// report order.
+func (a *analyzer) lint(hot []*funcInfo) []finding {
+	var out []finding
+	for _, fi := range hot {
+		out = append(out, a.lintFunc(fi)...)
+	}
+	lintkit.SortByPos(out, func(f finding) (token.Position, string) { return f.pos, f.kind })
+	return out
+}
+
 // lintFunc reports the allocation-shaped constructs in one hot function.
 func (a *analyzer) lintFunc(fi *funcInfo) []finding {
-	info := fi.pkg.info
-	file := fileOf(fi)
-	allow := allowedKinds(a.fset, file)
+	info := fi.info
 	var out []finding
 	add := func(n ast.Node, kind, detail, format string, args ...any) {
-		pos := a.fset.Position(n.Pos())
-		if ak := allow[pos.Line]; ak != nil && (ak[kind] || ak["*"]) {
+		pos := a.Fset.Position(n.Pos())
+		if fi.allows.Allowed(pos.Line, kind) {
 			return
 		}
 		out = append(out, finding{
@@ -409,7 +268,7 @@ func (a *analyzer) lintFunc(fi *funcInfo) []finding {
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if isPanic(info, n) {
+			if lintkit.BuiltinCall(info, n) == "panic" {
 				return false
 			}
 			a.lintCall(fi, n, add)
@@ -433,7 +292,7 @@ func (a *analyzer) lintFunc(fi *funcInfo) []finding {
 			}
 			if cl, ok := n.X.(*ast.CompositeLit); ok {
 				tv := info.Types[cl]
-				add(n, "composite", typeStr(tv.Type), "&%s{...} may escape to the heap — verify with -escape, pool it, or hoist it", typeStr(tv.Type))
+				add(n, "composite", typeStr(tv.Type), "&%s{...} may escape to the heap — pool it or hoist it", typeStr(tv.Type))
 			}
 		case *ast.FuncLit:
 			add(n, "closure", "func-literal", "closure on a hot path: the function value and its captures may allocate")
@@ -441,17 +300,14 @@ func (a *analyzer) lintFunc(fi *funcInfo) []finding {
 			if n.Op != token.ADD {
 				break
 			}
-			tv, ok := info.Types[n]
-			if !ok || tv.Type == nil || tv.Value != nil { // constant-folded concats are free
-				break
-			}
-			if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
+			// Constant-folded concats are free.
+			if tv := info.Types[n]; tv.Value == nil && lintkit.IsString(tv.Type) {
 				add(n, "string-concat", "concat", "string concatenation allocates — precompute the string or index a name table")
 			}
 		case *ast.AssignStmt:
 			a.lintAssign(info, n, add)
 		case *ast.IncDecStmt:
-			if ix, ok := n.X.(*ast.IndexExpr); ok && isMapIndex(info, ix) {
+			if ix, ok := n.X.(*ast.IndexExpr); ok && lintkit.IsMap(info.Types[ix.X].Type) {
 				add(n, "map-write", "index", "map write on a hot path: bucket growth allocates — preallocate or use a slice-backed table")
 			}
 		}
@@ -460,36 +316,14 @@ func (a *analyzer) lintFunc(fi *funcInfo) []finding {
 	return out
 }
 
-func fileOf(fi *funcInfo) *ast.File {
-	for _, f := range fi.pkg.files {
-		if f.Pos() <= fi.decl.Pos() && fi.decl.Pos() <= f.End() {
-			return f
-		}
-	}
-	return fi.pkg.files[0]
-}
-
-func isMapIndex(info *types.Info, ix *ast.IndexExpr) bool {
-	tv, ok := info.Types[ix.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
-	return isMap
-}
-
 func (a *analyzer) lintAssign(info *types.Info, n *ast.AssignStmt, add func(ast.Node, string, string, string, ...any)) {
 	for _, lhs := range n.Lhs {
-		if ix, ok := lhs.(*ast.IndexExpr); ok && isMapIndex(info, ix) {
+		if ix, ok := lhs.(*ast.IndexExpr); ok && lintkit.IsMap(info.Types[ix.X].Type) {
 			add(n, "map-write", "index", "map write on a hot path: bucket growth allocates — preallocate or use a slice-backed table")
 		}
 	}
-	if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 {
-		if tv, ok := info.Types[n.Lhs[0]]; ok && tv.Type != nil {
-			if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-				add(n, "string-concat", "concat", "string concatenation allocates — precompute the string or index a name table")
-			}
-		}
+	if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && lintkit.IsString(info.Types[n.Lhs[0]].Type) {
+		add(n, "string-concat", "concat", "string concatenation allocates — precompute the string or index a name table")
 	}
 }
 
@@ -497,24 +331,20 @@ func (a *analyzer) lintAssign(info *types.Info, n *ast.AssignStmt, add func(ast.
 // builtins, string conversions, interface boxing, interface dispatch, and
 // large pass-by-value copies.
 func (a *analyzer) lintCall(fi *funcInfo, call *ast.CallExpr, add func(ast.Node, string, string, string, ...any)) {
-	info := fi.pkg.info
+	info := fi.info
 
 	// Builtins.
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, builtin := info.Uses[id].(*types.Builtin); builtin {
-			switch id.Name {
-			case "make":
-				tv := info.Types[call]
-				add(call, "make", typeStr(tv.Type), "make(%s) on a hot path — take from a pool or preallocate", typeStr(tv.Type))
-			case "new":
-				tv := info.Types[call]
-				add(call, "new", typeStr(tv.Type), "new(%s) on a hot path — take from a pool or preallocate", typeStr(tv.Type))
-			case "append":
-				tv := info.Types[call]
-				add(call, "append-growth", typeStr(tv.Type), "append may grow %s on a hot path — preallocate capacity or reuse via [:0]", typeStr(tv.Type))
-			}
-			return
+	if name := lintkit.BuiltinCall(info, call); name != "" {
+		t := typeStr(info.Types[call].Type)
+		switch name {
+		case "make":
+			add(call, "make", t, "make(%s) on a hot path — take from a pool or preallocate", t)
+		case "new":
+			add(call, "new", t, "new(%s) on a hot path — take from a pool or preallocate", t)
+		case "append":
+			add(call, "append-growth", t, "append may grow %s on a hot path — preallocate capacity or reuse via [:0]", t)
 		}
+		return
 	}
 
 	// Conversions: only string<->[]byte/[]rune copy and allocate.
@@ -594,10 +424,6 @@ func (a *analyzer) lintCall(fi *funcInfo, call *ast.CallExpr, add func(ast.Node,
 }
 
 func stringBytesConv(src, dst types.Type) bool {
-	isStr := func(t types.Type) bool {
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsString != 0
-	}
 	isByteish := func(t types.Type) bool {
 		s, ok := t.Underlying().(*types.Slice)
 		if !ok {
@@ -606,170 +432,7 @@ func stringBytesConv(src, dst types.Type) bool {
 		e, ok := s.Elem().Underlying().(*types.Basic)
 		return ok && (e.Kind() == types.Byte || e.Kind() == types.Rune || e.Kind() == types.Uint8 || e.Kind() == types.Int32)
 	}
-	return (isStr(src) && isByteish(dst)) || (isByteish(src) && isStr(dst))
-}
-
-// ---- escape-analysis cross-check (-escape) ----
-
-// escapeVerdict is one compiler escape diagnostic at a position.
-type escapeVerdict struct {
-	file string // absolute path
-	line int
-	heap bool // escapes/moved to heap vs does not escape
-	msg  string
-}
-
-var escLineRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
-
-// runEscapeAnalysis builds the target directories with -gcflags=-m and
-// parses the escape diagnostics.
-func runEscapeAnalysis(modRoot string, dirs []string) ([]escapeVerdict, error) {
-	args := []string{"build", "-gcflags=-m=1"}
-	for _, d := range dirs {
-		rel, err := filepath.Rel(modRoot, d)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			return nil, fmt.Errorf("escape analysis target %s is outside module root %s", d, modRoot)
-		}
-		args = append(args, "./"+filepath.ToSlash(rel))
-	}
-	cmd := exec.Command("go", args...)
-	cmd.Dir = modRoot
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		// -m output goes to stderr even on success; a real build failure
-		// has no usable diagnostics.
-		if _, ok := err.(*exec.ExitError); !ok {
-			return nil, err
-		}
-		return nil, fmt.Errorf("go build -gcflags=-m failed: %v\n%s", err, out)
-	}
-	return parseEscapeOutput(modRoot, string(out)), nil
-}
-
-func parseEscapeOutput(modRoot, out string) []escapeVerdict {
-	var vs []escapeVerdict
-	for _, line := range strings.Split(out, "\n") {
-		m := escLineRe.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
-		}
-		msg := m[4]
-		var heap bool
-		switch {
-		case strings.Contains(msg, "escapes to heap"), strings.Contains(msg, "moved to heap"):
-			heap = true
-		case strings.Contains(msg, "does not escape"):
-			heap = false
-		default:
-			continue // inlining and other -m chatter
-		}
-		file := m[1]
-		if !filepath.IsAbs(file) {
-			file = filepath.Join(modRoot, file)
-		}
-		ln := 0
-		fmt.Sscanf(m[2], "%d", &ln)
-		vs = append(vs, escapeVerdict{file: file, line: ln, heap: heap, msg: msg})
-	}
-	return vs
-}
-
-// escapeCheckable marks the finding kinds whose allocation verdict the
-// compiler's escape analysis can confirm or refute at the same line.
-var escapeCheckable = map[string]bool{
-	"composite": true, "new": true, "closure": true, "make": true,
-}
-
-// crossCheck applies the compiler verdicts to the static findings:
-// stack-proven findings are dropped, and heap escapes inside hot
-// functions with no static finding on their line become "escape"
-// findings. Returns the surviving findings and the number suppressed.
-func (a *analyzer) crossCheck(findings []finding, hot []*funcInfo, verdicts []escapeVerdict) ([]finding, int) {
-	type lineKey struct {
-		file string
-		line int
-	}
-	heapAt := map[lineKey][]string{}
-	stackAt := map[lineKey]bool{}
-	for _, v := range verdicts {
-		k := lineKey{v.file, v.line}
-		if v.heap {
-			heapAt[k] = append(heapAt[k], v.msg)
-		} else {
-			stackAt[k] = true
-		}
-	}
-
-	flagged := map[lineKey]bool{}
-	for _, f := range findings {
-		flagged[lineKey{f.pos.Filename, f.pos.Line}] = true
-	}
-
-	var out []finding
-	suppressed := 0
-	for _, f := range findings {
-		k := lineKey{f.pos.Filename, f.pos.Line}
-		if escapeCheckable[f.kind] && len(heapAt[k]) == 0 && stackAt[k] {
-			suppressed++ // compiler proves it stays on the stack
-			continue
-		}
-		out = append(out, f)
-	}
-
-	// Reverse direction: compiler-reported escapes in hot code that the
-	// shape rules missed. Allow comments apply here too. Iterate the heap
-	// verdicts in sorted key order so findings are deterministic.
-	heapKeys := make([]lineKey, 0, len(heapAt))
-	for k := range heapAt {
-		heapKeys = append(heapKeys, k)
-	}
-	sort.Slice(heapKeys, func(i, j int) bool {
-		if heapKeys[i].file != heapKeys[j].file {
-			return heapKeys[i].file < heapKeys[j].file
-		}
-		return heapKeys[i].line < heapKeys[j].line
-	})
-	for _, fi := range hot {
-		file := fileOf(fi)
-		allow := allowedKinds(a.fset, file)
-		start := a.fset.Position(fi.decl.Pos())
-		end := a.fset.Position(fi.decl.End())
-		for _, k := range heapKeys {
-			if k.file != start.Filename || k.line < start.Line || k.line > end.Line {
-				continue
-			}
-			if flagged[k] {
-				continue
-			}
-			if ak := allow[k.line]; ak != nil && (ak["escape"] || ak["*"]) {
-				continue
-			}
-			msgs := heapAt[k]
-			sort.Strings(msgs)
-			out = append(out, finding{
-				pos:    token.Position{Filename: k.file, Line: k.line},
-				fn:     fi.short,
-				kind:   "escape",
-				detail: msgs[0],
-				msg:    fmt.Sprintf("compiler: %s (escape the shape rules missed)", strings.Join(msgs, "; ")),
-			})
-		}
-	}
-	sortFindings(out)
-	return out, suppressed
-}
-
-func sortFindings(fs []finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i].pos, fs[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return fs[i].kind < fs[j].kind
-	})
+	return (lintkit.IsString(src) && isByteish(dst)) || (isByteish(src) && lintkit.IsString(dst))
 }
 
 // ---- baseline ----
@@ -824,33 +487,8 @@ func newAgainstBaseline(findings []finding, base *baseline, modRoot string) []fi
 	return out
 }
 
-// findModule walks up from dir to the enclosing go.mod.
-func findModule(dir string) (root, path string) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return "", ""
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if strings.HasPrefix(line, "module ") {
-					return d, strings.TrimSpace(strings.TrimPrefix(line, "module "))
-				}
-			}
-			return d, ""
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", ""
-		}
-		d = parent
-	}
-}
-
 // run executes the full analysis; separated from main for tests.
-func run(dirs []string, escape bool, baselinePath string, writeBase bool, stdout io.Writer) int {
+func run(dirs []string, baselinePath string, writeBase bool, stdout io.Writer) int {
 	abs := make([]string, len(dirs))
 	for i, d := range dirs {
 		a, err := filepath.Abs(d)
@@ -860,8 +498,8 @@ func run(dirs []string, escape bool, baselinePath string, writeBase bool, stdout
 		}
 		abs[i] = a
 	}
-	root, mod := findModule(abs[0])
-	a := newAnalyzer(root, mod)
+	a := newAnalyzer(lintkit.FindModule(abs[0]))
+	root := a.ModRoot
 	for _, d := range abs {
 		if err := a.load(d); err != nil {
 			fmt.Fprintf(os.Stderr, "hotlint: %s: %v\n", d, err)
@@ -869,22 +507,7 @@ func run(dirs []string, escape bool, baselinePath string, writeBase bool, stdout
 		}
 	}
 	hot := a.hotClosure()
-	var findings []finding
-	for _, fi := range hot {
-		findings = append(findings, a.lintFunc(fi)...)
-	}
-	sortFindings(findings)
-
-	if escape {
-		verdicts, err := runEscapeAnalysis(root, abs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hotlint: %v\n", err)
-			return 2
-		}
-		var suppressed int
-		findings, suppressed = a.crossCheck(findings, hot, verdicts)
-		fmt.Fprintf(stdout, "hotlint: escape cross-check: %d finding(s) compiler-proven stack-only and dropped\n", suppressed)
-	}
+	findings := a.lint(hot)
 
 	counts := map[string]int{}
 	for _, f := range findings {
@@ -922,17 +545,16 @@ func run(dirs []string, escape bool, baselinePath string, writeBase bool, stdout
 }
 
 func main() {
-	escape := flag.Bool("escape", false, "cross-check findings against the compiler's escape analysis (go build -gcflags=-m)")
 	baselinePath := flag.String("baseline", "", "baseline JSON file; only findings not in the baseline fail")
 	writeBase := flag.Bool("write-baseline", false, "record current findings into -baseline and exit 0")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: hotlint [-escape] [-baseline file] [-write-baseline] DIR...")
+		fmt.Fprintln(os.Stderr, "usage: hotlint [-baseline file] [-write-baseline] DIR...")
 		os.Exit(2)
 	}
 	if *writeBase && *baselinePath == "" {
 		fmt.Fprintln(os.Stderr, "hotlint: -write-baseline requires -baseline")
 		os.Exit(2)
 	}
-	os.Exit(run(flag.Args(), *escape, *baselinePath, *writeBase, os.Stdout))
+	os.Exit(run(flag.Args(), *baselinePath, *writeBase, os.Stdout))
 }

@@ -2,10 +2,11 @@ package main
 
 import (
 	"bytes"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/tools/lintkit"
 )
 
 // fixtureDir returns the absolute path of the fixture package.
@@ -22,7 +23,7 @@ func fixtureDir(t *testing.T) string {
 func analyzeFixture(t *testing.T) (*analyzer, []*funcInfo, []finding) {
 	t.Helper()
 	dir := fixtureDir(t)
-	root, mod := findModule(dir)
+	root, mod := lintkit.FindModule(dir)
 	if root == "" || mod == "" {
 		t.Fatalf("no module found above %s", dir)
 	}
@@ -31,12 +32,7 @@ func analyzeFixture(t *testing.T) (*analyzer, []*funcInfo, []finding) {
 		t.Fatalf("load: %v", err)
 	}
 	hot := a.hotClosure()
-	var findings []finding
-	for _, fi := range hot {
-		findings = append(findings, a.lintFunc(fi)...)
-	}
-	sortFindings(findings)
-	return a, hot, findings
+	return a, hot, a.lint(hot)
 }
 
 func countBy(findings []finding, f func(finding) string) map[string]int {
@@ -110,7 +106,7 @@ func TestBaselineGate(t *testing.T) {
 	a, _, findings := analyzeFixture(t)
 	counts := map[string]int{}
 	for _, f := range findings {
-		counts[f.key(a.modRoot)]++
+		counts[f.key(a.ModRoot)]++
 	}
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	if err := writeBaseline(path, counts); err != nil {
@@ -120,7 +116,7 @@ func TestBaselineGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := newAgainstBaseline(findings, base, a.modRoot); len(n) != 0 {
+	if n := newAgainstBaseline(findings, base, a.ModRoot); len(n) != 0 {
 		t.Errorf("full baseline should suppress everything, got %d new", len(n))
 	}
 	// Remove one key: all its instances become new again.
@@ -132,7 +128,7 @@ func TestBaselineGate(t *testing.T) {
 	}
 	removed := base.Findings[victim]
 	delete(base.Findings, victim)
-	n := newAgainstBaseline(findings, base, a.modRoot)
+	n := newAgainstBaseline(findings, base, a.ModRoot)
 	if len(n) != removed {
 		t.Errorf("removing key %q (count %d) should yield %d new findings, got %d",
 			victim, removed, removed, len(n))
@@ -146,79 +142,22 @@ func TestBaselineGate(t *testing.T) {
 	}
 }
 
-// TestEscapeCrossCheck shells out to the Go compiler; it is the fixture
-// for the -escape agreement contract, including a deliberate
-// disagreement in each direction.
-func TestEscapeCrossCheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skipping go build -gcflags=-m")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go tool not available")
-	}
-	a, hot, findings := analyzeFixture(t)
-	verdicts, err := runEscapeAnalysis(a.modRoot, []string{fixtureDir(t)})
-	if err != nil {
-		t.Fatalf("escape analysis: %v", err)
-	}
-	if len(verdicts) == 0 {
-		t.Fatal("no escape diagnostics parsed")
-	}
-	checked, suppressed := a.crossCheck(findings, hot, verdicts)
-	if suppressed == 0 {
-		t.Error("expected at least one compiler-proven stack finding (StackProven's make) to be suppressed")
-	}
-	byFn := map[string][]finding{}
-	for _, f := range checked {
-		byFn[f.fn] = append(byFn[f.fn], f)
-	}
-	// Direction 1: the shape rule fired, the compiler disagrees (does not
-	// escape) — the make in StackProven must be gone.
-	for _, f := range byFn["StackProven"] {
-		if f.kind == "make" {
-			t.Errorf("StackProven's non-escaping make survived the cross-check")
-		}
-	}
-	// Direction 2: the compiler sees an escape the shape rules cannot
-	// (moved to heap: x) — surfaced as an "escape" finding.
-	foundEscape := false
-	for _, f := range byFn["StackProven"] {
-		if f.kind == "escape" && strings.Contains(f.msg, "moved to heap") {
-			foundEscape = true
-		}
-	}
-	if !foundEscape {
-		t.Errorf("moved-to-heap local in StackProven not surfaced as an escape finding; got %v", byFn["StackProven"])
-	}
-	// Agreement: Escaping's composite literal is compiler-confirmed and
-	// must survive.
-	foundComposite := false
-	for _, f := range byFn["Escaping"] {
-		if f.kind == "composite" {
-			foundComposite = true
-		}
-	}
-	if !foundComposite {
-		t.Errorf("Escaping's heap-confirmed composite was wrongly suppressed; got %v", byFn["Escaping"])
-	}
-}
-
 // TestRunEndToEnd drives the run() entry point the way CI does.
 func TestRunEndToEnd(t *testing.T) {
 	dir := fixtureDir(t)
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	var buf bytes.Buffer
 	// Without a baseline: findings fail.
-	if code := run([]string{dir}, false, "", false, &buf); code != 1 {
+	if code := run([]string{dir}, "", false, &buf); code != 1 {
 		t.Fatalf("run without baseline: got exit %d, want 1\n%s", code, buf.String())
 	}
 	// Write a baseline, then the same findings pass.
 	buf.Reset()
-	if code := run([]string{dir}, false, path, true, &buf); code != 0 {
+	if code := run([]string{dir}, path, true, &buf); code != 0 {
 		t.Fatalf("write-baseline: got exit %d\n%s", code, buf.String())
 	}
 	buf.Reset()
-	if code := run([]string{dir}, false, path, false, &buf); code != 0 {
+	if code := run([]string{dir}, path, false, &buf); code != 0 {
 		t.Fatalf("run with full baseline: got exit %d, want 0\n%s", code, buf.String())
 	}
 	if !strings.Contains(buf.String(), "0 new") {

@@ -1,7 +1,7 @@
-// Package fixture exercises every hotlint finding kind, the directive
-// grammar, and the escape cross-check. It is linted (and built with
-// -gcflags=-m) by the hotlint tests; it is NOT part of the regular build
-// because testdata directories are excluded from ./... patterns.
+// Package fixture exercises every hotlint finding kind and the directive
+// grammar. It is linted by the hotlint tests; it is NOT part of the
+// regular build because testdata directories are excluded from ./...
+// patterns.
 package fixture
 
 // big is 128 bytes: above the pass-by-value threshold.
@@ -73,9 +73,8 @@ func Allowed() []int {
 // NotHot is unreachable from any root and is never reported.
 func NotHot() []int { return make([]int, 9) }
 
-// StackProven contains a make the compiler proves non-escaping (dropped
-// by -escape) and a moved-to-heap local the shape rules cannot see
-// (surfaced by -escape as an "escape" finding).
+// StackProven contains a make the compiler proves non-escaping, which the
+// shape rules still report, and a moved-to-heap local they cannot see.
 //
 //hot:path
 func StackProven() *int {
@@ -85,8 +84,7 @@ func StackProven() *int {
 	return &x
 }
 
-// Escaping contains a composite literal the compiler confirms escapes:
-// the finding survives the -escape cross-check.
+// Escaping contains a composite literal the compiler confirms escapes.
 //
 //hot:path
 func Escaping() *big {
