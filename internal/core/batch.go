@@ -27,12 +27,22 @@ type Range struct {
 	Write bool
 }
 
-// Batch is an open batched-check window.
+// Batch is an open batched-check window. A process has at most one open,
+// so each process keeps one Batch (Proc.batch) and every BatchStart reuses
+// its maps and slices.
 type Batch struct {
 	p      *Proc
-	ranges []Range
 	lines  map[int]bool // lines covered by the batch
 	stores []pendingStore
+	// needs lists the blocks BatchStart fetches, and seen maps a block id
+	// to its index in needs.
+	needs []batchNeed
+	seen  map[int]int
+}
+
+type batchNeed struct {
+	blk   *blockInfo
+	write bool
 }
 
 func (b *Batch) covers(blk *blockInfo) bool {
@@ -57,12 +67,25 @@ func (b *Batch) Covers(addr uint64) bool {
 // BatchStart validates all ranges — fetching shared or exclusive copies as
 // needed, with all requests outstanding in parallel — and opens a batch
 // window. The in-line cost is one check per line instead of one per access.
+//
+// BatchStart stalls. While it does, handlers on this process and its
+// node-mates read b.lines (fillAgentInvalid, Batch.covers), and only this
+// call writes b.lines, b.needs and b.seen. Reusing them across the stalls
+// is safe because only the process's own body opens a batch, and it is
+// inside this call: the next BatchStart that clears them cannot begin
+// before BatchEnd has closed this one.
 func (p *Proc) BatchStart(ranges ...Range) *Batch {
 	s := p.sys
 	if p.curBatch != nil {
 		panic("core: nested batch")
 	}
-	b := &Batch{p: p, ranges: ranges, lines: make(map[int]bool)}
+	b := &p.batch
+	if b.lines == nil {
+		b.p, b.lines, b.seen = p, map[int]bool{}, map[int]int{}
+	}
+	clear(b.lines)
+	clear(b.seen)
+	b.stores, b.needs = b.stores[:0], b.needs[:0]
 	if !s.Cfg.Checks {
 		p.curBatch = b
 		return b
@@ -79,12 +102,6 @@ func (p *Proc) BatchStart(ranges ...Range) *Batch {
 	// does for lines covered by curBatch.
 	p.curBatch = b
 
-	type need struct {
-		blk   *blockInfo
-		write bool
-	}
-	var needs []need
-	seen := make(map[int]int) // block id -> index in needs
 	for _, r := range ranges {
 		if r.Bytes <= 0 {
 			continue
@@ -95,17 +112,17 @@ func (p *Proc) BatchStart(ranges ...Range) *Batch {
 			b.lines[l] = true
 			p.stats.N[CntBatchChecks]++
 			blk := s.blockOf(l)
-			if i, ok := seen[blk.id]; ok {
-				needs[i].write = needs[i].write || r.Write
+			if i, ok := b.seen[blk.id]; ok {
+				b.needs[i].write = b.needs[i].write || r.Write
 			} else {
-				seen[blk.id] = len(needs)
-				needs = append(needs, need{blk, r.Write})
+				b.seen[blk.id] = len(b.needs)
+				b.needs = append(b.needs, batchNeed{blk, r.Write})
 			}
 		}
 		p.charge(CatCheck, s.Cfg.Cost.FullCheck)
 	}
 	// Issue all misses in parallel, then wait for the whole set.
-	for _, n := range needs {
+	for _, n := range b.needs {
 		line := n.blk.firstLine
 		for {
 			st := p.priv[line]
@@ -145,14 +162,14 @@ func (p *Proc) BatchStart(ranges ...Range) *Batch {
 		}
 	}
 	cat := CatReadStall
-	for _, n := range needs {
+	for _, n := range b.needs {
 		if n.write {
 			cat = CatWriteStall
 			break
 		}
 	}
 	p.stallWhile(cat, func() bool {
-		for _, n := range needs {
+		for _, n := range b.needs {
 			if p.mshr[n.blk.id] != nil {
 				return true
 			}
@@ -196,7 +213,8 @@ func (p *Proc) BatchEnd(b *Batch) {
 		return
 	}
 	p.enterProtocol()
-	var reissue []pendingStore
+	// Filtered in place: nothing else reads b.stores once the batch closed.
+	reissue := b.stores[:0]
 	for _, st := range b.stores {
 		line := p.sys.lineOf(st.addr)
 		if p.priv[line] != Exclusive {

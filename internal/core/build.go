@@ -247,8 +247,6 @@ func (s *System) starvedMiss(now, budget sim.Time) string {
 // process, outstanding misses, pending queue contents, downgrade waits; per
 // block whose home record is not at rest, the busy window and its queue. It
 // describes a run that is ending.
-//
-//hot:cold
 func (s *System) dumpProtocolState() string {
 	out := "protocol state:"
 	for _, p := range s.procs {

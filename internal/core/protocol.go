@@ -33,9 +33,8 @@ func (p *Proc) issueMissKind(blk *blockInfo, wantExcl bool, stores []pendingStor
 	m.wantExcl = wantExcl
 	m.scMode = scMode
 	m.stores = append(m.stores, stores...)
-	m.batch = p.curBatch
 	m.issued = p.Sim.Now()
-	p.mshr[blk.id] = m // hotlint:allow(map-write): MSHR table, bounded by outstanding misses
+	p.mshr[blk.id] = m
 	p.outstanding++
 
 	kind := s.proto.missKind(p, blk, wantExcl, scMode)
@@ -90,8 +89,6 @@ var downgradeSiteNames = [...]string{
 // be copied at every level of the dispatch chain — but ownership stays
 // with the caller: retention points (home-side queues, deferred requests,
 // retransmit entries) store value copies.
-//
-//hot:path
 func (p *Proc) handleMessage(m *msg, cat TimeCategory) {
 	s := p.sys
 	if t := s.tr(p); t != nil {

@@ -308,8 +308,6 @@ func (p *Proc) pumpReliability(cat TimeCategory) bool {
 
 // failUnreachable aborts the simulation with a structured error for the
 // exhausted entry. It does not return.
-//
-//hot:cold
 func (p *Proc) failUnreachable(e *retxEntry) {
 	var blks []int
 	for blk := range p.mshr {

@@ -214,7 +214,6 @@ type mshrEntry struct {
 	// must not be read afterwards.
 	scMode bool
 	stores []pendingStore
-	batch  *Batch   // non-nil if issued as part of a batch
 	issued sim.Time // when; the watchdog asks how long ago (starvedMiss)
 }
 

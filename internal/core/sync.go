@@ -133,7 +133,7 @@ func (p *Proc) handleLockReq(m *msg) {
 		p.grantLock(lk, m.reqProc)
 		return
 	}
-	lk.waiters = append(lk.waiters, m.reqProc) // hotlint:allow(append-growth): at most one entry per process, and a hand-off removes in place, so the capacity is reused
+	lk.waiters = append(lk.waiters, m.reqProc) // at most one entry per process, and a hand-off removes in place, so the capacity is reused
 }
 
 func (p *Proc) handleLockRelease(m *msg) {

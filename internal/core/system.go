@@ -53,7 +53,7 @@ func (b *queueBox) addWaiter(p *Proc) {
 			return
 		}
 	}
-	b.waiters = append(b.waiters, queueWaiter{p, 1}) // hotlint:allow(append-growth): reaches the number of processes that wait on the box at once, then reuses its capacity
+	b.waiters = append(b.waiters, queueWaiter{p, 1}) // reaches the number of processes that wait on the box at once, then reuses its capacity
 }
 
 func (b *queueBox) removeWaiter(p *Proc) {
@@ -360,8 +360,6 @@ func (s *System) requesterOf(blk *blockInfo, agent int) *Proc {
 // processes; Base: just the one process). The SMP answer comes from the
 // nodeProcs cache maintained by spawn — rebuilding it per call allocated
 // on every store's LL-reset sweep.
-//
-//hot:path
 func (s *System) localProcs(agent int) []*Proc {
 	if !s.Cfg.SMP {
 		return s.procs[agent : agent+1]

@@ -80,6 +80,10 @@ type tardisLease struct {
 // tardisProcState lives on Proc.protoData.
 type tardisProcState struct {
 	pts int64 // program timestamp
+	// expiring is expire's list of ended leases, kept for its capacity. It
+	// is nil while an expire holds it: the drops stall, and an expire
+	// nested in one of them gets a list of its own.
+	expiring []int
 }
 
 // tardisAgentState lives on agentMem.protoData.
@@ -498,19 +502,20 @@ func (t *tardis) advancePts(p *Proc, ts int64) {
 // periodically from pollTick.
 func (t *tardis) expire(p *Proc) {
 	as := t.astate(p.mem)
-	pts := t.pstate(p).pts
-	if end, ok := as.leases.minEnd(); !ok || end >= pts {
+	ps := t.pstate(p)
+	if end, ok := as.leases.minEnd(); !ok || end >= ps.pts {
 		return
 	}
 	// Dropped in ascending block order: the order is simulated behaviour.
-	ids := as.leases.endedBefore(pts)
+	ids := as.leases.endedBefore(ps.pts, ps.expiring)
+	ps.expiring = nil
 	sort.Ints(ids)
 	wasIn := p.inProtocol
 	p.inProtocol = true
-	defer func() { p.inProtocol = wasIn }()
+	defer func() { p.inProtocol, ps.expiring = wasIn, ids[:0] }()
 	for _, id := range ids {
 		old, ok := as.leases.get(id)
-		if !ok || old.leaseEnd >= t.pstate(p).pts {
+		if !ok || old.leaseEnd >= ps.pts {
 			continue // refreshed while an earlier drop stalled
 		}
 		blk := t.s.blocks[id]

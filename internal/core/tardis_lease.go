@@ -25,15 +25,13 @@ func (x *leaseIndex) set(id int, l tardisLease, blocks int) {
 	}
 	x.rec[id] = l
 	if x.pos[id] == 0 {
-		x.heap = append(x.heap, int32(id)) // hotlint:allow(append-growth): bounded by the block count, reaches steady-state capacity
+		x.heap = append(x.heap, int32(id)) // bounded by the block count, reaches steady-state capacity
 		x.pos[id] = int32(len(x.heap))
 	}
 	x.fix(int(x.pos[id]) - 1)
 }
 
 // grow runs once per doubling of the block count.
-//
-//hot:cold
 func (x *leaseIndex) grow(n int) {
 	x.rec = grown(x.rec, n, tardisLease{})
 	x.pos = grown(x.pos, n, 0)
@@ -62,17 +60,17 @@ func (x *leaseIndex) minEnd() (int64, bool) {
 	return x.rec[x.heap[0]].leaseEnd, true
 }
 
-// endedBefore lists the blocks whose lease ended before pts, in heap order:
-// it walks only the part of the heap that did.
-func (x *leaseIndex) endedBefore(pts int64) []int {
-	return x.collect(0, pts, nil)
+// endedBefore appends to ids the blocks whose lease ended before pts, in
+// heap order: it walks only the part of the heap that did.
+func (x *leaseIndex) endedBefore(pts int64, ids []int) []int {
+	return x.collect(0, pts, ids)
 }
 
 func (x *leaseIndex) collect(i int, pts int64, ids []int) []int {
 	if i >= len(x.heap) || x.rec[x.heap[i]].leaseEnd >= pts {
 		return ids
 	}
-	ids = append(ids, int(x.heap[i])) // hotlint:allow(append-growth): only when a lease has ended, as the map walk it replaces did
+	ids = append(ids, int(x.heap[i]))
 	ids = x.collect(2*i+1, pts, ids)
 	return x.collect(2*i+2, pts, ids)
 }

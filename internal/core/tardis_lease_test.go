@@ -32,7 +32,7 @@ func TestLeaseIndexMatchesMap(t *testing.T) {
 					want = append(want, id)
 				}
 			}
-			got := x.endedBefore(pts)
+			got := x.endedBefore(pts, nil)
 			sort.Ints(want)
 			sort.Ints(got)
 			if len(got) != len(want) {

@@ -340,7 +340,7 @@ func (d *driver) publish(p *core.Proc, w int, words [ewStamp]uint64, pub publish
 // dispatch places one admitted transaction and publishes it.
 func (d *driver) dispatch(p *core.Proc, t Txn, view *ClusterView) {
 	admitted := p.Now()
-	w := d.policy.Pick(&t, view)
+	w := d.policy.Pick(t, view)
 	d.publish(p, w, [ewStamp]uint64{
 		ewTenant: uint64(t.Tenant), ewSeq: uint64(t.Seq), ewKind: uint64(t.Kind),
 		ewPage: uint64(t.Page), ewRow: uint64(t.Row), ewPages: uint64(t.Pages),

@@ -25,7 +25,7 @@ func (v *ClusterView) Backlog(w int) int64 { return v.Issued[w] - v.Done[w] }
 // deterministic functions of the view and their own state.
 type Policy interface {
 	Name() string
-	Pick(t *Txn, view *ClusterView) int
+	Pick(t Txn, view *ClusterView) int
 	// ReadsBacklog reports whether Pick reads view.Done (through Backlog).
 	// The dispatcher keeps every worker's completion count no staler than
 	// refreshPeriod for such a policy, at a read miss per worker per
@@ -38,7 +38,7 @@ type roundRobin struct{ next int }
 
 func (p *roundRobin) Name() string       { return "rr" }
 func (p *roundRobin) ReadsBacklog() bool { return false }
-func (p *roundRobin) Pick(t *Txn, view *ClusterView) int {
+func (p *roundRobin) Pick(t Txn, view *ClusterView) int {
 	w := p.next
 	p.next = (p.next + 1) % len(view.Issued)
 	return w
@@ -50,7 +50,7 @@ type leastLoaded struct{}
 
 func (leastLoaded) Name() string       { return "least" }
 func (leastLoaded) ReadsBacklog() bool { return true }
-func (leastLoaded) Pick(t *Txn, view *ClusterView) int {
+func (leastLoaded) Pick(t Txn, view *ClusterView) int {
 	best := 0
 	for w := 1; w < len(view.Issued); w++ {
 		if view.Backlog(w) < view.Backlog(best) {
@@ -68,7 +68,7 @@ type locality struct{}
 
 func (locality) Name() string       { return "locality" }
 func (locality) ReadsBacklog() bool { return false }
-func (locality) Pick(t *Txn, view *ClusterView) int {
+func (locality) Pick(t Txn, view *ClusterView) int {
 	return view.HomeWorker(t.Page)
 }
 

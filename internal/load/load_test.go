@@ -101,7 +101,7 @@ func TestLocalityPlacesAtHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pg := 0; pg < 9; pg++ {
-		if w := pol.Pick(&Txn{Page: pg}, view); w != pg%3 {
+		if w := pol.Pick(Txn{Page: pg}, view); w != pg%3 {
 			t.Fatalf("page %d placed on worker %d, want %d", pg, w, pg%3)
 		}
 	}
@@ -110,7 +110,7 @@ func TestLocalityPlacesAtHome(t *testing.T) {
 func TestLeastLoadedBalances(t *testing.T) {
 	view := &ClusterView{Issued: []int64{5, 2, 9}, Done: []int64{1, 1, 4}}
 	pol, _ := NewPolicy("least")
-	if w := pol.Pick(&Txn{}, view); w != 1 {
+	if w := pol.Pick(Txn{}, view); w != 1 {
 		t.Fatalf("least-loaded picked worker %d, want 1 (backlogs 4,1,5)", w)
 	}
 }

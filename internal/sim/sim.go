@@ -782,7 +782,7 @@ func (c *CPU) touch() {
 		return
 	}
 	c.dirty = true
-	d := append(c.shard.dirty, c) // hotlint:allow(append-growth): at most one entry per CPU of the shard
+	d := append(c.shard.dirty, c) // at most one entry per CPU of the shard
 	for i := len(d) - 1; i > 0 && d[i-1].id > c.id; i-- {
 		d[i], d[i-1] = d[i-1], d[i]
 	}
@@ -941,8 +941,6 @@ func preemptSleeper(c *CPU) bool {
 // that can run earliest; ties go to the lowest priority value, then FIFO
 // order. Ordering by readiness (not priority alone) keeps a sleeping
 // process's future wake tick from starving an immediately-ready one.
-//
-//hot:path
 func (sh *shard) dispatch(c *CPU) bool {
 	if c.current != nil {
 		return false

@@ -17,8 +17,8 @@
 //     when what is returned depends on the key or value: which element
 //     is found first is up to the runtime.
 //
-// detlint loads the named package directories through tools/lintkit, which
-// uses only the standard library and skips test files. Any finding makes
+// detlint parses and type-checks the named package directories with the
+// standard library alone (load.go), skipping test files. Any finding makes
 // the exit status 1.
 //
 // Usage: detlint DIR...
@@ -31,9 +31,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
-
-	"repro/tools/lintkit"
 )
 
 type finding struct {
@@ -43,16 +42,26 @@ type finding struct {
 }
 
 // lintDir type-checks and lints one directory, returning its findings.
-func lintDir(l *lintkit.Loader, dir string) ([]finding, error) {
-	pkg, err := l.Load(dir)
+func lintDir(l *loader, dir string) ([]finding, error) {
+	pkg, err := l.load(dir)
 	if err != nil {
 		return nil, err
 	}
 	var out []finding
-	for _, f := range pkg.Files {
-		out = append(out, lintFile(l.Fset, f, pkg.Info)...)
+	for _, f := range pkg.files {
+		out = append(out, lintFile(l.fset, f, pkg.info)...)
 	}
-	lintkit.SortByPos(out, func(f finding) (token.Position, string) { return f.pos, f.kind })
+	// Report order: by file, then offset, then kind.
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.pos.Filename != b.pos.Filename {
+			return a.pos.Filename < b.pos.Filename
+		}
+		if a.pos.Offset != b.pos.Offset {
+			return a.pos.Offset < b.pos.Offset
+		}
+		return a.kind < b.kind
+	})
 	return out, nil
 }
 
@@ -70,11 +79,11 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 	// A detlint:allow comment is for provably-sound cases the heuristics
 	// cannot see (e.g. collecting map values that are sorted by a total key
 	// immediately afterwards).
-	allows := lintkit.ParseAllows(fset, f, "detlint")
+	allowed := allowedLines(fset, f)
 	var out []finding
 	add := func(n ast.Node, kind, format string, args ...any) {
 		pos := fset.Position(n.Pos())
-		if allows.Allowed(pos.Line, kind) {
+		if allowed[pos.Line] {
 			return
 		}
 		out = append(out, finding{pos: pos, kind: kind, msg: fmt.Sprintf(format, args...)})
@@ -102,14 +111,14 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				// String concatenation accumulates in iteration order.
-				if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && lintkit.IsString(info.Types[n.Lhs[0]].Type) {
+				if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isString(info.Types[n.Lhs[0]].Type) {
 					add(n, "map-range-string", "string built up inside a map range: iteration order is randomized — collect and sort the keys first")
 				}
 			case *ast.CallExpr:
 				switch fun := n.Fun.(type) {
 				case *ast.SelectorExpr:
 					// Writes into a stream or builder are order-sensitive.
-					if p := lintkit.PkgPath(info, fun); p == "fmt" && strings.HasPrefix(fun.Sel.Name, "Fprint") {
+					if p := pkgPath(info, fun); p == "fmt" && strings.HasPrefix(fun.Sel.Name, "Fprint") {
 						add(n, "map-range-write", "fmt.%s inside a map range: iteration order is randomized — collect and sort the keys first", fun.Sel.Name)
 					}
 					switch fun.Sel.Name {
@@ -120,7 +129,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 					// Appending the *value* leaks iteration order into the
 					// slice; appending just the key (then sorting) is the
 					// sanctioned pattern.
-					if lintkit.BuiltinCall(info, n) == "append" && len(n.Args) > 1 {
+					if builtinCall(info, n) == "append" && len(n.Args) > 1 {
 						for _, a := range n.Args[1:] {
 							if usesVal(a) {
 								add(n, "map-range-append-value", "map value appended to a slice inside a map range: the slice order is randomized — iterate sorted keys instead")
@@ -224,7 +233,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 		if !ok {
 			return true
 		}
-		switch lintkit.PkgPath(info, sel) {
+		switch pkgPath(info, sel) {
 		case "time":
 			switch sel.Sel.Name {
 			case "Now", "Since", "Until":
@@ -243,7 +252,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 	// findings are collapsed below.
 	ast.Inspect(f, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
-		if !ok || !lintkit.IsMap(info.Types[rs.X].Type) {
+		if !ok || !isMap(info.Types[rs.X].Type) {
 			return true
 		}
 		var val *ast.Ident
@@ -273,7 +282,7 @@ func main() {
 		os.Exit(2)
 	}
 	dirs := os.Args[1:]
-	l := lintkit.NewLoader(lintkit.FindModule(dirs[0]))
+	l := newLoader(findModule(dirs[0]))
 	bad := false
 	for _, dir := range dirs {
 		abs, err := filepath.Abs(dir)

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/tools/lintkit"
 )
 
 // lintFixture writes the files into a fresh package directory and lints it.
@@ -19,7 +17,7 @@ func lintFixture(t *testing.T, files map[string]string) []finding {
 			t.Fatal(err)
 		}
 	}
-	fs, err := lintDir(lintkit.NewLoader("", ""), dir)
+	fs, err := lintDir(newLoader("", ""), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +200,7 @@ var when = time.Now()
 // under internal/ and cmd/ stays clean. It lints the list CI lints, from the
 // same `go list -f '{{.Dir}}' ./internal/... ./cmd/...`.
 func TestDetlintRepoPackages(t *testing.T) {
-	root, mod := lintkit.FindModule(".")
+	root, mod := findModule(".")
 	if root == "" || mod == "" {
 		t.Fatal("module root not found")
 	}
@@ -223,7 +221,7 @@ func TestDetlintRepoPackages(t *testing.T) {
 			t.Fatalf("go list did not name %s: %v", want, dirs)
 		}
 	}
-	l := lintkit.NewLoader(root, mod)
+	l := newLoader(root, mod)
 	for _, dir := range dirs {
 		rel, _ := filepath.Rel(root, dir)
 		fs, err := lintDir(l, dir)
