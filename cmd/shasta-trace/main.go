@@ -1,7 +1,8 @@
 // shasta-trace summarizes a structured event trace (JSONL) written by
 // shasta-run/shasta-bench's -trace flag: the Figure 4/5-style execution-time
 // breakdown, a message histogram with service delays, network traffic, the
-// directory's migratory-sharing events, and scheduler activity.
+// directory's migratory-sharing events, Tardis's lease growth, and
+// scheduler activity.
 //
 // Usage:
 //

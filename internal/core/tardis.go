@@ -30,6 +30,14 @@ package core
 //     past a lease (expire), on every LoadLocked (refreshLL, so the SC
 //     currency check can succeed), and every tardisPollPeriod inline
 //     polls (pollTick, so spin-waits on a leased copy stay live).
+//   - Leases grow on renewal, after the lease prediction Yu & Devadas
+//     sketch. An agent remembers the version of a copy whose lease ran
+//     out and names it in its next read request; when the home still
+//     holds that version the read is a renewal and doubles the block's
+//     lease, from tardisLeaseLen up to tardisLeaseMax. Any write grant
+//     resets it. Read-mostly data thus outlives synchronization, while
+//     blocks that change keep short leases; correctness never depends on
+//     the length, since every write still lands after rts.
 //   - Synchronization carries timestamps: lock grants and barrier
 //     releases piggyback the releasers' pts (msg.ts), and observeTs
 //     advances the acquirer past them — release consistency in logical
@@ -50,18 +58,27 @@ import (
 	"strings"
 )
 
-// tardisLeaseLen is the length of a read lease in logical time: a read
-// at pts P extends the block's rts to at least P+tardisLeaseLen. Longer
-// leases mean fewer re-fetches on read-mostly data but push write
-// timestamps (and therefore lease churn after synchronization) further
-// ahead.
+// tardisLeaseLen is the shortest read lease in logical time: a read at
+// pts P extends the block's rts to at least P+tardisLeaseLen, or
+// P+lease once renewals have grown the block's lease. A lease of any
+// uniform length ends at the next synchronization — a write grant lands
+// after every outstanding lease and lock grants and barrier releases
+// carry its timestamp to every acquirer — so lengthening this constant
+// saves no re-fetch; only a lease that grows on the blocks that do not
+// change does.
 const tardisLeaseLen = 8
 
+// tardisLeaseMax caps a grown lease. Every write grant lands after the
+// longest lease outstanding, so a longer cap pushes the write timestamps
+// of blocks that do change, after a quiet spell, further ahead.
+const tardisLeaseMax = 1024
+
 // tardisPollPeriod bounds how long a spin-wait can observe a stale
-// leased copy: every tardisPollPeriod inline polls the process advances
-// its pts by one and re-checks leases, so a leased copy is eventually
-// dropped and re-fetched even if the process never misses or
-// synchronizes. Runtime liveness only — the model checker never polls.
+// leased copy: every tardisPollPeriod inline polls the process's pts
+// jumps past its agent's stalest lease and the leases are re-checked, so
+// a leased copy is dropped and re-fetched within a poll period even if
+// the process never misses or synchronizes, however long the lease.
+// Runtime liveness only — the model checker never polls.
 const tardisPollPeriod = 64
 
 // tardisEntry is what Tardis adds to the block's homeEntry, whose owner is
@@ -69,6 +86,10 @@ const tardisPollPeriod = 64
 type tardisEntry struct {
 	wts int64 // write ts of the current version
 	rts int64 // end of the latest read lease
+	// lease is the block's grown lease length, 0 until a renewal: a read
+	// of the version its agent's lease ran out on doubles it, up to
+	// tardisLeaseMax, and every write grant resets it.
+	lease int64
 }
 
 // tardisLease is one agent's record of a leased read copy.
@@ -211,8 +232,10 @@ func (t *tardis) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKin
 	}
 }
 
-// stamp: every request carries the requester's pts; an SC upgrade
-// additionally carries the wts of the copy the LL read, which the home
+// stamp: every request carries the requester's pts; a read additionally
+// carries the version its agent's last lease on the block ran out on (-1
+// for none), which the home takes as a renewal if it is still current;
+// an SC upgrade, the wts of the copy the LL read, which the home
 // compares against the current version. An owner's reply to a forward
 // carries a version leaving its owning agent, so it is stamped with the
 // dirty record (see tardisAgentState.dirty): the owner's stores were inline
@@ -239,16 +262,19 @@ func (t *tardis) stamp(p *Proc, blk *blockInfo, m *msg) {
 		}
 	default: // a miss request
 		m.ts = t.pstate(p).pts
-		if m.kind != msgSCUpgradeReq {
-			return
-		}
-		if l, ok := t.astate(p.mem).leases.get(blk.id); ok {
-			m.rts = l.dataWts
-		} else if p.agent == blk.homeAgent {
-			// Master copy: current by construction.
-			m.rts = t.entries[blk.id].wts
-		} else {
-			m.rts = -1 // no identifiable read copy; the SC will fail
+		as := t.astate(p.mem)
+		switch m.kind {
+		case msgReadReq:
+			m.rts = as.leases.ranOut(blk.id)
+		case msgSCUpgradeReq:
+			if l, ok := as.leases.get(blk.id); ok {
+				m.rts = l.dataWts
+			} else if p.agent == blk.homeAgent {
+				// Master copy: current by construction.
+				m.rts = t.entries[blk.id].wts
+			} else {
+				m.rts = -1 // no identifiable read copy; the SC will fail
+			}
 		}
 	}
 }
@@ -273,12 +299,21 @@ func (t *tardis) handle(p *Proc, m *msg) {
 // extendLease bumps rts for a read at the requester's pts and returns
 // the lease end.
 func extendLease(e *tardisEntry, reqPts int64) int64 {
-	end := reqPts + tardisLeaseLen
+	end := reqPts + max(e.lease, tardisLeaseLen)
 	if end < e.rts {
 		end = e.rts
 	}
 	e.rts = end
 	return end
+}
+
+// renew doubles the block's lease for a read of the version its agent's
+// lease ran out on, from tardisLeaseLen up to tardisLeaseMax.
+func renew(p *Proc, blk *blockInfo, e *tardisEntry) {
+	if l := min(2*max(e.lease, tardisLeaseLen), tardisLeaseMax); l > e.lease {
+		e.lease = l
+		traceEvent(p, blk, "lease-grow")
+	}
 }
 
 // handleHome services a request at the block's home.
@@ -298,7 +333,11 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 	case msgReadReq:
 		switch h.owner {
 		case -1:
-			// Master copy valid: lease the current version from memory.
+			// Master copy valid: lease the current version from memory, for
+			// longer if the requester's last lease ran out on this version.
+			if m.rts == e.wts {
+				renew(p, blk, e)
+			}
 			end := extendLease(e, m.ts)
 			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
 				data: s.blockData(homeMem, blk), ts: e.wts, rts: end}, CatMessage)
@@ -363,7 +402,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 				return
 			}
 			grant := grantTs(e, m.ts)
-			e.wts, e.rts = grant, grant
+			*e = tardisEntry{wts: grant, rts: grant}
 			h.owner = reqAgent
 			data := s.blockData(homeMem, blk)
 			// Local master copy becomes stale and has no lease record to
@@ -395,7 +434,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			// here, before the forward: requests that queue behind the
 			// busy entry serialize after it.
 			grant := grantTs(e, m.ts)
-			e.wts, e.rts = grant, grant
+			*e = tardisEntry{wts: grant, rts: grant}
 			h.pendingOwner = reqAgent
 			s.forwardToOwner(p, blk, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID,
 				reqProc: m.reqProc, ts: grant})
@@ -416,7 +455,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			return
 		}
 		grant := grantTs(e, m.ts)
-		e.wts, e.rts = grant, grant
+		*e = tardisEntry{wts: grant, rts: grant}
 		h.owner = reqAgent
 		if homeAgent != reqAgent && homeMem.table[blk.firstLine] != Invalid {
 			p.downgradeAgent(blk, Invalid, false)
@@ -525,7 +564,7 @@ func (t *tardis) expire(p *Proc) {
 		// A miss in flight installs a fresh copy with a fresh lease (the
 		// record is overwritten at the reply); just forget this one.
 		if l, still := as.leases.get(id); still && l == old {
-			as.leases.del(id)
+			as.leases.runOut(id)
 		}
 	}
 }
@@ -683,7 +722,7 @@ func tardisPermAgent(a int, perm []int) int {
 
 func (t *tardis) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
 	te, h := t.entries[blk.id], e.sys.homes[blk.id]
-	fmt.Fprintf(b, "B%d{w%d r%d o%d po%d", blk.id, te.wts, te.rts,
+	fmt.Fprintf(b, "B%d{w%d r%d l%d o%d po%d", blk.id, te.wts, te.rts, te.lease,
 		tardisPermAgent(h.owner, perm), tardisPermAgent(h.pendingOwner, perm))
 	if h.busy {
 		b.WriteString(" busy")
@@ -697,6 +736,9 @@ func (t *tardis) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm 
 	for id := range as.leases.pos {
 		if l, ok := as.leases.get(id); ok {
 			fmt.Fprintf(b, " L%d:%d.%d", id, l.dataWts, l.leaseEnd)
+		}
+		if w := as.leases.ranOut(id); w >= 0 {
+			fmt.Fprintf(b, " X%d:%d", id, w)
 		}
 	}
 	// The dirty records decide how future departures are stamped, so two

@@ -8,6 +8,9 @@ type leaseIndex struct {
 	rec  []tardisLease
 	pos  []int32 // by block id: position in heap + 1, 0 when there is no record
 	heap []int32 // block ids; rec[heap[i]].leaseEnd is no less than its parent's
+	// ran records, by block id, the version (dataWts) of the last copy
+	// whose lease ran out, or -1: a read of that version again is a renewal.
+	ran []int64
 }
 
 func (x *leaseIndex) get(id int) (tardisLease, bool) {
@@ -35,6 +38,23 @@ func (x *leaseIndex) set(id int, l tardisLease, blocks int) {
 func (x *leaseIndex) grow(n int) {
 	x.rec = grown(x.rec, n, tardisLease{})
 	x.pos = grown(x.pos, n, 0)
+	x.ran = grown(x.ran, n, -1)
+}
+
+// runOut removes the block's record because its lease ran out, and
+// remembers the version the copy held.
+func (x *leaseIndex) runOut(id int) {
+	x.ran[id] = x.rec[id].dataWts
+	x.del(id)
+}
+
+// ranOut returns the version of the block's last copy whose lease ran
+// out, or -1 when there was none.
+func (x *leaseIndex) ranOut(id int) int64 {
+	if id >= len(x.ran) {
+		return -1
+	}
+	return x.ran[id]
 }
 
 func (x *leaseIndex) del(id int) {

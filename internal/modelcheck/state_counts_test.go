@@ -28,7 +28,10 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/state_counts.tx
 // 2074 -> 2054). The has-writer bit, the agents' granted-unwritten records
 // and the owner's unwritten mark on its reply move no row: in these models
 // each is a function of the owner, the state tables and the program
-// counters.
+// counters. Tardis's grown lease and its agents' ran-out records, encoded
+// when leases began to grow on renewal, move no row whether encoded or
+// dropped: the explorer never polls, so across all 32 rows it encodes a
+// ran-out record twice and a grown lease never.
 // Regenerate with -update only when a change is meant to alter the
 // protocol or the models.
 func TestStateCounts(t *testing.T) {

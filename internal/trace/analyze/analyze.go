@@ -69,6 +69,9 @@ type Summary struct {
 	// granted a read exclusive) and declassify (it made a block ordinary for
 	// good).
 	Migratory map[string]int64
+	// LeaseGrows counts Tardis's "line"/"lease-grow" events: a home doubled
+	// a block's lease for a read of the version the reader's lease ran out on.
+	LeaseGrows int64
 }
 
 // migratoryEvents are the Migratory keys, in the order Render prints them.
@@ -130,6 +133,8 @@ func Read(r io.Reader) (*Summary, error) {
 			switch e.Ev {
 			case "migratory", "grant-migratory", "declassify":
 				s.Migratory[e.Ev]++
+			case "lease-grow":
+				s.LeaseGrows++
 			}
 		case "sched":
 			s.Sched[e.Ev]++
@@ -257,6 +262,9 @@ func (s *Summary) Render() string {
 			fmt.Fprintf(&b, " %s=%d", k, s.Migratory[k])
 		}
 		fmt.Fprintf(&b, "\n")
+	}
+	if s.LeaseGrows > 0 {
+		fmt.Fprintf(&b, "\ntardis leases: lease-grow=%d\n", s.LeaseGrows)
 	}
 	if len(s.Sched) > 0 {
 		fmt.Fprintf(&b, "\nscheduler:")

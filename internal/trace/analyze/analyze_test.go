@@ -178,6 +178,33 @@ func TestAnalyzerMigratoryEvents(t *testing.T) {
 	}
 }
 
+// TestAnalyzerLeaseGrowEvents: the summary counts Tardis's lease-grow line
+// events apart from the migratory ones, and prints them in a line of their
+// own; a trace without one prints no such line.
+func TestAnalyzerLeaseGrowEvents(t *testing.T) {
+	var buf bytes.Buffer
+	tr := trace.New(trace.DefaultRingSize, &buf)
+	for _, ev := range []string{"lease-grow", "migratory", "lease-grow", "shareWB", "lease-grow"} {
+		tr.Emit(trace.Event{Cat: "line", Ev: ev})
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := analyze.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.LeaseGrows != 3 || fmt.Sprint(sum.Migratory) != "map[migratory:1]" {
+		t.Errorf("lease-grow count %d, migratory counts %v; want 3 and map[migratory:1]", sum.LeaseGrows, sum.Migratory)
+	}
+	if out := sum.Render(); !strings.Contains(out, "\ntardis leases: lease-grow=3\n") {
+		t.Errorf("render missing the lease line:\n%s", out)
+	}
+	if out := (&analyze.Summary{}).Render(); strings.Contains(out, "tardis leases") {
+		t.Errorf("an empty summary prints a lease line:\n%s", out)
+	}
+}
+
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/trace_digests.txt and testdata/trace_multiset_digests.txt from this run")
 
 // goldenTraceCases are the runs whose whole JSONL trace (scheduler
@@ -233,7 +260,8 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // homed at process 0 until then; ocean-16p-4x4-smp-dirinval when forwards
 // and invalidations began to go to the process that asked for the block and
 // not to its node's first process, the one case here with several processes
-// to a node.)
+// to a node; barnes-8p-8x1-tardis again when Tardis leases began to double
+// on renewal, which changes which reads miss and emits lease-grow events.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the

@@ -35,6 +35,15 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/kernel_digests.
 // 1.01x: the blocks neighbouring ranks both write classify, and each of the
 // reads then granted one exclusive was by a rank that gave it up unwritten,
 // which declassified it.
+//
+// Tardis leases that double on renewal moved eight Tardis rows, and no
+// memory digest: those where a block's lease runs out and the same version
+// is read again, which on one node (the 4-process SMP rows) never happens.
+// Raytrace and Volrend at 4 Base processes take 0.73x and 0.78x the cycles,
+// their read-only scene and volume no longer re-fetched after every
+// synchronization; Barnes 0.99x. FMM takes 1.02x, Water-Nsq 1.001x and LU at
+// 16 processes 1.004x (SMP and Base): a block whose lease grew while it was
+// read pushes the next write's timestamp, and so the acquirers', further.
 func TestKernelDigests(t *testing.T) {
 	const path = "testdata/kernel_digests.txt"
 	type layout struct {
@@ -145,7 +154,9 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 // a read of a migratory block exclusive: 0.92x the cycles in Barnes, whose
 // lock-protected cell updates read then write the cell, for 293 475 steps,
 // and 0.77x in Raytrace, whose work-queue word moves the same way, for
-// 34 318 steps.
+// 34 318 steps. The Tardis row is also that of leases that double on
+// renewal: 0.988x the cycles, as blocks read again after a synchronization
+// without having changed are no longer re-fetched.
 func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	for _, c := range []struct {
 		app      *App
@@ -155,7 +166,7 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 		maxSteps int64
 	}{
 		{Barnes(), []core.Option{core.WithProcs(8, 1), core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")},
-			8, 33535188, 118198 * 101 / 100},
+			8, 33130234, 118198 * 101 / 100},
 		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 14110347, 313940 * 101 / 100},
 		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 2552704, 140572 / 3},
 	} {
