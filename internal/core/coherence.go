@@ -72,10 +72,10 @@ type Protocol interface {
 	refreshLL(p *Proc, line int)
 	// noteStoreHit runs after every store that completes against an
 	// exclusive copy without entering the protocol (the in-line hit
-	// path). A backend that must reconstruct write timestamps when a
-	// version later leaves its owner records the writer's logical time
-	// here, at no simulated cost; dirinval charges the first store to a
-	// copy granted on a read one protocol entry (dirinval.go).
+	// path), once the core's Proc.noteStoreHit has charged the first store
+	// after a migratory grant. A backend that must reconstruct write
+	// timestamps when a version later leaves its owner records the
+	// writer's logical time here, at no simulated cost.
 	noteStoreHit(p *Proc, line int)
 	// pollTick runs on every System.pollTickEvery-th in-line message poll
 	// of a process, a period the backend sets in attach (0: never); it is

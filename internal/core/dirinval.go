@@ -8,10 +8,11 @@ package core
 // at the requester); reads of a remotely-owned block are forwarded to the
 // owner, whose downgrade and writeback are the core's (serveForward).
 //
-// The home also detects migratory blocks, after Cox & Fowler and Stenström,
-// Brorsson & Sandberg (ISCA '93): a block that moves read-then-write from
-// agent to agent has its reads granted exclusive, so the write that follows
-// needs no upgrade round trip (DESIGN.md §5 item 8).
+// The home also detects migratory blocks (the core's migEntry, home.go): a
+// block that moves read-then-write from agent to agent has its reads
+// granted exclusive, so the write that follows needs no upgrade round trip
+// (DESIGN.md §5 item 8). This backend classifies on a plain upgrade, over
+// its sharer set.
 
 import (
 	"fmt"
@@ -27,43 +28,11 @@ type dirEntry struct {
 	sharers uint64 // bitmask of agents holding shared copies
 }
 
-// migEntry is the home's migratory-sharing record of a block. A plain
-// upgrade classifies the block: it is migratory when the upgrading sharer
-// is not the block's last writer and no sharer but those two (and the
-// home's own copy) is left, which is a read-then-write handed on from agent
-// to agent. Reads of a migratory block are granted exclusive. A grantee
-// that gives the block up without storing to it sets never: the block
-// stays ordinary from then on, so a block many agents read and few write
-// is not granted on a read over and over.
-//
-// The last writer is the home record's owner: this backend sets the owner
-// on every exclusive grant and nowhere else. Before the first grant the
-// block has no last writer, so what the home's processes wrote into it
-// before anybody asked for it does not count.
-type migEntry struct {
-	hasWriter bool // the block has been granted exclusive
-	migratory bool
-	never     bool
-}
-
-// dirAgent is what the directory keeps in an agent's memory
-// (agentMem.protoData): by block ID, whether the agent was granted the block
-// exclusive on a read and has not stored to it since ("granted unwritten").
-type dirAgent struct {
-	unwritten []bool
-}
-
-// unwrittenMark is the stamp an owner puts on its reply to a forward, and so
-// on its writeback or ownership transfer to the home, when it gives up a
-// block it was granted on a read and never stored to.
-const unwrittenMark = 1
-
-// dirInval is the directory-invalidation backend; dirs and mig are indexed
-// by block ID.
+// dirInval is the directory-invalidation backend; dirs is indexed by block
+// ID.
 type dirInval struct {
 	s    *System
 	dirs []dirEntry
-	mig  []migEntry
 }
 
 func (d *dirInval) attach(s *System) { d.s = s }
@@ -73,73 +42,16 @@ func (d *dirInval) initBlock(blk *blockInfo) {
 		panic(fmt.Sprintf("core: dirinval initBlock out of order (block %d, have %d)", blk.id, len(d.dirs)))
 	}
 	d.dirs = append(d.dirs, dirEntry{}) // exclusive at the home agent
-	d.mig = append(d.mig, migEntry{})
 }
 
-// classify runs on a plain upgrade from a sharer of the block: it becomes
-// migratory, or stops being so (see migEntry).
+// classify runs on a plain upgrade from a sharer of the block. The block is
+// handed on read-then-write when no sharer is left but the requester, the
+// last writer and the home's own copy (see migEntry). The last writer is the
+// home record's owner: this backend sets the owner on every exclusive grant
+// and nowhere else.
 func (d *dirInval) classify(p *Proc, blk *blockInfo, reqAgent int) {
-	mg, writer := &d.mig[blk.id], d.s.homes[blk.id].owner
-	others := d.dirs[blk.id].sharers &^ (1<<uint(blk.homeAgent) | 1<<uint(reqAgent) | 1<<uint(writer))
-	was := mg.migratory
-	mg.migratory = !mg.never && mg.hasWriter && writer != reqAgent && others == 0
-	if mg.migratory && !was {
-		traceEvent(p, blk, "migratory")
-	}
-}
-
-// noteGrant records an exclusive grant of the block, whose owner is now its
-// last writer; a read granted exclusive is a migratory grant.
-func (d *dirInval) noteGrant(p *Proc, blk *blockInfo, m *msg) {
-	d.mig[blk.id].hasWriter = true
-	if m.kind == msgReadReq {
-		traceEvent(p, blk, "grant-migratory")
-	}
-}
-
-// declassify makes the block ordinary for good: an agent granted it on a
-// read gave it up unwritten.
-func (d *dirInval) declassify(p *Proc, blk *blockInfo) {
-	mg := &d.mig[blk.id]
-	mg.migratory, mg.never = false, true
-	traceEvent(p, blk, "declassify")
-}
-
-// unwritten reports whether the agent holds the block granted unwritten.
-func unwritten(mem *agentMem, id int) bool {
-	a, _ := mem.protoData.(*dirAgent)
-	return a != nil && id < len(a.unwritten) && a.unwritten[id]
-}
-
-// takeUnwritten clears the agent's granted-unwritten record of the block
-// and reports whether there was one.
-func takeUnwritten(mem *agentMem, id int) bool {
-	if !unwritten(mem, id) {
-		return false
-	}
-	mem.protoData.(*dirAgent).unwritten[id] = false
-	return true
-}
-
-// noteUnwritten records that the agent was granted the block on a read.
-func (d *dirInval) noteUnwritten(mem *agentMem, id int) {
-	a, _ := mem.protoData.(*dirAgent)
-	if a == nil || id >= len(a.unwritten) {
-		a = d.growAgent(mem, id)
-	}
-	a.unwritten[id] = true
-}
-
-// growAgent sizes the agent's records to cover block id: it runs on the
-// agent's first grant and once per doubling of the block count.
-func (d *dirInval) growAgent(mem *agentMem, id int) *dirAgent {
-	a, _ := mem.protoData.(*dirAgent)
-	if a == nil {
-		a = &dirAgent{}
-		mem.protoData = a
-	}
-	a.unwritten = grown(a.unwritten, max(id+1, len(d.s.blocks), 2*len(a.unwritten)), false)
-	return a
+	others := d.dirs[blk.id].sharers &^ (1<<uint(blk.homeAgent) | 1<<uint(reqAgent) | 1<<uint(d.s.homes[blk.id].owner))
+	d.s.classify(p, blk, reqAgent, others == 0)
 }
 
 func (d *dirInval) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKind {
@@ -160,15 +72,8 @@ func (d *dirInval) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgK
 	return kind
 }
 
-// stamp: no logical time, so nothing to add to a request. An owner's reply
-// to a forward carries unwrittenMark if the owner gives up a block granted
-// on a read that it never stored to; the home's copy of the stamp then
-// declassifies the block.
-func (d *dirInval) stamp(p *Proc, blk *blockInfo, m *msg) {
-	if (m.kind == msgReadReply || m.kind == msgReadExclReply) && takeUnwritten(p.mem, blk.id) {
-		m.ts = unwrittenMark
-	}
-}
+// stamp: no logical time, so nothing to add to a message.
+func (d *dirInval) stamp(p *Proc, blk *blockInfo, m *msg) {}
 
 func (d *dirInval) handle(p *Proc, m *msg) {
 	switch m.kind {
@@ -203,7 +108,7 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 	dir, h := &d.dirs[blk.id], &s.homes[blk.id]
 
 	kind := m.kind
-	if kind == msgReadReq && d.mig[blk.id].migratory && (dir.shared || h.owner != reqAgent) {
+	if kind == msgReadReq && h.mig.migratory && (dir.shared || h.owner != reqAgent) {
 		// A read of a migratory block is served as a read-exclusive: the
 		// write that follows it then needs no upgrade.
 		kind = msgReadExclReq
@@ -227,9 +132,6 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 				return
 			}
 			p.downgradeHome(blk, Shared, false)
-			if takeUnwritten(homeMem, blk.id) {
-				d.declassify(p, blk)
-			}
 			d.dirs[blk.id] = dirEntry{shared: true, sharers: 1<<uint(homeAgent) | 1<<uint(reqAgent)}
 			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)}, CatMessage)
 			s.drainHome(p, blk)
@@ -273,7 +175,7 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 			}
 			*dir = dirEntry{}
 			h.owner = reqAgent
-			d.noteGrant(p, blk, m)
+			s.noteGrant(p, blk, reqAgent, m)
 			// Send remote invalidations; acks flow to the requester. Each is
 			// composed afresh, since a send may number it for the reliability
 			// sublayer, in a variable declared outside the loop: a literal
@@ -301,23 +203,20 @@ func (d *dirInval) handleHome(p *Proc, m *msg) {
 				p.send(reqProc, &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
 			}
 		case h.owner == reqAgent:
-			d.noteGrant(p, blk, m)
+			s.noteGrant(p, blk, reqAgent, m)
 			p.send(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID}, CatMessage)
 		case h.owner == homeAgent:
 			if p.deferIfPending(m, blk, nil) {
 				return
 			}
 			data := p.downgradeHome(blk, Invalid, true)
-			if takeUnwritten(homeMem, blk.id) {
-				d.declassify(p, blk)
-			}
 			s.homes[blk.id].owner = reqAgent
-			d.noteGrant(p, blk, m)
+			s.noteGrant(p, blk, reqAgent, m)
 			p.send(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data}, CatMessage)
 			s.drainHome(p, blk)
 		default:
 			h.pendingOwner = reqAgent
-			d.noteGrant(p, blk, m)
+			s.noteGrant(p, blk, reqAgent, m)
 			s.forwardToOwner(p, blk, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID, reqProc: m.reqProc})
 		}
 	}
@@ -371,10 +270,7 @@ func (d *dirInval) handleShareWB(p *Proc, m *msg) {
 	fromAgent := s.agentOf(s.procs[m.from])
 	reqAgent := s.agentOf(s.procs[m.reqProc])
 	d.dirs[blk.id] = dirEntry{shared: true, sharers: 1<<uint(blk.homeAgent) | 1<<uint(fromAgent) | 1<<uint(reqAgent)}
-	if m.ts == unwrittenMark {
-		d.declassify(p, blk)
-	}
-	s.endBusy(p, blk)
+	s.endTransfer(p, blk, m)
 }
 
 // handleOwnerTransfer completes a 3-hop exclusive transfer at the home.
@@ -383,23 +279,12 @@ func (d *dirInval) handleOwnerTransfer(p *Proc, m *msg) {
 	blk := s.blocks[m.block]
 	h := &s.homes[blk.id]
 	h.owner = h.pendingOwner
-	if m.ts == unwrittenMark {
-		d.declassify(p, blk)
-	}
-	s.endBusy(p, blk)
+	s.endTransfer(p, blk, m)
 }
 
 // handleReply completes (part of) an outstanding miss at the requester.
 func (d *dirInval) handleReply(p *Proc, m *msg) {
 	mshr := p.noteReply(m)
-	if m.kind == msgReadExclReply && !mshr.wantExcl {
-		// A read granted exclusive (a migratory grant). The grant was
-		// serialized at the home after any invalidation this miss absorbed,
-		// so the copy it installs is current: dropping it after the fill
-		// would lose the only copy of the block.
-		mshr.invalAfterFill = false
-		d.noteUnwritten(p.mem, m.block)
-	}
 	if d.s.brokenSkipInvalAck && m.invals > 1 {
 		// Broken variant for counterexample tests: forget one expected
 		// invalidation ack, so the miss can complete while a stale
@@ -423,19 +308,10 @@ func (d *dirInval) handleInvalAck(p *Proc, m *msg) {
 	}
 }
 
-// noteStoreHit clears the agent's granted-unwritten record of the block on
-// its first store since a migratory grant. That store takes the copy from
-// exclusive-clean to exclusive-dirty, a protocol entry in a software DSM, so
-// it is charged one.
-func (d *dirInval) noteStoreHit(p *Proc, line int) {
-	if takeUnwritten(p.mem, int(d.s.lineBlock[line])) {
-		p.charge(CatCheck, d.s.Cfg.Cost.ProtocolEntry)
-	}
-}
-
 // No logical time, no leases: the hooks below are no-ops.
-func (d *dirInval) refreshLL(p *Proc, line int) {}
-func (d *dirInval) pollTick(p *Proc)            {}
+func (d *dirInval) noteStoreHit(p *Proc, line int) {}
+func (d *dirInval) refreshLL(p *Proc, line int)    {}
+func (d *dirInval) pollTick(p *Proc)               {}
 
 // scFailRetains: a failed SC upgrade means the node was no longer a
 // sharer — its copy was invalidated by the winning writer and is gone.
@@ -530,28 +406,12 @@ func (d *dirInval) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, 
 	}
 	fmt.Fprintf(b, "B%d{%d o%d po%d sh%x", blk.id, state,
 		perm[h.owner], perm[h.pendingOwner], remapMask(dir.sharers, perm))
-	// The migratory record, and the agents holding the block granted
-	// unwritten, permuted like the owner.
-	mg := d.mig[blk.id]
-	var granted uint64
-	for a, am := range e.sys.agents {
-		if unwritten(am, blk.id) {
-			granted |= 1 << uint(a)
-		}
-	}
-	fmt.Fprintf(b, " w%t m%t n%t gu%x", mg.hasWriter, mg.migratory, mg.never, remapMask(granted, perm))
+	e.encodeMig(b, blk, perm)
 	e.encodeHomeQueue(b, blk, perm)
 }
 
 func (d *dirInval) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int) {}
 
-// encodeMsgExtra: an owner's unwrittenMark is the only stamp dirinval puts on
-// a message.
-func (d *dirInval) encodeMsgExtra(m msg) string {
-	if m.ts == unwrittenMark {
-		return ".u"
-	}
-	return ""
-}
+func (d *dirInval) encodeMsgExtra(m msg) string { return "" }
 
 func (d *dirInval) noteGhostStore(e *Explorer, pid, word int, val uint64) {}

@@ -611,18 +611,14 @@ func (e *Explorer) finalizeSC(ep *expProc, op ExpOp, m *mshrEntry) {
 }
 
 // storeInPlace performs a store on the process's exclusive copy, as an
-// in-line store hit and a successful SC do, and then runs the backend's
-// store-hit hook, as they do: dirinval's clears a granted-unwritten record.
-// Tardis's is left out, as it always was here: its dirty stamps of in-place
-// stores are not modelled, and its pinned state counts are those without
-// them (DESIGN.md §6.8).
+// in-line store hit and a successful SC do, and then runs the store-hit
+// hook, as they do: it clears a granted-unwritten record, and under Tardis
+// raises the agent's dirty stamp.
 func (e *Explorer) storeInPlace(p *Proc, addr uint64, line int, val uint64) {
 	p.mem.data[e.sys.wordOf(addr)] = val
 	e.ghostStore(p.ID, addr, val)
 	p.resetLocalLLs(line)
-	if d, ok := e.sys.proto.(*dirInval); ok {
-		d.noteStoreHit(p, line)
-	}
+	p.noteStoreHit(line)
 }
 
 // checkSCAtomicity asserts the LL/SC atomicity invariant on a successful

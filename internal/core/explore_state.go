@@ -194,12 +194,16 @@ func (e *Explorer) encodeWith(perm []int) string {
 }
 
 // encMsg encodes one message, appending whatever extra fields the
-// protocol backend carries (empty for dirinval, so its encodings are
-// unchanged byte for byte).
+// protocol backend carries (empty for dirinval) and an owner's unwritten
+// mark.
 func (e *Explorer) encMsg(m msg, perm []int) string {
-	return fmt.Sprintf("k%d.b%d.f%d.q%d.i%d.dt%d.id%d.d%v",
+	s := fmt.Sprintf("k%d.b%d.f%d.q%d.i%d.dt%d.id%d.d%v",
 		m.kind, m.block, perm[m.from], perm[m.reqProc], m.invals, m.downTo, m.id, m.data) +
 		e.sys.proto.encodeMsgExtra(m)
+	if m.unwritten {
+		s += ".u"
+	}
+	return s
 }
 
 // encodeHomeQueue closes a backend's encodeBlock: the requests queued at
@@ -210,6 +214,29 @@ func (e *Explorer) encodeHomeQueue(b *strings.Builder, blk *blockInfo, perm []in
 		b.WriteString(e.encMsg(qm, perm))
 	}
 	b.WriteByte('}')
+}
+
+// encodeMig adds the block's migratory record to a backend's encodeBlock:
+// its last writer and readers, its two bits, and the agents holding it
+// granted unwritten, permuted like the owner.
+func (e *Explorer) encodeMig(b *strings.Builder, blk *blockInfo, perm []int) {
+	mg := e.sys.homes[blk.id].mig
+	var granted uint64
+	for a, am := range e.sys.agents {
+		if am.isUnwritten(blk.id) {
+			granted |= 1 << uint(a)
+		}
+	}
+	fmt.Fprintf(b, " w%d rd%d m%t n%t gu%x", permAgent(mg.writer, perm), permAgent(mg.reader, perm),
+		mg.migratory, mg.never, remapMask(granted, perm))
+}
+
+// permAgent permutes an agent index, leaving the negative "none" values.
+func permAgent(a int, perm []int) int {
+	if a < 0 {
+		return a
+	}
+	return perm[a]
 }
 
 func remapMask(mask uint64, perm []int) uint64 {

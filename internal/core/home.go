@@ -8,6 +8,8 @@ package core
 // sharer sets, timestamps, the forwarded message and the entry's next
 // state — is the caller's, passed in, set around these calls, or stamped
 // by the backend (Protocol.stamp). Nothing here asks which backend that is.
+// The migratory-sharing record is the core's too (migEntry); a backend says
+// only when a write classifies a block, and on what evidence.
 
 import "fmt"
 
@@ -18,6 +20,78 @@ type homeEntry struct {
 	pendingOwner int   // next owner during a busy ownership transfer
 	busy         bool  // a forward, or the home's own downgrade, is in flight
 	queue        []msg // requests that arrived while busy
+	mig          migEntry
+}
+
+// migEntry is the home's migratory-sharing record of a block, after Cox &
+// Fowler and Stenström, Brorsson & Sandberg (ISCA '93; DESIGN.md §5 item
+// 8). A block that moves read-then-write from agent to agent is migratory,
+// and a read of it the requester's agent does not own is granted exclusive,
+// so the write that follows is a hit. The backend classifies the block on a
+// write (classify): each has its own predicate for "read-then-write handed
+// on", over the last writer and what else it knows of the readers since. A
+// grantee that gives the block up without storing to it sets never: the
+// block stays ordinary from then on, so a block many agents read and few
+// write is not granted on a read over and over.
+type migEntry struct {
+	// writer is the agent of the last exclusive grant, -1 before the first:
+	// what the home's processes wrote into the block before anybody asked
+	// for it does not count.
+	writer int
+	// reader is what the home served reads to since that grant: noReader,
+	// one agent, or manyReaders. Only Tardis, which keeps no sharer set,
+	// records it.
+	reader    int
+	migratory bool
+	never     bool
+}
+
+const (
+	noReader    = -1
+	manyReaders = -2
+)
+
+// classify runs on a write the backend classifies on, from agent
+// reqAgent: the block becomes migratory when it has a last writer other
+// than the requester, it was never declassified, and the backend's own
+// predicate, handedOn, says nobody but the two of them shared it since.
+// Otherwise it stops being migratory.
+func (s *System) classify(p *Proc, blk *blockInfo, reqAgent int, handedOn bool) {
+	mg := &s.homes[blk.id].mig
+	was := mg.migratory
+	mg.migratory = handedOn && !mg.never && mg.writer >= 0 && mg.writer != reqAgent
+	if mg.migratory && !was {
+		traceEvent(p, blk, "migratory")
+	}
+}
+
+// noteGrant records an exclusive grant of the block to reqAgent, its last
+// writer from now on; a read granted exclusive is a migratory grant.
+func (s *System) noteGrant(p *Proc, blk *blockInfo, reqAgent int, m *msg) {
+	mg := &s.homes[blk.id].mig
+	mg.writer, mg.reader = reqAgent, noReader
+	if m.kind == msgReadReq {
+		traceEvent(p, blk, "grant-migratory")
+	}
+}
+
+// noteRead records a read served to reqAgent since the last grant.
+func (s *System) noteRead(blk *blockInfo, reqAgent int) {
+	switch mg := &s.homes[blk.id].mig; mg.reader {
+	case noReader:
+		mg.reader = reqAgent
+	case reqAgent:
+	default:
+		mg.reader = manyReaders
+	}
+}
+
+// declassify makes the block ordinary for good: an agent granted it on a
+// read gave it up unwritten.
+func (s *System) declassify(p *Proc, blk *blockInfo) {
+	mg := &s.homes[blk.id].mig
+	mg.migratory, mg.never = false, true
+	traceEvent(p, blk, "declassify")
 }
 
 // homeAdmit is the preamble of every home request handler: a request that
@@ -43,17 +117,22 @@ func (s *System) homeAdmit(blk *blockInfo, m *msg) *Proc {
 // finding 8). The window is over on return — the caller installs the new
 // state, replies, and calls drainHome — and s.homes and the backend's own
 // array may have grown during the stall, so pointers into them are stale.
+// A home agent that was granted the block on a read and gives it up here
+// unwritten declassifies it.
 func (p *Proc) downgradeHome(blk *blockInfo, to LineState, wantData bool) []uint64 {
 	s := p.sys
 	s.homes[blk.id].busy = true
 	data := p.downgradeAgent(blk, to, wantData)
 	s.homes[blk.id].busy = false
+	if p.mem.takeUnwritten(blk.id) {
+		s.declassify(p, blk)
+	}
 	return data
 }
 
 // forwardToOwner sends a request the home cannot serve to the process that
 // last asked for the block on the owner's behalf; the entry is busy until
-// the owner's writeback or ownership transfer comes back (endBusy).
+// the owner's writeback or ownership transfer comes back (endTransfer).
 func (s *System) forwardToOwner(p *Proc, blk *blockInfo, fwd *msg) {
 	h := &s.homes[blk.id]
 	h.busy = true
@@ -89,8 +168,11 @@ func (p *Proc) serveForward(m *msg) {
 		rep.kind, home.kind = msgReadExclReply, msgOwnerTransfer
 		rep.data = p.downgradeAgent(blk, Invalid, true)
 	}
+	// An owner granted the block on a read that gives it up without having
+	// stored to it says so; the home then declassifies the block (endTransfer).
+	rep.unwritten = p.mem.takeUnwritten(blk.id)
 	s.protoStamp(p, blk, &rep)
-	home.ts, home.rts = rep.ts, rep.rts
+	home.ts, home.rts, home.unwritten = rep.ts, rep.rts, rep.unwritten
 	p.send(s.procs[m.reqProc], &rep, CatMessage)
 	p.send(s.procs[blk.home], &home, CatMessage)
 }
@@ -115,9 +197,14 @@ func (s *System) installAtHome(p *Proc, blk *blockInfo, m *msg) {
 	traceEvent(p, blk, "shareWB")
 }
 
-// endBusy closes the window forwardToOwner opened, once the caller has
-// installed the state the transfer leaves, and serves what queued.
-func (s *System) endBusy(p *Proc, blk *blockInfo) {
+// endTransfer closes the window forwardToOwner opened, on the owner's
+// writeback or ownership transfer m, once the caller has installed the
+// state the transfer leaves: it declassifies a block the owner gave up
+// unwritten and serves what queued.
+func (s *System) endTransfer(p *Proc, blk *blockInfo, m *msg) {
+	if m.unwritten {
+		s.declassify(p, blk)
+	}
 	s.homes[blk.id].busy = false
 	s.drainHome(p, blk)
 }
@@ -153,6 +240,15 @@ func (p *Proc) noteReply(m *msg) *mshrEntry {
 	mshr.grant = Shared
 	if m.kind == msgReadExclReply || m.kind == msgUpgradeAck || m.downTo == Exclusive {
 		mshr.grant = Exclusive
+	}
+	if m.kind == msgReadExclReply && !mshr.wantExcl {
+		// A read granted exclusive (a migratory grant), recorded until the
+		// agent's first store to it (Proc.noteStoreHit). The grant was
+		// serialized at the home after any invalidation this miss absorbed,
+		// so the copy it installs is current: dropping it after the fill
+		// would lose the only copy of the block.
+		mshr.invalAfterFill = false
+		p.mem.noteUnwritten(m.block, len(p.sys.blocks))
 	}
 	if m.kind == msgSCFail {
 		mshr.scFailed = true

@@ -82,7 +82,7 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 			p.stats.N[CntSCHardware]++
 			p.mem.data[w] = v
 			p.resetLocalLLs(line)
-			s.proto.noteStoreHit(p, line)
+			p.noteStoreHit(line)
 			return true
 		}
 		p.stats.N[CntSCFailures]++
@@ -124,7 +124,7 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 			if ok {
 				p.mem.data[w] = v
 				p.resetLocalLLs(line)
-				s.proto.noteStoreHit(p, line)
+				p.noteStoreHit(line)
 				return true
 			}
 			p.stats.N[CntSCFailures]++
@@ -143,7 +143,7 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 	}
 	p.mem.data[w] = v
 	p.resetLocalLLs(line)
-	s.proto.noteStoreHit(p, line)
+	p.noteStoreHit(line)
 	return true
 }
 
@@ -195,7 +195,7 @@ func (p *Proc) storeCondEmulated(addr, v uint64, line int) bool {
 	}
 	p.mem.data[s.wordOf(addr)] = v
 	p.resetLocalLLs(line)
-	s.proto.noteStoreHit(p, line)
+	p.noteStoreHit(line)
 	return true
 }
 

@@ -503,6 +503,19 @@ func traceEvent(p *Proc, blk *blockInfo, site string) {
 	}
 }
 
+// noteStoreHit runs after every store performed on an exclusive copy, in
+// line or within the protocol. The first store since a migratory grant
+// clears the agent's granted-unwritten record of the block; it takes the
+// copy from exclusive-clean to exclusive-dirty, a protocol entry in a
+// software DSM, so it is charged one. Then the backend's hook runs.
+func (p *Proc) noteStoreHit(line int) {
+	s := p.sys
+	if p.mem.takeUnwritten(int(s.lineBlock[line])) {
+		p.charge(CatCheck, s.Cfg.Cost.ProtocolEntry)
+	}
+	s.proto.noteStoreHit(p, line)
+}
+
 // Store performs a checked 64-bit store to shared memory.
 func (p *Proc) Store(addr uint64, v uint64) {
 	p.stats.N[CntStores]++
@@ -519,7 +532,7 @@ func (p *Proc) Store(addr uint64, v uint64) {
 	if p.priv[line] == Exclusive {
 		p.mem.data[w] = v
 		p.resetLocalLLs(line)
-		s.proto.noteStoreHit(p, line)
+		p.noteStoreHit(line)
 		return
 	}
 	p.storeMiss(addr, v, line)
@@ -553,7 +566,7 @@ func (p *Proc) storeMissLocked(addr, v uint64, line int) {
 		if p.priv[line] == Exclusive { // resolved while stalled
 			p.mem.data[s.wordOf(addr)] = v
 			p.resetLocalLLs(line)
-			s.proto.noteStoreHit(p, line)
+			p.noteStoreHit(line)
 			return
 		}
 		if s.Cfg.SMP {
@@ -562,7 +575,7 @@ func (p *Proc) storeMissLocked(addr, v uint64, line int) {
 				if p.localFill(line) && p.priv[line] == Exclusive {
 					p.mem.data[s.wordOf(addr)] = v
 					p.resetLocalLLs(line)
-					s.proto.noteStoreHit(p, line)
+					p.noteStoreHit(line)
 					return
 				}
 				continue

@@ -437,7 +437,7 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 				s.onStorePerform(p, st.addr, st.val)
 			}
 			p.resetLocalLLs(s.lineOf(st.addr))
-			s.proto.noteStoreHit(p, s.lineOf(st.addr))
+			p.noteStoreHit(s.lineOf(st.addr))
 		}
 		if p.sys.tracer != nil {
 			traceEvent(p, blk, fmt.Sprintf("finish:grant-%v-data%v-acks%d", st, m.grant != 0, m.acksWanted))

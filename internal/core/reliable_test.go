@@ -46,7 +46,7 @@ func runMixWorkload(t *testing.T, cfg Config) (*System, []uint64) {
 			}
 			// Two post-barrier read passes pull the lines back shared. One
 			// is not enough to make the final line states independent of
-			// timing: a read of a block the directory has found migratory
+			// timing: a read of a block the home has found migratory
 			// takes it exclusive from the previous reader, so which agents
 			// hold a block after one pass depends on the order the reads
 			// reached its home, and a duplicate's extra handling reorders

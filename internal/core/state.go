@@ -166,8 +166,7 @@ type msg struct {
 	payload any // user message body
 	arrive  int64
 	// Timestamp fields (tardis backend; also piggybacked on lock grants
-	// and barrier releases for release-consistency ordering). Under
-	// dirinval only an owner's stamp uses ts, for unwrittenMark; wire sizes
+	// and barrier releases for release-consistency ordering); wire sizes
 	// do not count them.
 	ts  int64 // requests: requester's pts; replies: the copy's wts
 	rts int64 // replies: lease end; SC requests: the LL copy's data wts
@@ -175,6 +174,10 @@ type msg struct {
 	seq int64 // per-link (node pair) sequence number, 1-based
 	ack int64 // msgNetAck: the sequence number being acknowledged
 	dup bool  // set by the link resequencer on duplicate deliveries
+	// unwritten marks an owner's reply to a forward, and its writeback or
+	// ownership transfer, when it gives up a block it was granted on a read
+	// and never stored to (serveForward); the home declassifies the block.
+	unwritten bool
 	// retained marks a message whose data buffer is still referenced by
 	// the sender's retransmit entry (set when a sequence number is
 	// assigned). Receivers must not recycle a retained buffer into their
@@ -252,6 +255,10 @@ type agentMem struct {
 	// backend-global map — for the same shard-locality reason as
 	// Proc.protoData.
 	protoData any
+	// unwritten records, by block ID, whether the agent was granted the
+	// block exclusive on a read and has not stored to it since ("granted
+	// unwritten"; see migEntry).
+	unwritten []bool
 	// bufFree is the agent-local free list of msg.data buffers, keyed by
 	// word count (block sizes vary per allocation). Buffers are taken by
 	// the procs of this agent when composing data-carrying messages and
@@ -272,6 +279,31 @@ func (s *System) newAgent() *agentMem {
 	s.sizeAgent(m, len(s.lineBlock))
 	s.agents = append(s.agents, m)
 	return m
+}
+
+// isUnwritten reports whether the agent holds block id granted unwritten.
+func (m *agentMem) isUnwritten(id int) bool {
+	return id < len(m.unwritten) && m.unwritten[id]
+}
+
+// takeUnwritten clears the agent's granted-unwritten record of block id
+// and reports whether there was one.
+func (m *agentMem) takeUnwritten(id int) bool {
+	if !m.isUnwritten(id) {
+		return false
+	}
+	m.unwritten[id] = false
+	return true
+}
+
+// noteUnwritten records that the agent was granted block id on a read.
+// blocks is the number of blocks allocated so far: the record grows to it
+// on the agent's first grant and once per doubling of the block count.
+func (m *agentMem) noteUnwritten(id, blocks int) {
+	if id >= len(m.unwritten) {
+		m.unwritten = grown(m.unwritten, max(id+1, blocks, 2*len(m.unwritten)), false)
+	}
+	m.unwritten[id] = true
 }
 
 // minGrowLines is the smallest non-empty size of the per-line arrays: the

@@ -26,6 +26,11 @@ package core
 //     paths sound without owner-side timestamp bookkeeping. What the owner
 //     adds is stamp's: the departing version's timestamp, and the demoted
 //     owner's lease or the yielding owner's lease drop.
+//   - The home detects migratory blocks, with the core's record (migEntry):
+//     a read-exclusive from the one agent served a read since the last
+//     writer's grant classifies a block, and a read of a migratory block is
+//     then a write grant — from a remote owner a 3-hop transfer, not a
+//     recall — so the store after it is a hit.
 //   - Leaseholders drop their own copies: eagerly whenever pts advances
 //     past a lease (expire), on every LoadLocked (refreshLL, so the SC
 //     currency check can succeed), and every tardisPollPeriod inline
@@ -329,7 +334,21 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 	homeMem := s.agents[homeAgent]
 	e, h := &t.entries[blk.id], &s.homes[blk.id]
 
-	switch m.kind {
+	// Migratory sharing (migEntry). With no upgrades and no sharer set, the
+	// home classifies on a read-exclusive: the block was handed on
+	// read-then-write when the requester is the one agent served a read
+	// since the last writer's grant. A read of a migratory block the
+	// requester's agent does not own is then served as a read-exclusive.
+	kind := m.kind
+	switch {
+	case kind == msgReadExclReq:
+		s.classify(p, blk, reqAgent, h.mig.reader == reqAgent)
+	case kind == msgReadReq && h.owner != reqAgent && h.mig.migratory:
+		kind = msgReadExclReq
+	case kind == msgReadReq && h.owner != reqAgent:
+		s.noteRead(blk, reqAgent)
+	}
+	switch kind {
 	case msgReadReq:
 		switch h.owner {
 		case -1:
@@ -383,6 +402,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 	case msgReadExclReq:
 		switch h.owner {
 		case reqAgent:
+			s.noteGrant(p, blk, reqAgent, m)
 			p.send(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: e.wts}, CatMessage)
 		case -1:
 			// Park the request behind a fill another local process has in
@@ -404,6 +424,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			grant := grantTs(e, m.ts)
 			*e = tardisEntry{wts: grant, rts: grant}
 			h.owner = reqAgent
+			s.noteGrant(p, blk, reqAgent, m)
 			data := s.blockData(homeMem, blk)
 			// Local master copy becomes stale and has no lease record to
 			// bound it — drop it. Remote leaseholders keep their copies:
@@ -426,6 +447,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			data := p.downgradeHome(blk, Invalid, true)
 			t.entries[blk.id] = tardisEntry{wts: grant, rts: grant}
 			s.homes[blk.id].owner = reqAgent
+			s.noteGrant(p, blk, reqAgent, m)
 			p.send(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
 				data: data, ts: grant}, CatMessage)
 			s.drainHome(p, blk)
@@ -436,6 +458,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 			grant := grantTs(e, m.ts)
 			*e = tardisEntry{wts: grant, rts: grant}
 			h.pendingOwner = reqAgent
+			s.noteGrant(p, blk, reqAgent, m)
 			s.forwardToOwner(p, blk, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID,
 				reqProc: m.reqProc, ts: grant})
 		}
@@ -457,6 +480,7 @@ func (t *tardis) handleHome(p *Proc, m *msg) {
 		grant := grantTs(e, m.ts)
 		*e = tardisEntry{wts: grant, rts: grant}
 		h.owner = reqAgent
+		s.noteGrant(p, blk, reqAgent, m)
 		if homeAgent != reqAgent && homeMem.table[blk.firstLine] != Invalid {
 			p.downgradeAgent(blk, Invalid, false)
 		}
@@ -480,7 +504,7 @@ func (t *tardis) handleShareWB(p *Proc, m *msg) {
 		e.rts = m.rts
 	}
 	s.homes[blk.id].owner = -1
-	s.endBusy(p, blk)
+	s.endTransfer(p, blk, m)
 }
 
 // handleOwnerTransfer completes a 3-hop exclusive transfer at the home.
@@ -498,7 +522,7 @@ func (t *tardis) handleOwnerTransfer(p *Proc, m *msg) {
 	}
 	h := &s.homes[blk.id]
 	h.owner, h.pendingOwner = h.pendingOwner, -1
-	s.endBusy(p, blk)
+	s.endTransfer(p, blk, m)
 }
 
 // handleReply completes an outstanding miss at the requester and does
@@ -713,20 +737,14 @@ func (t *tardis) snapshotSource(line int) int {
 	return blk.homeAgent
 }
 
-func tardisPermAgent(a int, perm []int) int {
-	if a < 0 {
-		return a
-	}
-	return perm[a]
-}
-
 func (t *tardis) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
 	te, h := t.entries[blk.id], e.sys.homes[blk.id]
 	fmt.Fprintf(b, "B%d{w%d r%d l%d o%d po%d", blk.id, te.wts, te.rts, te.lease,
-		tardisPermAgent(h.owner, perm), tardisPermAgent(h.pendingOwner, perm))
+		permAgent(h.owner, perm), permAgent(h.pendingOwner, perm))
 	if h.busy {
 		b.WriteString(" busy")
 	}
+	e.encodeMig(b, blk, perm)
 	e.encodeHomeQueue(b, blk, perm)
 }
 

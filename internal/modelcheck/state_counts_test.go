@@ -32,6 +32,21 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/state_counts.tx
 // when leases began to grow on renewal, move no row whether encoded or
 // dropped: the explorer never polls, so across all 32 rows it encodes a
 // ran-out record twice and a grown lease never.
+//
+// Four Tardis rows were pinned again when the Tardis home began to detect
+// migratory blocks. mp RC 70 -> 78 states: the explorer's in-place stores
+// now run the store-hit hook for Tardis too, whose dirty stamp of such a
+// store decides the timestamp its version leaves the agent with. mig SC
+// 301 -> 312 and mig-llsc RC 805 -> 812 and SC 844 -> 867: a read-exclusive
+// by the one agent that read a block since another's write classifies it,
+// and a read of it is then granted exclusive, through the master copy, the
+// home's own downgrade or a 3-hop transfer (mig RC reaches such grants and
+// keeps its count). Dropping any field of the shared migratory record from
+// the Tardis encoding — last writer, readers, the migratory or never bit,
+// the granted-unwritten records, or the owner's unwritten mark — moves no
+// Tardis row: in these models each is a function of the timestamps, the
+// owner, the state tables and the program counters. No dirinval row moved
+// when the record became the core's.
 // Regenerate with -update only when a change is meant to alter the
 // protocol or the models.
 func TestStateCounts(t *testing.T) {

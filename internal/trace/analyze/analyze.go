@@ -64,10 +64,10 @@ type Summary struct {
 	LoadDone        map[string]int64
 	LoadDoneLatency map[string]int64
 
-	// Migratory counts the directory's migratory-sharing "line" events by
-	// name: migratory (a home classified a block), grant-migratory (it
-	// granted a read exclusive) and declassify (it made a block ordinary for
-	// good).
+	// Migratory counts the migratory-sharing "line" events a home emits,
+	// under either backend, by name: migratory (it classified a block),
+	// grant-migratory (it granted a read exclusive) and declassify (it made
+	// a block ordinary for good).
 	Migratory map[string]int64
 	// LeaseGrows counts Tardis's "line"/"lease-grow" events: a home doubled
 	// a block's lease for a read of the version the reader's lease ran out on.

@@ -178,6 +178,33 @@ func TestAnalyzerMigratoryEvents(t *testing.T) {
 	}
 }
 
+// TestAnalyzerTardisMigratoryEvents: a Tardis home emits the same
+// migratory-sharing events as the directory. Water-Nsq on eight Base-Shasta
+// processes, whose accumulators are read then written under locks, has
+// blocks classified and reads of them granted exclusive (56 and 138 when
+// written; before the Tardis home detected migratory blocks, none).
+func TestAnalyzerTardisMigratoryEvents(t *testing.T) {
+	var buf bytes.Buffer
+	tr := trace.New(trace.DefaultRingSize, &buf)
+	if err := runKernel("Water-Nsq", 8, core.WithTrace(tr), core.WithProcs(8, 1),
+		core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := analyze.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Migratory["migratory"] == 0 || sum.Migratory["grant-migratory"] == 0 {
+		t.Errorf("migratory counts %v, want classified blocks and reads granted exclusive", sum.Migratory)
+	}
+	if out := sum.Render(); !strings.Contains(out, "\nmigratory sharing: migratory=") {
+		t.Errorf("render missing the migratory-sharing line:\n%s", out)
+	}
+}
+
 // TestAnalyzerLeaseGrowEvents: the summary counts Tardis's lease-grow line
 // events apart from the migratory ones, and prints them in a line of their
 // own; a trace without one prints no such line.

@@ -44,6 +44,17 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/kernel_digests.
 // synchronization; Barnes 0.99x. FMM takes 1.02x, Water-Nsq 1.001x and LU at
 // 16 processes 1.004x (SMP and Base): a block whose lease grew while it was
 // read pushes the next write's timestamp, and so the acquirers', further.
+//
+// A Tardis home that grants a read of a migratory block exclusive moved four
+// Tardis Base-Shasta rows, and no memory digest; the 4-process SMP rows run
+// on one agent, and LU's and LU-Contig's SMP rows at 12 and 16 do not move.
+// Water-Nsq and Water-Sp at 4 processes take 0.92x and 0.96x the cycles:
+// their lock-protected accumulators and box counters cost one miss per
+// hand-off, not a recall and a read-exclusive. Raytrace takes 1.001x: its
+// work-queue word is granted on 19 reads, which take the write's timestamp
+// jump one access early and expire the grantee's leases sooner (402 -> 367
+// renewals). LU-Contig at 12 takes 1.015x: of the 7 reads granted exclusive,
+// all 7 were by a rank that gave the block up unwritten and declassified it.
 func TestKernelDigests(t *testing.T) {
 	const path = "testdata/kernel_digests.txt"
 	type layout struct {
@@ -156,7 +167,9 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 // and 0.77x in Raytrace, whose work-queue word moves the same way, for
 // 34 318 steps. The Tardis row is also that of leases that double on
 // renewal: 0.988x the cycles, as blocks read again after a synchronization
-// without having changed are no longer re-fetched.
+// without having changed are no longer re-fetched; and that of a Tardis home
+// that grants a read of a migratory block exclusive: 0.96x the cycles, as
+// Barnes' lock-protected cell updates cost one miss, not two.
 func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	for _, c := range []struct {
 		app      *App
@@ -166,7 +179,7 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 		maxSteps int64
 	}{
 		{Barnes(), []core.Option{core.WithProcs(8, 1), core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")},
-			8, 33130234, 118198 * 101 / 100},
+			8, 31888961, 118198 * 101 / 100},
 		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 14110347, 313940 * 101 / 100},
 		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 2552704, 140572 / 3},
 	} {
