@@ -33,11 +33,6 @@ func WithProcs(nodes, cpusPerNode int) Option {
 	}
 }
 
-// WithLineSize sets the state-table granularity in bytes (§2.1).
-func WithLineSize(bytes int) Option {
-	return func(b *builder) { b.cfg.LineSize = bytes }
-}
-
 // ProtocolVariant bundles the protocol configuration choices the paper
 // evaluates against each other (§2.3, §3.2, §4.3). Use one of the
 // constructors to get a coherent baseline and adjust fields from there.
@@ -113,12 +108,6 @@ func WithMaxTime(t sim.Time) Option {
 // sublayer that lets the protocol survive the injected faults.
 func WithFaults(fc memchannel.FaultConfig) Option {
 	return func(b *builder) { b.cfg.Faults = fc }
-}
-
-// WithInvariantChecks toggles runtime coherence invariant assertions at
-// quiesce points (System.CheckInvariants); on by default.
-func WithInvariantChecks(on bool) Option {
-	return func(b *builder) { b.cfg.InvariantChecks = on }
 }
 
 // WithConfigure applies an arbitrary configuration edit; an escape hatch for

@@ -71,9 +71,8 @@ type Protocol interface {
 	// them here so the LL observes current data.
 	refreshLL(p *Proc, line int)
 	// noteStoreHit runs after every store that completes against an
-	// exclusive copy without entering the protocol (the in-line hit
-	// path), once the core's Proc.noteStoreHit has charged the first store
-	// after a migratory grant. A backend that must reconstruct write
+	// exclusive copy (Proc.performStore), once the core has charged the
+	// first store after a migratory grant. A backend that must reconstruct write
 	// timestamps when a version later leaves its owner records the
 	// writer's logical time here, at no simulated cost.
 	noteStoreHit(p *Proc, line int)

@@ -141,11 +141,6 @@ type Config struct {
 	// off (un-instrumented runs are incoherent by construction).
 	InvariantChecks bool
 
-	// HomeProcs lists the processes that maintain directory information
-	// and serve requests (§4.3.3); empty means all initially spawned
-	// processes.
-	HomeProcs []int
-
 	// PollInterval is the average spacing, in cycles, of loop back-edge
 	// polls inserted by the rewriter, applied during Compute.
 	PollInterval sim.Time

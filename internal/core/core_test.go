@@ -731,70 +731,56 @@ func TestReadOwnWriteForwarding(t *testing.T) {
 }
 
 // TestAllocDefaultSpreadsHomes: the zero AllocOptions homes an allocation's
-// blocks round-robin over the home processes, in HomeProcs order (every
-// process when that is empty), continuing from one allocation to the next,
-// for one-line and multi-line blocks alike, so that over N blocks each of P
-// home processes gets floor or ceil N/P of them; HomeAt is honoured for
-// every block; and a round-robin request before any process exists still
-// panics by name.
+// blocks round-robin over every process, continuing from one allocation to
+// the next, for one-line and multi-line blocks alike, so that over N blocks
+// each of P processes is home to floor or ceil N/P of them; HomeAt is
+// honoured for every block; and a round-robin request before any process
+// exists panics by name.
 func TestAllocDefaultSpreadsHomes(t *testing.T) {
-	for _, homes := range [][]int{nil, {5, 2, 3}} {
-		cfg := testConfig()
-		cfg.HomeProcs = homes
-		s := Build(WithConfig(cfg))
-		if homes == nil {
-			func() {
-				defer func() {
-					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Alloc before any process spawned") {
-						t.Errorf("round-robin Alloc with no process and no HomeProcs: recovered %v", r)
-					}
-				}()
-				s.Alloc(64, AllocOptions{})
-			}()
-		}
-		const procs = 6
-		for i := 0; i < procs; i++ {
-			s.Spawn("w", i, func(p *Proc) {})
-		}
-		order := homes
-		if order == nil {
-			order = []int{0, 1, 2, 3, 4, 5}
-		}
-		s.Alloc(64, AllocOptions{Home: HomeAt(4)}) // does not advance the rotation
-		s.Alloc(7*64, AllocOptions{})              // 7 blocks of one line
-		s.Alloc(9*4*64-8, AllocOptions{BlockLines: 4})
-		pinned := s.Alloc(3*2*64, AllocOptions{BlockLines: 2, Home: HomeAt(1)})
-		s.Alloc(4*64, AllocOptions{})
-		count := map[int]int{}
-		spread := 0
-		for _, blk := range s.blocks {
-			switch {
-			case blk.id == 0:
-				if blk.home != 4 {
-					t.Errorf("HomeAt(4): block homed at process %d", blk.home)
-				}
-			case blk.firstLine >= s.lineOf(pinned) && blk.firstLine < s.lineOf(pinned)+3*2:
-				if blk.home != 1 || blk.lines != 2 {
-					t.Errorf("HomeAt(1), two lines a block: block %d has %d lines, homed at process %d", blk.id, blk.lines, blk.home)
-				}
-			default:
-				if want := order[spread%len(order)]; blk.home != want {
-					t.Errorf("HomeProcs %v: round-robin block %d (%d lines) homed at process %d, want %d", homes, spread, blk.lines, blk.home, want)
-				}
-				count[blk.home]++
-				spread++
+	s := Build(WithConfig(testConfig()))
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Alloc before any process spawned") {
+				t.Errorf("round-robin Alloc with no process: recovered %v", r)
 			}
-		}
-		if spread != 7+9+4 {
-			t.Fatalf("%d round-robin blocks, want 20", spread)
-		}
-		for _, h := range order {
-			if n := count[h]; n != spread/len(order) && n != (spread+len(order)-1)/len(order) {
-				t.Errorf("HomeProcs %v: process %d is home to %d of %d blocks", homes, h, n, spread)
+		}()
+		s.Alloc(64, AllocOptions{})
+	}()
+	const procs = 6
+	for i := 0; i < procs; i++ {
+		s.Spawn("w", i, func(p *Proc) {})
+	}
+	s.Alloc(64, AllocOptions{Home: HomeAt(4)}) // does not advance the rotation
+	s.Alloc(7*64, AllocOptions{})              // 7 blocks of one line
+	s.Alloc(9*4*64-8, AllocOptions{BlockLines: 4})
+	pinned := s.Alloc(3*2*64, AllocOptions{BlockLines: 2, Home: HomeAt(1)})
+	s.Alloc(4*64, AllocOptions{})
+	count := map[int]int{}
+	spread := 0
+	for _, blk := range s.blocks {
+		switch {
+		case blk.id == 0:
+			if blk.home != 4 {
+				t.Errorf("HomeAt(4): block homed at process %d", blk.home)
 			}
+		case blk.firstLine >= s.lineOf(pinned) && blk.firstLine < s.lineOf(pinned)+3*2:
+			if blk.home != 1 || blk.lines != 2 {
+				t.Errorf("HomeAt(1), two lines a block: block %d has %d lines, homed at process %d", blk.id, blk.lines, blk.home)
+			}
+		default:
+			if want := spread % procs; blk.home != want {
+				t.Errorf("round-robin block %d (%d lines) homed at process %d, want %d", spread, blk.lines, blk.home, want)
+			}
+			count[blk.home]++
+			spread++
 		}
-		if len(count) != len(order) {
-			t.Errorf("HomeProcs %v: homes %v", homes, count)
+	}
+	if spread != 7+9+4 {
+		t.Fatalf("%d round-robin blocks, want 20", spread)
+	}
+	for h := 0; h < procs; h++ {
+		if n := count[h]; n != spread/procs && n != (spread+procs-1)/procs {
+			t.Errorf("process %d is home to %d of %d blocks", h, n, spread)
 		}
 	}
 }

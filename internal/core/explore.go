@@ -3,18 +3,22 @@ package core
 // This file is the model checker's exploration engine (see
 // internal/modelcheck). Rather than checking a hand-transcribed
 // abstraction of the coherence protocol, the explorer drives the *real*
-// implementation — Proc.handleMessage, dispatch, issueMiss, finishMiss —
-// as an explicit-state transition system:
+// implementation — the access paths Proc.Load, Store, LoadLocked,
+// StoreCond and MemBar, and Proc.handleMessage — as an explicit-state
+// transition system:
 //
-//   - Processes are constructed without simulation goroutines
-//     (sim.Engine.ExternalProc); protocol handlers execute synchronously
-//     on the caller.
+//   - Each process runs a tiny straight-line program of shared-memory
+//     operations through those entry points, as the body of an external
+//     sim.Proc (sim.Engine.ExternalProc) that the scheduler never runs.
+//     A step resumes the body for one operation. An operation that misses
+//     stalls as it would in a run, parked in stallWhile's Wait, and settle
+//     resumes it once a delivery has completed its miss. Which steps are
+//     enabled is the explorer's rule (stepEnabled): an operation whose
+//     first instruction would stall is not.
 //   - System.mcCapture intercepts every deliver() call, so messages land
 //     in per-link FIFO channels owned by the explorer instead of the
 //     simulated wire. Delivering a captured message is an explicit
-//     transition.
-//   - Each process runs a tiny straight-line program of shared-memory
-//     operations; issuing or completing one operation is a transition.
+//     transition; its handler runs on the explorer's goroutine.
 //
 // The abstraction is exact for Base-Shasta (SMP off): handlers never
 // block (waitDowngrades degenerates to downgradeSelf and
@@ -42,6 +46,7 @@ import (
 	"strings"
 
 	"repro/internal/memchannel"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -138,11 +143,11 @@ type ghostWord struct {
 	writes  []int64 // performed stores per process
 }
 
+// expAwait is a stalled operation: what it is (see awaitKinds) and the
+// block whose miss it waits on.
 type expAwait struct {
-	kind byte // 'r' read, 'l' LL, 'w' issued write, 'm' merged write, 'c' SC
-	op   ExpOp
+	kind byte
 	blk  *blockInfo
-	m    *mshrEntry
 }
 
 type expProc struct {
@@ -203,15 +208,16 @@ func NewExplorer(c ExpConfig) *Explorer {
 		Seed:              1,
 	}
 	s := newSystem(cfg, false)
-	// The explorer hashes and restores full system states and holds MSHR
-	// pointers across await points; free-list reuse would let distinct
+	// The explorer holds captured messages, data buffers included, in its
+	// channels for as long as it likes; free-list reuse would let distinct
 	// logical states share storage, so pooling is always off here.
 	s.pooling = false
 	s.brokenSkipInvalAck = c.Broken
 	e := &Explorer{cfg: c, sys: s, chans: make(map[[2]int][]msg)}
 	for i := range c.Programs {
-		p := s.spawnExternal(fmt.Sprintf("mc%d", i), i)
-		e.eps = append(e.eps, &expProc{p: p, prog: c.Programs[i], llWord: -1})
+		ep := &expProc{prog: c.Programs[i], llWord: -1}
+		ep.p = s.spawnExternal(fmt.Sprintf("mc%d", i), i, func(*sim.Proc) { e.run(ep) })
+		e.eps = append(e.eps, ep)
 	}
 	for _, home := range c.Homes {
 		s.Alloc(lineSize, AllocOptions{Home: HomeAt(home)})
@@ -232,15 +238,16 @@ func NewExplorer(c ExpConfig) *Explorer {
 	return e
 }
 
-// spawnExternal constructs a Base-Shasta process without a simulation
-// goroutine: handlers run synchronously on the caller and any attempt to
-// block panics (sim.Engine.ExternalProc). Model checking only.
-func (s *System) spawnExternal(name string, cpu int) *Proc {
+// spawnExternal constructs a Base-Shasta process that the scheduler never
+// runs (sim.Engine.ExternalProc): its body runs only when stepped, and
+// handlers delivered to it run synchronously on the caller. Model checking
+// only.
+func (s *System) spawnExternal(name string, cpu int, body func(*sim.Proc)) *Proc {
 	if s.Cfg.SMP {
 		panic("core: external processes require Base-Shasta (SMP off)")
 	}
 	p := s.newProc(name, cpu)
-	p.Sim = s.Eng.ExternalProc(name, cpu)
+	p.Sim = s.Eng.ExternalProc(name, cpu, body)
 	p.Sim.Data = p
 	return p
 }
@@ -301,10 +308,11 @@ func (e *Explorer) Enabled() []ExpAction {
 	return out
 }
 
-// stepEnabled reports whether the process's next operation can make
-// progress now. Operations that the real implementation would stall in
-// (a miss outstanding for the same block) are disabled until a delivery
-// completes the miss, which models the stall exactly.
+// stepEnabled is the interleaving rule the pinned state counts rest on: a
+// process's next operation is enabled only when its first instruction would
+// not stall. One that would stall behind a miss outstanding for its block
+// waits until a delivery completes the miss; the real code would stall
+// there and resume at once.
 func (e *Explorer) stepEnabled(ep *expProc) bool {
 	if ep.await != nil || ep.pc >= len(ep.prog) {
 		return false
@@ -375,25 +383,88 @@ func (e *Explorer) applyDeliver(a ExpAction) {
 
 func (e *Explorer) applyStep(pid int) {
 	ep := e.eps[pid]
-	if ep.await != nil || ep.pc >= len(ep.prog) {
+	if !e.stepEnabled(ep) {
 		panic(fmt.Sprintf("core: explorer step p%d not enabled", pid))
 	}
 	op := ep.prog[ep.pc]
 	e.events = append(e.events, trace.Event{Cat: "mc", Ev: "op", P: pid, S: op.String()})
-	switch op.Kind {
-	case ExpMemBar:
-		if ep.p.outstanding != 0 {
-			panic("core: explorer MemBar with outstanding misses")
+	aw := &expAwait{kind: awaitKinds[op.Kind], blk: e.blkOf(op.Word)}
+	if op.Kind == ExpWrite && ep.p.mshr[aw.blk.id] != nil {
+		aw.kind = 'm'
+	}
+	e.resume(ep, aw)
+}
+
+// awaitKinds names what an operation that stalls awaits; a store that
+// merges into a miss in flight awaits as 'm' instead.
+var awaitKinds = [...]byte{ExpRead: 'r', ExpWrite: 'w', ExpLL: 'l', ExpSC: 'c', ExpMemBar: 'b'}
+
+// resume runs the process's body until it blocks. Its operation has then
+// either completed, or stalled in stallWhile on its block's miss, and awaits
+// the delivery that completes it.
+func (e *Explorer) resume(ep *expProc, aw *expAwait) {
+	pc := ep.pc
+	ep.p.Sim.Step()
+	ep.await = nil
+	if ep.pc == pc {
+		if ep.p.mshr[aw.blk.id] == nil {
+			panic(fmt.Sprintf("core: explorer p%d stalled with no miss on block %d", ep.p.ID, aw.blk.id))
 		}
+		ep.await = aw
+	}
+}
+
+// run is a process's body: its program, through the real entry points, one
+// operation per step. Between operations it waits for the next step.
+func (e *Explorer) run(ep *expProc) {
+	for i, op := range ep.prog {
+		if i > 0 {
+			ep.p.Sim.Wait()
+		}
+		e.perform(ep, op)
 		ep.pc++
+	}
+}
+
+func (e *Explorer) perform(ep *expProc, op ExpOp) {
+	p, addr := ep.p, e.addrOf(op.Word)
+	switch op.Kind {
 	case ExpRead:
-		e.stepRead(ep, op)
+		_, forwarded := p.forwardedStore(addr)
+		e.observe(ep, op, p.Load(addr), !forwarded)
 	case ExpLL:
-		e.stepLL(ep, op)
+		v := p.LoadLocked(addr)
+		g := &e.ghost[op.Word]
+		ep.llGhostValid, ep.llWord, ep.llOthers = true, op.Word, g.version-g.writes[p.ID]
+		e.observe(ep, op, v, true)
 	case ExpWrite:
-		e.stepWrite(ep, op)
+		p.Store(addr, op.Val)
 	case ExpSC:
-		e.stepSC(ep, op)
+		var r uint64
+		if p.StoreCond(addr, op.Val) {
+			r = 1
+			e.checkSCAtomicity(ep, op)
+		}
+		ep.llGhostValid = false
+		e.observe(ep, op, r, false)
+	case ExpMemBar:
+		p.MemBar()
+	}
+}
+
+// observe records a value the process read, or an SC's outcome, and checks
+// a read that did not forward a buffered store against the ghost memory.
+func (e *Explorer) observe(ep *expProc, op ExpOp, v uint64, check bool) {
+	p := ep.p
+	ep.regs = append(ep.regs, v)
+	e.events = append(e.events, trace.Event{
+		Cat: "mc", Ev: "value", P: p.ID, A: int64(v), S: fmt.Sprintf("%s -> %d", op, v),
+	})
+	if check && !e.disabled("data-value") {
+		s := e.sys
+		if want, ok := s.proto.expectedValue(s, e, p.agent, e.blkOf(op.Word), op.Word, e.ghost[op.Word].val); ok && v != want {
+			e.fail("data-value", fmt.Sprintf("p%d %s read %#x, want %#x", p.ID, op, v, want))
+		}
 	}
 }
 
@@ -402,223 +473,11 @@ func (e *Explorer) settle() {
 		changed = false
 		for _, ep := range e.eps {
 			if ep.await != nil && ep.p.mshr[ep.await.blk.id] == nil {
-				e.finalizeAwait(ep)
+				e.resume(ep, ep.await)
 				changed = true
 			}
 		}
 	}
-}
-
-func (e *Explorer) finalizeAwait(ep *expProc) {
-	aw := ep.await
-	switch aw.kind {
-	case 'r':
-		e.finalizeRead(ep, aw.op, false)
-	case 'l':
-		e.finalizeRead(ep, aw.op, true)
-	case 'w':
-		e.finalizeWrite(ep, aw.op)
-	case 'm':
-		// Merged store: performed by finishMiss; nothing to re-check
-		// (storeMissLocked returns straight after the stall).
-		ep.await = nil
-		ep.pc++
-	case 'c':
-		e.finalizeSC(ep, aw.op, aw.m)
-	default:
-		panic("core: explorer unknown await kind")
-	}
-}
-
-// stepRead mirrors Proc.Load / loadMiss for Base-Shasta.
-func (e *Explorer) stepRead(ep *expProc, op ExpOp) {
-	p := ep.p
-	addr := e.addrOf(op.Word)
-	if v, ok := p.forwardedStore(addr); ok {
-		e.completeRead(ep, op, v, true, false)
-		return
-	}
-	e.finalizeRead(ep, op, false)
-}
-
-// stepLL mirrors Proc.LoadLocked (optimized, non-emulated scheme).
-func (e *Explorer) stepLL(ep *expProc, op ExpOp) {
-	e.finalizeRead(ep, op, true)
-}
-
-// finalizeRead is the loadMiss retry loop: complete if the line is valid,
-// otherwise issue a miss and await its completion.
-func (e *Explorer) finalizeRead(ep *expProc, op ExpOp, ll bool) {
-	p := ep.p
-	addr := e.addrOf(op.Word)
-	line := e.sys.lineOf(addr)
-	blk := e.blkOf(op.Word)
-	kind := byte('r')
-	if ll {
-		kind = 'l'
-	}
-	for guard := 0; ; guard++ {
-		if guard > 1024 {
-			panic("core: explorer read retry livelock")
-		}
-		if !ll {
-			if v, ok := p.forwardedStore(addr); ok {
-				e.completeRead(ep, op, v, true, false)
-				return
-			}
-		}
-		if st := p.priv[line]; st == Shared || st == Exclusive {
-			e.completeRead(ep, op, p.mem.data[e.sys.wordOf(addr)], false, ll)
-			return
-		}
-		m := p.issueMiss(blk, false, nil)
-		if p.mshr[blk.id] != nil {
-			ep.await = &expAwait{kind: kind, op: op, blk: blk, m: m}
-			return
-		}
-	}
-}
-
-func (e *Explorer) completeRead(ep *expProc, op ExpOp, v uint64, forwarded, ll bool) {
-	p := ep.p
-	if ll {
-		line := e.sys.lineOf(e.addrOf(op.Word))
-		p.llValid = true
-		p.llLine = line
-		p.llState = p.priv[line]
-		g := &e.ghost[op.Word]
-		ep.llGhostValid = true
-		ep.llWord = op.Word
-		ep.llOthers = g.version - g.writes[p.ID]
-	}
-	ep.regs = append(ep.regs, v)
-	ep.await = nil
-	ep.pc++
-	e.events = append(e.events, trace.Event{
-		Cat: "mc", Ev: "value", P: p.ID, A: int64(v), S: fmt.Sprintf("%s -> %d", op, v),
-	})
-	if !forwarded && !e.disabled("data-value") {
-		s := e.sys
-		if want, ok := s.proto.expectedValue(s, e, p.agent, e.blkOf(op.Word), op.Word, e.ghost[op.Word].val); ok && v != want {
-			e.fail("data-value", fmt.Sprintf("p%d %s read %#x, want %#x", p.ID, op, v, want))
-		}
-	}
-}
-
-// stepWrite mirrors Proc.Store / storeMissLocked.
-func (e *Explorer) stepWrite(ep *expProc, op ExpOp) {
-	p := ep.p
-	addr := e.addrOf(op.Word)
-	blk := e.blkOf(op.Word)
-	if m := p.mshr[blk.id]; m != nil {
-		if !m.wantExcl {
-			panic("core: explorer write step with read miss in flight")
-		}
-		m.stores = append(m.stores, pendingStore{addr, op.Val})
-		if e.sys.Cfg.Consistency == SequentiallyConsistent {
-			ep.await = &expAwait{kind: 'm', op: op, blk: blk, m: m}
-			return
-		}
-		ep.pc++
-		return
-	}
-	e.finalizeWrite(ep, op)
-}
-
-// finalizeWrite is the storeMissLocked loop: store directly on an
-// exclusive line, otherwise issue an exclusive miss carrying the buffered
-// store; under SC the operation awaits completion and re-verifies.
-func (e *Explorer) finalizeWrite(ep *expProc, op ExpOp) {
-	p := ep.p
-	addr := e.addrOf(op.Word)
-	line := e.sys.lineOf(addr)
-	blk := e.blkOf(op.Word)
-	for guard := 0; ; guard++ {
-		if guard > 1024 {
-			panic("core: explorer write retry livelock")
-		}
-		if p.priv[line] == Exclusive {
-			e.storeInPlace(p, addr, line, op.Val)
-			ep.await = nil
-			ep.pc++
-			return
-		}
-		m := p.issueMiss(blk, true, []pendingStore{{addr, op.Val}})
-		if e.sys.Cfg.Consistency != SequentiallyConsistent {
-			// RC: non-blocking; the buffered store is performed by the
-			// protocol when the reply (and all acks) arrive.
-			ep.await = nil
-			ep.pc++
-			return
-		}
-		if p.mshr[blk.id] != nil {
-			ep.await = &expAwait{kind: 'w', op: op, blk: blk, m: m}
-			return
-		}
-	}
-}
-
-// stepSC mirrors Proc.StoreCond (optimized scheme).
-func (e *Explorer) stepSC(ep *expProc, op ExpOp) {
-	p := ep.p
-	addr := e.addrOf(op.Word)
-	line := e.sys.lineOf(addr)
-	blk := e.blkOf(op.Word)
-	if p.llState == Exclusive {
-		ok := p.llValid && p.priv[line] == Exclusive && p.llLine == line
-		p.llValid = false
-		if ok {
-			e.storeInPlace(p, addr, line, op.Val)
-			e.checkSCAtomicity(ep, op)
-		}
-		e.completeSC(ep, op, ok)
-		return
-	}
-	if !p.llValid || p.llLine != line {
-		p.llValid = false
-		e.completeSC(ep, op, false)
-		return
-	}
-	p.llValid = false
-	switch p.priv[line] {
-	case Invalid, Pending, Exclusive:
-		e.completeSC(ep, op, false)
-		return
-	}
-	// Shared: SC upgrade through the directory, watched for reservation
-	// breaks while the request is in flight.
-	p.scWatchValid = true
-	p.scWatchLine = line
-	m := p.issueMissKind(blk, true, nil, true)
-	if p.mshr[blk.id] != nil {
-		ep.await = &expAwait{kind: 'c', op: op, blk: blk, m: m}
-		return
-	}
-	e.finalizeSC(ep, op, m)
-}
-
-func (e *Explorer) finalizeSC(ep *expProc, op ExpOp, m *mshrEntry) {
-	p := ep.p
-	addr := e.addrOf(op.Word)
-	line := e.sys.lineOf(addr)
-	ok := !m.scFailed && p.scWatchValid && p.priv[line] == Exclusive
-	p.scWatchValid = false
-	if ok {
-		e.storeInPlace(p, addr, line, op.Val)
-		e.checkSCAtomicity(ep, op)
-	}
-	e.completeSC(ep, op, ok)
-}
-
-// storeInPlace performs a store on the process's exclusive copy, as an
-// in-line store hit and a successful SC do, and then runs the store-hit
-// hook, as they do: it clears a granted-unwritten record, and under Tardis
-// raises the agent's dirty stamp.
-func (e *Explorer) storeInPlace(p *Proc, addr uint64, line int, val uint64) {
-	p.mem.data[e.sys.wordOf(addr)] = val
-	e.ghostStore(p.ID, addr, val)
-	p.resetLocalLLs(line)
-	p.noteStoreHit(line)
 }
 
 // checkSCAtomicity asserts the LL/SC atomicity invariant on a successful
@@ -638,26 +497,21 @@ func (e *Explorer) checkSCAtomicity(ep *expProc, op ExpOp) {
 	}
 }
 
-func (e *Explorer) completeSC(ep *expProc, op ExpOp, ok bool) {
-	ep.llGhostValid = false
-	var r uint64
-	if ok {
-		r = 1
-	}
-	ep.regs = append(ep.regs, r)
-	ep.await = nil
-	ep.pc++
-	e.events = append(e.events, trace.Event{
-		Cat: "mc", Ev: "value", P: ep.p.ID, A: int64(r), S: fmt.Sprintf("%s -> %d", op, r),
-	})
-}
-
 func (e *Explorer) fail(inv, detail string) {
 	if e.viol != nil {
 		return
 	}
 	e.viol = &InvariantError{Invariant: inv, Detail: detail}
 	e.events = append(e.events, trace.Event{Cat: "mc", Ev: "violation", S: inv + ": " + detail})
+}
+
+// Close unwinds the body of every process stalled or waiting for its next
+// step. An explorer no longer needed must be closed, or its bodies' parked
+// coroutines stay behind.
+func (e *Explorer) Close() {
+	for _, ep := range e.eps {
+		ep.p.Sim.Stop()
+	}
 }
 
 // Done reports whether every process has finished its program.

@@ -243,7 +243,7 @@ func (p *Proc) noteReply(m *msg) *mshrEntry {
 	}
 	if m.kind == msgReadExclReply && !mshr.wantExcl {
 		// A read granted exclusive (a migratory grant), recorded until the
-		// agent's first store to it (Proc.noteStoreHit). The grant was
+		// agent's first store to it (Proc.performStore). The grant was
 		// serialized at the home after any invalidation this miss absorbed,
 		// so the copy it installs is current: dropping it after the fill
 		// would lose the only copy of the block.

@@ -47,6 +47,7 @@ func explorerWorld(t *testing.T, proto string) world {
 		Homes:    []int{0},
 		Protocol: proto,
 	})
+	t.Cleanup(e.Close)
 	for _, a := range []string{"p1", "d1>0#0", "d0>1#0"} {
 		act, err := ParseExpAction(a)
 		if err != nil {

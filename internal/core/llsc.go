@@ -80,9 +80,7 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 		p.llValid = false
 		if ok {
 			p.stats.N[CntSCHardware]++
-			p.mem.data[w] = v
-			p.resetLocalLLs(line)
-			p.noteStoreHit(line)
+			p.performStore(addr, v, line)
 			return true
 		}
 		p.stats.N[CntSCFailures]++
@@ -122,9 +120,7 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 			ok := p.localFill(line) && p.priv[line] == Exclusive && p.scWatchValid
 			p.scWatchValid = false
 			if ok {
-				p.mem.data[w] = v
-				p.resetLocalLLs(line)
-				p.noteStoreHit(line)
+				p.performStore(addr, v, line)
 				return true
 			}
 			p.stats.N[CntSCFailures]++
@@ -141,9 +137,7 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 	if !p.scUpgrade(line) {
 		return false
 	}
-	p.mem.data[w] = v
-	p.resetLocalLLs(line)
-	p.noteStoreHit(line)
+	p.performStore(addr, v, line)
 	return true
 }
 
@@ -193,9 +187,7 @@ func (p *Proc) storeCondEmulated(addr, v uint64, line int) bool {
 			return false
 		}
 	}
-	p.mem.data[s.wordOf(addr)] = v
-	p.resetLocalLLs(line)
-	p.noteStoreHit(line)
+	p.performStore(addr, v, line)
 	return true
 }
 

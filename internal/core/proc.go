@@ -503,13 +503,21 @@ func traceEvent(p *Proc, blk *blockInfo, site string) {
 	}
 }
 
-// noteStoreHit runs after every store performed on an exclusive copy, in
-// line or within the protocol. The first store since a migratory grant
-// clears the agent's granted-unwritten record of the block; it takes the
-// copy from exclusive-clean to exclusive-dirty, a protocol entry in a
-// software DSM, so it is charged one. Then the backend's hook runs.
-func (p *Proc) noteStoreHit(line int) {
+// performStore completes a store on this process's exclusive copy: every
+// checked store does, in line or within the protocol. It writes the word,
+// shows it to the model checker's ghost memory, and breaks the LL
+// reservations node-mates hold on the line. The first store since a
+// migratory grant clears the agent's granted-unwritten record of the block;
+// it takes the copy from exclusive-clean to exclusive-dirty, a protocol
+// entry in a software DSM, so it is charged one. Then the backend's hook
+// runs.
+func (p *Proc) performStore(addr, v uint64, line int) {
 	s := p.sys
+	p.mem.data[s.wordOf(addr)] = v
+	if s.onStorePerform != nil {
+		s.onStorePerform(p, addr, v)
+	}
+	p.resetLocalLLs(line)
 	if p.mem.takeUnwritten(int(s.lineBlock[line])) {
 		p.charge(CatCheck, s.Cfg.Cost.ProtocolEntry)
 	}
@@ -530,9 +538,7 @@ func (p *Proc) Store(addr uint64, v uint64) {
 	p.stats.N[CntStoreChecks]++
 	p.charge(CatCheck, s.Cfg.Cost.FullCheck)
 	if p.priv[line] == Exclusive {
-		p.mem.data[w] = v
-		p.resetLocalLLs(line)
-		p.noteStoreHit(line)
+		p.performStore(addr, v, line)
 		return
 	}
 	p.storeMiss(addr, v, line)
@@ -564,18 +570,14 @@ func (p *Proc) storeMissLocked(addr, v uint64, line int) {
 			continue
 		}
 		if p.priv[line] == Exclusive { // resolved while stalled
-			p.mem.data[s.wordOf(addr)] = v
-			p.resetLocalLLs(line)
-			p.noteStoreHit(line)
+			p.performStore(addr, v, line)
 			return
 		}
 		if s.Cfg.SMP {
 			switch p.mem.table[line] {
 			case Exclusive:
 				if p.localFill(line) && p.priv[line] == Exclusive {
-					p.mem.data[s.wordOf(addr)] = v
-					p.resetLocalLLs(line)
-					p.noteStoreHit(line)
+					p.performStore(addr, v, line)
 					return
 				}
 				continue

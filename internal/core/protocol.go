@@ -432,12 +432,7 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 			}
 		}
 		for _, st := range m.stores {
-			p.mem.data[s.wordOf(st.addr)] = st.val
-			if s.onStorePerform != nil {
-				s.onStorePerform(p, st.addr, st.val)
-			}
-			p.resetLocalLLs(s.lineOf(st.addr))
-			p.noteStoreHit(s.lineOf(st.addr))
+			p.performStore(st.addr, st.val, s.lineOf(st.addr))
 		}
 		if p.sys.tracer != nil {
 			traceEvent(p, blk, fmt.Sprintf("finish:grant-%v-data%v-acks%d", st, m.grant != 0, m.acksWanted))

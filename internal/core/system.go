@@ -522,8 +522,8 @@ type AllocOptions struct {
 	// Shasta supports different block sizes for different data (§2.1).
 	BlockLines int
 	// Home is the block's home process. The zero value spreads the blocks
-	// round-robin over HomeProcs (every process when that is empty), so no
-	// one process serves every miss (§2.1); HomeAt fixes one.
+	// round-robin over every process, so no one process serves every miss
+	// (§2.1); HomeAt fixes one.
 	Home Home
 }
 
@@ -590,16 +590,10 @@ func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 }
 
 func (s *System) nextHome() int {
-	homes := s.Cfg.HomeProcs
-	if len(homes) == 0 {
-		if len(s.procs) == 0 {
-			panic("core: Alloc before any process spawned and no HomeProcs configured")
-		}
-		h := s.homeRR % len(s.procs)
-		s.homeRR++
-		return h
+	if len(s.procs) == 0 {
+		panic("core: Alloc before any process spawned needs a HomeAt")
 	}
-	h := homes[s.homeRR%len(homes)]
+	h := s.homeRR % len(s.procs)
 	s.homeRR++
 	return h
 }

@@ -118,38 +118,61 @@ func TestSpeedupSeriesSubset(t *testing.T) {
 	}
 }
 
+// TestFigure4SCWithinBound holds every kernel to Figure 4's claim: with
+// fine-grained coherence sequential consistency costs at most ~10 % over
+// release consistency, so each SC total, normalized to its RC run at 100,
+// is at most 110 (and below 90 would be suspicious).
 func TestFigure4SCWithinBound(t *testing.T) {
-	// SC should cost little over RC for a fine-grained system (≤ ~25% in
-	// our scaled-down runs; the paper reports ≤10%).
-	ratio := scTotalVsRC("Water-Sp")
-	if ratio > 1.35 {
-		t.Fatalf("SC/RC = %.2f, expected close to 1", ratio)
+	tab := Figure4()
+	if len(tab.Rows) != 2*len(workloads.All()) {
+		t.Fatalf("%d rows, want an RC and an SC row per kernel", len(tab.Rows))
 	}
-	if ratio < 0.9 {
-		t.Fatalf("SC/RC = %.2f < 0.9: suspicious", ratio)
+	for r := 1; r < len(tab.Rows); r += 2 {
+		if sc := cell(t, tab, r, 8); sc > 110 || sc < 90 {
+			t.Errorf("%s: SC total %.0f against RC's 100, paper: at most 110", tab.Rows[r][0], sc)
+		}
 	}
 }
 
+// TestTable4Shape asserts Table 4's claims. Two of them do not hold yet
+// (ROADMAP item 8): each is expected to fail, for the reason given, and the
+// test fails once it holds, so that it is asserted instead.
 func TestTable4Shape(t *testing.T) {
 	tab := Table4()
-	// SMP Oracle scales with servers.
 	smp1, smp3 := cell(t, tab, 0, 1), cell(t, tab, 2, 1)
+	ex1, ex2, ex3 := cell(t, tab, 0, 2), cell(t, tab, 1, 2), cell(t, tab, 2, 2)
+	eq1, eq2, eq3 := cell(t, tab, 0, 3), cell(t, tab, 1, 3), cell(t, tab, 2, 3)
 	if smp3 >= smp1 {
 		t.Errorf("SMP Oracle did not scale: 1srv %.1f vs 3srv %.1f", smp1, smp3)
 	}
 	// Shasta EX is slower than SMP but scales.
-	ex1, ex3 := cell(t, tab, 0, 2), cell(t, tab, 2, 2)
 	if ex1 <= smp1 {
 		t.Errorf("Shasta EX 1srv (%.1f) should exceed SMP (%.1f)", ex1, smp1)
 	}
 	if ex3 >= ex1 {
 		t.Errorf("Shasta EX did not scale: %.1f -> %.1f", ex1, ex3)
 	}
-	// EQ at 2 servers is worse than EX at 2 servers (daemons steal the
-	// first server's CPU).
-	ex2, eq2 := cell(t, tab, 1, 2), cell(t, tab, 1, 3)
-	if eq2 <= ex2 {
-		t.Errorf("EQ 2srv (%.1f) should exceed EX 2srv (%.1f)", eq2, ex2)
+	// EQ is slower than EX once there is a second server: the daemons
+	// steal the first server's CPU.
+	if eq2 <= ex2 || eq3 <= ex3 {
+		t.Errorf("EQ (%.1f, %.1f) should exceed EX (%.1f, %.1f) at 2 and 3 servers", eq2, eq3, ex2, ex3)
+	}
+	expectedFail := []struct {
+		claim  string
+		holds  bool
+		reason string
+	}{
+		{"EQ(2) > EQ(1)", eq2 > eq1,
+			"the daemons sharing the first server's CPU cost EQ less than the second server gains it, so EQ speeds up at 2 servers where the paper's slows down 25 %"},
+		{"EX(3) <= EX(1)/1.5", ex3 <= ex1/1.5,
+			"EX gains 1.3x from one server to three, the paper's 1.9x; what holds it back is not yet named"},
+	}
+	for _, c := range expectedFail {
+		if c.holds {
+			t.Errorf("%s now holds: assert it instead of expecting it to fail", c.claim)
+		} else {
+			t.Logf("expected failure, %s: %s", c.claim, c.reason)
+		}
 	}
 }
 

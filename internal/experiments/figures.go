@@ -131,20 +131,3 @@ func SpeedupSeries(appName string, sync workloads.SyncStyle, counts []int) ([]fl
 	}
 	return out, nil
 }
-
-// scTotalVsRC returns SC busy time relative to RC for one app (ablations
-// and benchmarks).
-func scTotalVsRC(appName string) float64 {
-	app, _ := workloads.Get(appName)
-	run := func(m core.ConsistencyModel) sim.Time {
-		cfg := baseConfig()
-		cfg.SMP = false
-		cfg.Consistency = m
-		res, err := workloads.Run(build(cfg), app, workloads.RunConfig{Procs: 16, Sync: workloads.MPSync})
-		if err != nil {
-			panic(err)
-		}
-		return res.Elapsed
-	}
-	return float64(run(core.SequentiallyConsistent)) / float64(run(core.ReleaseConsistent))
-}

@@ -114,6 +114,8 @@ func Check(m Model, opts Options) *Result {
 		protocol = "dirinval"
 	}
 	res := &Result{Model: m.Name, Consistency: cfg.Consistency.String(), Protocol: protocol}
+	// replay rebuilds a node's state. The caller closes the explorer it
+	// returns; one that panics is closed here and not returned.
 	replay := func(n *node) (ex *core.Explorer, v *Violation) {
 		acts := n.path()
 		defer func() {
@@ -125,6 +127,8 @@ func Check(m Model, opts Options) *Result {
 				}
 				if ex != nil {
 					v.Events = ex.Events()
+					ex.Close()
+					ex = nil
 				}
 			}
 		}()
@@ -136,6 +140,7 @@ func Check(m Model, opts Options) *Result {
 	}
 
 	rootEx := core.NewExplorer(cfg)
+	defer rootEx.Close()
 	if v := rootEx.Check(); v != nil {
 		res.Violation = &Violation{Invariant: v.Invariant, Detail: v.Detail}
 		return res
@@ -163,7 +168,9 @@ func Check(m Model, opts Options) *Result {
 			}
 			acts := ex.Enabled()
 			if len(acts) == 0 {
-				if !ex.Terminal() {
+				terminal, outcome := ex.Terminal(), ex.Outcome()
+				ex.Close()
+				if !terminal {
 					res.Violation = &Violation{
 						Invariant: "deadlock",
 						Detail:    "no transition enabled in a non-final state",
@@ -173,9 +180,10 @@ func Check(m Model, opts Options) *Result {
 					return res
 				}
 				terminals[nd.key] = true
-				outcomes[ex.Outcome()] = true
+				outcomes[outcome] = true
 				continue
 			}
+			ex.Close()
 			for _, a := range acts {
 				child, v := replay(nd)
 				if v == nil {
@@ -195,11 +203,16 @@ func Check(m Model, opts Options) *Result {
 					}()
 				}
 				if v != nil {
+					if child != nil {
+						child.Close()
+					}
 					res.Violation = v
 					return res
 				}
 				res.Transitions++
-				if cv := child.Check(); cv != nil {
+				cv, key := child.Check(), child.Encode()
+				child.Close()
+				if cv != nil {
 					p := append(nd.path(), a)
 					res.Violation = &Violation{
 						Invariant: cv.Invariant,
@@ -209,7 +222,6 @@ func Check(m Model, opts Options) *Result {
 					}
 					return res
 				}
-				key := child.Encode()
 				if opts.Liveness {
 					edges[nd.key] = append(edges[nd.key], key)
 				}
@@ -312,6 +324,7 @@ func Replay(m Model, path []string, disabled map[string]bool) (v *Violation, eve
 		}
 	}()
 	ex = core.NewExplorer(cfg)
+	defer ex.Close()
 	for _, a := range acts {
 		ex.Apply(a)
 	}

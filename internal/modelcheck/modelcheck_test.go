@@ -3,8 +3,10 @@ package modelcheck
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -75,6 +77,28 @@ func TestExhaustive3p1b(t *testing.T) {
 		}
 		t.Logf("3p1b/%s: states=%d transitions=%d depth=%d",
 			res.Consistency, res.States, res.Transitions, res.Depth)
+	}
+}
+
+// TestCheckLeavesNoGoroutine: an explorer process's body runs on a
+// coroutine of its own, so Check must close every explorer it replays.
+// Full sweeps of 3p1b and mig-llsc on both backends, which park bodies in
+// stalls and between operations, leave the goroutine count where it was.
+func TestCheckLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, name := range []string{"3p1b", "mig-llsc"} {
+		for _, proto := range core.ProtocolNames() {
+			res := Check(mustModel(t, name).WithProtocol(proto), Options{})
+			if res.Violation != nil || !res.Converged {
+				t.Fatalf("%s %s: converged %t, violation %+v", name, proto, res.Converged, res.Violation)
+			}
+		}
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the sweeps, %d before", n, base)
 	}
 }
 

@@ -52,9 +52,10 @@ type Proc struct {
 	// is about to trip, see creditParkedWork).
 	working bool
 	abort   bool
-	// external marks a process driven from outside Engine.Run (no
-	// coroutine, never scheduled). It must not block; see ExternalProc.
-	external bool
+	// external marks a process driven from outside Engine.Run, never
+	// scheduled; stepping is set while Step runs its body, the one place it
+	// may block. See ExternalProc.
+	external, stepping bool
 
 	key  Time // cached effectiveTime, the heap key
 	hpos int  // index in shard.heap
@@ -83,13 +84,17 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) run(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
-		r := recover()
-		if r != nil && r != any(abortSignal) && !p.abort {
-			buf := make([]byte, 16384)
-			n := runtime.Stack(buf, false)
-			p.cpu.shard.fail(fmt.Errorf("sim: process %s[%d] panicked at t=%d: %v\n%s", p.Name, p.ID, p.now, r, buf[:n]))
-		}
 		p.state = stateDone
+		r := recover()
+		if r == nil || r == any(abortSignal) || p.abort {
+			return
+		}
+		if p.external {
+			panic(r) // to Step's caller
+		}
+		buf := make([]byte, 16384)
+		n := runtime.Stack(buf, false)
+		p.cpu.shard.fail(fmt.Errorf("sim: process %s[%d] panicked at t=%d: %v\n%s", p.Name, p.ID, p.now, r, buf[:n]))
 	}()
 	p.body(p)
 }
@@ -110,13 +115,35 @@ func (p *Proc) Fail(err error) {
 
 // yieldBack returns control to the engine and parks until resumed.
 func (p *Proc) yieldBack() {
-	if p.external {
-		panic(fmt.Sprintf("sim: external process %s attempted to block at t=%d (external steps must run to completion)", p.Name, p.now))
+	if p.external && !p.stepping {
+		panic(fmt.Sprintf("sim: external process %s attempted to block at t=%d outside its body", p.Name, p.now))
 	}
 	// The yield fails once drain has stopped the coroutine, also for a
 	// deferred guest cleanup that blocks while the process unwinds.
 	if !p.yield(struct{}{}) {
 		panic(abortSignal)
+	}
+}
+
+// Step runs an external process's body, from the start or from where it
+// last blocked, until it blocks again or returns. A panic in the body
+// propagates to the caller.
+func (p *Proc) Step() {
+	if !p.external || p.body == nil {
+		panic(fmt.Sprintf("sim: Step of %s, which is not an external process with a body", p.Name))
+	}
+	p.stepping = true
+	defer func() { p.stepping = false }()
+	p.switchTo()
+}
+
+// Stop unwinds an external process's body if it is suspended in it, running
+// its deferred cleanups.
+func (p *Proc) Stop() {
+	if p.stop != nil && p.state != stateDone {
+		p.abort, p.stepping = true, true
+		p.stop()
+		p.stepping = false
 	}
 }
 

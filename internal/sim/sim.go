@@ -472,13 +472,14 @@ func (e *Engine) SpawnAt(name string, cpu int, priority int, start Time, fn func
 }
 
 // ExternalProc creates a process that is driven from outside Engine.Run:
-// it has no coroutine, is never scheduled, and is invisible to the
-// scheduler (not registered with the engine or any CPU queue). It exists
-// so higher-layer code that charges time (Proc.Advance) or reads clocks
-// can execute directly on the calling goroutine — the model checker uses
-// it to invoke protocol handlers as atomic steps. An external process
-// must never block: Wait/Block/Sleep panic.
-func (e *Engine) ExternalProc(name string, cpu int) *Proc {
+// it is never scheduled and is invisible to the scheduler (not registered
+// with the engine or any CPU queue). Code that charges time (Proc.Advance)
+// or reads clocks can execute for it directly on the calling goroutine —
+// the model checker invokes protocol handlers that way, as atomic steps —
+// and must not block there: Wait/Block/Sleep panic. A non-nil body runs on
+// a coroutine of its own, only inside Step, and may block: Step returns when
+// it does, and the next Step resumes it. Stop unwinds it.
+func (e *Engine) ExternalProc(name string, cpu int, body func(*Proc)) *Proc {
 	if cpu < 0 || cpu >= len(e.cpus) {
 		panic(fmt.Sprintf("sim: external proc %q on invalid cpu %d", name, cpu))
 	}
@@ -488,6 +489,7 @@ func (e *Engine) ExternalProc(name string, cpu int) *Proc {
 		eng:      e,
 		cpu:      e.cpus[cpu],
 		state:    stateRunning,
+		body:     body,
 		wakeAt:   Forever,
 		window:   Forever,
 		external: true,

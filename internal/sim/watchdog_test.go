@@ -298,18 +298,50 @@ func equalTimes(a, b []Time) bool {
 }
 
 // TestExternalProcCannotPark: an external process has no scheduler to park
-// with. A stretch it cannot run straight through fails by name, as every
-// other attempt to block does.
+// with. Outside its body — a stretch it cannot run straight through, or a
+// wait from the driving goroutine while the body is parked, as a handler the
+// model checker runs would — an attempt to block fails by name. Its body
+// may block: Step returns there and the next Step resumes it, a panic in it
+// reaches Step's caller, and Stop unwinds it.
 func TestExternalProcCannotPark(t *testing.T) {
+	recovered := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	cannotPark := func(name string, f func()) {
+		t.Helper()
+		if r, _ := recovered(f).(string); !strings.Contains(r, "external process "+name+" attempted to block") {
+			t.Errorf("want the external-process panic, got %q", r)
+		}
+	}
 	e := NewEngine(Config{Nodes: 1, CPUsPerNode: 1})
-	p := e.ExternalProc("mc0", 0)
+	p := e.ExternalProc("mc0", 0, nil)
 	if got := p.AdvanceUnlessNotified(500); got != 500 || p.Now() != 500 {
 		t.Errorf("external process charged %d to t=%d, want 500 and 500", got, p.Now())
 	}
-	defer func() {
-		if r, _ := recover().(string); !strings.Contains(r, "external process mc0 attempted to block") {
-			t.Errorf("want the external-process panic, got %q", r)
+	cannotPark("mc0", func() { p.AdvanceUnlessNotified(Forever) })
+
+	steps, unwound := 0, false
+	q := e.ExternalProc("mc1", 0, func(q *Proc) {
+		defer func() { unwound = true }()
+		for {
+			steps++
+			q.Wait()
 		}
-	}()
-	p.AdvanceUnlessNotified(Forever)
+	})
+	q.Step()
+	q.Step()
+	if steps != 2 {
+		t.Errorf("two Steps ran the body's loop %d times", steps)
+	}
+	cannotPark("mc1", q.Wait)
+	q.Stop()
+	if !unwound {
+		t.Error("Stop did not unwind the parked body")
+	}
+	boom := e.ExternalProc("mc2", 0, func(*Proc) { panic("boom") })
+	if r := recovered(boom.Step); r != "boom" {
+		t.Errorf("Step of a panicking body: recovered %v, want boom", r)
+	}
 }
