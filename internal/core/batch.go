@@ -183,19 +183,21 @@ func (p *Proc) BatchStart(ranges ...Range) *Batch {
 // Load performs an unchecked load inside the batch window.
 func (b *Batch) Load(addr uint64) uint64 {
 	p := b.p
+	w := p.sys.allocWord(addr)
 	p.stats.N[CntLoads]++
 	p.charge(CatTask, 1)
-	return p.mem.data[p.sys.wordOf(addr)]
+	return p.mem.data[w]
 }
 
 // Store performs an unchecked store inside the batch window, recording it
 // for possible reissue (§4.1).
 func (b *Batch) Store(addr uint64, v uint64) {
 	p := b.p
+	line := p.sys.lineOf(addr)
 	p.stats.N[CntStores]++
 	p.charge(CatTask, 1)
 	p.mem.data[p.sys.wordOf(addr)] = v
-	p.resetLocalLLs(p.sys.lineOf(addr))
+	p.resetLocalLLs(line)
 	if p.sys.Cfg.Checks {
 		b.stores = append(b.stores, pendingStore{addr, v})
 	}

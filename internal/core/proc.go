@@ -87,7 +87,9 @@ type Proc struct {
 
 	pollGap sim.Time // cycles until the next back-edge poll in Compute
 
-	stats  Stats
+	stats Stats
+	// seed is fixed at creation; rng is made from it on the first Rand.
+	seed   int64
 	rng    *rand.Rand
 	exited bool
 	// sendSeq numbers this process's wire transmissions for the queues'
@@ -117,8 +119,15 @@ func (p *Proc) System() *System { return p.sys }
 // Stats returns this process's statistics.
 func (p *Proc) Stats() *Stats { return &p.stats }
 
-// Rand returns the process-local deterministic random source.
-func (p *Proc) Rand() *rand.Rand { return p.rng }
+// Rand returns the process-local deterministic random source. Few
+// processes draw from it, so it is seeded on the first call: seeding a
+// source is most of what building a system would otherwise cost.
+func (p *Proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+	}
+	return p.rng
+}
 
 // Now returns the process's local simulated time.
 func (p *Proc) Now() sim.Time { return p.Sim.Now() }
@@ -328,14 +337,15 @@ func (p *Proc) forwardedStore(addr uint64) (uint64, bool) {
 func (p *Proc) Load(addr uint64) uint64 {
 	p.stats.N[CntLoads]++
 	s := p.sys
-	w := s.wordOf(addr)
 	if !s.Cfg.Checks {
+		w := s.allocWord(addr)
 		p.charge(CatTask, 1)
 		if v, ok := p.forwardedStore(addr); ok {
 			return v
 		}
 		return p.mem.data[w]
 	}
+	w := s.wordOf(addr)
 	if v, ok := p.forwardedStore(addr); ok {
 		p.stats.N[CntLoadChecks]++
 		p.charge(CatCheck, s.Cfg.Cost.LoadCheck)
@@ -528,8 +538,8 @@ func (p *Proc) performStore(addr, v uint64, line int) {
 func (p *Proc) Store(addr uint64, v uint64) {
 	p.stats.N[CntStores]++
 	s := p.sys
-	w := s.wordOf(addr)
 	if !s.Cfg.Checks {
+		w := s.allocWord(addr)
 		p.charge(CatTask, 1)
 		p.mem.data[w] = v
 		return
@@ -629,17 +639,19 @@ func (p *Proc) MemBar() {
 // un-instrumented binary does. Correct only when the data is known
 // coherent (single node, or inside a validated batch).
 func (p *Proc) RawLoad(addr uint64) uint64 {
+	w := p.sys.allocWord(addr)
 	p.stats.N[CntLoads]++
 	p.charge(CatTask, 1)
-	return p.mem.data[p.sys.wordOf(addr)]
+	return p.mem.data[w]
 }
 
 // RawStore writes shared memory without any in-line check.
 func (p *Proc) RawStore(addr uint64, v uint64) {
+	line := p.sys.lineOf(addr)
 	p.stats.N[CntStores]++
 	p.charge(CatTask, 1)
 	p.mem.data[p.sys.wordOf(addr)] = v
-	p.resetLocalLLs(p.sys.lineOf(addr))
+	p.resetLocalLLs(line)
 }
 
 // ElidedLoad performs a load whose in-line check the rewriter statically
@@ -652,13 +664,14 @@ func (p *Proc) RawStore(addr uint64, v uint64) {
 // access (to the same address — the analysis only trusts exact-offset
 // facts while a store miss may be outstanding) must see that store too.
 func (p *Proc) ElidedLoad(addr uint64) uint64 {
+	w := p.sys.allocWord(addr)
 	p.stats.N[CntLoads]++
 	p.stats.N[CntElidedChecks]++
 	p.charge(CatTask, 1)
 	if v, ok := p.forwardedStore(addr); ok {
 		return v
 	}
-	return p.mem.data[p.sys.wordOf(addr)]
+	return p.mem.data[w]
 }
 
 // ElidedLoadValid reports whether an ElidedLoad at addr would read coherent

@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/memchannel"
@@ -146,8 +145,6 @@ type System struct {
 
 	tracer *trace.Tracer
 	osObj  any // cluster OS layer when built WithOS
-
-	rng *rand.Rand
 
 	deliveryCount int64 // messages offered to the wire (debug dup hook)
 
@@ -284,7 +281,6 @@ func newSystem(cfg Config, immediate bool) *System {
 		Net:          memchannel.NewNetwork(cfg.Nodes, cfg.Net),
 		numLines:     cfg.SharedBytes / cfg.LineSize,
 		wordsPerLine: cfg.LineSize / 8,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		nodeProcs:    make([][]*Proc, cfg.Nodes),
 		pooling:      true,
 		pollEach:     lookahead == 0,
@@ -398,7 +394,7 @@ func (s *System) newProc(name string, cpu int) *Proc {
 		barrierSeen:  make([]int, len(s.barriers)),
 		barrierWaits: make([]int, len(s.barriers)),
 		pinnedLines:  make(map[int]bool),
-		rng:          rand.New(rand.NewSource(s.Cfg.Seed + int64(len(s.procs))*7919)),
+		seed:         s.Cfg.Seed + int64(len(s.procs))*7919,
 	}
 	if !s.Cfg.SharedQueues {
 		p.reqQ = newQueueBox()
@@ -502,9 +498,22 @@ func (s *System) lineOf(addr uint64) int {
 	return line
 }
 
-// wordOf converts a shared address to a word index in an agent copy.
+// wordOf converts a shared address to a word index in an agent copy, on a
+// path that has already passed the address through lineOf.
 func (s *System) wordOf(addr uint64) int {
 	return int(addr-SharedBase) / 8
+}
+
+// allocWord is wordOf for a path that indexes an agent copy without
+// calling lineOf: it compares the word index with the allocated prefix,
+// which takes no division by the line size, and an address past it gets
+// lineOf's panic before any array is indexed.
+func (s *System) allocWord(addr uint64) int {
+	w := (addr - SharedBase) / 8
+	if w >= uint64(s.allocCursor*s.wordsPerLine) {
+		s.lineOf(addr) // panics: not shared, out of range or not allocated
+	}
+	return int(w)
 }
 
 // blockOf returns the block containing the given line.

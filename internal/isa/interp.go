@@ -13,6 +13,14 @@ const PrivateBase uint64 = 0x10000
 // PrivateWords is the size of the interpreter's private memory.
 const PrivateWords = 1 << 15
 
+// privPageWords is the size of one page of private memory, 4 KB. A page is
+// allocated on its first store; a kernel touches one at GP and one at the
+// stack top, so an interpreter costs what its program uses.
+const privPageWords = 512
+
+// defaultMaxInstrs is the instruction limit when MaxInstrs is not positive.
+const defaultMaxInstrs = 50_000_000
+
 // SyscallHandler services SYSCALL instructions; the interpreter gives
 // full access to the machine state (the cluster OS layer hooks in here).
 type SyscallHandler func(p *core.Proc, m *Interp, code int64)
@@ -22,14 +30,15 @@ const retHalt = ^uint64(0)
 
 // Interp executes a Program on a Shasta process. Instructions cost one
 // cycle each; checked pseudo-instructions additionally run the real
-// in-line check logic (and protocol) through the core API.
+// in-line check logic (and protocol) through the core API. The zero value
+// with Prog set is ready to run.
 type Interp struct {
 	Prog    *Program
 	Regs    [NumRegs]uint64
 	PC      int
-	priv    []uint64
+	priv    [PrivateWords / privPageWords]*[privPageWords]uint64
 	Syscall SyscallHandler
-	// MaxInstrs guards against runaway programs (0 = default limit).
+	// MaxInstrs guards against runaway programs (<= 0: 50 M instructions).
 	MaxInstrs int64
 	// Sanitize enables the dynamic instrumentation sanitizer: in a
 	// rewritten program, any raw LDQ/STQ/LDQL/STQC that reaches a shared
@@ -47,7 +56,7 @@ type Interp struct {
 
 // NewInterp creates an interpreter for the program.
 func NewInterp(prog *Program) *Interp {
-	return &Interp{Prog: prog, priv: make([]uint64, PrivateWords), MaxInstrs: 50_000_000}
+	return &Interp{Prog: prog}
 }
 
 // Executed returns the number of instructions retired.
@@ -61,23 +70,33 @@ func (m *Interp) privSlot(addr uint64) (int, error) {
 	return int(addr-PrivateBase) / 8, nil
 }
 
-// WritePriv initializes private memory (argument passing).
+// WritePriv writes private memory (argument passing, and every private
+// store of the program), allocating the word's page on its first store.
 func (m *Interp) WritePriv(addr uint64, v uint64) error {
 	s, err := m.privSlot(addr)
 	if err != nil {
 		return err
 	}
-	m.priv[s] = v
+	pg := m.priv[s/privPageWords]
+	if pg == nil {
+		pg = new([privPageWords]uint64)
+		m.priv[s/privPageWords] = pg
+	}
+	pg[s%privPageWords] = v
 	return nil
 }
 
-// ReadPriv reads private memory (result extraction).
+// ReadPriv reads private memory (result extraction, and every private load
+// of the program). A word of a page never stored to reads 0.
 func (m *Interp) ReadPriv(addr uint64) (uint64, error) {
 	s, err := m.privSlot(addr)
 	if err != nil {
 		return 0, err
 	}
-	return m.priv[s], nil
+	if pg := m.priv[s/privPageWords]; pg != nil {
+		return pg[s%privPageWords], nil
+	}
+	return 0, nil
 }
 
 // Run executes the program on the given Shasta process, starting at the
@@ -92,12 +111,16 @@ func (m *Interp) Run(p *core.Proc, entry string) error {
 	m.Regs[RegGP] = PrivateBase
 	m.Regs[RegRA] = retHalt // returning from entry halts
 	m.halted = false
+	limit := m.MaxInstrs
+	if limit <= 0 {
+		limit = defaultMaxInstrs
+	}
 	for !m.halted {
 		if m.PC < 0 || m.PC >= len(m.Prog.Instrs) {
 			return fmt.Errorf("isa: PC %d out of range", m.PC)
 		}
-		if m.executed++; m.executed > m.MaxInstrs {
-			return fmt.Errorf("isa: exceeded %d instructions", m.MaxInstrs)
+		if m.executed++; m.executed > limit {
+			return fmt.Errorf("isa: exceeded %d instructions", limit)
 		}
 		if err := m.step(p); err != nil {
 			return fmt.Errorf("isa: @%d %s: %w", m.PC, m.Prog.Disassemble(m.PC), err)
@@ -125,12 +148,12 @@ func (m *Interp) ea(in Instr) uint64 { return m.reg(in.Ra) + uint64(in.Imm) }
 func (m *Interp) load(p *core.Proc, in Instr, checked bool) (uint64, error) {
 	addr := m.ea(in)
 	if addr < core.SharedBase {
-		s, err := m.privSlot(addr)
+		v, err := m.ReadPriv(addr)
 		if err != nil {
 			return 0, err
 		}
 		p.ChargeTime(core.CatTask, 1)
-		return m.priv[s], nil
+		return v, nil
 	}
 	if m.openBatch != nil {
 		if m.Sanitize && !m.openBatch.Covers(addr) {
@@ -156,12 +179,10 @@ func (m *Interp) load(p *core.Proc, in Instr, checked bool) (uint64, error) {
 func (m *Interp) store(p *core.Proc, in Instr, v uint64, checked bool) error {
 	addr := m.ea(in)
 	if addr < core.SharedBase {
-		s, err := m.privSlot(addr)
-		if err != nil {
+		if err := m.WritePriv(addr, v); err != nil {
 			return err
 		}
 		p.ChargeTime(core.CatTask, 1)
-		m.priv[s] = v
 		return nil
 	}
 	if m.openBatch != nil {

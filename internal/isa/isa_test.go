@@ -52,6 +52,28 @@ func TestAssembleAndRunPrivate(t *testing.T) {
 	}
 }
 
+// TestZeroInterpRuns: the zero Interp with its program set needs no
+// constructor; MaxInstrs 0 is the default limit, not a limit of none.
+func TestZeroInterpRuns(t *testing.T) {
+	prog, err := Assemble(sumProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testSystem(t)
+	m := Interp{Prog: prog}
+	s.Spawn("cpu", 0, func(p *core.Proc) {
+		if err := m.Run(p, "main"); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.ReadPriv(0x10000); err != nil || v != 55 {
+		t.Fatalf("sum=%d err=%v", v, err)
+	}
+}
+
 func TestAssemblerErrors(t *testing.T) {
 	cases := []string{
 		"bogus r1, r2",
