@@ -78,8 +78,9 @@ type Protocol interface {
 	noteStoreHit(p *Proc, line int)
 	// pollTick runs on every System.pollTickEvery-th in-line message poll
 	// of a process, a period the backend sets in attach (0: never); it is
-	// for time-based bookkeeping (lease self-expiry). The polls in between
-	// do nothing of the backend's, which is what lets Compute skip them.
+	// for time-based bookkeeping (Tardis drops a leased copy). The polls in
+	// between do nothing of the backend's, which is what lets Compute skip
+	// them.
 	pollTick(p *Proc)
 	// scFailRetains reports whether a failed SC upgrade leaves the
 	// requester's copy valid. dirinval always drops it (the copy was
@@ -90,8 +91,9 @@ type Protocol interface {
 	scFailRetains(p *Proc, blk *blockInfo) bool
 	// syncTs returns the timestamp a synchronization release should
 	// carry, and observeTs applies a timestamp received with a
-	// synchronization acquire (lock grants, barrier releases). A
-	// backend without logical time returns 0 and ignores observes.
+	// synchronization acquire (lock grants, barrier releases), or a
+	// process's own syncTs at a MemBar. A backend without logical time
+	// returns 0 and ignores observes.
 	syncTs(p *Proc) int64
 	observeTs(p *Proc, ts int64)
 

@@ -615,7 +615,9 @@ func (p *Proc) storeMissLocked(addr, v uint64, line int) {
 
 // MemBar executes a memory barrier (§3.2.3): protocol code runs after the
 // hardware MB, completing all outstanding operations and servicing any
-// received invalidations.
+// received invalidations. Then the process observes its own release
+// timestamp, so that under Tardis its later loads follow its earlier stores
+// in logical time.
 func (p *Proc) MemBar() {
 	s := p.sys
 	p.stats.N[CntMemoryBarriers]++
@@ -633,6 +635,7 @@ func (p *Proc) MemBar() {
 		p.stallWhile(CatMBStall, func() bool { return p.outstanding > 0 })
 		p.exitProtocol()
 	}
+	s.proto.observeTs(p, s.proto.syncTs(p))
 }
 
 // RawLoad reads shared memory without any in-line check — what an

@@ -35,12 +35,7 @@ func (p *Proc) LockAcquire(id int) {
 		if !lk.held {
 			lk.held = true
 			lk.holder = p.ID
-			if p.ID != lk.home {
-				// What a grant would have carried. The home's own acquire
-				// of a free lock does not observe relTs: a known gap under
-				// Tardis, whose fix moves every Base-Shasta Tardis run.
-				s.proto.observeTs(p, lk.relTs)
-			}
+			s.proto.observeTs(p, lk.relTs) // what a grant would have carried
 			return
 		}
 		lk.waiters = append(lk.waiters, p.ID)

@@ -33,8 +33,10 @@ package core
 //     recall — so the store after it is a hit.
 //   - Leaseholders drop their own copies: eagerly whenever pts advances
 //     past a lease (expire), on every LoadLocked (refreshLL, so the SC
-//     currency check can succeed), and every tardisPollPeriod inline
-//     polls (pollTick, so spin-waits on a leased copy stay live).
+//     currency check can succeed), and one every tardisPollPeriod inline
+//     polls, the copy installed longest ago (pollTick, so spin-waits on a
+//     leased copy stay live). Logical time moves only with the data: a
+//     tick drops a copy and leaves pts alone.
 //   - Leases grow on renewal, after the lease prediction Yu & Devadas
 //     sketch. An agent remembers the version of a copy whose lease ran
 //     out and names it in its next read request; when the home still
@@ -43,14 +45,19 @@ package core
 //     resets it. Read-mostly data thus outlives synchronization, while
 //     blocks that change keep short leases; correctness never depends on
 //     the length, since every write still lands after rts.
+//   - Under RC a store's grant raises the writer's wpts, not its pts (see
+//     tardisProcState.wpts): its later loads may still hit leases that
+//     end before the store, as RC lets a load pass an earlier store.
 //   - Synchronization carries timestamps: lock grants and barrier
-//     releases piggyback the releasers' pts (msg.ts), and observeTs
-//     advances the acquirer past them — release consistency in logical
-//     time, which is what makes lock/barrier programs read their
-//     predecessors' writes.
+//     releases piggyback the releasers' max(pts, wpts) (msg.ts), and
+//     observeTs advances the acquirer past them — release consistency in
+//     logical time, which is what makes lock/barrier programs read their
+//     predecessors' writes. A MemBar observes the process's own.
 //   - The home agent's copies are always master copies (current by
 //     construction) and never carry lease records, so they are exempt
-//     from expiry and the home can always serve reads from memory.
+//     from expiry and the home can always serve reads from memory. Its
+//     processes read them without a miss, so a writeback that installs a
+//     version there advances their pts to it.
 //
 // Shard locality (parallel PDES): per-process state lives on
 // Proc.protoData, per-agent state on agentMem.protoData, and the home
@@ -79,11 +86,11 @@ const tardisLeaseLen = 8
 const tardisLeaseMax = 1024
 
 // tardisPollPeriod bounds how long a spin-wait can observe a stale
-// leased copy: every tardisPollPeriod inline polls the process's pts
-// jumps past its agent's stalest lease and the leases are re-checked, so
-// a leased copy is dropped and re-fetched within a poll period even if
-// the process never misses or synchronizes, however long the lease.
-// Runtime liveness only — the model checker never polls.
+// leased copy: every tardisPollPeriod inline polls the agent drops the
+// leased copy it installed longest ago, so a copy is dropped and
+// re-fetched within as many poll periods as its agent holds older ones,
+// even if the process never misses or synchronizes, however long the
+// lease. Runtime liveness only — the model checker never polls.
 const tardisPollPeriod = 64
 
 // tardisEntry is what Tardis adds to the block's homeEntry, whose owner is
@@ -106,6 +113,13 @@ type tardisLease struct {
 // tardisProcState lives on Proc.protoData.
 type tardisProcState struct {
 	pts int64 // program timestamp
+	// wpts is, under RC, the timestamp of the process's latest store grant.
+	// A store's grant orders the process's later stores and releases after
+	// it, not its loads: RC lets a load pass an earlier store (TSO's
+	// relaxation), so the grant leaves pts, and the leases it would expire,
+	// alone until a MemBar, or a barrier that carries it back, observes it.
+	// Zero under SC, where a grant advances pts.
+	wpts int64
 	// expiring is expire's list of ended leases, kept for its capacity. It
 	// is nil while an expire holds it: the drops stall, and an expire
 	// nested in one of them gets a list of its own.
@@ -122,9 +136,9 @@ type tardisAgentState struct {
 	// performs while owning the block belong to that version. Used by
 	// the explorer's version history and the SC stamp.
 	tenure map[int]int64
-	// dirty records, per owned block, the highest pts any local process
-	// had when it last stored into the block through the in-line hit
-	// path (noteStoreHit). The owner's stores never enter protocol code,
+	// dirty records, per owned block, the highest storeTs any local
+	// process had when it last stored into the block through the in-line
+	// hit path (noteStoreHit). The owner's stores never enter protocol code,
 	// so this is how their serialization point survives until the
 	// version leaves the agent: a recall, a yield, or a home serve
 	// stamps the departing version with max(grant, dirty) — a write that
@@ -197,15 +211,19 @@ func grantTs(e *tardisEntry, reqPts int64) int64 {
 	return g + 1
 }
 
-// noteStoreHit records the writer's pts on every in-line exclusive
-// store hit (see tardisAgentState.dirty). Simulated cost: none — this
-// models state the real inline sequence already touches (the line it
+// storeTs is the timestamp the process's stores and releases are ordered
+// after: its pts, or its latest store grant's if that is later.
+func (ps *tardisProcState) storeTs() int64 { return max(ps.pts, ps.wpts) }
+
+// noteStoreHit records the writer's store timestamp on every in-line
+// exclusive store hit (see tardisAgentState.dirty). Simulated cost: none —
+// this models state the real inline sequence already touches (the line it
 // writes), not extra work.
 func (t *tardis) noteStoreHit(p *Proc, line int) {
 	blk := t.s.blockOf(line)
 	as := t.astate(p.mem)
-	if pts := t.pstate(p).pts; pts > as.dirty[blk.id] {
-		as.dirty[blk.id] = pts
+	if ts := t.pstate(p).storeTs(); ts > as.dirty[blk.id] {
+		as.dirty[blk.id] = ts
 	}
 }
 
@@ -237,11 +255,11 @@ func (t *tardis) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKin
 	}
 }
 
-// stamp: every request carries the requester's pts; a read additionally
-// carries the version its agent's last lease on the block ran out on (-1
-// for none), which the home takes as a renewal if it is still current;
-// an SC upgrade, the wts of the copy the LL read, which the home
-// compares against the current version. An owner's reply to a forward
+// stamp: a read request carries the requester's pts, a write request its
+// storeTs; a read additionally carries the version its agent's last lease
+// on the block ran out on (-1 for none), which the home takes as a renewal
+// if it is still current; an SC upgrade, the wts of the copy the LL read,
+// which the home compares against the current version. An owner's reply to a forward
 // carries a version leaving its owning agent, so it is stamped with the
 // dirty record (see tardisAgentState.dirty): the owner's stores were inline
 // hits that never advanced the home's wts.
@@ -266,10 +284,11 @@ func (t *tardis) stamp(p *Proc, blk *blockInfo, m *msg) {
 			m.ts = d
 		}
 	default: // a miss request
-		m.ts = t.pstate(p).pts
-		as := t.astate(p.mem)
+		ps, as := t.pstate(p), t.astate(p.mem)
+		m.ts = ps.storeTs()
 		switch m.kind {
 		case msgReadReq:
+			m.ts = ps.pts
 			m.rts = as.leases.ranOut(blk.id)
 		case msgSCUpgradeReq:
 			if l, ok := as.leases.get(blk.id); ok {
@@ -504,6 +523,14 @@ func (t *tardis) handleShareWB(p *Proc, m *msg) {
 		e.rts = m.rts
 	}
 	s.homes[blk.id].owner = -1
+	// The home's processes read the master copy, now the version at wts,
+	// without a miss: their pts must reach it, or one of them could read
+	// the new version, release, and hand an acquirer a pts still inside an
+	// older lease on the block.
+	for _, q := range s.localProcs(blk.homeAgent) {
+		t.advancePts(q, e.wts)
+	}
+	t.expire(p)
 	s.endTransfer(p, blk, m)
 }
 
@@ -537,7 +564,11 @@ func (t *tardis) handleReply(p *Proc, m *msg) {
 	case mshr.grant == Exclusive:
 		as.leases.del(m.block)
 		as.tenure[m.block] = m.ts
-		t.advancePts(p, m.ts)
+		if ps := t.pstate(p); mshr.wantExcl && t.s.Cfg.Consistency != SequentiallyConsistent {
+			ps.wpts = max(ps.wpts, m.ts) // see tardisProcState.wpts
+		} else {
+			t.advancePts(p, m.ts)
+		}
 	default:
 		// Shared fill: record the lease — except at the block's home,
 		// whose copies are master copies (current by construction, kept
@@ -561,8 +592,7 @@ func (t *tardis) advancePts(p *Proc, ts int64) {
 
 // expire drops this agent's leased copies whose leases ended before the
 // process's pts: reading them would serialize the read before a write
-// the process already observed. Runs after every fill, pts advance, and
-// periodically from pollTick.
+// the process already observed. Runs after every fill and pts advance.
 func (t *tardis) expire(p *Proc) {
 	as := t.astate(p.mem)
 	ps := t.pstate(p)
@@ -577,19 +607,23 @@ func (t *tardis) expire(p *Proc) {
 	p.inProtocol = true
 	defer func() { p.inProtocol, ps.expiring = wasIn, ids[:0] }()
 	for _, id := range ids {
-		old, ok := as.leases.get(id)
-		if !ok || old.leaseEnd >= ps.pts {
-			continue // refreshed while an earlier drop stalled
+		if old, ok := as.leases.get(id); ok && old.leaseEnd < ps.pts { // else refreshed while an earlier drop stalled
+			t.runOut(p, as, id, old)
 		}
-		blk := t.s.blocks[id]
-		if p.mem.table[blk.firstLine] == Shared {
-			p.downgradeAgent(blk, Invalid, false)
-		}
-		// A miss in flight installs a fresh copy with a fresh lease (the
-		// record is overwritten at the reply); just forget this one.
-		if l, still := as.leases.get(id); still && l == old {
-			as.leases.runOut(id)
-		}
+	}
+}
+
+// runOut drops the agent's leased copy of the block, which holds the lease
+// old, and remembers the version as run out. The caller is in protocol code.
+func (t *tardis) runOut(p *Proc, as *tardisAgentState, id int, old tardisLease) {
+	blk := t.s.blocks[id]
+	if p.mem.table[blk.firstLine] == Shared {
+		p.downgradeAgent(blk, Invalid, false)
+	}
+	// A miss in flight installs a fresh copy with a fresh lease (the
+	// record is overwritten at the reply); just forget this one.
+	if l, still := as.leases.get(id); still && l == old {
+		as.leases.runOut(id)
 	}
 }
 
@@ -612,19 +646,24 @@ func (t *tardis) refreshLL(p *Proc, line int) {
 	as.leases.del(blk.id)
 }
 
-// pollTick advances logical time with real time: every tardisPollPeriod
-// inline polls the process's pts jumps past its agent's stalest lease,
-// which bounds how long a spin-wait can read a stale leased copy — by
-// the poll period, independent of how large the lease timestamps are
-// (they track other processes' pts and can be far ahead of a spinner's).
+// pollTick bounds how long a spin-wait can read a stale leased copy:
+// every tardisPollPeriod inline polls the agent drops the leased copy it
+// installed longest ago. Dropping a copy early is always safe, and pts
+// does not move, so no timestamp runs ahead of the data and spreads
+// through grants and lock hand-offs. A re-fetched copy goes to the back of
+// the order, so a spinner whose agent holds K older leases re-fetches its
+// flag within K+1 poll periods, however long the leases.
 func (t *tardis) pollTick(p *Proc) {
-	ps := t.pstate(p)
-	if oldest, ok := t.astate(p.mem).leases.minEnd(); ok && oldest >= ps.pts {
-		ps.pts = oldest + 1
-	} else {
-		ps.pts++
+	as := t.astate(p.mem)
+	id, ok := as.leases.oldest()
+	if !ok {
+		return
 	}
-	t.expire(p)
+	wasIn := p.inProtocol
+	p.inProtocol = true
+	defer func() { p.inProtocol = wasIn }()
+	old, _ := as.leases.get(id)
+	t.runOut(p, as, id, old)
 }
 
 // scFailRetains: the home agent's copy is the master copy while the
@@ -637,13 +676,10 @@ func (t *tardis) scFailRetains(p *Proc, blk *blockInfo) bool {
 	return p.agent == blk.homeAgent && t.s.homes[blk.id].owner == -1
 }
 
-func (t *tardis) syncTs(p *Proc) int64 { return t.pstate(p).pts }
+func (t *tardis) syncTs(p *Proc) int64 { return t.pstate(p).storeTs() }
 
 func (t *tardis) observeTs(p *Proc, ts int64) {
-	ps := t.pstate(p)
-	if ts > ps.pts {
-		ps.pts = ts
-	}
+	t.advancePts(p, ts)
 	// Sweep even when ts did not advance pts: the acquiring process may
 	// already sit exactly at the release timestamp (it contributed the
 	// barrier's max, or raced the releaser to the same pts) while its
@@ -651,7 +687,9 @@ func (t *tardis) observeTs(p *Proc, ts int64) {
 	// after the last sweep, e.g. the demoted-owner self-lease a FwdRead
 	// records. Reads ordered after an acquire must never hit such a
 	// copy, so lease expiry is unconditional here; plain unsynchronized
-	// reads keep their bounded-staleness semantics (pollTick).
+	// reads keep their bounded-staleness semantics (pollTick). A MemBar
+	// observes the process's own storeTs: a load after it follows the
+	// stores before it.
 	t.expire(p)
 }
 
@@ -749,8 +787,14 @@ func (t *tardis) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, pe
 }
 
 func (t *tardis) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int) {
-	fmt.Fprintf(b, " pts%d", t.pstate(p).pts)
+	ps := t.pstate(p)
+	fmt.Fprintf(b, " pts%d", ps.pts)
+	if ps.wpts > ps.pts {
+		fmt.Fprintf(b, " wpts%d", ps.wpts)
+	}
 	as := t.astate(p.mem)
+	// The leases' install order only decides which copy a poll tick drops,
+	// and the explorer never polls: it is not part of the state.
 	for id := range as.leases.pos {
 		if l, ok := as.leases.get(id); ok {
 			fmt.Fprintf(b, " L%d:%d.%d", id, l.dataWts, l.leaseEnd)

@@ -1,13 +1,19 @@
 package core
 
 // leaseIndex holds one agent's lease records in flat arrays indexed by
-// block id, with a min-heap on leaseEnd over the blocks that have one:
-// what expire and pollTick cost is proportional to the leases that ended,
-// not to the leases held.
+// block id, with a min-heap on leaseEnd over the blocks that have one, so
+// that what expire costs is proportional to the leases that ended, not to
+// the leases held, and the records' install order, so that pollTick finds
+// the copy installed longest ago in O(1).
 type leaseIndex struct {
 	rec  []tardisLease
 	pos  []int32 // by block id: position in heap + 1, 0 when there is no record
 	heap []int32 // block ids; rec[heap[i]].leaseEnd is no less than its parent's
+	// The install order is a FIFO linked through the block-indexed older
+	// and newer (block id + 1 of the neighbour, 0 for none), from first,
+	// installed longest ago, to last.
+	older, newer []int32
+	first, last  int32
 	// ran records, by block id, the version (dataWts) of the last copy
 	// whose lease ran out, or -1: a read of that version again is a renewal.
 	ran []int64
@@ -30,8 +36,43 @@ func (x *leaseIndex) set(id int, l tardisLease, blocks int) {
 	if x.pos[id] == 0 {
 		x.heap = append(x.heap, int32(id)) // bounded by the block count, reaches steady-state capacity
 		x.pos[id] = int32(len(x.heap))
+	} else {
+		x.unlink(id)
 	}
 	x.fix(int(x.pos[id]) - 1)
+	x.push(id)
+}
+
+// push appends the block to the install order.
+func (x *leaseIndex) push(id int) {
+	x.older[id], x.newer[id] = x.last, 0
+	if x.last == 0 {
+		x.first = int32(id + 1)
+	} else {
+		x.newer[x.last-1] = int32(id + 1)
+	}
+	x.last = int32(id + 1)
+}
+
+// unlink takes the block out of the install order.
+func (x *leaseIndex) unlink(id int) {
+	o, n := x.older[id], x.newer[id]
+	if o == 0 {
+		x.first = n
+	} else {
+		x.newer[o-1] = n
+	}
+	if n == 0 {
+		x.last = o
+	} else {
+		x.older[n-1] = o
+	}
+}
+
+// oldest returns the block whose record was installed longest ago, or
+// false when there is none.
+func (x *leaseIndex) oldest() (int, bool) {
+	return int(x.first) - 1, x.first != 0
 }
 
 // grow runs once per doubling of the block count.
@@ -39,6 +80,8 @@ func (x *leaseIndex) grow(n int) {
 	x.rec = grown(x.rec, n, tardisLease{})
 	x.pos = grown(x.pos, n, 0)
 	x.ran = grown(x.ran, n, -1)
+	x.older = grown(x.older, n, 0)
+	x.newer = grown(x.newer, n, 0)
 }
 
 // runOut removes the block's record because its lease ran out, and
@@ -61,6 +104,7 @@ func (x *leaseIndex) del(id int) {
 	if id >= len(x.pos) || x.pos[id] == 0 {
 		return
 	}
+	x.unlink(id)
 	i, last := int(x.pos[id])-1, len(x.heap)-1
 	x.pos[id] = 0
 	moved := x.heap[last]

@@ -12,14 +12,23 @@ import (
 
 // TestLeaseIndexMatchesMap drives the index and the map it replaced with the
 // same random sets, deletes and expiries: the same records, the same
-// minimum, the same expired set and the same version each block's last
-// expired lease held, after every operation.
+// minimum, the same expired set, the same version each block's last
+// expired lease held, and the same install order, after every operation.
 func TestLeaseIndexMatchesMap(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	const blocks = 97
 	var x leaseIndex
 	ref := map[int]tardisLease{}
 	ran := map[int]int64{}
+	var order []int // the blocks with a record, installed longest ago first
+	unorder := func(id int) {
+		for i, o := range order {
+			if o == id {
+				order = append(order[:i], order[i+1:]...)
+				return
+			}
+		}
+	}
 	for op := 0; op < 20_000; op++ {
 		id := r.Intn(blocks)
 		switch r.Intn(4) {
@@ -27,9 +36,12 @@ func TestLeaseIndexMatchesMap(t *testing.T) {
 			l := tardisLease{dataWts: r.Int63n(50), leaseEnd: r.Int63n(200)}
 			x.set(id, l, id+1+r.Intn(blocks-id)) // the block count grows as blocks are allocated
 			ref[id] = l
+			unorder(id)
+			order = append(order, id)
 		case 2:
 			x.del(id)
 			delete(ref, id)
+			unorder(id)
 		case 3:
 			pts := r.Int63n(200)
 			var want []int
@@ -51,6 +63,7 @@ func TestLeaseIndexMatchesMap(t *testing.T) {
 				x.runOut(got[i])
 				ran[got[i]] = ref[got[i]].dataWts
 				delete(ref, got[i])
+				unorder(got[i])
 			}
 		}
 		if len(x.heap) != len(ref) {
@@ -75,6 +88,14 @@ func TestLeaseIndexMatchesMap(t *testing.T) {
 		}
 		if end, ok := x.minEnd(); ok != any || end != oldest {
 			t.Fatalf("op %d: earliest lease end %d (%v), want %d (%v)", op, end, ok, oldest, any)
+		}
+		var walked []int
+		for b := x.first; b != 0; b = x.newer[b-1] {
+			walked = append(walked, int(b-1))
+		}
+		first, ok := x.oldest()
+		if fmt.Sprint(walked) != fmt.Sprint(order) || ok != (len(order) > 0) || ok && first != order[0] {
+			t.Fatalf("op %d: install order %v, oldest %d (%v), want %v", op, walked, first, ok, order)
 		}
 	}
 }
@@ -210,7 +231,8 @@ func TestTardisLeaseGrowsOnRenewal(t *testing.T) {
 // version, so by the late store the flag's lease has grown to the cap. A
 // process on a third agent stores to the flag early or late; the spinner
 // sees the store within a poll period and a miss of it either way, because
-// pollTick moves pts past the stalest lease, however long.
+// each poll tick drops the copy its agent installed longest ago, the flag's
+// (its only one), however long the lease.
 func TestSpinSeesStoreUnderGrownLease(t *testing.T) {
 	for _, layout := range leaseLayouts {
 		for _, storeAt := range []sim.Time{20_000, 400_000} {

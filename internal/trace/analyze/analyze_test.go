@@ -288,7 +288,9 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // and invalidations began to go to the process that asked for the block and
 // not to its node's first process, the one case here with several processes
 // to a node; barnes-8p-8x1-tardis again when Tardis leases began to double
-// on renewal, which changes which reads miss and emits lease-grow events.)
+// on renewal, which changes which reads miss and emits lease-grow events, and
+// again when Tardis poll ticks stopped moving pts and RC store grants began
+// to raise a timestamp of their own, which changes which leases run out.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the

@@ -169,7 +169,10 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 // renewal: 0.988x the cycles, as blocks read again after a synchronization
 // without having changed are no longer re-fetched; and that of a Tardis home
 // that grants a read of a migratory block exclusive: 0.96x the cycles, as
-// Barnes' lock-protected cell updates cost one miss, not two.
+// Barnes' lock-protected cell updates cost one miss, not two. And that of
+// Tardis clocks kept in step with the data: 0.94x the cycles, as a poll tick
+// drops one copy instead of moving pts past every lease, and a store's grant
+// under RC no longer moves the writer's pts past the leases it reads under.
 func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	for _, c := range []struct {
 		app      *App
@@ -179,7 +182,7 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 		maxSteps int64
 	}{
 		{Barnes(), []core.Option{core.WithProcs(8, 1), core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")},
-			8, 31888961, 118198 * 101 / 100},
+			8, 30075353, 118198 * 101 / 100},
 		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 14110347, 313940 * 101 / 100},
 		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 2552704, 140572 / 3},
 	} {
