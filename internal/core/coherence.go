@@ -4,15 +4,18 @@ package core
 // protocol does NOT define — processes, agent memories and state tables,
 // the MSHR/miss machinery, intra-node downgrades, the one sender
 // (Proc.send), the reliability sublayer, both PDES engines — and the
-// 3-hop skeleton every home-based protocol shares (home.go): the
-// per-block record of owner, busy window and queued requests, the forward
-// to the owner, the owner's downgrade, reply and writeback, and the
-// reply's entry into the MSHR. It delegates the protocol proper to a
-// Protocol implementation: what request a miss issues and what it and an
-// owner's reply are stamped with, how every other coherence message is
-// handled and what a grant means, what per-block home state exists beyond
-// that record, and the clauses of the invariant catalogue (invariants.go)
-// that read that state.
+// home every home-based protocol shares (home.go): the per-block record of
+// owner, busy window and queued requests, the one switch on the owner that
+// serves a request (the master copy, the home agent's own copy, or a
+// forward to a remote owner), the owner's downgrade, reply and writeback,
+// and the reply's entry into the MSHR. An owner of -1 means the home's
+// master copy is valid under every backend. It delegates the protocol
+// proper to a Protocol implementation: what request a miss issues and what
+// it, a grant and an owner's reply are stamped with, how the master copy
+// serves a request, how every other coherence message is handled and what
+// a grant means, what per-block home state exists beyond that record, and
+// the clauses of the invariant catalogue (invariants.go) that read that
+// state.
 //
 // Two backends are registered:
 //
@@ -56,14 +59,29 @@ type Protocol interface {
 	// forwarded read-exclusive) once the owner's copy is downgraded. The
 	// owner's message to the home carries the reply's stamps.
 	stamp(p *Proc, blk *blockInfo, m *msg)
-	// handle services one coherence message (any of the request, reply,
-	// invalidation, or home-bookkeeping kinds). Forwards (the core's
-	// serveForward) and non-coherence traffic (locks, barriers, downgrades,
-	// user messages, net acks) never reach the backend. The message is
-	// borrowed for the duration of the call: an implementation that must
-	// keep it (home queues, deferred requests) appends a copy, never the
-	// pointer. Hot callers devirtualize through protoHandle so the argument
-	// does not escape.
+	// noteRequest runs at the home for each request it admits, of the
+	// requester's kind and from agent reqAgent, before the core's owner
+	// switch and before any deferral: it is where a backend keeps the
+	// evidence its migratory predicate reads (migEntry) and classifies.
+	noteRequest(p *Proc, blk *blockInfo, reqAgent int, kind msgKind)
+	// serveMaster serves a request while the home's master copy is valid
+	// (owner -1), as kind: msgReadReq, msgReadExclReq, msgUpgradeReq or
+	// msgSCUpgradeReq, after the core's conversions. m is the request as
+	// it arrived, for its stamps and for a deferral. A grant names the
+	// requester's agent owner and calls noteGrant.
+	serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m msg)
+	// grantOwned stamps a grant of a block another agent owns, for request
+	// m, exclusive or not: atHome, the home agent's, once its copy is
+	// downgraded and before the core installs the new owner; otherwise a
+	// remote owner's, on the forward, before it is sent. It returns the
+	// ts and rts of the reply or the forward.
+	grantOwned(p *Proc, blk *blockInfo, m msg, excl, atHome bool) (ts, rts int64)
+	// handle services one coherence message of the reply, invalidation, or
+	// home-bookkeeping kinds. Requests (the core's handleHome), forwards
+	// (serveForward) and non-coherence traffic (locks, barriers,
+	// downgrades, user messages, net acks) never reach it. The message is
+	// borrowed for the duration of the call. Hot callers devirtualize
+	// through protoHandle so the argument does not escape.
 	handle(p *Proc, m *msg)
 
 	// refreshLL runs at the top of LoadLocked, before the line-state
@@ -110,17 +128,11 @@ type Protocol interface {
 	// expectedValue is the value agent a's valid copy of word must hold,
 	// given the word's current value cur; false when this world cannot say.
 	expectedValue(s *System, e *Explorer, a int, blk *blockInfo, word int, cur uint64) (uint64, bool)
-	// snapshotSource returns the agent index whose copy of the line is
-	// authoritative for host-side reads (Peek, SnapshotShared) and for the
-	// live catalogue's current value.
-	snapshotSource(line int) int
 
 	// Model-checker surface (explore.go / explore_state.go): canonical
-	// encodings of the backend's per-block, per-process, and per-message
-	// state.
+	// encodings of the backend's per-block and per-process state.
 	encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int)
 	encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int)
-	encodeMsgExtra(m msg) string
 	// noteGhostStore observes each performed store (explorer only), with
 	// the performing process; backends that validate stale copies keep
 	// per-word version history here.

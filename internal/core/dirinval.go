@@ -3,10 +3,12 @@ package core
 // The directory-based invalidation backend: Shasta's own protocol
 // (§2.1). On top of the core's home record (home.go: the owner, the busy
 // window of a 3-hop transfer and its queue) each block's home keeps a
-// directory entry — shared or exclusive, and a sharer bitmask. Writes
-// invalidate every other sharer (multicast invalidations, acks collected
-// at the requester); reads of a remotely-owned block are forwarded to the
-// owner, whose downgrade and writeback are the core's (serveForward).
+// sharer bitmask: while the master copy is valid (owner -1) the agents
+// holding shared copies, the home's among them. Writes served from the
+// master copy invalidate every other sharer (multicast invalidations, acks
+// collected at the requester); requests for a remotely-owned block are
+// forwarded to the owner by the core, as are its downgrade and writeback
+// (serveForward).
 //
 // The home also detects migratory blocks (the core's migEntry, home.go): a
 // block that moves read-then-write from agent to agent has its reads
@@ -20,37 +22,36 @@ import (
 	"strings"
 )
 
-// dirEntry is what the directory adds to the block's homeEntry (§2.1).
-// Either the home memory is valid and sharers hold copies (shared), or one
-// agent, the home record's owner, holds the only copy (exclusive).
-type dirEntry struct {
-	shared  bool
-	sharers uint64 // bitmask of agents holding shared copies
-}
-
-// dirInval is the directory-invalidation backend; dirs is indexed by block
-// ID.
+// dirInval is the directory-invalidation backend; sharers, indexed by
+// block ID, is each block's sharer bitmask, meaningful while the home
+// record names no owner.
 type dirInval struct {
-	s    *System
-	dirs []dirEntry
+	s       *System
+	sharers []uint64
 }
 
 func (d *dirInval) attach(s *System) { d.s = s }
 
 func (d *dirInval) initBlock(blk *blockInfo) {
-	if blk.id != len(d.dirs) {
-		panic(fmt.Sprintf("core: dirinval initBlock out of order (block %d, have %d)", blk.id, len(d.dirs)))
+	if blk.id != len(d.sharers) {
+		panic(fmt.Sprintf("core: dirinval initBlock out of order (block %d, have %d)", blk.id, len(d.sharers)))
 	}
-	d.dirs = append(d.dirs, dirEntry{}) // exclusive at the home agent
+	d.sharers = append(d.sharers, 0) // owned by the home agent
 }
 
-// classify runs on a plain upgrade from a sharer of the block. The block is
-// handed on read-then-write when no sharer is left but the requester, the
-// last writer and the home's own copy (see migEntry). The last writer is the
-// home record's owner: this backend sets the owner on every exclusive grant
-// and nowhere else.
-func (d *dirInval) classify(p *Proc, blk *blockInfo, reqAgent int) {
-	others := d.dirs[blk.id].sharers &^ (1<<uint(blk.homeAgent) | 1<<uint(reqAgent) | 1<<uint(d.s.homes[blk.id].owner))
+// noteRequest classifies the block on a plain upgrade from a sharer. It
+// was handed on read-then-write when no sharer is left but the requester,
+// the last writer and the home's own copy (see migEntry).
+func (d *dirInval) noteRequest(p *Proc, blk *blockInfo, reqAgent int, kind msgKind) {
+	h := &d.s.homes[blk.id]
+	sharers := d.sharers[blk.id]
+	if kind != msgUpgradeReq || h.owner != -1 || sharers&(1<<uint(reqAgent)) == 0 {
+		return
+	}
+	others := sharers &^ (1<<uint(blk.homeAgent) | 1<<uint(reqAgent))
+	if w := h.mig.writer; w >= 0 {
+		others &^= 1 << uint(w)
+	}
 	d.s.classify(p, blk, reqAgent, others == 0)
 }
 
@@ -77,8 +78,6 @@ func (d *dirInval) stamp(p *Proc, blk *blockInfo, m *msg) {}
 
 func (d *dirInval) handle(p *Proc, m *msg) {
 	switch m.kind {
-	case msgReadReq, msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq:
-		d.handleHome(p, m)
 	case msgInvalReq:
 		d.handleInval(p, m)
 	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail:
@@ -94,132 +93,75 @@ func (d *dirInval) handle(p *Proc, m *msg) {
 	}
 }
 
-// handleHome services a request at the block's home.
-func (d *dirInval) handleHome(p *Proc, m *msg) {
+// serveMaster serves a request from the master copy: a read joins the
+// sharer set; a write is granted exclusive after the invalidation of every
+// other sharer.
+func (d *dirInval) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m msg) {
 	s := d.s
-	blk := s.blocks[m.block]
-	reqProc := s.homeAdmit(blk, m)
-	if reqProc == nil {
+	reqAgent := s.agentOf(req)
+	homeAgent := blk.homeAgent
+	sharers := &d.sharers[blk.id]
+	if kind == msgReadReq {
+		*sharers |= 1 << uint(reqAgent)
+		p.send(req, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(s.agents[homeAgent], blk)}, CatMessage)
 		return
 	}
-	reqAgent := s.agentOf(reqProc)
-	homeAgent := blk.homeAgent
-	homeMem := s.agents[homeAgent]
-	dir, h := &d.dirs[blk.id], &s.homes[blk.id]
-
-	kind := m.kind
-	if kind == msgReadReq && h.mig.migratory && (dir.shared || h.owner != reqAgent) {
-		// A read of a migratory block is served as a read-exclusive: the
-		// write that follows it then needs no upgrade.
-		kind = msgReadExclReq
+	// An upgrade whose requester is no longer a sharer lost its copy in
+	// flight. An SC then fails (§3.1.2); crucially no invalidations are
+	// sent, which avoids livelock. A plain upgrade is served as a full
+	// read-exclusive.
+	isUpgrade := kind != msgReadExclReq && *sharers&(1<<uint(reqAgent)) != 0
+	if kind == msgSCUpgradeReq && !isUpgrade {
+		p.send(req, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
+		return
 	}
-	switch kind {
-	case msgReadReq:
-		switch {
-		case dir.shared:
-			dir.sharers |= 1 << uint(reqAgent)
-			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)}, CatMessage)
-		case h.owner == reqAgent:
-			// Another process on the requester's agent took ownership
-			// while this request was in flight; the data is already local
-			// and the grant is exclusive.
-			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, downTo: Exclusive}, CatMessage)
-		case h.owner == homeAgent:
-			// Home agent owns it: downgrade locally and reply — but defer
-			// if the home's own exclusive fill is incomplete, exactly as a
-			// forwarded request would be.
-			if p.deferIfPending(m, blk, nil) {
-				return
-			}
-			p.downgradeHome(blk, Shared, false)
-			d.dirs[blk.id] = dirEntry{shared: true, sharers: 1<<uint(homeAgent) | 1<<uint(reqAgent)}
-			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID, data: s.blockData(homeMem, blk)}, CatMessage)
-			s.drainHome(p, blk)
-		default:
-			s.forwardToOwner(p, blk, &msg{kind: msgFwdRead, block: blk.id, from: p.ID, reqProc: m.reqProc})
-		}
-
-	case msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq:
-		isUpgrade := kind == msgUpgradeReq || kind == msgSCUpgradeReq
-		if isUpgrade && !(dir.shared && dir.sharers&(1<<uint(reqAgent)) != 0) {
-			if m.kind == msgSCUpgradeReq {
-				// The requester lost its shared copy: the SC fails
-				// (§3.1.2); crucially no invalidations are sent, which
-				// avoids livelock.
-				p.send(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
-				return
-			}
-			// A plain upgrade whose copy was invalidated in flight is
-			// converted to a full read-exclusive.
-			isUpgrade = false
-		}
-		if m.kind == msgSCUpgradeReq && !dir.shared {
-			// Exclusivity moved (possibly to the requester's own agent
-			// via another local process) — some write serialized ahead
-			// of this SC, so it must fail.
-			p.send(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
-			return
-		}
-		if isUpgrade && m.kind == msgUpgradeReq {
-			d.classify(p, blk, reqAgent)
-		}
-		switch {
-		case dir.shared:
-			others := dir.sharers &^ (1 << uint(reqAgent))
-			homeIsSharer := others&(1<<uint(homeAgent)) != 0
-			remote := others &^ (1 << uint(homeAgent))
-			nacks := bits.OnesCount64(others)
-			var data []uint64
-			if !isUpgrade {
-				data = s.blockData(homeMem, blk)
-			}
-			*dir = dirEntry{}
-			h.owner = reqAgent
-			s.noteGrant(p, blk, reqAgent, m)
-			// Send remote invalidations; acks flow to the requester. Each is
-			// composed afresh, since a send may number it for the reliability
-			// sublayer, in a variable declared outside the loop: a literal
-			// inside the loop would escape to the heap.
-			var inv msg
-			for a := 0; remote != 0; a++ {
-				if remote&(1<<uint(a)) != 0 {
-					remote &^= 1 << uint(a)
-					inv = msg{kind: msgInvalReq, block: blk.id, from: p.ID, reqProc: m.reqProc}
-					p.send(s.requesterOf(blk, a), &inv, CatMessage)
-				}
-			}
-			// Reply before doing the (possibly slow) local invalidation.
-			k := msgReadExclReply
-			if isUpgrade {
-				k = msgUpgradeAck
-			}
-			p.send(reqProc, &msg{kind: k, block: blk.id, from: p.ID, invals: nacks, data: data}, CatMessage)
-			if homeIsSharer && homeAgent != reqAgent {
-				if s.brokenHomeInval {
-					p.downgradeAgent(blk, Invalid, false)
-				} else {
-					d.invalidateAgent(p, blk)
-				}
-				p.send(reqProc, &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
-			}
-		case h.owner == reqAgent:
-			s.noteGrant(p, blk, reqAgent, m)
-			p.send(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID}, CatMessage)
-		case h.owner == homeAgent:
-			if p.deferIfPending(m, blk, nil) {
-				return
-			}
-			data := p.downgradeHome(blk, Invalid, true)
-			s.homes[blk.id].owner = reqAgent
-			s.noteGrant(p, blk, reqAgent, m)
-			p.send(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID, data: data}, CatMessage)
-			s.drainHome(p, blk)
-		default:
-			h.pendingOwner = reqAgent
-			s.noteGrant(p, blk, reqAgent, m)
-			s.forwardToOwner(p, blk, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID, reqProc: m.reqProc})
+	others := *sharers &^ (1 << uint(reqAgent))
+	homeIsSharer := others&(1<<uint(homeAgent)) != 0
+	remote := others &^ (1 << uint(homeAgent))
+	nacks := bits.OnesCount64(others)
+	var data []uint64
+	if !isUpgrade {
+		data = s.blockData(s.agents[homeAgent], blk)
+	}
+	*sharers = 0
+	s.homes[blk.id].owner = reqAgent
+	s.noteGrant(p, blk, reqAgent, m.kind)
+	// Send remote invalidations; acks flow to the requester. Each is
+	// composed afresh, since a send may number it for the reliability
+	// sublayer, in a variable declared outside the loop: a literal inside
+	// the loop would escape to the heap.
+	var inv msg
+	for a := 0; remote != 0; a++ {
+		if remote&(1<<uint(a)) != 0 {
+			remote &^= 1 << uint(a)
+			inv = msg{kind: msgInvalReq, block: blk.id, from: p.ID, reqProc: m.reqProc}
+			p.send(s.requesterOf(blk, a), &inv, CatMessage)
 		}
 	}
+	// Reply before doing the (possibly slow) local invalidation.
+	k := msgReadExclReply
+	if isUpgrade {
+		k = msgUpgradeAck
+	}
+	p.send(req, &msg{kind: k, block: blk.id, from: p.ID, invals: nacks, data: data}, CatMessage)
+	if homeIsSharer && homeAgent != reqAgent {
+		if s.brokenHomeInval {
+			p.downgradeAgent(blk, Invalid, false)
+		} else {
+			d.invalidateAgent(p, blk)
+		}
+		p.send(req, &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
+	}
+}
+
+// grantOwned: no timestamps. A read of a block the home agent owned leaves
+// the two of them sharing it; a forwarded read's sharer set comes with the
+// owner's writeback (handleShareWB).
+func (d *dirInval) grantOwned(p *Proc, blk *blockInfo, m msg, excl, atHome bool) (ts, rts int64) {
+	if atHome && !excl {
+		d.sharers[blk.id] = 1<<uint(blk.homeAgent) | 1<<uint(d.s.agentOf(d.s.procs[m.reqProc]))
+	}
+	return 0, 0
 }
 
 // handleInval invalidates this agent's copy and acks the requester (§2.1).
@@ -233,7 +175,7 @@ func (d *dirInval) handleInval(p *Proc, m *msg) {
 
 // invalidateAgent drops this agent's copy of a block for a writer the home
 // has already made owner: a remote sharer's on an invalidation message,
-// the home's own from handleHome. It never waits for a local miss on the
+// the home's own from serveMaster. It never waits for a local miss on the
 // block, because that miss may itself be waiting, through the home or
 // through the writer's fill, for the ack that follows (DESIGN.md §8
 // finding 9).
@@ -261,15 +203,16 @@ func (d *dirInval) invalidateAgent(p *Proc, blk *blockInfo) {
 	}
 }
 
-// handleShareWB installs written-back data at the home and reopens the
-// directory entry as shared.
+// handleShareWB installs written-back data at the home, whose master copy
+// is valid again, shared by the home, the old owner and the reader.
 func (d *dirInval) handleShareWB(p *Proc, m *msg) {
 	s := d.s
 	blk := s.blocks[m.block]
 	s.installAtHome(p, blk, m)
 	fromAgent := s.agentOf(s.procs[m.from])
 	reqAgent := s.agentOf(s.procs[m.reqProc])
-	d.dirs[blk.id] = dirEntry{shared: true, sharers: 1<<uint(blk.homeAgent) | 1<<uint(fromAgent) | 1<<uint(reqAgent)}
+	d.sharers[blk.id] = 1<<uint(blk.homeAgent) | 1<<uint(fromAgent) | 1<<uint(reqAgent)
+	s.homes[blk.id].owner = -1
 	s.endTransfer(p, blk, m)
 }
 
@@ -332,15 +275,16 @@ func (d *dirInval) checkExclusive(s *System, line, excl int) *InvariantError {
 }
 
 // checkAgreement verifies the directory against the agent tables copy for
-// copy: a shared entry's sharer set is exactly the agents with shared
-// copies, the home's among them; an exclusive entry's owner holds the only
-// valid copy. It tolerates exactly the transients the protocol creates: a
-// busy entry whose forward, writeback or ownership transfer is in flight
-// (nothing else of the entry is settled), a requester's copy Pending on its
-// miss, and a stale copy whose invalidation is in flight or deferred.
+// copy: while the master copy is valid the sharer set is exactly the agents
+// with shared copies, the home's among them; otherwise the owner holds the
+// only valid copy. It tolerates exactly the transients the protocol
+// creates: a busy entry whose forward, writeback or ownership transfer is
+// in flight (nothing else of the entry is settled), a requester's copy
+// Pending on its miss, and a stale copy whose invalidation is in flight or
+// deferred.
 func (d *dirInval) checkAgreement(s *System, e *Explorer) *InvariantError {
 	for _, blk := range s.blocks {
-		dir, h := d.dirs[blk.id], s.homes[blk.id]
+		sharers, h := d.sharers[blk.id], s.homes[blk.id]
 		if h.busy {
 			if !e.busyJustified(blk.id) {
 				return violated("dir-agreement", "block %d is busy with no forward, writeback or ownership transfer in flight", blk.id)
@@ -351,13 +295,13 @@ func (d *dirInval) checkAgreement(s *System, e *Explorer) *InvariantError {
 			for a, am := range s.agents {
 				st := am.table[line]
 				filling := s.fillInFlight(a, blk, st)
-				inSet := dir.sharers&(1<<uint(a)) != 0
+				inSet := sharers&(1<<uint(a)) != 0
 				switch {
-				case !dir.shared && a == h.owner:
+				case a == h.owner:
 					if st != Exclusive && !filling {
 						return violated("dir-agreement", "block %d line %d: owner agent %d holds state %v", blk.id, line, a, st)
 					}
-				case !dir.shared:
+				case h.owner != -1:
 					if st != Invalid && !filling && !e.invalPending(blk.id, a) {
 						return violated("dir-agreement", "block %d line %d: owned by agent %d, but agent %d holds state %v with no invalidation in flight",
 							blk.id, line, h.owner, a, st)
@@ -366,10 +310,10 @@ func (d *dirInval) checkAgreement(s *System, e *Explorer) *InvariantError {
 					return violated("dir-agreement", "block %d line %d: shared, but agent %d holds it exclusive", blk.id, line, a)
 				case st == Shared && !inSet:
 					return violated("dir-agreement", "block %d line %d: agent %d holds a shared copy but is not in sharer set %x",
-						blk.id, line, a, dir.sharers)
+						blk.id, line, a, sharers)
 				case (inSet || a == blk.homeAgent) && st != Shared && !filling:
 					return violated("dir-agreement", "block %d line %d: shared (sharer set %x, home agent %d), but agent %d holds state %v",
-						blk.id, line, dir.sharers, blk.homeAgent, a, st)
+						blk.id, line, sharers, blk.homeAgent, a, st)
 				}
 			}
 		}
@@ -383,35 +327,16 @@ func (d *dirInval) expectedValue(s *System, e *Explorer, a int, blk *blockInfo, 
 	return cur, true
 }
 
-// snapshotSource: any agent with a valid copy; all-invalid can only
-// happen mid-transition, in which case the home copy is authoritative.
-func (d *dirInval) snapshotSource(line int) int {
-	s := d.s
-	for a, am := range s.agents {
-		if am.table[line] != Invalid {
-			return a
-		}
-	}
-	return s.blockOf(line).homeAgent
-}
-
 func (d *dirInval) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
-	dir, h := d.dirs[blk.id], e.sys.homes[blk.id]
-	state := 1 // 0 shared, 1 exclusive, 2 busy: the explorer's encodings are pinned byte for byte
-	switch {
-	case h.busy:
-		state = 2
-	case dir.shared:
-		state = 0
+	h := e.sys.homes[blk.id]
+	fmt.Fprintf(b, "B%d{o%d po%d sh%x", blk.id, permAgent(h.owner, perm), perm[h.pendingOwner], remapMask(d.sharers[blk.id], perm))
+	if h.busy {
+		b.WriteString(" busy")
 	}
-	fmt.Fprintf(b, "B%d{%d o%d po%d sh%x", blk.id, state,
-		perm[h.owner], perm[h.pendingOwner], remapMask(dir.sharers, perm))
 	e.encodeMig(b, blk, perm)
 	e.encodeHomeQueue(b, blk, perm)
 }
 
 func (d *dirInval) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int) {}
-
-func (d *dirInval) encodeMsgExtra(m msg) string { return "" }
 
 func (d *dirInval) noteGhostStore(e *Explorer, pid, word int, val uint64) {}

@@ -193,13 +193,11 @@ func (e *Explorer) encodeWith(perm []int) string {
 	return b.String()
 }
 
-// encMsg encodes one message, appending whatever extra fields the
-// protocol backend carries (empty for dirinval) and an owner's unwritten
-// mark.
+// encMsg encodes one message, its timestamps (zero under dirinval) and an
+// owner's unwritten mark among its fields.
 func (e *Explorer) encMsg(m msg, perm []int) string {
-	s := fmt.Sprintf("k%d.b%d.f%d.q%d.i%d.dt%d.id%d.d%v",
-		m.kind, m.block, perm[m.from], perm[m.reqProc], m.invals, m.downTo, m.id, m.data) +
-		e.sys.proto.encodeMsgExtra(m)
+	s := fmt.Sprintf("k%d.b%d.f%d.q%d.i%d.dt%d.id%d.d%v.t%d.r%d",
+		m.kind, m.block, perm[m.from], perm[m.reqProc], m.invals, m.downTo, m.id, m.data, m.ts, m.rts)
 	if m.unwritten {
 		s += ".u"
 	}

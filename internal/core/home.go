@@ -1,22 +1,24 @@
 package core
 
-// The 3-hop skeleton every backend shares (§2.1): a block's home names an
-// owner, forwards a request it cannot serve to that owner, and holds
-// later requests until the transfer lands; the owner downgrades, replies to
-// the requester and writes back to the home (serveForward). The record,
-// the busy window and the owner's half are the core's; what a grant means —
-// sharer sets, timestamps, the forwarded message and the entry's next
-// state — is the caller's, passed in, set around these calls, or stamped
-// by the backend (Protocol.stamp). Nothing here asks which backend that is.
-// The migratory-sharing record is the core's too (migEntry); a backend says
-// only when a write classifies a block, and on what evidence.
+// The home every backend shares (§2.1). A block's home serves a request
+// from the master copy, grants it from its own agent's copy, or forwards
+// it to a remote owner and holds later requests until the transfer lands;
+// the owner downgrades, replies to the requester and writes back to the
+// home (serveForward). The record, the one switch on its owner
+// (handleHome), the busy window and the owner's half are the core's. An
+// owner of -1 means the master copy is valid, under every backend. What a
+// grant means — sharer sets, timestamps, and serving from the master copy
+// — is the backend's, through its hooks (Protocol.noteRequest,
+// serveMaster, grantOwned and stamp). Nothing here asks which backend that
+// is. The migratory-sharing record is the core's too (migEntry); a backend
+// says only when a request classifies a block, and on what evidence.
 
 import "fmt"
 
 // homeEntry is the per-block record kept at the block's home, indexed by
 // block ID in System.homes and touched by home-side handlers alone.
 type homeEntry struct {
-	owner        int   // owning agent; meaningful while the backend says the block is owned
+	owner        int   // owning agent, -1 while the home's master copy is valid
 	pendingOwner int   // next owner during a busy ownership transfer
 	busy         bool  // a forward, or the home's own downgrade, is in flight
 	queue        []msg // requests that arrived while busy
@@ -66,11 +68,12 @@ func (s *System) classify(p *Proc, blk *blockInfo, reqAgent int, handedOn bool) 
 }
 
 // noteGrant records an exclusive grant of the block to reqAgent, its last
-// writer from now on; a read granted exclusive is a migratory grant.
-func (s *System) noteGrant(p *Proc, blk *blockInfo, reqAgent int, m *msg) {
+// writer from now on, for a request of kind; a read granted exclusive is a
+// migratory grant.
+func (s *System) noteGrant(p *Proc, blk *blockInfo, reqAgent int, kind msgKind) {
 	mg := &s.homes[blk.id].mig
 	mg.writer, mg.reader = reqAgent, noReader
-	if m.kind == msgReadReq {
+	if kind == msgReadReq {
 		traceEvent(p, blk, "grant-migratory")
 	}
 }
@@ -94,29 +97,101 @@ func (s *System) declassify(p *Proc, blk *blockInfo) {
 	traceEvent(p, blk, "declassify")
 }
 
-// homeAdmit is the preamble of every home request handler: a request that
-// finds the block busy queues behind the transfer in flight (nil: the
-// caller returns); otherwise the requester is recorded as the process of
-// its node to send later forwards and invalidations to, and returned.
-func (s *System) homeAdmit(blk *blockInfo, m *msg) *Proc {
-	if h := &s.homes[blk.id]; h.busy {
+// handleHome services a request at the block's home (§2.1), for both
+// backends. A request that finds the block busy queues behind the transfer
+// in flight; otherwise its process is recorded as the one of its node to
+// send later forwards and invalidations to, and the backend notes it
+// (Protocol.noteRequest). A read of a migratory block, and a plain upgrade
+// whose copy was lost in flight, are then served as read-exclusives, and an
+// SC upgrade of an owned block fails. What is left is one switch on the
+// owner: the master copy is valid (the backend serves it), the home agent
+// owns the block (it downgrades its own copy and replies), or another agent
+// does (the home forwards the request to it). The backend stamps both of
+// the last two grants (Protocol.grantOwned).
+func (s *System) handleHome(p *Proc, m *msg) {
+	blk := s.blocks[m.block]
+	h := &s.homes[blk.id]
+	if h.busy {
 		h.queue = append(h.queue, *m)
-		return nil
+		return
 	}
 	req := s.procs[m.reqProc]
 	s.noteRequester(blk, req)
-	return req
+	reqAgent := s.agentOf(req)
+	s.proto.noteRequest(p, blk, reqAgent, m.kind)
+	kind := m.kind
+	switch {
+	case kind == msgReadReq && h.mig.migratory && h.owner != reqAgent:
+		// The write that follows a read of a migratory block then needs
+		// no upgrade.
+		kind = msgReadExclReq
+	case kind == msgUpgradeReq && h.owner != -1:
+		// The requester's copy was invalidated in flight.
+		kind = msgReadExclReq
+	case kind == msgSCUpgradeReq && h.owner != -1:
+		// Exclusivity moved (possibly to the requester's own agent, via
+		// another of its processes): a write serialized ahead of this SC,
+		// so it fails (§3.1.2). No third party is disturbed, which avoids
+		// livelock.
+		p.send(req, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
+		return
+	}
+	excl := kind != msgReadReq
+	switch h.owner {
+	case -1:
+		s.proto.serveMaster(p, blk, req, kind, *m)
+	case reqAgent:
+		// An agent issues at most one request per block (its miss holds
+		// the transition lock from issueMiss to finishMiss), and one that
+		// holds the block fills locally without a request, so no agent
+		// can be granted the block while its request is in flight.
+		panic(fmt.Sprintf("core: block %d: %s from %s, whose agent %d already owns the block", blk.id, m.kind, req, reqAgent))
+	case blk.homeAgent:
+		// Defer behind the home's own fill still in flight, exactly as a
+		// forwarded request would be.
+		if p.deferIfPending(m, blk, nil) {
+			return
+		}
+		rep := msg{kind: msgReadReply, block: blk.id, from: p.ID}
+		if excl {
+			rep.kind, rep.data = msgReadExclReply, p.downgradeHome(blk, Invalid, true)
+		} else {
+			p.downgradeHome(blk, Shared, false)
+		}
+		rep.ts, rep.rts = s.proto.grantOwned(p, blk, *m, excl, true)
+		h = &s.homes[blk.id] // homes may have grown during the stall
+		if excl {
+			h.owner = reqAgent
+			s.noteGrant(p, blk, reqAgent, m.kind)
+		} else {
+			h.owner = -1
+			rep.data = s.blockData(s.agents[blk.homeAgent], blk)
+		}
+		p.send(req, &rep, CatMessage)
+		s.drainHome(p, blk)
+	default:
+		// The entry is busy until the owner's writeback or ownership
+		// transfer comes back (endTransfer).
+		fwd := msg{kind: msgFwdRead, block: blk.id, from: p.ID, reqProc: m.reqProc}
+		fwd.ts, fwd.rts = s.proto.grantOwned(p, blk, *m, excl, false)
+		if excl {
+			fwd.kind, h.pendingOwner = msgFwdReadExcl, reqAgent
+			s.noteGrant(p, blk, reqAgent, m.kind)
+		}
+		h.busy = true
+		p.send(s.requesterOf(blk, h.owner), &fwd, CatMessage)
+	}
 }
 
 // downgradeHome downgrades the home agent's own copy for a request the
-// home is serving, after the caller's deferIfPending. The downgrade can
-// stall for a co-resident process's ack, servicing messages meanwhile, so
-// the entry is busy for as long: a second request handled in that window
-// (by this process, re-entrantly, or by another on its CPU) queues behind
-// this one and does not act on the state of before it (DESIGN.md §8
-// finding 8). The window is over on return — the caller installs the new
-// state, replies, and calls drainHome — and s.homes and the backend's own
-// array may have grown during the stall, so pointers into them are stale.
+// home is serving, after deferIfPending. The downgrade can stall for a
+// co-resident process's ack, servicing messages meanwhile, so the entry is
+// busy for as long: a second request handled in that window (by this
+// process, re-entrantly, or by another on its CPU) queues behind this one
+// and does not act on the state of before it (DESIGN.md §8 finding 8). The
+// window is over on return — the caller installs the new state, replies,
+// and calls drainHome — and s.homes and the backend's own array may have
+// grown during the stall, so pointers into them are stale.
 // A home agent that was granted the block on a read and gives it up here
 // unwritten declassifies it.
 func (p *Proc) downgradeHome(blk *blockInfo, to LineState, wantData bool) []uint64 {
@@ -128,15 +203,6 @@ func (p *Proc) downgradeHome(blk *blockInfo, to LineState, wantData bool) []uint
 		s.declassify(p, blk)
 	}
 	return data
-}
-
-// forwardToOwner sends a request the home cannot serve to the process that
-// last asked for the block on the owner's behalf; the entry is busy until
-// the owner's writeback or ownership transfer comes back (endTransfer).
-func (s *System) forwardToOwner(p *Proc, blk *blockInfo, fwd *msg) {
-	h := &s.homes[blk.id]
-	h.busy = true
-	p.send(s.requesterOf(blk, h.owner), fwd, CatMessage)
 }
 
 // serveForward is the owner's half of a 3-hop transfer, at the process the
@@ -197,7 +263,7 @@ func (s *System) installAtHome(p *Proc, blk *blockInfo, m *msg) {
 	traceEvent(p, blk, "shareWB")
 }
 
-// endTransfer closes the window forwardToOwner opened, on the owner's
+// endTransfer closes the window handleHome's forward opened, on the owner's
 // writeback or ownership transfer m, once the caller has installed the
 // state the transfer leaves: it declassifies a block the owner gave up
 // unwritten and serves what queued.
@@ -223,7 +289,7 @@ func (s *System) drainHome(p *Proc, blk *blockInfo) {
 		// is cheap.
 		n := copy(h.queue, h.queue[1:])
 		h.queue = h.queue[:n]
-		s.protoHandle(p, &m)
+		s.handleHome(p, &m)
 	}
 }
 
@@ -238,7 +304,7 @@ func (p *Proc) noteReply(m *msg) *mshrEntry {
 	mshr.haveReply = true
 	mshr.acksWanted = m.invals
 	mshr.grant = Shared
-	if m.kind == msgReadExclReply || m.kind == msgUpgradeAck || m.downTo == Exclusive {
+	if m.kind == msgReadExclReply || m.kind == msgUpgradeAck {
 		mshr.grant = Exclusive
 	}
 	if m.kind == msgReadExclReply && !mshr.wantExcl {

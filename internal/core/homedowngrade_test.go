@@ -10,10 +10,11 @@ import (
 // The home-local downgrade window (DESIGN.md §8 finding 8). A block is
 // exclusive at its home agent, in the private table of a process co-resident
 // with the home process and busy in application code, so a request that
-// reaches handleHome makes the home downgrade its own agent with an explicit
-// downgrade message and stall for the ack, servicing messages meanwhile. A
-// second request for the block that is handled inside that window must find
-// the directory entry busy and queue behind the first.
+// reaches the home-agent cell of the home's owner switch (System.handleHome,
+// one for both backends) makes the home downgrade its own agent with an
+// explicit downgrade message and stall for the ack, servicing messages
+// meanwhile. A second request for the block that is handled inside that
+// window must find the home record busy and queue behind the first.
 //
 // The same window opened the other way, by a forward to an owner on a node
 // of its own (remote), is the home record's everyday use: the second request
@@ -41,14 +42,18 @@ const (
 // takes the second one from the CPU's shared request queue. With a remote
 // owner the home process never stalls, and mid is the block's home record as
 // it finds it between two polls in the middle of the owner's deaf stretch,
-// after the second request has arrived.
+// after the second request has arrived. restore has the owner take a store
+// grant on a second block (other) before the window, which raises its store
+// timestamp, and store into the block again the moment its deaf stretch
+// ends: a store hit inside the home's downgrade stall, at storeTs.
 type homeDowngradeRun struct {
-	write, helper, remote bool
+	write, helper, remote, restore bool
 
-	s    *System
-	addr uint64
-	got  [2]uint64
-	mid  homeEntry
+	s           *System
+	addr, other uint64
+	got         [2]uint64
+	mid         homeEntry
+	storeTs     int64
 }
 
 func (r *homeDowngradeRun) build(protocol string) {
@@ -76,8 +81,15 @@ func (r *homeDowngradeRun) build(protocol string) {
 	s.Spawn("owner", ownerCPU, func(p *Proc) {
 		until(p, hdIssueAt/2)
 		p.Store(r.addr, 7) // local fill: exclusive in this private table only
+		if r.restore {
+			p.Store(r.other, 1)
+		}
 		until(p, hdIssueAt)
 		p.ChargeTime(CatTask, hdDeaf)
+		if r.restore {
+			p.Store(r.addr, 8)
+			r.storeTs = s.proto.(*tardis).pstate(p).storeTs()
+		}
 		until(p, end)
 	})
 	for i := 0; i < 2; i++ {
@@ -95,10 +107,14 @@ func (r *homeDowngradeRun) build(protocol string) {
 		s.Spawn("helper", 0, func(p *Proc) { until(p, end) })
 	}
 	r.addr = s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(0)})
+	if r.restore {
+		r.other = s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(2)})
+	}
 }
 
-// homeDowngradeCases runs body for both backends and both branches of
-// handleHome's "the owner is the home agent" or, remote, "is another agent".
+// homeDowngradeCases runs body for both backends, for a read and for a
+// read-exclusive, in the cell of System.handleHome's owner switch where the
+// owner is the home agent or, remote, another agent.
 func homeDowngradeCases(t *testing.T, helper, remote bool, body func(t *testing.T, r *homeDowngradeRun)) {
 	for _, proto := range []string{"dirinval", "tardis"} {
 		for _, write := range []bool{false, true} {
@@ -172,9 +188,41 @@ func TestHomeDowngradeKeepsBothSharers(t *testing.T) {
 		}
 		if d, ok := s.proto.(*dirInval); ok && !r.write {
 			blk := s.blockOf(s.lineOf(r.addr))
-			if dir := d.dirs[blk.id]; !dir.shared || s.homes[blk.id].busy || dir.sharers != 0b111 {
-				t.Fatalf("directory entry %+v, home record %+v, want shared by agents 0, 1 and 2", dir, s.homes[blk.id])
+			if h := s.homes[blk.id]; h.owner != -1 || h.busy || d.sharers[blk.id] != 0b111 {
+				t.Fatalf("sharer set %b, home record %+v, want the master copy shared by agents 0, 1 and 2", d.sharers[blk.id], h)
 			}
 		}
 	})
+}
+
+// TestHomeOwnedGrantTakesDirtyAfterDowngrade: a process on the home's node
+// still holds the block exclusive in its private table when a read-exclusive
+// reaches the home, and stores into it inside the home's downgrade stall.
+// The version that leaves the home agent includes that store, so the grant
+// must land above the store's timestamp, and the agent's dirty record of it
+// must go with the version. Taken before the downgrade, the record missed
+// the store: the grant landed at its timestamp and the record outlived the
+// departure.
+func TestHomeOwnedGrantTakesDirtyAfterDowngrade(t *testing.T) {
+	r := &homeDowngradeRun{write: true, restore: true}
+	r.build("tardis")
+	s := r.s
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.procs[0].stats.DowngradesSent() == 0 {
+		t.Fatal("the home never sent an explicit downgrade: the window was not exercised")
+	}
+	if r.storeTs == 0 {
+		t.Fatal("the owner's store timestamp never rose: its store grant on the second block did not land")
+	}
+	tr := s.proto.(*tardis)
+	blk := s.blockOf(s.lineOf(r.addr))
+	// req0, alone on node 1, asked first: the home agent's version went to it.
+	if grant := tr.astate(s.agents[1]).tenure[blk.id]; grant <= r.storeTs {
+		t.Errorf("grant at ts %d, not above the store inside the stall at storeTs %d", grant, r.storeTs)
+	}
+	if d, ok := tr.astate(s.agents[0]).dirty[blk.id]; ok {
+		t.Errorf("the home agent's dirty record (%d) survived the departure of its version", d)
+	}
 }

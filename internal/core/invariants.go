@@ -136,7 +136,7 @@ func (s *System) checkLineData(e *Explorer, blk *blockInfo, line int) *Invariant
 	base := line * s.wordsPerLine
 	var ref []uint64
 	if e == nil {
-		ref = s.agents[s.proto.snapshotSource(line)].data
+		ref = s.agents[s.snapshotSource(line)].data
 	}
 	for a, am := range s.agents {
 		switch am.table[line] {

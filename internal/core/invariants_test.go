@@ -124,13 +124,13 @@ func TestCheckInvariantsNamesTheViolation(t *testing.T) {
 			w.s.homes[w.blk.id].busy = true
 		}},
 		{name: "sharer bit for an invalid copy", protocol: "dirinval", want: "dir-agreement", corrupt: func(w world) {
-			w.s.proto.(*dirInval).dirs[w.blk.id].sharers |= 1 << 2
+			w.s.proto.(*dirInval).sharers[w.blk.id] |= 1 << 2
 		}},
 		{name: "shared copy outside the sharer set", protocol: "dirinval", want: "dir-agreement", corrupt: func(w world) {
-			w.s.proto.(*dirInval).dirs[w.blk.id].sharers &^= 1 << 1
+			w.s.proto.(*dirInval).sharers[w.blk.id] &^= 1 << 1
 		}},
 		{name: "owner holds no copy", protocol: "dirinval", want: "dir-agreement", corrupt: func(w world) {
-			w.s.proto.(*dirInval).dirs[w.blk.id] = dirEntry{}
+			w.s.proto.(*dirInval).sharers[w.blk.id] = 0
 			w.s.homes[w.blk.id].owner = 2
 			w.s.agents[0].table[w.line] = Invalid
 			w.s.agents[1].table[w.line] = Invalid
@@ -138,7 +138,7 @@ func TestCheckInvariantsNamesTheViolation(t *testing.T) {
 		{name: "stale copy beside an owner", protocol: "dirinval", want: "dir-agreement", corrupt: func(w world) {
 			// The owner's copy is gone too, so that swmr's no-shared-beside-
 			// exclusive does not find the stale one first.
-			w.s.proto.(*dirInval).dirs[w.blk.id] = dirEntry{}
+			w.s.proto.(*dirInval).sharers[w.blk.id] = 0
 			w.s.homes[w.blk.id].owner = 1
 			w.s.agents[1].table[w.line] = Invalid
 		}},

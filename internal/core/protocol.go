@@ -126,14 +126,16 @@ func (p *Proc) handleMessage(m *msg, cat TimeCategory) {
 }
 
 // dispatch routes an in-order, deduplicated message to its handler:
-// coherence traffic goes to the protocol backend, except the owner's half
-// of a 3-hop transfer, which is the core's; everything else (downgrades,
-// locks, barriers, user messages, net acks) is shared.
+// coherence traffic goes to the protocol backend, except requests at the
+// home and the owner's half of a 3-hop transfer, which are the core's;
+// everything else (downgrades, locks, barriers, user messages, net acks) is
+// shared.
 func (p *Proc) dispatch(m *msg) {
 	s := p.sys
 	switch m.kind {
-	case msgReadReq, msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq, msgInvalReq,
-		msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail, msgInvalAck,
+	case msgReadReq, msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq:
+		s.handleHome(p, m)
+	case msgInvalReq, msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail, msgInvalAck,
 		msgShareWB, msgOwnerTransfer:
 		s.protoHandle(p, m)
 	case msgFwdRead, msgFwdReadExcl:

@@ -630,22 +630,33 @@ func (s *System) NewBarrier(home, n int) int {
 	return id
 }
 
-// Peek reads a shared word from the backend's authoritative copy of its
-// line; it is a host-side debugging/verification aid, not a guest
-// operation.
+// snapshotSource returns the agent whose copy of the line is authoritative
+// for host-side reads (Peek, SnapshotShared) and for the live catalogue's
+// current value: the owner's while it holds the block exclusive, the home's
+// master copy otherwise. Leaseholders and sharers never are.
+func (s *System) snapshotSource(line int) int {
+	blk := s.blockOf(line)
+	if owner := s.homes[blk.id].owner; owner >= 0 && s.agents[owner].table[blk.firstLine] == Exclusive {
+		return owner
+	}
+	return blk.homeAgent
+}
+
+// Peek reads a shared word from the authoritative copy of its line; it is
+// a host-side debugging/verification aid, not a guest operation.
 func (s *System) Peek(addr uint64) uint64 {
 	line := s.lineOf(addr)
-	return s.agents[s.proto.snapshotSource(line)].data[s.wordOf(addr)]
+	return s.agents[s.snapshotSource(line)].data[s.wordOf(addr)]
 }
 
 // SnapshotShared returns the final contents of every allocated shared
-// word, each resolved like Peek through the backend's notion of the
-// authoritative copy. It is the chaos harness's equivalence check — two
-// runs of the same workload must produce identical snapshots.
+// word, each resolved like Peek through the authoritative copy. It is the
+// chaos harness's equivalence check — two runs of the same workload must
+// produce identical snapshots.
 func (s *System) SnapshotShared() []uint64 {
 	out := make([]uint64, s.allocCursor*s.wordsPerLine)
 	for line := 0; line < s.allocCursor; line++ {
-		src := s.proto.snapshotSource(line)
+		src := s.snapshotSource(line)
 		base := line * s.wordsPerLine
 		copy(out[base:base+s.wordsPerLine], s.agents[src].data[base:base+s.wordsPerLine])
 	}

@@ -18,14 +18,17 @@ package core
 // Mapping onto the Shasta machinery:
 //
 //   - The home keeps {wts, rts} beside the core's home record (home.go),
-//     whose owner is an agent index or -1 ("home master copy valid").
-//     Exclusive ownership works like dirinval's, through the same 3-hop
-//     forwards (busy + queue) and the same owner's half (serveForward); a
-//     remote read RECALLS ownership (FwdRead demotes the owner to a
-//     leaseholder and writes back), which keeps the LL/SC and upgrade
-//     paths sound without owner-side timestamp bookkeeping. What the owner
-//     adds is stamp's: the departing version's timestamp, and the demoted
-//     owner's lease or the yielding owner's lease drop.
+//     whose owner is an agent index or -1 ("home master copy valid"), and
+//     whose one owner switch (System.handleHome) serves every request, as
+//     it does dirinval's. What Tardis adds there is three hooks: the
+//     migratory evidence (noteRequest), serving the master copy
+//     (serveMaster: leases, renewals, write grants after every lease, the
+//     SC currency check) and the timestamps of a grant of an owned block
+//     (grantOwned). A remote read RECALLS ownership (FwdRead demotes the
+//     owner to a leaseholder and writes back), which keeps the LL/SC and
+//     upgrade paths sound without owner-side timestamp bookkeeping. What
+//     the owner adds is stamp's: the departing version's timestamp, and the
+//     demoted owner's lease or the yielding owner's lease drop.
 //   - The home detects migratory blocks, with the core's record (migEntry):
 //     a read-exclusive from the one agent served a read since the last
 //     writer's grant classifies a block, and a read of a migratory block is
@@ -305,8 +308,6 @@ func (t *tardis) stamp(p *Proc, blk *blockInfo, m *msg) {
 
 func (t *tardis) handle(p *Proc, m *msg) {
 	switch m.kind {
-	case msgReadReq, msgReadExclReq, msgSCUpgradeReq:
-		t.handleHome(p, m)
 	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail:
 		t.handleReply(p, m)
 	case msgShareWB:
@@ -314,8 +315,7 @@ func (t *tardis) handle(p *Proc, m *msg) {
 	case msgOwnerTransfer:
 		t.handleOwnerTransfer(p, m)
 	default:
-		// msgUpgradeReq, msgInvalReq, and msgInvalAck are never issued
-		// under Tardis.
+		// msgInvalReq and msgInvalAck are never issued under Tardis.
 		panic(fmt.Sprintf("core: tardis cannot handle %s", m.kind))
 	}
 }
@@ -340,171 +340,102 @@ func renew(p *Proc, blk *blockInfo, e *tardisEntry) {
 	}
 }
 
-// handleHome services a request at the block's home.
-func (t *tardis) handleHome(p *Proc, m *msg) {
+// noteRequest keeps the migratory record (migEntry). With no upgrades and
+// no sharer set, the home classifies on a read-exclusive: the block was
+// handed on read-then-write when the requester is the one agent served a
+// read since the last writer's grant. A read the core will not serve as a
+// read-exclusive (the block is not migratory) is recorded as served.
+func (t *tardis) noteRequest(p *Proc, blk *blockInfo, reqAgent int, kind msgKind) {
 	s := t.s
-	blk := s.blocks[m.block]
-	reqProc := s.homeAdmit(blk, m)
-	if reqProc == nil {
-		return
-	}
-	reqAgent := s.agentOf(reqProc)
-	homeAgent := blk.homeAgent
-	homeMem := s.agents[homeAgent]
-	e, h := &t.entries[blk.id], &s.homes[blk.id]
-
-	// Migratory sharing (migEntry). With no upgrades and no sharer set, the
-	// home classifies on a read-exclusive: the block was handed on
-	// read-then-write when the requester is the one agent served a read
-	// since the last writer's grant. A read of a migratory block the
-	// requester's agent does not own is then served as a read-exclusive.
-	kind := m.kind
-	switch {
+	switch h := &s.homes[blk.id]; {
 	case kind == msgReadExclReq:
 		s.classify(p, blk, reqAgent, h.mig.reader == reqAgent)
-	case kind == msgReadReq && h.owner != reqAgent && h.mig.migratory:
-		kind = msgReadExclReq
-	case kind == msgReadReq && h.owner != reqAgent:
+	case kind == msgReadReq && h.owner != reqAgent && !h.mig.migratory:
 		s.noteRead(blk, reqAgent)
 	}
-	switch kind {
-	case msgReadReq:
-		switch h.owner {
-		case -1:
-			// Master copy valid: lease the current version from memory, for
-			// longer if the requester's last lease ran out on this version.
-			if m.rts == e.wts {
-				renew(p, blk, e)
-			}
-			end := extendLease(e, m.ts)
-			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
-				data: s.blockData(homeMem, blk), ts: e.wts, rts: end}, CatMessage)
-		case reqAgent:
-			// Another process on the requester's agent took ownership
-			// while this request was in flight; the data is already
-			// local and the grant is exclusive.
-			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
-				downTo: Exclusive, ts: e.wts}, CatMessage)
-		case homeAgent:
-			// Home agent owns it: demote locally to master and reply —
-			// but defer if the home's own exclusive fill is incomplete,
-			// exactly as a forwarded request would be. The version leaves
-			// its owning agent here, so it is stamped with the dirty
-			// record (see tardisAgentState.dirty): the owner's stores were
-			// inline hits that never touched e.wts.
-			if p.deferIfPending(m, blk, nil) {
-				return
-			}
-			p.downgradeHome(blk, Shared, false)
-			e = &t.entries[blk.id] // entries may have grown during the stall
-			s.homes[blk.id].owner = -1
-			if d := t.takeDirty(homeMem, blk.id); d > e.wts {
-				e.wts = d
-			}
-			if e.rts < e.wts {
-				e.rts = e.wts
-			}
-			end := extendLease(e, m.ts)
-			p.send(reqProc, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
-				data: s.blockData(homeMem, blk), ts: e.wts, rts: end}, CatMessage)
-			s.drainHome(p, blk)
-		default:
-			// Remote owner: recall ownership. The owner demotes to a
-			// leaseholder of the version it wrote, the data comes back
-			// via ShareWB, and the home is master again — so LL/SC and
-			// SC upgrades never have to reason about remote owners.
-			end := extendLease(e, m.ts)
-			s.forwardToOwner(p, blk, &msg{kind: msgFwdRead, block: blk.id, from: p.ID,
-				reqProc: m.reqProc, ts: e.wts, rts: end})
-		}
+}
 
-	case msgReadExclReq:
-		switch h.owner {
-		case reqAgent:
-			s.noteGrant(p, blk, reqAgent, m)
-			p.send(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: e.wts}, CatMessage)
-		case -1:
-			// Park the request behind a fill another local process has in
-			// flight on the block. The grant below calls downgradeAgent on
-			// the home agent's own copy, which blocks on that fill's
-			// transition lock — and the fill can in turn depend on this
-			// handler's reply: once the grant names the requester as owner,
-			// a recall of the block defers behind the requester's open
-			// miss, closing a three-way cycle (grant waits on fill, fill
-			// waits on recall, recall waits on grant). Deferring the request
-			// onto the fill's holder breaks the cycle: finishMiss replays it
-			// once the local transition is over. The requester's own miss
-			// must not defer behind itself — when the requester is local it
-			// IS the holder, and the guard below skips the downgrade for
-			// that case anyway.
-			if p.deferIfPending(m, blk, reqProc) {
-				return
-			}
-			grant := grantTs(e, m.ts)
-			*e = tardisEntry{wts: grant, rts: grant}
-			h.owner = reqAgent
-			s.noteGrant(p, blk, reqAgent, m)
-			data := s.blockData(homeMem, blk)
-			// Local master copy becomes stale and has no lease record to
-			// bound it — drop it. Remote leaseholders keep their copies:
-			// that is the whole point of Tardis.
-			if homeAgent != reqAgent && homeMem.table[blk.firstLine] != Invalid {
-				p.downgradeAgent(blk, Invalid, false)
-			}
-			p.send(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
-				data: data, ts: grant}, CatMessage)
-		case homeAgent:
-			if p.deferIfPending(m, blk, nil) {
-				return
-			}
-			grant := grantTs(e, m.ts)
-			// The yielded version leaves its owning agent: serialize the
-			// new grant after every store the home's processes performed.
-			if d := t.takeDirty(homeMem, blk.id) + 1; d > grant {
-				grant = d
-			}
-			data := p.downgradeHome(blk, Invalid, true)
-			t.entries[blk.id] = tardisEntry{wts: grant, rts: grant}
-			s.homes[blk.id].owner = reqAgent
-			s.noteGrant(p, blk, reqAgent, m)
-			p.send(reqProc, &msg{kind: msgReadExclReply, block: blk.id, from: p.ID,
-				data: data, ts: grant}, CatMessage)
-			s.drainHome(p, blk)
-		default:
-			// 3-hop ownership transfer. The grant timestamp is fixed
-			// here, before the forward: requests that queue behind the
-			// busy entry serialize after it.
-			grant := grantTs(e, m.ts)
-			*e = tardisEntry{wts: grant, rts: grant}
-			h.pendingOwner = reqAgent
-			s.noteGrant(p, blk, reqAgent, m)
-			s.forwardToOwner(p, blk, &msg{kind: msgFwdReadExcl, block: blk.id, from: p.ID,
-				reqProc: m.reqProc, ts: grant})
+// serveMaster serves a request from the master copy. A read leases the
+// current version from memory, for longer if the requester's last lease ran
+// out on this version. A write is granted after every outstanding lease;
+// an SC upgrade only if its LL read the current version — the currency
+// check that replaces dirinval's sharer-set membership, which fails without
+// disturbing a third party and so without livelock (§3.1.2).
+func (t *tardis) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m msg) {
+	s := t.s
+	homeMem := s.agents[blk.homeAgent]
+	e := &t.entries[blk.id]
+	if kind == msgReadReq {
+		if m.rts == e.wts {
+			renew(p, blk, e)
 		}
-
-	case msgSCUpgradeReq:
-		// The currency check replaces dirinval's sharer-set membership:
-		// the SC succeeds only if the LL read the current version and no
-		// ownership moved. Crucially no third party is disturbed on
-		// failure, which avoids livelock (§3.1.2).
-		if h.owner != -1 || e.wts != m.rts {
-			p.send(reqProc, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
-			return
-		}
-		// As for a read-exclusive from the master copy: behind another
-		// local process's fill, or the three-way cycle closes.
-		if p.deferIfPending(m, blk, reqProc) {
-			return
-		}
-		grant := grantTs(e, m.ts)
-		*e = tardisEntry{wts: grant, rts: grant}
-		h.owner = reqAgent
-		s.noteGrant(p, blk, reqAgent, m)
-		if homeAgent != reqAgent && homeMem.table[blk.firstLine] != Invalid {
-			p.downgradeAgent(blk, Invalid, false)
-		}
-		p.send(reqProc, &msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: grant}, CatMessage)
+		end := extendLease(e, m.ts)
+		p.send(req, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
+			data: s.blockData(homeMem, blk), ts: e.wts, rts: end}, CatMessage)
+		return
 	}
+	if kind == msgSCUpgradeReq && e.wts != m.rts {
+		p.send(req, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
+		return
+	}
+	// Park the request behind a fill another local process has in flight on
+	// the block. The grant below calls downgradeAgent on the home agent's
+	// own copy, which blocks on that fill's transition lock — and the fill
+	// can in turn depend on this handler's reply: once the grant names the
+	// requester as owner, a recall of the block defers behind the
+	// requester's open miss, closing a three-way cycle (grant waits on
+	// fill, fill waits on recall, recall waits on grant). Deferring the
+	// request onto the fill's holder breaks the cycle: finishMiss replays it
+	// once the local transition is over. The requester's own miss must not
+	// defer behind itself — when the requester is local it IS the holder,
+	// and the guard below skips the downgrade for that case anyway.
+	if p.deferIfPending(&m, blk, req) {
+		return
+	}
+	reqAgent := s.agentOf(req)
+	grant := grantTs(e, m.ts)
+	*e = tardisEntry{wts: grant, rts: grant}
+	s.homes[blk.id].owner = reqAgent
+	s.noteGrant(p, blk, reqAgent, m.kind)
+	rep := msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: grant}
+	if kind != msgSCUpgradeReq {
+		rep.kind, rep.data = msgReadExclReply, s.blockData(homeMem, blk)
+	}
+	// Local master copy becomes stale and has no lease record to bound it —
+	// drop it. Remote leaseholders keep their copies: that is the whole
+	// point of Tardis.
+	if blk.homeAgent != reqAgent && homeMem.table[blk.firstLine] != Invalid {
+		p.downgradeAgent(blk, Invalid, false)
+	}
+	p.send(req, &rep, CatMessage)
+}
+
+// grantOwned stamps a grant of an owned block. A read of the home agent's
+// version makes the master copy valid again, and a write is granted after
+// it; either way the version leaves its owning agent, so it is stamped
+// with the agent's dirty record (see tardisAgentState.dirty), taken once
+// the downgrade is done: the owner's stores were inline hits that never
+// touched wts, and one of its processes can still store while the
+// downgrade stalls. A read of a remote owner's version recalls it: the
+// owner demotes to a leaseholder of the version it wrote, the data comes
+// back with its writeback, and the home is master again — so LL/SC and SC
+// upgrades never have to reason about remote owners. A write forwarded to
+// a remote owner is a 3-hop transfer whose grant is fixed here, before the
+// forward: requests that queue behind the busy entry serialize after it.
+func (t *tardis) grantOwned(p *Proc, blk *blockInfo, m msg, excl, atHome bool) (ts, rts int64) {
+	e := &t.entries[blk.id]
+	var dirty int64
+	if atHome {
+		dirty = t.takeDirty(t.s.agents[blk.homeAgent], blk.id)
+	}
+	if excl {
+		grant := max(grantTs(e, m.ts), dirty+1)
+		*e = tardisEntry{wts: grant, rts: grant}
+		return grant, 0
+	}
+	e.wts = max(e.wts, dirty)
+	e.rts = max(e.rts, e.wts)
+	return e.wts, extendLease(e, m.ts)
 }
 
 // handleShareWB installs written-back data at the home; the home is
@@ -764,17 +695,6 @@ func (t *tardis) checkAgreement(s *System, e *Explorer) *InvariantError {
 	return nil
 }
 
-// snapshotSource: the owner's copy is authoritative while owned, the
-// home master otherwise. Leaseholders are never authoritative.
-func (t *tardis) snapshotSource(line int) int {
-	s := t.s
-	blk := s.blockOf(line)
-	if owner := s.homes[blk.id].owner; owner >= 0 && s.agents[owner].table[blk.firstLine] == Exclusive {
-		return owner
-	}
-	return blk.homeAgent
-}
-
 func (t *tardis) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
 	te, h := t.entries[blk.id], e.sys.homes[blk.id]
 	fmt.Fprintf(b, "B%d{w%d r%d l%d o%d po%d", blk.id, te.wts, te.rts, te.lease,
@@ -813,10 +733,6 @@ func (t *tardis) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm 
 	for _, id := range ids {
 		fmt.Fprintf(b, " D%d:%d", id, as.dirty[id])
 	}
-}
-
-func (t *tardis) encodeMsgExtra(m msg) string {
-	return fmt.Sprintf(".t%d.r%d", m.ts, m.rts)
 }
 
 // histAt returns the word's value in the latest version at or before

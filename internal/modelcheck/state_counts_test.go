@@ -10,7 +10,7 @@ import (
 	"repro/internal/core"
 )
 
-var updateGoldens = flag.Bool("update", false, "rewrite testdata/state_counts.txt from this run")
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/state_counts.txt and testdata/outcomes.txt from this run")
 
 // TestStateCounts pins the size of the reachable state space — distinct
 // canonical states, transitions and depth — of every catalogue model
@@ -47,11 +47,14 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/state_counts.tx
 // Tardis row: in these models each is a function of the timestamps, the
 // owner, the state tables and the program counters. No dirinval row moved
 // when the record became the core's.
-// Regenerate with -update only when a change is meant to alter the
+//
+// The same sweep pins each row's reachable litmus outcomes, the set
+// shasta-check -json prints, to testdata/outcomes.txt: one line per model,
+// protocol and consistency, the outcomes joined by " | ".
+// Regenerate both with -update only when a change is meant to alter the
 // protocol or the models.
 func TestStateCounts(t *testing.T) {
-	const path = "testdata/state_counts.txt"
-	var out strings.Builder
+	var counts, outcomes strings.Builder
 	for _, m := range Models() {
 		if m.Cfg.Broken {
 			continue
@@ -62,12 +65,21 @@ func TestStateCounts(t *testing.T) {
 				if res.Violation != nil || !res.Converged {
 					t.Fatalf("%s %s %s: violation %+v, converged %v", m.Name, proto, cons, res.Violation, res.Converged)
 				}
-				fmt.Fprintf(&out, "%s %s %s %d %d %d\n", m.Name, proto, cons, res.States, res.Transitions, res.Depth)
+				fmt.Fprintf(&counts, "%s %s %s %d %d %d\n", m.Name, proto, cons, res.States, res.Transitions, res.Depth)
+				fmt.Fprintf(&outcomes, "%s %s %s %s\n", m.Name, proto, cons, strings.Join(res.Outcomes, " | "))
 			}
 		}
 	}
+	compareGolden(t, "testdata/state_counts.txt", counts.String(), "model protocol consistency states transitions depth")
+	compareGolden(t, "testdata/outcomes.txt", outcomes.String(), "model protocol consistency outcomes")
+}
+
+// compareGolden checks out, one row per line, against the file at path, or
+// rewrites the file under -update; legend names the columns of a row.
+func compareGolden(t *testing.T, path, out, legend string) {
+	t.Helper()
 	if *updateGoldens {
-		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -77,13 +89,13 @@ func TestStateCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	got := strings.Split(strings.TrimSpace(out.String()), "\n")
+	got := strings.Split(strings.TrimSpace(out), "\n")
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d lines for %d cases", path, len(want), len(got))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("got  %s (model protocol consistency states transitions depth)\nwant %s", got[i], want[i])
+			t.Errorf("%s:\ngot  %s (%s)\nwant %s", path, got[i], legend, want[i])
 		}
 	}
 }
