@@ -22,8 +22,8 @@ package core
 //     whose one owner switch (System.handleHome) serves every request, as
 //     it does dirinval's. What Tardis adds there is three hooks: the
 //     migratory evidence (noteRequest), serving the master copy
-//     (serveMaster: leases, renewals, write grants after every lease, the
-//     SC currency check) and the timestamps of a grant of an owned block
+//     (serveMaster: leases, write grants after every lease, the SC
+//     currency check) and the timestamps of a grant of an owned block
 //     (grantOwned). A remote read RECALLS ownership (FwdRead demotes the
 //     owner to a leaseholder and writes back), which keeps the LL/SC and
 //     upgrade paths sound without owner-side timestamp bookkeeping. What
@@ -40,13 +40,15 @@ package core
 //     polls, the copy installed longest ago (pollTick, so spin-waits on a
 //     leased copy stay live). Logical time moves only with the data: a
 //     tick drops a copy and leaves pts alone.
-//   - Leases grow on renewal, after the lease prediction Yu & Devadas
-//     sketch. An agent remembers the version of a copy whose lease ran
-//     out and names it in its next read request; when the home still
-//     holds that version the read is a renewal and doubles the block's
-//     lease, from tardisLeaseLen up to tardisLeaseMax. Any write grant
-//     resets it. Read-mostly data thus outlives synchronization, while
-//     blocks that change keep short leases; correctness never depends on
+//   - A lease is sized by the age of the version it leases, after the
+//     lease prediction Yu & Devadas sketch: a read at pts P of a version
+//     written at W is leased for tardisLeaseAge*(P-W), clamped to
+//     [tardisLeaseLen, tardisLeaseMax]. A version that has stayed current
+//     a long time is likely to stay current, so read-mostly data outlives
+//     synchronization, while a new version gets the base lease. A block the
+//     home has seen an SC upgrade for (a lock or sense word) always gets
+//     the base lease: a long one would push every SC grant past it, and
+//     the release would carry that jump on. Correctness never depends on
 //     the length, since every write still lands after rts.
 //   - Under RC a store's grant raises the writer's wpts, not its pts (see
 //     tardisProcState.wpts): its later loads may still hit leases that
@@ -71,21 +73,25 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/trace"
 )
 
-// tardisLeaseLen is the shortest read lease in logical time: a read at
-// pts P extends the block's rts to at least P+tardisLeaseLen, or
-// P+lease once renewals have grown the block's lease. A lease of any
-// uniform length ends at the next synchronization — a write grant lands
-// after every outstanding lease and lock grants and barrier releases
-// carry its timestamp to every acquirer — so lengthening this constant
-// saves no re-fetch; only a lease that grows on the blocks that do not
-// change does.
+// tardisLeaseLen is the shortest read lease in logical time: the lease of
+// a new version, and of every read of an SC-marked block. A lease of any
+// uniform length mostly ends at the next synchronization — a write grant
+// lands after every outstanding lease and lock grants and barrier
+// releases carry its timestamp to every acquirer — so lengthening this
+// constant saves few re-fetches; sizing a lease by its version's age does.
 const tardisLeaseLen = 8
 
-// tardisLeaseMax caps a grown lease. Every write grant lands after the
-// longest lease outstanding, so a longer cap pushes the write timestamps
-// of blocks that do change, after a quiet spell, further ahead.
+// tardisLeaseAge is how many times the version's age at the read a lease
+// lasts (see extendLease).
+const tardisLeaseAge = 4
+
+// tardisLeaseMax caps a lease. Every write grant lands after the longest
+// lease outstanding, so a longer cap pushes the write timestamps of blocks
+// that do change, after a quiet spell, further ahead.
 const tardisLeaseMax = 1024
 
 // tardisPollPeriod bounds how long a spin-wait can observe a stale
@@ -101,10 +107,9 @@ const tardisPollPeriod = 64
 type tardisEntry struct {
 	wts int64 // write ts of the current version
 	rts int64 // end of the latest read lease
-	// lease is the block's grown lease length, 0 until a renewal: a read
-	// of the version its agent's lease ran out on doubles it, up to
-	// tardisLeaseMax, and every write grant resets it.
-	lease int64
+	// sc marks a block the home has served an SC upgrade for: its reads get
+	// the base lease. Write grants keep it.
+	sc bool
 }
 
 // tardisLease is one agent's record of a leased read copy.
@@ -259,13 +264,11 @@ func (t *tardis) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKin
 }
 
 // stamp: a read request carries the requester's pts, a write request its
-// storeTs; a read additionally carries the version its agent's last lease
-// on the block ran out on (-1 for none), which the home takes as a renewal
-// if it is still current; an SC upgrade, the wts of the copy the LL read,
-// which the home compares against the current version. An owner's reply to a forward
-// carries a version leaving its owning agent, so it is stamped with the
-// dirty record (see tardisAgentState.dirty): the owner's stores were inline
-// hits that never advanced the home's wts.
+// storeTs; an SC upgrade additionally carries the wts of the copy the LL
+// read, which the home compares against the current version. An owner's
+// reply to a forward carries a version leaving its owning agent, so it is
+// stamped with the dirty record (see tardisAgentState.dirty): the owner's
+// stores were inline hits that never advanced the home's wts.
 func (t *tardis) stamp(p *Proc, blk *blockInfo, m *msg) {
 	switch m.kind {
 	case msgReadReply:
@@ -292,7 +295,6 @@ func (t *tardis) stamp(p *Proc, blk *blockInfo, m *msg) {
 		switch m.kind {
 		case msgReadReq:
 			m.ts = ps.pts
-			m.rts = as.leases.ranOut(blk.id)
 		case msgSCUpgradeReq:
 			if l, ok := as.leases.get(blk.id); ok {
 				m.rts = l.dataWts
@@ -321,33 +323,29 @@ func (t *tardis) handle(p *Proc, m *msg) {
 }
 
 // extendLease bumps rts for a read at the requester's pts and returns
-// the lease end.
+// the lease end. The lease lasts tardisLeaseAge times the version's age at
+// the read, clamped to [tardisLeaseLen, tardisLeaseMax]; an SC-marked
+// block's, tardisLeaseLen.
 func extendLease(e *tardisEntry, reqPts int64) int64 {
-	end := reqPts + max(e.lease, tardisLeaseLen)
-	if end < e.rts {
-		end = e.rts
+	lease := int64(tardisLeaseLen)
+	if !e.sc {
+		lease = min(max(tardisLeaseAge*(reqPts-e.wts), tardisLeaseLen), tardisLeaseMax)
 	}
-	e.rts = end
-	return end
+	e.rts = max(e.rts, reqPts+lease)
+	return e.rts
 }
 
-// renew doubles the block's lease for a read of the version its agent's
-// lease ran out on, from tardisLeaseLen up to tardisLeaseMax.
-func renew(p *Proc, blk *blockInfo, e *tardisEntry) {
-	if l := min(2*max(e.lease, tardisLeaseLen), tardisLeaseMax); l > e.lease {
-		e.lease = l
-		traceEvent(p, blk, "lease-grow")
-	}
-}
-
-// noteRequest keeps the migratory record (migEntry). With no upgrades and
-// no sharer set, the home classifies on a read-exclusive: the block was
+// noteRequest keeps the migratory record (migEntry), and marks a block
+// with an SC upgrade for the base lease (tardisEntry.sc). With no upgrades
+// and no sharer set, the home classifies on a read-exclusive: the block was
 // handed on read-then-write when the requester is the one agent served a
 // read since the last writer's grant. A read the core will not serve as a
 // read-exclusive (the block is not migratory) is recorded as served.
 func (t *tardis) noteRequest(p *Proc, blk *blockInfo, reqAgent int, kind msgKind) {
 	s := t.s
 	switch h := &s.homes[blk.id]; {
+	case kind == msgSCUpgradeReq:
+		t.entries[blk.id].sc = true
 	case kind == msgReadExclReq:
 		s.classify(p, blk, reqAgent, h.mig.reader == reqAgent)
 	case kind == msgReadReq && h.owner != reqAgent && !h.mig.migratory:
@@ -356,19 +354,16 @@ func (t *tardis) noteRequest(p *Proc, blk *blockInfo, reqAgent int, kind msgKind
 }
 
 // serveMaster serves a request from the master copy. A read leases the
-// current version from memory, for longer if the requester's last lease ran
-// out on this version. A write is granted after every outstanding lease;
-// an SC upgrade only if its LL read the current version — the currency
-// check that replaces dirinval's sharer-set membership, which fails without
-// disturbing a third party and so without livelock (§3.1.2).
+// current version from memory (extendLease). A write is granted after every
+// outstanding lease; an SC upgrade only if its LL read the current version
+// — the currency check that replaces dirinval's sharer-set membership,
+// which fails without disturbing a third party and so without livelock
+// (§3.1.2).
 func (t *tardis) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m msg) {
 	s := t.s
 	homeMem := s.agents[blk.homeAgent]
 	e := &t.entries[blk.id]
 	if kind == msgReadReq {
-		if m.rts == e.wts {
-			renew(p, blk, e)
-		}
 		end := extendLease(e, m.ts)
 		p.send(req, &msg{kind: msgReadReply, block: blk.id, from: p.ID,
 			data: s.blockData(homeMem, blk), ts: e.wts, rts: end}, CatMessage)
@@ -394,7 +389,7 @@ func (t *tardis) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m
 	}
 	reqAgent := s.agentOf(req)
 	grant := grantTs(e, m.ts)
-	*e = tardisEntry{wts: grant, rts: grant}
+	e.wts, e.rts = grant, grant
 	s.homes[blk.id].owner = reqAgent
 	s.noteGrant(p, blk, reqAgent, m.kind)
 	rep := msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: grant}
@@ -430,7 +425,7 @@ func (t *tardis) grantOwned(p *Proc, blk *blockInfo, m msg, excl, atHome bool) (
 	}
 	if excl {
 		grant := max(grantTs(e, m.ts), dirty+1)
-		*e = tardisEntry{wts: grant, rts: grant}
+		e.wts, e.rts = grant, grant
 		return grant, 0
 	}
 	e.wts = max(e.wts, dirty)
@@ -539,22 +534,26 @@ func (t *tardis) expire(p *Proc) {
 	defer func() { p.inProtocol, ps.expiring = wasIn, ids[:0] }()
 	for _, id := range ids {
 		if old, ok := as.leases.get(id); ok && old.leaseEnd < ps.pts { // else refreshed while an earlier drop stalled
-			t.runOut(p, as, id, old)
+			t.drop(p, as, id, old, "expire")
 		}
 	}
 }
 
-// runOut drops the agent's leased copy of the block, which holds the lease
-// old, and remembers the version as run out. The caller is in protocol code.
-func (t *tardis) runOut(p *Proc, as *tardisAgentState, id int, old tardisLease) {
+// drop discards the agent's leased copy of the block, which holds the lease
+// old, and emits a line event "runout" naming the cause: expire, tick or
+// ll. The caller is in protocol code.
+func (t *tardis) drop(p *Proc, as *tardisAgentState, id int, old tardisLease, cause string) {
 	blk := t.s.blocks[id]
+	if tr := t.s.tr(p); tr != nil {
+		tr.Emit(trace.Event{T: p.Sim.Now(), Cat: "line", Ev: "runout", P: p.ID, Blk: id, S: cause})
+	}
 	if p.mem.table[blk.firstLine] == Shared {
 		p.downgradeAgent(blk, Invalid, false)
 	}
 	// A miss in flight installs a fresh copy with a fresh lease (the
 	// record is overwritten at the reply); just forget this one.
 	if l, still := as.leases.get(id); still && l == old {
-		as.leases.runOut(id)
+		as.leases.del(id)
 	}
 }
 
@@ -565,16 +564,14 @@ func (t *tardis) runOut(p *Proc, as *tardisAgentState, id int, old tardisLease) 
 func (t *tardis) refreshLL(p *Proc, line int) {
 	blk := t.s.blockOf(line)
 	as := t.astate(p.mem)
-	if _, ok := as.leases.get(blk.id); !ok {
+	old, ok := as.leases.get(blk.id)
+	if !ok {
 		return
 	}
 	wasIn := p.inProtocol
 	p.inProtocol = true
 	defer func() { p.inProtocol = wasIn }()
-	if p.mem.table[blk.firstLine] == Shared {
-		p.downgradeAgent(blk, Invalid, false)
-	}
-	as.leases.del(blk.id)
+	t.drop(p, as, blk.id, old, "ll")
 }
 
 // pollTick bounds how long a spin-wait can read a stale leased copy:
@@ -594,7 +591,7 @@ func (t *tardis) pollTick(p *Proc) {
 	p.inProtocol = true
 	defer func() { p.inProtocol = wasIn }()
 	old, _ := as.leases.get(id)
-	t.runOut(p, as, id, old)
+	t.drop(p, as, id, old, "tick")
 }
 
 // scFailRetains: the home agent's copy is the master copy while the
@@ -697,8 +694,11 @@ func (t *tardis) checkAgreement(s *System, e *Explorer) *InvariantError {
 
 func (t *tardis) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
 	te, h := t.entries[blk.id], e.sys.homes[blk.id]
-	fmt.Fprintf(b, "B%d{w%d r%d l%d o%d po%d", blk.id, te.wts, te.rts, te.lease,
+	fmt.Fprintf(b, "B%d{w%d r%d o%d po%d", blk.id, te.wts, te.rts,
 		permAgent(h.owner, perm), permAgent(h.pendingOwner, perm))
+	if te.sc {
+		b.WriteString(" sc")
+	}
 	if h.busy {
 		b.WriteString(" busy")
 	}
@@ -718,9 +718,6 @@ func (t *tardis) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm 
 	for id := range as.leases.pos {
 		if l, ok := as.leases.get(id); ok {
 			fmt.Fprintf(b, " L%d:%d.%d", id, l.dataWts, l.leaseEnd)
-		}
-		if w := as.leases.ranOut(id); w >= 0 {
-			fmt.Fprintf(b, " X%d:%d", id, w)
 		}
 	}
 	// The dirty records decide how future departures are stamped, so two

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // tardisBase returns a Base-Shasta Tardis configuration of n single-CPU
@@ -25,11 +26,12 @@ func computeToTick(p *Proc) {
 }
 
 // TestTardisTickDropsOldestCopy: a poll tick leaves pts where it was and
-// drops the leased copy its agent installed longest ago, remembering its
-// version as run out; a copy re-fetched after its drop goes to the back of
-// the order, so it is not the next one dropped.
+// drops the leased copy its agent installed longest ago, with a runout line
+// event that names the tick; a copy re-fetched after its drop goes to the
+// back of the order, so it is not the next one dropped.
 func TestTardisTickDropsOldestCopy(t *testing.T) {
-	s := Build(WithConfig(tardisBase(2)))
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(tardisBase(2)), WithTrace(tr))
 	td := s.proto.(*tardis)
 	var base uint64
 	s.Spawn("home", 0, func(p *Proc) {})
@@ -61,9 +63,6 @@ func TestTardisTickDropsOldestCopy(t *testing.T) {
 				t.Errorf("tick %d cost a read miss", step+1)
 			}
 			if step == 0 {
-				if w := as.leases.ranOut(s.blockOf(s.lineOf(base)).id); w != 0 {
-					t.Errorf("the dropped copy ran out on version %d, want 0", w)
-				}
 				p.Load(base) // re-fetched: now installed last
 			}
 		}
@@ -71,6 +70,15 @@ func TestTardisTickDropsOldestCopy(t *testing.T) {
 	base = s.Alloc(3*64, AllocOptions{Home: HomeAt(0)})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+	var dropped []string
+	for _, ev := range tr.TakeBuffered() {
+		if ev.Cat == "line" && ev.Ev == "runout" {
+			dropped = append(dropped, fmt.Sprintf("%s %d", ev.S, ev.Blk-s.blockOf(s.lineOf(base)).id))
+		}
+	}
+	if want := "[tick 0 tick 1 tick 2 tick 0]"; fmt.Sprint(dropped) != want {
+		t.Errorf("runout events (cause, block) %v, want %s", dropped, want)
 	}
 }
 

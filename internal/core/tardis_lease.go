@@ -14,9 +14,6 @@ type leaseIndex struct {
 	// installed longest ago, to last.
 	older, newer []int32
 	first, last  int32
-	// ran records, by block id, the version (dataWts) of the last copy
-	// whose lease ran out, or -1: a read of that version again is a renewal.
-	ran []int64
 }
 
 func (x *leaseIndex) get(id int) (tardisLease, bool) {
@@ -79,25 +76,8 @@ func (x *leaseIndex) oldest() (int, bool) {
 func (x *leaseIndex) grow(n int) {
 	x.rec = grown(x.rec, n, tardisLease{})
 	x.pos = grown(x.pos, n, 0)
-	x.ran = grown(x.ran, n, -1)
 	x.older = grown(x.older, n, 0)
 	x.newer = grown(x.newer, n, 0)
-}
-
-// runOut removes the block's record because its lease ran out, and
-// remembers the version the copy held.
-func (x *leaseIndex) runOut(id int) {
-	x.ran[id] = x.rec[id].dataWts
-	x.del(id)
-}
-
-// ranOut returns the version of the block's last copy whose lease ran
-// out, or -1 when there was none.
-func (x *leaseIndex) ranOut(id int) int64 {
-	if id >= len(x.ran) {
-		return -1
-	}
-	return x.ran[id]
 }
 
 func (x *leaseIndex) del(id int) {

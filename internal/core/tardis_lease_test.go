@@ -7,19 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // TestLeaseIndexMatchesMap drives the index and the map it replaced with the
 // same random sets, deletes and expiries: the same records, the same
-// minimum, the same expired set, the same version each block's last
-// expired lease held, and the same install order, after every operation.
+// minimum, the same expired set and the same install order, after every
+// operation.
 func TestLeaseIndexMatchesMap(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	const blocks = 97
 	var x leaseIndex
 	ref := map[int]tardisLease{}
-	ran := map[int]int64{}
 	var order []int // the blocks with a record, installed longest ago first
 	unorder := func(id int) {
 		for i, o := range order {
@@ -60,8 +58,7 @@ func TestLeaseIndexMatchesMap(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("op %d: leases ended before %d: %v, want %v", op, pts, got, want)
 				}
-				x.runOut(got[i])
-				ran[got[i]] = ref[got[i]].dataWts
+				x.del(got[i])
 				delete(ref, got[i])
 				unorder(got[i])
 			}
@@ -72,13 +69,6 @@ func TestLeaseIndexMatchesMap(t *testing.T) {
 		want, has := ref[id]
 		if l, ok := x.get(id); ok != has || l != want {
 			t.Fatalf("op %d: block %d holds %v (%v), want %v (%v)", op, id, l, ok, want, has)
-		}
-		wantRan, expired := ran[id]
-		if !expired {
-			wantRan = -1
-		}
-		if got := x.ranOut(id); got != wantRan {
-			t.Fatalf("op %d: block %d's last expired lease held version %d, want %d", op, id, got, wantRan)
 		}
 		oldest, any := int64(0), false
 		for _, l := range ref {
@@ -100,7 +90,33 @@ func TestLeaseIndexMatchesMap(t *testing.T) {
 	}
 }
 
-// leaseLayouts are the two agent layouts the renewal tests run on: on 4x4
+// TestTardisLeaseRule: extendLease leases a read for tardisLeaseAge times
+// the version's age at the reader's pts, clamped to [tardisLeaseLen,
+// tardisLeaseMax], gives an SC-marked block tardisLeaseLen, and never
+// shortens rts.
+func TestTardisLeaseRule(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		wts, rts, pts int64
+		sc            bool
+		want          int64 // rts after the read
+	}{
+		{"a new version", 10, 10, 10, false, 10 + tardisLeaseLen},
+		{"a reader behind the version", 10, 10, 5, false, 5 + tardisLeaseLen},
+		{"an age under the base", 10, 10, 11, false, 11 + tardisLeaseLen},
+		{"an age between the ends", 10, 10, 30, false, 30 + tardisLeaseAge*20},
+		{"an age past the cap", 10, 10, 1000, false, 1000 + tardisLeaseMax},
+		{"an SC-marked block", 10, 10, 1000, true, 1000 + tardisLeaseLen},
+		{"a longer lease outstanding", 10, 5000, 1000, false, 5000},
+	} {
+		e := tardisEntry{wts: c.wts, rts: c.rts, sc: c.sc}
+		if end := extendLease(&e, c.pts); end != c.want || e.rts != c.want {
+			t.Errorf("%s: a read at pts %d of version %d leased to %d (rts %d), want %d", c.name, c.pts, c.wts, end, e.rts, c.want)
+		}
+	}
+}
+
+// leaseLayouts are the two agent layouts the lease tests run on: on 4x4
 // SMP-Shasta the agents are nodes, on 8x1 Base-Shasta processes.
 var leaseLayouts = []struct {
 	name        string
@@ -108,27 +124,32 @@ var leaseLayouts = []struct {
 	smp         bool
 }{{"4x4 SMP", 4, 4, true}, {"8x1 Base", 8, 1, false}}
 
-// leaseSeen is what one step of a lease script shows: the block's home
-// entry just before and just after the access, the length of the lease a
-// read was granted (its lease end less the reader's pts at the miss; 0 when
-// it holds none), and the lease-grow events the home emitted.
-type leaseSeen struct {
-	before, after tardisEntry
-	granted       int64
-	grows         int
+// leaseStep is one access of a lease script: a read, a store, or an LL/SC
+// pair, by the process of one role; a read first observes the block's wts
+// plus ahead, as an acquire would, so the version is that old to it.
+type leaseStep struct {
+	role  int
+	op    string // "read", "write" or "llsc"
+	ahead int64
 }
 
-// leaseScript runs migStep accesses on one Tardis block homed at process 0,
-// with three processes on three agents. Each access has a window of its
-// own, and a process computes through the windows between its accesses:
-// tens of poll ticks, so every lease its agent holds runs out before its
-// next access.
-func leaseScript(t *testing.T, cfg Config, steps []migStep) []leaseSeen {
+// leaseSeen is what one step of a lease script shows: the block's home
+// entry just after the access, and the length of the lease a read was
+// granted (its lease end less the reader's pts at the miss).
+type leaseSeen struct {
+	after   tardisEntry
+	granted int64
+}
+
+// leaseScript runs steps on one Tardis block homed at process 0, with three
+// processes on three agents. Each access has a window of its own, and a
+// process computes through the windows between its accesses: tens of poll
+// ticks, so every lease its agent holds is gone before its next access.
+func leaseScript(t *testing.T, cfg Config, steps []leaseStep) []leaseSeen {
 	t.Helper()
 	const window = sim.Time(100_000)
 	cfg.Protocol = "tardis"
-	tr := trace.NewBuffer()
-	s := Build(WithConfig(cfg), WithTrace(tr))
+	s := Build(WithConfig(cfg))
 	td := s.proto.(*tardis)
 	var addr uint64
 	var id int
@@ -140,18 +161,23 @@ func leaseScript(t *testing.T, cfg Config, steps []migStep) []leaseSeen {
 					continue
 				}
 				computeUntil(p, sim.Time(i+1)*window)
-				seen[i].before = td.entries[id]
-				pts := td.pstate(p).pts
-				if st.write {
-					p.Store(addr, uint64(100+i))
-				} else {
+				switch st.op {
+				case "read":
+					td.observeTs(p, td.entries[id].wts+st.ahead)
+					pts := td.pstate(p).pts
 					p.Load(addr)
+					if l, ok := td.astate(p.mem).leases.get(id); ok {
+						seen[i].granted = l.leaseEnd - pts
+					}
+				case "write":
+					p.Store(addr, uint64(100+i))
+				case "llsc":
+					if v := p.LoadLocked(addr); !p.StoreCond(addr, v+1) {
+						t.Errorf("step %d: the SC failed", i+1)
+					}
 				}
 				p.MemBar()
 				seen[i].after = td.entries[id]
-				if l, ok := td.astate(p.mem).leases.get(id); ok && !st.write {
-					seen[i].granted = l.leaseEnd - pts
-				}
 			}
 		})
 	}
@@ -163,77 +189,65 @@ func leaseScript(t *testing.T, cfg Config, steps []migStep) []leaseSeen {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range tr.TakeBuffered() {
-		if i := int(ev.T/window) - 1; ev.Cat == "line" && ev.Ev == "lease-grow" && i >= 0 && i < len(steps) {
-			seen[i].grows++
-		}
-	}
 	return seen
 }
 
-// TestTardisLeaseGrowsOnRenewal: a read of the version its agent's lease
-// ran out on doubles the block's lease, from tardisLeaseLen up to
-// tardisLeaseMax; a read of a version that changed since does not; a write
-// grant resets it, and is serialized after the grown lease.
-func TestTardisLeaseGrowsOnRenewal(t *testing.T) {
-	const home, reader, writer = 0, 1, 2
-	r := func(role int) migStep { return migStep{role: role} }
-	var steps []migStep
-	for i := 0; i < 10; i++ {
-		steps = append(steps, r(reader))
+// TestTardisLeaseSizedByAge: on both layouts a read is leased by the age
+// of the version it reads, from the base lease for a new version up to the
+// cap; a block the home served an SC upgrade for is leased for the base
+// length however old its version, through a recall of its owner and after
+// a plain write grant, which keeps the mark.
+func TestTardisLeaseSizedByAge(t *testing.T) {
+	const home, reader, locker = 0, 1, 2
+	steps := []leaseStep{
+		{reader, "read", 0},
+		{reader, "read", 100},
+		{reader, "read", 1000},
+		{locker, "llsc", 0},
+		{reader, "read", 1000}, // recalls the locker's version
+		{home, "write", 0},
+		{reader, "read", 1000},
 	}
-	steps = append(steps, migStep{role: writer, write: true}, r(home), r(reader), r(reader))
+	want := []struct {
+		granted int64
+		sc      bool
+	}{
+		{tardisLeaseLen, false},
+		{tardisLeaseAge * 100, false},
+		{tardisLeaseMax, false},
+		{0, true},
+		{tardisLeaseLen, true},
+		{0, true},
+		{tardisLeaseLen, true},
+	}
 	for _, layout := range leaseLayouts {
 		cfg := testConfig()
 		cfg.Nodes, cfg.CPUsPerNode, cfg.SMP = layout.nodes, layout.cpus, layout.smp
 		seen := leaseScript(t, cfg, steps)
-
-		// The first read renews nothing; each later one finds the version its
-		// lease ran out on and doubles the lease, until the cap.
-		want := int64(0)
-		for i := 0; i < 10; i++ {
-			grows := 0
-			if i > 0 && want < tardisLeaseMax {
-				want, grows = min(2*max(want, tardisLeaseLen), tardisLeaseMax), 1
-			}
-			got := seen[i]
-			if got.after.lease != want || got.grows != grows || got.granted != max(want, tardisLeaseLen) {
-				t.Errorf("%s: read %d: lease %d (%d lease-grow events), granted %d; want %d (%d), granted %d",
-					layout.name, i+1, got.after.lease, got.grows, got.granted, want, grows, max(want, tardisLeaseLen))
+		for i, w := range want {
+			if got := seen[i]; got.granted != w.granted || got.after.sc != w.sc {
+				t.Errorf("%s: step %d (%s by role %d): granted %d, SC mark %v; want %d and %v",
+					layout.name, i+1, steps[i].op, steps[i].role, got.granted, got.after.sc, w.granted, w.sc)
 			}
 		}
-
-		// The write resets the lease and lands after the grown one.
-		if w := seen[10]; w.before.lease != tardisLeaseMax || w.after.lease != 0 || w.after.wts <= w.before.rts {
-			t.Errorf("%s: write: lease %d -> %d, wts %d after rts %d; want %d -> 0 and wts > rts",
-				layout.name, w.before.lease, w.after.lease, w.after.wts, w.before.rts, tardisLeaseMax)
-		}
-
-		// The home's read recalls the written version. The reader's next read
-		// is of a version other than the one its lease ran out on, and does not
-		// grow the lease; the read after it renews the new version.
-		for i, want := range []int64{0, 0, 2 * tardisLeaseLen} {
-			got := seen[11+i]
-			grows := 0
-			if want > 0 {
-				grows = 1
-			}
-			if got.after.lease != want || got.grows != grows {
-				t.Errorf("%s: step %d after the write: lease %d (%d lease-grow events), want %d (%d)",
-					layout.name, 12+i, got.after.lease, got.grows, want, grows)
+		// Each write grant lands after the longest lease before it.
+		for _, i := range []int{3, 5} {
+			if g, before := seen[i].after.wts, seen[i-1].after.rts; g <= before {
+				t.Errorf("%s: step %d granted at %d, not after the lease end %d", layout.name, i+1, g, before)
 			}
 		}
 	}
 }
 
-// TestSpinSeesStoreUnderGrownLease: a process spins with plain loads on a
-// flag. Every poll tick drops its copy and its next load renews the same
-// version, so by the late store the flag's lease has grown to the cap. A
-// process on a third agent stores to the flag early or late; the spinner
-// sees the store within a poll period and a miss of it either way, because
-// each poll tick drops the copy its agent installed longest ago, the flag's
-// (its only one), however long the lease.
-func TestSpinSeesStoreUnderGrownLease(t *testing.T) {
+// TestSpinSeesStoreUnderAgeLease: a process spins with plain loads on a
+// flag whose version is a thousand ticks older than its pts, so every
+// re-read after a poll tick leases the flag for the cap. A process on a
+// third agent stores to the flag early or late; the spinner sees the store
+// within a poll period and a miss of it either way, because each poll tick
+// drops the copy its agent installed longest ago, the flag's (its only
+// one), however long the lease.
+func TestSpinSeesStoreUnderAgeLease(t *testing.T) {
+	const spinnerPts = 1000
 	for _, layout := range leaseLayouts {
 		for _, storeAt := range []sim.Time{20_000, 400_000} {
 			cfg := testConfig()
@@ -246,6 +260,7 @@ func TestSpinSeesStoreUnderGrownLease(t *testing.T) {
 			var stored, seen sim.Time
 			s.Spawn("home", 0, func(p *Proc) {})
 			s.Spawn("spinner", cfg.CPUsPerNode, func(p *Proc) {
+				td.observeTs(p, spinnerPts) // as an acquire would
 				for p.Load(flag) == 0 {
 					p.Compute(320)
 				}
@@ -253,7 +268,7 @@ func TestSpinSeesStoreUnderGrownLease(t *testing.T) {
 			})
 			s.Spawn("writer", 2*cfg.CPUsPerNode, func(p *Proc) {
 				computeUntil(p, storeAt)
-				lease = td.entries[s.blockOf(s.lineOf(flag)).id].lease
+				lease = td.entries[s.blockOf(s.lineOf(flag)).id].rts - spinnerPts
 				p.Store(flag, 1)
 				p.MemBar()
 				stored = p.Now()
@@ -262,8 +277,8 @@ func TestSpinSeesStoreUnderGrownLease(t *testing.T) {
 			if err := s.Run(); err != nil {
 				t.Fatalf("%s, store at %d: %v", layout.name, storeAt, err)
 			}
-			if storeAt > 100_000 && lease != tardisLeaseMax {
-				t.Errorf("%s: the flag's lease was %d at the late store, want the cap %d", layout.name, lease, tardisLeaseMax)
+			if lease != tardisLeaseMax {
+				t.Errorf("%s, store at %d: the flag was leased for %d, want the cap %d", layout.name, storeAt, lease, tardisLeaseMax)
 			}
 			// A poll period, a turn of the spin loop, and a recall's three hops
 			// with room for the handlers.

@@ -28,10 +28,11 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/state_counts.tx
 // 2074 -> 2054). The has-writer bit, the agents' granted-unwritten records
 // and the owner's unwritten mark on its reply move no row: in these models
 // each is a function of the owner, the state tables and the program
-// counters. Tardis's grown lease and its agents' ran-out records, encoded
-// when leases began to grow on renewal, move no row whether encoded or
-// dropped: the explorer never polls, so across all 32 rows it encodes a
-// ran-out record twice and a grown lease never.
+// counters. Tardis's SC mark (a block the home served an SC upgrade for
+// keeps the base lease), encoded in place of the grown lease when leases
+// began to be sized by the version's age, moves no row whether encoded or
+// dropped, and neither did the grown lease and ran-out records before it;
+// nor did the age rule itself move a row.
 //
 // Four Tardis rows were pinned again when the Tardis home began to detect
 // migratory blocks. mp RC 70 -> 78 states: the explorer's in-place stores

@@ -69,13 +69,18 @@ type Summary struct {
 	// grant-migratory (it granted a read exclusive) and declassify (it made
 	// a block ordinary for good).
 	Migratory map[string]int64
-	// LeaseGrows counts Tardis's "line"/"lease-grow" events: a home doubled
-	// a block's lease for a read of the version the reader's lease ran out on.
-	LeaseGrows int64
+	// RunOuts counts Tardis's "line"/"runout" events, one per leased copy
+	// an agent dropped, by cause: expire (pts passed the lease end), tick
+	// (the poll tick dropped the copy installed longest ago) and ll (an LL
+	// dropped the copy to read the current version).
+	RunOuts map[string]int64
 }
 
 // migratoryEvents are the Migratory keys, in the order Render prints them.
 var migratoryEvents = []string{"migratory", "grant-migratory", "declassify"}
+
+// runOutCauses are the RunOuts keys, in the order Render prints them.
+var runOutCauses = []string{"expire", "tick", "ll"}
 
 // Read parses a JSONL trace stream.
 func Read(r io.Reader) (*Summary, error) {
@@ -91,6 +96,7 @@ func Read(r io.Reader) (*Summary, error) {
 		LoadDone:        map[string]int64{},
 		LoadDoneLatency: map[string]int64{},
 		Migratory:       map[string]int64{},
+		RunOuts:         map[string]int64{},
 	}
 	procs := map[int]bool{}
 	sc := bufio.NewScanner(r)
@@ -133,8 +139,8 @@ func Read(r io.Reader) (*Summary, error) {
 			switch e.Ev {
 			case "migratory", "grant-migratory", "declassify":
 				s.Migratory[e.Ev]++
-			case "lease-grow":
-				s.LeaseGrows++
+			case "runout":
+				s.RunOuts[e.S]++
 			}
 		case "sched":
 			s.Sched[e.Ev]++
@@ -263,8 +269,12 @@ func (s *Summary) Render() string {
 		}
 		fmt.Fprintf(&b, "\n")
 	}
-	if s.LeaseGrows > 0 {
-		fmt.Fprintf(&b, "\ntardis leases: lease-grow=%d\n", s.LeaseGrows)
+	if len(s.RunOuts) > 0 {
+		fmt.Fprintf(&b, "\ntardis leases: runout")
+		for _, k := range runOutCauses {
+			fmt.Fprintf(&b, " %s=%d", k, s.RunOuts[k])
+		}
+		fmt.Fprintf(&b, "\n")
 	}
 	if len(s.Sched) > 0 {
 		fmt.Fprintf(&b, "\nscheduler:")

@@ -205,14 +205,20 @@ func TestAnalyzerTardisMigratoryEvents(t *testing.T) {
 	}
 }
 
-// TestAnalyzerLeaseGrowEvents: the summary counts Tardis's lease-grow line
-// events apart from the migratory ones, and prints them in a line of their
-// own; a trace without one prints no such line.
-func TestAnalyzerLeaseGrowEvents(t *testing.T) {
+// TestAnalyzerRunOutEvents: the summary counts Tardis's runout line events
+// by cause, apart from the migratory ones, and prints them in a line of
+// their own, every cause named; a trace without one prints no such line.
+func TestAnalyzerRunOutEvents(t *testing.T) {
 	var buf bytes.Buffer
 	tr := trace.New(trace.DefaultRingSize, &buf)
-	for _, ev := range []string{"lease-grow", "migratory", "lease-grow", "shareWB", "lease-grow"} {
-		tr.Emit(trace.Event{Cat: "line", Ev: ev})
+	for _, ev := range []trace.Event{
+		{Cat: "line", Ev: "runout", S: "tick"},
+		{Cat: "line", Ev: "migratory"},
+		{Cat: "line", Ev: "runout", S: "expire"},
+		{Cat: "line", Ev: "shareWB"},
+		{Cat: "line", Ev: "runout", S: "tick"},
+	} {
+		tr.Emit(ev)
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
@@ -221,10 +227,10 @@ func TestAnalyzerLeaseGrowEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.LeaseGrows != 3 || fmt.Sprint(sum.Migratory) != "map[migratory:1]" {
-		t.Errorf("lease-grow count %d, migratory counts %v; want 3 and map[migratory:1]", sum.LeaseGrows, sum.Migratory)
+	if fmt.Sprint(sum.RunOuts) != "map[expire:1 tick:2]" || fmt.Sprint(sum.Migratory) != "map[migratory:1]" {
+		t.Errorf("runout counts %v, migratory counts %v; want map[expire:1 tick:2] and map[migratory:1]", sum.RunOuts, sum.Migratory)
 	}
-	if out := sum.Render(); !strings.Contains(out, "\ntardis leases: lease-grow=3\n") {
+	if out := sum.Render(); !strings.Contains(out, "\ntardis leases: runout expire=1 tick=2 ll=0\n") {
 		t.Errorf("render missing the lease line:\n%s", out)
 	}
 	if out := (&analyze.Summary{}).Render(); strings.Contains(out, "tardis leases") {
@@ -288,9 +294,12 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // and invalidations began to go to the process that asked for the block and
 // not to its node's first process, the one case here with several processes
 // to a node; barnes-8p-8x1-tardis again when Tardis leases began to double
-// on renewal, which changes which reads miss and emits lease-grow events, and
+// on renewal, which changes which reads miss and emits lease-grow events,
 // again when Tardis poll ticks stopped moving pts and RC store grants began
-// to raise a timestamp of their own, which changes which leases run out.)
+// to raise a timestamp of their own, which changes which leases run out, and
+// again when Tardis leases began to be sized by the version's age, which
+// changes which reads miss, and every dropped lease began to emit a runout
+// event in place of the lease-grow ones.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the

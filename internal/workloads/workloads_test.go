@@ -121,3 +121,31 @@ func TestGetByName(t *testing.T) {
 		t.Fatalf("expected 9 apps, got %d", len(All()))
 	}
 }
+
+// TestTardisSMSyncFinishes: the nine kernels with LL/SC locks and barriers
+// finish on Tardis at scale 4, on 8x1 Base-Shasta and 4x4 SMP-Shasta, well
+// inside MaxTime. Their spinners read lock and sense words with plain loads
+// and see a release only when a poll tick or an expiry drops their copy; a
+// lease rule that lets a spinner's copy outlive its poll ticks sends a run to
+// MaxTime (LL/SC Ocean on 8x1 with leases capped at 128 did).
+func TestTardisSMSyncFinishes(t *testing.T) {
+	layouts := []struct {
+		name        string
+		nodes, cpus int
+		variant     core.ProtocolVariant
+	}{{"8x1", 8, 1, core.BaseShasta()}, {"4x4", 4, 4, core.SMPShasta()}}
+	for _, l := range layouts {
+		for _, app := range All() {
+			sys := core.Build(core.WithMaxTime(400_000_000), core.WithProcs(l.nodes, l.cpus),
+				core.WithVariant(l.variant), core.WithProtocol("tardis"))
+			res, err := Run(sys, app, RunConfig{Procs: l.nodes * l.cpus, Scale: 4, Sync: SMSync})
+			if err != nil {
+				t.Errorf("%s %s: %v", l.name, app.Name, err)
+				continue
+			}
+			if res.Stats.LLs() == 0 {
+				t.Errorf("%s %s: the run executed no LL/SC", l.name, app.Name)
+			}
+		}
+	}
+}
