@@ -36,10 +36,13 @@ package core
 //     recall — so the store after it is a hit.
 //   - Leaseholders drop their own copies: eagerly whenever pts advances
 //     past a lease (expire), on every LoadLocked (refreshLL, so the SC
-//     currency check can succeed), and one every tardisPollPeriod inline
-//     polls, the copy installed longest ago (pollTick, so spin-waits on a
-//     leased copy stay live). Logical time moves only with the data: a
-//     tick drops a copy and leaves pts alone.
+//     currency check can succeed), and on every tardisPollPeriod-th inline
+//     poll of a process idle since its previous one, the copy installed
+//     longest ago and the copy of the block the process last LL'd (pollTick,
+//     so spin-waits on a leased copy stay live; a process still taking fills
+//     is working through data, not spinning, and keeps its copies). Logical
+//     time moves only with the data: a tick drops copies and leaves pts
+//     alone.
 //   - A lease is sized by the age of the version it leases, after the
 //     lease prediction Yu & Devadas sketch: a read at pts P of a version
 //     written at W is leased for tardisLeaseAge*(P-W), clamped to
@@ -94,12 +97,10 @@ const tardisLeaseAge = 4
 // that do change, after a quiet spell, further ahead.
 const tardisLeaseMax = 1024
 
-// tardisPollPeriod bounds how long a spin-wait can observe a stale
-// leased copy: every tardisPollPeriod inline polls the agent drops the
-// leased copy it installed longest ago, so a copy is dropped and
-// re-fetched within as many poll periods as its agent holds older ones,
-// even if the process never misses or synchronizes, however long the
-// lease. Runtime liveness only — the model checker never polls.
+// tardisPollPeriod is how many inline polls of a process apart its poll
+// ticks fall (pollTick): it bounds how long a spin-wait can observe a stale
+// leased copy, even if the process never misses or synchronizes, however
+// long the lease. Runtime liveness only — the model checker never polls.
 const tardisPollPeriod = 64
 
 // tardisEntry is what Tardis adds to the block's homeEntry, whose owner is
@@ -132,6 +133,13 @@ type tardisProcState struct {
 	// is nil while an expire holds it: the drops stall, and an expire
 	// nested in one of them gets a list of its own.
 	expiring []int
+	// pollTick's evidence since the process's previous tick: filled, a
+	// shared fill that did not replace a copy an LL dropped; wrote, an
+	// exclusive fill; wroteSkip, the previous tick was skipped for one. ll
+	// is the block the process last LL'd, plus one (0: none). The explorer
+	// never polls, so none of them is part of its state.
+	filled, wrote, wroteSkip bool
+	ll                       int
 }
 
 // tardisAgentState lives on agentMem.protoData.
@@ -482,7 +490,8 @@ func (t *tardis) handleOwnerTransfer(p *Proc, m *msg) {
 // the lease bookkeeping for the installed copy.
 func (t *tardis) handleReply(p *Proc, m *msg) {
 	mshr := p.noteReply(m) // acksWanted is always 0: Tardis collects no acks
-	as := t.astate(p.mem)
+	as, ps := t.astate(p.mem), t.pstate(p)
+	refill := as.leases.takeLLDrop(m.block)
 	switch {
 	case mshr.scFailed:
 		// finishMiss drops the line; the lease record goes with it.
@@ -490,7 +499,8 @@ func (t *tardis) handleReply(p *Proc, m *msg) {
 	case mshr.grant == Exclusive:
 		as.leases.del(m.block)
 		as.tenure[m.block] = m.ts
-		if ps := t.pstate(p); mshr.wantExcl && t.s.Cfg.Consistency != SequentiallyConsistent {
+		ps.wrote = true
+		if mshr.wantExcl && t.s.Cfg.Consistency != SequentiallyConsistent {
 			ps.wpts = max(ps.wpts, m.ts) // see tardisProcState.wpts
 		} else {
 			t.advancePts(p, m.ts)
@@ -502,6 +512,7 @@ func (t *tardis) handleReply(p *Proc, m *msg) {
 		if p.agent != t.s.blocks[m.block].homeAgent {
 			as.leases.set(m.block, tardisLease{dataWts: m.ts, leaseEnd: m.rts}, len(t.s.blocks))
 		}
+		ps.filled = ps.filled || !refill
 		t.advancePts(p, m.ts)
 	}
 	if mshr.complete() {
@@ -560,10 +571,13 @@ func (t *tardis) drop(p *Proc, as *tardisAgentState, id int, old tardisLease, ca
 // refreshLL drops a leased copy before the LL reads it, so the LL
 // observes the current version and the SC currency check can succeed —
 // otherwise an LL over a stale lease would fail its SC forever. Master
-// and owned copies are already current and stay put.
+// and owned copies are already current and stay put. The block is the one
+// the process's poll tick drops beside the oldest, and the fill that
+// replaces the copy is no evidence that the agent is busy (pollTick).
 func (t *tardis) refreshLL(p *Proc, line int) {
 	blk := t.s.blockOf(line)
 	as := t.astate(p.mem)
+	t.pstate(p).ll = blk.id + 1
 	old, ok := as.leases.get(blk.id)
 	if !ok {
 		return
@@ -571,20 +585,48 @@ func (t *tardis) refreshLL(p *Proc, line int) {
 	wasIn := p.inProtocol
 	p.inProtocol = true
 	defer func() { p.inProtocol = wasIn }()
+	as.leases.llDropped[blk.id] = true
 	t.drop(p, as, blk.id, old, "ll")
 }
 
-// pollTick bounds how long a spin-wait can read a stale leased copy:
-// every tardisPollPeriod inline polls the agent drops the leased copy it
-// installed longest ago. Dropping a copy early is always safe, and pts
-// does not move, so no timestamp runs ahead of the data and spreads
-// through grants and lock hand-offs. A re-fetched copy goes to the back of
-// the order, so a spinner whose agent holds K older leases re-fetches its
-// flag within K+1 poll periods, however long the leases.
+// pollTick bounds how long a spin-wait can read a stale leased copy. Every
+// tardisPollPeriod inline polls it decides, from what the process did since
+// its previous tick, whether the process looks like a spinner; if its agent
+// holds a leased copy, a line event "tick" names the decision:
+//   - busy: the process took a shared fill, other than one replacing a copy
+//     an LL dropped (by any process of the agent). It is still working
+//     through data, not spinning on a copy.
+//   - wrote: it took an exclusive fill, and the previous tick was not
+//     skipped for one. A grant raises wpts, not pts, so a spin loop that
+//     write-misses every turn would otherwise skip every tick.
+//   - drop: neither. The agent drops the leased copy it installed longest
+//     ago, and the copy of the block the process last LL'd, the word an LL
+//     spinner reads.
+//
+// Dropping a copy early is always safe, and pts does not move, so no
+// timestamp runs ahead of the data and spreads through grants and lock
+// hand-offs. A re-fetched copy goes to the back of the order, so a spinner
+// whose agent holds K older leases re-fetches its flag within K+1 dropping
+// ticks, and an LL spinner its lock word on the first. DESIGN.md §6.10 gives
+// the liveness argument.
 func (t *tardis) pollTick(p *Proc) {
-	as := t.astate(p.mem)
+	ps, as := t.pstate(p), t.astate(p.mem)
+	decision := "drop"
+	switch {
+	case ps.filled:
+		decision = "busy"
+	case ps.wrote && !ps.wroteSkip:
+		decision = "wrote"
+	}
+	ps.filled, ps.wrote, ps.wroteSkip = false, false, decision == "wrote"
 	id, ok := as.leases.oldest()
 	if !ok {
+		return
+	}
+	if tr := t.s.tr(p); tr != nil {
+		tr.Emit(trace.Event{T: p.Sim.Now(), Cat: "line", Ev: "tick", P: p.ID, S: decision})
+	}
+	if decision != "drop" {
 		return
 	}
 	wasIn := p.inProtocol
@@ -592,6 +634,11 @@ func (t *tardis) pollTick(p *Proc) {
 	defer func() { p.inProtocol = wasIn }()
 	old, _ := as.leases.get(id)
 	t.drop(p, as, id, old, "tick")
+	if ll := ps.ll - 1; ll >= 0 {
+		if old, ok := as.leases.get(ll); ok {
+			t.drop(p, as, ll, old, "tick")
+		}
+	}
 }
 
 // scFailRetains: the home agent's copy is the master copy while the
@@ -713,8 +760,10 @@ func (t *tardis) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm 
 		fmt.Fprintf(b, " wpts%d", ps.wpts)
 	}
 	as := t.astate(p.mem)
-	// The leases' install order only decides which copy a poll tick drops,
-	// and the explorer never polls: it is not part of the state.
+	// The leases' install order, their LL-drop marks and the process's tick
+	// evidence (tardisProcState.filled and the rest) only decide what a poll
+	// tick does, and the explorer never polls: they are not part of the
+	// state.
 	for id := range as.leases.pos {
 		if l, ok := as.leases.get(id); ok {
 			fmt.Fprintf(b, " L%d:%d.%d", id, l.dataWts, l.leaseEnd)

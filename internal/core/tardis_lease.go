@@ -14,6 +14,9 @@ type leaseIndex struct {
 	// installed longest ago, to last.
 	older, newer []int32
 	first, last  int32
+	// llDropped marks, by block id, a copy an LL dropped that no fill has
+	// replaced yet; the fill that does is no evidence for pollTick.
+	llDropped []bool
 }
 
 func (x *leaseIndex) get(id int) (tardisLease, bool) {
@@ -78,6 +81,17 @@ func (x *leaseIndex) grow(n int) {
 	x.pos = grown(x.pos, n, 0)
 	x.older = grown(x.older, n, 0)
 	x.newer = grown(x.newer, n, 0)
+	x.llDropped = grown(x.llDropped, n, false)
+}
+
+// takeLLDrop reports whether an LL dropped the block's copy since its last
+// fill, and clears the mark.
+func (x *leaseIndex) takeLLDrop(id int) bool {
+	if id >= len(x.llDropped) || !x.llDropped[id] {
+		return false
+	}
+	x.llDropped[id] = false
+	return true
 }
 
 func (x *leaseIndex) del(id int) {

@@ -242,14 +242,21 @@ func TestTardisLeaseSizedByAge(t *testing.T) {
 // TestSpinSeesStoreUnderAgeLease: a process spins with plain loads on a
 // flag whose version is a thousand ticks older than its pts, so every
 // re-read after a poll tick leases the flag for the cap. A process on a
-// third agent stores to the flag early or late; the spinner sees the store
-// within a poll period and a miss of it either way, because each poll tick
-// drops the copy its agent installed longest ago, the flag's (its only
-// one), however long the lease.
+// third agent stores to the flag early, or late at every 250th cycle of
+// its compute across more than two poll periods, the spinner's cycle of a
+// dropping tick and a skipped one. The flag is the spinner's agent's only
+// leased copy, so each dropping tick drops it; the re-fetch that follows is
+// a fill, which skips the next tick. So a store that lands just after a
+// re-fetch is seen two poll periods, a turn of the spin loop and a recall
+// later, however long the lease.
 func TestSpinSeesStoreUnderAgeLease(t *testing.T) {
 	const spinnerPts = 1000
+	storeTimes := []sim.Time{20_000}
+	for at := sim.Time(400_000); at < 422_000; at += 250 {
+		storeTimes = append(storeTimes, at)
+	}
 	for _, layout := range leaseLayouts {
-		for _, storeAt := range []sim.Time{20_000, 400_000} {
+		for _, storeAt := range storeTimes {
 			cfg := testConfig()
 			cfg.Nodes, cfg.CPUsPerNode, cfg.SMP, cfg.Protocol = layout.nodes, layout.cpus, layout.smp, "tardis"
 			cfg.MaxTime = 4_000_000 // a spinner whose lease never runs out spins for ever
@@ -280,9 +287,12 @@ func TestSpinSeesStoreUnderAgeLease(t *testing.T) {
 			if lease != tardisLeaseMax {
 				t.Errorf("%s, store at %d: the flag was leased for %d, want the cap %d", layout.name, storeAt, lease, tardisLeaseMax)
 			}
-			// A poll period, a turn of the spin loop, and a recall's three hops
-			// with room for the handlers.
-			bound := tardisPollPeriod*(cfg.PollInterval+cfg.Cost.Poll) + 320 + 4*cfg.Net.WireLatency
+			// Two poll periods, a turn of the spin loop, and a recall: three
+			// messages, each sent, carried with at most a line of data and
+			// handled.
+			hop := cfg.Cost.MsgSend + cfg.Net.WireLatency + cfg.Cost.MsgHandle +
+				sim.Time(float64(cfg.LineSize+16)*cfg.Net.CyclesPerByte)
+			bound := 2*tardisPollPeriod*(cfg.PollInterval+cfg.Cost.Poll) + 320 + 3*hop
 			if seen-stored > bound {
 				t.Errorf("%s, store at %d under a lease of %d: stored at %d, seen at %d; want within %d cycles",
 					layout.name, storeAt, lease, stored, seen, bound)

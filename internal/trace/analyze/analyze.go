@@ -74,6 +74,11 @@ type Summary struct {
 	// (the poll tick dropped the copy installed longest ago) and ll (an LL
 	// dropped the copy to read the current version).
 	RunOuts map[string]int64
+	// Ticks counts Tardis's "line"/"tick" events, one per poll tick of a
+	// process whose agent held a leased copy, by decision: drop (the process
+	// was idle and the agent dropped copies), busy (it took a shared fill
+	// since its previous tick) and wrote (it took an exclusive fill).
+	Ticks map[string]int64
 }
 
 // migratoryEvents are the Migratory keys, in the order Render prints them.
@@ -81,6 +86,9 @@ var migratoryEvents = []string{"migratory", "grant-migratory", "declassify"}
 
 // runOutCauses are the RunOuts keys, in the order Render prints them.
 var runOutCauses = []string{"expire", "tick", "ll"}
+
+// tickDecisions are the Ticks keys, in the order Render prints them.
+var tickDecisions = []string{"drop", "busy", "wrote"}
 
 // Read parses a JSONL trace stream.
 func Read(r io.Reader) (*Summary, error) {
@@ -97,6 +105,7 @@ func Read(r io.Reader) (*Summary, error) {
 		LoadDoneLatency: map[string]int64{},
 		Migratory:       map[string]int64{},
 		RunOuts:         map[string]int64{},
+		Ticks:           map[string]int64{},
 	}
 	procs := map[int]bool{}
 	sc := bufio.NewScanner(r)
@@ -141,6 +150,8 @@ func Read(r io.Reader) (*Summary, error) {
 				s.Migratory[e.Ev]++
 			case "runout":
 				s.RunOuts[e.S]++
+			case "tick":
+				s.Ticks[e.S]++
 			}
 		case "sched":
 			s.Sched[e.Ev]++
@@ -273,6 +284,16 @@ func (s *Summary) Render() string {
 		fmt.Fprintf(&b, "\ntardis leases: runout")
 		for _, k := range runOutCauses {
 			fmt.Fprintf(&b, " %s=%d", k, s.RunOuts[k])
+		}
+		fmt.Fprintf(&b, "\n")
+	}
+	if len(s.Ticks) > 0 {
+		if len(s.RunOuts) == 0 {
+			fmt.Fprintf(&b, "\n")
+		}
+		fmt.Fprintf(&b, "tardis ticks:")
+		for _, k := range tickDecisions {
+			fmt.Fprintf(&b, " %s=%d", k, s.Ticks[k])
 		}
 		fmt.Fprintf(&b, "\n")
 	}

@@ -206,16 +206,21 @@ func TestAnalyzerTardisMigratoryEvents(t *testing.T) {
 }
 
 // TestAnalyzerRunOutEvents: the summary counts Tardis's runout line events
-// by cause, apart from the migratory ones, and prints them in a line of
-// their own, every cause named; a trace without one prints no such line.
+// by cause and its tick line events by decision, apart from the migratory
+// ones, and prints each kind in a line of its own, every cause and decision
+// named; a trace without them prints no such line.
 func TestAnalyzerRunOutEvents(t *testing.T) {
 	var buf bytes.Buffer
 	tr := trace.New(trace.DefaultRingSize, &buf)
 	for _, ev := range []trace.Event{
+		{Cat: "line", Ev: "tick", S: "drop"},
 		{Cat: "line", Ev: "runout", S: "tick"},
 		{Cat: "line", Ev: "migratory"},
 		{Cat: "line", Ev: "runout", S: "expire"},
+		{Cat: "line", Ev: "tick", S: "busy"},
 		{Cat: "line", Ev: "shareWB"},
+		{Cat: "line", Ev: "tick", S: "busy"},
+		{Cat: "line", Ev: "tick", S: "drop"},
 		{Cat: "line", Ev: "runout", S: "tick"},
 	} {
 		tr.Emit(ev)
@@ -230,11 +235,14 @@ func TestAnalyzerRunOutEvents(t *testing.T) {
 	if fmt.Sprint(sum.RunOuts) != "map[expire:1 tick:2]" || fmt.Sprint(sum.Migratory) != "map[migratory:1]" {
 		t.Errorf("runout counts %v, migratory counts %v; want map[expire:1 tick:2] and map[migratory:1]", sum.RunOuts, sum.Migratory)
 	}
-	if out := sum.Render(); !strings.Contains(out, "\ntardis leases: runout expire=1 tick=2 ll=0\n") {
-		t.Errorf("render missing the lease line:\n%s", out)
+	if fmt.Sprint(sum.Ticks) != "map[busy:2 drop:2]" {
+		t.Errorf("tick counts %v, want map[busy:2 drop:2]", sum.Ticks)
 	}
-	if out := (&analyze.Summary{}).Render(); strings.Contains(out, "tardis leases") {
-		t.Errorf("an empty summary prints a lease line:\n%s", out)
+	if out := sum.Render(); !strings.Contains(out, "\ntardis leases: runout expire=1 tick=2 ll=0\ntardis ticks: drop=2 busy=2 wrote=0\n") {
+		t.Errorf("render missing the lease and tick lines:\n%s", out)
+	}
+	if out := (&analyze.Summary{}).Render(); strings.Contains(out, "tardis leases") || strings.Contains(out, "tardis ticks") {
+		t.Errorf("an empty summary prints a lease or tick line:\n%s", out)
 	}
 }
 
@@ -299,7 +307,10 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // to raise a timestamp of their own, which changes which leases run out, and
 // again when Tardis leases began to be sized by the version's age, which
 // changes which reads miss, and every dropped lease began to emit a runout
-// event in place of the lease-grow ones.)
+// event in place of the lease-grow ones, and again when Tardis poll ticks
+// began to drop copies only for a process idle since its previous tick,
+// which changes which leases run out, and every tick of an agent that holds
+// a lease began to emit a tick event naming its decision.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the
