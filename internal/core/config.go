@@ -101,9 +101,6 @@ type Config struct {
 	// LineSize is the fixed state-table granularity in bytes (§2.1;
 	// typically 64 or 128). Must be a multiple of 8.
 	LineSize int
-	// DefaultBlockLines is the coherence-block size, in lines, used by
-	// Alloc when the caller does not override it (variable granularity).
-	DefaultBlockLines int
 	// SharedBytes is the size of the shared virtual region.
 	SharedBytes int
 
@@ -135,11 +132,6 @@ type Config struct {
 	// Checks disables all in-line check costs when false, modeling the
 	// original un-instrumented binary (Table 3 baselines).
 	Checks bool
-	// InvariantChecks asserts protocol coherence invariants at quiesce
-	// points (barrier releases, end of run); see System.CheckInvariants.
-	// It has no effect on simulated timing and is ignored when Checks is
-	// off (un-instrumented runs are incoherent by construction).
-	InvariantChecks bool
 
 	// PollInterval is the average spacing, in cycles, of loop back-edge
 	// polls inserted by the rewriter, applied during Compute.
@@ -192,7 +184,6 @@ func DefaultConfig() Config {
 		Nodes:             4,
 		CPUsPerNode:       4,
 		LineSize:          64,
-		DefaultBlockLines: 1,
 		SharedBytes:       4 << 20,
 		SMP:               true,
 		Consistency:       ReleaseConsistent,
@@ -202,7 +193,6 @@ func DefaultConfig() Config {
 		SharedQueues:      true,
 		ProtocolProcs:     false,
 		Checks:            true,
-		InvariantChecks:   true,
 		PollInterval:      120,
 		Cost:              DefaultCostModel(),
 		Net:               memchannel.DefaultConfig(),
@@ -219,9 +209,6 @@ func (c *Config) validate() {
 	}
 	if c.SharedBytes%c.LineSize != 0 {
 		panic("core: SharedBytes must be a multiple of LineSize")
-	}
-	if c.DefaultBlockLines <= 0 {
-		c.DefaultBlockLines = 1
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 120

@@ -193,8 +193,12 @@ func (d *dirInval) invalidateAgent(p *Proc, blk *blockInfo) {
 		// invalidating writer (its reply can trail this inval on another
 		// link), so the invalidation is remembered and re-applied the
 		// moment the fill installs — otherwise a stale shared copy the
-		// directory no longer tracks would survive.
+		// directory no longer tracks would survive. waitDowngrades skips
+		// the holder's Pending entries, so the holder's reservation is
+		// broken here: its SC upgrade may still be granted, after a
+		// writeback, against newer data than its LL read.
 		p.waitDowngrades(blk, Invalid)
+		holder.invalidateLocalLLs(blk.firstLine)
 		if mshr := holder.mshr[blk.id]; mshr != nil && !mshr.wantExcl {
 			mshr.invalAfterFill = true
 		}

@@ -193,19 +193,18 @@ func NewExplorer(c ExpConfig) *Explorer {
 	}
 	lineSize := 8 * c.WordsPerLine
 	cfg := Config{
-		Nodes:             n,
-		CPUsPerNode:       1,
-		LineSize:          lineSize,
-		DefaultBlockLines: 1,
-		SharedBytes:       lineSize * len(c.Homes),
-		SMP:               false,
-		Consistency:       c.Consistency,
-		FlagCheck:         true,
-		Checks:            true,
-		Protocol:          c.Protocol,
-		Cost:              DefaultCostModel(),
-		Net:               memchannel.DefaultConfig(),
-		Seed:              1,
+		Nodes:       n,
+		CPUsPerNode: 1,
+		LineSize:    lineSize,
+		SharedBytes: lineSize * len(c.Homes),
+		SMP:         false,
+		Consistency: c.Consistency,
+		FlagCheck:   true,
+		Checks:      true,
+		Protocol:    c.Protocol,
+		Cost:        DefaultCostModel(),
+		Net:         memchannel.DefaultConfig(),
+		Seed:        1,
 	}
 	s := newSystem(cfg, false)
 	// The explorer holds captured messages, data buffers included, in its

@@ -115,9 +115,6 @@ func (e *Explorer) encodeWith(perm []int) string {
 		if p.llValid {
 			fmt.Fprintf(&b, " ll%d.%d", p.llLine, p.llState)
 		}
-		if p.scWatchValid {
-			fmt.Fprintf(&b, " scw%d", p.scWatchLine)
-		}
 		if ep.llGhostValid {
 			// Encode the delta the SC atomicity check will compare — the
 			// number of foreign stores serialized since the LL — not the

@@ -67,8 +67,8 @@ func (s *System) CheckInvariants() error {
 }
 
 // checkLight is the half of the catalogue true at any instant: swmr and
-// bounded. O(lines × agents); reached from the barrier release under
-// InvariantChecks only, and it allocates only once it has found a violation.
+// bounded. O(lines × agents); reached from every barrier release of an
+// instrumented run, and it allocates only once it has found a violation.
 func (s *System) checkLight(e *Explorer) *InvariantError {
 	if !e.disabled("swmr") {
 		for line := 0; line < s.allocCursor; line++ {

@@ -9,7 +9,11 @@ package core
 // state into a register before the LL (§3.1.2); if the line is invalid or
 // pending, the protocol fetches the latest copy first. No polls are placed
 // between the LL and the SC, so incoming requests cannot change the state
-// within the sequence.
+// within the sequence. The reservation (llValid, llLine) is the one lock
+// flag of both schemes: a store by another local process, an applied
+// invalidation or the SC itself clears it. The conservative emulation
+// (EmulateLLSC, the §3.1.2 footnote) saves and tests the lock flag and
+// address in line, an extra LLSCExtra at the LL and two at the SC.
 func (p *Proc) LoadLocked(addr uint64) uint64 {
 	p.stats.N[CntLLs]++
 	s := p.sys
@@ -26,18 +30,11 @@ func (p *Proc) LoadLocked(addr uint64) uint64 {
 	// drops them here, so the LL below observes current data and the SC's
 	// currency check can succeed; a no-op for dirinval.
 	s.proto.refreshLL(p, line)
+	cost := s.Cfg.Cost.FullCheck + s.Cfg.Cost.LLSCExtra
 	if s.Cfg.EmulateLLSC {
-		// Conservative emulation of the lock-flag and lock-address
-		// (§3.1.2): save the address and set the flag on every LL.
-		p.charge(CatCheck, s.Cfg.Cost.FullCheck+s.Cfg.Cost.LLSCExtra*2)
-		p.emuLockFlag = true
-		p.emuLockLine = line
-		if st := p.priv[line]; st != Shared && st != Exclusive {
-			p.loadMiss(line)
-		}
-		return p.mem.data[w]
+		cost += s.Cfg.Cost.LLSCExtra
 	}
-	p.charge(CatCheck, s.Cfg.Cost.FullCheck+s.Cfg.Cost.LLSCExtra)
+	p.charge(CatCheck, cost)
 	st := p.priv[line]
 	if st != Shared && st != Exclusive {
 		p.loadMiss(line)
@@ -50,9 +47,10 @@ func (p *Proc) LoadLocked(addr uint64) uint64 {
 }
 
 // StoreCond executes an SC instruction, returning success. When the line
-// was exclusive at the LL, the sequence runs entirely in hardware; in all
-// other cases the protocol is invoked, and the store completes within the
-// protocol on success (§3.1.2).
+// was exclusive at the LL, the optimized scheme runs the sequence entirely
+// in hardware; in all other cases, and always under the emulation, the
+// protocol is invoked, and the store completes within the protocol on
+// success (§3.1.2).
 func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 	p.stats.N[CntSCs]++
 	s := p.sys
@@ -68,44 +66,51 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 		}
 		return ok
 	}
+	cost := s.Cfg.Cost.FullCheck
 	if s.Cfg.EmulateLLSC {
-		return p.storeCondEmulated(addr, v, line)
+		cost += 2 * s.Cfg.Cost.LLSCExtra
 	}
-	p.charge(CatCheck, s.Cfg.Cost.FullCheck)
-	if p.llState == Exclusive {
+	p.charge(CatCheck, cost)
+	ok := p.llValid && p.llLine == line
+	switch {
+	case !ok:
+	case p.llState == Exclusive && !s.Cfg.EmulateLLSC:
 		// Fast path: still exclusive and untouched since the LL means
 		// the hardware SC succeeds; any intervening write or downgrade
 		// reset the lock flag and the SC fails.
-		ok := p.llValid && p.priv[line] == Exclusive && p.llLine == line
-		p.llValid = false
-		if ok {
+		if ok = p.priv[line] == Exclusive; ok {
 			p.stats.N[CntSCHardware]++
 			p.performStore(addr, v, line)
-			return true
 		}
-		p.stats.N[CntSCFailures]++
-		return false
-	}
-	// Slow path: the protocol handles the SC miss. The lock flag must
-	// still be set: a store by another local process (which the hardware
-	// SC would catch) or an applied invalidation resets it.
-	if !p.llValid || p.llLine != line {
-		p.llValid = false
-		p.stats.N[CntSCFailures]++
-		return false
+	default:
+		p.enterProtocol()
+		ok = p.storeCondProtocol(addr, v, line)
+		p.exitProtocol()
 	}
 	p.llValid = false
-	p.enterProtocol()
-	defer p.exitProtocol()
+	if !ok {
+		p.stats.N[CntSCFailures]++
+	}
+	return ok
+}
+
+// storeCondProtocol is an SC's protocol half, one path for both schemes:
+// it performs the store if it can make the line exclusive while the
+// reservation holds, and reports whether it did.
+func (p *Proc) storeCondProtocol(addr, v uint64, line int) bool {
+	s := p.sys
 	switch p.priv[line] {
 	case Invalid, Pending:
-		p.stats.N[CntSCFailures]++
 		return false
 	case Exclusive:
-		// The line became exclusive under us (e.g. a local fill since
-		// the LL); the conservative choice is failure.
-		p.stats.N[CntSCFailures]++
-		return false
+		// Exclusive at the LL and since (the emulation's hardware case),
+		// the store completes here. A line that became exclusive under
+		// us (e.g. a local fill since the LL) fails conservatively.
+		if p.llState != Exclusive {
+			return false
+		}
+		p.performStore(addr, v, line)
+		return true
 	}
 	// The private entry is shared, but the node may hold a newer state
 	// (private tables are lazily filled from the shared table — §2.3).
@@ -115,80 +120,34 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 			// The node owns the line: complete the SC locally, if the
 			// reservation survives the fill (no local store slips in
 			// while the fill is charged).
-			p.scWatchValid = true
-			p.scWatchLine = line
-			ok := p.localFill(line) && p.priv[line] == Exclusive && p.scWatchValid
-			p.scWatchValid = false
-			if ok {
-				p.performStore(addr, v, line)
-				return true
+			if !p.localFill(line) || p.priv[line] != Exclusive || !p.llValid {
+				return false
 			}
-			p.stats.N[CntSCFailures]++
-			return false
+			p.performStore(addr, v, line)
+			return true
 		case Pending, Invalid:
 			// A transition is in flight or the node lost the line: some
 			// write serialized ahead of this SC.
-			p.stats.N[CntSCFailures]++
 			return false
 		}
 	}
-	// Shared: the store is performed within the protocol once the upgrade
-	// succeeds.
-	if !p.scUpgrade(line) {
-		return false
-	}
-	p.performStore(addr, v, line)
-	return true
+	return p.scUpgrade(addr, v, line)
 }
 
 // scUpgrade asks the home for an SC upgrade of line, which fails if p is no
-// longer a sharer (§3.1.2), and reports whether the SC may complete. The
-// reservation can still be broken while the request is in flight — by
-// another local process's store or by an invalidation — so it is
-// re-checked once the reply is in. A failure is counted.
-func (p *Proc) scUpgrade(line int) bool {
+// longer a sharer (§3.1.2). The store rides the grant, as a write miss's
+// rides its fill: finishMiss performs it only if the reservation held until
+// then, and latches the outcome.
+func (p *Proc) scUpgrade(addr, v uint64, line int) bool {
 	blk := p.sys.blockOf(line)
 	if !p.tryBeginTransition(blk, CatWriteStall) {
 		// Another local transition is in flight for this block; a write
 		// is serializing ahead of this SC, which therefore fails.
-		p.stats.N[CntSCFailures]++
 		return false
 	}
-	p.scWatchValid = true
-	p.scWatchLine = line
-	p.issueMissKind(blk, true, nil, true)
+	p.issueMissKind(blk, true, []pendingStore{{addr, v}}, true)
 	p.stallWhile(CatWriteStall, func() bool { return p.mshr[blk.id] != nil })
-	ok := !p.scMissFailed && p.scWatchValid && p.priv[line] == Exclusive
-	p.scWatchValid = false
-	if !ok {
-		p.stats.N[CntSCFailures]++
-	}
-	return ok
-}
-
-// storeCondEmulated is the §3.1.2-footnote fallback for deprecated LL/SC
-// sequences: it emulates the lock flag directly.
-func (p *Proc) storeCondEmulated(addr, v uint64, line int) bool {
-	s := p.sys
-	p.charge(CatCheck, s.Cfg.Cost.FullCheck+s.Cfg.Cost.LLSCExtra*2)
-	if !p.emuLockFlag || p.emuLockLine != line {
-		p.emuLockFlag = false
-		p.stats.N[CntSCFailures]++
-		return false
-	}
-	p.emuLockFlag = false
-	p.enterProtocol()
-	defer p.exitProtocol()
-	// Obtain exclusive ownership, then re-check the reservation: a store
-	// or invalidation during the upgrade fails the SC.
-	if p.priv[line] != Exclusive {
-		filled := s.Cfg.SMP && p.mem.table[line] == Exclusive && p.localFill(line) && p.priv[line] == Exclusive
-		if !filled && !p.scUpgrade(line) {
-			return false
-		}
-	}
-	p.performStore(addr, v, line)
-	return true
+	return !p.scMissFailed
 }
 
 // PrefetchExclusive issues a non-binding exclusive prefetch; the rewriter

@@ -33,9 +33,10 @@ type Proc struct {
 	mshrFree    []*mshrEntry // completed entries awaiting reuse (pool.go)
 	outstanding int
 	// scMissFailed is the outcome of the most recent store-conditional
-	// upgrade miss, latched by finishMiss (the MSHR entry itself is
-	// recycled on completion). Only one SC miss is ever in flight per
-	// process — StoreCond stalls on it synchronously.
+	// upgrade miss — refused by the home, or the reservation broke before
+	// the fill — latched by finishMiss (the MSHR entry itself is recycled
+	// on completion). Only one SC miss is ever in flight per process —
+	// StoreCond stalls on it synchronously.
 	scMissFailed bool
 
 	// Reliability sublayer state (ReliableDelivery only; see reliable.go).
@@ -67,17 +68,13 @@ type Proc struct {
 
 	deferredFills []int // lines logically invalid, flag fill deferred (§4.1)
 
+	// The LL/SC reservation: set by LoadLocked, held through the SC's
+	// protocol work, and cleared by the SC, a local store by another
+	// process (resetLocalLLs) or an applied invalidation
+	// (invalidateLocalLLs). llState is the line's state at the LL.
 	llValid bool
 	llLine  int
 	llState LineState
-	// scWatch tracks an SC-upgrade in flight: any local store to the line
-	// or invalidation of it while the request is outstanding breaks the
-	// reservation and the SC must fail even if the directory granted it.
-	scWatchValid bool
-	scWatchLine  int
-	// Conservative LL/SC emulation state (§3.1.2 footnote).
-	emuLockFlag bool
-	emuLockLine int
 
 	curBatch *Batch // &batch while a batch is open, else nil
 	batch    Batch  // the one batch every BatchStart reuses
@@ -836,15 +833,7 @@ func (p *Proc) resetLocalLLs(line int) {
 		if q == p {
 			continue
 		}
-		if q.llValid && q.llLine == line {
-			q.llValid = false
-		}
-		if q.emuLockFlag && q.emuLockLine == line {
-			q.emuLockFlag = false
-		}
-		if q.scWatchValid && q.scWatchLine == line {
-			q.scWatchValid = false
-		}
+		q.invalidateLocalLLs(line)
 	}
 }
 
@@ -853,12 +842,6 @@ func (p *Proc) resetLocalLLs(line int) {
 func (p *Proc) invalidateLocalLLs(line int) {
 	if p.llValid && p.llLine == line {
 		p.llValid = false
-	}
-	if p.emuLockFlag && p.emuLockLine == line {
-		p.emuLockFlag = false
-	}
-	if p.scWatchValid && p.scWatchLine == line {
-		p.scWatchValid = false
 	}
 }
 

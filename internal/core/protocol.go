@@ -386,14 +386,22 @@ func (p *Proc) handleDowngradeReq(m *msg) {
 }
 
 // finishMiss installs the final line states, performs buffered stores, and
-// re-executes any requests deferred while the fill was in flight.
+// re-executes any requests deferred while the fill was in flight. An SC
+// upgrade's store is performed only if the requester's reservation held
+// until now; if it broke, the grant is installed all the same and the SC
+// fails.
 func (p *Proc) finishMiss(m *mshrEntry) {
 	s := p.sys
 	blk := s.blocks[m.block]
+	stores := m.stores
 	if m.scMode {
 		// The issuing StoreCond reads the outcome from the proc after its
 		// stall: the entry itself is recycled below.
-		p.scMissFailed = m.scFailed
+		p.scMissFailed = m.scFailed || !p.llValid
+		p.llValid = false
+		if p.scMissFailed {
+			stores = nil
+		}
 	}
 	if m.scFailed {
 		traceEvent(p, blk, "finish:scfail")
@@ -433,7 +441,7 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 				p.mem.sharerProcs[l] |= 1 << uint(p.ID)
 			}
 		}
-		for _, st := range m.stores {
+		for _, st := range stores {
 			p.performStore(st.addr, st.val, s.lineOf(st.addr))
 		}
 		if p.sys.tracer != nil {

@@ -238,7 +238,7 @@ func (p *Proc) barrierArrive(b *barrierState, who int, ts int64) {
 	// zero and inert under dirinval).
 	maxTs := b.maxTs
 	b.maxTs = 0
-	if p.sys.Cfg.InvariantChecks && p.sys.Cfg.Checks && !p.sys.parActive() {
+	if p.sys.Cfg.Checks && !p.sys.parActive() {
 		// Barrier release is a natural quiesce point: every participant
 		// has drained its outstanding misses before arriving. (Skipped
 		// mid-run under the parallel engine — the checker reads all

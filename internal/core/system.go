@@ -468,7 +468,7 @@ func (s *System) Run() error {
 	// Commit any staged state left from the final parallel window (and
 	// trace events emitted during tear-down) before accounting runs.
 	s.finishParallel()
-	if err == nil && s.Cfg.InvariantChecks {
+	if err == nil {
 		err = s.CheckInvariants()
 	}
 	if s.tracer != nil {
@@ -527,7 +527,7 @@ func (s *System) blockOf(line int) *blockInfo {
 
 // AllocOptions controls shared-memory allocation.
 type AllocOptions struct {
-	// BlockLines is the coherence block size in lines; 0 uses the default.
+	// BlockLines is the coherence block size in lines; 0 means one.
 	// Shasta supports different block sizes for different data (§2.1).
 	BlockLines int
 	// Home is the block's home process. The zero value spreads the blocks
@@ -555,10 +555,7 @@ func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 	if bytes <= 0 {
 		panic("core: Alloc of non-positive size")
 	}
-	blockLines := opts.BlockLines
-	if blockLines <= 0 {
-		blockLines = s.Cfg.DefaultBlockLines
-	}
+	blockLines := max(opts.BlockLines, 1)
 	blockBytes := blockLines * s.Cfg.LineSize
 	nblocks := (bytes + blockBytes - 1) / blockBytes
 	startLine := s.allocCursor

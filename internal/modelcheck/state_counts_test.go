@@ -49,6 +49,13 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/state_counts.tx
 // owner, the state tables and the program counters. No dirinval row moved
 // when the record became the core's.
 //
+// Two dirinval rows were pinned again when an SC's store began to ride its
+// grant: mig-llsc RC 1958 -> 1826 states (3915 -> 3705 transitions) and SC
+// 2551 -> 2398 (4856 -> 4621). The explorer used to interleave the window
+// between an SC upgrade's fill and the SC's re-check of its reservation;
+// finishMiss now performs the store at the fill, so that window is gone.
+// No outcome set moved.
+//
 // The same sweep pins each row's reachable litmus outcomes, the set
 // shasta-check -json prints, to testdata/outcomes.txt: one line per model,
 // protocol and consistency, the outcomes joined by " | ".

@@ -120,6 +120,12 @@ type Result struct {
 	Stats   core.Stats
 }
 
+// newSMBarrier makes the barrier of an SM-synchronized run: the stock
+// dsmsync.SMBarrier, which tests may swap for a variant.
+var newSMBarrier = func(sys *core.System, n int, opts core.AllocOptions) dsmsync.Barrier {
+	return dsmsync.NewSMBarrier(sys, n, opts)
+}
+
 // Run executes the app on the given system. The system must be fresh; its
 // CPUs are filled in order (2-4 processes share the first SMP node, 8 use
 // two nodes, 16 use all four — the paper's placement).
@@ -155,7 +161,7 @@ func Run(sys *core.System, app *App, cfg RunConfig) (*Result, error) {
 		}
 	}
 	if cfg.Sync == SMSync {
-		ctx.bar = dsmsync.NewSMBarrier(sys, cfg.Procs, core.AllocOptions{Home: core.HomeAt(0)})
+		ctx.bar = newSMBarrier(sys, cfg.Procs, core.AllocOptions{Home: core.HomeAt(0)})
 	} else {
 		ctx.bar = dsmsync.NewMPBarrier(sys, 0, cfg.Procs)
 	}

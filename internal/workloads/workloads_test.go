@@ -1,9 +1,11 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dsmsync"
 	"repro/internal/sim"
 )
 
@@ -122,30 +124,109 @@ func TestGetByName(t *testing.T) {
 	}
 }
 
-// TestTardisSMSyncFinishes: the nine kernels with LL/SC locks and barriers
-// finish on Tardis at scale 4, on 8x1 Base-Shasta and 4x4 SMP-Shasta, well
-// inside MaxTime. Their spinners read lock and sense words with plain loads
-// and see a release only when a poll tick or an expiry drops their copy; a
-// lease rule that lets a spinner's copy outlive its poll ticks sends a run to
-// MaxTime (LL/SC Ocean on 8x1 with leases capped at 128 did).
-func TestTardisSMSyncFinishes(t *testing.T) {
+// TestSMSyncFinishes is the liveness gate of the LL/SC path: the nine
+// kernels on SM synchronization at scale 4 finish well inside a 40 M-cycle
+// MaxTime in every cell of dirinval and Tardis, 8x1 Base-Shasta and 4x4
+// SMP-Shasta, the optimized scheme, EmulateLLSC and PrefetchExclusive, and
+// the stock SM barrier and one whose sense flip is an LL/SC sequence too
+// (llscFlipBarrier): 216 cells. Its spinners read lock and sense words with
+// plain loads; under Tardis they see a release only when a poll tick or an
+// expiry drops their copy. A cell at MaxTime is a livelock: an SC that
+// loses the grant it won, or a lost barrier-count increment, leaves every
+// process spinning. A flip cell must also finish within twice its stock
+// cell's cycles.
+func TestSMSyncFinishes(t *testing.T) {
+	const maxTime = 40_000_000
 	layouts := []struct {
 		name        string
 		nodes, cpus int
 		variant     core.ProtocolVariant
 	}{{"8x1", 8, 1, core.BaseShasta()}, {"4x4", 4, 4, core.SMPShasta()}}
-	for _, l := range layouts {
-		for _, app := range All() {
-			sys := core.Build(core.WithMaxTime(400_000_000), core.WithProcs(l.nodes, l.cpus),
-				core.WithVariant(l.variant), core.WithProtocol("tardis"))
-			res, err := Run(sys, app, RunConfig{Procs: l.nodes * l.cpus, Scale: 4, Sync: SMSync})
-			if err != nil {
-				t.Errorf("%s %s: %v", l.name, app.Name, err)
-				continue
-			}
-			if res.Stats.LLs() == 0 {
-				t.Errorf("%s %s: the run executed no LL/SC", l.name, app.Name)
+	schemes := []struct {
+		name string
+		set  func(*core.Config)
+	}{
+		{"optimized", func(*core.Config) {}},
+		{"emulated", func(c *core.Config) { c.EmulateLLSC = true }},
+		{"prefetch", func(c *core.Config) { c.PrefetchExclusive = true }},
+	}
+	barriers := []struct {
+		name string
+		make func(*core.System, int, core.AllocOptions) dsmsync.Barrier
+	}{
+		{"stock", newSMBarrier},
+		{"llsc-flip", newLLSCFlipBarrier},
+	}
+	defer func(f func(*core.System, int, core.AllocOptions) dsmsync.Barrier) { newSMBarrier = f }(newSMBarrier)
+	for _, proto := range []string{"dirinval", "tardis"} {
+		for _, l := range layouts {
+			for _, sc := range schemes {
+				stock := map[string]sim.Time{}
+				for _, bar := range barriers {
+					newSMBarrier = bar.make
+					for _, app := range All() {
+						sys := core.Build(core.WithMaxTime(maxTime), core.WithProcs(l.nodes, l.cpus),
+							core.WithVariant(l.variant), core.WithProtocol(proto), core.WithConfigure(sc.set))
+						res, err := Run(sys, app, RunConfig{Procs: l.nodes * l.cpus, Scale: 4, Sync: SMSync})
+						cell := fmt.Sprintf("%s %s %s %s %s", app.Name, proto, l.name, sc.name, bar.name)
+						if err != nil {
+							t.Errorf("%s: %v", cell, err)
+							continue
+						}
+						if res.Stats.LLs() == 0 {
+							t.Errorf("%s: the run executed no LL/SC", cell)
+						}
+						t.Logf("%s: %d cycles", cell, res.Elapsed)
+						if bar.name == "stock" {
+							stock[app.Name] = res.Elapsed
+						} else if base := stock[app.Name]; base > 0 && res.Elapsed > 2*base {
+							t.Errorf("%s: %d cycles, more than twice the stock barrier's %d", cell, res.Elapsed, base)
+						}
+					}
+				}
 			}
 		}
 	}
+}
+
+// llscFlipBarrier is dsmsync.SMBarrier with the last arrival's sense flip
+// made an LL/SC sequence, retried with a poll and backoff as the arrival
+// loop is.
+type llscFlipBarrier struct {
+	count, sense uint64
+	n            int
+}
+
+func newLLSCFlipBarrier(sys *core.System, n int, opts core.AllocOptions) dsmsync.Barrier {
+	return &llscFlipBarrier{count: sys.Alloc(8, opts), sense: sys.Alloc(8, opts), n: n}
+}
+
+func (b *llscFlipBarrier) Wait(p *core.Proc) {
+	sense := p.Load(b.sense)
+	p.MemBar()
+	llsc := func(addr uint64, next func(uint64) uint64) uint64 {
+		backoff := sim.Time(200)
+		for {
+			v := p.LoadLocked(addr)
+			if p.StoreCond(addr, next(v)) {
+				return v
+			}
+			p.Poll()
+			p.Compute(backoff)
+			if backoff < 6000 {
+				backoff *= 2
+			}
+		}
+	}
+	if llsc(b.count, func(v uint64) uint64 { return v + 1 })+1 == uint64(b.n) {
+		p.Store(b.count, 0)
+		p.MemBar()
+		llsc(b.sense, func(uint64) uint64 { return 1 - sense })
+		p.MemBar()
+		return
+	}
+	for p.Load(b.sense) == sense {
+		p.Compute(320)
+	}
+	p.MemBar()
 }
