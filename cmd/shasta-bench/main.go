@@ -36,6 +36,7 @@ var registry = []struct {
 	{"rewrite", "executable conversion times (§6.3)", experiments.RewriteTimes},
 	{"figure3", "SPLASH-2 speedups, MP vs Alpha sync (slow)", experiments.Figure3},
 	{"figure4", "RC vs SC breakdowns at 16 processors (slow)", experiments.Figure4},
+	{"matrix", "nine kernels x MP/SM x 8x1/4x4 at scale 4, Tardis vs dirinval", experiments.Matrix},
 	{"table4", "Oracle DSS-1 run times", experiments.Table4},
 	{"figure5", "DSS-1 server time breakdowns EX vs EQ", experiments.Figure5},
 	{"abl-downgrade", "ablation: direct downgrade (§4.3.4)", experiments.AblationDirectDowngrade},

@@ -2,7 +2,8 @@
 // shasta-run/shasta-bench's -trace flag: the Figure 4/5-style execution-time
 // breakdown, a message histogram with service delays, network traffic, the
 // directory's migratory-sharing events, Tardis's lease growth, and
-// scheduler activity.
+// scheduler activity. It exits 1 if an inval-ack answers no inval-req
+// (analyze.Summary.CheckInvalAcks).
 //
 // Usage:
 //
@@ -34,4 +35,8 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(sum.Render())
+	if err := sum.CheckInvalAcks(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

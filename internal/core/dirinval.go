@@ -5,10 +5,11 @@ package core
 // window of a 3-hop transfer and its queue) each block's home keeps a
 // sharer bitmask: while the master copy is valid (owner -1) the agents
 // holding shared copies, the home's among them. Writes served from the
-// master copy invalidate every other sharer (multicast invalidations, acks
-// collected at the requester); requests for a remotely-owned block are
-// forwarded to the owner by the core, as are its downgrade and writeback
-// (serveForward).
+// master copy invalidate every other sharer: remote ones by multicast
+// invalidations whose acks are collected at the requester, the home's own
+// agent in place before the grant leaves, so it owes no ack. Requests for
+// a remotely-owned block are forwarded to the owner by the core, as are its
+// downgrade and writeback (serveForward).
 //
 // The home also detects migratory blocks (the core's migEntry, home.go): a
 // block that moves read-then-write from agent to agent has its reads
@@ -87,7 +88,7 @@ func (d *dirInval) handle(p *Proc, m *msg) {
 	case msgShareWB:
 		d.handleShareWB(p, m)
 	case msgOwnerTransfer:
-		d.handleOwnerTransfer(p, m)
+		d.s.endOwnerTransfer(p, m)
 	default:
 		panic(fmt.Sprintf("core: dirinval cannot handle %s", m.kind))
 	}
@@ -95,7 +96,9 @@ func (d *dirInval) handle(p *Proc, m *msg) {
 
 // serveMaster serves a request from the master copy: a read joins the
 // sharer set; a write is granted exclusive after the invalidation of every
-// other sharer.
+// other sharer. The remote sharers are sent their invalidations first, and
+// ack the writer; then the home invalidates its own agent's copy in place,
+// so the one grant that follows owes the writer only the remote acks.
 func (d *dirInval) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m msg) {
 	s := d.s
 	reqAgent := s.agentOf(req)
@@ -116,12 +119,11 @@ func (d *dirInval) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind,
 		return
 	}
 	others := *sharers &^ (1 << uint(reqAgent))
-	homeIsSharer := others&(1<<uint(homeAgent)) != 0
 	remote := others &^ (1 << uint(homeAgent))
-	nacks := bits.OnesCount64(others)
-	var data []uint64
+	rep := msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, invals: bits.OnesCount64(remote)}
 	if !isUpgrade {
-		data = s.blockData(s.agents[homeAgent], blk)
+		// Taken before the home's own invalidation flag-fills its copy.
+		rep.kind, rep.data = msgReadExclReply, s.blockData(s.agents[homeAgent], blk)
 	}
 	*sharers = 0
 	s.homes[blk.id].owner = reqAgent
@@ -138,20 +140,14 @@ func (d *dirInval) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind,
 			p.send(s.requesterOf(blk, a), &inv, CatMessage)
 		}
 	}
-	// Reply before doing the (possibly slow) local invalidation.
-	k := msgReadExclReply
-	if isUpgrade {
-		k = msgUpgradeAck
-	}
-	p.send(req, &msg{kind: k, block: blk.id, from: p.ID, invals: nacks, data: data}, CatMessage)
-	if homeIsSharer && homeAgent != reqAgent {
+	if others&(1<<uint(homeAgent)) != 0 {
 		if s.brokenHomeInval {
 			p.downgradeAgent(blk, Invalid, false)
 		} else {
 			d.invalidateAgent(p, blk)
 		}
-		p.send(req, &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
 	}
+	p.send(req, &rep, CatMessage)
 }
 
 // grantOwned: no timestamps. A read of a block the home agent owned leaves
@@ -177,8 +173,8 @@ func (d *dirInval) handleInval(p *Proc, m *msg) {
 // has already made owner: a remote sharer's on an invalidation message,
 // the home's own from serveMaster. It never waits for a local miss on the
 // block, because that miss may itself be waiting, through the home or
-// through the writer's fill, for the ack that follows (DESIGN.md §8
-// finding 9).
+// through the writer's fill, for the ack or the grant that follows
+// (DESIGN.md §8 finding 9).
 func (d *dirInval) invalidateAgent(p *Proc, blk *blockInfo) {
 	holder := p
 	if d.s.Cfg.SMP {
@@ -220,19 +216,10 @@ func (d *dirInval) handleShareWB(p *Proc, m *msg) {
 	s.endTransfer(p, blk, m)
 }
 
-// handleOwnerTransfer completes a 3-hop exclusive transfer at the home.
-func (d *dirInval) handleOwnerTransfer(p *Proc, m *msg) {
-	s := d.s
-	blk := s.blocks[m.block]
-	h := &s.homes[blk.id]
-	h.owner = h.pendingOwner
-	s.endTransfer(p, blk, m)
-}
-
 // handleReply completes (part of) an outstanding miss at the requester.
 func (d *dirInval) handleReply(p *Proc, m *msg) {
 	mshr := p.noteReply(m)
-	if d.s.brokenSkipInvalAck && m.invals > 1 {
+	if d.s.brokenSkipInvalAck && m.invals > 0 {
 		// Broken variant for counterexample tests: forget one expected
 		// invalidation ack, so the miss can complete while a stale
 		// sharer still holds a valid copy (single-writer violation).
@@ -333,7 +320,7 @@ func (d *dirInval) expectedValue(s *System, e *Explorer, a int, blk *blockInfo, 
 
 func (d *dirInval) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
 	h := e.sys.homes[blk.id]
-	fmt.Fprintf(b, "B%d{o%d po%d sh%x", blk.id, permAgent(h.owner, perm), perm[h.pendingOwner], remapMask(d.sharers[blk.id], perm))
+	fmt.Fprintf(b, "B%d{o%d po%d sh%x", blk.id, permAgent(h.owner, perm), permAgent(h.pendingOwner, perm), remapMask(d.sharers[blk.id], perm))
 	if h.busy {
 		b.WriteString(" busy")
 	}

@@ -19,7 +19,7 @@ import "fmt"
 // block ID in System.homes and touched by home-side handlers alone.
 type homeEntry struct {
 	owner        int   // owning agent, -1 while the home's master copy is valid
-	pendingOwner int   // next owner during a busy ownership transfer
+	pendingOwner int   // next owner during a busy ownership transfer, -1 otherwise
 	busy         bool  // a forward, or the home's own downgrade, is in flight
 	queue        []msg // requests that arrived while busy
 	mig          migEntry
@@ -273,6 +273,14 @@ func (s *System) endTransfer(p *Proc, blk *blockInfo, m *msg) {
 	}
 	s.homes[blk.id].busy = false
 	s.drainHome(p, blk)
+}
+
+// endOwnerTransfer completes a 3-hop exclusive transfer at the home, on
+// the old owner's ownership transfer m: the pending owner becomes the owner.
+func (s *System) endOwnerTransfer(p *Proc, m *msg) {
+	h := &s.homes[m.block]
+	h.owner, h.pendingOwner = h.pendingOwner, -1
+	s.endTransfer(p, s.blocks[m.block], m)
 }
 
 // drainHome re-services requests that queued while the entry was busy,

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // The home-node invalidation wedge (DESIGN.md §8 finding 9). Two nodes of two
@@ -16,14 +18,14 @@ import (
 //  1. p's SC-upgrade reaches the home first;
 //  2. q's is behind it in the home's queue, and q holds its agent's
 //     transition lock for as long as that miss is outstanding;
-//  3. the home grants p with one ack owed, for its own node's copy, and
-//     goes to invalidate that copy — under the transition lock, as it used
-//     to, it waits for q, servicing messages;
+//  3. the home makes p the owner and goes to invalidate its own node's
+//     copy before it grants — under the transition lock, as it used to, it
+//     waits for q, servicing messages;
 //  4. among them q's upgrade, which fails (the line is p's now); q re-issues
 //     as a read and takes the lock again while the home is busy with the
 //     next message in its queue;
-//  5. the home forwards the read to p, where it is deferred behind p's fill,
-//     which waits for the ack the home never gets to send.
+//  5. the home forwards the read to p, where it is deferred behind p's miss,
+//     which waits for the grant the home never gets to send.
 //
 // The home is deaf (no poll) from hiIssueAt for hiDeaf cycles, so that when
 // it next looks its queue holds p's upgrade, q's, and behind them a few
@@ -132,8 +134,9 @@ func TestStarvedMissFailsWithinWatchdogBudget(t *testing.T) {
 		t.Errorf("starved miss %q is not on block %d", se.Starved, blk)
 	}
 	// Message 5: the home forwarded q's read to p's node and waits for the
-	// writeback, and the dump says so.
-	if want := fmt.Sprintf("block %d: busy owner=0 pending=0 queued=0", blk); !strings.Contains(err.Error(), want) {
+	// writeback, and the dump says so. A forwarded read names no pending
+	// owner.
+	if want := fmt.Sprintf("block %d: busy owner=0 pending=-1 queued=0", blk); !strings.Contains(err.Error(), want) {
 		t.Errorf("error does not name the busy home, %q:\n%v", want, err)
 	}
 
@@ -156,5 +159,116 @@ func TestStarvedMissFailsWithinWatchdogBudget(t *testing.T) {
 		if clocks[0][i] != clocks[1][i] {
 			t.Errorf("process %d ended at t=%d with the probe, t=%d without", i, clocks[0][i], clocks[1][i])
 		}
+	}
+}
+
+// TestHomeGrantCarriesItsOwnInvalidation: on Base-Shasta p0 (the block's
+// home), p1 and p2 share a block, and p2 writes it. The home invalidates p1
+// by message and its own copy in place before it grants, so it sends
+// exactly one inval-req and one grant owing one ack, and no inval-ack of
+// its own. p2's miss finishes after it has handled those two messages, the
+// grant and p1's ack.
+func TestHomeGrantCarriesItsOwnInvalidation(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Nodes = 3
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(cfg), WithTrace(tr))
+	for i := 0; i < 3; i++ {
+		s.Spawn(fmt.Sprintf("p%d", i), i, func(p *Proc) {
+			p.Load(SharedBase)
+			if i == 2 {
+				computeUntil(p, hoStep)
+				p.Store(SharedBase, 1)
+				p.MemBar()
+			}
+			computeUntil(p, 2*hoStep)
+		})
+	}
+	s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(0)})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var sends, handled []string
+	finish := ""
+	for _, ev := range tr.TakeBuffered() {
+		switch {
+		case ev.T < hoStep || finish != "":
+		case ev.Cat == "msg" && ev.Ev == "send" && ev.P == 0:
+			sends = append(sends, fmt.Sprintf("%s->p%d", ev.S, ev.O))
+		case ev.Cat == "msg" && ev.Ev == "handle" && ev.P == 2:
+			handled = append(handled, fmt.Sprintf("%s<-p%d", ev.S, ev.O))
+		case ev.Cat == "line" && ev.P == 2 && strings.HasPrefix(ev.Ev, "finish:"):
+			finish = ev.Ev
+		}
+	}
+	if want := []string{"inval-req->p1", "upgrade-ack->p2"}; !reflect.DeepEqual(sends, want) {
+		t.Errorf("the home sent %v for the write, want %v", sends, want)
+	}
+	if want := []string{"upgrade-ack<-p0", "inval-ack<-p1"}; !reflect.DeepEqual(handled, want) {
+		t.Errorf("the writer handled %v before its miss finished, want %v", handled, want)
+	}
+	if !strings.HasPrefix(finish, "finish:grant-exclusive-") || !strings.HasSuffix(finish, "-acks1") {
+		t.Errorf("the writer's miss finished as %q, want an exclusive grant owing one ack", finish)
+	}
+	if v := s.Peek(SharedBase); v != 1 {
+		t.Errorf("the block holds %d after the write of 1", v)
+	}
+}
+
+// TestHomeGrantWaitsForItsMatesDowngrade: on SMP-Shasta, two nodes of two
+// CPUs, p0's node-mate p1 writes a block homed at p0 and computes, and p2
+// on node 1 reads it: p1's private table keeps a shared copy while it is in
+// application code. p3, p2's node-mate, writes the block, so invalidating
+// the home's copy takes an explicit downgrade and p1's ack. The grant to p3
+// leaves only after the home has handled that ack, the run finishes, and
+// the invariants hold.
+func TestHomeGrantWaitsForItsMatesDowngrade(t *testing.T) {
+	cfg := testConfig()
+	cfg.Nodes, cfg.CPUsPerNode = 2, 2
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(cfg), WithTrace(tr))
+	for i := 0; i < 4; i++ {
+		s.Spawn(fmt.Sprintf("p%d", i), i, func(p *Proc) {
+			switch i {
+			case 1:
+				p.Store(SharedBase, 2)
+			case 2:
+				computeUntil(p, hoStep/2)
+				p.Load(SharedBase)
+			case 3:
+				computeUntil(p, hoStep)
+				p.Store(SharedBase, 1)
+				p.MemBar()
+			}
+			computeUntil(p, 2*hoStep)
+		})
+	}
+	s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(0)})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var dgReq, dgAck, grant sim.Time = -1, -1, -1
+	for _, ev := range tr.TakeBuffered() {
+		switch {
+		case ev.Cat != "msg" || ev.T < hoStep:
+		case ev.Ev == "send" && ev.P == 0 && ev.O == 1 && ev.S == "downgrade-req":
+			dgReq = ev.T
+		case ev.Ev == "handle" && ev.P == 0 && ev.O == 1 && ev.S == "downgrade-ack":
+			dgAck = ev.T
+		case ev.Ev == "send" && ev.P == 0 && ev.O == 3 && ev.S == "upgrade-ack":
+			grant = ev.T
+		}
+	}
+	if dgReq < 0 || dgAck < 0 || grant < 0 {
+		t.Fatalf("downgrade-req sent at %d, its ack handled at %d, grant sent at %d: want all three", dgReq, dgAck, grant)
+	}
+	if !(dgReq < dgAck && dgAck < grant) {
+		t.Errorf("downgrade-req sent at t=%d, its ack handled at t=%d, grant sent at t=%d: the grant must leave after the ack", dgReq, dgAck, grant)
+	}
+	if v := s.Peek(SharedBase); v != 1 {
+		t.Errorf("the block holds %d after the write of 1", v)
 	}
 }

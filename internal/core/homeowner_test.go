@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -19,9 +20,10 @@ import (
 const hoStep = 100_000
 
 // homeOwnerRun runs the setup and the request and returns the owner the
-// home record named just before the request, and every message the home
-// sent from the request's turn on, as "kind->pN".
-func homeOwnerRun(t *testing.T, proto string, setup, request func(p *Proc)) (owner int, sends []string) {
+// home record named just before the request, every message the home sent
+// from the request's turn on, as "kind->pN", and the acks the grant that
+// finished the request's miss owed it (-1 if no grant finished it).
+func homeOwnerRun(t *testing.T, proto string, setup, request func(p *Proc)) (owner int, sends []string, acks int) {
 	t.Helper()
 	cfg := baseConfig()
 	cfg.Nodes = 3
@@ -57,18 +59,27 @@ func homeOwnerRun(t *testing.T, proto string, setup, request func(p *Proc)) (own
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	requester := 2
+	if setup == nil {
+		requester = 1
+	}
+	acks = -1
 	for _, ev := range tr.TakeBuffered() {
 		if ev.Cat == "msg" && ev.Ev == "send" && ev.P == 0 && ev.T >= 2*hoStep {
 			sends = append(sends, fmt.Sprintf("%s->p%d", ev.S, ev.O))
 		}
+		if ev.Cat == "line" && ev.P == requester && strings.HasPrefix(ev.Ev, "finish:grant-") {
+			fmt.Sscanf(ev.Ev[strings.LastIndex(ev.Ev, "-acks")+len("-acks"):], "%d", &acks)
+		}
 	}
-	return owner, sends
+	return owner, sends, acks
 }
 
 // TestHomeOwnerCases drives each reachable cell of the owner switch on both
 // backends and checks what the home sends for the request. From the master
 // copy dirinval invalidates the other sharers before a write (p1 remotely;
-// the home's own copy in place, acked for it) and Tardis disturbs nobody.
+// the home's own copy in place, before the grant, which owes p2 p1's ack
+// alone) and Tardis disturbs nobody.
 func TestHomeOwnerCases(t *testing.T) {
 	read := func(p *Proc) { p.Load(SharedBase) }
 	write := func(p *Proc) { p.Store(SharedBase, 1); p.MemBar() }
@@ -77,41 +88,49 @@ func TestHomeOwnerCases(t *testing.T) {
 		setup, request func(p *Proc)
 		owner          int
 		want           map[string][]string // by protocol
+		acks           int                 // owed by dirinval's grant; Tardis collects none
 	}{
 		{"read/master", read, read, -1, map[string][]string{
 			"dirinval": {"read-reply->p2"},
 			"tardis":   {"read-reply->p2"},
-		}},
+		}, 0},
 		{"read-exclusive/master", read, write, -1, map[string][]string{
-			"dirinval": {"inval-req->p1", "read-excl-reply->p2", "inval-ack->p2"},
+			"dirinval": {"inval-req->p1", "read-excl-reply->p2"},
 			"tardis":   {"read-excl-reply->p2"},
-		}},
+		}, 1},
 		{"read/home-agent", nil, read, 0, map[string][]string{
 			"dirinval": {"read-reply->p1"},
 			"tardis":   {"read-reply->p1"},
-		}},
+		}, 0},
 		{"read-exclusive/home-agent", nil, write, 0, map[string][]string{
 			"dirinval": {"read-excl-reply->p1"},
 			"tardis":   {"read-excl-reply->p1"},
-		}},
+		}, 0},
 		{"read/remote-owner", write, read, 1, map[string][]string{
 			"dirinval": {"fwd-read->p1"},
 			"tardis":   {"fwd-read->p1"},
-		}},
+		}, 0},
 		{"read-exclusive/remote-owner", write, write, 1, map[string][]string{
 			"dirinval": {"fwd-read-excl->p1"},
 			"tardis":   {"fwd-read-excl->p1"},
-		}},
+		}, 0},
 	}
 	for _, tc := range cases {
 		for _, proto := range ProtocolNames() {
 			t.Run(proto+"/"+tc.name, func(t *testing.T) {
-				owner, got := homeOwnerRun(t, proto, tc.setup, tc.request)
+				owner, got, acks := homeOwnerRun(t, proto, tc.setup, tc.request)
 				if owner != tc.owner {
 					t.Errorf("the home named owner %d at the request, want %d", owner, tc.owner)
 				}
 				if !reflect.DeepEqual(got, tc.want[proto]) {
 					t.Errorf("the home sent %v, want %v", got, tc.want[proto])
+				}
+				want := 0
+				if proto == "dirinval" {
+					want = tc.acks
+				}
+				if acks != want {
+					t.Errorf("the grant owed %d acks, want %d", acks, want)
 				}
 			})
 		}

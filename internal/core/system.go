@@ -579,7 +579,7 @@ func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 			lines:     blockLines,
 		}
 		s.blocks = append(s.blocks, blk)
-		s.homes = append(s.homes, homeEntry{owner: blk.homeAgent, mig: migEntry{writer: -1, reader: noReader}})
+		s.homes = append(s.homes, homeEntry{owner: blk.homeAgent, pendingOwner: -1, mig: migEntry{writer: -1, reader: noReader}})
 		s.proto.initBlock(blk)
 		mem := s.agents[blk.homeAgent]
 		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {

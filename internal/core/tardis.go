@@ -190,7 +190,6 @@ func (t *tardis) initBlock(blk *blockInfo) {
 		panic(fmt.Sprintf("core: tardis initBlock out of order (block %d, have %d)", blk.id, len(t.entries)))
 	}
 	t.entries = append(t.entries, tardisEntry{})
-	t.s.homes[blk.id].pendingOwner = -1
 }
 
 func (t *tardis) pstate(p *Proc) *tardisProcState {
@@ -470,20 +469,16 @@ func (t *tardis) handleShareWB(p *Proc, m *msg) {
 
 // handleOwnerTransfer completes a 3-hop exclusive transfer at the home.
 func (t *tardis) handleOwnerTransfer(p *Proc, m *msg) {
-	s := t.s
-	blk := s.blocks[m.block]
 	// Adopt the stamped grant from the yield (the yielding owner may have
 	// raised it past the grant the home fixed at forward time).
-	e := &t.entries[blk.id]
+	e := &t.entries[m.block]
 	if m.ts > e.wts {
 		e.wts = m.ts
 	}
 	if e.rts < e.wts {
 		e.rts = e.wts
 	}
-	h := &s.homes[blk.id]
-	h.owner, h.pendingOwner = h.pendingOwner, -1
-	s.endTransfer(p, blk, m)
+	t.s.endOwnerTransfer(p, m)
 }
 
 // handleReply completes an outstanding miss at the requester and does

@@ -134,6 +134,28 @@ func TestFigure4SCWithinBound(t *testing.T) {
 	}
 }
 
+// TestMatrixCells pins three cells of the protocol matrix: Raytrace with MP
+// synchronization on 8x1 under both backends, and Barnes with MP on 4x4
+// under dirinval, splash-smp's Barnes.
+func TestMatrixCells(t *testing.T) {
+	raytrace, _ := workloads.Get("Raytrace")
+	barnes, _ := workloads.Get("Barnes")
+	for _, c := range []struct {
+		protocol string
+		layout   matrixLayout
+		app      *workloads.App
+		want     int64
+	}{
+		{"tardis", matrixLayouts[0], raytrace, 3216443},
+		{"dirinval", matrixLayouts[0], raytrace, 2640805},
+		{"dirinval", matrixLayouts[1], barnes, 13804047},
+	} {
+		if got := int64(matrixCell(c.protocol, c.layout, matrixSyncs[0], c.app)); got != c.want {
+			t.Errorf("%s MP %s under %s: %d cycles, want %d", c.app.Name, c.layout.name, c.protocol, got, c.want)
+		}
+	}
+}
+
 // TestTable4Shape asserts Table 4's claims. Two of them do not hold yet
 // (ROADMAP item 8): each is expected to fail, for the reason given, and the
 // test fails once it holds, so that it is asserted instead.

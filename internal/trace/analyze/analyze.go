@@ -182,6 +182,18 @@ func Read(r io.Reader) (*Summary, error) {
 	return s, nil
 }
 
+// CheckInvalAcks checks that every inval-ack answers an inval-req. Under
+// dirinval each invalidation message draws one ack, to the writer, and
+// nothing else sends one: the home invalidates its own agent's copy in
+// place before it grants. So a run that finished sends as many of each; one
+// cut short may owe acks. Tardis sends neither.
+func (s *Summary) CheckInvalAcks() error {
+	if req, ack := s.MsgSends["inval-req"], s.MsgSends["inval-ack"]; ack > req {
+		return fmt.Errorf("analyze: %d inval-acks for %d inval-reqs: %d answer none", ack, req, ack-req)
+	}
+	return nil
+}
+
 // TotalTime returns the sum over all time categories.
 func (s *Summary) TotalTime() int64 {
 	var t int64

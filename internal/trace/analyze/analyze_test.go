@@ -178,6 +178,36 @@ func TestAnalyzerMigratoryEvents(t *testing.T) {
 	}
 }
 
+// TestInvalAcksAnswerInvalReqs: Barnes at 16 processes on 4x4 SMP-Shasta
+// under dirinval, scale 4, sends 6 345 inval-reqs and as many inval-acks,
+// and an ack too many fails the check.
+func TestInvalAcksAnswerInvalReqs(t *testing.T) {
+	var buf bytes.Buffer
+	tr := trace.New(trace.DefaultRingSize, &buf)
+	sys := core.Build(core.WithTrace(tr), core.WithMaxTime(sim.Cycles(900e6)), core.WithProcs(4, 4),
+		core.WithVariant(core.SMPShasta()), core.WithProtocol("dirinval"))
+	if _, err := workloads.Run(sys, workloads.Barnes(), workloads.RunConfig{Procs: 16, Scale: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := analyze.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req, ack := sum.MsgSends["inval-req"], sum.MsgSends["inval-ack"]; req != 6345 || ack != 6345 {
+		t.Errorf("%d inval-reqs and %d inval-acks, want 6345 of each", req, ack)
+	}
+	if err := sum.CheckInvalAcks(); err != nil {
+		t.Error(err)
+	}
+	sum.MsgSends["inval-ack"]++
+	if err := sum.CheckInvalAcks(); err == nil {
+		t.Error("an inval-ack with no inval-req passed the check")
+	}
+}
+
 // TestAnalyzerTardisMigratoryEvents: a Tardis home emits the same
 // migratory-sharing events as the directory. Water-Nsq on eight Base-Shasta
 // processes, whose accumulators are read then written under locks, has

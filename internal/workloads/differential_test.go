@@ -207,7 +207,11 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 // from the first read and the writes after them land further ahead. And
 // that of Tardis poll ticks that drop copies only for a process idle since
 // its previous tick: 0.995x the cycles, as 5 134 of Barnes' 5 138 ticks are
-// skipped and read misses fall 27 252 -> 26 932.
+// skipped and read misses fall 27 252 -> 26 932. The two SMP rows are also
+// those of a directory whose write grant leaves after the home has
+// invalidated its own node's copy, so the writer waits for no ack from the
+// home: 0.978x the cycles in Barnes and 1.002x in Raytrace, which sends
+// two messages fewer and waits 0.4 % longer for its work-queue lock.
 func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	for _, c := range []struct {
 		app      *App
@@ -218,8 +222,8 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	}{
 		{Barnes(), []core.Option{core.WithProcs(8, 1), core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")},
 			8, 29985734, 118198 * 101 / 100},
-		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 14110347, 313940 * 101 / 100},
-		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 2552704, 140572 / 3},
+		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 13804047, 313940 * 101 / 100},
+		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 2556608, 140572 / 3},
 	} {
 		sys := core.Build(append(c.opts, core.WithMaxTime(sim.Cycles(900e6)))...)
 		res, err := Run(sys, c.app, RunConfig{Procs: c.procs, Scale: 4})
