@@ -137,17 +137,15 @@ func (p *Proc) BatchStart(ranges ...Range) *Batch {
 				p.stallOnAgent(CatReadStall, func() bool { return p.priv[line] == Pending && p.mshr[n.blk.id] == nil })
 				continue
 			}
-			if s.Cfg.SMP {
-				nst := p.mem.table[line]
-				if nst == Pending {
-					blkID := n.blk.id
-					p.stallOnAgent(CatReadStall, func() bool { return p.mem.table[line] == Pending && p.mshr[blkID] == nil })
-					continue
-				}
-				if nst == Exclusive || (nst == Shared && !n.write) {
-					p.localFill(line)
-					continue
-				}
+			nst := p.mem.table[line]
+			if nst == Pending {
+				blkID := n.blk.id
+				p.stallOnAgent(CatReadStall, func() bool { return p.mem.table[line] == Pending && p.mshr[blkID] == nil })
+				continue
+			}
+			if nst == Exclusive || (nst == Shared && !n.write) {
+				p.localFill(line)
+				continue
 			}
 			if !p.tryBeginTransition(n.blk, CatReadStall) {
 				continue

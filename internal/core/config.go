@@ -150,13 +150,6 @@ type Config struct {
 	// backoff) under the coherence protocol. Off by default so fault-free
 	// runs keep the paper's exact timing; forced on when Faults is set.
 	ReliableDelivery bool
-	// RetxTimeout is the initial retransmit timeout in cycles; it doubles
-	// with each retry. 0 selects the default (25k cycles ≈ 83 µs, several
-	// round trips plus handler time).
-	RetxTimeout sim.Time
-	// RetxMaxRetries bounds retransmissions per message; exhausting it
-	// fails the run with NodeUnreachableError. 0 selects the default (8).
-	RetxMaxRetries int
 
 	// Protocol names the coherence backend ("dirinval", "tardis"); empty
 	// selects "dirinval", the paper's directory-invalidation protocol.
@@ -221,15 +214,6 @@ func (c *Config) validate() {
 	}
 	if c.Faults.Enabled() {
 		c.ReliableDelivery = true
-	}
-	if c.RetxTimeout <= 0 {
-		c.RetxTimeout = 25_000
-	}
-	if c.RetxMaxRetries <= 0 {
-		// With the default 25k-cycle timeout, 8 retries exhaust after
-		// ~12.8M cycles — under the default 15M-cycle watchdog budget, so
-		// an unreachable node reports as such, not as a stall.
-		c.RetxMaxRetries = 8
 	}
 	if c.Protocol == "" {
 		c.Protocol = "dirinval"

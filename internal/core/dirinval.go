@@ -176,10 +176,7 @@ func (d *dirInval) handleInval(p *Proc, m *msg) {
 // through the writer's fill, for the ack or the grant that follows
 // (DESIGN.md §8 finding 9).
 func (d *dirInval) invalidateAgent(p *Proc, blk *blockInfo) {
-	holder := p
-	if d.s.Cfg.SMP {
-		holder = p.mem.busy[blk.id]
-	}
+	holder := p.mem.busy[blk.id]
 	if holder != nil && holder.mshr[blk.id] != nil {
 		// A miss by a local process is in flight. Local private copies
 		// are dropped either way, but what the pending fill will install

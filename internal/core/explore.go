@@ -21,8 +21,9 @@ package core
 //     transition; its handler runs on the explorer's goroutine.
 //
 // The abstraction is exact for Base-Shasta (SMP off): handlers never
-// block (waitDowngrades degenerates to downgradeSelf and
-// tryBeginTransition is trivially true), and cross-agent shared state
+// block (waitDowngrades downgrades only the process itself, and the
+// transition lock's one possible holder is the process, which never
+// waits on it), and cross-agent shared state
 // (the directory) is touched only by its home's handlers, so every real
 // execution corresponds to some sequence of these atomic steps and vice
 // versa.

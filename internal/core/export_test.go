@@ -20,3 +20,19 @@ func DiffExported(want, got any) string {
 	}
 	return ""
 }
+
+// TransitionHolder returns the process holding the transition lock of p's
+// agent on the block of addr, nil if nobody does.
+func (p *Proc) TransitionHolder(addr uint64) *Proc {
+	return p.mem.busy[int(p.sys.lineBlock[p.sys.lineOf(addr)])]
+}
+
+// OpenTransitions counts, over every agent, the blocks whose transition lock
+// is held and the processes registered as waiters on agent state.
+func (s *System) OpenTransitions() (locked, waiters int) {
+	for _, m := range s.agents {
+		locked += len(m.busy)
+		waiters += len(m.stateWaiters)
+	}
+	return locked, waiters
+}

@@ -83,7 +83,9 @@ func TestUnallocatedAddressPanics(t *testing.T) {
 // reallocate every per-line array while a process on a second node holds
 // a Shared copy, one on a third has a release-consistent store miss
 // outstanding and one on a fourth holds an LL reservation; afterwards the
-// store lands, the SC succeeds and everyone reads back every word.
+// store lands, the SC succeeds and everyone reads back every word. On
+// Base-Shasta every private table is still its agent's table after the
+// growth.
 func TestRunTimeAllocGrowsUnderLoad(t *testing.T) {
 	for _, proto := range ProtocolNames() {
 		for _, smp := range []bool{true, false} {
@@ -132,6 +134,14 @@ func TestRunTimeAllocGrowsUnderLoad(t *testing.T) {
 					}
 					if &linker.priv[0] == privBefore || len(s.lineBlock) <= linesBefore {
 						t.Errorf("private table or lineBlock was not reallocated (%d -> %d lines)", linesBefore, len(s.lineBlock))
+					}
+					if !smp {
+						// Base-Shasta runs the SMP paths on this alias.
+						for _, q := range s.procs {
+							if &q.priv[0] != &q.mem.table[0] {
+								t.Errorf("%s: private table is no longer its agent table after the growth", q)
+							}
+						}
 					}
 					if storer.outstanding == 0 || !linker.llValid {
 						t.Error("the store miss or the LL reservation ended before the allocation")

@@ -98,7 +98,6 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 // it performs the store if it can make the line exclusive while the
 // reservation holds, and reports whether it did.
 func (p *Proc) storeCondProtocol(addr, v uint64, line int) bool {
-	s := p.sys
 	switch p.priv[line] {
 	case Invalid, Pending:
 		return false
@@ -114,22 +113,20 @@ func (p *Proc) storeCondProtocol(addr, v uint64, line int) bool {
 	}
 	// The private entry is shared, but the node may hold a newer state
 	// (private tables are lazily filled from the shared table — §2.3).
-	if s.Cfg.SMP {
-		switch p.mem.table[line] {
-		case Exclusive:
-			// The node owns the line: complete the SC locally, if the
-			// reservation survives the fill (no local store slips in
-			// while the fill is charged).
-			if !p.localFill(line) || p.priv[line] != Exclusive || !p.llValid {
-				return false
-			}
-			p.performStore(addr, v, line)
-			return true
-		case Pending, Invalid:
-			// A transition is in flight or the node lost the line: some
-			// write serialized ahead of this SC.
+	switch p.mem.table[line] {
+	case Exclusive:
+		// The node owns the line: complete the SC locally, if the
+		// reservation survives the fill (no local store slips in while
+		// the fill is charged).
+		if !p.localFill(line) || p.priv[line] != Exclusive || !p.llValid {
 			return false
 		}
+		p.performStore(addr, v, line)
+		return true
+	case Pending, Invalid:
+		// A transition is in flight or the node lost the line: some write
+		// serialized ahead of this SC.
+		return false
 	}
 	return p.scUpgrade(addr, v, line)
 }
@@ -167,14 +164,12 @@ func (p *Proc) PrefetchExclusive(addr uint64) {
 	}
 	p.enterProtocol()
 	defer p.exitProtocol()
-	if s.Cfg.SMP {
-		if p.mem.table[line] == Pending {
-			return // somebody local is already fetching
-		}
-		if p.mem.table[line] == Exclusive {
-			p.localFill(line)
-			return
-		}
+	if p.mem.table[line] == Pending {
+		return // somebody local is already fetching
+	}
+	if p.mem.table[line] == Exclusive {
+		p.localFill(line)
+		return
 	}
 	blk := s.blockOf(line)
 	if p.mshr[blk.id] != nil {

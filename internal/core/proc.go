@@ -391,20 +391,18 @@ func (p *Proc) loadMiss(line int) {
 		if st := p.priv[line]; st == Shared || st == Exclusive {
 			return
 		}
-		if s.Cfg.SMP {
-			// Another local process may hold — or be fetching — the line.
-			switch p.mem.table[line] {
-			case Shared, Exclusive:
-				if p.localFill(line) {
-					return
-				}
-				continue
-			case Pending:
-				p.stallOnAgent(CatReadStall, func() bool {
-					return p.mem.table[line] == Pending && p.mshr[blk.id] == nil
-				})
-				continue
+		// Another local process may hold — or be fetching — the line.
+		switch p.mem.table[line] {
+		case Shared, Exclusive:
+			if p.localFill(line) {
+				return
 			}
+			continue
+		case Pending:
+			p.stallOnAgent(CatReadStall, func() bool {
+				return p.mem.table[line] == Pending && p.mshr[blk.id] == nil
+			})
+			continue
 		}
 		if !p.tryBeginTransition(blk, CatReadStall) {
 			continue
@@ -432,7 +430,6 @@ func (p *Proc) localFill(line int) bool {
 	blk := s.blockOf(line)
 	for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
 		p.priv[l] = st
-		p.mem.sharerProcs[l] |= 1 << uint(p.ID)
 	}
 	return true
 }
@@ -442,10 +439,6 @@ func (p *Proc) localFill(line int) bool {
 // agent state-waiter so completions wake it — and only it — rather than
 // broadcasting to every local process.
 func (p *Proc) stallOnAgent(cat TimeCategory, cond func() bool) {
-	if !p.sys.Cfg.SMP {
-		p.stallWhile(cat, cond)
-		return
-	}
 	p.mem.stateWaiters[p]++
 	p.stallWhile(cat, cond)
 	if p.mem.stateWaiters[p]--; p.mem.stateWaiters[p] <= 0 {
@@ -455,9 +448,6 @@ func (p *Proc) stallOnAgent(cat TimeCategory, cond func() bool) {
 
 // notifyAgentWaiters wakes local processes stalled on agent state.
 func (p *Proc) notifyAgentWaiters() {
-	if !p.sys.Cfg.SMP {
-		return
-	}
 	now := p.Sim.Now()
 	for q := range p.mem.stateWaiters {
 		if q != p {
@@ -467,14 +457,13 @@ func (p *Proc) notifyAgentWaiters() {
 }
 
 // tryBeginTransition attempts to take the agent-level transition lock for
-// the block (SMP-Shasta). It returns true when the lock was acquired
-// without yielding, so the caller's state checks are still valid; if the
-// lock was busy it waits for the holder to finish and returns false, and
-// the caller must re-evaluate. In Base-Shasta there is nothing to lock.
+// the block. It returns true when the lock was acquired without yielding,
+// so the caller's state checks are still valid; if the lock was busy it
+// waits for the holder to finish and returns false, and the caller must
+// re-evaluate. In Base-Shasta the only possible holder is the process
+// itself, and every caller has first waited out its own miss on the block,
+// so the lock is never busy there.
 func (p *Proc) tryBeginTransition(blk *blockInfo, cat TimeCategory) bool {
-	if !p.sys.Cfg.SMP {
-		return true
-	}
 	if p.mem.busy[blk.id] == nil {
 		p.mem.busy[blk.id] = p
 		return true
@@ -486,9 +475,6 @@ func (p *Proc) tryBeginTransition(blk *blockInfo, cat TimeCategory) bool {
 // endTransition releases the agent-level transition lock and wakes local
 // processes waiting on it.
 func (p *Proc) endTransition(blk *blockInfo) {
-	if !p.sys.Cfg.SMP {
-		return
-	}
 	if p.mem.busy[blk.id] != p {
 		panic(fmt.Sprintf("core: %s releasing transition lock it does not hold (block %d)", p, blk.id))
 	}
@@ -580,20 +566,18 @@ func (p *Proc) storeMissLocked(addr, v uint64, line int) {
 			p.performStore(addr, v, line)
 			return
 		}
-		if s.Cfg.SMP {
-			switch p.mem.table[line] {
-			case Exclusive:
-				if p.localFill(line) && p.priv[line] == Exclusive {
-					p.performStore(addr, v, line)
-					return
-				}
-				continue
-			case Pending:
-				p.stallOnAgent(CatWriteStall, func() bool {
-					return p.mem.table[line] == Pending && p.mshr[blk.id] == nil
-				})
-				continue
+		switch p.mem.table[line] {
+		case Exclusive:
+			if p.localFill(line) && p.priv[line] == Exclusive {
+				p.performStore(addr, v, line)
+				return
 			}
+			continue
+		case Pending:
+			p.stallOnAgent(CatWriteStall, func() bool {
+				return p.mem.table[line] == Pending && p.mshr[blk.id] == nil
+			})
+			continue
 		}
 		if !p.tryBeginTransition(blk, CatWriteStall) {
 			continue
@@ -816,7 +800,7 @@ func (p *Proc) serviceReady(cat TimeCategory) bool {
 	if !ok {
 		return false
 	}
-	if p.sys.Cfg.SMP && p.sys.Cfg.SharedQueues {
+	if p.sys.Cfg.SharedQueues {
 		p.charge(cat, p.sys.Cfg.Cost.QueueLock)
 	}
 	p.handleMessage(&m, cat)
@@ -826,9 +810,6 @@ func (p *Proc) serviceReady(cat TimeCategory) bool {
 // resetLocalLLs clears the lock flag of any other local process that has a
 // load-locked outstanding on the given line (hardware LL/SC semantics).
 func (p *Proc) resetLocalLLs(line int) {
-	if !p.sys.Cfg.SMP {
-		return
-	}
 	for _, q := range p.sys.localProcs(p.agent) {
 		if q == p {
 			continue
@@ -853,8 +834,8 @@ func (p *Proc) applyDeferredFills() {
 		if p.priv[line] != Invalid {
 			continue // re-fetched since
 		}
-		if s.Cfg.SMP && p.mem.table[line] != Invalid {
-			continue // the node has a valid copy again; data is live
+		if p.mem.table[line] != Invalid {
+			continue // the agent has a valid copy again; data is live
 		}
 		// A co-resident process may still be inside a batch covering this
 		// line: it shares the node copy, and its batched loads are still

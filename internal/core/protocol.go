@@ -25,7 +25,7 @@ func (p *Proc) issueMiss(blk *blockInfo, wantExcl bool, stores []pendingStore) *
 
 func (p *Proc) issueMissKind(blk *blockInfo, wantExcl bool, stores []pendingStore, scMode bool) *mshrEntry {
 	s := p.sys
-	if s.Cfg.SMP && p.mem.busy[blk.id] != p {
+	if p.mem.busy[blk.id] != p {
 		panic(fmt.Sprintf("core: %s issuing miss for block %d without the transition lock", p, blk.id))
 	}
 	m := p.allocMSHR()
@@ -40,9 +40,7 @@ func (p *Proc) issueMissKind(blk *blockInfo, wantExcl bool, stores []pendingStor
 	kind := s.proto.missKind(p, blk, wantExcl, scMode)
 	for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
 		p.priv[l] = Pending
-		if s.Cfg.SMP {
-			p.mem.table[l] = Pending
-		}
+		p.mem.table[l] = Pending
 	}
 	traceEvent(p, blk, issueSiteNames[kind])
 	req := msg{kind: kind, block: blk.id, from: p.ID, reqProc: p.ID}
@@ -221,10 +219,7 @@ func (s *System) setAgentState(mem *agentMem, blk *blockInfo, st LineState) {
 // (nil: nobody's) does not count: a request does not defer behind its own
 // requester.
 func (p *Proc) deferIfPending(m *msg, blk *blockInfo, except *Proc) bool {
-	holder := p
-	if p.sys.Cfg.SMP {
-		holder = p.mem.busy[blk.id]
-	}
+	holder := p.mem.busy[blk.id]
 	if holder == nil || holder == except || holder.mshr[blk.id] == nil {
 		return false
 	}
@@ -242,9 +237,7 @@ func (p *Proc) downgradeAgent(blk *blockInfo, to LineState, wantData bool) []uin
 	s := p.sys
 	for !p.tryBeginTransition(blk, CatMessage) {
 	}
-	if s.Cfg.SMP {
-		s.setAgentState(p.mem, blk, Pending)
-	}
+	s.setAgentState(p.mem, blk, Pending)
 	p.waitDowngrades(blk, to)
 	var data []uint64
 	if wantData {
@@ -277,12 +270,9 @@ func (p *Proc) fillAgentInvalid(blk *blockInfo) {
 			deferFill = true
 		}
 	}
-	for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
-		if !deferFill {
+	if !deferFill {
+		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
 			fillFlag(p.mem, l, s.wordsPerLine)
-		}
-		if s.Cfg.SMP {
-			p.mem.sharerProcs[l] = 0
 		}
 	}
 	p.invalidateLocalLLs(blk.firstLine)
@@ -291,14 +281,10 @@ func (p *Proc) fillAgentInvalid(blk *blockInfo) {
 // waitDowngrades brings every local process's private state table down to
 // the target state for the block, using direct downgrades for processes
 // outside application code (§4.3.4) and explicit messages otherwise (§2.3).
+// It scans the private tables of the agent's processes: in Base-Shasta that
+// is the process itself, whose private table is the agent table.
 func (p *Proc) waitDowngrades(blk *blockInfo, to LineState) {
 	s := p.sys
-	if !s.Cfg.SMP {
-		// Base-Shasta: the private table is the agent table; the caller
-		// adjusts it.
-		p.downgradeSelf(blk, to)
-		return
-	}
 	expected := 0
 	for _, q := range s.localProcs(p.agent) {
 		if q == p {
@@ -344,9 +330,6 @@ func (p *Proc) downgradeSelf(blk *blockInfo, to LineState) {
 	for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
 		if p.priv[l] > to && p.priv[l] != Pending {
 			p.priv[l] = to
-		}
-		if p.sys.Cfg.SMP && to == Invalid {
-			p.mem.sharerProcs[l] &^= 1 << uint(p.ID)
 		}
 	}
 	if to == Invalid {
@@ -407,26 +390,24 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 		traceEvent(p, blk, "finish:scfail")
 		// The SC upgrade was refused. Normally the line reverts to
 		// invalid; a backend whose copy here is still authoritative
-		// (the tardis home master) keeps it readable instead.
+		// (the tardis home master) keeps it readable instead. The agent
+		// table goes first: in Base-Shasta it is the private table too,
+		// and only a line taken out of Pending is flag-filled.
 		retain := s.proto.scFailRetains(p, blk)
 		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
+			if p.mem.table[l] == Pending {
+				if retain {
+					p.mem.table[l] = Shared
+				} else {
+					p.mem.table[l] = Invalid
+					fillFlag(p.mem, l, s.wordsPerLine)
+				}
+			}
 			if p.priv[l] == Pending {
 				p.priv[l] = Invalid
 				if retain {
 					p.priv[l] = Shared
 				}
-			}
-			if s.Cfg.SMP {
-				if p.mem.table[l] == Pending {
-					if retain {
-						p.mem.table[l] = Shared
-					} else {
-						p.mem.table[l] = Invalid
-						fillFlag(p.mem, l, s.wordsPerLine)
-					}
-				}
-			} else if p.priv[l] == Invalid {
-				fillFlag(p.mem, l, s.wordsPerLine)
 			}
 		}
 	} else {
@@ -436,10 +417,7 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 		}
 		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
 			p.priv[l] = st
-			if s.Cfg.SMP {
-				p.mem.table[l] = st
-				p.mem.sharerProcs[l] |= 1 << uint(p.ID)
-			}
+			p.mem.table[l] = st
 		}
 		for _, st := range stores {
 			p.performStore(st.addr, st.val, s.lineOf(st.addr))

@@ -67,6 +67,16 @@ func (e *NodeUnreachableError) Error() string {
 	return b.String()
 }
 
+// The sublayer's retransmit schedule. RetxTimeout is the initial timeout in
+// cycles (≈ 83 µs, several round trips plus handler time); it doubles with
+// each retry. RetxMaxRetries bounds retransmissions per message: 8 retries
+// exhaust after ~12.8M cycles, under the default 15M-cycle watchdog
+// budget, so an unreachable node reports as such, not as a stall.
+const (
+	RetxTimeout    sim.Time = 25_000
+	RetxMaxRetries          = 8
+)
+
 // retxEntry tracks one unacknowledged sequenced message at its sender.
 type retxEntry struct {
 	dst      *Proc
@@ -231,7 +241,7 @@ func (p *Proc) trackRetx(dst *Proc, m msg) {
 		dst:      dst,
 		m:        m,
 		attempts: 1,
-		deadline: p.Sim.Now() + p.sys.Cfg.RetxTimeout,
+		deadline: p.Sim.Now() + RetxTimeout,
 		history:  []sim.Time{p.Sim.Now()},
 	}
 	if p.retxBySeq == nil {
@@ -275,11 +285,11 @@ func (p *Proc) pumpReliability(cat TimeCategory) bool {
 		if now < e.deadline {
 			continue
 		}
-		if e.attempts > p.sys.Cfg.RetxMaxRetries {
+		if e.attempts > RetxMaxRetries {
 			p.failUnreachable(e)
 		}
 		// Exponential backoff: timeout doubles with each retry.
-		rto := p.sys.Cfg.RetxTimeout << uint(e.attempts)
+		rto := RetxTimeout << uint(e.attempts)
 		e.attempts++
 		e.history = append(e.history, now)
 		e.deadline = now + rto

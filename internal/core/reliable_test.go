@@ -285,8 +285,6 @@ func TestUnreachablePeerFailsStructured(t *testing.T) {
 	cfg := reliableConfig()
 	cfg.Nodes = 2
 	cfg.Faults = memchannel.FaultConfig{Seed: 1, DropProb: 1}
-	cfg.RetxTimeout = 2000
-	cfg.RetxMaxRetries = 3
 	s := Build(WithConfig(cfg))
 	var arr uint64
 	s.Spawn("reader", 0, func(p *Proc) {
@@ -307,7 +305,7 @@ func TestUnreachablePeerFailsStructured(t *testing.T) {
 	if ne.Proc != 0 || ne.Peer != 1 {
 		t.Errorf("error names procs %d->%d, want 0->1", ne.Proc, ne.Peer)
 	}
-	if want := cfg.RetxMaxRetries + 1; ne.Attempts != want {
+	if want := RetxMaxRetries + 1; ne.Attempts != want {
 		t.Errorf("attempts = %d, want %d", ne.Attempts, want)
 	}
 	if len(ne.RetryHistory) != ne.Attempts {

@@ -233,23 +233,19 @@ func (m *mshrEntry) complete() bool {
 
 // agentMem is one agent's copy of the shared region plus its node-level
 // state table. In SMP-Shasta there is one agentMem per node; in
-// Base-Shasta, one per process.
+// Base-Shasta, one per process, whose private table is this table.
 type agentMem struct {
 	agent int
 	data  []uint64
 	table []LineState
-	// busy serializes agent-level transitions per block in SMP mode: a
-	// local miss (issue to finish) or a downgrade transition holds the
-	// entry; all other transitions for the block wait.
+	// busy serializes agent-level transitions per block: a local miss
+	// (issue to finish) or a downgrade transition holds the entry; all
+	// other transitions for the block wait.
 	busy map[int]*Proc
 	// stateWaiters are local processes stalled on an agent-level state
 	// change (pending fills, transition locks); only these are woken when
 	// a transition completes.
 	stateWaiters map[*Proc]int
-	// sharerProcs, per line, is the set of local processes whose private
-	// state tables hold the line in a valid state; downgrades are sent
-	// only to these (§2.3). Only used in SMP mode.
-	sharerProcs []uint64
 	// protoData holds the coherence backend's per-agent state (tardis:
 	// lease records and tenure timestamps). On the agent — not in a
 	// backend-global map — for the same shard-locality reason as
@@ -311,10 +307,11 @@ func (m *agentMem) noteUnwritten(id, blocks int) {
 const minGrowLines = 256
 
 // growLines is the only place that sizes the per-line arrays —
-// System.lineBlock and requester, each agent's data / table / sharerProcs
-// and each process's private table. They cover a prefix of the shared region
-// that always includes every allocated line, and Alloc calls this before it
-// moves the bump cursor, so they stay flat arrays indexed by line or word
+// System.lineBlock and requester, each agent's data and table, and each
+// process's private table, re-aliased to its agent's new table in
+// Base-Shasta. They cover a prefix of the shared region that always
+// includes every allocated line, and Alloc calls this before it moves
+// the bump cursor, so they stay flat arrays indexed by line or word
 // with nothing between an access and mem.data[word]. Growth is geometric
 // and, as the whole region used to be, new lines are unallocated, Invalid
 // and flag-filled everywhere.
@@ -345,13 +342,13 @@ func (s *System) growLines(lines int) {
 func (s *System) sizeAgent(m *agentMem, lines int) {
 	m.data = grown(m.data, lines*s.wordsPerLine, FlagWord)
 	m.table = grown(m.table, lines, Invalid)
-	if s.Cfg.SMP {
-		m.sharerProcs = grown(m.sharerProcs, lines, 0)
-	}
 }
 
 // sizePriv sizes p's private state table to the agent table: its own
-// array in SMP-Shasta, the agent table itself in Base-Shasta.
+// array in SMP-Shasta, the agent table itself in Base-Shasta. Base-Shasta
+// runs the SMP code with one process per agent, and this alias is what
+// makes that exact: writing the agent table writes the private entry, and
+// a private entry that misses has nothing newer behind it.
 func (s *System) sizePriv(p *Proc) {
 	if s.Cfg.SMP {
 		p.priv = grown(p.priv, len(p.mem.table), Invalid)

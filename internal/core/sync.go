@@ -34,7 +34,6 @@ func (p *Proc) LockAcquire(id int) {
 		p.charge(CatSyncStall, s.Cfg.Cost.SyncLocal)
 		if !lk.held {
 			lk.held = true
-			lk.holder = p.ID
 			s.proto.observeTs(p, lk.relTs) // what a grant would have carried
 			return
 		}
@@ -81,7 +80,6 @@ func (p *Proc) releaseLock(lk *lockState, agent int) {
 	s := p.sys
 	if len(lk.waiters) == 0 {
 		lk.held = false
-		lk.holder = -1
 		return
 	}
 	i := 0
@@ -101,7 +99,6 @@ func (p *Proc) releaseLock(lk *lockState, agent int) {
 	} else {
 		lk.streak = 0
 	}
-	lk.holder = next
 	p.grantLock(lk, next)
 }
 
@@ -124,7 +121,6 @@ func (p *Proc) handleLockReq(m *msg) {
 	lk := p.sys.locks[m.id]
 	if !lk.held {
 		lk.held = true
-		lk.holder = m.reqProc
 		p.grantLock(lk, m.reqProc)
 		return
 	}

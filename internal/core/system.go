@@ -172,7 +172,6 @@ type lockState struct {
 	id      int // index in System.locks
 	home    int // home process
 	held    bool
-	holder  int
 	waiters []int // process IDs queued for the lock, in request order
 	streak  int   // consecutive hand-offs within the releaser's agent
 	relTs   int64 // max protocol timestamp carried by releases (tardis)
@@ -746,7 +745,7 @@ func (s *System) deliver(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 // enqueues whatever copies survive the wire.
 func (s *System) sendWire(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 	sender.charge(cat, s.Cfg.Cost.MsgSend)
-	if s.Cfg.SMP && s.Cfg.SharedQueues {
+	if s.Cfg.SharedQueues {
 		sender.charge(cat, s.Cfg.Cost.QueueLock)
 	}
 	sender.stats.N[CntMessagesSent]++

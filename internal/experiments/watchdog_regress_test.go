@@ -50,7 +50,7 @@ func TestWatchdogCatchesDowngradeStall(t *testing.T) {
 // traffic must be reported by the reliability sublayer as a structured
 // NodeUnreachableError — with the retry history populated — well before
 // the generic stall watchdog would give up on the run. The retransmit
-// budget is sized so it always exhausts first (see Config.RetxMaxRetries).
+// budget is sized so it always exhausts first (see core.RetxMaxRetries).
 func TestTotalLossTripsUnreachableNotStall(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Faults = memchannel.FaultConfig{Seed: 1, DropProb: 1}
@@ -71,8 +71,8 @@ func TestTotalLossTripsUnreachableNotStall(t *testing.T) {
 	if !errors.As(err, &ne) {
 		t.Fatalf("want NodeUnreachableError, got %T: %v", err, err)
 	}
-	if ne.Attempts != sys.Cfg.RetxMaxRetries+1 {
-		t.Errorf("attempts = %d, want %d (the full retry budget)", ne.Attempts, sys.Cfg.RetxMaxRetries+1)
+	if ne.Attempts != core.RetxMaxRetries+1 {
+		t.Errorf("attempts = %d, want %d (the full retry budget)", ne.Attempts, core.RetxMaxRetries+1)
 	}
 	if len(ne.RetryHistory) != ne.Attempts {
 		t.Errorf("retry history has %d entries, want %d", len(ne.RetryHistory), ne.Attempts)
