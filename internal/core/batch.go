@@ -67,6 +67,8 @@ func (b *Batch) Covers(addr uint64) bool {
 // BatchStart validates all ranges — fetching shared or exclusive copies as
 // needed, with all requests outstanding in parallel — and opens a batch
 // window. The in-line cost is one check per line instead of one per access.
+// Each block goes through fetch, whose waits are read stalls; then it
+// waits once for its own misses, a write stall if a range writes.
 //
 // BatchStart stalls. While it does, handlers on this process and its
 // node-mates read b.lines (fillAgentInvalid, Batch.covers), and only this
@@ -123,41 +125,7 @@ func (p *Proc) BatchStart(ranges ...Range) *Batch {
 	}
 	// Issue all misses in parallel, then wait for the whole set.
 	for _, n := range b.needs {
-		line := n.blk.firstLine
-		for {
-			st := p.priv[line]
-			if st == Exclusive || (st == Shared && !n.write) {
-				break
-			}
-			if p.mshr[n.blk.id] != nil {
-				break // already in flight (pending state)
-			}
-			if st == Pending {
-				// Another local process's miss; wait for it.
-				p.stallOnAgent(CatReadStall, func() bool { return p.priv[line] == Pending && p.mshr[n.blk.id] == nil })
-				continue
-			}
-			nst := p.mem.table[line]
-			if nst == Pending {
-				blkID := n.blk.id
-				p.stallOnAgent(CatReadStall, func() bool { return p.mem.table[line] == Pending && p.mshr[blkID] == nil })
-				continue
-			}
-			if nst == Exclusive || (nst == Shared && !n.write) {
-				p.localFill(line)
-				continue
-			}
-			if !p.tryBeginTransition(n.blk, CatReadStall) {
-				continue
-			}
-			if n.write {
-				p.stats.N[CntWriteMisses]++
-			} else {
-				p.stats.N[CntReadMisses]++
-			}
-			p.issueMiss(n.blk, n.write, nil)
-			break
-		}
+		p.fetch(n.blk, n.blk.firstLine, n.write, nil, CatReadStall)
 	}
 	cat := CatReadStall
 	for _, n := range b.needs {
@@ -224,10 +192,7 @@ func (p *Proc) BatchEnd(b *Batch) {
 	p.exitProtocol() // applies deferred flag fills
 	for _, st := range reissue {
 		p.stats.N[CntBatchStoreReissues]++
-		line := p.sys.lineOf(st.addr)
-		p.enterProtocol()
-		p.storeMissLocked(st.addr, st.val, line)
-		p.exitProtocol()
+		p.storeMiss(st.addr, st.val, p.sys.lineOf(st.addr))
 	}
 	if t := p.sys.tr(p); t != nil {
 		t.Emit(trace.Event{T: p.Sim.Now(), Cat: "batch", Ev: "end", P: p.ID, A: int64(len(reissue))})

@@ -43,15 +43,12 @@ import (
 // unexported: the backend surface is an internal contract, while the
 // selection surface (WithProtocol, ProtocolNames) is public API.
 type Protocol interface {
-	// attach binds the backend to its system; called once from newSystem
-	// before any process or block exists.
-	attach(s *System)
 	// initBlock creates the backend's per-block home state for a freshly
 	// allocated block (called from Alloc, after the block is appended to
 	// s.blocks and its record, owned by the home agent, to s.homes).
 	initBlock(blk *blockInfo)
 
-	// missKind selects the request kind issueMissKind sends for a miss.
+	// missKind selects the request kind issueMiss sends for a miss.
 	missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKind
 	// stamp lets the backend add fields (timestamps) to a message the core
 	// composes: a miss request before it is sent, and an owner's reply to a
@@ -95,18 +92,11 @@ type Protocol interface {
 	// writer's logical time here, at no simulated cost.
 	noteStoreHit(p *Proc, line int)
 	// pollTick runs on every System.pollTickEvery-th in-line message poll
-	// of a process, a period the backend sets in attach (0: never); it is
+	// of a process, a period the backend's constructor sets (0: never); it is
 	// for time-based bookkeeping (Tardis drops a leased copy). The polls in
 	// between do nothing of the backend's, which is what lets Compute skip
 	// them.
 	pollTick(p *Proc)
-	// scFailRetains reports whether a failed SC upgrade leaves the
-	// requester's copy valid. dirinval always drops it (the copy was
-	// invalidated by the concurrent writer). Tardis retains the home
-	// agent's copy while the home entry names it master (owner == -1):
-	// poisoning it would destroy the only current copy in the system,
-	// and the home would then serve flag-pattern garbage as data.
-	scFailRetains(p *Proc, blk *blockInfo) bool
 	// syncTs returns the timestamp a synchronization release should
 	// carry, and observeTs applies a timestamp received with a
 	// synchronization acquire (lock grants, barrier releases), or a
@@ -131,6 +121,9 @@ type Protocol interface {
 
 	// Model-checker surface (explore.go / explore_state.go): canonical
 	// encodings of the backend's per-block and per-process state.
+	// encodeBlock writes only the home state the backend keeps beyond the
+	// home record, which Explorer.encodeHome writes around it; an encoding
+	// must be injective and permute agents as perm does.
 	encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int)
 	encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int)
 	// noteGhostStore observes each performed store (explorer only), with
@@ -142,13 +135,14 @@ type Protocol interface {
 // ProtocolNames returns the backend names, sorted.
 func ProtocolNames() []string { return []string{"dirinval", "tardis"} }
 
-// newProtocol constructs the named backend.
-func newProtocol(name string) Protocol {
-	switch name {
+// newProtocol constructs the backend s.Cfg.Protocol names, bound to s;
+// newSystem calls it once, before any process or block exists.
+func newProtocol(s *System) Protocol {
+	switch s.Cfg.Protocol {
 	case "dirinval":
-		return &dirInval{}
+		return &dirInval{s: s}
 	case "tardis":
-		return &tardis{}
+		return newTardis(s)
 	}
-	panic(fmt.Sprintf("core: unknown protocol %q (have %v)", name, ProtocolNames()))
+	panic(fmt.Sprintf("core: unknown protocol %q (have %v)", s.Cfg.Protocol, ProtocolNames()))
 }

@@ -31,8 +31,6 @@ type dirInval struct {
 	sharers []uint64
 }
 
-func (d *dirInval) attach(s *System) { d.s = s }
-
 func (d *dirInval) initBlock(blk *blockInfo) {
 	if blk.id != len(d.sharers) {
 		panic(fmt.Sprintf("core: dirinval initBlock out of order (block %d, have %d)", blk.id, len(d.sharers)))
@@ -243,12 +241,8 @@ func (d *dirInval) handleInvalAck(p *Proc, m *msg) {
 func (d *dirInval) noteStoreHit(p *Proc, line int) {}
 func (d *dirInval) refreshLL(p *Proc, line int)    {}
 func (d *dirInval) pollTick(p *Proc)               {}
-
-// scFailRetains: a failed SC upgrade means the node was no longer a
-// sharer — its copy was invalidated by the winning writer and is gone.
-func (d *dirInval) scFailRetains(p *Proc, blk *blockInfo) bool { return false }
-func (d *dirInval) syncTs(p *Proc) int64                       { return 0 }
-func (d *dirInval) observeTs(p *Proc, ts int64)                {}
+func (d *dirInval) syncTs(p *Proc) int64           { return 0 }
+func (d *dirInval) observeTs(p *Proc, ts int64)    {}
 
 // checkExclusive is the directory's half of single-writer: no shared copy
 // beside the exclusive one. A writer's fill completes only once every other
@@ -316,13 +310,7 @@ func (d *dirInval) expectedValue(s *System, e *Explorer, a int, blk *blockInfo, 
 }
 
 func (d *dirInval) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
-	h := e.sys.homes[blk.id]
-	fmt.Fprintf(b, "B%d{o%d po%d sh%x", blk.id, permAgent(h.owner, perm), permAgent(h.pendingOwner, perm), remapMask(d.sharers[blk.id], perm))
-	if h.busy {
-		b.WriteString(" busy")
-	}
-	e.encodeMig(b, blk, perm)
-	e.encodeHomeQueue(b, blk, perm)
+	fmt.Fprintf(b, " sh%x", remapMask(d.sharers[blk.id], perm))
 }
 
 func (d *dirInval) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int) {}

@@ -148,7 +148,7 @@ func (e *Explorer) encodeWith(perm []int) string {
 		fmt.Fprintf(&b, " d%v}", p.mem.data[:e.sys.allocCursor*e.sys.wordsPerLine])
 	}
 	for _, blk := range e.sys.blocks {
-		e.sys.proto.encodeBlock(e, &b, blk, perm)
+		e.encodeHome(&b, blk, perm)
 	}
 	type link struct {
 		src, dst int
@@ -201,29 +201,32 @@ func (e *Explorer) encMsg(m msg, perm []int) string {
 	return s
 }
 
-// encodeHomeQueue closes a backend's encodeBlock: the requests queued at
-// the block's home, in order, and the closing brace.
-func (e *Explorer) encodeHomeQueue(b *strings.Builder, blk *blockInfo, perm []int) {
-	for _, qm := range e.sys.homes[blk.id].queue {
-		b.WriteString(" q")
-		b.WriteString(e.encMsg(qm, perm))
+// encodeHome encodes the block's home: its record's owner and pending
+// owner, the backend's own fields (Protocol.encodeBlock), the busy mark, the
+// migratory record — last writer and reader, its two bits, and the agents
+// holding the block granted unwritten, permuted like the owner — and the
+// requests queued at the home, in order.
+func (e *Explorer) encodeHome(b *strings.Builder, blk *blockInfo, perm []int) {
+	h := e.sys.homes[blk.id]
+	fmt.Fprintf(b, "B%d{o%d po%d", blk.id, permAgent(h.owner, perm), permAgent(h.pendingOwner, perm))
+	e.sys.proto.encodeBlock(e, b, blk, perm)
+	if h.busy {
+		b.WriteString(" busy")
 	}
-	b.WriteByte('}')
-}
-
-// encodeMig adds the block's migratory record to a backend's encodeBlock:
-// its last writer and readers, its two bits, and the agents holding it
-// granted unwritten, permuted like the owner.
-func (e *Explorer) encodeMig(b *strings.Builder, blk *blockInfo, perm []int) {
-	mg := e.sys.homes[blk.id].mig
 	var granted uint64
 	for a, am := range e.sys.agents {
 		if am.isUnwritten(blk.id) {
 			granted |= 1 << uint(a)
 		}
 	}
+	mg := h.mig
 	fmt.Fprintf(b, " w%d rd%d m%t n%t gu%x", permAgent(mg.writer, perm), permAgent(mg.reader, perm),
 		mg.migratory, mg.never, remapMask(granted, perm))
+	for _, qm := range h.queue {
+		b.WriteString(" q")
+		b.WriteString(e.encMsg(qm, perm))
+	}
+	b.WriteByte('}')
 }
 
 // permAgent permutes an agent index, leaving the negative "none" values.

@@ -142,7 +142,7 @@ func (p *Proc) scUpgrade(addr, v uint64, line int) bool {
 		// is serializing ahead of this SC, which therefore fails.
 		return false
 	}
-	p.issueMissKind(blk, true, []pendingStore{{addr, v}}, true)
+	p.issueMiss(blk, true, []pendingStore{{addr, v}}, true)
 	p.stallWhile(CatWriteStall, func() bool { return p.mshr[blk.id] != nil })
 	return !p.scMissFailed
 }
@@ -179,7 +179,7 @@ func (p *Proc) PrefetchExclusive(addr uint64) {
 		return // somebody else is transitioning this block; skip
 	}
 	p.stats.N[CntWriteMisses]++
-	p.issueMiss(blk, true, nil)
+	p.issueMiss(blk, true, nil, false)
 	// Non-binding and non-blocking: the following LL finds the line
 	// pending and waits for the exclusive fill.
 }

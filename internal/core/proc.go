@@ -221,14 +221,11 @@ func (p *Proc) computePolling(c sim.Time) {
 // process sleeps on.
 func (p *Proc) computeQuiet(c sim.Time) {
 	if c > p.pollGap {
-		reqBox := p.sys.requestBox(p)
-		p.replyQ.addWaiter(p)
-		reqBox.addWaiter(p)
+		p.watchQueues()
 		for c > p.pollGap {
 			c = p.pollQuietly(c)
 		}
-		p.replyQ.removeWaiter(p)
-		reqBox.removeWaiter(p)
+		p.unwatchQueues()
 	}
 	if c > 0 {
 		p.charge(CatTask, c)
@@ -376,42 +373,55 @@ func (p *Proc) Load(addr uint64) uint64 {
 	return p.mem.data[w]
 }
 
-// loadMiss brings the line to at least shared state and returns.
+// loadMiss brings the line to at least shared state and returns. It waits
+// for each miss of its own fetch reports in flight and asks again: in rare
+// races the line is invalidated again before it could be used.
 func (p *Proc) loadMiss(line int) {
-	s := p.sys
 	p.enterProtocol()
 	defer p.exitProtocol()
-	blk := s.blockOf(line)
-	for {
-		// A pending miss of our own: stall until it completes.
-		if p.mshr[blk.id] != nil {
-			p.stallWhile(CatReadStall, func() bool { return p.mshr[blk.id] != nil })
-			continue
-		}
-		if st := p.priv[line]; st == Shared || st == Exclusive {
-			return
-		}
-		// Another local process may hold — or be fetching — the line.
-		switch p.mem.table[line] {
-		case Shared, Exclusive:
-			if p.localFill(line) {
-				return
-			}
-			continue
-		case Pending:
-			p.stallOnAgent(CatReadStall, func() bool {
-				return p.mem.table[line] == Pending && p.mshr[blk.id] == nil
-			})
-			continue
-		}
-		if !p.tryBeginTransition(blk, CatReadStall) {
-			continue
-		}
-		p.stats.N[CntReadMisses]++
-		p.issueMiss(blk, false, nil)
+	blk := p.sys.blockOf(line)
+	for p.fetch(blk, line, false, nil, CatReadStall) {
 		p.stallWhile(CatReadStall, func() bool { return p.mshr[blk.id] != nil })
-		// Loop: in rare races the line may have been invalidated again
-		// before we could use it; re-fetch.
+	}
+}
+
+// fetch is the requester's side of a miss, for every access that waits for
+// its block: Load, LoadLocked, Store and BatchStart. line is the line of blk
+// the access checked. It returns false once the private entry allows the
+// access, filling it from the node's copy if that allows it (localFill),
+// and true if a miss of the process's own on blk is in flight. It waits out a
+// node-mate's transition of the block, a Pending copy or a held transition
+// lock, charged to cat. Otherwise it takes the transition lock, counts the
+// miss, issues it with stores riding it, and returns true; a miss the
+// process sends to itself has completed by then.
+func (p *Proc) fetch(blk *blockInfo, line int, write bool, stores []pendingStore, cat TimeCategory) bool {
+	for {
+		// The private entry goes first: a miss of the process's own holds
+		// it Pending, and a batch's hits skip the MSHR lookup.
+		if st := p.priv[line]; st == Exclusive || (st == Shared && !write) {
+			return false
+		}
+		if p.mshr[blk.id] != nil {
+			return true
+		}
+		switch st := p.mem.table[line]; {
+		case st == Exclusive || (st == Shared && !write):
+			p.localFill(line)
+			continue
+		case st == Pending:
+			p.stallOnAgent(cat, func() bool { return p.mem.table[line] == Pending && p.mshr[blk.id] == nil })
+			continue
+		}
+		if !p.tryBeginTransition(blk, cat) {
+			continue
+		}
+		if write {
+			p.stats.N[CntWriteMisses]++
+		} else {
+			p.stats.N[CntReadMisses]++
+		}
+		p.issueMiss(blk, write, stores, false)
+		return true
 	}
 }
 
@@ -537,60 +547,39 @@ func (p *Proc) Store(addr uint64, v uint64) {
 	p.storeMiss(addr, v, line)
 }
 
-// storeMiss obtains exclusive ownership and performs the store, blocking
-// (SC) or buffering the store behind the miss (RC).
+// storeMiss obtains exclusive ownership and performs the store. A store to
+// a block with an exclusive miss of the process's in flight merges into it;
+// one behind a read miss waits for it and asks again. Otherwise fetch
+// issues the miss with the store riding it, and under release consistency
+// the store is non-blocking: finishMiss performs it with the fill. Under
+// sequential consistency the store waits for the fill and then asks again,
+// so it is performed once more on the line it obtained.
 func (p *Proc) storeMiss(addr, v uint64, line int) {
 	p.enterProtocol()
 	defer p.exitProtocol()
-	p.storeMissLocked(addr, v, line)
-}
-
-func (p *Proc) storeMissLocked(addr, v uint64, line int) {
-	s := p.sys
-	blk := s.blockOf(line)
+	sc := p.sys.Cfg.Consistency == SequentiallyConsistent
+	blk := p.sys.blockOf(line)
+	inFlight := func() bool { return p.mshr[blk.id] != nil }
 	for {
 		if m := p.mshr[blk.id]; m != nil {
-			if m.wantExcl {
-				// Merge into the outstanding exclusive miss.
-				m.stores = append(m.stores, pendingStore{addr, v})
-				if s.Cfg.Consistency == SequentiallyConsistent {
-					p.stallWhile(CatWriteStall, func() bool { return p.mshr[blk.id] != nil })
-				}
-				return
+			if !m.wantExcl {
+				p.stallWhile(CatWriteStall, inFlight)
+				continue
 			}
-			// A read miss is in flight; wait for it, then retry.
-			p.stallWhile(CatWriteStall, func() bool { return p.mshr[blk.id] != nil })
-			continue
+			m.stores = append(m.stores, pendingStore{addr, v})
+			if sc {
+				p.stallWhile(CatWriteStall, inFlight)
+			}
+			return
 		}
-		if p.priv[line] == Exclusive { // resolved while stalled
+		if !p.fetch(blk, line, true, []pendingStore{{addr, v}}, CatWriteStall) {
 			p.performStore(addr, v, line)
 			return
 		}
-		switch p.mem.table[line] {
-		case Exclusive:
-			if p.localFill(line) && p.priv[line] == Exclusive {
-				p.performStore(addr, v, line)
-				return
-			}
-			continue
-		case Pending:
-			p.stallOnAgent(CatWriteStall, func() bool {
-				return p.mem.table[line] == Pending && p.mshr[blk.id] == nil
-			})
-			continue
+		if !sc {
+			return
 		}
-		if !p.tryBeginTransition(blk, CatWriteStall) {
-			continue
-		}
-		p.stats.N[CntWriteMisses]++
-		p.issueMiss(blk, true, []pendingStore{{addr, v}})
-		if s.Cfg.Consistency == SequentiallyConsistent {
-			p.stallWhile(CatWriteStall, func() bool { return p.mshr[blk.id] != nil })
-			continue // verify we really obtained the line
-		}
-		// Release consistency: the store is non-blocking; the buffered
-		// store is performed by the protocol when the reply arrives.
-		return
+		p.stallWhile(CatWriteStall, inFlight)
 	}
 }
 
@@ -749,13 +738,8 @@ func (p *Proc) stallWhile(cat TimeCategory, cond func() bool) {
 	prevOv, prevCat := p.overridden, p.override
 	p.overridden, p.override = true, cat
 	defer func() { p.overridden, p.override = prevOv, prevCat }()
-	reqBox := p.sys.requestBox(p)
-	p.replyQ.addWaiter(p)
-	reqBox.addWaiter(p)
-	defer func() {
-		p.replyQ.removeWaiter(p)
-		reqBox.removeWaiter(p)
-	}()
+	p.watchQueues()
+	defer p.unwatchQueues()
 	for cond() {
 		if p.serviceReady(cat) {
 			continue
@@ -767,6 +751,18 @@ func (p *Proc) stallWhile(cat TimeCategory, cond func() bool) {
 		p.Sim.Wait()
 		p.chargeWallClock(cat, p.Sim.Now()-before)
 	}
+}
+
+// watchQueues registers the process as a waiter on its reply and request
+// queues, so that a message put on either wakes it; unwatchQueues undoes it.
+func (p *Proc) watchQueues() {
+	p.replyQ.addWaiter(p)
+	p.sys.requestBox(p).addWaiter(p)
+}
+
+func (p *Proc) unwatchQueues() {
+	p.replyQ.removeWaiter(p)
+	p.sys.requestBox(p).removeWaiter(p)
 }
 
 // nextArrival returns the earliest queued arrival on any watched queue.
@@ -870,13 +866,8 @@ func fillFlag(mem *agentMem, line, wordsPerLine int) {
 // time from active processes.
 func (p *Proc) serveAfterExit() {
 	s := p.sys
-	reqBox := s.requestBox(p)
-	p.replyQ.addWaiter(p)
-	reqBox.addWaiter(p)
-	defer func() {
-		p.replyQ.removeWaiter(p)
-		reqBox.removeWaiter(p)
-	}()
+	p.watchQueues()
+	defer p.unwatchQueues()
 	backoff := sim.Cycles(20)
 	const maxBackoff = sim.Time(3000 * sim.CyclesPerMicrosecond)
 	for s.appAlive(p.Sim.Now(), p.node) {

@@ -17,13 +17,11 @@ import (
 // (dirinval.go, tardis.go).
 
 // issueMiss allocates an MSHR for the block and sends the appropriate
-// request to the home (§2.1: read, read-exclusive, or exclusive/upgrade).
-// scMode marks a store-conditional upgrade, which the home may refuse.
-func (p *Proc) issueMiss(blk *blockInfo, wantExcl bool, stores []pendingStore) *mshrEntry {
-	return p.issueMissKind(blk, wantExcl, stores, false)
-}
-
-func (p *Proc) issueMissKind(blk *blockInfo, wantExcl bool, stores []pendingStore, scMode bool) *mshrEntry {
+// request to the home (§2.1: read, read-exclusive, or exclusive/upgrade),
+// with stores riding it. scMode marks a store-conditional upgrade, which
+// the home may refuse. A miss sent to the process itself completes inside
+// the call.
+func (p *Proc) issueMiss(blk *blockInfo, wantExcl bool, stores []pendingStore, scMode bool) {
 	s := p.sys
 	if p.mem.busy[blk.id] != p {
 		panic(fmt.Sprintf("core: %s issuing miss for block %d without the transition lock", p, blk.id))
@@ -46,7 +44,6 @@ func (p *Proc) issueMissKind(blk *blockInfo, wantExcl bool, stores []pendingStor
 	req := msg{kind: kind, block: blk.id, from: p.ID, reqProc: p.ID}
 	s.protoStamp(p, blk, &req)
 	p.send(s.procs[blk.home], &req, CatReadStall)
-	return m
 }
 
 // send is the one way a process sends a message. To another process m goes
@@ -389,11 +386,12 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 	if m.scFailed {
 		traceEvent(p, blk, "finish:scfail")
 		// The SC upgrade was refused. Normally the line reverts to
-		// invalid; a backend whose copy here is still authoritative
-		// (the tardis home master) keeps it readable instead. The agent
-		// table goes first: in Base-Shasta it is the private table too,
-		// and only a line taken out of Pending is flag-filled.
-		retain := s.proto.scFailRetains(p, blk)
+		// invalid, but the home agent's copy is kept while the home record
+		// names no owner: it is then the master copy, current under every
+		// backend, and the home serves reads from it. The agent table goes
+		// first: in Base-Shasta it is the private table too, and only a
+		// line taken out of Pending is flag-filled.
+		retain := p.agent == blk.homeAgent && s.homes[blk.id].owner == -1
 		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
 			if p.mem.table[l] == Pending {
 				if retain {

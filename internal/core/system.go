@@ -107,7 +107,7 @@ type System struct {
 	// proto is the coherence backend selected by Cfg.Protocol; it owns
 	// the per-block home-side state that homes does not (see coherence.go).
 	proto Protocol
-	// pollTickEvery is the backend's poll period, set by its attach: the
+	// pollTickEvery is the backend's poll period, set by its constructor: the
 	// backend's pollTick runs on every pollTickEvery-th in-line poll of a
 	// process (by its CntPolls), never if 0.
 	pollTickEvery int64
@@ -300,8 +300,7 @@ func newSystem(cfg Config, immediate bool) *System {
 	}
 	s.Eng.SetDumpHook(s.dumpProtocolState)
 	s.Eng.SetStarveProbe(s.starvedMiss)
-	s.proto = newProtocol(cfg.Protocol)
-	s.proto.attach(s)
+	s.proto = newProtocol(s)
 	return s
 }
 

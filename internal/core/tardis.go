@@ -179,10 +179,11 @@ type tardis struct {
 	hist map[int][]tardisVersion
 }
 
-func (t *tardis) attach(s *System) {
-	t.s = s
+// newTardis makes the Tardis backend of s and sets the system's poll-tick
+// period.
+func newTardis(s *System) *tardis {
 	s.pollTickEvery = tardisPollPeriod
-	t.hist = make(map[int][]tardisVersion)
+	return &tardis{s: s, hist: make(map[int][]tardisVersion)}
 }
 
 func (t *tardis) initBlock(blk *blockInfo) {
@@ -636,16 +637,6 @@ func (t *tardis) pollTick(p *Proc) {
 	}
 }
 
-// scFailRetains: the home agent's copy is the master copy while the
-// home entry says owner == -1 — it is current by construction (ShareWB
-// and recalls keep it in step), so a failed SC upgrade must not poison
-// it: that would destroy the only current copy in the system while the
-// home keeps serving reads from it. Everywhere else the failed SC's
-// copy was a (possibly stale) lease and reverts to invalid as usual.
-func (t *tardis) scFailRetains(p *Proc, blk *blockInfo) bool {
-	return p.agent == blk.homeAgent && t.s.homes[blk.id].owner == -1
-}
-
 func (t *tardis) syncTs(p *Proc) int64 { return t.pstate(p).storeTs() }
 
 func (t *tardis) observeTs(p *Proc, ts int64) {
@@ -735,17 +726,11 @@ func (t *tardis) checkAgreement(s *System, e *Explorer) *InvariantError {
 }
 
 func (t *tardis) encodeBlock(e *Explorer, b *strings.Builder, blk *blockInfo, perm []int) {
-	te, h := t.entries[blk.id], e.sys.homes[blk.id]
-	fmt.Fprintf(b, "B%d{w%d r%d o%d po%d", blk.id, te.wts, te.rts,
-		permAgent(h.owner, perm), permAgent(h.pendingOwner, perm))
+	te := t.entries[blk.id]
+	fmt.Fprintf(b, " w%d r%d", te.wts, te.rts)
 	if te.sc {
 		b.WriteString(" sc")
 	}
-	if h.busy {
-		b.WriteString(" busy")
-	}
-	e.encodeMig(b, blk, perm)
-	e.encodeHomeQueue(b, blk, perm)
 }
 
 func (t *tardis) encodeProcExtra(e *Explorer, b *strings.Builder, p *Proc, perm []int) {
