@@ -212,24 +212,39 @@ func (s *System) emitStats() {
 
 // starvedMiss is the engine's starve probe: it names the first process, and
 // its lowest block, with a miss outstanding for longer than budget at now.
+// It does not sort (mshrBlocks): it runs often enough for an allocation to
+// show in the allocation tests.
 func (s *System) starvedMiss(now, budget sim.Time) string {
 	for _, p := range s.procs {
-		if p.outstanding == 0 {
-			continue
-		}
 		starved := -1
 		for blk, m := range p.mshr {
 			if now-m.issued > budget && (starved < 0 || blk < starved) {
 				starved = blk
 			}
 		}
-		if starved >= 0 {
-			m := p.mshr[starved]
-			return fmt.Sprintf("%s has had a miss on block %d outstanding since t=%d (excl=%v,reply=%v,acks=%d/%d)",
-				p, starved, m.issued, m.wantExcl, m.haveReply, m.acksGot, m.acksWanted)
+		if m := p.mshr[starved]; m != nil {
+			return fmt.Sprintf("%s has had a miss on block %d outstanding since t=%d (%v)", p, starved, m.issued, m)
 		}
 	}
 	return ""
+}
+
+// String describes a miss for the diagnostics: whether it wants the block
+// exclusive, whether its reply came, and the invalidation acks it has of
+// those it waits for.
+func (m *mshrEntry) String() string {
+	return fmt.Sprintf("excl=%v,reply=%v,acks=%d/%d", m.wantExcl, m.haveReply, m.acksGot, m.acksWanted)
+}
+
+// mshrBlocks returns the blocks the process has a miss outstanding on,
+// ascending.
+func (p *Proc) mshrBlocks() []int {
+	blks := make([]int, 0, len(p.mshr))
+	for blk := range p.mshr {
+		blks = append(blks, blk)
+	}
+	sort.Ints(blks)
+	return blks
 }
 
 // dumpProtocolState describes protocol state for watchdog stall dumps: per
@@ -248,14 +263,8 @@ func (s *System) dumpProtocolState() string {
 		}
 		if p.outstanding > 0 {
 			line += fmt.Sprintf(" outstanding=%d mshr=[", p.outstanding)
-			blks := make([]int, 0, len(p.mshr))
-			for blk := range p.mshr {
-				blks = append(blks, blk)
-			}
-			sort.Ints(blks)
-			for _, blk := range blks {
-				m := p.mshr[blk]
-				line += fmt.Sprintf("%d(excl=%v,reply=%v,acks=%d/%d)", blk, m.wantExcl, m.haveReply, m.acksGot, m.acksWanted)
+			for _, blk := range p.mshrBlocks() {
+				line += fmt.Sprintf("%d(%v)", blk, p.mshr[blk])
 			}
 			line += "]"
 		}

@@ -8,12 +8,14 @@ package core
 // owner, busy window and queued requests, the one switch on the owner that
 // serves a request (the master copy, the home agent's own copy, or a
 // forward to a remote owner), the owner's downgrade, reply and writeback,
-// and the reply's entry into the MSHR. An owner of -1 means the home's
-// master copy is valid under every backend. It delegates the protocol
-// proper to a Protocol implementation: what request a miss issues and what
-// it, a grant and an owner's reply are stamped with, how the master copy
-// serves a request, how every other coherence message is handled and what
-// a grant means, what per-block home state exists beyond that record, and
+// and every handler a coherence message reaches: the reply's and the
+// invalidation ack's at the requester, the invalidation's at a sharer and
+// the writeback's at the home. An owner of -1 means the home's master copy
+// is valid under every backend. It delegates the protocol proper to a
+// Protocol implementation: what request a miss issues and what it, a grant
+// and an owner's reply are stamped with, how the master copy serves a
+// request, what a fill and a writeback mean beyond the data and the owner
+// they install, what per-block home state exists beyond that record, and
 // the clauses of the invariant catalogue (invariants.go) that read that
 // state.
 //
@@ -41,7 +43,9 @@ import (
 // this package; they are selected by name via Config.Protocol (or the
 // WithProtocol build option) and constructed per System. All methods are
 // unexported: the backend surface is an internal contract, while the
-// selection surface (WithProtocol, ProtocolNames) is public API.
+// selection surface (WithProtocol, ProtocolNames) is public API. The core
+// handles every coherence message; no method takes a *msg, and serveMaster
+// is the one that composes messages.
 type Protocol interface {
 	// initBlock creates the backend's per-block home state for a freshly
 	// allocated block (called from Alloc, after the block is appended to
@@ -50,12 +54,13 @@ type Protocol interface {
 
 	// missKind selects the request kind issueMiss sends for a miss.
 	missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKind
-	// stamp lets the backend add fields (timestamps) to a message the core
-	// composes: a miss request before it is sent, and an owner's reply to a
-	// forward (msgReadReply to a forwarded read, msgReadExclReply to a
-	// forwarded read-exclusive) once the owner's copy is downgraded. The
-	// owner's message to the home carries the reply's stamps.
-	stamp(p *Proc, blk *blockInfo, m *msg)
+	// stamp returns the timestamps (ts, rts) of a message of kind the core
+	// composes, given those it starts from: a miss request before it is sent
+	// (from zero), and an owner's reply to a forward (msgReadReply to a
+	// forwarded read, msgReadExclReply to a forwarded read-exclusive, from
+	// the forward's) once the owner's copy is downgraded. The owner's
+	// message to the home carries the reply's stamps.
+	stamp(p *Proc, blk *blockInfo, kind msgKind, ts, rts int64) (int64, int64)
 	// noteRequest runs at the home for each request it admits, of the
 	// requester's kind and from agent reqAgent, before the core's owner
 	// switch and before any deferral: it is where a backend keeps the
@@ -73,13 +78,15 @@ type Protocol interface {
 	// remote owner's, on the forward, before it is sent. It returns the
 	// ts and rts of the reply or the forward.
 	grantOwned(p *Proc, blk *blockInfo, m msg, excl, atHome bool) (ts, rts int64)
-	// handle services one coherence message of the reply, invalidation, or
-	// home-bookkeeping kinds. Requests (the core's handleHome), forwards
-	// (serveForward) and non-coherence traffic (locks, barriers,
-	// downgrades, user messages, net acks) never reach it. The message is
-	// borrowed for the duration of the call. Hot callers devirtualize
-	// through protoHandle so the argument does not escape.
-	handle(p *Proc, m *msg)
+	// noteFill runs at the requester for each reply to its miss m, once the
+	// core has recorded the grant in the MSHR and installed the data, with
+	// the reply's ts and rts. It returns the timestamp the process observes
+	// (observeTs) once the miss is complete, after finishMiss.
+	noteFill(p *Proc, m *mshrEntry, ts, rts int64) int64
+	// noteWriteback runs at the home for the owner's writeback or ownership
+	// transfer m, once the core has installed the data and the owner it
+	// leaves, and before the busy window closes.
+	noteWriteback(p *Proc, blk *blockInfo, m msg)
 
 	// refreshLL runs at the top of LoadLocked, before the line-state
 	// checks: a backend whose read copies can go stale (leases) drops

@@ -72,24 +72,9 @@ func (d *dirInval) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgK
 	return kind
 }
 
-// stamp: no logical time, so nothing to add to a message.
-func (d *dirInval) stamp(p *Proc, blk *blockInfo, m *msg) {}
-
-func (d *dirInval) handle(p *Proc, m *msg) {
-	switch m.kind {
-	case msgInvalReq:
-		d.handleInval(p, m)
-	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail:
-		d.handleReply(p, m)
-	case msgInvalAck:
-		d.handleInvalAck(p, m)
-	case msgShareWB:
-		d.handleShareWB(p, m)
-	case msgOwnerTransfer:
-		d.s.endOwnerTransfer(p, m)
-	default:
-		panic(fmt.Sprintf("core: dirinval cannot handle %s", m.kind))
-	}
+// stamp: no logical time; a message keeps the stamps it starts from.
+func (d *dirInval) stamp(p *Proc, blk *blockInfo, kind msgKind, ts, rts int64) (int64, int64) {
+	return ts, rts
 }
 
 // serveMaster serves a request from the master copy: a read joins the
@@ -142,7 +127,7 @@ func (d *dirInval) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind,
 		if s.brokenHomeInval {
 			p.downgradeAgent(blk, Invalid, false)
 		} else {
-			d.invalidateAgent(p, blk)
+			p.invalidateAgent(blk)
 		}
 	}
 	p.send(req, &rep, CatMessage)
@@ -150,7 +135,7 @@ func (d *dirInval) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind,
 
 // grantOwned: no timestamps. A read of a block the home agent owned leaves
 // the two of them sharing it; a forwarded read's sharer set comes with the
-// owner's writeback (handleShareWB).
+// owner's writeback (noteWriteback).
 func (d *dirInval) grantOwned(p *Proc, blk *blockInfo, m msg, excl, atHome bool) (ts, rts int64) {
 	if atHome && !excl {
 		d.sharers[blk.id] = 1<<uint(blk.homeAgent) | 1<<uint(d.s.agentOf(d.s.procs[m.reqProc]))
@@ -158,84 +143,19 @@ func (d *dirInval) grantOwned(p *Proc, blk *blockInfo, m msg, excl, atHome bool)
 	return 0, 0
 }
 
-// handleInval invalidates this agent's copy and acks the requester (§2.1).
-func (d *dirInval) handleInval(p *Proc, m *msg) {
-	s := d.s
-	blk := s.blocks[m.block]
-	p.stats.N[CntInvalidations]++
-	d.invalidateAgent(p, blk)
-	p.send(s.procs[m.reqProc], &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
-}
-
-// invalidateAgent drops this agent's copy of a block for a writer the home
-// has already made owner: a remote sharer's on an invalidation message,
-// the home's own from serveMaster. It never waits for a local miss on the
-// block, because that miss may itself be waiting, through the home or
-// through the writer's fill, for the ack or the grant that follows
-// (DESIGN.md §8 finding 9).
-func (d *dirInval) invalidateAgent(p *Proc, blk *blockInfo) {
-	holder := p.mem.busy[blk.id]
-	if holder != nil && holder.mshr[blk.id] != nil {
-		// A miss by a local process is in flight. Local private copies
-		// are dropped either way, but what the pending fill will install
-		// depends on the miss kind. An upgrade serializes after this
-		// invalidation at the home and installs fresh data, so absorbing
-		// the inval is enough. A read fill, however, may predate the
-		// invalidating writer (its reply can trail this inval on another
-		// link), so the invalidation is remembered and re-applied the
-		// moment the fill installs — otherwise a stale shared copy the
-		// directory no longer tracks would survive. waitDowngrades skips
-		// the holder's Pending entries, so the holder's reservation is
-		// broken here: its SC upgrade may still be granted, after a
-		// writeback, against newer data than its LL read.
-		p.waitDowngrades(blk, Invalid)
-		holder.invalidateLocalLLs(blk.firstLine)
-		if mshr := holder.mshr[blk.id]; mshr != nil && !mshr.wantExcl {
-			mshr.invalAfterFill = true
-		}
-	} else if p.mem.table[blk.firstLine] != Invalid {
-		p.downgradeAgent(blk, Invalid, false)
+// noteWriteback: the master copy a writeback makes valid again is shared
+// by the home, the old owner and the reader. A transfer leaves an owner,
+// and the sharer set means nothing.
+func (d *dirInval) noteWriteback(p *Proc, blk *blockInfo, m msg) {
+	if m.kind == msgShareWB {
+		s := d.s
+		from, reader := s.agentOf(s.procs[m.from]), s.agentOf(s.procs[m.reqProc])
+		d.sharers[blk.id] = 1<<uint(blk.homeAgent) | 1<<uint(from) | 1<<uint(reader)
 	}
 }
 
-// handleShareWB installs written-back data at the home, whose master copy
-// is valid again, shared by the home, the old owner and the reader.
-func (d *dirInval) handleShareWB(p *Proc, m *msg) {
-	s := d.s
-	blk := s.blocks[m.block]
-	s.installAtHome(p, blk, m)
-	fromAgent := s.agentOf(s.procs[m.from])
-	reqAgent := s.agentOf(s.procs[m.reqProc])
-	d.sharers[blk.id] = 1<<uint(blk.homeAgent) | 1<<uint(fromAgent) | 1<<uint(reqAgent)
-	s.homes[blk.id].owner = -1
-	s.endTransfer(p, blk, m)
-}
-
-// handleReply completes (part of) an outstanding miss at the requester.
-func (d *dirInval) handleReply(p *Proc, m *msg) {
-	mshr := p.noteReply(m)
-	if d.s.brokenSkipInvalAck && m.invals > 0 {
-		// Broken variant for counterexample tests: forget one expected
-		// invalidation ack, so the miss can complete while a stale
-		// sharer still holds a valid copy (single-writer violation).
-		mshr.acksWanted = m.invals - 1
-	}
-	if mshr.complete() {
-		p.finishMiss(mshr)
-	}
-}
-
-// handleInvalAck counts one invalidation acknowledgment.
-func (d *dirInval) handleInvalAck(p *Proc, m *msg) {
-	mshr := p.mshr[m.block]
-	if mshr == nil {
-		panic(fmt.Sprintf("core: %s got inval-ack for block %d with no MSHR", p, m.block))
-	}
-	mshr.acksGot++
-	if mshr.complete() {
-		p.finishMiss(mshr)
-	}
-}
+// noteFill: the core's MSHR and data are the whole fill; no time to observe.
+func (d *dirInval) noteFill(p *Proc, m *mshrEntry, ts, rts int64) int64 { return 0 }
 
 // No logical time, no leases: the hooks below are no-ops.
 func (d *dirInval) noteStoreHit(p *Proc, line int) {}

@@ -5,13 +5,15 @@ package core
 // it to a remote owner and holds later requests until the transfer lands;
 // the owner downgrades, replies to the requester and writes back to the
 // home (serveForward). The record, the one switch on its owner
-// (handleHome), the busy window and the owner's half are the core's. An
-// owner of -1 means the master copy is valid, under every backend. What a
-// grant means — sharer sets, timestamps, and serving from the master copy
-// — is the backend's, through its hooks (Protocol.noteRequest,
-// serveMaster, grantOwned and stamp). Nothing here asks which backend that
-// is. The migratory-sharing record is the core's too (migEntry); a backend
-// says only when a request classifies a block, and on what evidence.
+// (handleHome), the busy window, the owner's half and the writeback that
+// closes the window (handleWriteback) are the core's. An owner of -1 means
+// the master copy is valid, under every backend. What a grant means —
+// sharer sets, timestamps, and serving from the master copy — is the
+// backend's, through its hooks (Protocol.noteRequest, serveMaster,
+// grantOwned, stamp and noteWriteback). Nothing here asks which backend
+// that is. The migratory-sharing record is the core's too (migEntry); a
+// backend says only when a request classifies a block, and on what
+// evidence.
 
 import "fmt"
 
@@ -171,7 +173,7 @@ func (s *System) handleHome(p *Proc, m *msg) {
 		s.drainHome(p, blk)
 	default:
 		// The entry is busy until the owner's writeback or ownership
-		// transfer comes back (endTransfer).
+		// transfer comes back (handleWriteback).
 		fwd := msg{kind: msgFwdRead, block: blk.id, from: p.ID, reqProc: m.reqProc}
 		fwd.ts, fwd.rts = s.proto.grantOwned(p, blk, *m, excl, false)
 		if excl {
@@ -235,9 +237,10 @@ func (p *Proc) serveForward(m *msg) {
 		rep.data = p.downgradeAgent(blk, Invalid, true)
 	}
 	// An owner granted the block on a read that gives it up without having
-	// stored to it says so; the home then declassifies the block (endTransfer).
+	// stored to it says so; the home then declassifies the block
+	// (handleWriteback).
 	rep.unwritten = p.mem.takeUnwritten(blk.id)
-	s.protoStamp(p, blk, &rep)
+	rep.ts, rep.rts = s.proto.stamp(p, blk, rep.kind, rep.ts, rep.rts)
 	home.ts, home.rts, home.unwritten = rep.ts, rep.rts, rep.unwritten
 	p.send(s.procs[m.reqProc], &rep, CatMessage)
 	p.send(s.procs[blk.home], &home, CatMessage)
@@ -251,36 +254,33 @@ func (s *System) installData(p *Proc, mem *agentMem, m *msg) {
 	s.recycleMsgData(p, m)
 }
 
-// installAtHome installs written-back data at the home. The home memory is
-// valid again; the home agent becomes a sharer so the state table and flag
-// invariants hold.
-func (s *System) installAtHome(p *Proc, blk *blockInfo, m *msg) {
-	homeMem := s.agents[blk.homeAgent]
-	s.installData(p, homeMem, m)
-	if homeMem.table[blk.firstLine] == Invalid {
-		s.setAgentState(homeMem, blk, Shared)
+// handleWriteback closes the window handleHome's forward opened, on the
+// owner's writeback or ownership transfer m. A writeback installs the data
+// at the home, whose master copy is valid again (the home agent's copy is
+// at least shared, so the state table and flag invariants hold); a
+// transfer makes the pending owner the owner. The backend then notes the
+// writeback (Protocol.noteWriteback); a block the owner gave up unwritten
+// is declassified, and what queued is served.
+func (s *System) handleWriteback(p *Proc, m *msg) {
+	blk := s.blocks[m.block]
+	h := &s.homes[blk.id]
+	if m.kind == msgShareWB {
+		homeMem := s.agents[blk.homeAgent]
+		s.installData(p, homeMem, m)
+		if homeMem.table[blk.firstLine] == Invalid {
+			s.setAgentState(homeMem, blk, Shared)
+		}
+		traceEvent(p, blk, "shareWB")
+		h.owner = -1
+	} else {
+		h.owner, h.pendingOwner = h.pendingOwner, -1
 	}
-	traceEvent(p, blk, "shareWB")
-}
-
-// endTransfer closes the window handleHome's forward opened, on the owner's
-// writeback or ownership transfer m, once the caller has installed the
-// state the transfer leaves: it declassifies a block the owner gave up
-// unwritten and serves what queued.
-func (s *System) endTransfer(p *Proc, blk *blockInfo, m *msg) {
+	s.proto.noteWriteback(p, blk, *m)
 	if m.unwritten {
 		s.declassify(p, blk)
 	}
-	s.homes[blk.id].busy = false
+	s.homes[blk.id].busy = false // re-read: the backend's note can stall, and homes grow
 	s.drainHome(p, blk)
-}
-
-// endOwnerTransfer completes a 3-hop exclusive transfer at the home, on
-// the old owner's ownership transfer m: the pending owner becomes the owner.
-func (s *System) endOwnerTransfer(p *Proc, m *msg) {
-	h := &s.homes[m.block]
-	h.owner, h.pendingOwner = h.pendingOwner, -1
-	s.endTransfer(p, s.blocks[m.block], m)
 }
 
 // drainHome re-services requests that queued while the entry was busy,
@@ -299,38 +299,6 @@ func (s *System) drainHome(p *Proc, blk *blockInfo) {
 		h.queue = h.queue[:n]
 		s.handleHome(p, &m)
 	}
-}
-
-// noteReply records a home's (or forwarded owner's) reply in the
-// requester's MSHR and installs the data it carries; what the grant means
-// beyond shared or exclusive is the backend's.
-func (p *Proc) noteReply(m *msg) *mshrEntry {
-	mshr := p.mshr[m.block]
-	if mshr == nil {
-		panic(fmt.Sprintf("core: %s got %s for block %d with no MSHR", p, m.kind, m.block))
-	}
-	mshr.haveReply = true
-	mshr.acksWanted = m.invals
-	mshr.grant = Shared
-	if m.kind == msgReadExclReply || m.kind == msgUpgradeAck {
-		mshr.grant = Exclusive
-	}
-	if m.kind == msgReadExclReply && !mshr.wantExcl {
-		// A read granted exclusive (a migratory grant), recorded until the
-		// agent's first store to it (Proc.performStore). The grant was
-		// serialized at the home after any invalidation this miss absorbed,
-		// so the copy it installs is current: dropping it after the fill
-		// would lose the only copy of the block.
-		mshr.invalAfterFill = false
-		p.mem.noteUnwritten(m.block, len(p.sys.blocks))
-	}
-	if m.kind == msgSCFail {
-		mshr.scFailed = true
-	}
-	if m.data != nil {
-		p.sys.installData(p, p.mem, m)
-	}
-	return mshr
 }
 
 // blockQuiet reports whether the block's home record is at rest: no

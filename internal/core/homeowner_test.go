@@ -136,3 +136,56 @@ func TestHomeOwnerCases(t *testing.T) {
 		}
 	}
 }
+
+// TestTardisTransferAdoptsYieldStamp: a yield can raise the grant the home
+// fixed when it forwarded a write. O (p1) owns x, homed at p0, and stores to
+// it again as a hit after observing ts 1000, as an acquire would; W's (p2)
+// write is then forwarded to O at a grant just past O's own, and O's yield
+// stamps it past the hit. The home must adopt that stamp with the ownership
+// transfer, or its wts trails the version W holds and a later grant could
+// be serialized before W's stores.
+func TestTardisTransferAdoptsYieldStamp(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Nodes = 3
+	cfg.Protocol = "tardis"
+	s := Build(WithConfig(cfg))
+	td := s.proto.(*tardis)
+	const x = SharedBase
+	bodies := [3]func(p *Proc){
+		1: func(p *Proc) {
+			computeUntil(p, hoStep)
+			p.Store(x, 1)
+			p.MemBar()
+			td.observeTs(p, 1000)
+			p.Store(x, 2)
+		},
+		2: func(p *Proc) {
+			computeUntil(p, 2*hoStep)
+			p.Store(x, 3)
+			p.MemBar()
+		},
+	}
+	for i, body := range bodies {
+		s.Spawn(fmt.Sprintf("p%d", i), i, func(p *Proc) {
+			if body != nil {
+				body(p)
+			}
+			computeUntil(p, 4*hoStep)
+		})
+	}
+	s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(0)})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	blk := s.blockOf(s.lineOf(x)).id
+	tenure, e := td.astate(s.agents[2]).tenure[blk], td.entries[blk]
+	if tenure <= 1000 {
+		t.Errorf("W's grant at ts %d, not above O's store hit at ts 1000", tenure)
+	}
+	if e.wts != tenure || e.rts < e.wts {
+		t.Errorf("the home has wts %d, rts %d after the transfer; want wts %d, the yield's stamp, and rts >= wts", e.wts, e.rts, tenure)
+	}
+	if v := s.Peek(x); v != 3 {
+		t.Errorf("x = %d, want 3", v)
+	}
+}

@@ -15,7 +15,7 @@ package core
 //
 //   - unsequenced messages (the fault-free hot path) are delivered as
 //     exactly one copy; the receiving handler copies the payload into
-//     its agent memory (handleReply / handleShareWB) and recycles the
+//     its agent memory (handleReply / handleWriteback) and recycles the
 //     buffer into ITS agent's pool;
 //   - sequenced messages (ReliableDelivery) are also referenced by the
 //     sender's retransmit entry, and faults can put duplicate copies in

@@ -9,12 +9,13 @@ import (
 
 // This file is the protocol-independent half of the coherence machinery:
 // miss issue and completion (MSHRs), the one sender (send), message
-// dispatch, and the intra-node downgrade path shared by every backend. The
-// home record (owner, busy window, queue), the steps every home takes over
-// it and the owner's half of a 3-hop transfer are in home.go; the protocol
-// proper — what else a home keeps, request servicing, reply semantics —
-// lives behind the Protocol interface (coherence.go) in the backend files
-// (dirinval.go, tardis.go).
+// dispatch, the reply's, the invalidation's and its ack's handlers, and the
+// intra-node downgrade path shared by every backend. The home record (owner,
+// busy window, queue), the steps every home takes over it, the writeback's
+// handler and the owner's half of a 3-hop transfer are in home.go; the
+// protocol proper — what else a home keeps, serving the master copy, what a
+// fill and a writeback mean — lives behind the Protocol interface
+// (coherence.go) in the backend files (dirinval.go, tardis.go).
 
 // issueMiss allocates an MSHR for the block and sends the appropriate
 // request to the home (§2.1: read, read-exclusive, or exclusive/upgrade),
@@ -42,7 +43,7 @@ func (p *Proc) issueMiss(blk *blockInfo, wantExcl bool, stores []pendingStore, s
 	}
 	traceEvent(p, blk, issueSiteNames[kind])
 	req := msg{kind: kind, block: blk.id, from: p.ID, reqProc: p.ID}
-	s.protoStamp(p, blk, &req)
+	req.ts, req.rts = s.proto.stamp(p, blk, kind, 0, 0)
 	p.send(s.procs[blk.home], &req, CatReadStall)
 }
 
@@ -120,19 +121,23 @@ func (p *Proc) handleMessage(m *msg, cat TimeCategory) {
 	p.dispatch(m)
 }
 
-// dispatch routes an in-order, deduplicated message to its handler:
-// coherence traffic goes to the protocol backend, except requests at the
-// home and the owner's half of a 3-hop transfer, which are the core's;
-// everything else (downgrades, locks, barriers, user messages, net acks) is
-// shared.
+// dispatch routes an in-order, deduplicated message to its handler. Every
+// handler is the core's, under either backend: the coherence ones call the
+// backend's hooks for what a request, a fill or a writeback means beyond
+// the core's home record, MSHR and data.
 func (p *Proc) dispatch(m *msg) {
 	s := p.sys
 	switch m.kind {
 	case msgReadReq, msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq:
 		s.handleHome(p, m)
-	case msgInvalReq, msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail, msgInvalAck,
-		msgShareWB, msgOwnerTransfer:
-		s.protoHandle(p, m)
+	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail:
+		p.handleReply(m)
+	case msgInvalAck:
+		p.handleInvalAck(m)
+	case msgInvalReq:
+		p.handleInval(m)
+	case msgShareWB, msgOwnerTransfer:
+		s.handleWriteback(p, m)
 	case msgFwdRead, msgFwdReadExcl:
 		p.serveForward(m)
 	case msgDowngradeReq:
@@ -161,35 +166,6 @@ func (p *Proc) dispatch(m *msg) {
 		}
 	default:
 		panic(fmt.Sprintf("core: %s cannot handle %s", p, m.kind))
-	}
-}
-
-// protoHandle invokes the coherence backend's message handler through a
-// concrete-type switch. Calling through the Protocol interface makes
-// every *msg argument escape to the heap (the compiler cannot see the
-// callee), which would turn each stack-composed reply into an allocation.
-// Protocol's methods are unexported, so the cases are every backend there
-// can be.
-func (s *System) protoHandle(p *Proc, m *msg) {
-	switch pr := s.proto.(type) {
-	case *dirInval:
-		pr.handle(p, m)
-	case *tardis:
-		pr.handle(p, m)
-	default:
-		panic(fmt.Sprintf("core: protoHandle: no fast path for backend %T", s.proto))
-	}
-}
-
-// protoStamp is the same devirtualization for Protocol.stamp.
-func (s *System) protoStamp(p *Proc, blk *blockInfo, m *msg) {
-	switch pr := s.proto.(type) {
-	case *dirInval:
-		pr.stamp(p, blk, m)
-	case *tardis:
-		pr.stamp(p, blk, m)
-	default:
-		panic(fmt.Sprintf("core: protoStamp: no fast path for backend %T", s.proto))
 	}
 }
 
@@ -247,6 +223,46 @@ func (p *Proc) downgradeAgent(blk *blockInfo, to LineState, wantData bool) []uin
 	traceEvent(p, blk, downgradeSiteNames[to])
 	p.endTransition(blk)
 	return data
+}
+
+// handleInval invalidates this agent's copy and acks the requester (§2.1).
+func (p *Proc) handleInval(m *msg) {
+	s := p.sys
+	blk := s.blocks[m.block]
+	p.stats.N[CntInvalidations]++
+	p.invalidateAgent(blk)
+	p.send(s.procs[m.reqProc], &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
+}
+
+// invalidateAgent drops this agent's copy of a block for a writer the home
+// has already made owner: a remote sharer's on an invalidation message,
+// the home's own from dirinval's serveMaster. It never waits for a local
+// miss on the block, because that miss may itself be waiting, through the
+// home or through the writer's fill, for the ack or the grant that follows
+// (DESIGN.md §8 finding 9).
+func (p *Proc) invalidateAgent(blk *blockInfo) {
+	holder := p.mem.busy[blk.id]
+	if holder != nil && holder.mshr[blk.id] != nil {
+		// A miss by a local process is in flight. Local private copies
+		// are dropped either way, but what the pending fill will install
+		// depends on the miss kind. An upgrade serializes after this
+		// invalidation at the home and installs fresh data, so absorbing
+		// the inval is enough. A read fill, however, may predate the
+		// invalidating writer (its reply can trail this inval on another
+		// link), so the invalidation is remembered and re-applied the
+		// moment the fill installs — otherwise a stale shared copy the
+		// directory no longer tracks would survive. waitDowngrades skips
+		// the holder's Pending entries, so the holder's reservation is
+		// broken here: its SC upgrade may still be granted, after a
+		// writeback, against newer data than its LL read.
+		p.waitDowngrades(blk, Invalid)
+		holder.invalidateLocalLLs(blk.firstLine)
+		if mshr := holder.mshr[blk.id]; mshr != nil && !mshr.wantExcl {
+			mshr.invalAfterFill = true
+		}
+	} else if p.mem.table[blk.firstLine] != Invalid {
+		p.downgradeAgent(blk, Invalid, false)
+	}
 }
 
 // fillAgentInvalid stores the flag value into the block's words, deferring
@@ -309,9 +325,6 @@ func (p *Proc) waitDowngrades(blk *blockInfo, to LineState) {
 		expected++
 	}
 	if expected > 0 {
-		if p.dgAcks == nil {
-			p.dgAcks = make(map[int]int)
-		}
 		base := p.dgAcks[blk.id]
 		want := base + expected
 		p.stallWhile(CatMessage, func() bool { return p.dgAcks[blk.id] < want })
@@ -363,6 +376,63 @@ func (p *Proc) handleDowngradeReq(m *msg) {
 	p.charge(CatMessage, s.Cfg.Cost.DowngradeHandle)
 	p.downgradeSelf(blk, m.downTo)
 	p.send(s.procs[m.from], &msg{kind: msgDowngradeAck, block: blk.id, from: p.ID}, CatMessage)
+}
+
+// handleReply records a home's (or forwarded owner's) reply in the
+// requester's MSHR and installs the data it carries; what the grant means
+// beyond shared or exclusive is the backend's (Protocol.noteFill). The
+// reply completes the miss unless invalidation acks are still due; the
+// process then observes the timestamp noteFill returned.
+func (p *Proc) handleReply(m *msg) {
+	s := p.sys
+	mshr := p.mshr[m.block]
+	if mshr == nil {
+		panic(fmt.Sprintf("core: %s got %s for block %d with no MSHR", p, m.kind, m.block))
+	}
+	mshr.haveReply = true
+	mshr.acksWanted = m.invals
+	if s.brokenSkipInvalAck && m.invals > 0 {
+		// Broken variant for counterexample tests: forget one expected
+		// invalidation ack, so the miss can complete while a stale
+		// sharer still holds a valid copy (single-writer violation).
+		mshr.acksWanted--
+	}
+	mshr.grant = Shared
+	if m.kind == msgReadExclReply || m.kind == msgUpgradeAck {
+		mshr.grant = Exclusive
+	}
+	if m.kind == msgReadExclReply && !mshr.wantExcl {
+		// A read granted exclusive (a migratory grant), recorded until the
+		// agent's first store to it (Proc.performStore). The grant was
+		// serialized at the home after any invalidation this miss absorbed,
+		// so the copy it installs is current: dropping it after the fill
+		// would lose the only copy of the block.
+		mshr.invalAfterFill = false
+		p.mem.noteUnwritten(m.block, len(s.blocks))
+	}
+	if m.kind == msgSCFail {
+		mshr.scFailed = true
+	}
+	if m.data != nil {
+		s.installData(p, p.mem, m)
+	}
+	ts := s.proto.noteFill(p, mshr, m.ts, m.rts)
+	if mshr.complete() {
+		p.finishMiss(mshr)
+		s.proto.observeTs(p, ts)
+	}
+}
+
+// handleInvalAck counts one invalidation acknowledgment.
+func (p *Proc) handleInvalAck(m *msg) {
+	mshr := p.mshr[m.block]
+	if mshr == nil {
+		panic(fmt.Sprintf("core: %s got inval-ack for block %d with no MSHR", p, m.block))
+	}
+	mshr.acksGot++
+	if mshr.complete() {
+		p.finishMiss(mshr)
+	}
 }
 
 // finishMiss installs the final line states, performs buffered stores, and

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/memchannel"
@@ -319,16 +318,9 @@ func (p *Proc) pumpReliability(cat TimeCategory) bool {
 // failUnreachable aborts the simulation with a structured error for the
 // exhausted entry. It does not return.
 func (p *Proc) failUnreachable(e *retxEntry) {
-	var blks []int
-	for blk := range p.mshr {
-		blks = append(blks, blk)
-	}
-	sort.Ints(blks)
 	var mshrs []string
-	for _, blk := range blks {
-		m := p.mshr[blk]
-		mshrs = append(mshrs, fmt.Sprintf("block %d (excl=%v, reply=%v, acks=%d/%d)",
-			blk, m.wantExcl, m.haveReply, m.acksGot, m.acksWanted))
+	for _, blk := range p.mshrBlocks() {
+		mshrs = append(mshrs, fmt.Sprintf("block %d (%v)", blk, p.mshr[blk]))
 	}
 	blk := e.m.block
 	switch e.m.kind {

@@ -272,62 +272,40 @@ func (t *tardis) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKin
 }
 
 // stamp: a read request carries the requester's pts, a write request its
-// storeTs; an SC upgrade additionally carries the wts of the copy the LL
-// read, which the home compares against the current version. An owner's
-// reply to a forward carries a version leaving its owning agent, so it is
-// stamped with the dirty record (see tardisAgentState.dirty): the owner's
-// stores were inline hits that never advanced the home's wts.
-func (t *tardis) stamp(p *Proc, blk *blockInfo, m *msg) {
-	switch m.kind {
+// storeTs; an SC upgrade additionally carries, as rts, the wts of the copy
+// the LL read, which the home compares against the current version. An
+// owner's reply to a forward carries a version leaving its owning agent, so
+// it is stamped with the dirty record (see tardisAgentState.dirty): the
+// owner's stores were inline hits that never advanced the home's wts.
+func (t *tardis) stamp(p *Proc, blk *blockInfo, kind msgKind, ts, rts int64) (int64, int64) {
+	as := t.astate(p.mem)
+	switch kind {
 	case msgReadReply:
 		// A recall: keep the lease end past the stamp. The demoted owner
 		// keeps its copy under the same lease the requester gets: it holds
 		// the version it just wrote back.
-		if d := t.takeDirty(p.mem, blk.id); d > m.ts {
-			m.ts = d
-		}
-		if end := m.ts + tardisLeaseLen; end > m.rts {
-			m.rts = end
-		}
-		t.astate(p.mem).leases.set(blk.id, tardisLease{dataWts: m.ts, leaseEnd: m.rts}, len(t.s.blocks))
+		ts = max(ts, t.takeDirty(p.mem, blk.id))
+		rts = max(rts, ts+tardisLeaseLen)
+		as.leases.set(blk.id, tardisLease{dataWts: ts, leaseEnd: rts}, len(t.s.blocks))
+		return ts, rts
 	case msgReadExclReply:
 		// A yield: the owner's copy is gone, and the new grant serializes
 		// after every store the yielding agent's processes performed.
-		t.astate(p.mem).leases.del(blk.id)
-		if d := t.takeDirty(p.mem, blk.id) + 1; d > m.ts {
-			m.ts = d
-		}
-	default: // a miss request
-		ps, as := t.pstate(p), t.astate(p.mem)
-		m.ts = ps.storeTs()
-		switch m.kind {
-		case msgReadReq:
-			m.ts = ps.pts
-		case msgSCUpgradeReq:
-			if l, ok := as.leases.get(blk.id); ok {
-				m.rts = l.dataWts
-			} else if p.agent == blk.homeAgent {
-				// Master copy: current by construction.
-				m.rts = t.entries[blk.id].wts
-			} else {
-				m.rts = -1 // no identifiable read copy; the SC will fail
-			}
+		as.leases.del(blk.id)
+		return max(ts, t.takeDirty(p.mem, blk.id)+1), rts
+	case msgReadReq:
+		return t.pstate(p).pts, rts
+	case msgSCUpgradeReq:
+		if l, ok := as.leases.get(blk.id); ok {
+			rts = l.dataWts
+		} else if p.agent == blk.homeAgent {
+			// Master copy: current by construction.
+			rts = t.entries[blk.id].wts
+		} else {
+			rts = -1 // no identifiable read copy; the SC will fail
 		}
 	}
-}
-
-func (t *tardis) handle(p *Proc, m *msg) {
-	switch m.kind {
-	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail:
-		t.handleReply(p, m)
-	case msgShareWB:
-		t.handleShareWB(p, m)
-	case msgOwnerTransfer:
-		t.handleOwnerTransfer(p, m)
-	default:
-		// msgInvalReq and msgInvalAck are never issued under Tardis.
-		panic(fmt.Sprintf("core: tardis cannot handle %s", m.kind))
-	}
+	return t.pstate(p).storeTs(), rts
 }
 
 // extendLease bumps rts for a read at the requester's pts and returns
@@ -441,80 +419,60 @@ func (t *tardis) grantOwned(p *Proc, blk *blockInfo, m msg, excl, atHome bool) (
 	return e.wts, extendLease(e, m.ts)
 }
 
-// handleShareWB installs written-back data at the home; the home is
-// master again.
-func (t *tardis) handleShareWB(p *Proc, m *msg) {
-	s := t.s
-	blk := s.blocks[m.block]
-	s.installAtHome(p, blk, m)
-	// Adopt the stamped timestamps from the recall (the recalled owner
-	// may have raised them past what the home recorded at forward time).
+// noteWriteback adopts the stamps of a recall's writeback or a yield's
+// ownership transfer: the old owner may have raised them past what the home
+// recorded at forward time.
+func (t *tardis) noteWriteback(p *Proc, blk *blockInfo, m msg) {
 	e := &t.entries[blk.id]
-	if m.ts > e.wts {
-		e.wts = m.ts
+	e.wts = max(e.wts, m.ts)
+	if m.kind == msgOwnerTransfer {
+		e.rts = max(e.rts, e.wts)
+		return
 	}
-	if m.rts > e.rts {
-		e.rts = m.rts
-	}
-	s.homes[blk.id].owner = -1
+	e.rts = max(e.rts, m.rts)
 	// The home's processes read the master copy, now the version at wts,
 	// without a miss: their pts must reach it, or one of them could read
 	// the new version, release, and hand an acquirer a pts still inside an
 	// older lease on the block.
-	for _, q := range s.localProcs(blk.homeAgent) {
+	for _, q := range t.s.localProcs(blk.homeAgent) {
 		t.advancePts(q, e.wts)
 	}
 	t.expire(p)
-	s.endTransfer(p, blk, m)
 }
 
-// handleOwnerTransfer completes a 3-hop exclusive transfer at the home.
-func (t *tardis) handleOwnerTransfer(p *Proc, m *msg) {
-	// Adopt the stamped grant from the yield (the yielding owner may have
-	// raised it past the grant the home fixed at forward time).
-	e := &t.entries[m.block]
-	if m.ts > e.wts {
-		e.wts = m.ts
-	}
-	if e.rts < e.wts {
-		e.rts = e.wts
-	}
-	t.s.endOwnerTransfer(p, m)
-}
-
-// handleReply completes an outstanding miss at the requester and does
-// the lease bookkeeping for the installed copy.
-func (t *tardis) handleReply(p *Proc, m *msg) {
-	mshr := p.noteReply(m) // acksWanted is always 0: Tardis collects no acks
+// noteFill does the lease bookkeeping for the installed copy, and advances
+// pts to the grant — except an RC store grant's, which raises wpts. It
+// returns the timestamp the process observes once the fill is done, whose
+// lease sweep (observeTs) follows the deferred replays: 0 for a refused SC
+// and an RC store grant. Tardis collects no acks, so every reply completes
+// its miss.
+func (t *tardis) noteFill(p *Proc, m *mshrEntry, ts, rts int64) int64 {
 	as, ps := t.astate(p.mem), t.pstate(p)
 	refill := as.leases.takeLLDrop(m.block)
 	switch {
-	case mshr.scFailed:
+	case m.scFailed:
 		// finishMiss drops the line; the lease record goes with it.
 		as.leases.del(m.block)
-	case mshr.grant == Exclusive:
+		return 0
+	case m.grant == Exclusive:
 		as.leases.del(m.block)
-		as.tenure[m.block] = m.ts
+		as.tenure[m.block] = ts
 		ps.wrote = true
-		if mshr.wantExcl && t.s.Cfg.Consistency != SequentiallyConsistent {
-			ps.wpts = max(ps.wpts, m.ts) // see tardisProcState.wpts
-		} else {
-			t.advancePts(p, m.ts)
+		if m.wantExcl && t.s.Cfg.Consistency != SequentiallyConsistent {
+			ps.wpts = max(ps.wpts, ts) // see tardisProcState.wpts
+			return 0
 		}
 	default:
 		// Shared fill: record the lease — except at the block's home,
 		// whose copies are master copies (current by construction, kept
 		// in step by ShareWB) and must never be expired.
 		if p.agent != t.s.blocks[m.block].homeAgent {
-			as.leases.set(m.block, tardisLease{dataWts: m.ts, leaseEnd: m.rts}, len(t.s.blocks))
+			as.leases.set(m.block, tardisLease{dataWts: ts, leaseEnd: rts}, len(t.s.blocks))
 		}
 		ps.filled = ps.filled || !refill
-		t.advancePts(p, m.ts)
 	}
-	if mshr.complete() {
-		p.finishMiss(mshr)
-		t.expire(p)
-	}
+	t.advancePts(p, ts)
+	return ts
 }
 
 func (t *tardis) advancePts(p *Proc, ts int64) {
