@@ -3,7 +3,8 @@
 // breakdown, a message histogram with service delays, network traffic, the
 // directory's migratory-sharing events, Tardis's lease growth, and
 // scheduler activity. It exits 1 if an inval-ack answers no inval-req
-// (analyze.Summary.CheckInvalAcks).
+// (analyze.Summary.CheckInvalAcks), or if a downgrade record a handler left
+// open for node-mates was never finished (CheckDowngrades).
 //
 // Usage:
 //
@@ -35,8 +36,14 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(sum.Render())
-	if err := sum.CheckInvalAcks(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	failed := false
+	for _, err := range []error{sum.CheckInvalAcks(), sum.CheckDowngrades()} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			failed = true
+		}
+	}
+	if failed {
 		os.Exit(1)
 	}
 }

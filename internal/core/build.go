@@ -248,7 +248,8 @@ func (p *Proc) mshrBlocks() []int {
 }
 
 // dumpProtocolState describes protocol state for watchdog stall dumps: per
-// process, outstanding misses, pending queue contents, downgrade waits; per
+// process, outstanding misses and the requests deferred behind them, open
+// downgrade records, pending queue contents; per
 // block whose home record is not at rest, the busy window and its queue. It
 // describes a run that is ending.
 func (s *System) dumpProtocolState() string {
@@ -268,13 +269,13 @@ func (s *System) dumpProtocolState() string {
 			}
 			line += "]"
 		}
-		dgs := make([]int, 0, len(p.dgAcks))
-		for blk := range p.dgAcks {
-			dgs = append(dgs, blk)
+		for _, m := range p.deferredReqs {
+			line += fmt.Sprintf(" deferred[%d]=%s:p%d", m.block, m.kind, m.reqProc)
 		}
-		sort.Ints(dgs)
-		for _, blk := range dgs {
-			line += fmt.Sprintf(" dgAcks[%d]=%d", blk, p.dgAcks[blk])
+		for _, r := range p.mem.dgs {
+			if r.opener == p.ID {
+				line += fmt.Sprintf(" downgrade[%d]=%d", r.block, r.pending)
+			}
 		}
 		if n := p.replyQ.q.Len(); n > 0 {
 			line += fmt.Sprintf(" replyQ=%d", n)

@@ -81,7 +81,9 @@ func (d *dirInval) stamp(p *Proc, blk *blockInfo, kind msgKind, ts, rts int64) (
 // sharer set; a write is granted exclusive after the invalidation of every
 // other sharer. The remote sharers are sent their invalidations first, and
 // ack the writer; then the home invalidates its own agent's copy in place,
-// so the one grant that follows owes the writer only the remote acks.
+// so the one grant that follows owes the writer only the remote acks. On
+// SMP-Shasta the grant leaves from the last node-mate to apply the home's
+// downgrade (dgRecord).
 func (d *dirInval) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m msg) {
 	s := d.s
 	reqAgent := s.agentOf(req)
@@ -101,9 +103,12 @@ func (d *dirInval) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind,
 		p.send(req, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
 		return
 	}
+	if s.brokenHomeInval && *sharers&(1<<uint(homeAgent)) != 0 && p.deferIfPending(&m, blk, nil) {
+		return
+	}
 	others := *sharers &^ (1 << uint(reqAgent))
 	remote := others &^ (1 << uint(homeAgent))
-	rep := msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, invals: bits.OnesCount64(remote)}
+	rep := msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, reqProc: req.ID, invals: bits.OnesCount64(remote)}
 	if !isUpgrade {
 		// Taken before the home's own invalidation flag-fills its copy.
 		rep.kind, rep.data = msgReadExclReply, s.blockData(s.agents[homeAgent], blk)
@@ -123,14 +128,11 @@ func (d *dirInval) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind,
 			p.send(s.requesterOf(blk, a), &inv, CatMessage)
 		}
 	}
-	if others&(1<<uint(homeAgent)) != 0 {
-		if s.brokenHomeInval {
-			p.downgradeAgent(blk, Invalid, false)
-		} else {
-			p.invalidateAgent(blk)
-		}
+	if others&(1<<uint(homeAgent)) == 0 {
+		p.send(req, &rep, CatMessage)
+		return
 	}
-	p.send(req, &rep, CatMessage)
+	p.invalidateAgent(blk, &rep)
 }
 
 // grantOwned: no timestamps. A read of a block the home agent owned leaves

@@ -21,12 +21,10 @@ package core
 //     transition; its handler runs on the explorer's goroutine.
 //
 // The abstraction is exact for Base-Shasta (SMP off): handlers never
-// block (waitDowngrades downgrades only the process itself, and the
-// transition lock's one possible holder is the process, which never
-// waits on it), and cross-agent shared state
-// (the directory) is touched only by its home's handlers, so every real
-// execution corresponds to some sequence of these atomic steps and vice
-// versa.
+// block, a process's downgrade is of its own table alone, and cross-agent
+// shared state (the directory) is touched only by its home's handlers, so
+// every real execution corresponds to some sequence of these atomic steps
+// and vice versa.
 //
 // Channel model: the Memory Channel delivers messages on one (src,dst)
 // link in FIFO order, but the receiver services its reply queue before

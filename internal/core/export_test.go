@@ -36,3 +36,11 @@ func (s *System) OpenTransitions() (locked, waiters int) {
 	}
 	return locked, waiters
 }
+
+// OpenDowngrades counts the downgrade records still open, over every agent.
+func (s *System) OpenDowngrades() (n int) {
+	for _, m := range s.agents {
+		n += len(m.dgs)
+	}
+	return n
+}

@@ -150,27 +150,16 @@ func (s *System) handleHome(p *Proc, m *msg) {
 		panic(fmt.Sprintf("core: block %d: %s from %s, whose agent %d already owns the block", blk.id, m.kind, req, reqAgent))
 	case blk.homeAgent:
 		// Defer behind the home's own fill still in flight, exactly as a
-		// forwarded request would be.
+		// forwarded request would be. The home agent's copy goes down to
+		// invalid for a write, whose data goes with the grant, to shared for
+		// a read; the entry is busy until then, so a second request queues
+		// behind this one and does not act on the state of before it
+		// (DESIGN.md §8 finding 8). grantFromHome grants the request.
 		if p.deferIfPending(m, blk, nil) {
 			return
 		}
-		rep := msg{kind: msgReadReply, block: blk.id, from: p.ID}
-		if excl {
-			rep.kind, rep.data = msgReadExclReply, p.downgradeHome(blk, Invalid, true)
-		} else {
-			p.downgradeHome(blk, Shared, false)
-		}
-		rep.ts, rep.rts = s.proto.grantOwned(p, blk, *m, excl, true)
-		h = &s.homes[blk.id] // homes may have grown during the stall
-		if excl {
-			h.owner = reqAgent
-			s.noteGrant(p, blk, reqAgent, m.kind)
-		} else {
-			h.owner = -1
-			rep.data = s.blockData(s.agents[blk.homeAgent], blk)
-		}
-		p.send(req, &rep, CatMessage)
-		s.drainHome(p, blk)
+		h.busy = true
+		p.downgradeAgent(blk, downgradeFor(excl), thenHome, m)
 	default:
 		// The entry is busy until the owner's writeback or ownership
 		// transfer comes back (handleWriteback).
@@ -185,56 +174,72 @@ func (s *System) handleHome(p *Proc, m *msg) {
 	}
 }
 
-// downgradeHome downgrades the home agent's own copy for a request the
-// home is serving, after deferIfPending. The downgrade can stall for a
-// co-resident process's ack, servicing messages meanwhile, so the entry is
-// busy for as long: a second request handled in that window (by this
-// process, re-entrantly, or by another on its CPU) queues behind this one
-// and does not act on the state of before it (DESIGN.md §8 finding 8). The
-// window is over on return — the caller installs the new state, replies,
-// and calls drainHome — and s.homes and the backend's own array may have
-// grown during the stall, so pointers into them are stale.
-// A home agent that was granted the block on a read and gives it up here
-// unwritten declassifies it.
-func (p *Proc) downgradeHome(blk *blockInfo, to LineState, wantData bool) []uint64 {
+// downgradeFor is the state an owner's copy goes down to for a request:
+// invalid for a write, shared for a read.
+func downgradeFor(excl bool) LineState {
+	if excl {
+		return Invalid
+	}
+	return Shared
+}
+
+// grantFromHome grants a request from the home agent's copy once it is
+// down; data is the copy a write takes. A home agent granted the block on a
+// read that gives it up unwritten declassifies it. The grant is stamped
+// (Protocol.grantOwned) after the downgrade, so it covers every store the
+// home agent's processes made before it.
+func (p *Proc) grantFromHome(blk *blockInfo, m *msg, data []uint64) {
 	s := p.sys
-	s.homes[blk.id].busy = true
-	data := p.downgradeAgent(blk, to, wantData)
 	s.homes[blk.id].busy = false
 	if p.mem.takeUnwritten(blk.id) {
 		s.declassify(p, blk)
 	}
-	return data
+	excl := data != nil
+	req := s.procs[m.reqProc]
+	rep := msg{kind: msgReadReply, block: blk.id, from: p.ID}
+	rep.ts, rep.rts = s.proto.grantOwned(p, blk, *m, excl, true)
+	if h := &s.homes[blk.id]; excl {
+		rep.kind, rep.data = msgReadExclReply, data
+		h.owner = s.agentOf(req)
+		s.noteGrant(p, blk, h.owner, m.kind)
+	} else {
+		h.owner = -1
+		rep.data = s.blockData(s.agents[blk.homeAgent], blk)
+	}
+	p.send(req, &rep, CatMessage)
+	s.drainHome(p, blk)
 }
 
 // serveForward is the owner's half of a 3-hop transfer, at the process the
 // forward reached. Behind a local fill still in flight it defers. Otherwise
 // it downgrades the owner's copy: to shared for a forwarded read, whose data
 // the home gets back, or to invalid for a forwarded read-exclusive, whose
-// ownership moves. It then sends the requester its reply and the home its
-// writeback or ownership transfer. The reply starts from the stamps the
+// ownership moves.
+func (p *Proc) serveForward(m *msg) {
+	blk := p.sys.blocks[m.block]
+	if !p.deferIfPending(m, blk, nil) {
+		p.downgradeAgent(blk, downgradeFor(m.kind == msgFwdReadExcl), thenForward, m)
+	}
+}
+
+// replyForward answers a forward once the owner's copy is down (data: the
+// copy a read-exclusive takes): the requester gets its reply and the home
+// its writeback or ownership transfer. The reply starts from the stamps the
 // home put on the forward, the backend adds its own (Protocol.stamp), and
 // the home's message carries the same. Both payloads are taken before
-// either send: a send can yield, and a node-mate's protocol activity in
-// that window may flag-invalidate the copy just demoted (DESIGN.md §8
-// finding 7).
-func (p *Proc) serveForward(m *msg) {
+// either send: a send can yield, and a node-mate's protocol activity in that
+// window may flag-invalidate the copy just demoted (DESIGN.md §8 finding 7).
+func (p *Proc) replyForward(blk *blockInfo, m *msg, data []uint64) {
 	s := p.sys
-	blk := s.blocks[m.block]
-	if p.deferIfPending(m, blk, nil) {
-		return
-	}
 	rep := msg{block: blk.id, from: p.ID, ts: m.ts, rts: m.rts}
 	home := msg{block: blk.id, from: p.ID}
 	if m.kind == msgFwdRead {
 		rep.kind, home.kind, home.reqProc = msgReadReply, msgShareWB, m.reqProc
-		p.downgradeAgent(blk, Shared, false)
 		// Each message gets its own buffer: both are recycled independently
 		// at their consumers, so they must not alias.
 		rep.data, home.data = s.blockData(p.mem, blk), s.blockData(p.mem, blk)
 	} else {
-		rep.kind, home.kind = msgReadExclReply, msgOwnerTransfer
-		rep.data = p.downgradeAgent(blk, Invalid, true)
+		rep.kind, home.kind, rep.data = msgReadExclReply, msgOwnerTransfer, data
 	}
 	// An owner granted the block on a read that gives it up without having
 	// stored to it says so; the home then declassifies the block
@@ -279,7 +284,7 @@ func (s *System) handleWriteback(p *Proc, m *msg) {
 	if m.unwritten {
 		s.declassify(p, blk)
 	}
-	s.homes[blk.id].busy = false // re-read: the backend's note can stall, and homes grow
+	s.homes[blk.id].busy = false // re-read: the backend's note can yield, and homes grow
 	s.drainHome(p, blk)
 }
 
@@ -287,7 +292,7 @@ func (s *System) handleWriteback(p *Proc, m *msg) {
 // until one of them makes it busy again.
 func (s *System) drainHome(p *Proc, blk *blockInfo) {
 	for {
-		h := &s.homes[blk.id] // re-read: a replayed request can stall, and homes grow
+		h := &s.homes[blk.id] // re-read: a replayed request can yield, and homes grow
 		if h.busy || len(h.queue) == 0 {
 			return
 		}

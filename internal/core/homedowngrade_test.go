@@ -134,10 +134,12 @@ func homeDowngradeCases(t *testing.T, helper, remote bool, body func(t *testing.
 	}
 }
 
-// TestHomeDowngradeReentrancy is the wedge: the home process pops the second
-// request inside its own waitDowngrades stall, reaches the same branch, and
-// waits for ever for the transition lock its outer frame holds. Its forwarded
-// rows are the window that never wedged, through the same record.
+// TestHomeDowngradeReentrancy is the old wedge: the home process popped the
+// second request inside its own stall for its node-mates' downgrade acks,
+// reached the same branch, and waited for ever for the transition lock its
+// outer frame held. No handler stalls now, and the second request queues
+// behind the busy record. Its forwarded rows are the window that never
+// wedged, through the same record.
 func TestHomeDowngradeReentrancy(t *testing.T) {
 	for _, remote := range []bool{false, true} {
 		homeDowngradeCases(t, false, remote, func(t *testing.T, r *homeDowngradeRun) {

@@ -13,19 +13,24 @@ import (
 
 // The home-node invalidation wedge (DESIGN.md §8 finding 9). Two nodes of two
 // CPUs; a line homed on node 1 and shared by both nodes; p on node 0 and q
-// on the home's node SC-upgrade it at the same moment. Five messages:
+// on the home's node SC-upgrade it at the same moment. Five messages, when
+// the home waits for its node's miss before it invalidates its own copy, as
+// it did under the transition lock:
 //
 //  1. p's SC-upgrade reaches the home first;
 //  2. q's is behind it in the home's queue, and q holds its agent's
 //     transition lock for as long as that miss is outstanding;
-//  3. the home makes p the owner and goes to invalidate its own node's
-//     copy before it grants — under the transition lock, as it used to, it
-//     waits for q, servicing messages;
-//  4. among them q's upgrade, which fails (the line is p's now); q re-issues
-//     as a read and takes the lock again while the home is busy with the
-//     next message in its queue;
-//  5. the home forwards the read to p, where it is deferred behind p's miss,
-//     which waits for the grant the home never gets to send.
+//  3. the home, about to invalidate its own node's copy for p, waits for q
+//     — under the transition lock, servicing messages; in the broken
+//     variant (brokenHomeInval), by deferring p's upgrade behind q's miss;
+//  4. q's upgrade: under the lock it failed (the line was p's by then) and
+//     q re-issued as a read; in the broken variant it is deferred behind
+//     q's own miss;
+//  5. under the lock, the home forwarded the read to p, where it was
+//     deferred behind p's miss, which waited for the grant the home never
+//     got to send; in the broken variant neither miss is ever answered.
+//
+// The fixed home invalidates its own copy without waiting (invalidateAgent).
 //
 // The home is deaf (no poll) from hiIssueAt for hiDeaf cycles, so that when
 // it next looks its queue holds p's upgrade, q's, and behind them a few
@@ -109,8 +114,10 @@ func TestHomeInvalidatesItsNodeLikeARemoteSharer(t *testing.T) {
 	}
 }
 
-// TestStarvedMissFailsWithinWatchdogBudget: with the home taking the
-// transition lock again the scenario wedges, and because the bystander keeps
+// TestStarvedMissFailsWithinWatchdogBudget: with the home waiting for its
+// node's miss before it invalidates its own copy, as it once did under the
+// transition lock, the scenario wedges (a handler never waits, so the home
+// defers the write behind the miss), and because the bystander keeps
 // computing it is neither a deadlock nor a stall of everybody; it used to run
 // to MaxTime. The starve probe ends it one watchdog budget after the wedged
 // miss was issued, naming the process, its block and its MSHR.
@@ -133,11 +140,12 @@ func TestStarvedMissFailsWithinWatchdogBudget(t *testing.T) {
 	if !strings.Contains(se.Starved, fmt.Sprintf("block %d ", blk)) {
 		t.Errorf("starved miss %q is not on block %d", se.Starved, blk)
 	}
-	// Message 5: the home forwarded q's read to p's node and waits for the
-	// writeback, and the dump says so. A forwarded read names no pending
-	// owner.
-	if want := fmt.Sprintf("block %d: busy owner=0 pending=-1 queued=0", blk); !strings.Contains(err.Error(), want) {
-		t.Errorf("error does not name the busy home, %q:\n%v", want, err)
+	// Messages 3 and 4: the home deferred p's upgrade behind q's miss, and
+	// then q's own behind it. The dump names q's miss on the block and both
+	// requests deferred behind it, p's first.
+	want := fmt.Sprintf("q[3]@n1c3 in-protocol outstanding=1 mshr=[%d(excl=true,reply=false,acks=0/0)] deferred[%d]=sc-upgrade-req:p0 deferred[%d]=sc-upgrade-req:p3", blk, blk, blk)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error does not name the home's requests deferred behind q's miss, %q:\n%v", want, err)
 	}
 
 	// Nothing about the probe is simulated: the fixed protocol runs the
@@ -219,9 +227,10 @@ func TestHomeGrantCarriesItsOwnInvalidation(t *testing.T) {
 // CPUs, p0's node-mate p1 writes a block homed at p0 and computes, and p2
 // on node 1 reads it: p1's private table keeps a shared copy while it is in
 // application code. p3, p2's node-mate, writes the block, so invalidating
-// the home's copy takes an explicit downgrade and p1's ack. The grant to p3
-// leaves only after the home has handled that ack, the run finishes, and
-// the invariants hold.
+// the home's copy takes an explicit downgrade of p1. The home does not wait
+// for it: the grant to p3 leaves from p1, after p1 has applied the
+// downgrade, no downgrade ack exists, the run finishes, and the invariants
+// hold.
 func TestHomeGrantWaitsForItsMatesDowngrade(t *testing.T) {
 	cfg := testConfig()
 	cfg.Nodes, cfg.CPUsPerNode = 2, 2
@@ -250,23 +259,28 @@ func TestHomeGrantWaitsForItsMatesDowngrade(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	var dgReq, dgAck, grant sim.Time = -1, -1, -1
+	var dgReq, dgApplied, grant sim.Time = -1, -1, -1
 	for _, ev := range tr.TakeBuffered() {
 		switch {
 		case ev.Cat != "msg" || ev.T < hoStep:
+		case ev.S == "downgrade-ack":
+			t.Fatalf("p%d %ss a downgrade-ack at t=%d", ev.P, ev.Ev, ev.T)
 		case ev.Ev == "send" && ev.P == 0 && ev.O == 1 && ev.S == "downgrade-req":
 			dgReq = ev.T
-		case ev.Ev == "handle" && ev.P == 0 && ev.O == 1 && ev.S == "downgrade-ack":
-			dgAck = ev.T
-		case ev.Ev == "send" && ev.P == 0 && ev.O == 3 && ev.S == "upgrade-ack":
+		case ev.Ev == "handle" && ev.P == 1 && ev.O == 0 && ev.S == "downgrade-req":
+			dgApplied = ev.T
+		case ev.Ev == "send" && ev.O == 3 && ev.S == "upgrade-ack":
+			if ev.P != 1 {
+				t.Fatalf("p%d sent the grant, want p1, the last downgrader", ev.P)
+			}
 			grant = ev.T
 		}
 	}
-	if dgReq < 0 || dgAck < 0 || grant < 0 {
-		t.Fatalf("downgrade-req sent at %d, its ack handled at %d, grant sent at %d: want all three", dgReq, dgAck, grant)
+	if dgReq < 0 || dgApplied < 0 || grant < 0 {
+		t.Fatalf("downgrade-req sent at %d, applied at %d, grant sent at %d: want all three", dgReq, dgApplied, grant)
 	}
-	if !(dgReq < dgAck && dgAck < grant) {
-		t.Errorf("downgrade-req sent at t=%d, its ack handled at t=%d, grant sent at t=%d: the grant must leave after the ack", dgReq, dgAck, grant)
+	if !(dgReq < dgApplied && dgApplied < grant) {
+		t.Errorf("downgrade-req sent at t=%d, applied at t=%d, grant sent at t=%d: the grant must leave after the downgrade", dgReq, dgApplied, grant)
 	}
 	if v := s.Peek(SharedBase); v != 1 {
 		t.Errorf("the block holds %d after the write of 1", v)

@@ -45,6 +45,13 @@ func AuditRecycle(s *System, p *Proc, b []uint64) error {
 		})
 	}
 	for ai, mem := range s.agents {
+		for _, r := range mem.dgs {
+			for _, dm := range append([]msg{r.m}, r.deferred...) {
+				if aliases(dm.data) {
+					fail("buffer aliases %s held by agent %d's downgrade record of block %d", dm.kind, ai, r.block)
+				}
+			}
+		}
 		for _, free := range mem.bufFree {
 			for _, fb := range free {
 				if aliases(fb) {

@@ -44,8 +44,11 @@ type Proc struct {
 	retx      []*retxEntry // unacknowledged sends, in send order
 	retxBySeq map[retxKey]*retxEntry
 
-	deferredReqs []msg       // forwarded requests deferred behind a fill
-	dgAcks       map[int]int // downgrade acks received, by block
+	deferredReqs []msg // forwarded requests deferred behind a fill
+	// depth counts the handlers the process is inside and handling names
+	// the innermost one's message: a handler never stalls (stallWhile).
+	depth    int
+	handling msgKind
 	// Message-passing synchronization, indexed by lock / barrier ID and
 	// grown by NewLock / NewBarrier: a grant not yet consumed, barrier
 	// releases seen, barrier waits begun.
@@ -630,12 +633,13 @@ func (p *Proc) RawStore(addr uint64, v uint64) {
 // ElidedLoad performs a load whose in-line check the rewriter statically
 // eliminated: an earlier check of the same line dominates this access with
 // no intervening protocol entry, so the line cannot have been flag-filled
-// in between (invalidations are only applied at protocol entries, and the
-// invalidating agent stalls for our downgrade ack). Only read-own-write
-// forwarding remains: under RC the covering check may itself have returned
-// a buffered store value without validating the line, in which case this
-// access (to the same address — the analysis only trusts exact-offset
-// facts while a store miss may be outstanding) must see that store too.
+// in between (invalidations are only applied at protocol entries, and an
+// agent's copy is flag-filled only once we have applied our downgrade).
+// Only read-own-write forwarding remains: under RC the covering check may
+// itself have returned a buffered store value without validating the line,
+// in which case this access (to the same address — the analysis only trusts
+// exact-offset facts while a store miss may be outstanding) must see that
+// store too.
 func (p *Proc) ElidedLoad(addr uint64) uint64 {
 	w := p.sys.allocWord(addr)
 	p.stats.N[CntLoads]++
@@ -732,6 +736,9 @@ func (p *Proc) exitProtocol() {
 // stallWhile services messages and waits until cond becomes false, charging
 // all elapsed time to cat.
 func (p *Proc) stallWhile(cat TimeCategory, cond func() bool) {
+	if p.depth > 0 {
+		panic(fmt.Sprintf("core: %s stalls inside its %s handler", p, p.handling))
+	}
 	if !cond() {
 		return
 	}

@@ -72,13 +72,8 @@ var issueSiteNames = func() (out [len(msgKindNames)]string) {
 	return
 }()
 
-// downgradeSiteNames does the same for downgradeAgent's target states.
-var downgradeSiteNames = [...]string{
-	Invalid:   "downgradeAgent:invalid",
-	Shared:    "downgradeAgent:shared",
-	Exclusive: "downgradeAgent:exclusive",
-	Pending:   "downgradeAgent:pending",
-}
+// downgradeSiteNames does the same for the target states of a downgrade.
+var downgradeSiteNames = [...]string{Invalid: "downgradeAgent:invalid", Shared: "downgradeAgent:shared"}
 
 // handleMessage dispatches one protocol message on the servicing process.
 // The message is passed by pointer — the struct is ~128 bytes and used to
@@ -99,9 +94,10 @@ func (p *Proc) handleMessage(m *msg, cat TimeCategory) {
 	}
 	p.stats.N[CntMessagesHandled]++
 	p.charge(cat, s.Cfg.Cost.MsgHandle)
-	wasIn := p.inProtocol
-	p.inProtocol = true
-	defer func() { p.inProtocol = wasIn }()
+	wasIn, outer := p.inProtocol, p.handling
+	p.inProtocol, p.handling = true, m.kind
+	p.depth++
+	defer func() { p.inProtocol, p.handling = wasIn, outer; p.depth-- }()
 	// Reliability sublayer: acknowledge sequenced messages at receipt and
 	// suppress duplicate deliveries before they reach a handler. Ordering
 	// was already restored by the link resequencer at enqueue time, so
@@ -142,8 +138,6 @@ func (p *Proc) dispatch(m *msg) {
 		p.serveForward(m)
 	case msgDowngradeReq:
 		p.handleDowngradeReq(m)
-	case msgDowngradeAck:
-		p.dgAcks[m.block]++
 	case msgLockReq:
 		p.handleLockReq(m)
 	case msgLockGrant:
@@ -186,82 +180,117 @@ func (s *System) setAgentState(mem *agentMem, blk *blockInfo, st LineState) {
 	}
 }
 
-// deferIfPending queues a forwarded request when this agent's copy is still
-// in flight (the grant from the home can outrun the data reply). The
-// request is re-executed when the local miss completes. A miss of except's
+// deferIfPending queues a request on the block's open downgrade record, or
+// behind a local miss (the grant from the home can outrun the data reply)
+// whose holder re-executes it when the miss completes. A miss of except's
 // (nil: nobody's) does not count: a request does not defer behind its own
 // requester.
 func (p *Proc) deferIfPending(m *msg, blk *blockInfo, except *Proc) bool {
 	holder := p.mem.busy[blk.id]
-	if holder == nil || holder == except || holder.mshr[blk.id] == nil {
+	if r := p.mem.record(blk.id); r != nil {
+		r.deferred = append(r.deferred, *m)
+	} else if holder != nil && holder != except && holder.mshr[blk.id] != nil {
+		holder.deferredReqs = append(holder.deferredReqs, *m)
+	} else {
 		return false
 	}
-	holder.deferredReqs = append(holder.deferredReqs, *m)
 	return true
 }
 
+// dgThen is what a downgrade record does once the agent's tables are down.
+type dgThen uint8
+
+const (
+	thenNothing dgThen = iota
+	thenSend
+	thenHome    // grantFromHome
+	thenForward // replyForward
+)
+
+// dgRecord is a downgrade of an agent's copy of a block in progress (§2.3):
+// the node-mate that applies the last downgrade request finishes it and
+// does what the handler that opened it left to do, so no handler waits.
+type dgRecord struct {
+	block, opener int
+	pending       int       // requests not yet applied, +1 while the opener scans
+	locked        bool      // it holds the transition lock and sets the agent's state
+	to            LineState // the state the private tables go down to
+	then          dgThen
+	m             msg   // thenSend: the message, to m.reqProc; thenHome, thenForward: the request
+	deferred      []msg // requests that found the record open
+}
+
+func (mem *agentMem) record(block int) *dgRecord {
+	for i := range mem.dgs {
+		if mem.dgs[i].block == block {
+			return &mem.dgs[i]
+		}
+	}
+	return nil
+}
+
 // downgradeAgent transitions this agent's copy of a block to the target
-// state: it marks the block pending (so concurrent local fills cannot slip
-// between a private-table downgrade and the agent state change), downgrades
-// every local private table (§2.3), optionally snapshots the data just
-// before an invalidating transition, installs the final state, and wakes
-// local processes waiting on the transition.
-func (p *Proc) downgradeAgent(blk *blockInfo, to LineState, wantData bool) []uint64 {
-	s := p.sys
+// state, then does then: it takes the transition lock, marks the block
+// pending (so no local fill slips between a private-table downgrade and the
+// agent state change) and downgrades every private table (downgradeMates).
+func (p *Proc) downgradeAgent(blk *blockInfo, to LineState, then dgThen, m *msg) {
 	for !p.tryBeginTransition(blk, CatMessage) {
 	}
-	s.setAgentState(p.mem, blk, Pending)
-	p.waitDowngrades(blk, to)
-	var data []uint64
-	if wantData {
-		data = s.blockData(p.mem, blk)
+	p.sys.setAgentState(p.mem, blk, Pending)
+	if r := p.mem.record(blk.id); r != nil {
+		// finishMiss drops a copy while an invalidation its miss absorbed
+		// is still downgrading node-mates: the copy goes with the last.
+		r.locked = true
+		p.downgradeSelf(blk, to)
+		return
 	}
-	if to == Invalid {
-		p.fillAgentInvalid(blk)
-	}
-	s.setAgentState(p.mem, blk, to)
-	traceEvent(p, blk, downgradeSiteNames[to])
-	p.endTransition(blk)
-	return data
+	p.downgradeMates(blk, to, true, then, m)
 }
 
 // handleInval invalidates this agent's copy and acks the requester (§2.1).
+// It defers on an open downgrade record of the block, never behind a local
+// miss (except is the holder; see invalidateAgent).
 func (p *Proc) handleInval(m *msg) {
 	s := p.sys
 	blk := s.blocks[m.block]
+	if p.deferIfPending(m, blk, p.mem.busy[blk.id]) {
+		return
+	}
 	p.stats.N[CntInvalidations]++
-	p.invalidateAgent(blk)
-	p.send(s.procs[m.reqProc], &msg{kind: msgInvalAck, block: blk.id, from: p.ID}, CatMessage)
+	p.invalidateAgent(blk, &msg{kind: msgInvalAck, block: blk.id, from: p.ID, reqProc: m.reqProc})
 }
 
 // invalidateAgent drops this agent's copy of a block for a writer the home
-// has already made owner: a remote sharer's on an invalidation message,
-// the home's own from dirinval's serveMaster. It never waits for a local
-// miss on the block, because that miss may itself be waiting, through the
-// home or through the writer's fill, for the ack or the grant that follows
-// (DESIGN.md §8 finding 9).
-func (p *Proc) invalidateAgent(blk *blockInfo) {
+// has already made owner, then sends m to m.reqProc: a remote sharer's copy on
+// an invalidation message, the home's own from dirinval's serveMaster. It
+// never waits for a local miss on the block, because that miss may itself
+// be waiting, through the home or through the writer's fill, for the ack or
+// the grant that follows (DESIGN.md §8 finding 9).
+func (p *Proc) invalidateAgent(blk *blockInfo, m *msg) {
 	holder := p.mem.busy[blk.id]
-	if holder != nil && holder.mshr[blk.id] != nil {
+	switch {
+	case holder != nil && holder.mshr[blk.id] != nil:
 		// A miss by a local process is in flight. Local private copies
-		// are dropped either way, but what the pending fill will install
-		// depends on the miss kind. An upgrade serializes after this
-		// invalidation at the home and installs fresh data, so absorbing
-		// the inval is enough. A read fill, however, may predate the
-		// invalidating writer (its reply can trail this inval on another
-		// link), so the invalidation is remembered and re-applied the
-		// moment the fill installs — otherwise a stale shared copy the
-		// directory no longer tracks would survive. waitDowngrades skips
-		// the holder's Pending entries, so the holder's reservation is
-		// broken here: its SC upgrade may still be granted, after a
-		// writeback, against newer data than its LL read.
-		p.waitDowngrades(blk, Invalid)
+		// are dropped either way (downgradeMates skips the holder's
+		// Pending entries), but what the pending fill will install depends
+		// on the miss kind. An upgrade serializes after this invalidation
+		// at the home and installs fresh data, so absorbing the inval is
+		// enough. A read fill, however, may predate the invalidating writer
+		// (its reply can trail this inval on another link), so the
+		// invalidation is remembered and re-applied the moment the fill
+		// installs — otherwise a stale shared copy the directory no longer
+		// tracks would survive. The holder's reservation is broken here:
+		// its SC upgrade may still be granted, after a writeback, against
+		// newer data than its LL read.
 		holder.invalidateLocalLLs(blk.firstLine)
-		if mshr := holder.mshr[blk.id]; mshr != nil && !mshr.wantExcl {
+		if mshr := holder.mshr[blk.id]; !mshr.wantExcl {
 			mshr.invalAfterFill = true
 		}
-	} else if p.mem.table[blk.firstLine] != Invalid {
-		p.downgradeAgent(blk, Invalid, false)
+		p.downgradeMates(blk, Invalid, false, thenSend, m)
+	case p.mem.table[blk.firstLine] != Invalid:
+		p.downgradeAgent(blk, Invalid, thenSend, m)
+	default:
+		p.send(p.sys.procs[m.reqProc], m, CatMessage)
 	}
 }
 
@@ -291,48 +320,50 @@ func (p *Proc) fillAgentInvalid(blk *blockInfo) {
 	p.invalidateLocalLLs(blk.firstLine)
 }
 
-// waitDowngrades brings every local process's private state table down to
-// the target state for the block, using direct downgrades for processes
-// outside application code (§4.3.4) and explicit messages otherwise (§2.3).
-// It scans the private tables of the agent's processes: in Base-Shasta that
-// is the process itself, whose private table is the agent table.
-func (p *Proc) waitDowngrades(blk *blockInfo, to LineState) {
+// downgradeMates opens a downgrade record (locked: holding the transition
+// lock) and brings every local private table down to the target state: a
+// process outside application code directly (§4.3.4), decided as it is
+// edited, the others by message (§2.3). The direct edits are charged once
+// the messages have left. In Base-Shasta the one table is the process's own.
+func (p *Proc) downgradeMates(blk *blockInfo, to LineState, locked bool, then dgThen, m *msg) {
 	s := p.sys
-	expected := 0
+	if p.mem.record(blk.id) != nil {
+		panic(fmt.Sprintf("core: %s opens a second downgrade record of block %d", p, blk.id))
+	}
+	r := dgRecord{block: blk.id, opener: p.ID, pending: 1, locked: locked, to: to, then: then}
+	if m != nil {
+		r.m = *m
+	}
+	p.mem.dgs = append(p.mem.dgs, r)
+	direct, req := int64(0), msg{} // req: a literal inside the loop would escape
 	for _, q := range s.localProcs(p.agent) {
-		if q == p {
+		switch {
+		case q == p:
 			p.downgradeSelf(blk, to)
-			continue
-		}
-		needs := false
-		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
-			if q.priv[l] > to && q.priv[l] != Pending {
-				needs = true
-				break
-			}
-		}
-		if !needs {
-			continue
-		}
-		if q.exited || (s.Cfg.DirectDowngrade && q.inProtocol && !q.pinned(blk)) {
-			p.directDowngrade(q, blk, to)
-			continue
-		}
-		// Explicit downgrade message; the target handles it at its next
-		// poll or protocol entry.
-		p.stats.N[CntDowngradesSent]++
-		p.send(q, &msg{kind: msgDowngradeReq, block: blk.id, from: p.ID, downTo: to}, CatMessage)
-		expected++
-	}
-	if expected > 0 {
-		base := p.dgAcks[blk.id]
-		want := base + expected
-		p.stallWhile(CatMessage, func() bool { return p.dgAcks[blk.id] < want })
-		p.dgAcks[blk.id] -= expected
-		if p.dgAcks[blk.id] == 0 {
-			delete(p.dgAcks, blk.id)
+		case !q.needsDowngrade(blk, to):
+		case q.exited || (s.Cfg.DirectDowngrade && q.inProtocol && !q.pinned(blk)):
+			direct++
+			q.downgradeSelf(blk, to)
+		default:
+			p.mem.record(blk.id).pending++ // re-read: a send can yield, and dgs grow
+			p.stats.N[CntDowngradesSent]++
+			req = msg{kind: msgDowngradeReq, block: blk.id, from: p.ID, downTo: to}
+			p.send(q, &req, CatMessage)
 		}
 	}
+	p.stats.N[CntDowngradesDirect] += direct
+	p.charge(CatMessage, sim.Time(direct)*s.Cfg.Cost.DirectDowngrade)
+	p.downgradeApplied(blk)
+}
+
+// needsDowngrade: p's private table holds a line of the block above to.
+func (p *Proc) needsDowngrade(blk *blockInfo, to LineState) bool {
+	for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
+		if p.priv[l] > to && p.priv[l] != Pending {
+			return true
+		}
+	}
+	return false
 }
 
 // downgradeSelf lowers this process's own private entries.
@@ -345,13 +376,6 @@ func (p *Proc) downgradeSelf(blk *blockInfo, to LineState) {
 	if to == Invalid {
 		p.invalidateLocalLLs(blk.firstLine)
 	}
-}
-
-// directDowngrade edits another process's private state table (§4.3.4).
-func (p *Proc) directDowngrade(q *Proc, blk *blockInfo, to LineState) {
-	p.stats.N[CntDowngradesDirect]++
-	p.charge(CatMessage, p.sys.Cfg.Cost.DirectDowngrade)
-	q.downgradeSelf(blk, to)
 }
 
 // pinned reports whether any line of the block is within a shared-memory
@@ -375,7 +399,55 @@ func (p *Proc) handleDowngradeReq(m *msg) {
 	p.stats.N[CntDowngradesReceived]++
 	p.charge(CatMessage, s.Cfg.Cost.DowngradeHandle)
 	p.downgradeSelf(blk, m.downTo)
-	p.send(s.procs[m.from], &msg{kind: msgDowngradeAck, block: blk.id, from: p.ID}, CatMessage)
+	p.downgradeApplied(blk)
+}
+
+// downgradeApplied counts one downgrade of the block's record as applied,
+// at p; an opener that leaves the record open emits a "dg-open" line event.
+// The last finishes the record: a locked one snapshots the data a reply
+// carries before an invalidation flag-fills it, sets the agent's state and
+// releases the lock. Then p does what was left to do and re-executes the
+// requests deferred on the record, with a "dg-done" event if p is a mate.
+func (p *Proc) downgradeApplied(blk *blockInfo) {
+	s, mem := p.sys, p.mem
+	r := mem.record(blk.id)
+	if r.pending--; r.pending > 0 {
+		if p.ID == r.opener {
+			traceEvent(p, blk, "dg-open")
+		}
+		return
+	}
+	rec, last := *r, len(mem.dgs)-1
+	*r, mem.dgs[last] = mem.dgs[last], dgRecord{}
+	mem.dgs = mem.dgs[:last]
+	var data []uint64
+	if rec.locked {
+		if rec.to == Invalid {
+			if rec.then == thenHome || rec.then == thenForward {
+				data = s.blockData(mem, blk)
+			}
+			p.fillAgentInvalid(blk)
+		}
+		s.setAgentState(mem, blk, rec.to)
+		traceEvent(p, blk, downgradeSiteNames[rec.to])
+		delete(mem.busy, blk.id)
+		p.notifyAgentWaiters()
+	}
+	if p.ID != rec.opener {
+		traceEvent(p, blk, "dg-done")
+	}
+	switch rec.then {
+	case thenSend:
+		rec.m.from = p.ID
+		p.send(s.procs[rec.m.reqProc], &rec.m, CatMessage)
+	case thenHome:
+		p.grantFromHome(blk, &rec.m, data)
+	case thenForward:
+		p.replyForward(blk, &rec.m, data)
+	}
+	for i := range rec.deferred {
+		p.handleMessage(&rec.deferred[i], CatMessage)
+	}
 }
 
 // handleReply records a home's (or forwarded owner's) reply in the
@@ -455,28 +527,16 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 	}
 	if m.scFailed {
 		traceEvent(p, blk, "finish:scfail")
-		// The SC upgrade was refused. Normally the line reverts to
-		// invalid, but the home agent's copy is kept while the home record
-		// names no owner: it is then the master copy, current under every
-		// backend, and the home serves reads from it. The agent table goes
-		// first: in Base-Shasta it is the private table too, and only a
-		// line taken out of Pending is flag-filled.
-		retain := p.agent == blk.homeAgent && s.homes[blk.id].owner == -1
+		// The SC upgrade was refused, and the copy it held reverts to
+		// shared. The home agent's is kept while the home record names no
+		// owner: it is then the master copy, current under every backend,
+		// and the home serves reads from it. Any other is stale, and is
+		// dropped after the fill like an invalidation that raced it, so
+		// that node-mates that filled their private tables from it before
+		// the SC are downgraded before it is flag-filled.
+		m.invalAfterFill = p.agent != blk.homeAgent || s.homes[blk.id].owner != -1
 		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
-			if p.mem.table[l] == Pending {
-				if retain {
-					p.mem.table[l] = Shared
-				} else {
-					p.mem.table[l] = Invalid
-					fillFlag(p.mem, l, s.wordsPerLine)
-				}
-			}
-			if p.priv[l] == Pending {
-				p.priv[l] = Invalid
-				if retain {
-					p.priv[l] = Shared
-				}
-			}
+			p.mem.table[l], p.priv[l] = Shared, Shared
 		}
 	} else {
 		st := m.grant
@@ -497,12 +557,12 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 	delete(p.mshr, m.block)
 	p.outstanding--
 	p.endTransition(blk)
-	if m.invalAfterFill && !m.scFailed {
-		// An invalidation from a newer epoch raced ahead of this fill;
-		// drop the just-installed copy so no stale data survives.
-		// Stalled operations observe the invalid line and re-miss.
+	if m.invalAfterFill {
+		// An invalidation from a newer epoch raced ahead of this fill, or
+		// the SC failed; drop the just-installed copy so no stale data
+		// survives. Stalled operations observe the invalid line and re-miss.
 		traceEvent(p, blk, "finish:inval-after-fill")
-		p.downgradeAgent(blk, Invalid, false)
+		p.downgradeAgent(blk, Invalid, thenNothing, nil)
 	}
 	p.freeMSHR(m)
 	p.notifyAgentWaiters()

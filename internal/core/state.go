@@ -86,9 +86,8 @@ const (
 	msgShareWB       // owner -> home: data written back, now shared
 	msgOwnerTransfer // owner -> home: ownership moved to requester
 
-	// Intra-node private-state-table downgrades (§2.3).
+	// Intra-node private-state-table downgrade (§2.3).
 	msgDowngradeReq
-	msgDowngradeAck
 
 	// Message-passing synchronization (§6.2 "MP" locks and barriers).
 	msgLockReq
@@ -122,7 +121,6 @@ var msgKindNames = [...]string{
 	msgShareWB:        "share-wb",
 	msgOwnerTransfer:  "owner-transfer",
 	msgDowngradeReq:   "downgrade-req",
-	msgDowngradeAck:   "downgrade-ack",
 	msgLockReq:        "lock-req",
 	msgLockGrant:      "lock-grant",
 	msgLockRelease:    "lock-release",
@@ -139,7 +137,7 @@ var msgKindNames = [...]string{
 func (k msgKind) isReply() bool {
 	switch k {
 	case msgReadReply, msgReadExclReply, msgUpgradeAck, msgSCFail, msgInvalAck,
-		msgDowngradeReq, msgDowngradeAck, msgLockGrant, msgBarrierRelease, msgNetAck:
+		msgDowngradeReq, msgLockGrant, msgBarrierRelease, msgNetAck:
 		return true
 	}
 	return false
@@ -238,10 +236,10 @@ type agentMem struct {
 	agent int
 	data  []uint64
 	table []LineState
-	// busy serializes agent-level transitions per block: a local miss
-	// (issue to finish) or a downgrade transition holds the entry; all
-	// other transitions for the block wait.
+	// busy serializes agent-level transitions per block: a local miss (from
+	// its request to its fill) or a downgrade (its record, dgs) holds it.
 	busy map[int]*Proc
+	dgs  []dgRecord // open downgrade records, at most one per block
 	// stateWaiters are local processes stalled on an agent-level state
 	// change (pending fills, transition locks); only these are woken when
 	// a transition completes.

@@ -39,7 +39,7 @@ func (p *Proc) LockAcquire(id int) {
 		}
 		lk.waiters = append(lk.waiters, p.ID)
 	} else {
-		p.send(home, &msg{kind: msgLockReq, id: id, from: p.ID, reqProc: p.ID}, CatSyncStall)
+		p.send(s.lockServer(lk, p), &msg{kind: msgLockReq, id: id, from: p.ID, reqProc: p.ID}, CatSyncStall)
 	}
 	p.stallWhile(CatSyncStall, func() bool { return !p.granted[id] })
 	p.granted[id] = false
@@ -66,7 +66,15 @@ func (p *Proc) LockRelease(id int) {
 		p.releaseLock(lk, p.agent)
 		return
 	}
-	p.send(home, &msg{kind: msgLockRelease, id: id, from: p.ID, ts: s.proto.syncTs(p)}, CatTask)
+	p.send(s.lockServer(lk, p), &msg{kind: msgLockRelease, id: id, from: p.ID, ts: s.proto.syncTs(p)}, CatTask)
+}
+
+// lockServer is the process of lk's home agent, whose memory holds the lock,
+// that handles p's lock messages: each agent's go to a different one, so one
+// process does not handle every other node's requests for a lock it homes.
+func (s *System) lockServer(lk *lockState, p *Proc) *Proc {
+	mates := s.localProcs(s.procs[lk.home].agent)
+	return mates[(lk.home+p.agent)%len(mates)]
 }
 
 // releaseLock hands lk on from a holder on the given agent, or frees it.

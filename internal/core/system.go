@@ -155,8 +155,9 @@ type System struct {
 	// brokenSkipInvalAck enables a deliberately broken protocol variant —
 	// the requester forgets one expected invalidation ack — used by the
 	// counterexample-replay golden test. brokenHomeInval makes the home
-	// invalidate its own node's copy under the transition lock again (the
-	// wedge of DESIGN.md §8 finding 9), for the starved-miss probe's test.
+	// wait for its node's miss before it invalidates its own copy, as it
+	// did under the transition lock (the wedge of DESIGN.md §8 finding 9),
+	// for the starved-miss probe's test.
 	mcCapture          func(sender, dst *Proc, m msg) bool
 	onStorePerform     func(p *Proc, addr, val uint64)
 	brokenSkipInvalAck bool
@@ -387,7 +388,6 @@ func (s *System) newProc(name string, cpu int) *Proc {
 		cpu:          cpu,
 		replyQ:       newQueueBox(),
 		mshr:         make(map[int]*mshrEntry),
-		dgAcks:       make(map[int]int),
 		granted:      make([]bool, len(s.locks)),
 		barrierSeen:  make([]int, len(s.barriers)),
 		barrierWaits: make([]int, len(s.barriers)),

@@ -359,17 +359,11 @@ func (t *tardis) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m
 		p.send(req, &msg{kind: msgSCFail, block: blk.id, from: p.ID}, CatMessage)
 		return
 	}
-	// Park the request behind a fill another local process has in flight on
-	// the block. The grant below calls downgradeAgent on the home agent's
-	// own copy, which blocks on that fill's transition lock — and the fill
-	// can in turn depend on this handler's reply: once the grant names the
-	// requester as owner, a recall of the block defers behind the
-	// requester's open miss, closing a three-way cycle (grant waits on
-	// fill, fill waits on recall, recall waits on grant). Deferring the
-	// request onto the fill's holder breaks the cycle: finishMiss replays it
-	// once the local transition is over. The requester's own miss must not
-	// defer behind itself — when the requester is local it IS the holder,
-	// and the guard below skips the downgrade for that case anyway.
+	// Park the request behind a fill another local process has in flight
+	// on the block, or a downgrade of it: the grant below downgrades the
+	// home agent's own copy, which needs the transition lock. The
+	// requester's own miss does not count: when the requester is local it
+	// holds the lock, and the guard below skips the downgrade.
 	if p.deferIfPending(&m, blk, req) {
 		return
 	}
@@ -378,7 +372,7 @@ func (t *tardis) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m
 	e.wts, e.rts = grant, grant
 	s.homes[blk.id].owner = reqAgent
 	s.noteGrant(p, blk, reqAgent, m.kind)
-	rep := msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, ts: grant}
+	rep := msg{kind: msgUpgradeAck, block: blk.id, from: p.ID, reqProc: req.ID, ts: grant}
 	if kind != msgSCUpgradeReq {
 		rep.kind, rep.data = msgReadExclReply, s.blockData(homeMem, blk)
 	}
@@ -386,7 +380,8 @@ func (t *tardis) serveMaster(p *Proc, blk *blockInfo, req *Proc, kind msgKind, m
 	// drop it. Remote leaseholders keep their copies: that is the whole
 	// point of Tardis.
 	if blk.homeAgent != reqAgent && homeMem.table[blk.firstLine] != Invalid {
-		p.downgradeAgent(blk, Invalid, false)
+		p.downgradeAgent(blk, Invalid, thenSend, &rep)
+		return
 	}
 	p.send(req, &rep, CatMessage)
 }
@@ -513,7 +508,7 @@ func (t *tardis) drop(p *Proc, as *tardisAgentState, id int, old tardisLease, ca
 		tr.Emit(trace.Event{T: p.Sim.Now(), Cat: "line", Ev: "runout", P: p.ID, Blk: id, S: cause})
 	}
 	if p.mem.table[blk.firstLine] == Shared {
-		p.downgradeAgent(blk, Invalid, false)
+		p.downgradeAgent(blk, Invalid, thenNothing, nil)
 	}
 	// A miss in flight installs a fresh copy with a fresh lease (the
 	// record is overwritten at the reply); just forget this one.

@@ -136,7 +136,12 @@ func TestFigure4SCWithinBound(t *testing.T) {
 
 // TestMatrixCells pins three cells of the protocol matrix: Raytrace with MP
 // synchronization on 8x1 under both backends, and Barnes with MP on 4x4
-// under dirinval, splash-smp's Barnes.
+// under dirinval, splash-smp's Barnes. Barnes moved 13 804 047 ->
+// 13 697 534 (0.992x) when an SMP downgrade began to complete at the last
+// node-mate to apply it, with no ack back to the handler that sent it
+// (0.982x alone), and each node's MP lock messages began to go to a
+// different process of the lock home's node (lockServer); the 8x1 cells
+// have no node-mates and do not move.
 func TestMatrixCells(t *testing.T) {
 	raytrace, _ := workloads.Get("Raytrace")
 	barnes, _ := workloads.Get("Barnes")
@@ -148,7 +153,7 @@ func TestMatrixCells(t *testing.T) {
 	}{
 		{"tardis", matrixLayouts[0], raytrace, 3216443},
 		{"dirinval", matrixLayouts[0], raytrace, 2640805},
-		{"dirinval", matrixLayouts[1], barnes, 13804047},
+		{"dirinval", matrixLayouts[1], barnes, 13697534},
 	} {
 		if got := int64(matrixCell(c.protocol, c.layout, matrixSyncs[0], c.app)); got != c.want {
 			t.Errorf("%s MP %s under %s: %d cycles, want %d", c.app.Name, c.layout.name, c.protocol, got, c.want)

@@ -79,6 +79,14 @@ type Summary struct {
 	// was idle and the agent dropped copies), busy (it took a shared fill
 	// since its previous tick) and wrote (it took an exclusive fill).
 	Ticks map[string]int64
+	// DowngradeOpens and DowngradeDones count the core's "line"/"dg-open"
+	// events, one per downgrade record a handler left open for node-mates'
+	// downgrade requests, and its "line"/"dg-done" events, one per record
+	// the node-mate that applied the last request finished, naming it.
+	// openRecords counts, by block, records not yet done.
+	DowngradeOpens int64
+	DowngradeDones int64
+	openRecords    map[int]int64
 }
 
 // migratoryEvents are the Migratory keys, in the order Render prints them.
@@ -106,6 +114,7 @@ func Read(r io.Reader) (*Summary, error) {
 		Migratory:       map[string]int64{},
 		RunOuts:         map[string]int64{},
 		Ticks:           map[string]int64{},
+		openRecords:     map[int]int64{},
 	}
 	procs := map[int]bool{}
 	sc := bufio.NewScanner(r)
@@ -152,6 +161,12 @@ func Read(r io.Reader) (*Summary, error) {
 				s.RunOuts[e.S]++
 			case "tick":
 				s.Ticks[e.S]++
+			case "dg-open":
+				s.DowngradeOpens++
+				s.openRecords[e.Blk]++
+			case "dg-done":
+				s.DowngradeDones++
+				s.openRecords[e.Blk]--
 			}
 		case "sched":
 			s.Sched[e.Ev]++
@@ -190,6 +205,25 @@ func Read(r io.Reader) (*Summary, error) {
 func (s *Summary) CheckInvalAcks() error {
 	if req, ack := s.MsgSends["inval-req"], s.MsgSends["inval-ack"]; ack > req {
 		return fmt.Errorf("analyze: %d inval-acks for %d inval-reqs: %d answer none", ack, req, ack-req)
+	}
+	return nil
+}
+
+// CheckDowngrades checks that every downgrade record a handler left open
+// was finished by a node-mate, and that every finish answers an open
+// record of the same block. A record never finished is a request or a
+// reply its opener's handler left undone for good.
+func (s *Summary) CheckDowngrades() error {
+	var open, unopened int64
+	for _, n := range s.openRecords {
+		if n > 0 {
+			open += n
+		} else {
+			unopened -= n
+		}
+	}
+	if open > 0 || unopened > 0 {
+		return fmt.Errorf("analyze: %d downgrade records opened, %d done: %d never done, %d done without an open", s.DowngradeOpens, s.DowngradeDones, open, unopened)
 	}
 	return nil
 }
@@ -308,6 +342,9 @@ func (s *Summary) Render() string {
 			fmt.Fprintf(&b, " %s=%d", k, s.Ticks[k])
 		}
 		fmt.Fprintf(&b, "\n")
+	}
+	if s.DowngradeOpens+s.DowngradeDones > 0 {
+		fmt.Fprintf(&b, "\ndowngrade records: open=%d done=%d\n", s.DowngradeOpens, s.DowngradeDones)
 	}
 	if len(s.Sched) > 0 {
 		fmt.Fprintf(&b, "\nscheduler:")

@@ -179,8 +179,12 @@ func TestAnalyzerMigratoryEvents(t *testing.T) {
 }
 
 // TestInvalAcksAnswerInvalReqs: Barnes at 16 processes on 4x4 SMP-Shasta
-// under dirinval, scale 4, sends 6 345 inval-reqs and as many inval-acks,
-// and an ack too many fails the check.
+// under dirinval, scale 4, sends 6 366 inval-reqs and as many inval-acks,
+// and an ack too many fails the check. Every one of its 1 648 downgrade
+// records that a handler left open for node-mates is finished by one of
+// them. (6 345 inval-reqs while a handler that sent a downgrade request
+// waited for its ack, and its MP lock messages all went to the lock's home
+// process: the schedule moved with the ack hop and the lock server.)
 func TestInvalAcksAnswerInvalReqs(t *testing.T) {
 	var buf bytes.Buffer
 	tr := trace.New(trace.DefaultRingSize, &buf)
@@ -196,15 +200,61 @@ func TestInvalAcksAnswerInvalReqs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req, ack := sum.MsgSends["inval-req"], sum.MsgSends["inval-ack"]; req != 6345 || ack != 6345 {
-		t.Errorf("%d inval-reqs and %d inval-acks, want 6345 of each", req, ack)
+	if req, ack := sum.MsgSends["inval-req"], sum.MsgSends["inval-ack"]; req != 6366 || ack != 6366 {
+		t.Errorf("%d inval-reqs and %d inval-acks, want 6366 of each", req, ack)
 	}
 	if err := sum.CheckInvalAcks(); err != nil {
 		t.Error(err)
 	}
+	if sum.DowngradeOpens != 1648 || sum.DowngradeDones != 1648 {
+		t.Errorf("%d downgrade records opened and %d done, want 1648 of each", sum.DowngradeOpens, sum.DowngradeDones)
+	}
+	if err := sum.CheckDowngrades(); err != nil {
+		t.Error(err)
+	}
+	if n := sum.MsgSends["downgrade-ack"]; n != 0 {
+		t.Errorf("%d downgrade-acks sent", n)
+	}
 	sum.MsgSends["inval-ack"]++
 	if err := sum.CheckInvalAcks(); err == nil {
 		t.Error("an inval-ack with no inval-req passed the check")
+	}
+}
+
+// TestCheckDowngradesCatchesOpenRecord: the summary counts the core's
+// dg-open and dg-done line events in a line of its own, and the check
+// fails on a record its node-mates never finished and on a finish with no
+// open record of the same block.
+func TestCheckDowngradesCatchesOpenRecord(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		events []trace.Event
+		ok     bool
+	}{
+		{"finished", []trace.Event{{Ev: "dg-open", P: 1, Blk: 3}, {Ev: "dg-open", P: 5, Blk: 3}, {Ev: "dg-done", P: 2, Blk: 3}, {Ev: "dg-done", P: 6, Blk: 3}}, true},
+		{"never-finished", []trace.Event{{Ev: "dg-open", P: 1, Blk: 3}, {Ev: "dg-open", P: 1, Blk: 4}, {Ev: "dg-done", P: 2, Blk: 3}}, false},
+		{"finished-elsewhere", []trace.Event{{Ev: "dg-open", P: 1, Blk: 3}, {Ev: "dg-done", P: 2, Blk: 4}}, false},
+	} {
+		var buf bytes.Buffer
+		tr := trace.New(trace.DefaultRingSize, &buf)
+		for _, ev := range c.events {
+			ev.Cat = "line"
+			tr.Emit(ev)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := analyze.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.CheckDowngrades(); (err == nil) != c.ok {
+			t.Errorf("%s: check returned %v", c.name, err)
+		}
+		want := fmt.Sprintf("downgrade records: open=%d done=%d\n", sum.DowngradeOpens, sum.DowngradeDones)
+		if out := sum.Render(); !strings.Contains(out, want) || sum.DowngradeOpens == 0 {
+			t.Errorf("%s: render missing %q:\n%s", c.name, want, out)
+		}
 	}
 }
 
@@ -340,7 +390,10 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // event in place of the lease-grow ones, and again when Tardis poll ticks
 // began to drop copies only for a process idle since its previous tick,
 // which changes which leases run out, and every tick of an agent that holds
-// a lease began to emit a tick event naming its decision.)
+// a lease began to emit a tick event naming its decision; load-4-tenants
+// when each node's MP lock messages began to go to a different process of
+// the lock home's node, not all to the home, since its tenants' latches are
+// MP locks on four 4-CPU nodes.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the

@@ -84,6 +84,19 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/kernel_digests.
 // barrier; LU-Contig's at 16 takes 0.9994x. LU-Contig's Base rows at 4, 12
 // and 16 keep their cycles and misses: fewer ticks drop a copy an open batch
 // covers, so fewer flag fills are deferred (36 -> 24, 194 -> 132, 75 -> 0).
+//
+// An SMP downgrade that completes at the last node-mate to apply it, with
+// no downgrade ack back to a handler waiting for it, moved the eight SMP
+// rows at 12 and 16 processes, and no memory digest; Base-Shasta and the
+// 4-process rows (one node, no remote request) have no explicit downgrade.
+// LU on dirinval keeps its cycles at 12 and 16: only its messages fall,
+// 208 -> 196 and 308 -> 292, by the 12 and 16 acks. LU on Tardis takes
+// 0.974x and 0.976x the cycles, LU-Contig on dirinval 0.933x and 0.877x,
+// and on Tardis 0.888x and 0.904x: the handler that sends a downgrade no
+// longer stalls, and the requester waits for no ack hop (LU-Contig on
+// dirinval at 16: 434 -> 403 messages, though 67 -> 103 downgrades are
+// explicit, since a node-mate the handler no longer waits for is more
+// often back in application code). These kernels take no MP lock.
 func TestKernelDigests(t *testing.T) {
 	const path = "testdata/kernel_digests.txt"
 	type layout struct {
@@ -211,7 +224,11 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 // those of a directory whose write grant leaves after the home has
 // invalidated its own node's copy, so the writer waits for no ack from the
 // home: 0.978x the cycles in Barnes and 1.002x in Raytrace, which sends
-// two messages fewer and waits 0.4 % longer for its work-queue lock.
+// two messages fewer and waits 0.4 % longer for its work-queue lock. And
+// those of an SMP downgrade that completes at the last node-mate to apply
+// it, with no downgrade ack back to a handler waiting for it, and of each
+// node's MP lock messages going to a different process of the lock home's
+// node: 0.992x the cycles in Barnes and 0.967x in Raytrace.
 func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	for _, c := range []struct {
 		app      *App
@@ -222,8 +239,8 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	}{
 		{Barnes(), []core.Option{core.WithProcs(8, 1), core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")},
 			8, 29985734, 118198 * 101 / 100},
-		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 13804047, 313940 * 101 / 100},
-		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 2556608, 140572 / 3},
+		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 13697534, 313940 * 101 / 100},
+		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 2471802, 140572 / 3},
 	} {
 		sys := core.Build(append(c.opts, core.WithMaxTime(sim.Cycles(900e6)))...)
 		res, err := Run(sys, c.app, RunConfig{Procs: c.procs, Scale: 4})
@@ -276,13 +293,15 @@ func TestNoHomeHotSpot(t *testing.T) {
 // than 1.5x the handler cycles of its node-mates' mean. While every forward,
 // recall and invalidation for a node's copy went to the node's first process,
 // which then had to downgrade the node-mate that held the line, that process
-// spent 4.3x (Barnes) and 7x (Volrend) its mates' mean on dirinval. One
-// exception: on dirinval, a process that homes one of Volrend's four
-// work-queue locks (processes 0, 4, 8 and 12, one to a node) is held to 2x.
-// Each lock is shared by one rank per node, so its home serves the requests
-// and releases of three ranks on other nodes whichever process it is. That is
-// home work, placed by the kernel, and it takes those four processes to 1.5x
-// to 1.7x; on Tardis they stay under 1.5x.
+// spent 4.3x (Barnes) and 7x (Volrend) its mates' mean on dirinval. Each of
+// Volrend's four work-queue locks is used by one rank per node; while every
+// lock message went to the lock's home process (0, 4, 8 or 12), that process
+// handled the requests and releases of three ranks on other nodes, 1.80x to
+// 1.88x its mates' mean on dirinval and up to 1.72x on Tardis (1.42x there
+// only while every process's handler cycles included its waits for
+// node-mates' downgrade acks), and was held to 2x. Now each node's lock
+// messages go to a different process of the home's node (1.21x at most,
+// lockServer), and no process is exempt.
 func TestNoNodeLeaderHotSpot(t *testing.T) {
 	for _, app := range []*App{Barnes(), Volrend()} {
 		for _, proto := range core.ProtocolNames() {
@@ -292,14 +311,9 @@ func TestNoNodeLeaderHotSpot(t *testing.T) {
 				t.Fatalf("%s %s: %v", app.Name, proto, err)
 			}
 			for node := 0; node < sys.Cfg.Nodes; node++ {
-				p, ratio := sys.BusiestInNode(node)
-				limit := 1.5
-				if app.Name == "Volrend" && proto == "dirinval" && p.ID%4 == 0 {
-					limit = 2
-				}
-				if ratio > limit {
-					t.Errorf("%s %s: p%d spends %.1fx the handler cycles of its node-mates' mean, want at most %.1fx",
-						app.Name, proto, p.ID, ratio, limit)
+				if p, ratio := sys.BusiestInNode(node); ratio > 1.5 {
+					t.Errorf("%s %s: p%d spends %.1fx the handler cycles of its node-mates' mean, want at most 1.5x",
+						app.Name, proto, p.ID, ratio)
 				}
 			}
 		}
