@@ -16,9 +16,12 @@ import (
 // process other than the home is a message to or from the home.
 
 // LockAcquire obtains the message-passing lock with the given ID, blocking
-// until it is granted. Grants are queue-based: a release hands the lock
-// directly to the next waiter, which gives MP locks their low contended
-// latency (Table 1).
+// until it is granted. Grants are queue-based: a waiter on the releaser's
+// agent is woken in the memory they share, and the home grants the lock to
+// a waiter elsewhere as the release reaches it. That gives MP locks their
+// low contended latency (Table 1). Away from the home's agent, node-mates
+// queue in their agent's slot of the lock behind the one that holds it or
+// has asked for it, so the agent has at most one request at the home.
 func (p *Proc) LockAcquire(id int) {
 	s := p.sys
 	lk := s.locks[id]
@@ -35,15 +38,40 @@ func (p *Proc) LockAcquire(id int) {
 		if !lk.held {
 			lk.held = true
 			s.proto.observeTs(p, lk.relTs) // what a grant would have carried
+			p.awaitOwnDrops()
 			return
 		}
 		lk.waiters = append(lk.waiters, p.ID)
+	} else if slot := p.lockSlot(lk, CatSyncStall); slot != nil && slot.busy {
+		slot.waiters = append(slot.waiters, p.ID)
 	} else {
+		if slot != nil {
+			slot.busy = true
+		}
 		p.send(s.lockServer(lk, p), &msg{kind: msgLockReq, id: id, from: p.ID, reqProc: p.ID}, CatSyncStall)
 	}
 	p.stallWhile(CatSyncStall, func() bool { return !p.granted[id] })
 	p.granted[id] = false
 	p.observeHanded()
+	p.awaitOwnDrops()
+}
+
+// awaitOwnDrops ends an acquire once the copies its timestamp made this
+// process drop (Tardis) are gone from the agent. A drop that node-mates in
+// application code have yet to apply leaves its downgrade record open and
+// the copy's data in place, so an in-line load would still read it.
+func (p *Proc) awaitOwnDrops() {
+	open := func() bool {
+		for _, r := range p.mem.dgs {
+			if r.opener == p.ID && r.then == thenNothing {
+				return true
+			}
+		}
+		return false
+	}
+	if open() {
+		p.stallOnAgent(CatSyncStall, open)
+	}
 }
 
 // LockRelease releases a lock acquired with LockAcquire. Like Shasta's own
@@ -66,7 +94,40 @@ func (p *Proc) LockRelease(id int) {
 		p.releaseLock(lk, p.agent)
 		return
 	}
-	p.send(s.lockServer(lk, p), &msg{kind: msgLockRelease, id: id, from: p.ID, ts: s.proto.syncTs(p)}, CatTask)
+	rel := msg{kind: msgLockRelease, id: id, from: p.ID, reqProc: -1, ts: s.proto.syncTs(p)}
+	if slot := p.lockSlot(lk, CatTask); slot != nil {
+		if len(slot.waiters) > 0 {
+			next := slot.waiters[0]
+			slot.waiters = slot.waiters[:copy(slot.waiters, slot.waiters[1:])]
+			if slot.streak < len(s.localProcs(p.agent)) {
+				// A node-mate waits, and the lock has not stayed on this
+				// agent longer than the home's own bound allows.
+				slot.streak++
+				q := s.procs[next]
+				q.granted[id] = true
+				p.handOff(q, rel.ts)
+				return
+			}
+			// The lock leaves, and the agent's next waiter asks for it
+			// again, behind every waiter the home has queued meanwhile.
+			rel.reqProc = next
+		}
+		slot.busy, slot.streak = rel.reqProc >= 0, 0
+	}
+	p.send(s.lockServer(lk, p), &rel, CatTask)
+}
+
+// lockSlot returns p's agent's slot of lk, or nil in Base-Shasta, where
+// the agent is p alone. Reading the slot is a SyncLocal step when node-mates
+// share it.
+func (p *Proc) lockSlot(lk *lockState, cat TimeCategory) *lockSlot {
+	if lk.slots == nil {
+		return nil
+	}
+	if len(p.sys.localProcs(p.agent)) > 1 {
+		p.charge(cat, p.sys.Cfg.Cost.SyncLocal)
+	}
+	return &lk.slots[p.agent]
 }
 
 // lockServer is the process of lk's home agent, whose memory holds the lock,
@@ -135,12 +196,17 @@ func (p *Proc) handleLockReq(m *msg) {
 	lk.waiters = append(lk.waiters, m.reqProc) // at most one entry per process, and a hand-off removes in place, so the capacity is reused
 }
 
+// handleLockRelease hands lk on, and then queues the waiter the releaser's
+// agent put in the release, if any.
 func (p *Proc) handleLockRelease(m *msg) {
 	lk := p.sys.locks[m.id]
 	if m.ts > lk.relTs {
 		lk.relTs = m.ts
 	}
 	p.releaseLock(lk, p.sys.procs[m.from].agent)
+	if m.reqProc >= 0 {
+		p.handleLockReq(m)
+	}
 }
 
 // handOff wakes q, which shares p's agent, from a lock or barrier wait whose
@@ -210,6 +276,7 @@ func (p *Proc) BarrierWait(id int) {
 	}
 	p.stallWhile(CatSyncStall, func() bool { return p.barrierSeen[id] < target })
 	p.observeHanded()
+	p.awaitOwnDrops()
 	p.emitSync("barrier-leave", id)
 }
 

@@ -303,3 +303,220 @@ func TestLockHandOffPrefersAgent(t *testing.T) {
 		}
 	}
 }
+
+// TestLockHandOffWithinRemoteNode: on 2x2 SMP-Shasta with the lock homed on
+// node 0, node 1's two processes take turns with it, three holds each. The
+// first asks the home; then each hand-off between them is a step in their
+// node's slot of the lock, with no lock-release or lock-grant, until it has
+// been handed on there twice in a row, once per process. Then the lock goes
+// through the home once, as a release that carries the waiting node-mate
+// and a grant to it. Five passages, four of them local: 1 request, 2 grants
+// and 2 releases, the last with no one waiting. Through the home every
+// acquire was a request and a grant and every release a release: 18.
+func TestLockHandOffWithinRemoteNode(t *testing.T) {
+	for _, proto := range []string{"dirinval", "tardis"} {
+		cfg := testConfig()
+		cfg.Protocol, cfg.Nodes, cfg.CPUsPerNode = proto, 2, 2
+		sent, _ := syncSends(t, cfg, 4, func(p *Proc, lk, _ int) {
+			if p.ID < 2 {
+				return
+			}
+			p.Compute(sim.Time(100 * (p.ID - 2)))
+			for n := 0; n < 3; n++ {
+				p.LockAcquire(lk)
+				p.Compute(2_000)
+				p.LockRelease(lk)
+				p.Compute(200)
+			}
+		})
+		want := map[string]int{"lock-req": 1, "lock-grant": 2, "lock-release": 2}
+		if fmt.Sprint(sent) != fmt.Sprint(want) {
+			t.Errorf("%s: node 1's six holds sent %v, want %v", proto, sent, want)
+		}
+	}
+}
+
+// TestRemoteNodeLockStreakBound: on 4x4 SMP-Shasta with the lock homed on
+// node 0, node 1's and node 2's processes all keep asking for it. Each node
+// hands it on within itself at most four times in a row, once per process,
+// so it holds the lock for at most five turns in a row; then the lock
+// leaves for the other node, whose first waiter the home has queued.
+func TestRemoteNodeLockStreakBound(t *testing.T) {
+	idle := func(*Proc, int) {}
+	for _, proto := range []string{"dirinval", "tardis"} {
+		cfg := testConfig()
+		cfg.Protocol = proto
+		bodies := make([]func(*Proc, int), 16)
+		for i := range bodies {
+			bodies[i] = idle
+		}
+		for i := 4; i < 12; i++ {
+			bodies[i] = func(p *Proc, lock int) {
+				p.Compute(sim.Time(100 * (p.ID - 4)))
+				for n := 0; n < 6; n++ {
+					p.LockAcquire(lock)
+					p.Compute(2_000)
+					p.LockRelease(lock)
+					p.Compute(200)
+				}
+			}
+		}
+		_, held := lockOrder(t, cfg, bodies)
+		var runs []int // turns in a row on one node
+		for i, h := range held {
+			if i == 0 || h.proc/4 != held[i-1].proc/4 {
+				runs = append(runs, 0)
+			}
+			runs[len(runs)-1]++
+		}
+		bound := 1 + cfg.CPUsPerNode
+		if len(runs) < 4 || slices.Max(runs) != bound || runs[0] != bound || runs[1] != bound {
+			t.Errorf("%s: the lock stayed on one node for %v turns in a row, want at most %d, and %d while the other node waits", proto, runs, bound, bound)
+		}
+	}
+}
+
+// TestTardisMateHandOffObservesRelease: on 3x2 Tardis-SMP, R (node 1)
+// leases x, then W (node 2) stores x under the lock, homed on node 0, and
+// releases it. R's node-mate A is granted the lock by the home and hands it
+// to R in their node's memory: no grant reaches R. R's clock has passed W's
+// release as its acquire returns, and it reads W's store. This is the
+// remote-node counterpart of TestTardisLockHomeAcquireObservesRelease.
+func TestTardisMateHandOffObservesRelease(t *testing.T) {
+	const older = 16
+	cfg := testConfig()
+	cfg.Protocol, cfg.Nodes, cfg.CPUsPerNode = "tardis", 3, 2
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(cfg), WithTrace(tr))
+	td := s.proto.(*tardis)
+	lk := s.NewLock(0)
+	var x, old uint64
+	var got uint64
+	var ptsAtAcquire int64
+	leased, released, aHolds := false, false, false
+	s.Spawn("home", 0, func(p *Proc) {})
+	s.Spawn("idle", 1, func(p *Proc) {})
+	s.Spawn("A", 2, func(p *Proc) {
+		for !released || s.locks[lk].held {
+			p.Compute(1000)
+		}
+		p.LockAcquire(lk)
+		aHolds = true
+		p.Compute(20_000)
+		p.LockRelease(lk)
+	})
+	r := s.Spawn("R", 3, func(p *Proc) {
+		for i := 0; i < older; i++ {
+			p.Load(old + uint64(64*i))
+		}
+		p.Load(x)
+		leased = true
+		for !aHolds {
+			p.Compute(1000)
+		}
+		p.LockAcquire(lk)
+		ptsAtAcquire = td.pstate(p).pts
+		got = p.Load(x)
+		p.LockRelease(lk)
+	})
+	s.Spawn("W", 4, func(p *Proc) {
+		for !leased {
+			p.Compute(1000)
+		}
+		p.LockAcquire(lk)
+		p.Store(x, 1)
+		p.LockRelease(lk)
+		released = true
+	})
+	old = s.Alloc(older*64, AllocOptions{Home: HomeAt(0)})
+	x = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Errorf("R was handed L after W's release and read x=%d, want 1", got)
+	}
+	if rel := s.locks[lk].relTs; rel == 0 || ptsAtAcquire < rel {
+		t.Errorf("R acquired L at pts %d, below W's release at %d", ptsAtAcquire, rel)
+	}
+	for _, ev := range tr.TakeBuffered() {
+		if ev.Cat == "msg" && ev.Ev == "send" && ev.S == "lock-grant" && ev.O == r.ID {
+			t.Errorf("the home sent R a grant at t=%d: A did not hand L on in node memory", ev.T)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTardisAcquireAwaitsItsDrops: on 3x2 Tardis-SMP, R's node-mate M
+// leases x, takes it into its private table and computes on in application
+// code. W (node 2) stores x under the lock and releases it; the home grants
+// the lock to R, whose release timestamp expires the node's lease. M still
+// holds x, so the drop is a downgrade record M applies at its next poll,
+// and until then the node's copy keeps the old data, which an in-line load
+// reads without a check. R's acquire waits for the record, so its load of x
+// misses and reads W's store. Without the wait it read the old value, and
+// Raytrace's work queue handed out bundles twice.
+func TestTardisAcquireAwaitsItsDrops(t *testing.T) {
+	const older = 32
+	cfg := testConfig()
+	cfg.Protocol, cfg.Nodes, cfg.CPUsPerNode = "tardis", 3, 2
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(cfg), WithTrace(tr))
+	lk := s.NewLock(0)
+	var x, old uint64
+	var got uint64
+	step, released := 0, false
+	s.Spawn("home", 0, func(p *Proc) {})
+	s.Spawn("idle", 1, func(p *Proc) {})
+	s.Spawn("R", 2, func(p *Proc) {
+		for i := 0; i < older; i++ { // leases the tick drops before x's
+			p.Load(old + uint64(64*i))
+		}
+		step = 1
+		for !released {
+			p.Compute(1000)
+		}
+		p.LockAcquire(lk)
+		got = p.Load(x)
+		p.LockRelease(lk)
+	})
+	s.Spawn("M", 3, func(p *Proc) {
+		for step < 1 {
+			p.Compute(1000)
+		}
+		p.Load(x)
+		step = 2
+		p.Compute(400_000)
+	})
+	s.Spawn("W", 4, func(p *Proc) {
+		for step < 2 {
+			p.Compute(1000)
+		}
+		p.LockAcquire(lk)
+		p.Store(x, 1)
+		p.LockRelease(lk)
+		released = true
+	})
+	old = s.Alloc(older*64, AllocOptions{Home: HomeAt(0)})
+	x = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Errorf("R acquired L after W's release and read x=%d, want 1", got)
+	}
+	opened := false
+	for _, ev := range tr.TakeBuffered() {
+		if ev.Cat == "line" && ev.Ev == "dg-open" && ev.P == 2 && ev.Blk == s.blockOf(s.lineOf(x)).id {
+			opened = true
+		}
+	}
+	if !opened {
+		t.Error("R's acquire left no downgrade record of x open: the test no longer reaches the case")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -176,6 +176,20 @@ type lockState struct {
 	waiters []int // process IDs queued for the lock, in request order
 	streak  int   // consecutive hand-offs within the releaser's agent
 	relTs   int64 // max protocol timestamp carried by releases (tardis)
+	// slots, SMP-Shasta only, is indexed by agent: each agent's part of
+	// the lock, kept in the agent's memory. The home's agent uses the
+	// fields above instead.
+	slots []lockSlot
+}
+
+// lockSlot is one agent's part of an MP lock away from the lock's home:
+// whether a process of the agent holds the lock or has asked the home for
+// it, the node-mates queued behind that one, in request order, and the
+// hand-offs within the agent since the lock arrived.
+type lockSlot struct {
+	busy    bool
+	waiters []int
+	streak  int
 }
 
 // barrierState is one MP barrier. Its participants are processes 0 to
@@ -605,7 +619,11 @@ func (s *System) nextHome() int {
 // NewLock creates a message-passing lock homed at the given process.
 func (s *System) NewLock(home int) int {
 	id := len(s.locks)
-	s.locks = append(s.locks, &lockState{id: id, home: home})
+	lk := &lockState{id: id, home: home}
+	if s.Cfg.SMP {
+		lk.slots = make([]lockSlot, len(s.agents))
+	}
+	s.locks = append(s.locks, lk)
 	for _, p := range s.procs {
 		p.granted = append(p.granted, false)
 	}

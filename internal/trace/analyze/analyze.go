@@ -87,7 +87,26 @@ type Summary struct {
 	DowngradeOpens int64
 	DowngradeDones int64
 	openRecords    map[int]int64
+	// DowngradeOpenTime sums, and DowngradeOpenMax is the longest of, the
+	// cycles from a dg-open to the dg-done that finishes it, over the
+	// DowngradeTimed records paired by agent and block. The longest was on
+	// block DowngradeMaxBlk at process DowngradeMaxProc's agent. An agent
+	// has one record of a block at a time, and the node-mate that finishes
+	// it applied a downgrade-req its opener sent: reqFrom names, by block
+	// and target, the last sender, and openedAt the open records by block
+	// and opener.
+	DowngradeOpenTime, DowngradeOpenMax int64
+	DowngradeTimed                      int64
+	DowngradeMaxBlk, DowngradeMaxProc   int
+	reqFrom                             map[[2]int]int
+	openedAt                            map[[2]int]int64
+	// LockAcquires counts the "sync"/"lock-acquire" events, one per MP
+	// lock acquire.
+	LockAcquires int64
 }
+
+// lockMessages are the MsgSends keys an MP lock passage can cost.
+var lockMessages = []string{"lock-req", "lock-grant", "lock-release"}
 
 // migratoryEvents are the Migratory keys, in the order Render prints them.
 var migratoryEvents = []string{"migratory", "grant-migratory", "declassify"}
@@ -115,6 +134,8 @@ func Read(r io.Reader) (*Summary, error) {
 		RunOuts:         map[string]int64{},
 		Ticks:           map[string]int64{},
 		openRecords:     map[int]int64{},
+		reqFrom:         map[[2]int]int{},
+		openedAt:        map[[2]int]int64{},
 	}
 	procs := map[int]bool{}
 	sc := bufio.NewScanner(r)
@@ -149,6 +170,9 @@ func Read(r io.Reader) (*Summary, error) {
 			switch e.Ev {
 			case "send":
 				s.MsgSends[e.S]++
+				if e.S == "downgrade-req" {
+					s.reqFrom[[2]int{e.Blk, e.O}] = e.P
+				}
 			case "handle":
 				s.MsgHandles[e.S]++
 				s.MsgHandleDelay[e.S] += e.A
@@ -164,9 +188,15 @@ func Read(r io.Reader) (*Summary, error) {
 			case "dg-open":
 				s.DowngradeOpens++
 				s.openRecords[e.Blk]++
+				s.openedAt[[2]int{e.Blk, e.P}] = int64(e.T)
 			case "dg-done":
 				s.DowngradeDones++
 				s.openRecords[e.Blk]--
+				s.timeRecord(e)
+			}
+		case "sync":
+			if e.Ev == "lock-acquire" {
+				s.LockAcquires++
 			}
 		case "sched":
 			s.Sched[e.Ev]++
@@ -195,6 +225,26 @@ func Read(r io.Reader) (*Summary, error) {
 	}
 	s.Procs = len(procs)
 	return s, nil
+}
+
+// timeRecord times the record a dg-done finishes.
+func (s *Summary) timeRecord(e trace.Event) {
+	opener, ok := s.reqFrom[[2]int{e.Blk, e.P}]
+	if !ok {
+		return
+	}
+	key := [2]int{e.Blk, opener}
+	t0, ok := s.openedAt[key]
+	if !ok {
+		return
+	}
+	delete(s.openedAt, key)
+	d := int64(e.T) - t0
+	s.DowngradeOpenTime += d
+	s.DowngradeTimed++
+	if d > s.DowngradeOpenMax || s.DowngradeTimed == 1 {
+		s.DowngradeOpenMax, s.DowngradeMaxBlk, s.DowngradeMaxProc = d, e.Blk, opener
+	}
 }
 
 // CheckInvalAcks checks that every inval-ack answers an inval-req. Under
@@ -345,6 +395,17 @@ func (s *Summary) Render() string {
 	}
 	if s.DowngradeOpens+s.DowngradeDones > 0 {
 		fmt.Fprintf(&b, "\ndowngrade records: open=%d done=%d\n", s.DowngradeOpens, s.DowngradeDones)
+	}
+	if s.DowngradeTimed > 0 {
+		fmt.Fprintf(&b, "downgrade records open: mean=%.0f max=%d cycles (block %d, agent of p%d)\n",
+			float64(s.DowngradeOpenTime)/float64(s.DowngradeTimed), s.DowngradeOpenMax, s.DowngradeMaxBlk, s.DowngradeMaxProc)
+	}
+	if s.LockAcquires > 0 {
+		var n int64
+		for _, k := range lockMessages {
+			n += s.MsgSends[k]
+		}
+		fmt.Fprintf(&b, "\nmp locks: acquires=%d messages=%d per-acquire=%.2f\n", s.LockAcquires, n, float64(n)/float64(s.LockAcquires))
 	}
 	if len(s.Sched) > 0 {
 		fmt.Fprintf(&b, "\nscheduler:")

@@ -179,12 +179,14 @@ func TestAnalyzerMigratoryEvents(t *testing.T) {
 }
 
 // TestInvalAcksAnswerInvalReqs: Barnes at 16 processes on 4x4 SMP-Shasta
-// under dirinval, scale 4, sends 6 366 inval-reqs and as many inval-acks,
-// and an ack too many fails the check. Every one of its 1 648 downgrade
+// under dirinval, scale 4, sends 6 350 inval-reqs and as many inval-acks,
+// and an ack too many fails the check. Every one of its 1 646 downgrade
 // records that a handler left open for node-mates is finished by one of
 // them. (6 345 inval-reqs while a handler that sent a downgrade request
 // waited for its ack, and its MP lock messages all went to the lock's home
-// process: the schedule moved with the ack hop and the lock server.)
+// process: the schedule moved with the ack hop and the lock server. 6 366
+// and 1 648 while a remote node-mate's lock hand-off went through the
+// lock's home: node-local hand-offs move the schedule again.)
 func TestInvalAcksAnswerInvalReqs(t *testing.T) {
 	var buf bytes.Buffer
 	tr := trace.New(trace.DefaultRingSize, &buf)
@@ -200,14 +202,14 @@ func TestInvalAcksAnswerInvalReqs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req, ack := sum.MsgSends["inval-req"], sum.MsgSends["inval-ack"]; req != 6366 || ack != 6366 {
-		t.Errorf("%d inval-reqs and %d inval-acks, want 6366 of each", req, ack)
+	if req, ack := sum.MsgSends["inval-req"], sum.MsgSends["inval-ack"]; req != 6350 || ack != 6350 {
+		t.Errorf("%d inval-reqs and %d inval-acks, want 6350 of each", req, ack)
 	}
 	if err := sum.CheckInvalAcks(); err != nil {
 		t.Error(err)
 	}
-	if sum.DowngradeOpens != 1648 || sum.DowngradeDones != 1648 {
-		t.Errorf("%d downgrade records opened and %d done, want 1648 of each", sum.DowngradeOpens, sum.DowngradeDones)
+	if sum.DowngradeOpens != 1646 || sum.DowngradeDones != 1646 {
+		t.Errorf("%d downgrade records opened and %d done, want 1646 of each", sum.DowngradeOpens, sum.DowngradeDones)
 	}
 	if err := sum.CheckDowngrades(); err != nil {
 		t.Error(err)
@@ -255,6 +257,84 @@ func TestCheckDowngradesCatchesOpenRecord(t *testing.T) {
 		if out := sum.Render(); !strings.Contains(out, want) || sum.DowngradeOpens == 0 {
 			t.Errorf("%s: render missing %q:\n%s", c.name, want, out)
 		}
+	}
+}
+
+// TestDowngradeOpenTimeByAgent: a dg-done finishes its agent's open record
+// of the block, the one whose opener sent the finisher the block's last
+// downgrade-req. Here p1 and p5 open records of block 3 on two agents, and
+// p6, p5's target, finishes first: its record was open 30 cycles, p1's 40.
+// A record finished by a process no request tied to its opener is counted
+// but not timed.
+func TestDowngradeOpenTimeByAgent(t *testing.T) {
+	var buf bytes.Buffer
+	tr := trace.New(trace.DefaultRingSize, &buf)
+	for _, ev := range []trace.Event{
+		{T: 10, Cat: "msg", Ev: "send", P: 1, O: 2, Blk: 3, S: "downgrade-req"},
+		{T: 10, Cat: "line", Ev: "dg-open", P: 1, Blk: 3},
+		{T: 20, Cat: "msg", Ev: "send", P: 5, O: 6, Blk: 3, S: "downgrade-req"},
+		{T: 20, Cat: "line", Ev: "dg-open", P: 5, Blk: 3},
+		{T: 50, Cat: "line", Ev: "dg-done", P: 6, Blk: 3},
+		{T: 50, Cat: "line", Ev: "dg-done", P: 2, Blk: 3},
+		{T: 60, Cat: "line", Ev: "dg-open", P: 9, Blk: 4},
+		{T: 90, Cat: "line", Ev: "dg-done", P: 10, Blk: 4},
+	} {
+		tr.Emit(ev)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := analyze.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sum.CheckDowngrades(); err != nil {
+		t.Error(err)
+	}
+	want := "downgrade records: open=3 done=3\ndowngrade records open: mean=35 max=40 cycles (block 3, agent of p1)\n"
+	if out := sum.Render(); !strings.Contains(out, want) {
+		t.Errorf("render missing %q:\n%s", want, out)
+	}
+}
+
+// TestLockMessagesPerAcquire: on 2x2 SMP-Shasta with an MP lock homed on
+// node 0, node 1's two processes hold it three times each. Four of the five
+// passages are hand-offs in node 1's memory, so the six acquires cost one
+// request, two grants and two releases.
+func TestLockMessagesPerAcquire(t *testing.T) {
+	var buf bytes.Buffer
+	tr := trace.New(trace.DefaultRingSize, &buf)
+	sys := core.Build(core.WithTrace(tr), core.WithProcs(2, 2), core.WithVariant(core.SMPShasta()))
+	lk := sys.NewLock(0)
+	for i := 0; i < 4; i++ {
+		sys.Spawn(fmt.Sprintf("p%d", i), i, func(p *core.Proc) {
+			if p.ID < 2 {
+				return
+			}
+			p.Compute(sim.Time(100 * (p.ID - 2)))
+			for n := 0; n < 3; n++ {
+				p.LockAcquire(lk)
+				p.Compute(2_000)
+				p.LockRelease(lk)
+				p.Compute(200)
+			}
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := analyze.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "\nmp locks: acquires=6 messages=5 per-acquire=0.83\n"; !strings.Contains(sum.Render(), want) {
+		t.Errorf("render missing %q:\n%s", want, sum.Render())
+	}
+	if out := (&analyze.Summary{}).Render(); strings.Contains(out, "mp locks") {
+		t.Errorf("an empty summary prints a lock line:\n%s", out)
 	}
 }
 
@@ -393,7 +473,8 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // a lease began to emit a tick event naming its decision; load-4-tenants
 // when each node's MP lock messages began to go to a different process of
 // the lock home's node, not all to the home, since its tenants' latches are
-// MP locks on four 4-CPU nodes.)
+// MP locks on four 4-CPU nodes, and again when a remote node's processes
+// began to hand those latches on to each other in node memory.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the

@@ -228,7 +228,10 @@ func TestKernelRunAllocationBounded(t *testing.T) {
 // those of an SMP downgrade that completes at the last node-mate to apply
 // it, with no downgrade ack back to a handler waiting for it, and of each
 // node's MP lock messages going to a different process of the lock home's
-// node: 0.992x the cycles in Barnes and 0.967x in Raytrace.
+// node: 0.992x the cycles in Barnes and 0.967x in Raytrace. And those of a
+// remote node's processes that queue for an MP lock in their node's slot
+// and hand it on in node memory, with no message through the home: 0.982x
+// the cycles in Barnes and 0.866x in Raytrace.
 func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	for _, c := range []struct {
 		app      *App
@@ -239,8 +242,8 @@ func TestLookaheadWindowsSaveSteps(t *testing.T) {
 	}{
 		{Barnes(), []core.Option{core.WithProcs(8, 1), core.WithVariant(core.BaseShasta()), core.WithProtocol("tardis")},
 			8, 29985734, 118198 * 101 / 100},
-		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 13697534, 313940 * 101 / 100},
-		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 2471802, 140572 / 3},
+		{Barnes(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 13454658, 313940 * 101 / 100},
+		{Raytrace(), []core.Option{core.WithProcs(4, 4), core.WithVariant(core.SMPShasta())}, 16, 2141630, 140572 / 3},
 	} {
 		sys := core.Build(append(c.opts, core.WithMaxTime(sim.Cycles(900e6)))...)
 		res, err := Run(sys, c.app, RunConfig{Procs: c.procs, Scale: 4})
