@@ -188,3 +188,28 @@ func TestComputeAllocatesNothing(t *testing.T) {
 		}
 	})
 }
+
+// TestLockPassageAllocatesNothing: four processes on 2x2 take an MP lock
+// homed at p0 in turn, each asking while the one before holds it, so the
+// lock passes from process to process. On SMP-Shasta it passes within the
+// home's agent (p0 to p1), through the home (p1 to p2, p3 to p0) and between
+// remote node-mates (p2 to p3); on Base-Shasta every passage but those at
+// p0 goes through the home. The requests and releases handed in place by
+// address must stay on the stack, and the home's queue and each slot reuse
+// their capacity.
+func TestLockPassageAllocatesNothing(t *testing.T) {
+	forEachAllocSystem(t, 2, 2, func(t *testing.T, proto string, build func() *System) {
+		got := allocsPerRound(t, func(rounds int) *System {
+			s := build()
+			lk := s.NewLock(0)
+			hold := func(p *Proc, r int) {
+				p.LockAcquire(lk)
+				computeUntil(p, sim.Time(r*4+p.ID+2)*allocStep+allocStep/2)
+				p.LockRelease(lk)
+			}
+			alternate(s, rounds, hold, hold, hold, hold)
+			return s
+		})
+		checkAllocs(t, got, 0, "a lock passage is a slot step, a hand-off or a message, none of which allocates")
+	})
+}

@@ -44,3 +44,20 @@ func (s *System) OpenDowngrades() (n int) {
 	}
 	return n
 }
+
+// OpenLocks counts the MP locks held, the agents queued at the locks' homes
+// and the lock slots not idle: marked, with waiters, or with a streak.
+func (s *System) OpenLocks() (held, queued, slots int) {
+	for _, lk := range s.locks {
+		if lk.held {
+			held++
+		}
+		queued += len(lk.waiters)
+		for _, sl := range lk.slots {
+			if sl.busy || len(sl.waiters) > 0 || sl.streak != 0 {
+				slots++
+			}
+		}
+	}
+	return held, queued, slots
+}

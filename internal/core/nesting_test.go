@@ -13,9 +13,10 @@ import (
 // 4-CPU nodes of SMP-Shasta, message-passing and shared-memory
 // synchronization), on both backends, finish with no handler stalling — a
 // stall inside a handler panics (stallWhile), so no message is taken off a
-// queue inside one — and end with no downgrade record open. While a handler
-// that sent node-mates downgrade requests waited for their acks, Barnes on
-// dirinval alone handled 3 255 messages inside such waits.
+// queue inside one — and end with no downgrade record open and every MP lock
+// free: none held, no agent queued at its home, every agent's slot idle.
+// While a handler that sent node-mates downgrade requests waited for their
+// acks, Barnes on dirinval alone handled 3 255 messages inside such waits.
 func TestNoHandlerNests(t *testing.T) {
 	for _, proto := range core.ProtocolNames() {
 		for _, sync := range []workloads.SyncStyle{workloads.MPSync, workloads.SMSync} {
@@ -32,6 +33,9 @@ func TestNoHandlerNests(t *testing.T) {
 				}
 				if open := sys.OpenDowngrades(); open != 0 {
 					t.Errorf("%s: %d downgrade records open", cell, open)
+				}
+				if held, queued, slots := sys.OpenLocks(); held+queued+slots != 0 {
+					t.Errorf("%s: %d MP locks held, %d agents queued at a home, %d lock slots not idle", cell, held, queued, slots)
 				}
 			}
 		}

@@ -263,7 +263,7 @@ type agentMem struct {
 }
 
 // newAgent appends an agent whose per-line arrays cover the current
-// allocated prefix (see growLines).
+// allocated prefix (see growLines), and its slot to every MP lock.
 func (s *System) newAgent() *agentMem {
 	m := &agentMem{
 		agent: len(s.agents),
@@ -272,6 +272,9 @@ func (s *System) newAgent() *agentMem {
 	}
 	s.sizeAgent(m, len(s.lineBlock))
 	s.agents = append(s.agents, m)
+	for _, lk := range s.locks {
+		lk.slots = append(lk.slots, lockSlot{})
+	}
 	return m
 }
 

@@ -9,19 +9,21 @@ import (
 // This file implements Shasta's message-passing synchronization (§6.2's
 // "MP" synchronization): queue-based locks and combining barriers that
 // applications can use instead of (or alongside) transparent Alpha LL/SC
-// sequences. Both are grouped by coherence agent. Processes that share an
-// agent's memory (a node's, in SMP-Shasta) synchronize through it at
-// SyncLocal a step; only what crosses agents is a message. In Base-Shasta
-// every process is its own agent, so every lock and barrier operation of a
-// process other than the home is a message to or from the home.
+// sequences. Both are grouped by coherence agent. Every agent keeps a slot
+// of each lock and barrier in its memory (a node's, in SMP-Shasta), where
+// its processes synchronize at SyncLocal a step; only what crosses agents
+// is a message. In Base-Shasta every process is its own agent, so every
+// lock and barrier operation of a process other than the home is a message
+// to or from the home.
 
 // LockAcquire obtains the message-passing lock with the given ID, blocking
-// until it is granted. Grants are queue-based: a waiter on the releaser's
-// agent is woken in the memory they share, and the home grants the lock to
-// a waiter elsewhere as the release reaches it. That gives MP locks their
-// low contended latency (Table 1). Away from the home's agent, node-mates
-// queue in their agent's slot of the lock behind the one that holds it or
-// has asked for it, so the agent has at most one request at the home.
+// until it is granted. An MP lock is queued at two levels. A process queues
+// in its agent's slot behind a node-mate that holds the lock or has asked
+// for it; otherwise it asks the home, once for the agent, and the home
+// queues agents in the order they asked. A release wakes a waiter on the
+// releaser's agent in the memory they share, and the home grants the lock
+// to the next agent as a release reaches it. That gives MP locks their low
+// contended latency (Table 1).
 func (p *Proc) LockAcquire(id int) {
 	s := p.sys
 	lk := s.locks[id]
@@ -30,25 +32,12 @@ func (p *Proc) LockAcquire(id int) {
 	p.enterProtocol()
 	defer p.exitProtocol()
 	p.charge(CatSyncStall, s.Cfg.Cost.ProtocolEntry)
-	home := s.procs[lk.home]
-	if home.agent == p.agent {
-		// The home shares this process's memory: manipulate the lock state
-		// directly.
-		p.charge(CatSyncStall, s.Cfg.Cost.SyncLocal)
-		if !lk.held {
-			lk.held = true
-			s.proto.observeTs(p, lk.relTs) // what a grant would have carried
-			p.awaitOwnDrops()
-			return
-		}
-		lk.waiters = append(lk.waiters, p.ID)
-	} else if slot := p.lockSlot(lk, CatSyncStall); slot != nil && slot.busy {
+	if slot := p.lockSlot(lk, CatSyncStall); slot.busy {
 		slot.waiters = append(slot.waiters, p.ID)
 	} else {
-		if slot != nil {
-			slot.busy = true
-		}
-		p.send(s.lockServer(lk, p), &msg{kind: msgLockReq, id: id, from: p.ID, reqProc: p.ID}, CatSyncStall)
+		slot.busy = true
+		req := msg{kind: msgLockReq, id: id, from: p.ID, reqProc: p.ID}
+		p.toLockHome(lk, &req, CatSyncStall)
 	}
 	p.stallWhile(CatSyncStall, func() bool { return !p.granted[id] })
 	p.granted[id] = false
@@ -76,7 +65,11 @@ func (p *Proc) awaitOwnDrops() {
 
 // LockRelease releases a lock acquired with LockAcquire. Like Shasta's own
 // lock routines it has release semantics: all outstanding stores complete
-// before the lock is handed on.
+// before the lock is handed on. The next waiter in the agent's slot takes
+// the lock with no message, unless the lock has been handed on within the
+// agent as many times in a row as the agent has processes; then, and when
+// no node-mate waits, the lock goes back to the home, and the release
+// carries the agent's next waiter to the back of the home's queue.
 func (p *Proc) LockRelease(id int) {
 	s := p.sys
 	lk := s.locks[id]
@@ -85,49 +78,42 @@ func (p *Proc) LockRelease(id int) {
 	defer p.exitProtocol()
 	p.drainOutstanding()
 	p.charge(CatTask, s.Cfg.Cost.ProtocolEntry)
-	home := s.procs[lk.home]
-	if home.agent == p.agent {
-		p.charge(CatTask, s.Cfg.Cost.SyncLocal)
-		if ts := s.proto.syncTs(p); ts > lk.relTs {
-			lk.relTs = ts
-		}
-		p.releaseLock(lk, p.agent)
-		return
-	}
+	slot := p.lockSlot(lk, CatTask)
 	rel := msg{kind: msgLockRelease, id: id, from: p.ID, reqProc: -1, ts: s.proto.syncTs(p)}
-	if slot := p.lockSlot(lk, CatTask); slot != nil {
-		if len(slot.waiters) > 0 {
-			next := slot.waiters[0]
-			slot.waiters = slot.waiters[:copy(slot.waiters, slot.waiters[1:])]
-			if slot.streak < len(s.localProcs(p.agent)) {
-				// A node-mate waits, and the lock has not stayed on this
-				// agent longer than the home's own bound allows.
-				slot.streak++
-				q := s.procs[next]
-				q.granted[id] = true
-				p.handOff(q, rel.ts)
-				return
-			}
-			// The lock leaves, and the agent's next waiter asks for it
-			// again, behind every waiter the home has queued meanwhile.
-			rel.reqProc = next
+	if len(slot.waiters) > 0 {
+		next := s.procs[slot.waiters[0]]
+		slot.waiters = slot.waiters[:copy(slot.waiters, slot.waiters[1:])]
+		if slot.streak < len(s.localProcs(p.agent)) {
+			slot.streak++
+			next.granted[id] = true
+			p.handOff(next, rel.ts)
+			return
 		}
-		slot.busy, slot.streak = rel.reqProc >= 0, 0
+		rel.reqProc = next.ID
 	}
-	p.send(s.lockServer(lk, p), &rel, CatTask)
+	slot.busy, slot.streak = rel.reqProc >= 0, 0
+	p.toLockHome(lk, &rel, CatTask)
 }
 
-// lockSlot returns p's agent's slot of lk, or nil in Base-Shasta, where
-// the agent is p alone. Reading the slot is a SyncLocal step when node-mates
-// share it.
+// lockSlot returns p's agent's slot of lk. Reading it is a SyncLocal step at
+// the home's agent, whose memory also holds the home's queue, and elsewhere
+// when node-mates share the slot.
 func (p *Proc) lockSlot(lk *lockState, cat TimeCategory) *lockSlot {
-	if lk.slots == nil {
-		return nil
-	}
-	if len(p.sys.localProcs(p.agent)) > 1 {
+	if p.agent == p.sys.procs[lk.home].agent || len(p.sys.localProcs(p.agent)) > 1 {
 		p.charge(cat, p.sys.Cfg.Cost.SyncLocal)
 	}
 	return &lk.slots[p.agent]
+}
+
+// toLockHome delivers m, a lock request or release of p's agent, to lk's
+// home: handled in place at the home's agent, which shares the lock's
+// memory, and otherwise sent to lockServer.
+func (p *Proc) toLockHome(lk *lockState, m *msg, cat TimeCategory) {
+	if p.agent == p.sys.procs[lk.home].agent {
+		p.dispatch(m)
+		return
+	}
+	p.send(p.sys.lockServer(lk, p), m, cat)
 }
 
 // lockServer is the process of lk's home agent, whose memory holds the lock,
@@ -136,39 +122,6 @@ func (p *Proc) lockSlot(lk *lockState, cat TimeCategory) *lockSlot {
 func (s *System) lockServer(lk *lockState, p *Proc) *Proc {
 	mates := s.localProcs(s.procs[lk.home].agent)
 	return mates[(lk.home+p.agent)%len(mates)]
-}
-
-// releaseLock hands lk on from a holder on the given agent, or frees it.
-// The next holder is the first waiter on that agent, which finds the data
-// of the critical section dirty in the memory they share, unless the lock
-// has already been handed on within the agent as many times in a row as
-// the agent has processes; then, and when no waiter shares the agent, it
-// is the first waiter of all. In Base-Shasta the releaser is its agent's
-// only process and cannot be waiting, so hand-offs are FIFO there.
-func (p *Proc) releaseLock(lk *lockState, agent int) {
-	s := p.sys
-	if len(lk.waiters) == 0 {
-		lk.held = false
-		return
-	}
-	i := 0
-	if lk.streak < len(s.localProcs(agent)) {
-		for j, w := range lk.waiters {
-			if s.procs[w].agent == agent {
-				i = j
-				break
-			}
-		}
-	}
-	next := lk.waiters[i]
-	copy(lk.waiters[i:], lk.waiters[i+1:])
-	lk.waiters = lk.waiters[:len(lk.waiters)-1]
-	if s.procs[next].agent == agent {
-		lk.streak++
-	} else {
-		lk.streak = 0
-	}
-	p.grantLock(lk, next)
 }
 
 // grantLock hands the lock to process to. The grant carries the maximum
@@ -186,6 +139,8 @@ func (p *Proc) grantLock(lk *lockState, to int) {
 	p.send(dst, &msg{kind: msgLockGrant, id: lk.id, from: p.ID, ts: lk.relTs}, CatMessage)
 }
 
+// handleLockReq grants lk to the asking agent's process if it is free, and
+// otherwise queues the agent.
 func (p *Proc) handleLockReq(m *msg) {
 	lk := p.sys.locks[m.id]
 	if !lk.held {
@@ -193,17 +148,23 @@ func (p *Proc) handleLockReq(m *msg) {
 		p.grantLock(lk, m.reqProc)
 		return
 	}
-	lk.waiters = append(lk.waiters, m.reqProc) // at most one entry per process, and a hand-off removes in place, so the capacity is reused
+	lk.waiters = append(lk.waiters, m.reqProc) // at most one entry per agent, and a grant removes in place, so the capacity is reused
 }
 
-// handleLockRelease hands lk on, and then queues the waiter the releaser's
-// agent put in the release, if any.
+// handleLockRelease grants lk to the first agent queued, or frees it, and
+// then queues the waiter the releaser's agent put in the release, if any.
 func (p *Proc) handleLockRelease(m *msg) {
 	lk := p.sys.locks[m.id]
 	if m.ts > lk.relTs {
 		lk.relTs = m.ts
 	}
-	p.releaseLock(lk, p.sys.procs[m.from].agent)
+	if len(lk.waiters) == 0 {
+		lk.held = false
+	} else {
+		next := lk.waiters[0]
+		lk.waiters = lk.waiters[:copy(lk.waiters, lk.waiters[1:])]
+		p.grantLock(lk, next)
+	}
 	if m.reqProc >= 0 {
 		p.handleLockReq(m)
 	}

@@ -336,42 +336,57 @@ func TestLockHandOffWithinRemoteNode(t *testing.T) {
 	}
 }
 
-// TestRemoteNodeLockStreakBound: on 4x4 SMP-Shasta with the lock homed on
-// node 0, node 1's and node 2's processes all keep asking for it. Each node
-// hands it on within itself at most four times in a row, once per process,
-// so it holds the lock for at most five turns in a row; then the lock
-// leaves for the other node, whose first waiter the home has queued.
+// TestRemoteNodeLockStreakBound: on 4x4 SMP-Shasta with the lock homed at
+// p0, the processes of two nodes all keep asking for it. Each node hands it
+// on within itself at most four times in a row, once per process, so it
+// holds the lock for at most five turns in a row; then the lock leaves for
+// the other node. With node 1's and node 2's processes asking, the first two
+// runs are five turns each. The lock home's node obeys
+// the same bound against node 1: at the bound its agent gives the lock back
+// to the home's queue of agents, even when a node-mate asked before node 1's
+// waiter did.
 func TestRemoteNodeLockStreakBound(t *testing.T) {
-	idle := func(*Proc, int) {}
-	for _, proto := range []string{"dirinval", "tardis"} {
-		cfg := testConfig()
-		cfg.Protocol = proto
-		bodies := make([]func(*Proc, int), 16)
-		for i := range bodies {
-			bodies[i] = idle
-		}
-		for i := 4; i < 12; i++ {
-			bodies[i] = func(p *Proc, lock int) {
-				p.Compute(sim.Time(100 * (p.ID - 4)))
-				for n := 0; n < 6; n++ {
-					p.LockAcquire(lock)
-					p.Compute(2_000)
-					p.LockRelease(lock)
-					p.Compute(200)
+	for _, c := range []struct {
+		name           string
+		procs          int // on CPUs 0 to procs-1
+		first, last    int // the processes that ask
+		stagger, hold  sim.Time
+		turns          int
+		runsAtTheBound bool // the first two runs are exactly the bound
+	}{
+		{"nodes 1 and 2", 16, 4, 11, 100, 2_000, 6, true},
+		{"the home's node and node 1", 8, 0, 7, 300, 900, 10, false},
+	} {
+		for _, proto := range []string{"dirinval", "tardis"} {
+			cfg := testConfig()
+			cfg.Protocol = proto
+			bodies := make([]func(*Proc, int), c.procs)
+			for i := range bodies {
+				bodies[i] = func(*Proc, int) {}
+			}
+			for i := c.first; i <= c.last; i++ {
+				bodies[i] = func(p *Proc, lock int) {
+					p.Compute(c.stagger * sim.Time(p.ID-c.first))
+					for n := 0; n < c.turns; n++ {
+						p.LockAcquire(lock)
+						p.Compute(c.hold)
+						p.LockRelease(lock)
+						p.Compute(200)
+					}
 				}
 			}
-		}
-		_, held := lockOrder(t, cfg, bodies)
-		var runs []int // turns in a row on one node
-		for i, h := range held {
-			if i == 0 || h.proc/4 != held[i-1].proc/4 {
-				runs = append(runs, 0)
+			_, held := lockOrder(t, cfg, bodies)
+			var runs []int // turns in a row on one node
+			for i, h := range held {
+				if i == 0 || h.proc/4 != held[i-1].proc/4 {
+					runs = append(runs, 0)
+				}
+				runs[len(runs)-1]++
 			}
-			runs[len(runs)-1]++
-		}
-		bound := 1 + cfg.CPUsPerNode
-		if len(runs) < 4 || slices.Max(runs) != bound || runs[0] != bound || runs[1] != bound {
-			t.Errorf("%s: the lock stayed on one node for %v turns in a row, want at most %d, and %d while the other node waits", proto, runs, bound, bound)
+			bound := 1 + cfg.CPUsPerNode
+			if len(runs) < 4 || slices.Max(runs) > bound || c.runsAtTheBound && (runs[0] != bound || runs[1] != bound) {
+				t.Errorf("%s, %s: the lock stayed on one node for %v turns in a row, want at most %d", c.name, proto, runs, bound)
+			}
 		}
 	}
 }

@@ -173,19 +173,17 @@ type lockState struct {
 	id      int // index in System.locks
 	home    int // home process
 	held    bool
-	waiters []int // process IDs queued for the lock, in request order
-	streak  int   // consecutive hand-offs within the releaser's agent
+	waiters []int // the process of each agent queued for the lock, in request order
 	relTs   int64 // max protocol timestamp carried by releases (tardis)
-	// slots, SMP-Shasta only, is indexed by agent: each agent's part of
-	// the lock, kept in the agent's memory. The home's agent uses the
-	// fields above instead.
+	// slots is indexed by agent: each agent's part of the lock, kept in the
+	// agent's memory.
 	slots []lockSlot
 }
 
-// lockSlot is one agent's part of an MP lock away from the lock's home:
-// whether a process of the agent holds the lock or has asked the home for
-// it, the node-mates queued behind that one, in request order, and the
-// hand-offs within the agent since the lock arrived.
+// lockSlot is one agent's part of an MP lock: whether a process of the
+// agent holds the lock or has asked the home for it, the node-mates queued
+// behind that one, in request order, and the hand-offs within the agent
+// since the lock arrived.
 type lockSlot struct {
 	busy    bool
 	waiters []int
@@ -616,13 +614,11 @@ func (s *System) nextHome() int {
 	return h
 }
 
-// NewLock creates a message-passing lock homed at the given process.
+// NewLock creates a message-passing lock homed at the given process, with
+// a slot for each agent (newAgent adds the slots of agents made later).
 func (s *System) NewLock(home int) int {
 	id := len(s.locks)
-	lk := &lockState{id: id, home: home}
-	if s.Cfg.SMP {
-		lk.slots = make([]lockSlot, len(s.agents))
-	}
+	lk := &lockState{id: id, home: home, slots: make([]lockSlot, len(s.agents))}
 	s.locks = append(s.locks, lk)
 	for _, p := range s.procs {
 		p.granted = append(p.granted, false)
