@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cliflags"
 	"repro/internal/core"
@@ -103,13 +104,21 @@ func main() {
 	fmt.Printf("  busiest process: p%d handled %.0f %% of messages, %.0f %% of handler cycles\n", busiest.ID, 100*msgShare, 100*cycleShare)
 	var inNode *core.Proc
 	var inNodeRatio float64
+	var alone []string
 	for n := 0; n < cfg.Nodes; n++ {
-		if p, r := sys.BusiestInNode(n); r > inNodeRatio {
+		p, r := sys.BusiestInNode(n)
+		if r > inNodeRatio {
 			inNode, inNodeRatio = p, r
+		}
+		if p != nil && r == 0 && p.Stats().Time[core.CatMessage] > 0 {
+			alone = append(alone, fmt.Sprintf("p%d", p.ID))
 		}
 	}
 	if inNode != nil {
 		fmt.Printf("  busiest process within its node: p%d spends %.1fx the handler cycles of its node-mates' mean\n", inNode.ID, inNodeRatio)
+	}
+	if len(alone) > 0 {
+		fmt.Printf("  no ratio within the node of %s: its node-mates spent no handler cycles outside a stall\n", strings.Join(alone, ", "))
 	}
 	fmt.Printf("  invalidations       %10d\n", st.Invalidations())
 	fmt.Printf("  downgrades          %10d explicit, %d direct\n", st.DowngradesSent(), st.DowngradesDirect())

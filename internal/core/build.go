@@ -302,6 +302,11 @@ func (s *System) dumpProtocolState() string {
 				out += fmt.Sprintf("\n  cpu%d sharedQ=%d", i, n)
 			}
 		}
+		for a, mem := range s.agents {
+			if n := mem.reqQ.q.Len(); n > 0 {
+				out += fmt.Sprintf("\n  agent%d agentQ=%d", a, n)
+			}
+		}
 	}
 	for _, blk := range s.blocks {
 		if s.blockQuiet(blk) {

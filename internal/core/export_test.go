@@ -37,6 +37,10 @@ func (s *System) OpenTransitions() (locked, waiters int) {
 	return locked, waiters
 }
 
+// FullyQuiescent reports whether no protocol activity is pending anywhere:
+// the condition under which CheckInvariants runs its full check.
+func (s *System) FullyQuiescent() bool { return s.fullyQuiescent() }
+
 // OpenDowngrades counts the downgrade records still open, over every agent.
 func (s *System) OpenDowngrades() (n int) {
 	for _, m := range s.agents {

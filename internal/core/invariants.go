@@ -214,6 +214,11 @@ func (s *System) fullyQuiescent() bool {
 			return false
 		}
 	}
+	for _, mem := range s.agents {
+		if mem.reqQ != nil && mem.reqQ.q.Len() > 0 {
+			return false
+		}
+	}
 	for _, r := range s.reseq {
 		if r != nil && len(r.held) > 0 {
 			return false

@@ -78,6 +78,9 @@ func AuditRecycle(s *System, p *Proc, b []uint64) error {
 	for i, c := range s.cpus {
 		checkBox(fmt.Sprintf("cpu %d shared reqQ", i), c.reqQ)
 	}
+	for a, mem := range s.agents {
+		checkBox(fmt.Sprintf("agent %d reqQ", a), mem.reqQ)
+	}
 	for i := range s.homes {
 		for _, qm := range s.homes[i].queue {
 			if aliases(qm.data) {
@@ -111,7 +114,7 @@ func AuditRecycle(s *System, p *Proc, b []uint64) error {
 					// already retired is a late duplicate: the receiving
 					// resequencer dup-marks it at commit and its payload
 					// is never read.
-					if _, live := s.procs[sp.m.from].retxBySeq[retxKey{sp.dst.ID, sp.m.seq}]; !live {
+					if _, live := s.procs[sp.m.from].retxBySeq[retxKey{sp.dst.node, sp.m.seq}]; !live {
 						continue
 					}
 				}

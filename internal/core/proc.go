@@ -27,7 +27,7 @@ type Proc struct {
 	priv []LineState // private state table (aliases mem.table in Base mode)
 
 	replyQ *queueBox
-	reqQ   *queueBox // only when SharedQueues is off
+	reqQ   *queueBox // only when SharedQueues is off; see procBox
 
 	mshr        map[int]*mshrEntry
 	mshrFree    []*mshrEntry // completed entries awaiting reuse (pool.go)
@@ -86,6 +86,12 @@ type Proc struct {
 	overridden bool
 
 	pollGap sim.Time // cycles until the next back-edge poll in Compute
+	// While the process is parked on its queues, what it waits for there
+	// (spareWake): quietStop is the end of the stretch of polls pollQuietly
+	// is taking; stalled says it waits in stallWhile, and poked that a
+	// node-mate has since woken it for what its stall waits for (wake).
+	quietStop      sim.Time
+	stalled, poked bool
 
 	stats Stats
 	// seed is fixed at creation; rng is made from it on the first Rand.
@@ -264,6 +270,7 @@ func (p *Proc) pollQuietly(c sim.Time) sim.Time {
 	if k <= n {
 		stop = first + (k-1)*spacing
 	}
+	p.quietStop = stop
 	for w := start; w < stop; {
 		w += p.Sim.AdvanceUnlessNotified(stop - w)
 		if j := pollFor(w); w < stop && j <= n {
@@ -272,6 +279,7 @@ func (p *Proc) pollQuietly(c sim.Time) sim.Time {
 			break
 		}
 	}
+	p.quietStop = 0
 	if k > n {
 		p.chargedPolls(n, c)
 		p.pollGap += n*interval - c
@@ -464,9 +472,16 @@ func (p *Proc) notifyAgentWaiters() {
 	now := p.Sim.Now()
 	for q := range p.mem.stateWaiters {
 		if q != p {
-			q.Sim.NotifyAt(now)
+			q.wake(now)
 		}
 	}
+}
+
+// wake notifies p, stalled for something a node-mate has just done in the
+// memory they share, at time t (see spareWake).
+func (p *Proc) wake(t sim.Time) {
+	p.poked = true
+	p.Sim.NotifyAt(t)
 }
 
 // tryBeginTransition attempts to take the agent-level transition lock for
@@ -755,21 +770,39 @@ func (p *Proc) stallWhile(cat TimeCategory, cond func() bool) {
 		if a, ok := p.nextArrival(); ok {
 			p.Sim.NotifyAt(a)
 		}
+		p.stalled, p.poked = true, false
 		p.Sim.Wait()
+		p.stalled = false
 		p.chargeWallClock(cat, p.Sim.Now()-before)
 	}
 }
 
-// watchQueues registers the process as a waiter on its reply and request
-// queues, so that a message put on either wakes it; unwatchQueues undoes it.
+// procBox is the queue of p's requests that are not its agent's: its own
+// without shared queues, its CPU's with them.
+func (p *Proc) procBox() *queueBox {
+	if p.reqQ != nil {
+		return p.reqQ
+	}
+	return p.sys.cpus[p.cpu].reqQ
+}
+
+// watchQueues registers the process as a waiter on every queue it serves —
+// its reply queue, procBox and its agent's queue if there is one — so that a
+// message put on any of them wakes it; unwatchQueues undoes it.
 func (p *Proc) watchQueues() {
 	p.replyQ.addWaiter(p)
-	p.sys.requestBox(p).addWaiter(p)
+	p.procBox().addWaiter(p)
+	if a := p.mem.reqQ; a != nil {
+		a.addWaiter(p)
+	}
 }
 
 func (p *Proc) unwatchQueues() {
 	p.replyQ.removeWaiter(p)
-	p.sys.requestBox(p).removeWaiter(p)
+	p.procBox().removeWaiter(p)
+	if a := p.mem.reqQ; a != nil {
+		a.removeWaiter(p)
+	}
 }
 
 // nextArrival returns the earliest queued arrival on any watched queue.
@@ -779,8 +812,13 @@ func (p *Proc) nextArrival() (sim.Time, bool) {
 	if a, has := p.replyQ.q.NextArrival(); has && a < best {
 		best, ok = a, true
 	}
-	if a, has := p.sys.requestBox(p).q.NextArrival(); has && a < best {
+	if a, has := p.procBox().q.NextArrival(); has && a < best {
 		best, ok = a, true
+	}
+	if q := p.mem.reqQ; q != nil {
+		if a, has := q.q.NextArrival(); has && a < best {
+			best, ok = a, true
+		}
 	}
 	if d, has := p.nextRetxDeadline(); has && d < best {
 		best, ok = d, true
@@ -788,8 +826,52 @@ func (p *Proc) nextArrival() (sim.Time, bool) {
 	return best, ok
 }
 
-// serviceReady pops and services one ready message from the reply queue or
-// the request queue; it reports whether anything was handled.
+// spareWake moves the wake of a process parked on its queues, woken for a
+// message another process has taken, to when it next has something to do:
+// the next arrival on its queues, a retransmission, or the end of the
+// stretch of polls it is taking, whichever is first. One parked in
+// stallWhile keeps its wake if a node-mate has woken it since (what its
+// stall waits for may have come); a message that ends a stall is on its
+// queues. The wake it spares changes nothing: a poll or a stall that finds
+// nothing just sleeps on.
+func (p *Proc) spareWake() {
+	t := sim.Forever
+	switch {
+	case p.quietStop > 0:
+		t = p.quietStop
+	case !p.stalled || p.poked:
+		return
+	}
+	if a, ok := p.nextArrival(); ok && a < t {
+		t = a
+	}
+	p.Sim.DelayWake(t)
+}
+
+// owed reports whether protocol work is still owed to the process: a miss
+// of its own in flight, or a message on a queue it serves that has arrived
+// or that an application process sent before it exited, one still on the
+// wire included. Once no application process is visibly alive, every such
+// message on its way is already queued, on either engine: its sender's exit
+// is visible at least a wire latency after the send (System.appAlive). A
+// message a process sent after its own exit counts only once it arrives.
+func (p *Proc) owed() bool {
+	if p.outstanding > 0 {
+		return true
+	}
+	now, owes := p.Sim.Now(), false
+	has := func(m msg, at sim.Time) { owes = owes || m.live || at <= now }
+	p.replyQ.q.Each(has)
+	p.procBox().q.Each(has)
+	if a := p.mem.reqQ; a != nil {
+		a.q.Each(has)
+	}
+	return owes
+}
+
+// serviceReady pops and services one ready message: from the reply queue
+// first, then the earlier arrival of procBox and the agent's queue (procBox
+// on a tie); it reports whether anything was handled.
 func (p *Proc) serviceReady(cat TimeCategory) bool {
 	now := p.Sim.Now()
 	if p.pumpReliability(cat) {
@@ -799,9 +881,20 @@ func (p *Proc) serviceReady(cat TimeCategory) bool {
 		p.handleMessage(&m, cat)
 		return true
 	}
-	m, ok := p.sys.requestBox(p).q.Pop(now)
+	box := p.procBox()
+	if a := p.mem.reqQ; a != nil {
+		if at, ok := a.q.NextArrival(); ok && at <= now {
+			if bt, ok := box.q.NextArrival(); !ok || bt > at {
+				box = a
+			}
+		}
+	}
+	m, ok := box.q.Pop(now)
 	if !ok {
 		return false
+	}
+	if box.shared {
+		box.spare(p)
 	}
 	if p.sys.Cfg.SharedQueues {
 		p.charge(cat, p.sys.Cfg.Cost.QueueLock)
@@ -868,16 +961,18 @@ func fillFlag(mem *agentMem, line, wordsPerLine int) {
 
 // serveAfterExit keeps the Shasta process alive after the application
 // process terminates, continuing to serve requests for its protocol and
-// application data (§4.3.3). A terminated process that receives no
-// requests sleeps for successively longer periods so as not to take CPU
-// time from active processes.
+// application data (§4.3.3): while an application process is alive, and
+// while work is owed to it (owed), such as the replies to a store it left
+// in flight or a last release sent to it before its sender exited. A
+// terminated process that receives no requests sleeps for successively
+// longer periods so as not to take CPU time from active processes.
 func (p *Proc) serveAfterExit() {
 	s := p.sys
 	p.watchQueues()
 	defer p.unwatchQueues()
 	backoff := sim.Cycles(20)
 	const maxBackoff = sim.Time(3000 * sim.CyclesPerMicrosecond)
-	for s.appAlive(p.Sim.Now(), p.node) {
+	for s.appAlive(p.Sim.Now(), p.node) || p.owed() {
 		if p.serviceReady(CatMessage) {
 			backoff = sim.Cycles(20)
 			continue

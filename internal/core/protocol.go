@@ -220,6 +220,15 @@ type dgRecord struct {
 	deferred      []msg // requests that found the record open
 }
 
+// ride makes a downgrade to invalid with nothing left to do send m, to
+// m.reqProc, once it is done.
+func (r *dgRecord) ride(m *msg) {
+	if r.to != Invalid || r.then != thenNothing {
+		panic(fmt.Sprintf("core: %s for block %d cannot wait on a downgrade to %v that then does %d", m.kind, r.block, r.to, r.then))
+	}
+	r.then, r.m = thenSend, *m
+}
+
 func (mem *agentMem) record(block int) *dgRecord {
 	for i := range mem.dgs {
 		if mem.dgs[i].block == block {
@@ -233,9 +242,15 @@ func (mem *agentMem) record(block int) *dgRecord {
 // state, then does then: it takes the transition lock, marks the block
 // pending (so no local fill slips between a private-table downgrade and the
 // agent state change) and downgrades every private table (downgradeMates).
+// The lock is free: a handler never waits for it. A request that finds a
+// downgrade holding it defers on the record (deferIfPending) or rides it
+// (invalidateAgent), and one that finds a miss holding it defers on the miss
+// or absorbs into it; reaching it held is a protocol bug.
 func (p *Proc) downgradeAgent(blk *blockInfo, to LineState, then dgThen, m *msg) {
-	for !p.tryBeginTransition(blk, CatMessage) {
+	if h := p.mem.busy[blk.id]; h != nil {
+		panic(fmt.Sprintf("core: %s downgrades block %d while %s holds its transition lock", p, blk.id, h))
 	}
+	p.mem.busy[blk.id] = p
 	p.sys.setAgentState(p.mem, blk, Pending)
 	if r := p.mem.record(blk.id); r != nil {
 		// finishMiss drops a copy while an invalidation its miss absorbed
@@ -265,7 +280,8 @@ func (p *Proc) handleInval(m *msg) {
 // an invalidation message, the home's own from dirinval's serveMaster. It
 // never waits for a local miss on the block, because that miss may itself
 // be waiting, through the home or through the writer's fill, for the ack or
-// the grant that follows (DESIGN.md §8 finding 9).
+// the grant that follows (DESIGN.md §8 finding 9), nor for a node-mate's
+// downgrade of the copy.
 func (p *Proc) invalidateAgent(blk *blockInfo, m *msg) {
 	holder := p.mem.busy[blk.id]
 	switch {
@@ -287,6 +303,11 @@ func (p *Proc) invalidateAgent(blk *blockInfo, m *msg) {
 			mshr.invalAfterFill = true
 		}
 		p.downgradeMates(blk, Invalid, false, thenSend, m)
+	case holder != nil:
+		// A node-mate's downgrade holds the lock: a miss of its completed
+		// while the home sent its invalidations, and drops the copy it
+		// installed (finishMiss). m goes once the copy is down.
+		p.mem.record(blk.id).ride(m)
 	case p.mem.table[blk.firstLine] != Invalid:
 		p.downgradeAgent(blk, Invalid, thenSend, m)
 	default:

@@ -86,10 +86,13 @@ type retxEntry struct {
 	acked    bool
 }
 
-// retxKey identifies an entry by destination process and sequence number.
+// retxKey identifies an entry by destination node and sequence number,
+// which numbers the link (assignSeq): the ack comes from whichever process
+// of that node handled the message, which for a request in its agent's
+// queue need not be the one it was sent to.
 type retxKey struct {
-	dst int
-	seq int64
+	node int
+	seq  int64
 }
 
 // linkReseq is the receiver-node resequencing state for one directed
@@ -217,9 +220,10 @@ func (p *Proc) sendNetAck(m *msg, cat TimeCategory) {
 // handleNetAck retires the acknowledged retransmit entry. Duplicate and
 // late acks (entry already retired) are ignored.
 func (p *Proc) handleNetAck(m *msg) {
-	if e, ok := p.retxBySeq[retxKey{m.from, m.ack}]; ok {
+	key := retxKey{p.sys.procs[m.from].node, m.ack}
+	if e, ok := p.retxBySeq[key]; ok {
 		e.acked = true
-		delete(p.retxBySeq, retxKey{m.from, m.ack})
+		delete(p.retxBySeq, key)
 		if e.m.data != nil {
 			// Retiring the entry releases the retained data buffer back to
 			// the sender's pool: the receiver dispatched (and copied out)
@@ -246,7 +250,7 @@ func (p *Proc) trackRetx(dst *Proc, m msg) {
 	if p.retxBySeq == nil {
 		p.retxBySeq = make(map[retxKey]*retxEntry)
 	}
-	p.retxBySeq[retxKey{dst.ID, m.seq}] = e
+	p.retxBySeq[retxKey{dst.node, m.seq}] = e
 	p.retx = append(p.retx, e)
 }
 

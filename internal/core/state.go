@@ -143,6 +143,19 @@ func (k msgKind) isReply() bool {
 	return false
 }
 
+// toAgent reports whether a request of kind k is for state its receiver's
+// agent keeps in its memory: the home record of a block, an MP lock or an MP
+// barrier. With shared queues it travels in the agent's queue, which any
+// process of the agent serves (System.requestBox).
+func (k msgKind) toAgent() bool {
+	switch k {
+	case msgReadReq, msgReadExclReq, msgUpgradeReq, msgSCUpgradeReq, msgShareWB, msgOwnerTransfer,
+		msgLockReq, msgLockRelease, msgBarrierEnter:
+		return true
+	}
+	return false
+}
+
 func (k msgKind) String() string {
 	if int(k) < len(msgKindNames) {
 		return msgKindNames[k]
@@ -183,6 +196,9 @@ type msg struct {
 	// retransmit entry (see handleNetAck). Host-side only: never encoded,
 	// never charged on the wire.
 	retained bool
+	// live marks a message an application process sent before it exited
+	// (Proc.owed). Host-side only, like retained.
+	live bool
 }
 
 // headerBytes is the wire size of a message without data payload.
@@ -253,6 +269,9 @@ type agentMem struct {
 	// block exclusive on a read and has not stored to it since ("granted
 	// unwritten"; see migEntry).
 	unwritten []bool
+	// reqQ, with shared queues, carries the requests for state in this
+	// memory (msgKind.toAgent); any process of the agent serves them.
+	reqQ *queueBox
 	// bufFree is the agent-local free list of msg.data buffers, keyed by
 	// word count (block sizes vary per allocation). Buffers are taken by
 	// the procs of this agent when composing data-carrying messages and
@@ -269,6 +288,10 @@ func (s *System) newAgent() *agentMem {
 		agent: len(s.agents),
 		busy:  make(map[int]*Proc), stateWaiters: make(map[*Proc]int),
 		bufFree: make(map[int][][]uint64),
+	}
+	if s.Cfg.SharedQueues {
+		m.reqQ = newQueueBox()
+		m.reqQ.shared = true
 	}
 	s.sizeAgent(m, len(s.lineBlock))
 	s.agents = append(s.agents, m)

@@ -107,21 +107,15 @@ func (p *Proc) lockSlot(lk *lockState, cat TimeCategory) *lockSlot {
 
 // toLockHome delivers m, a lock request or release of p's agent, to lk's
 // home: handled in place at the home's agent, which shares the lock's
-// memory, and otherwise sent to lockServer.
+// memory, and otherwise sent to the home, whose agent's queue any process of
+// the home's node serves (System.requestBox).
 func (p *Proc) toLockHome(lk *lockState, m *msg, cat TimeCategory) {
-	if p.agent == p.sys.procs[lk.home].agent {
+	home := p.sys.procs[lk.home]
+	if p.agent == home.agent {
 		p.dispatch(m)
 		return
 	}
-	p.send(p.sys.lockServer(lk, p), m, cat)
-}
-
-// lockServer is the process of lk's home agent, whose memory holds the lock,
-// that handles p's lock messages: each agent's go to a different one, so one
-// process does not handle every other node's requests for a lock it homes.
-func (s *System) lockServer(lk *lockState, p *Proc) *Proc {
-	mates := s.localProcs(s.procs[lk.home].agent)
-	return mates[(lk.home+p.agent)%len(mates)]
+	p.send(home, m, cat)
 }
 
 // grantLock hands the lock to process to. The grant carries the maximum
@@ -179,7 +173,7 @@ func (p *Proc) handOff(q *Proc, ts int64) {
 	if ts > q.handedTs {
 		q.handedTs = ts
 	}
-	q.Sim.NotifyAt(p.Sim.Now())
+	q.wake(p.Sim.Now())
 }
 
 // observeHanded ends a wait a node-mate ended with handOff. The woken

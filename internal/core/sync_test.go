@@ -202,6 +202,9 @@ func lockOrder(t *testing.T, cfg Config, bodies []func(p *Proc, lock int)) (aske
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if held, queued, slots := s.OpenLocks(); held+queued+slots != 0 {
+		t.Fatalf("the run ends with %d MP locks held, %d agents queued at the home, %d lock slots not idle", held, queued, slots)
+	}
 	evs := tr.TakeBuffered()
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
 	asks, holds := map[int]int{}, map[int]int{}

@@ -25,8 +25,13 @@ import (
 // registration order. Waiter registrations are reference-counted because
 // stalls nest (a message handler run inside one stall may itself stall).
 type queueBox struct {
-	q       *memchannel.Queue[msg]
+	q       memchannel.Queue[msg]
 	waiters []queueWaiter
+	// shared marks an agent's queue, which several processes wait on and
+	// any one of them serves: every put wakes them all, and whichever looks
+	// first takes the message (Proc.serviceReady), which then spares the
+	// others the wake (spare).
+	shared bool
 }
 
 type queueWaiter struct {
@@ -35,13 +40,24 @@ type queueWaiter struct {
 }
 
 func newQueueBox() *queueBox {
-	return &queueBox{q: memchannel.NewQueue[msg]()}
+	return &queueBox{}
 }
 
 func (b *queueBox) put(m msg, arrive sim.Time, ord memchannel.Ord) {
 	b.q.PutOrd(m, arrive, ord)
 	for i := range b.waiters {
 		b.waiters[i].p.Sim.NotifyAt(arrive)
+	}
+}
+
+// spare runs once p has taken a message from the box: the other waiters,
+// woken for it too, will find nothing, so each that is parked on its queues
+// sleeps on to when it next has something to do (Proc.spareWake).
+func (b *queueBox) spare(p *Proc) {
+	for i := range b.waiters {
+		if q := b.waiters[i].p; q != p {
+			q.spareWake()
+		}
 	}
 }
 
@@ -68,7 +84,8 @@ func (b *queueBox) removeWaiter(p *Proc) {
 }
 
 // cpuState holds per-processor protocol state (the shared request queue of
-// §4.3.2 when SharedQueues is enabled).
+// §4.3.2 when SharedQueues is enabled: the requests for processes on the CPU
+// that are not their agent's; see System.requestBox).
 type cpuState struct {
 	reqQ *queueBox
 	// procs counts the processes ever bound to this CPU; a process that
@@ -443,21 +460,21 @@ func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func
 }
 
 // spawnProtocolProcs creates one low-priority protocol process per CPU
-// (§4.3.2's general solution): it serves incoming requests whenever all
-// application processes on its CPU are blocked or descheduled.
+// (§4.3.2's general solution): it serves incoming requests, its CPU's and
+// its agent's, whenever all application processes on its CPU are blocked or
+// descheduled.
 func (s *System) spawnProtocolProcs() {
 	for cpu := 0; cpu < s.Eng.NumCPUs(); cpu++ {
 		cpu := cpu
 		s.spawn(fmt.Sprintf("proto%d", cpu), cpu, 1, 0, func(p *Proc) {
 			for s.appAlive(p.Sim.Now(), p.node) {
 				if !p.serviceReady(CatMessage) {
-					box := s.cpus[cpu].reqQ
-					box.addWaiter(p)
-					if !box.q.Ready(p.Sim.Now()) && s.appAlive(p.Sim.Now(), p.node) {
+					p.watchQueues()
+					if s.appAlive(p.Sim.Now(), p.node) {
 						p.Sim.NotifyAt(p.Sim.Now() + sim.Cycles(100))
 						p.Sim.Wait()
 					}
-					box.removeWaiter(p)
+					p.unwatchQueues()
 				}
 				p.Sim.YieldCPU()
 			}
@@ -693,13 +710,18 @@ func (s *System) Busiest() (busiest *Proc, msgShare, cycleShare float64) {
 // multiple of its node-mates' mean (nil and 0 without mates). Messages for a
 // node's copy of a block go to the process that asked for it, which keeps
 // this near 1 unless the mates are homes of different things; sent to the
-// node's first process they made it 4.
+// node's first process they made it 4. The ratio is 0, for none, when the
+// node-mates' mean is 0: a handler run inside a stall charges the stall, so
+// mates that handled messages only while stalled spent no handler cycles.
 func (s *System) BusiestInNode(node int) (busiest *Proc, ratio float64) {
 	mates := s.nodeProcs[node]
 	if len(mates) < 2 {
 		return nil, 0
 	}
 	busiest, _, share := busiestOf(mates)
+	if share >= 1 {
+		return busiest, 0
+	}
 	return busiest, share * float64(len(mates)-1) / (1 - share)
 }
 
@@ -722,12 +744,17 @@ func busiestOf(procs []*Proc) (busiest *Proc, msgShare, cycleShare float64) {
 		share(int64(busiest.stats.Time[CatMessage]), int64(total.Time[CatMessage]))
 }
 
-// requestBox returns the queue that carries requests for process p.
-func (s *System) requestBox(p *Proc) *queueBox {
-	if s.Cfg.SharedQueues {
-		return s.cpus[p.cpu].reqQ
+// requestBox returns the queue that carries a request of kind k for process
+// p. Without shared queues it is p's own. With them, a request for state in
+// agent memory (msgKind.toAgent) goes to p's agent's queue, which whichever
+// process of the agent polls first serves; any other goes to p's CPU's queue
+// (§4.3.2): a forward or invalidation names the process that asked for the
+// block, which holds the copy and downgrades itself without a message.
+func (s *System) requestBox(p *Proc, k msgKind) *queueBox {
+	if k.toAgent() && p.mem.reqQ != nil {
+		return p.mem.reqQ
 	}
-	return p.reqQ
+	return p.procBox()
 }
 
 // deliver routes message m from sender to another process dst, computing
@@ -762,12 +789,13 @@ func (s *System) sendWire(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 		sender.charge(cat, s.Cfg.Cost.QueueLock)
 	}
 	sender.stats.N[CntMessagesSent]++
+	m.live = sender.Sim.Priority == 0 && !sender.exited
 	size := m.wireSize(s.Cfg.LineSize)
 	now := sender.Sim.Now()
 	a1, a2, copies := s.Net.Send(sender.node, dst.node, size, now)
 	box := dst.replyQ
 	if !m.kind.isReply() {
-		box = s.requestBox(dst)
+		box = s.requestBox(dst, m.kind)
 	}
 	arrive := a1
 	if copies == 0 {

@@ -273,6 +273,20 @@ func (p *Proc) NotifyAt(t Time) {
 	}
 }
 
+// DelayWake moves the pending wake of a waiting process later, to t: for a
+// process that finds the reason it notified p gone before p woke (a message
+// it was woken for, taken by another). The caller answers for t: nothing
+// else p waits for may come before it, or that wake-up is lost. A process
+// that is not waiting, or whose wake is t or later already, is left alone.
+// Like NotifyAt, safe to call only from a running process of p's shard.
+func (p *Proc) DelayWake(t Time) {
+	if p.state != stateWaiting || t <= p.wakeAt {
+		return
+	}
+	p.wakeAt = t
+	p.cpu.touch()
+}
+
 // YieldCPU voluntarily gives up the CPU if any other process is waiting for
 // it (models a low-priority protocol process offering the processor).
 func (p *Proc) YieldCPU() {

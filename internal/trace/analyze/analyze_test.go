@@ -180,13 +180,16 @@ func TestAnalyzerMigratoryEvents(t *testing.T) {
 
 // TestInvalAcksAnswerInvalReqs: Barnes at 16 processes on 4x4 SMP-Shasta
 // under dirinval, scale 4, sends 6 350 inval-reqs and as many inval-acks,
-// and an ack too many fails the check. Every one of its 1 646 downgrade
+// and an ack too many fails the check. Every one of its 1 797 downgrade
 // records that a handler left open for node-mates is finished by one of
 // them. (6 345 inval-reqs while a handler that sent a downgrade request
 // waited for its ack, and its MP lock messages all went to the lock's home
 // process: the schedule moved with the ack hop and the lock server. 6 366
 // and 1 648 while a remote node-mate's lock hand-off went through the
-// lock's home: node-local hand-offs move the schedule again.)
+// lock's home: node-local hand-offs move the schedule again. 1 646 downgrade
+// records before any process of a home's node served its requests: a
+// node-mate that serves one more often has to downgrade the process that
+// holds the line.)
 func TestInvalAcksAnswerInvalReqs(t *testing.T) {
 	var buf bytes.Buffer
 	tr := trace.New(trace.DefaultRingSize, &buf)
@@ -208,8 +211,8 @@ func TestInvalAcksAnswerInvalReqs(t *testing.T) {
 	if err := sum.CheckInvalAcks(); err != nil {
 		t.Error(err)
 	}
-	if sum.DowngradeOpens != 1646 || sum.DowngradeDones != 1646 {
-		t.Errorf("%d downgrade records opened and %d done, want 1646 of each", sum.DowngradeOpens, sum.DowngradeDones)
+	if sum.DowngradeOpens != 1797 || sum.DowngradeDones != 1797 {
+		t.Errorf("%d downgrade records opened and %d done, want 1797 of each", sum.DowngradeOpens, sum.DowngradeDones)
 	}
 	if err := sum.CheckDowngrades(); err != nil {
 		t.Error(err)
@@ -474,7 +477,10 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // when each node's MP lock messages began to go to a different process of
 // the lock home's node, not all to the home, since its tenants' latches are
 // MP locks on four 4-CPU nodes, and again when a remote node's processes
-// began to hand those latches on to each other in node memory.)
+// began to hand those latches on to each other in node memory;
+// ocean-16p-4x4-smp-dirinval and load-4-tenants again when any process of a
+// home's node began to serve the requests for its home records, locks and
+// barriers, which moves who handles them and when.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the
