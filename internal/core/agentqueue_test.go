@@ -126,3 +126,100 @@ func TestExitedProcessServesMessageOnTheWire(t *testing.T) {
 		t.Errorf("the exited p0 handled %d user messages, want 1; fully quiescent %v", handled, s.fullyQuiescent())
 	}
 }
+
+// Who a put to an agent's queue wakes. On 4x4, p0 homes block A and p3, on
+// node 1, block B; p4, on node 2, reads A at wkRead, so that its read-req
+// reaches node 0's queue while p0's node-mates p1 and p2 each do one of
+// three things there: compute (parked on its queues in computeQuiet), stall
+// on a miss of its own (a read of B, which p3 serves only when it polls at
+// wkBusy), or charge application time outside any compute, as p0 and p3 do
+// until wkBusy. Every one of them is busy until then. The stalled process
+// goes on the lower CPU: of two processes woken at one instant, the lower
+// CPU's runs first.
+const wkRead, wkBusy = 20_000, 200_000
+
+type wkRole int
+
+const (
+	wkCompute wkRole = iota
+	wkMiss
+	wkCharge
+)
+
+// putWakeRun runs the scenario with p1 and p2 in the given roles and returns
+// the read-req's handle event and the engine's scheduler counters.
+func putWakeRun(t *testing.T, proto string, p1, p2 wkRole) (trace.Event, sim.SchedCounters) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Protocol = proto
+	tr := trace.NewBuffer()
+	s := Build(WithConfig(cfg), WithTrace(tr))
+	var a, b uint64
+	role := func(r wkRole) func(p *Proc) {
+		switch r {
+		case wkCompute:
+			return func(p *Proc) { p.Compute(wkBusy) }
+		case wkMiss:
+			return func(p *Proc) { p.Load(b) }
+		}
+		return func(p *Proc) { p.ChargeTime(CatTask, wkBusy) }
+	}
+	s.Spawn("p0", 0, role(wkCharge))
+	s.Spawn("p1", 1, role(p1))
+	s.Spawn("p2", 2, role(p2))
+	s.Spawn("p3", 4, role(wkCharge))
+	s.Spawn("p4", 8, func(p *Proc) {
+		computeUntil(p, wkRead)
+		p.Load(a)
+	})
+	a = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
+	b = s.Alloc(64, AllocOptions{Home: HomeAt(3)})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var read []trace.Event
+	for _, ev := range tr.TakeBuffered() {
+		if ev.Cat == "msg" && ev.Ev == "handle" && ev.S == "read-req" && ev.O == 4 {
+			read = append(read, ev)
+		}
+	}
+	if len(read) != 1 {
+		t.Fatalf("p4's read-req handled %d times, want once", len(read))
+	}
+	return read[0], s.Eng.SchedCounters()
+}
+
+// TestPutWakesTheProcessesWaitingOnTheQueue: the put of p4's read-req to
+// node 0's queue notifies the processes of the node that wait on it, parked
+// in a compute or stalled on a miss; once one of them takes the message, the
+// other's wake is spared. One charging application time is not waiting:
+// woken or not, it takes nothing before it next polls, and a wake that lands
+// inside its charge is dropped (sim.Proc.Advance), so only the cost of the
+// notification, not its effect, would show.
+//   - p1 charges, p2 computes: p2 alone waits, so the put wakes it early
+//     from its park and it serves the read at its next poll.
+//   - p1 stalls, p2 computes: the put wakes p1 from its stall at the
+//     arrival, and it serves the read there. That spares p2's wake: its park
+//     runs to its end, and no park anywhere ends early.
+func TestPutWakesTheProcessesWaitingOnTheQueue(t *testing.T) {
+	for _, proto := range ProtocolNames() {
+		t.Run(proto, func(t *testing.T) {
+			cfg := testConfig()
+			poll := cfg.PollInterval + cfg.Cost.Poll + cfg.Cost.QueueLock
+			ev, sc := putWakeRun(t, proto, wkCharge, wkCompute)
+			if ev.P != 2 || ev.A <= 0 || ev.A > int64(poll) || ev.T >= wkBusy {
+				t.Errorf("p1 charging: the read-req was handled by p%d at %d, %d cycles after its arrival, want by p2 at its first poll, within %d cycles", ev.P, ev.T, ev.A, poll)
+			}
+			if sc.EarlyWakes != 1 {
+				t.Errorf("p1 charging: %d parks ended early, want 1: the put wakes p2", sc.EarlyWakes)
+			}
+			ev, sc = putWakeRun(t, proto, wkMiss, wkCompute)
+			if ev.P != 1 || ev.A != int64(cfg.Cost.QueueLock) {
+				t.Errorf("p1 stalled on a miss: the read-req was handled by p%d at %d, %d cycles after its arrival, want by p1 at its arrival (%d cycles of queue lock)", ev.P, ev.T, ev.A, cfg.Cost.QueueLock)
+			}
+			if sc.EarlyWakes != 0 {
+				t.Errorf("p1 stalled on a miss: %d parks ended early, want none: p1 took the read, which spares p2's wake", sc.EarlyWakes)
+			}
+		})
+	}
+}

@@ -213,3 +213,38 @@ func TestLockPassageAllocatesNothing(t *testing.T) {
 		checkAllocs(t, got, 0, "a lock passage is a slot step, a hand-off or a message, none of which allocates")
 	})
 }
+
+// TestQueueWaitAllocatesNothing: every way a process waits, on 2x2. Between
+// its turns each process computes, parked on its queues (computeQuiet). p0
+// stores to a block homed at p2 and loads another word of it, which stalls
+// on the store's miss; p1
+// stores to a block homed at p3 and stalls on agent state until the store
+// completes (stallOnAgent). Then each home stores to its block, which takes
+// it back with its data, so every buffer returns to the pool it came from.
+// Waiting is a flag on the process: nothing registers with a queue or an
+// agent.
+func TestQueueWaitAllocatesNothing(t *testing.T) {
+	forEachAllocSystem(t, 2, 2, func(t *testing.T, proto string, build func() *System) {
+		var runs []*System
+		got := allocsPerRound(t, func(rounds int) *System {
+			s := build()
+			runs = append(runs, s)
+			var a, b uint64
+			alternate(s, rounds,
+				func(p *Proc, r int) { p.Store(a, uint64(r)); p.Load(a + 8) },
+				func(p *Proc, r int) {
+					p.Store(b, uint64(r))
+					p.stallOnAgent(CatMBStall, func() bool { return p.outstanding > 0 })
+				},
+				func(p *Proc, r int) { p.Store(a, uint64(r)); p.MemBar() },
+				func(p *Proc, r int) { p.Store(b, uint64(r)); p.MemBar() })
+			a = s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(2)})
+			b = s.Alloc(64, AllocOptions{BlockLines: 1, Home: HomeAt(3)})
+			return s
+		})
+		checkAllocs(t, got, 0, "a wait sets a flag")
+		if p0, p1 := runs[0].procs[0].stats.Time, runs[0].procs[1].stats.Time; p0[CatReadStall] == 0 || p1[CatMBStall] == 0 {
+			t.Errorf("p0 stalled %d cycles on its miss and p1 %d on agent state, want both to stall", p0[CatReadStall], p1[CatMBStall])
+		}
+	})
+}

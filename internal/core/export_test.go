@@ -28,13 +28,27 @@ func (p *Proc) TransitionHolder(addr uint64) *Proc {
 }
 
 // OpenTransitions counts, over every agent, the blocks whose transition lock
-// is held and the processes registered as waiters on agent state.
+// is held, and the processes stalled on agent state (stallOnAgent).
 func (s *System) OpenTransitions() (locked, waiters int) {
 	for _, m := range s.agents {
 		locked += len(m.busy)
-		waiters += len(m.stateWaiters)
+	}
+	for _, p := range s.procs {
+		if p.onAgent {
+			waiters++
+		}
 	}
 	return locked, waiters
+}
+
+// Watching counts the processes watching their queues (watchQueues).
+func (s *System) Watching() (n int) {
+	for _, p := range s.procs {
+		if p.watching {
+			n++
+		}
+	}
+	return n
 }
 
 // FullyQuiescent reports whether no protocol activity is pending anywhere:

@@ -20,3 +20,28 @@ func TestStallInsideHandlerPanics(t *testing.T) {
 		t.Fatalf("a stall inside a fwd-read handler returned %v", err)
 	}
 }
+
+// TestWaitsDoNotNest: a wait is a flag, not a count, because waits never
+// nest. A process that starts watching its queues, or stalling on agent
+// state, while it already does so panics and names itself.
+func TestWaitsDoNotNest(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		wait       func(p *Proc)
+	}{
+		{"watch", "p[0]@n0c0 watches its queues twice", func(p *Proc) {
+			p.watchQueues()
+			p.Compute(10 * p.sys.Cfg.PollInterval)
+		}},
+		{"agent", "p[0]@n0c0 stalls on agent state twice", func(p *Proc) {
+			p.onAgent = true
+			p.stallOnAgent(CatSyncStall, func() bool { return false })
+		}},
+	} {
+		s := Build(WithConfig(testConfig()))
+		s.Spawn("p", 0, c.wait)
+		if err := s.Run(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: a nested wait returned %v, want a panic with %q", c.name, err, c.want)
+		}
+	}
+}

@@ -16,7 +16,8 @@ import (
 // queue inside one — and end fully quiescent (no message left on any queue,
 // the agents' included, no miss or home record open), with no downgrade
 // record open and every MP lock free: none held, no agent queued at its
-// home, every agent's slot idle.
+// home, every agent's slot idle. No process is left waiting: none watches
+// its queues or stalls on agent state.
 // While a handler that sent node-mates downgrade requests waited for their
 // acks, Barnes on dirinval alone handled 3 255 messages inside such waits.
 func TestNoHandlerNests(t *testing.T) {
@@ -41,6 +42,9 @@ func TestNoHandlerNests(t *testing.T) {
 				}
 				if held, queued, slots := sys.OpenLocks(); held+queued+slots != 0 {
 					t.Errorf("%s: %d MP locks held, %d agents queued at a home, %d lock slots not idle", cell, held, queued, slots)
+				}
+				if _, onAgent := sys.OpenTransitions(); onAgent+sys.Watching() != 0 {
+					t.Errorf("%s: %d processes left stalled on agent state, %d watching their queues", cell, onAgent, sys.Watching())
 				}
 			}
 		}

@@ -86,6 +86,10 @@ type Proc struct {
 	overridden bool
 
 	pollGap sim.Time // cycles until the next back-edge poll in Compute
+	// watching says a put to any queue the process serves wakes it
+	// (watchQueues), and onAgent that a node-mate's change to agent state
+	// does (stallOnAgent).
+	watching, onAgent bool
 	// While the process is parked on its queues, what it waits for there
 	// (spareWake): quietStop is the end of the stretch of polls pollQuietly
 	// is taking; stalled says it waits in stallWhile, and poked that a
@@ -234,7 +238,7 @@ func (p *Proc) computeQuiet(c sim.Time) {
 		for c > p.pollGap {
 			c = p.pollQuietly(c)
 		}
-		p.unwatchQueues()
+		p.watching = false
 	}
 	if c > 0 {
 		p.charge(CatTask, c)
@@ -243,7 +247,7 @@ func (p *Proc) computeQuiet(c sim.Time) {
 }
 
 // pollQuietly runs a compute of c cycles, with a poll in it and the process
-// registered on its queues, up to and including the first poll that may find
+// watching its queues, up to and including the first poll that may find
 // something, and returns the cycles of it still to do.
 func (p *Proc) pollQuietly(c sim.Time) sim.Time {
 	s := p.sys
@@ -456,22 +460,25 @@ func (p *Proc) localFill(line int) bool {
 }
 
 // stallOnAgent is stallWhile for conditions over this agent's shared state
-// (pending fills, transition locks): the stalled process registers as an
-// agent state-waiter so completions wake it — and only it — rather than
-// broadcasting to every local process.
+// (pending fills, transition locks): the stalled process sets its onAgent
+// flag so completions wake it — and only it — rather than every local
+// process (notifyAgentWaiters). A flag needs no count: such stalls never
+// nest, since a handler never stalls (stallWhile); one that would panics.
 func (p *Proc) stallOnAgent(cat TimeCategory, cond func() bool) {
-	p.mem.stateWaiters[p]++
-	p.stallWhile(cat, cond)
-	if p.mem.stateWaiters[p]--; p.mem.stateWaiters[p] <= 0 {
-		delete(p.mem.stateWaiters, p)
+	if p.onAgent {
+		panic(fmt.Sprintf("core: %s stalls on agent state twice", p))
 	}
+	p.onAgent = true
+	p.stallWhile(cat, cond)
+	p.onAgent = false
 }
 
-// notifyAgentWaiters wakes local processes stalled on agent state.
+// notifyAgentWaiters wakes the local processes stalled on agent state, in
+// the order they were built.
 func (p *Proc) notifyAgentWaiters() {
 	now := p.Sim.Now()
-	for q := range p.mem.stateWaiters {
-		if q != p {
+	for _, q := range p.sys.localProcs(p.agent) {
+		if q.onAgent && q != p {
 			q.wake(now)
 		}
 	}
@@ -759,9 +766,8 @@ func (p *Proc) stallWhile(cat TimeCategory, cond func() bool) {
 	}
 	prevOv, prevCat := p.overridden, p.override
 	p.overridden, p.override = true, cat
-	defer func() { p.overridden, p.override = prevOv, prevCat }()
 	p.watchQueues()
-	defer p.unwatchQueues()
+	defer func() { p.overridden, p.override, p.watching = prevOv, prevCat, false }()
 	for cond() {
 		if p.serviceReady(cat) {
 			continue
@@ -786,23 +792,15 @@ func (p *Proc) procBox() *queueBox {
 	return p.sys.cpus[p.cpu].reqQ
 }
 
-// watchQueues registers the process as a waiter on every queue it serves —
-// its reply queue, procBox and its agent's queue if there is one — so that a
-// message put on any of them wakes it; unwatchQueues undoes it.
+// watchQueues has a message put on any queue the process serves — its reply
+// queue, procBox and its agent's queue if there is one, each of which lists
+// it from its construction (newProc) — wake it, until it clears watching.
+// Waits never nest (stallWhile); one that would panics.
 func (p *Proc) watchQueues() {
-	p.replyQ.addWaiter(p)
-	p.procBox().addWaiter(p)
-	if a := p.mem.reqQ; a != nil {
-		a.addWaiter(p)
+	if p.watching {
+		panic(fmt.Sprintf("core: %s watches its queues twice", p))
 	}
-}
-
-func (p *Proc) unwatchQueues() {
-	p.replyQ.removeWaiter(p)
-	p.procBox().removeWaiter(p)
-	if a := p.mem.reqQ; a != nil {
-		a.removeWaiter(p)
-	}
+	p.watching = true
 }
 
 // nextArrival returns the earliest queued arrival on any watched queue.
@@ -969,7 +967,7 @@ func fillFlag(mem *agentMem, line, wordsPerLine int) {
 func (p *Proc) serveAfterExit() {
 	s := p.sys
 	p.watchQueues()
-	defer p.unwatchQueues()
+	defer func() { p.watching = false }()
 	backoff := sim.Cycles(20)
 	const maxBackoff = sim.Time(3000 * sim.CyclesPerMicrosecond)
 	for s.appAlive(p.Sim.Now(), p.node) || p.owed() {

@@ -256,10 +256,6 @@ type agentMem struct {
 	// its request to its fill) or a downgrade (its record, dgs) holds it.
 	busy map[int]*Proc
 	dgs  []dgRecord // open downgrade records, at most one per block
-	// stateWaiters are local processes stalled on an agent-level state
-	// change (pending fills, transition locks); only these are woken when
-	// a transition completes.
-	stateWaiters map[*Proc]int
 	// protoData holds the coherence backend's per-agent state (tardis:
 	// lease records and tenure timestamps). On the agent — not in a
 	// backend-global map — for the same shard-locality reason as
@@ -285,8 +281,8 @@ type agentMem struct {
 // allocated prefix (see growLines), and its slot to every MP lock.
 func (s *System) newAgent() *agentMem {
 	m := &agentMem{
-		agent: len(s.agents),
-		busy:  make(map[int]*Proc), stateWaiters: make(map[*Proc]int),
+		agent:   len(s.agents),
+		busy:    make(map[int]*Proc),
 		bufFree: make(map[int][][]uint64),
 	}
 	if s.Cfg.SharedQueues {

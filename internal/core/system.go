@@ -21,12 +21,16 @@ import (
 	"repro/internal/trace"
 )
 
-// queueBox couples a receive queue with the processes waiting on it, in
-// registration order. Waiter registrations are reference-counted because
-// stalls nest (a message handler run inside one stall may itself stall).
+// queueBox couples a receive queue with the processes that serve it, in the
+// order they were built: its process for a reply queue or a private request
+// queue, the processes of its CPU for a CPU's queue, and those of its node
+// for an agent's. The list is fixed when each process is built (newProc); a
+// process waits on its boxes by setting its watching flag (watchQueues), so
+// waiting costs neither a registration nor a scan. A flag needs no count:
+// waits never nest, since a handler never stalls (stallWhile).
 type queueBox struct {
 	q       memchannel.Queue[msg]
-	waiters []queueWaiter
+	waiters []*Proc
 	// shared marks an agent's queue, which several processes wait on and
 	// any one of them serves: every put wakes them all, and whichever looks
 	// first takes the message (Proc.serviceReady), which then spares the
@@ -34,19 +38,18 @@ type queueBox struct {
 	shared bool
 }
 
-type queueWaiter struct {
-	p    *Proc
-	refs int
-}
-
 func newQueueBox() *queueBox {
 	return &queueBox{}
 }
 
+// put queues m and wakes, for its arrival, each process on the box that is
+// watching its queues.
 func (b *queueBox) put(m msg, arrive sim.Time, ord memchannel.Ord) {
 	b.q.PutOrd(m, arrive, ord)
-	for i := range b.waiters {
-		b.waiters[i].p.Sim.NotifyAt(arrive)
+	for _, q := range b.waiters {
+		if q.watching {
+			q.Sim.NotifyAt(arrive)
+		}
 	}
 }
 
@@ -54,31 +57,9 @@ func (b *queueBox) put(m msg, arrive sim.Time, ord memchannel.Ord) {
 // woken for it too, will find nothing, so each that is parked on its queues
 // sleeps on to when it next has something to do (Proc.spareWake).
 func (b *queueBox) spare(p *Proc) {
-	for i := range b.waiters {
-		if q := b.waiters[i].p; q != p {
+	for _, q := range b.waiters {
+		if q != p && q.watching {
 			q.spareWake()
-		}
-	}
-}
-
-func (b *queueBox) addWaiter(p *Proc) {
-	for i := range b.waiters {
-		if b.waiters[i].p == p {
-			b.waiters[i].refs++
-			return
-		}
-	}
-	b.waiters = append(b.waiters, queueWaiter{p, 1}) // reaches the number of processes that wait on the box at once, then reuses its capacity
-}
-
-func (b *queueBox) removeWaiter(p *Proc) {
-	for i := range b.waiters {
-		if b.waiters[i].p == p {
-			if b.waiters[i].refs--; b.waiters[i].refs <= 0 {
-				copy(b.waiters[i:], b.waiters[i+1:])
-				b.waiters = b.waiters[:len(b.waiters)-1]
-			}
-			return
 		}
 	}
 }
@@ -403,8 +384,9 @@ func (s *System) SpawnAt(name string, cpu int, start sim.Time, body func(*Proc))
 	return s.spawn(name, cpu, 0, start, body)
 }
 
-// newProc makes the next process, on the given CPU, and gives it its memory
-// and queues; the sim.Proc is the caller's to attach.
+// newProc makes the next process, on the given CPU, gives it its memory and
+// queues, and puts it on the waiter list of each queue it serves (queueBox);
+// the sim.Proc is the caller's to attach.
 func (s *System) newProc(name string, cpu int) *Proc {
 	if s.Cfg.SMP && len(s.procs) >= math.MaxUint8 {
 		panic("core: SMP-Shasta takes at most 255 processes (the requester record is a byte each)")
@@ -433,6 +415,12 @@ func (s *System) newProc(name string, cpu int) *Proc {
 	}
 	s.sizePriv(p)
 	p.agent = s.agentOf(p)
+	p.replyQ.waiters = append(p.replyQ.waiters, p)
+	box := p.procBox()
+	box.waiters = append(box.waiters, p)
+	if a := p.mem.reqQ; a != nil {
+		a.waiters = append(a.waiters, p)
+	}
 	s.procs = append(s.procs, p)
 	s.nodeProcs[p.node] = append(s.nodeProcs[p.node], p)
 	s.cpus[cpu].procs++
@@ -474,7 +462,7 @@ func (s *System) spawnProtocolProcs() {
 						p.Sim.NotifyAt(p.Sim.Now() + sim.Cycles(100))
 						p.Sim.Wait()
 					}
-					p.unwatchQueues()
+					p.watching = false
 				}
 				p.Sim.YieldCPU()
 			}
