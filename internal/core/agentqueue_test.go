@@ -99,11 +99,10 @@ func TestAgentQueueAckRetiresRetransmit(t *testing.T) {
 
 // TestExitedProcessServesMessageOnTheWire: a process that has exited keeps
 // serving while a message an application process sent it before exiting is
-// on its way. On two 1-CPU nodes p0 exits at once and serves after its exit,
-// waking 6 000, 12 000, 24 000, ... cycles apart; p1 sends it a user message
-// and exits at sentAt. p1's exit is visible on node 0 a wire latency later,
-// 80 cycles before the message arrives, and p0's backoff wakes it at 18 000,
-// between the two: it must sleep on and serve the message.
+// on its way. On two 1-CPU nodes p0 exits at once and parks on its queues;
+// p1 sends it a user message and exits at sentAt, so that every application
+// process has exited while the message is on the wire. The put wakes p0,
+// which serves it, and Run requires the run to end with it served.
 func TestExitedProcessServesMessageOnTheWire(t *testing.T) {
 	const sentAt = 16_760
 	cfg := testConfig()
@@ -122,8 +121,8 @@ func TestExitedProcessServesMessageOnTheWire(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if handled != 1 || !s.fullyQuiescent() {
-		t.Errorf("the exited p0 handled %d user messages, want 1; fully quiescent %v", handled, s.fullyQuiescent())
+	if handled != 1 {
+		t.Errorf("the exited p0 handled %d user messages, want 1", handled)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/memchannel"
 	"repro/internal/sim"
@@ -247,76 +248,143 @@ func (p *Proc) mshrBlocks() []int {
 	return blks
 }
 
-// dumpProtocolState describes protocol state for watchdog stall dumps: per
-// process, outstanding misses and the requests deferred behind them, open
-// downgrade records, pending queue contents; per
-// block whose home record is not at rest, the busy window and its queue. It
+// dumpProtocolState describes protocol state for watchdog stall dumps: every
+// process, whether it has exited or is in protocol code and the work it has
+// open (Proc.openWork), then the work open elsewhere (System.openWork). It
 // describes a run that is ending.
 func (s *System) dumpProtocolState() string {
 	out := "protocol state:"
 	for _, p := range s.procs {
-		line := fmt.Sprintf("\n  %s", p)
+		out += "\n  " + p.String()
 		if p.exited {
-			line += " exited"
+			out += " exited"
 		}
 		if p.inProtocol {
-			line += " in-protocol"
+			out += " in-protocol"
 		}
-		if p.outstanding > 0 {
-			line += fmt.Sprintf(" outstanding=%d mshr=[", p.outstanding)
-			for _, blk := range p.mshrBlocks() {
-				line += fmt.Sprintf("%d(%v)", blk, p.mshr[blk])
-			}
-			line += "]"
-		}
-		for _, m := range p.deferredReqs {
-			line += fmt.Sprintf(" deferred[%d]=%s:p%d", m.block, m.kind, m.reqProc)
-		}
-		for _, r := range p.mem.dgs {
-			if r.opener == p.ID {
-				line += fmt.Sprintf(" downgrade[%d]=%d", r.block, r.pending)
-			}
-		}
-		if n := p.replyQ.q.Len(); n > 0 {
-			line += fmt.Sprintf(" replyQ=%d", n)
-		}
-		var unacked int
-		for _, e := range p.retx {
-			if !e.acked {
-				unacked++
-			}
-		}
-		if unacked > 0 {
-			line += fmt.Sprintf(" unacked-sends=%d", unacked)
-		}
-		if !s.Cfg.SharedQueues && p.reqQ != nil {
-			if n := p.reqQ.q.Len(); n > 0 {
-				line += fmt.Sprintf(" reqQ=%d", n)
-			}
-		}
-		out += line
+		out += p.openWork()
 	}
-	if s.Cfg.SharedQueues {
-		for i, c := range s.cpus {
-			if n := c.reqQ.q.Len(); n > 0 {
-				out += fmt.Sprintf("\n  cpu%d sharedQ=%d", i, n)
-			}
-		}
-		for a, mem := range s.agents {
-			if n := mem.reqQ.q.Len(); n > 0 {
-				out += fmt.Sprintf("\n  agent%d agentQ=%d", a, n)
-			}
-		}
-	}
-	for _, blk := range s.blocks {
-		if s.blockQuiet(blk) {
-			continue
-		}
-		h, busy := &s.homes[blk.id], ""
-		if h.busy {
-			busy = " busy"
-		}
-		out += fmt.Sprintf("\n  block %d:%s owner=%d pending=%d queued=%d", blk.id, busy, h.owner, h.pendingOwner, len(h.queue))
+	for _, w := range s.openWork() {
+		out += "\n  " + w
 	}
 	return out
+}
+
+// QuiescenceError reports a run that ended with protocol work left over,
+// one item of it per entry: a process's, or one open elsewhere.
+type QuiescenceError struct{ Left []string }
+
+func (e *QuiescenceError) Error() string {
+	return "core: the run ended with work left: " + strings.Join(e.Left, "; ")
+}
+
+// quiescent returns a QuiescenceError listing the protocol work left open
+// anywhere, nil if there is none.
+func (s *System) quiescent() error {
+	var left []string
+	for _, p := range s.procs {
+		if w := p.openWork(); w != "" {
+			left = append(left, p.String()+w)
+		}
+	}
+	if left = append(left, s.openWork()...); left == nil {
+		return nil
+	}
+	return &QuiescenceError{Left: left}
+}
+
+// openWork describes the protocol work p has open, "" if none: its misses
+// and the requests deferred behind them, the downgrade records it opened,
+// the messages on its own queues by kind, and its live retransmit entries.
+func (p *Proc) openWork() string {
+	out := ""
+	if p.outstanding > 0 {
+		out += fmt.Sprintf(" outstanding=%d mshr=[", p.outstanding)
+		for _, blk := range p.mshrBlocks() {
+			out += fmt.Sprintf("%d(%v)", blk, p.mshr[blk])
+		}
+		out += "]"
+	}
+	for _, m := range p.deferredReqs {
+		out += fmt.Sprintf(" deferred[%d]=%s:p%d", m.block, m.kind, m.reqProc)
+	}
+	for _, r := range p.mem.dgs {
+		if r.opener == p.ID {
+			out += fmt.Sprintf(" downgrade[%d]=%d", r.block, r.pending)
+		}
+	}
+	if q := queued(p.replyQ); q != "" {
+		out += " replyQ=" + q
+	}
+	if q := queued(p.reqQ); q != "" {
+		out += " reqQ=" + q
+	}
+	unacked := 0
+	for _, e := range p.retx {
+		if !e.acked {
+			unacked++
+		}
+	}
+	if unacked > 0 {
+		out += fmt.Sprintf(" unacked-sends=%d", unacked)
+	}
+	return out
+}
+
+// openWork lists the protocol work open outside the processes, one item
+// each: the shared queues' messages by kind, the arrivals resequencers
+// hold, the home records not at rest, and the MP locks held or queued for.
+func (s *System) openWork() (left []string) {
+	add := func(format string, args ...any) { left = append(left, fmt.Sprintf(format, args...)) }
+	for i, c := range s.cpus {
+		if q := queued(c.reqQ); q != "" {
+			add("cpu%d sharedQ=%s", i, q)
+		}
+	}
+	for a, mem := range s.agents {
+		if q := queued(mem.reqQ); q != "" {
+			add("agent%d agentQ=%s", a, q)
+		}
+	}
+	held := 0
+	for _, r := range s.reseq {
+		if r != nil {
+			held += len(r.held)
+		}
+	}
+	if held > 0 {
+		add("resequencers hold %d arrivals", held)
+	}
+	for _, blk := range s.blocks {
+		if h := &s.homes[blk.id]; !s.blockQuiet(blk) {
+			add("block %d: busy=%v owner=%d pending=%d queued=%d", blk.id, h.busy, h.owner, h.pendingOwner, len(h.queue))
+		}
+	}
+	for _, lk := range s.locks {
+		if lk.held || len(lk.waiters) > 0 {
+			add("MP lock %d: held=%v queued=%v", lk.id, lk.held, lk.waiters)
+		}
+		for a, sl := range lk.slots {
+			if sl.busy || len(sl.waiters) > 0 {
+				add("MP lock %d agent%d slot: busy=%v queued=%v", lk.id, a, sl.busy, sl.waiters)
+			}
+		}
+	}
+	return left
+}
+
+// queued describes the messages on a queue by kind, "" if it has none.
+func queued(b *queueBox) string {
+	if b == nil || b.q.Len() == 0 {
+		return ""
+	}
+	kinds := make([]int, len(msgKindNames))
+	b.q.Each(func(m msg, _ sim.Time) { kinds[m.kind]++ })
+	var out []string
+	for k, n := range kinds {
+		if n > 0 {
+			out = append(out, fmt.Sprintf("%d %s", n, msgKind(k)))
+		}
+	}
+	return "[" + strings.Join(out, ", ") + "]"
 }

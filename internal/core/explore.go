@@ -523,10 +523,10 @@ func (e *Explorer) Done() bool {
 }
 
 // Terminal reports a clean final state: programs done, no message in
-// flight, and the system fully quiescent (no miss outstanding, no deferred
-// request, every home record at rest).
+// flight, and the system at rest (System.quiescent: nothing queued, no miss
+// outstanding, no deferred request, every home record at rest).
 func (e *Explorer) Terminal() bool {
-	return e.Done() && e.linksEmpty() && e.sys.fullyQuiescent()
+	return e.Done() && e.linksEmpty() && e.sys.quiescent() == nil
 }
 
 // linksEmpty reports whether no message is in flight on any link.

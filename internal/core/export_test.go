@@ -50,32 +50,3 @@ func (s *System) Watching() (n int) {
 	}
 	return n
 }
-
-// FullyQuiescent reports whether no protocol activity is pending anywhere:
-// the condition under which CheckInvariants runs its full check.
-func (s *System) FullyQuiescent() bool { return s.fullyQuiescent() }
-
-// OpenDowngrades counts the downgrade records still open, over every agent.
-func (s *System) OpenDowngrades() (n int) {
-	for _, m := range s.agents {
-		n += len(m.dgs)
-	}
-	return n
-}
-
-// OpenLocks counts the MP locks held, the agents queued at the locks' homes
-// and the lock slots not idle: marked, with waiters, or with a streak.
-func (s *System) OpenLocks() (held, queued, slots int) {
-	for _, lk := range s.locks {
-		if lk.held {
-			held++
-		}
-		queued += len(lk.waiters)
-		for _, sl := range lk.slots {
-			if sl.busy || len(sl.waiters) > 0 || sl.streak != 0 {
-				slots++
-			}
-		}
-	}
-	return held, queued, slots
-}

@@ -6,7 +6,8 @@ package core
 // with itself). checkLight holds what is true at any instant; checkFull
 // what is true once every transition in flight has landed, which the
 // explorer can discount at any state because it sees them, and the live
-// system only when there are none (fullyQuiescent).
+// system only when there are none: at the end of a run, which Run requires
+// to be at rest (quiescent).
 //
 // A nil *Explorer is the live view: nothing in flight, no ghost memory,
 // nothing disabled (busyJustified, invalPending and disabled are false on a
@@ -47,17 +48,16 @@ func violated(inv, format string, args ...any) *InvariantError {
 	return &InvariantError{inv, fmt.Sprintf(format, args...)}
 }
 
-// CheckInvariants verifies the catalogue against the live system: the
-// light half always, the full half when the system is fully quiescent.
-// Returns nil when inline checks are disabled (Cfg.Checks off means
-// application code writes shared memory without coherence, so the
-// invariants cannot hold by construction).
+// CheckInvariants verifies the whole catalogue against the live system, as
+// Run leaves it: at rest, with nothing in flight. Returns nil when inline
+// checks are disabled (Cfg.Checks off means application code writes shared
+// memory without coherence, so the invariants cannot hold by construction).
 func (s *System) CheckInvariants() error {
 	if !s.Cfg.Checks {
 		return nil
 	}
 	v := s.checkLight(nil)
-	if v == nil && s.fullyQuiescent() {
+	if v == nil {
 		v = s.checkFull(nil)
 	}
 	if v == nil {
@@ -186,50 +186,6 @@ func (s *System) fillInFlight(a int, blk *blockInfo, st LineState) bool {
 		}
 	}
 	return false
-}
-
-// fullyQuiescent reports whether no protocol activity is pending
-// anywhere: no outstanding miss, deferred request, unacknowledged
-// retransmission, queued message (delivered or resequencer-held), or home
-// record not at rest (busy, or with requests queued).
-func (s *System) fullyQuiescent() bool {
-	for _, p := range s.procs {
-		if p.outstanding != 0 || len(p.deferredReqs) > 0 {
-			return false
-		}
-		if p.replyQ.q.Len() > 0 {
-			return false
-		}
-		if p.reqQ != nil && p.reqQ.q.Len() > 0 {
-			return false
-		}
-		for _, rt := range p.retx {
-			if !rt.acked {
-				return false
-			}
-		}
-	}
-	for _, c := range s.cpus {
-		if c.reqQ != nil && c.reqQ.q.Len() > 0 {
-			return false
-		}
-	}
-	for _, mem := range s.agents {
-		if mem.reqQ != nil && mem.reqQ.q.Len() > 0 {
-			return false
-		}
-	}
-	for _, r := range s.reseq {
-		if r != nil && len(r.held) > 0 {
-			return false
-		}
-	}
-	for _, blk := range s.blocks {
-		if !s.blockQuiet(blk) {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *System) fillDeferred(line int) bool {

@@ -13,11 +13,10 @@ import (
 // 4-CPU nodes of SMP-Shasta, message-passing and shared-memory
 // synchronization), on both backends, finish with no handler stalling — a
 // stall inside a handler panics (stallWhile), so no message is taken off a
-// queue inside one — and end fully quiescent (no message left on any queue,
-// the agents' included, no miss or home record open), with no downgrade
-// record open and every MP lock free: none held, no agent queued at its
-// home, every agent's slot idle. No process is left waiting: none watches
-// its queues or stalls on agent state.
+// queue inside one — and end at rest, which Run checks (no message left on
+// any queue, no miss, home record or downgrade record open, every MP lock
+// free). No process is left waiting: none watches its queues or stalls on
+// agent state.
 // While a handler that sent node-mates downgrade requests waited for their
 // acks, Barnes on dirinval alone handled 3 255 messages inside such waits.
 func TestNoHandlerNests(t *testing.T) {
@@ -33,15 +32,6 @@ func TestNoHandlerNests(t *testing.T) {
 				}
 				if sys.Cfg.Nodes != 4 || !sys.Cfg.SMP {
 					t.Fatalf("%s: %d nodes, SMP %v, want Figure 3's four SMP nodes", cell, sys.Cfg.Nodes, sys.Cfg.SMP)
-				}
-				if !sys.FullyQuiescent() {
-					t.Errorf("%s: the run ends with protocol activity pending", cell)
-				}
-				if open := sys.OpenDowngrades(); open != 0 {
-					t.Errorf("%s: %d downgrade records open", cell, open)
-				}
-				if held, queued, slots := sys.OpenLocks(); held+queued+slots != 0 {
-					t.Errorf("%s: %d MP locks held, %d agents queued at a home, %d lock slots not idle", cell, held, queued, slots)
 				}
 				if _, onAgent := sys.OpenTransitions(); onAgent+sys.Watching() != 0 {
 					t.Errorf("%s: %d processes left stalled on agent state, %d watching their queues", cell, onAgent, sys.Watching())

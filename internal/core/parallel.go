@@ -17,10 +17,10 @@ import (
 //     queues, agents, and directory entries);
 //   - route every trace emit to the acting process's node so concurrent
 //     shards never share a tracer, and merge the per-node buffers into the
-//     main tracer at each barrier;
-//   - replace the global live-application-process counter with an exit log
-//     read through the network's visibility latency, so both engines see
-//     remote exits at the same simulated time.
+//     main tracer at each barrier.
+//
+// Exits need nothing here: an exited process serves until the whole run is
+// at rest (sim.Proc.Serve), which the drivers decide between windows.
 //
 // Everything here is inert (nil s.par, active=false) unless the system was
 // built WithEngine.
@@ -163,46 +163,4 @@ func (s *System) finishParallel() {
 	}
 	s.commitRound()
 	s.par.active = false
-}
-
-// appExit records one application process exit for appAlive.
-type appExit struct {
-	at   sim.Time
-	node int
-}
-
-// noteAppExit logs an application process exit. The mutex makes the append
-// safe against concurrent appAlive readers in other shards; determinism is
-// unaffected because an exit is never visible across nodes within the
-// window it happens in (see appAlive).
-func (s *System) noteAppExit(at sim.Time, node int) {
-	s.exitMu.Lock()
-	s.appExits = append(s.appExits, appExit{at: at, node: node})
-	s.exitMu.Unlock()
-}
-
-// appAlive reports whether any application process is still running from
-// the point of view of an observer on the given node at time now. A local
-// exit is visible immediately; a remote exit only after the network's
-// minimum cross-node latency — the mechanism a real cluster would use
-// (Shasta's exit handshake is a message). Both engines apply the same
-// rule, so protocol-serving loops terminate at identical simulated times;
-// under the parallel engine a remote exit inside the current window is
-// never visible yet (its time + latency is at or past the horizon), making
-// the log race-benign.
-func (s *System) appAlive(now sim.Time, node int) bool {
-	s.exitMu.Lock()
-	defer s.exitMu.Unlock()
-	visible := 0
-	lat := s.Cfg.Net.WireLatency
-	for _, e := range s.appExits {
-		if e.node == node {
-			if e.at <= now {
-				visible++
-			}
-		} else if e.at+lat <= now {
-			visible++
-		}
-	}
-	return s.appStarted > visible
 }

@@ -846,27 +846,6 @@ func (p *Proc) spareWake() {
 	p.Sim.DelayWake(t)
 }
 
-// owed reports whether protocol work is still owed to the process: a miss
-// of its own in flight, or a message on a queue it serves that has arrived
-// or that an application process sent before it exited, one still on the
-// wire included. Once no application process is visibly alive, every such
-// message on its way is already queued, on either engine: its sender's exit
-// is visible at least a wire latency after the send (System.appAlive). A
-// message a process sent after its own exit counts only once it arrives.
-func (p *Proc) owed() bool {
-	if p.outstanding > 0 {
-		return true
-	}
-	now, owes := p.Sim.Now(), false
-	has := func(m msg, at sim.Time) { owes = owes || m.live || at <= now }
-	p.replyQ.q.Each(has)
-	p.procBox().q.Each(has)
-	if a := p.mem.reqQ; a != nil {
-		a.q.Each(has)
-	}
-	return owes
-}
-
 // serviceReady pops and services one ready message: from the reply queue
 // first, then the earlier arrival of procBox and the agent's queue (procBox
 // on a tie); it reports whether anything was handled.
@@ -957,37 +936,22 @@ func fillFlag(mem *agentMem, line, wordsPerLine int) {
 	}
 }
 
-// serveAfterExit keeps the Shasta process alive after the application
-// process terminates, continuing to serve requests for its protocol and
-// application data (§4.3.3): while an application process is alive, and
-// while work is owed to it (owed), such as the replies to a store it left
-// in flight or a last release sent to it before its sender exited. A
-// terminated process that receives no requests sleeps for successively
-// longer periods so as not to take CPU time from active processes.
+// serveAfterExit keeps the Shasta process serving requests for its
+// protocol and application data after the application process terminates
+// (§4.3.3). It waits on its queues as a stall does, off its CPU: the run
+// ends when it and every other process have nothing left to do
+// (sim.Proc.Serve), so it never returns.
 func (p *Proc) serveAfterExit() {
-	s := p.sys
 	p.watchQueues()
 	defer func() { p.watching = false }()
-	backoff := sim.Cycles(20)
-	const maxBackoff = sim.Time(3000 * sim.CyclesPerMicrosecond)
-	for s.appAlive(p.Sim.Now(), p.node) || p.owed() {
+	for {
 		if p.serviceReady(CatMessage) {
-			backoff = sim.Cycles(20)
 			continue
 		}
-		// Re-arm from queue state before blocking (like stallWhile): the
-		// put-time notification is edge-triggered and a backoff wake-up
-		// between a message's send and its arrival would consume it,
-		// leaving the message to the (much later) next backoff expiry.
-		wake := p.Sim.Now() + backoff
-		if a, ok := p.nextArrival(); ok && a < wake {
-			wake = a
+		if a, ok := p.nextArrival(); ok {
+			p.Sim.NotifyAt(a)
 		}
-		p.Sim.NotifyAt(wake)
-		p.Sim.Block()
-		if backoff < maxBackoff {
-			backoff *= 2
-		}
+		p.Sim.Serve()
 	}
 }
 

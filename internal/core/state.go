@@ -196,9 +196,6 @@ type msg struct {
 	// retransmit entry (see handleNetAck). Host-side only: never encoded,
 	// never charged on the wire.
 	retained bool
-	// live marks a message an application process sent before it exited
-	// (Proc.owed). Host-side only, like retained.
-	live bool
 }
 
 // headerBytes is the wire size of a message without data payload.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/memchannel"
 	"repro/internal/sim"
@@ -120,12 +121,12 @@ type System struct {
 
 	userHandler UserHandler
 
-	// appStarted counts application (non-protocol) processes; appExits
-	// logs their exits, read through appAlive with cross-node visibility
-	// latency (see parallel.go).
-	appStarted int
-	exitMu     sync.Mutex
-	appExits   []appExit
+	// appRunning counts the application processes that have not exited,
+	// for the protocol processes (ProtocolProcs): a system that has them
+	// runs its processes in global time order, so the count is exact when
+	// they read it. It is atomic because under a Runner application
+	// processes of different nodes exit concurrently.
+	appRunning atomic.Int64
 	started    bool
 
 	// par holds the parallel-engine staging state when built WithEngine.
@@ -430,7 +431,7 @@ func (s *System) newProc(name string, cpu int) *Proc {
 func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func(*Proc)) *Proc {
 	p := s.newProc(name, cpu)
 	if priority == 0 {
-		s.appStarted++
+		s.appRunning.Add(1)
 	}
 	wrapped := func(sp *sim.Proc) {
 		p.Sim = sp
@@ -438,9 +439,9 @@ func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func
 		body(p)
 		p.exited = true
 		if priority == 0 {
-			s.noteAppExit(sp.Now(), p.node)
-			p.serveAfterExit()
+			s.appRunning.Add(-1)
 		}
+		p.serveAfterExit()
 	}
 	p.Sim = s.Eng.SpawnAt(name, cpu, priority, start, wrapped)
 	p.Sim.Data = p
@@ -450,18 +451,16 @@ func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func
 // spawnProtocolProcs creates one low-priority protocol process per CPU
 // (§4.3.2's general solution): it serves incoming requests, its CPU's and
 // its agent's, whenever all application processes on its CPU are blocked or
-// descheduled.
+// descheduled, polling every 100 µs while an application process runs, and
+// then serves on as an exited process does.
 func (s *System) spawnProtocolProcs() {
 	for cpu := 0; cpu < s.Eng.NumCPUs(); cpu++ {
-		cpu := cpu
 		s.spawn(fmt.Sprintf("proto%d", cpu), cpu, 1, 0, func(p *Proc) {
-			for s.appAlive(p.Sim.Now(), p.node) {
+			for s.appRunning.Load() > 0 {
 				if !p.serviceReady(CatMessage) {
 					p.watchQueues()
-					if s.appAlive(p.Sim.Now(), p.node) {
-						p.Sim.NotifyAt(p.Sim.Now() + sim.Cycles(100))
-						p.Sim.Wait()
-					}
+					p.Sim.NotifyAt(p.Sim.Now() + sim.Cycles(100))
+					p.Sim.Wait()
 					p.watching = false
 				}
 				p.Sim.YieldCPU()
@@ -470,7 +469,10 @@ func (s *System) spawnProtocolProcs() {
 	}
 }
 
-// Run executes the cluster until all application processes finish.
+// Run executes the cluster until all application processes have finished
+// and no process has protocol work left. A run that ends otherwise with
+// work left over fails with a QuiescenceError; one that ends at rest is
+// held to the whole invariant catalogue.
 func (s *System) Run() error {
 	if s.started {
 		return fmt.Errorf("core: system already ran")
@@ -483,6 +485,9 @@ func (s *System) Run() error {
 	// Commit any staged state left from the final parallel window (and
 	// trace events emitted during tear-down) before accounting runs.
 	s.finishParallel()
+	if err == nil {
+		err = s.quiescent()
+	}
 	if err == nil {
 		err = s.CheckInvariants()
 	}
@@ -777,7 +782,6 @@ func (s *System) sendWire(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 		sender.charge(cat, s.Cfg.Cost.QueueLock)
 	}
 	sender.stats.N[CntMessagesSent]++
-	m.live = sender.Sim.Priority == 0 && !sender.exited
 	size := m.wireSize(s.Cfg.LineSize)
 	now := sender.Sim.Now()
 	a1, a2, copies := s.Net.Send(sender.node, dst.node, size, now)

@@ -51,6 +51,9 @@ type Proc struct {
 	// charged work, which the stall watchdog credits at its wake (or when it
 	// is about to trip, see creditParkedWork).
 	working bool
+	// serving marks a process parked in Serve: with no wake pending it has
+	// nothing left to do, and the run may end without it (idle).
+	serving bool
 	abort   bool
 	// external marks a process driven from outside Engine.Run, never
 	// scheduled; stepping is set while Step runs its body, the one place it
@@ -230,6 +233,22 @@ func (p *Proc) Block() {
 	p.state = stateBlocked
 	p.sleeping = true
 	p.yieldBack()
+}
+
+// Serve parks the process as Block does, for a server that has nothing to
+// do until it is notified. While it is parked with no wake pending it is
+// idle: the run ends once every process has finished or is idle, and the
+// engine then retires it with its exit event at its own clock, without
+// resuming it.
+func (p *Proc) Serve() {
+	p.serving = true
+	p.Block()
+	p.serving = false
+}
+
+// idle reports whether the process is parked in Serve with no wake pending.
+func (p *Proc) idle() bool {
+	return p.serving && p.state == stateBlocked && p.wakeAt >= Forever
 }
 
 // Sleep blocks the process for d cycles, releasing the CPU.

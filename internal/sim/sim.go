@@ -496,9 +496,10 @@ func (e *Engine) ExternalProc(name string, cpu int, body func(*Proc)) *Proc {
 	}
 }
 
-// Run drives the simulation until every process has finished, a process
-// panics, deadlock is detected, or MaxTime is exceeded. With a Runner
-// installed, Run delegates the schedule to it (tear-down stays here).
+// Run drives the simulation until every process has finished or is idle in
+// Serve, a process panics, deadlock is detected, or MaxTime is exceeded.
+// With a Runner installed, Run delegates the schedule to it (tear-down stays
+// here).
 func (e *Engine) Run() error {
 	defer e.drain()
 	var err error
@@ -508,6 +509,9 @@ func (e *Engine) Run() error {
 		e.inRounds = false
 	} else {
 		err = e.drive()
+	}
+	if err == nil {
+		e.retireIdle()
 	}
 	// Every shard is parked now, so the dump is a consistent snapshot.
 	var over *MaxTimeError
@@ -620,14 +624,25 @@ func (e *Engine) GlobalMinEffective() Time {
 	return m
 }
 
-// AllDone reports whether every process has finished.
+// AllDone reports whether every process has finished or is idle in Serve.
 func (e *Engine) AllDone() bool { return e.allDone() }
+
+// retireIdle emits the exit event of each process left idle in Serve, at
+// its own clock, as the scheduler does for one that returns; drain then
+// unwinds it.
+func (e *Engine) retireIdle() {
+	for _, p := range e.procs {
+		if tr := p.cpu.shard.tracer; tr != nil && p.state != stateDone {
+			tr.Emit(trace.Event{T: p.now, Cat: "sched", Ev: "exit", P: p.ID, O: p.cpu.id, S: p.Name})
+		}
+	}
+}
 
 // DeadlockError builds the all-blocked diagnostic error.
 func (e *Engine) DeadlockError() error {
 	var stuck []string
 	for _, p := range e.procs {
-		if p.state != stateDone {
+		if p.state != stateDone && !p.idle() {
 			stuck = append(stuck, fmt.Sprintf("%s[%d] %s t=%d wake=%d", p.Name, p.ID, p.state, p.now, p.wakeAt))
 		}
 	}
@@ -1173,7 +1188,7 @@ func (sh *shard) down(i int) bool {
 
 func (e *Engine) allDone() bool {
 	for _, p := range e.procs {
-		if p.state != stateDone {
+		if p.state != stateDone && !p.idle() {
 			return false
 		}
 	}

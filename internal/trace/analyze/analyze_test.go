@@ -480,7 +480,11 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // began to hand those latches on to each other in node memory;
 // ocean-16p-4x4-smp-dirinval and load-4-tenants again when any process of a
 // home's node began to serve the requests for its home records, locks and
-// barriers, which moves who handles them and when.)
+// barriers, which moves who handles them and when; all four again when an
+// exited process stopped waking on a back-off to look for work and began
+// to park on its queues until the run is at rest, which moves only each
+// process's sched exit event and the timestamps of its final stats events
+// to the clock at which it last parked.)
 //
 // testdata/trace_digests.txt holds the sha256 of the bytes. Stream order is
 // windows in driver order: within a node by time, across nodes as the

@@ -181,13 +181,16 @@ func TestAsmKernelCheckHoistEquivalence(t *testing.T) {
 }
 
 // TestAsmRankExitIndependentOfYields pins when lu-contig's ranks stop
-// serving after their programs end. Rank 0 parks in serveAfterExit, whose
-// back-off grows with every wake-up, holding a notification for a time it
-// has already run past. While such a notification was dropped only at the
-// process's next resume, that park returned at once or not depending on
-// whether the process had yielded in between: the rank ended at 63687 in
-// strict global order and one 6000-cycle back-off later, at 69687, under a
-// driver that lets it run on. sim.Proc.Advance drops it now.
+// serving after their programs end. Rank 0 parks in serveAfterExit holding
+// a notification for a time it has already run past. While such a
+// notification was dropped only at the process's next resume, that park
+// returned at once or not depending on whether the process had yielded in
+// between: the rank ended at 63687 in strict global order and one
+// 6000-cycle back-off later, at 69687, under a driver that lets it run on.
+// sim.Proc.Advance drops it now. Ranks 0-2 ended at 63687, 63579 and 64809
+// while an exited process woke on a back-off to look for work; they end
+// 6000 cycles earlier, when they last park, since an exited process now
+// parks until the run is at rest.
 func TestAsmRankExitIndependentOfYields(t *testing.T) {
 	for _, k := range AsmKernels() {
 		if k.Name != "lu-contig" {
@@ -202,7 +205,7 @@ func TestAsmRankExitIndependentOfYields(t *testing.T) {
 			for _, p := range sys.Procs() {
 				ended = append(ended, p.Sim.Now())
 			}
-			if want := []sim.Time{63687, 63579, 64809, 60039}; !reflect.DeepEqual(ended, want) {
+			if want := []sim.Time{57687, 57579, 58809, 60039}; !reflect.DeepEqual(ended, want) {
 				t.Errorf("%s/%s: ranks ended at %v, want %v", k.Name, proto, ended, want)
 			}
 		}
