@@ -123,8 +123,11 @@ type Config struct {
 	// to any process on that CPU (§4.3.2). Replies are still private.
 	SharedQueues bool
 	// ProtocolProcs spawns one low-priority protocol process per CPU that
-	// serves incoming requests when all application processes are blocked
-	// or descheduled (§4.3.2, the "general solution").
+	// serves incoming requests, its CPU's and its agent's, when every
+	// application process on the CPU is blocked, descheduled or done
+	// (§4.3.2, the "general solution"). It has no program: it waits off its
+	// CPU, as an exited process does, until a request is put on a queue it
+	// serves.
 	ProtocolProcs bool
 	// EmulateLLSC forces the conservative lock-flag/lock-address emulation
 	// of LL/SC instead of the optimized scheme (§3.1.2 footnote).

@@ -180,11 +180,12 @@ func (p *Proc) chargeWallClock(cat TimeCategory, c sim.Time) {
 // A poll that finds nothing is three instructions on a cached flag and
 // changes nothing anybody can see, so a stretch of them is arithmetic, not
 // events (computeQuiet). Two kinds of process still take every poll as an
-// event of its own (computePolling): one on an engine without lookahead (the
-// cluster OS, dedicated protocol processes), because there quantum expiry
-// and sleeper displacement are taken where a process yields, and one that
-// shares its CPU, because a process parked in the middle of a stretch would
-// keep computing while the quantum gives the CPU to another.
+// event of its own (computePolling): one on an engine without lookahead (a
+// system with the cluster OS or with protocol processes), because there
+// quantum expiry and sleeper displacement are taken where a process yields,
+// and one that shares its CPU, a protocol process's included, because a
+// process parked in the middle of a stretch would keep computing while the
+// quantum gives the CPU to another.
 func (p *Proc) Compute(c sim.Time) {
 	s := p.sys
 	switch {
@@ -830,13 +831,15 @@ func (p *Proc) nextArrival() (sim.Time, bool) {
 // stretch of polls it is taking, whichever is first. One parked in
 // stallWhile keeps its wake if a node-mate has woken it since (what its
 // stall waits for may have come); a message that ends a stall is on its
-// queues. The wake it spares changes nothing: a poll or a stall that finds
-// nothing just sleeps on.
+// queues. One serving after its exit waits for nothing else. The wake it
+// spares changes nothing: a poll, a stall or a server that finds nothing
+// just sleeps on.
 func (p *Proc) spareWake() {
 	t := sim.Forever
 	switch {
 	case p.quietStop > 0:
 		t = p.quietStop
+	case p.exited:
 	case !p.stalled || p.poked:
 		return
 	}
@@ -870,7 +873,7 @@ func (p *Proc) serviceReady(cat TimeCategory) bool {
 	if !ok {
 		return false
 	}
-	if box.shared {
+	if len(box.waiters) > 1 {
 		box.spare(p)
 	}
 	if p.sys.Cfg.SharedQueues {

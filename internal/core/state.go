@@ -284,7 +284,6 @@ func (s *System) newAgent() *agentMem {
 	}
 	if s.Cfg.SharedQueues {
 		m.reqQ = newQueueBox()
-		m.reqQ.shared = true
 	}
 	s.sizeAgent(m, len(s.lineBlock))
 	s.agents = append(s.agents, m)

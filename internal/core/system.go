@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/memchannel"
 	"repro/internal/sim"
@@ -32,11 +31,6 @@ import (
 type queueBox struct {
 	q       memchannel.Queue[msg]
 	waiters []*Proc
-	// shared marks an agent's queue, which several processes wait on and
-	// any one of them serves: every put wakes them all, and whichever looks
-	// first takes the message (Proc.serviceReady), which then spares the
-	// others the wake (spare).
-	shared bool
 }
 
 func newQueueBox() *queueBox {
@@ -54,9 +48,10 @@ func (b *queueBox) put(m msg, arrive sim.Time, ord memchannel.Ord) {
 	}
 }
 
-// spare runs once p has taken a message from the box: the other waiters,
-// woken for it too, will find nothing, so each that is parked on its queues
-// sleeps on to when it next has something to do (Proc.spareWake).
+// spare runs once p has taken a message from a box that several processes
+// serve (a CPU's or an agent's): the other waiters, woken for it too, will
+// find nothing, so each that is parked on its queues sleeps on to when it
+// next has something to do (Proc.spareWake).
 func (b *queueBox) spare(p *Proc) {
 	for _, q := range b.waiters {
 		if q != p && q.watching {
@@ -121,13 +116,7 @@ type System struct {
 
 	userHandler UserHandler
 
-	// appRunning counts the application processes that have not exited,
-	// for the protocol processes (ProtocolProcs): a system that has them
-	// runs its processes in global time order, so the count is exact when
-	// they read it. It is atomic because under a Runner application
-	// processes of different nodes exit concurrently.
-	appRunning atomic.Int64
-	started    bool
+	started bool
 
 	// par holds the parallel-engine staging state when built WithEngine.
 	par *parState
@@ -430,17 +419,11 @@ func (s *System) newProc(name string, cpu int) *Proc {
 
 func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func(*Proc)) *Proc {
 	p := s.newProc(name, cpu)
-	if priority == 0 {
-		s.appRunning.Add(1)
-	}
 	wrapped := func(sp *sim.Proc) {
 		p.Sim = sp
 		sp.Data = p
 		body(p)
 		p.exited = true
-		if priority == 0 {
-			s.appRunning.Add(-1)
-		}
 		p.serveAfterExit()
 	}
 	p.Sim = s.Eng.SpawnAt(name, cpu, priority, start, wrapped)
@@ -449,23 +432,14 @@ func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func
 }
 
 // spawnProtocolProcs creates one low-priority protocol process per CPU
-// (§4.3.2's general solution): it serves incoming requests, its CPU's and
-// its agent's, whenever all application processes on its CPU are blocked or
-// descheduled, polling every 100 µs while an application process runs, and
-// then serves on as an exited process does.
+// (§4.3.2's general solution). It has no program: it serves its CPU's and
+// its agent's requests from the start, as an exited process does, parked off
+// its CPU until a put wakes it, and dispatch runs an application process
+// ready at the same time first, so it gets the CPU only when every
+// application process on it is blocked, descheduled or done.
 func (s *System) spawnProtocolProcs() {
 	for cpu := 0; cpu < s.Eng.NumCPUs(); cpu++ {
-		s.spawn(fmt.Sprintf("proto%d", cpu), cpu, 1, 0, func(p *Proc) {
-			for s.appRunning.Load() > 0 {
-				if !p.serviceReady(CatMessage) {
-					p.watchQueues()
-					p.Sim.NotifyAt(p.Sim.Now() + sim.Cycles(100))
-					p.Sim.Wait()
-					p.watching = false
-				}
-				p.Sim.YieldCPU()
-			}
-		})
+		s.spawn(fmt.Sprintf("proto%d", cpu), cpu, 1, 0, func(*Proc) {})
 	}
 }
 

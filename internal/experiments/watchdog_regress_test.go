@@ -14,11 +14,11 @@ import (
 // TestWatchdogCatchesDowngradeStall is the regression test for the
 // direct-downgrade-off livelock (§4.3.4/§6.5): daemon processes blocked in
 // pid_block never service the downgrade requests sent to their private
-// reply queues, so the requester waits forever while only the protocol
-// processes' 100-cycle polling rounds advance simulated time. Before the
-// watchdog this run crawled toward MaxTime for minutes of wall clock; now
-// it must fail within a bounded number of simulated cycles and carry a
-// protocol-state dump naming the stuck processes.
+// reply queues, so the requester waits forever while only the daemons'
+// timed sleeps advance simulated time. Before the watchdog this run crawled
+// toward MaxTime for minutes of wall clock, while protocol processes polled
+// every 100 µs; now it must fail within a bounded number of simulated
+// cycles and carry a protocol-state dump naming the stuck processes.
 func TestWatchdogCatchesDowngradeStall(t *testing.T) {
 	const budget = sim.Time(2_000_000)
 	cfg := baseConfig()

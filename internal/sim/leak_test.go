@@ -37,7 +37,8 @@ func TestNoGoroutineLeak(t *testing.T) {
 		{name: "Proc.Fail", run: true, wantErr: errFail.Error(), body: func(p *sim.Proc) { p.Advance(10); p.Fail(errFail) }},
 		{name: "watchdog stall", cfg: sim.Config{WatchdogCycles: 1000, WatchdogIters: 2000}, run: true, wantErr: "stall watchdog", body: func(p *sim.Proc) {
 			for {
-				p.YieldCPU()
+				p.NotifyAt(p.Now())
+				p.Wait()
 			}
 		}},
 		{name: "build without run", body: func(p *sim.Proc) { p.Advance(100) }},

@@ -188,7 +188,8 @@ func TestGenuineStallConfirmedAtBarrier(t *testing.T) {
 	})
 	e.Spawn("livelock", 1, 0, func(p *sim.Proc) {
 		for {
-			p.YieldCPU() // yields forever without charging any work
+			p.NotifyAt(p.Now()) // yields forever without charging any work
+			p.Wait()
 		}
 	})
 	err := e.Run()

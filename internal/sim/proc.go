@@ -295,25 +295,20 @@ func (p *Proc) NotifyAt(t Time) {
 // DelayWake moves the pending wake of a waiting process later, to t: for a
 // process that finds the reason it notified p gone before p woke (a message
 // it was woken for, taken by another). The caller answers for t: nothing
-// else p waits for may come before it, or that wake-up is lost. A process
-// that is not waiting, or whose wake is t or later already, is left alone.
-// Like NotifyAt, safe to call only from a running process of p's shard.
+// else p waits for may come before it, or that wake-up is lost. It covers a
+// process parked in Wait or AdvanceUnlessNotified, and one parked in Serve
+// off its CPU; one that dispatch has put on its CPU already holds the CPU
+// until its wake, which may then not move. A process in any other state, or
+// whose wake is t or later already, is left alone. Like NotifyAt, safe to
+// call only from a running process of p's shard.
 func (p *Proc) DelayWake(t Time) {
-	if p.state != stateWaiting || t <= p.wakeAt {
+	parked := p.state == stateWaiting ||
+		p.serving && p.state == stateBlocked && p.cpu.current != p
+	if !parked || t <= p.wakeAt {
 		return
 	}
 	p.wakeAt = t
 	p.cpu.touch()
-}
-
-// YieldCPU voluntarily gives up the CPU if any other process is waiting for
-// it (models a low-priority protocol process offering the processor).
-func (p *Proc) YieldCPU() {
-	c := p.cpu
-	if c.current == p && anyoneElseWants(c) {
-		c.sliceEnd = p.now // force reschedule at this yield
-	}
-	p.yieldBack()
 }
 
 // effectiveTime is the earliest simulated time at which this process could

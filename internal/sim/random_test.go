@@ -82,7 +82,7 @@ type randomRun struct {
 
 // randomProgram runs one seeded random program under the differential
 // oracle. Every process executes a random sequence of Advance, bounded
-// Wait, Block and AdvanceUnlessNotified, Sleep, YieldCPU and sends. A send
+// Wait, Block and AdvanceUnlessNotified, Sleep, zero-length waits and sends. A send
 // puts mail in the receiver's box and notifies it, at once within a node,
 // one lookahead or more into the future across nodes. Under a parallel
 // runner cross-node sends are staged to the window barrier, and there are no
@@ -192,7 +192,10 @@ func randomProgram(t *testing.T, seed int64, drv driver, sh shape) *randomRun {
 						p.Sleep(d)
 					}
 				case 7:
-					p.YieldCPU()
+					// A yield that charges nothing: the process resumes
+					// at its own clock, its pending wake consumed.
+					p.NotifyAt(p.Now())
+					p.Wait()
 				case 8:
 					dst := targets[r.Intn(len(targets))]
 					m := mail{at: p.Now() + sim.Time(r.Intn(1000)), from: p.ID, seq: sent}
@@ -272,7 +275,10 @@ func immediateProgram(t *testing.T, seed int64) *randomRun {
 				case 6:
 					p.Sleep(sim.Time(r.Intn(1500)))
 				case 7:
-					p.YieldCPU()
+					// A yield that charges nothing: the process resumes
+					// at its own clock, its pending wake consumed.
+					p.NotifyAt(p.Now())
+					p.Wait()
 				case 8:
 					procs[r.Intn(nprocs)].NotifyAt(p.Now() + sim.Time(r.Intn(1000)))
 				case 9:

@@ -149,8 +149,9 @@ type Config struct {
 	// cost) for this many simulated cycles while the engine keeps
 	// scheduling, the run fails with a StallError describing every process.
 	// This catches livelocks
-	// where time still creeps forward (e.g. protocol processes polling an
-	// empty queue forever) that the all-blocked deadlock check cannot see.
+	// where time still creeps forward (e.g. a miss that waits for ever on a
+	// process blocked in the OS while others' timed sleeps go on) that the
+	// all-blocked deadlock check cannot see.
 	// 0 disables the watchdog.
 	WatchdogCycles Time
 	// WatchdogIters bounds scheduler iterations without charged work, for

@@ -202,23 +202,34 @@ func TestSleepAdvancesTime(t *testing.T) {
 	}
 }
 
+// TestPriorityProcessRunsOnlyWhenIdle: a low-priority server parked in Serve
+// shares the CPU with an application process that notifies it while it still
+// has work to do. The server gets the CPU only while the application sleeps
+// or after it is done, and the run ends with the server idle.
 func TestPriorityProcessRunsOnlyWhenIdle(t *testing.T) {
-	// A low-priority (higher value) protocol process shares the CPU with an
-	// application process; the app should dominate.
 	e := NewEngine(Config{Nodes: 1, CPUsPerNode: 1, Quantum: 1000, CtxSwitch: 10})
-	appDone := false
-	var protoTurns int
+	appBlocked, appDone := false, false
+	var srv *Proc
+	var turns []bool // per server turn: the application was blocked or done
 	e.Spawn("app", 0, 0, func(p *Proc) {
-		for i := 0; i < 30; i++ {
+		p.Sleep(100) // the server starts and parks
+		for i := 0; i < 5; i++ {
 			p.Advance(100)
+			srv.NotifyAt(p.Now())
+			p.Advance(300)
+			appBlocked = true
+			p.Sleep(2000)
+			appBlocked = false
 		}
+		p.Advance(100)
+		srv.NotifyAt(p.Now())
 		appDone = true
 	})
-	e.Spawn("proto", 0, 1, func(p *Proc) {
-		for !appDone {
-			protoTurns++
+	srv = e.Spawn("srv", 0, 1, func(p *Proc) {
+		for {
+			p.Serve()
+			turns = append(turns, appBlocked || appDone)
 			p.Advance(50)
-			p.YieldCPU()
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -227,6 +238,72 @@ func TestPriorityProcessRunsOnlyWhenIdle(t *testing.T) {
 	if !appDone {
 		t.Fatal("app never finished")
 	}
+	if len(turns) != 6 {
+		t.Fatalf("server ran %d turns, want 6 (one per notification)", len(turns))
+	}
+	for i, idle := range turns {
+		if !idle {
+			t.Errorf("server turn %d ran while the application could run", i)
+		}
+	}
+}
+
+// TestDelayWakeMovesServerOffItsCPU: DelayWake moves the wake of a server
+// parked in Serve off its CPU, as it does a waiting process's, and leaves
+// alone one that dispatch has already put on its CPU, which holds the CPU
+// until that wake.
+func TestDelayWakeMovesServerOffItsCPU(t *testing.T) {
+	t.Run("off its CPU", func(t *testing.T) {
+		e := NewEngine(Config{Nodes: 1, CPUsPerNode: 1, Quantum: 1000, CtxSwitch: 10})
+		woke := Time(-1)
+		var srv *Proc
+		e.Spawn("app", 0, 0, func(p *Proc) {
+			p.Sleep(10) // the server starts and parks
+			p.Advance(90)
+			srv.NotifyAt(p.Now())
+			if srv.cpu.current == srv {
+				t.Fatal("the server is on its CPU, want it parked off it")
+			}
+			srv.DelayWake(5000)
+			p.Advance(100)
+			p.Sleep(10000)
+		})
+		srv = e.Spawn("srv", 0, 1, func(p *Proc) {
+			p.Serve()
+			woke = p.Now()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if woke != 5000 {
+			t.Errorf("the server woke at %d, want 5000", woke)
+		}
+	})
+	t.Run("on its CPU", func(t *testing.T) {
+		e := NewEngine(Config{Nodes: 1, CPUsPerNode: 2, Quantum: 1000, CtxSwitch: 10})
+		woke := Time(-1)
+		srv := e.Spawn("srv", 0, 1, func(p *Proc) {
+			p.Serve()
+			woke = p.Now()
+		})
+		e.Spawn("app", 1, 0, func(p *Proc) {
+			p.Advance(100)
+			srv.NotifyAt(1000)
+			p.NotifyAt(p.Now()) // a step of the engine dispatches the server
+			p.Wait()
+			if srv.cpu.current != srv {
+				t.Fatal("the server was not dispatched onto its idle CPU")
+			}
+			srv.DelayWake(5000)
+			p.Advance(100)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if woke != 1000 {
+			t.Errorf("the server woke at %d, want 1000", woke)
+		}
+	})
 }
 
 func TestMaxTimeStopsRunaway(t *testing.T) {

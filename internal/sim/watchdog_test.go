@@ -83,16 +83,14 @@ func TestMaxTimeSaysWhere(t *testing.T) {
 // frozen.
 func TestWatchdogZeroTimeLivelock(t *testing.T) {
 	e := NewEngine(Config{Nodes: 1, CPUsPerNode: 1, WatchdogCycles: 1000, WatchdogIters: 5000})
-	e.Spawn("spin", 0, 0, func(p *Proc) {
+	yieldForever := func(p *Proc) {
 		for {
-			p.YieldCPU()
+			p.NotifyAt(p.Now())
+			p.Wait()
 		}
-	})
-	e.Spawn("other", 0, 0, func(p *Proc) {
-		for {
-			p.YieldCPU()
-		}
-	})
+	}
+	e.Spawn("spin", 0, 0, yieldForever)
+	e.Spawn("other", 0, 0, yieldForever)
 	err := e.Run()
 	var se *StallError
 	if !errors.As(err, &se) {
