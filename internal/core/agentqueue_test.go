@@ -200,6 +200,12 @@ func putWakeRun(t *testing.T, proto string, p1, p2 wkRole) (trace.Event, sim.Sch
 //   - p1 stalls, p2 computes: the put wakes p1 from its stall at the
 //     arrival, and it serves the read there. That spares p2's wake: its park
 //     runs to its end, and no park anywhere ends early.
+//   - p1 computes, p2 stalls: the put wakes p1 at its first poll at or
+//     after the arrival, not at the arrival, and p2 from its stall at the
+//     arrival, where p2 serves the read and spares p1's wake. While the put
+//     woke p1 at the arrival, p1 ran first, as the lower CPU, and was
+//     already on its way to that poll, which found nothing: one park ended
+//     early.
 func TestPutWakesTheProcessesWaitingOnTheQueue(t *testing.T) {
 	for _, proto := range ProtocolNames() {
 		t.Run(proto, func(t *testing.T) {
@@ -218,6 +224,13 @@ func TestPutWakesTheProcessesWaitingOnTheQueue(t *testing.T) {
 			}
 			if sc.EarlyWakes != 0 {
 				t.Errorf("p1 stalled on a miss: %d parks ended early, want none: p1 took the read, which spares p2's wake", sc.EarlyWakes)
+			}
+			ev, sc = putWakeRun(t, proto, wkCompute, wkMiss)
+			if ev.P != 2 || ev.T != 22_360 || ev.A != int64(cfg.Cost.QueueLock) {
+				t.Errorf("p2 stalled on a miss: the read-req was handled by p%d at %d, %d cycles after its arrival, want by p2 at 22360, its arrival (%d cycles of queue lock)", ev.P, ev.T, ev.A, cfg.Cost.QueueLock)
+			}
+			if sc.EarlyWakes != 0 {
+				t.Errorf("p2 stalled on a miss: %d parks ended early, want none: p2 took the read, which spares p1's wake", sc.EarlyWakes)
 			}
 		})
 	}

@@ -163,7 +163,7 @@ func (b *Batch) Store(addr uint64, v uint64) {
 	p.stats.N[CntStores]++
 	p.charge(CatTask, 1)
 	p.mem.data[p.sys.wordOf(addr)] = v
-	p.resetLocalLLs(line)
+	p.stored(line)
 	if p.sys.Cfg.Checks {
 		b.stores = append(b.stores, pendingStore{addr, v})
 	}

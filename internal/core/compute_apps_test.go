@@ -74,19 +74,45 @@ func TestWorkloadsSameBothWays(t *testing.T) {
 		}
 	}
 	for _, proto := range core.ProtocolNames() {
-		runBothWays(t, "load-4-tenants-"+proto, func(sys *core.System) (sim.Time, error) {
-			const horizon = 400_000
-			ts := load.DefaultTenants(4, 1, 10)
-			for i := range ts {
-				// The mix of the oltp-open benchmark workload: the default
-				// 16-page DSS scans livelock on one seed in ten.
-				ts[i].Arrival, ts[i].DSSFraction = "poisson", 0
-			}
-			res, err := load.Run(sys, load.Config{Tenants: ts, Horizon: horizon, Policy: "locality", RowCompute: 500})
-			if err != nil {
-				return 0, err
-			}
-			return res.Elapsed, nil
-		}, core.WithProtocol(proto), core.WithMaxTime(4*400_000))
+		runBothWays(t, "load-4-tenants-"+proto, runFourTenants, core.WithProtocol(proto), core.WithMaxTime(4*fourTenantsHorizon))
+	}
+}
+
+const fourTenantsHorizon = 400_000
+
+// runFourTenants runs the load generator with 4 tenants for 400 000 cycles
+// of arrivals.
+func runFourTenants(sys *core.System) (sim.Time, error) {
+	ts := load.DefaultTenants(4, 1, 10)
+	for i := range ts {
+		// The mix of the oltp-open benchmark workload: the default
+		// 16-page DSS scans livelock on one seed in ten.
+		ts[i].Arrival, ts[i].DSSFraction = "poisson", 0
+	}
+	res, err := load.Run(sys, load.Config{Tenants: ts, Horizon: fourTenantsHorizon, Policy: "locality", RowCompute: 500})
+	if err != nil {
+		return 0, err
+	}
+	return res.Elapsed, nil
+}
+
+// TestIdleSpinsCostNoSteps: the load generator's idle workers spin on their
+// ring's next stamp, which stays cached in node memory until the dispatcher
+// writes it, so a spin costs a scheduler step per message, Tardis tick or
+// write that may end it, not one per iteration. load-4-tenants took 23 208
+// steps on dirinval and 23 781 on Tardis while every 500-cycle compute of
+// the spin parked on its own beside a busy node-mate.
+func TestIdleSpinsCostNoSteps(t *testing.T) {
+	const most = 12_000
+	for _, proto := range core.ProtocolNames() {
+		sys := core.Build(core.WithProtocol(proto), core.WithMaxTime(4*fourTenantsHorizon))
+		if _, err := runFourTenants(sys); err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		c := sys.Eng.SchedCounters()
+		t.Logf("%s: %d steps, %d parks, %d early wakes", proto, c.Steps, c.Parks, c.EarlyWakes)
+		if c.Steps > most {
+			t.Errorf("%s: load-4-tenants took %d scheduler steps, want at most %d", proto, c.Steps, most)
+		}
 	}
 }

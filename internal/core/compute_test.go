@@ -71,10 +71,14 @@ func computeCases(seed int64) []computeCase {
 // runComputeProgram runs one seeded random program on c. Every process
 // executes its own sequence of Compute(1..5000), loads, stores, MP-lock and
 // LL/SC-lock critical sections (the LL/SC lock backs off with Computes under
-// a stall override, as a lock acquired inside a stall would), memory
-// barriers, and the two Computes that end on the edges of the closed form:
-// within the gap to the next poll, and exactly on a poll. Two barriers keep
-// the processes together.
+// a stall override, as a lock acquired inside a stall would, or, in a
+// release-consistent program, spins on the lock word between tries, as
+// dsmsync.SMLock does), memory barriers, and the two Computes that end on
+// the edges of the closed form: within the gap to the next poll, and exactly
+// on a poll. Two barriers keep the processes together; a release-consistent
+// program meets once more at a sense-reversing barrier in shared memory,
+// whose waiters spin on the sense word. A spin races the node-mate's store,
+// or the invalidation, that ends it.
 func runComputeProgram(t *testing.T, c computeCase, seed int64, pollEach bool) *computeRun {
 	t.Helper()
 	md := trace.NewMultisetDigest()
@@ -83,9 +87,15 @@ func runComputeProgram(t *testing.T, c computeCase, seed int64, pollEach bool) *
 	const n = 4
 	run := &computeRun{Clocks: make([]sim.Time, n), Final: make([]sim.Time, n), Seen: make([]uint64, n)}
 	const words, ops = 64, 48
-	var data, counters, smLock uint64
+	var data, counters, smLock, smBar, smSense uint64
 	var mpLock, bar int
 	interval := s.Cfg.PollInterval
+	// Under sequential consistency a store asks for its line again once the
+	// miss it rode has completed (Proc.storeMiss), and a read the fill
+	// replays can take the line back first, every time: a store that readers
+	// spin on can ask for ever (7 of the 320 SC pairs did, both ways). So
+	// only release-consistent programs spin.
+	spins := c.cfg.Consistency == ReleaseConsistent
 	for i := 0; i < n; i++ {
 		i := i
 		s.Spawn(fmt.Sprintf("w%d", i), i, func(p *Proc) {
@@ -95,11 +105,38 @@ func runComputeProgram(t *testing.T, c computeCase, seed int64, pollEach bool) *
 				run.Seen[i] = run.Seen[i]*1099511628211 + v
 				return v
 			}
+			spin := func(addr uint64, v uint64, equal bool) {
+				got := p.SpinWhile(addr, 320, v, equal)
+				run.Seen[i] = run.Seen[i]*1099511628211 + got
+			}
 			for op := 0; op < ops; op++ {
-				if op == ops/2 {
+				switch {
+				case op == ops/4 && spins:
+					// As dsmsync.SMBarrier: count in with an LL/SC, the last
+					// flips the sense, the others spin until it flips.
+					sense := load(smSense)
+					p.MemBar()
+					for backoff := sim.Time(200); ; backoff = min(2*backoff, 6000) {
+						v := p.LoadLocked(smBar)
+						if !p.StoreCond(smBar, v+1) {
+							p.Poll()
+							p.Compute(backoff)
+							continue
+						}
+						if v+1 == n {
+							p.Store(smBar, 0)
+							p.MemBar()
+							p.Store(smSense, 1-sense)
+						} else {
+							spin(smSense, sense, true)
+						}
+						p.MemBar()
+						break
+					}
+				case op == ops/2:
 					p.BarrierWait(bar)
 				}
-				switch k := r.Intn(12); k {
+				switch k := r.Intn(13); k {
 				case 0, 1, 2, 3:
 					p.Compute(sim.Time(1 + r.Intn(5000)))
 				case 4:
@@ -135,6 +172,24 @@ func runComputeProgram(t *testing.T, c computeCase, seed int64, pollEach bool) *
 					p.Store(smLock, 0)
 				case 11:
 					p.MemBar()
+				case 12:
+					if !spins {
+						p.MemBar()
+						break
+					}
+					backoff := sim.Time(200)
+					for p.LoadLocked(smLock) != 0 || !p.StoreCond(smLock, 1) {
+						p.Poll()
+						p.Compute(backoff)
+						if backoff < 6000 {
+							backoff *= 2
+						}
+						spin(smLock, 0, false)
+					}
+					p.MemBar()
+					p.Store(counters+64, load(counters+64)+1)
+					p.MemBar()
+					p.Store(smLock, 0)
 				}
 			}
 			p.BarrierWait(bar)
@@ -146,6 +201,8 @@ func runComputeProgram(t *testing.T, c computeCase, seed int64, pollEach bool) *
 	data = s.Alloc(words*8, AllocOptions{BlockLines: 2})
 	counters = s.Alloc(128, AllocOptions{Home: HomeAt(1)})
 	smLock = s.Alloc(64, AllocOptions{Home: HomeAt(2)})
+	smBar = s.Alloc(64, AllocOptions{Home: HomeAt(3)})
+	smSense = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
 	mpLock, bar = s.NewLock(3), s.NewBarrier(0, n)
 	if err := s.Run(); err != nil {
 		// A deadlock names every process and its clock. A run that spins to

@@ -251,12 +251,15 @@ func (p *Proc) replyForward(blk *blockInfo, m *msg, data []uint64) {
 	p.send(s.procs[blk.home], &home, CatMessage)
 }
 
-// installData copies a message's block payload into an agent's memory and
-// recycles the buffer.
+// installData copies a message's block payload into an agent's memory,
+// where the agent's processes spinning on the block see it (wroteLines),
+// and recycles the buffer.
 func (s *System) installData(p *Proc, mem *agentMem, m *msg) {
-	base := s.blocks[m.block].firstLine * s.wordsPerLine
+	blk := s.blocks[m.block]
+	base := blk.firstLine * s.wordsPerLine
 	copy(mem.data[base:base+len(m.data)], m.data)
 	s.recycleMsgData(p, m)
+	p.wroteLines(mem.agent, blk.firstLine, blk.lines)
 }
 
 // handleWriteback closes the window handleHome's forward opened, on the

@@ -62,7 +62,7 @@ func (p *Proc) StoreCond(addr uint64, v uint64) bool {
 		p.llValid = false
 		if ok {
 			p.mem.data[w] = v
-			p.resetLocalLLs(line)
+			p.stored(line)
 		}
 		return ok
 	}

@@ -73,7 +73,7 @@ type Proc struct {
 
 	// The LL/SC reservation: set by LoadLocked, held through the SC's
 	// protocol work, and cleared by the SC, a local store by another
-	// process (resetLocalLLs) or an applied invalidation
+	// process (stored) or an applied invalidation
 	// (invalidateLocalLLs). llState is the line's state at the LL.
 	llValid bool
 	llLine  int
@@ -91,11 +91,17 @@ type Proc struct {
 	// does (stallOnAgent).
 	watching, onAgent bool
 	// While the process is parked on its queues, what it waits for there
-	// (spareWake): quietStop is the end of the stretch of polls pollQuietly
-	// is taking; stalled says it waits in stallWhile, and poked that a
-	// node-mate has since woken it for what its stall waits for (wake).
-	quietStop      sim.Time
+	// (spareWake): quiet is the timetable of the stretch pollQuietly or
+	// spinQuietly is taking; stalled says it waits in stallWhile, and poked
+	// that a node-mate has since woken it for what its stall waits for
+	// (wake).
+	quiet          quietPlan
 	stalled, poked bool
+	// spinLine is the line a spin in closed form reads, -1 outside one, and
+	// spinSeen the instant of the first of its loads that sees a node-mate's
+	// write to it, sim.Forever until one writes (sawWrite).
+	spinLine int
+	spinSeen sim.Time
 
 	stats Stats
 	// seed is fixed at creation; rng is made from it on the first Rand.
@@ -191,11 +197,18 @@ func (p *Proc) Compute(c sim.Time) {
 	switch {
 	case !s.Cfg.Checks:
 		p.charge(CatTask, c)
-	case s.pollEach || s.cpus[p.cpu].procs > 1:
-		p.computePolling(c)
-	default:
+	case p.pollsQuietly():
 		p.computeQuiet(c)
+	default:
+		p.computePolling(c)
 	}
+}
+
+// pollsQuietly reports whether the process takes stretches of polls in
+// closed form: it runs on an engine with lookahead and has its CPU to
+// itself.
+func (p *Proc) pollsQuietly() bool {
+	return !p.sys.pollEach && p.sys.cpus[p.cpu].procs == 1
 }
 
 // computePolling is Compute one poll at a time, and the reference the closed
@@ -214,95 +227,6 @@ func (p *Proc) computePolling(c sim.Time) {
 		p.pollGap -= step
 		c -= step
 	}
-}
-
-// computeQuiet is Compute with every stretch of polls that find nothing
-// taken in one move. With g = pollGap, I = PollInterval and P = Cost.Poll,
-// the k-th poll from now has been charged at T(k) = now + g + P + (k-1)(I+P),
-// and there are n = ceil((c-g)/I) of them before the compute ends at
-// now + c + nP. A poll finds something only if a message is due (or a
-// retransmission, which nextArrival includes) or if it is the backend's
-// pollTickEvery-th. So the stretch runs to the first T(k) at or after the
-// next arrival, or the tick if that comes first, or else to the end of the
-// compute, trailing task chunk included — unless a notification from one of
-// the two queues says something new is due at w, in which case it is the
-// first T(j) >= w instead. (Every put notifies for its arrival, which is
-// later than the sender's clock, so nothing reaches a poll before w; a wake
-// for a message somebody else then takes first just makes poll j one more
-// that finds nothing.) There the process accounts for j polls and the task
-// time between them and does what Poll does after its charge. A wake past
-// T(n), inside the trailing chunk, is for no poll of this compute, and the
-// process sleeps on.
-func (p *Proc) computeQuiet(c sim.Time) {
-	if c > p.pollGap {
-		p.watchQueues()
-		for c > p.pollGap {
-			c = p.pollQuietly(c)
-		}
-		p.watching = false
-	}
-	if c > 0 {
-		p.charge(CatTask, c)
-		p.pollGap -= c
-	}
-}
-
-// pollQuietly runs a compute of c cycles, with a poll in it and the process
-// watching its queues, up to and including the first poll that may find
-// something, and returns the cycles of it still to do.
-func (p *Proc) pollQuietly(c sim.Time) sim.Time {
-	s := p.sys
-	interval, pollCost := s.Cfg.PollInterval, s.Cfg.Cost.Poll
-	spacing := interval + pollCost
-	start := p.Sim.Now()
-	first := start + p.pollGap + pollCost
-	// pollFor returns the index of the first poll charged at or after t.
-	pollFor := func(t sim.Time) sim.Time {
-		if t <= first {
-			return 1
-		}
-		return 1 + (t-first+spacing-1)/spacing
-	}
-	n := (c - p.pollGap + interval - 1) / interval
-	k := n + 1 // the poll to take for real; n+1 for none
-	if a, ok := p.nextArrival(); ok {
-		k = min(k, pollFor(a))
-	}
-	if every := s.pollTickEvery; every > 0 {
-		k = min(k, every-p.stats.N[CntPolls]%every)
-	}
-	stop := start + c + n*pollCost
-	if k <= n {
-		stop = first + (k-1)*spacing
-	}
-	p.quietStop = stop
-	for w := start; w < stop; {
-		w += p.Sim.AdvanceUnlessNotified(stop - w)
-		if j := pollFor(w); w < stop && j <= n {
-			k, stop = j, first+(j-1)*spacing
-			p.Sim.Advance(stop - w)
-			break
-		}
-	}
-	p.quietStop = 0
-	if k > n {
-		p.chargedPolls(n, c)
-		p.pollGap += n*interval - c
-		return 0
-	}
-	task := p.pollGap + (k-1)*interval
-	p.chargedPolls(k, task)
-	p.pollGap = interval
-	p.polled()
-	return c - task
-}
-
-// chargedPolls accounts for n polls and the task cycles around them, which
-// the clock has already been moved over.
-func (p *Proc) chargedPolls(n int64, task sim.Time) {
-	p.stats.N[CntPolls] += n
-	p.stats.Time[p.chargedTo(CatPoll)] += n * p.sys.Cfg.Cost.Poll
-	p.stats.Time[p.chargedTo(CatTask)] += task
 }
 
 // Poll executes one in-line message poll ("three instructions"): it tests
@@ -345,21 +269,29 @@ func (p *Proc) forwardedStore(addr uint64) (uint64, bool) {
 
 // Load performs a checked 64-bit load from shared memory.
 func (p *Proc) Load(addr uint64) uint64 {
+	v, _ := p.load(addr)
+	return v
+}
+
+// load is Load, and also reports whether the load hit a word other than the
+// flag value on the flag technique's fast path: a read of a copy cached in
+// node memory, which only a write of the node changes (SpinWhile).
+func (p *Proc) load(addr uint64) (uint64, bool) {
 	p.stats.N[CntLoads]++
 	s := p.sys
 	if !s.Cfg.Checks {
 		w := s.allocWord(addr)
 		p.charge(CatTask, 1)
 		if v, ok := p.forwardedStore(addr); ok {
-			return v
+			return v, false
 		}
-		return p.mem.data[w]
+		return p.mem.data[w], false
 	}
 	w := s.wordOf(addr)
 	if v, ok := p.forwardedStore(addr); ok {
 		p.stats.N[CntLoadChecks]++
 		p.charge(CatCheck, s.Cfg.Cost.LoadCheck)
-		return v
+		return v, false
 	}
 	line := s.lineOf(addr)
 	if s.Cfg.FlagCheck {
@@ -367,26 +299,32 @@ func (p *Proc) Load(addr uint64) uint64 {
 		// value; only enter the protocol when it matches.
 		p.stats.N[CntLoadChecks]++
 		p.charge(CatCheck, s.Cfg.Cost.LoadCheck)
-		v := p.mem.data[w]
-		if v != FlagWord {
-			return v
-		}
-		p.charge(CatCheck, s.Cfg.Cost.ProtocolEntry)
-		if st := p.priv[line]; st == Shared || st == Exclusive {
-			p.stats.N[CntFalseMisses]++
-			return v
-		}
-		p.loadMiss(line)
-		return p.mem.data[w]
+		return p.loaded(w, line)
 	}
 	// Full state-table check ("about seven instructions").
 	p.stats.N[CntLoadChecks]++
 	p.charge(CatCheck, s.Cfg.Cost.FullCheck)
 	if st := p.priv[line]; st == Shared || st == Exclusive {
-		return p.mem.data[w]
+		return p.mem.data[w], false
 	}
 	p.loadMiss(line)
-	return p.mem.data[w]
+	return p.mem.data[w], false
+}
+
+// loaded is the rest of a flag-technique load of word w, on line, once its
+// check is charged, and what load returns.
+func (p *Proc) loaded(w, line int) (uint64, bool) {
+	v := p.mem.data[w]
+	if v != FlagWord {
+		return v, true
+	}
+	p.charge(CatCheck, p.sys.Cfg.Cost.ProtocolEntry)
+	if st := p.priv[line]; st == Shared || st == Exclusive {
+		p.stats.N[CntFalseMisses]++
+		return v, false
+	}
+	p.loadMiss(line)
+	return p.mem.data[w], false
 }
 
 // loadMiss brings the line to at least shared state and returns. It waits
@@ -546,7 +484,7 @@ func (p *Proc) performStore(addr, v uint64, line int) {
 	if s.onStorePerform != nil {
 		s.onStorePerform(p, addr, v)
 	}
-	p.resetLocalLLs(line)
+	p.stored(line)
 	if p.mem.takeUnwritten(int(s.lineBlock[line])) {
 		p.charge(CatCheck, s.Cfg.Cost.ProtocolEntry)
 	}
@@ -650,7 +588,7 @@ func (p *Proc) RawStore(addr uint64, v uint64) {
 	p.stats.N[CntStores]++
 	p.charge(CatTask, 1)
 	p.mem.data[p.sys.wordOf(addr)] = v
-	p.resetLocalLLs(line)
+	p.stored(line)
 }
 
 // ElidedLoad performs a load whose in-line check the rewriter statically
@@ -827,24 +765,28 @@ func (p *Proc) nextArrival() (sim.Time, bool) {
 
 // spareWake moves the wake of a process parked on its queues, woken for a
 // message another process has taken, to when it next has something to do:
-// the next arrival on its queues, a retransmission, or the end of the
-// stretch of polls it is taking, whichever is first. One parked in
-// stallWhile keeps its wake if a node-mate has woken it since (what its
-// stall waits for may have come); a message that ends a stall is on its
-// queues. One serving after its exit waits for nothing else. The wake it
-// spares changes nothing: a poll, a stall or a server that finds nothing
-// just sleeps on.
+// the next arrival on its queues or a retransmission (at the poll that
+// finds it, in a stretch: wakeFor), the end of the stretch it is taking, or
+// the load of a spin that sees a node-mate's write, whichever is first. One
+// parked in stallWhile keeps its wake if a node-mate has woken it since
+// (what its stall waits for may have come); a message that ends a stall is
+// on its queues. One serving after its exit waits for nothing else. The
+// wake it spares changes nothing: a poll, a stall or a server that finds
+// nothing just sleeps on.
 func (p *Proc) spareWake() {
 	t := sim.Forever
 	switch {
-	case p.quietStop > 0:
-		t = p.quietStop
+	case p.quiet.stop > 0:
+		t = p.quiet.stop
+		if p.spinLine >= 0 {
+			t = min(t, p.spinSeen)
+		}
 	case p.exited:
 	case !p.stalled || p.poked:
 		return
 	}
-	if a, ok := p.nextArrival(); ok && a < t {
-		t = a
+	if a, ok := p.nextArrival(); ok {
+		t = min(t, p.wakeFor(a))
 	}
 	p.Sim.DelayWake(t)
 }
@@ -883,14 +825,16 @@ func (p *Proc) serviceReady(cat TimeCategory) bool {
 	return true
 }
 
-// resetLocalLLs clears the lock flag of any other local process that has a
-// load-locked outstanding on the given line (hardware LL/SC semantics).
-func (p *Proc) resetLocalLLs(line int) {
+// stored is what a store of p's to a line of its agent's memory does to the
+// agent's other processes: it clears the lock flag of any that has a
+// load-locked outstanding on the line (hardware LL/SC semantics), and ends
+// the spin of any spinning on it (sawWrite).
+func (p *Proc) stored(line int) {
 	for _, q := range p.sys.localProcs(p.agent) {
-		if q == p {
-			continue
+		if q != p {
+			q.invalidateLocalLLs(line)
+			q.sawWrite(p, line, 1)
 		}
-		q.invalidateLocalLLs(line)
 	}
 }
 
@@ -927,16 +871,20 @@ func (p *Proc) applyDeferredFills() {
 		if handed {
 			continue
 		}
-		fillFlag(p.mem, line, s.wordsPerLine)
+		p.fillFlag(line)
 	}
 	p.deferredFills = p.deferredFills[:0]
 }
 
-func fillFlag(mem *agentMem, line, wordsPerLine int) {
-	base := line * wordsPerLine
-	for w := 0; w < wordsPerLine; w++ {
-		mem.data[base+w] = FlagWord
+// fillFlag stores the flag value into the line's words in the agent's
+// memory, which ends node-mates' spins on it.
+func (p *Proc) fillFlag(line int) {
+	s := p.sys
+	base := line * s.wordsPerLine
+	for w := 0; w < s.wordsPerLine; w++ {
+		p.mem.data[base+w] = FlagWord
 	}
+	p.wroteLines(p.agent, line, 1)
 }
 
 // serveAfterExit keeps the Shasta process serving requests for its

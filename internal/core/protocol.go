@@ -335,7 +335,7 @@ func (p *Proc) fillAgentInvalid(blk *blockInfo) {
 	}
 	if !deferFill {
 		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
-			fillFlag(p.mem, l, s.wordsPerLine)
+			p.fillFlag(l)
 		}
 	}
 	p.invalidateLocalLLs(blk.firstLine)

@@ -100,9 +100,11 @@ func (l *SMLock) Acquire(p *core.Proc) {
 			backoff *= 2
 		}
 		// Spin reading until the lock looks free, then retry the LL/SC.
-		for p.Load(l.addr) != 0 {
-			p.Compute(320)
-		}
+		// Each read has a poll at its back-edge; while the word is cached
+		// in node memory the simulator runs the reads in closed form, up
+		// to the first message, tick or write that can end the spin
+		// (core.Proc.SpinWhile).
+		p.SpinWhile(l.addr, 320, 0, false)
 	}
 	p.MemBar() // acquire barrier, as in the Alpha lock sequence
 }
@@ -163,10 +165,10 @@ func (b *SMBarrier) Wait(p *core.Proc) {
 		}
 	}
 	// Spin until the sense flips; the in-line poll at the loop back-edge
-	// keeps invalidations serviced (§3.2.3).
-	for p.Load(b.senseAddr) == sense {
-		p.Compute(320)
-	}
+	// keeps invalidations serviced (§3.2.3). The sense word stays cached in
+	// node memory until the flip writes it or invalidates it, so the spin
+	// runs in closed form between those events (core.Proc.SpinWhile).
+	p.SpinWhile(b.senseAddr, 320, sense, true)
 	p.MemBar()
 }
 

@@ -490,7 +490,13 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // windows in driver order: within a node by time, across nodes as the
 // driver ran their windows, each up to a lookahead past the others. That
 // order is deterministic run to run, so a change that reorders, drops or
-// retimes any event fails here even though it repeats.
+// retimes any event fails here even though it repeats. (load-4-tenants was
+// recorded again when an idle worker's spin on its ring began to park until
+// a message, a tick or the dispatcher's write could end it, and a put to a
+// queue several processes serve began to wake one parked in a stretch of
+// polls at its first poll at or after the arrival: its processes yield at
+// other instants, so the driver runs its windows in another order, while
+// the multiset of events stays what it was.)
 //
 // Regenerate with -update only when a change is meant to alter the
 // simulated schedule, and look at which of the two files moved.
