@@ -129,10 +129,10 @@ func TestExitedProcessServesMessageOnTheWire(t *testing.T) {
 // Who a put to an agent's queue wakes. On 4x4, p0 homes block A and p3, on
 // node 1, block B; p4, on node 2, reads A at wkRead, so that its read-req
 // reaches node 0's queue while p0's node-mates p1 and p2 each do one of
-// three things there: compute (parked on its queues in computeQuiet), stall
-// on a miss of its own (a read of B, which p3 serves only when it polls at
-// wkBusy), or charge application time outside any compute, as p0 and p3 do
-// until wkBusy. Every one of them is busy until then. The stalled process
+// three things there: compute (parked on its queues in a stretch, quietly),
+// stall on a miss of its own (a read of B, which p3 serves only when it
+// polls at wkBusy), or charge application time outside any compute, as p0
+// and p3 do until wkBusy. Every one of them is busy until then. The stalled process
 // goes on the lower CPU: of two processes woken at one instant, the lower
 // CPU's runs first.
 const wkRead, wkBusy = 20_000, 200_000

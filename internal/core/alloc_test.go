@@ -215,11 +215,10 @@ func TestLockPassageAllocatesNothing(t *testing.T) {
 }
 
 // TestQueueWaitAllocatesNothing: every way a process waits, on 2x2. Between
-// its turns each process computes, parked on its queues (computeQuiet). p0
-// stores to a block homed at p2 and loads another word of it, which stalls
-// on the store's miss; p1
-// stores to a block homed at p3 and stalls on agent state until the store
-// completes (stallOnAgent). Then each home stores to its block, which takes
+// its turns each process computes, parked on its queues in a stretch
+// (quietly). p0 stores to a block homed at p2 and loads another word of it,
+// which stalls on the store's miss; p1 stores to a block homed at p3 and
+// stalls on agent state until the store completes (stallOnAgent). Then each home stores to its block, which takes
 // it back with its data, so every buffer returns to the pool it came from.
 // Waiting is a flag on the process: nothing registers with a queue or an
 // agent.

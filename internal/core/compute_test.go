@@ -339,6 +339,77 @@ func TestComputeArrivalOnPollInstant(t *testing.T) {
 	}
 }
 
+// TestArrivalInTrailingChunkWakesOnce: a home alone on its queues
+// (Base-Shasta, 2x1) computes in closed form, and a remote read request
+// reaches it after the compute's last poll, in the task chunk that ends the
+// compute. No poll of that compute can find the request, so the put's wake
+// is clamped to the park's stop: the compute parks once, is not woken
+// before its end, and the home serves the request at the first poll of its
+// next compute, as the polling loop does. While a put woke a process alone
+// on its box at the arrival, the park ended early there and the home went
+// back to its stretch.
+func TestArrivalInTrailingChunkWakesOnce(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Nodes, cfg.CPUsPerNode = 2, 1
+	cfg.PollInterval = 1000
+	const polls = 11
+	// The home starts its compute at 7, once its store is done, and a
+	// reader that starts its read at 0 has its read-req arrive at 1639.
+	const homeStart, reqArrives = 7, 1639
+	var clocks [2][2]sim.Time
+	var first sim.SchedCounters // up to the first compute's end, in closed form
+	for mode, pollEach := range []bool{true, false} {
+		tr := trace.NewBuffer()
+		s := Build(WithConfig(cfg), WithTrace(tr))
+		s.pollEach = pollEach
+		var addr uint64
+		var last, end sim.Time // the first compute's last poll and end
+		s.Spawn("home", 0, func(p *Proc) {
+			p.Store(addr, 7)
+			x := p.pollGap + (polls-1)*cfg.PollInterval // its last poll's task cycle
+			last = p.Now() + x + polls*cfg.Cost.Poll
+			p.Compute(x + cfg.PollInterval/2)
+			end = p.Now()
+			if !pollEach {
+				first = s.Eng.SchedCounters()
+			}
+			p.Compute(polls * cfg.PollInterval)
+			clocks[mode][0] = p.Now()
+		})
+		s.Spawn("reader", 1, func(p *Proc) {
+			p.ChargeTime(CatTask, homeStart+(polls-1)*cfg.PollInterval+polls*cfg.Cost.Poll+cfg.PollInterval/4-reqArrives)
+			if p.Load(addr) != 7 {
+				t.Error("the reader did not see the home's store")
+			}
+			clocks[mode][1] = p.Now()
+		})
+		addr = s.Alloc(64, AllocOptions{Home: HomeAt(0)})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var handled sim.Time
+		for _, ev := range tr.TakeBuffered() {
+			switch {
+			case ev.Cat == "msg" && ev.Ev == "send" && ev.O == 0:
+				if a := sim.Time(ev.A); a <= last || a >= end {
+					t.Fatalf("pollEach=%v: the read-req arrived at %d, not after the last poll at %d and before the end at %d", pollEach, a, last, end)
+				}
+			case ev.Cat == "msg" && ev.Ev == "handle" && ev.P == 0:
+				handled = sim.Time(ev.T)
+			}
+		}
+		if want := end + cfg.PollInterval/2 + cfg.Cost.Poll; handled != want {
+			t.Errorf("pollEach=%v: the read-req was handled at %d, want %d, the next compute's first poll", pollEach, handled, want)
+		}
+	}
+	if first.Parks != 1 || first.EarlyWakes != 0 {
+		t.Errorf("the first compute parked %d times, %d of them ended early; want once, not early", first.Parks, first.EarlyWakes)
+	}
+	if clocks[0] != clocks[1] {
+		t.Errorf("clocks %v polling, %v in closed form", clocks[0], clocks[1])
+	}
+}
+
 // TestLongComputesAreNotAStall: two processes on one node that each compute
 // for three times the watchdog's budget, between two stores, finish. Neither
 // can run through (the other could act first), so both park, and the time

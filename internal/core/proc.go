@@ -91,17 +91,12 @@ type Proc struct {
 	// does (stallOnAgent).
 	watching, onAgent bool
 	// While the process is parked on its queues, what it waits for there
-	// (spareWake): quiet is the timetable of the stretch pollQuietly or
-	// spinQuietly is taking; stalled says it waits in stallWhile, and poked
-	// that a node-mate has since woken it for what its stall waits for
+	// (spareWake): quiet is the timetable of the stretch of a compute or a
+	// spin it is taking (quietly); stalled says it waits in stallWhile, and
+	// poked that a node-mate has since woken it for what its stall waits for
 	// (wake).
 	quiet          quietPlan
 	stalled, poked bool
-	// spinLine is the line a spin in closed form reads, -1 outside one, and
-	// spinSeen the instant of the first of its loads that sees a node-mate's
-	// write to it, sim.Forever until one writes (sawWrite).
-	spinLine int
-	spinSeen sim.Time
 
 	stats Stats
 	// seed is fixed at creation; rng is made from it on the first Rand.
@@ -766,8 +761,8 @@ func (p *Proc) nextArrival() (sim.Time, bool) {
 // spareWake moves the wake of a process parked on its queues, woken for a
 // message another process has taken, to when it next has something to do:
 // the next arrival on its queues or a retransmission (at the poll that
-// finds it, in a stretch: wakeFor), the end of the stretch it is taking, or
-// the load of a spin that sees a node-mate's write, whichever is first. One
+// finds it, in a stretch: wakeFor), the stop of the stretch's park, or the
+// load of a spin that sees a node-mate's write, whichever is first. One
 // parked in stallWhile keeps its wake if a node-mate has woken it since
 // (what its stall waits for may have come); a message that ends a stall is
 // on its queues. One serving after its exit waits for nothing else. The
@@ -777,10 +772,7 @@ func (p *Proc) spareWake() {
 	t := sim.Forever
 	switch {
 	case p.quiet.stop > 0:
-		t = p.quiet.stop
-		if p.spinLine >= 0 {
-			t = min(t, p.spinSeen)
-		}
+		t = min(p.quiet.stop, p.quiet.seen)
 	case p.exited:
 	case !p.stalled || p.poked:
 		return

@@ -2,23 +2,30 @@ package core
 
 import "repro/internal/sim"
 
-// The two loops an idle process runs in closed form: Compute's back-edge
-// polls (computeQuiet) and a spin on a word cached in node memory
-// (SpinWhile). A stretch of iterations that can observe nothing is one move:
-// the process parks on its queues, and a spinner on its line, until the
-// first iteration that may.
+// The loops an idle process runs in closed form: Compute's back-edge polls
+// (computeQuiet) and a spin on a word cached in node memory (SpinWhile).
+// Both are stretches: a run of loop iterations that can observe nothing,
+// taken in one move (quietly). A compute of c cycles is a stretch whose one
+// load, at task cycle c, has no check cost and reads no line: its end. The
+// process parks on its queues, and a spinner on its line, until the first
+// iteration that may observe something, and the two differ only in what
+// they do there.
 
-// quietPlan is the timetable of the stretch a process is parked in
-// (pollQuietly, spinQuietly). From start, with g task cycles to the next
-// poll, it runs task cycles with a poll after every PollInterval I of them,
-// each charged Cost.Poll P; a spin also loads its word after every gap G of
-// them, each load charged Cost.LoadCheck L. Poll m (from 0) follows task
-// cycle g+mI and load j (from 1) task cycle jG; where the two meet, the load
-// goes first. A compute (gap 0) has n polls. stop is the instant the process
-// is parked until, 0 while it is in no stretch.
+// quietPlan is the timetable of the stretch a process is taking. From
+// start, with g task cycles to the next poll, it runs task cycles with a
+// poll after every PollInterval I of them, each charged Cost.Poll P, and a
+// load after every gap G of them, each charged cost L (Cost.LoadCheck for a
+// spin, 0 for a compute). Poll m (from 0) follows task cycle g+mI and load j
+// (from 1) task cycle jG; where the two meet, the load goes first. Load last
+// ends the stretch at the latest. line is the line a spin's loads read, -1
+// for a compute's and outside a stretch, and seen the instant of the first
+// load that sees a node-mate's write to it, sim.Forever until one writes
+// (sawWrite). stop is the instant the process is parked until, 0 while it is
+// not parked in a stretch.
 type quietPlan struct {
-	start, g, gap, stop sim.Time
-	n                   int64
+	start, g, gap, cost, stop, seen sim.Time
+	last                            int64
+	line                            int
 }
 
 // spinSpan bounds a spin's stretch: a load at least every spinSpan cycles
@@ -30,17 +37,17 @@ func (p *Proc) pollAt(m int64) sim.Time {
 	c, pl := &p.sys.Cfg, &p.quiet
 	x := pl.g + m*c.PollInterval
 	t := pl.start + x + (m+1)*c.Cost.Poll
-	if pl.gap > 0 {
-		t += x / pl.gap * c.Cost.LoadCheck
+	if pl.cost > 0 {
+		t += x / pl.gap * pl.cost
 	}
 	return t
 }
 
-// loadAt returns the instant by which load j of a spin's stretch is charged.
+// loadAt returns the instant by which load j of the stretch is charged.
 func (p *Proc) loadAt(j int64) sim.Time {
-	c, pl := &p.sys.Cfg, &p.quiet
+	pl := &p.quiet
 	x := j * pl.gap
-	return pl.start + x + j*c.Cost.LoadCheck + p.pollsBefore(x)*c.Cost.Poll
+	return pl.start + x + j*pl.cost + p.pollsBefore(x)*p.sys.Cfg.Cost.Poll
 }
 
 // pollsBefore returns how many polls of the stretch come before task cycle
@@ -53,8 +60,9 @@ func (p *Proc) pollsBefore(x sim.Time) int64 {
 }
 
 // firstPoll returns the first poll of the stretch charged at or after t.
-// Polls are P+I apart, and a spin's loads only push them later, so that
-// spacing gives a compute's exactly and bounds a spin's search.
+// Polls are P+I apart where loads cost nothing, which makes a compute's
+// arithmetic O(1); costly loads only push them later, so that spacing
+// bounds a spin's search.
 func (p *Proc) firstPoll(t sim.Time) int64 {
 	spacing := p.sys.Cfg.PollInterval + p.sys.Cfg.Cost.Poll
 	first := p.pollAt(0)
@@ -62,16 +70,16 @@ func (p *Proc) firstPoll(t sim.Time) int64 {
 		return 0
 	}
 	m := (t - first + spacing - 1) / spacing
-	if p.quiet.gap == 0 {
+	if p.quiet.cost == 0 {
 		return m
 	}
 	return least(0, m, func(i int64) bool { return p.pollAt(i) >= t })
 }
 
-// firstLoad returns the first load of a spin's stretch charged at or after
-// t. Loads are at least G+L apart.
+// firstLoad returns the first load of the stretch charged at or after t.
+// Loads are at least G+L apart.
 func (p *Proc) firstLoad(t sim.Time) int64 {
-	step := p.quiet.gap + p.sys.Cfg.Cost.LoadCheck
+	step := p.quiet.gap + p.quiet.cost
 	hi := max(1, (t-p.quiet.start+step-1)/step)
 	return least(1, hi, func(j int64) bool { return p.loadAt(j) >= t })
 }
@@ -90,101 +98,29 @@ func least(lo, hi int64, ok func(int64) bool) int64 {
 }
 
 // wakeFor returns when a process watching its queues is to be woken for a
-// message that arrives at t: at the first poll at or after t if it is
-// parked in a stretch, since that poll is the one that looks, else at t. (A
-// compute's stretch past its last poll is its trailing task chunk, which
-// that wake does not end.)
+// message that arrives at t: if it is parked in a stretch, at the first
+// poll at or after t, since that poll is the one that looks, but no later
+// than the park's stop, so that no wake outlives it; else at t.
 func (p *Proc) wakeFor(t sim.Time) sim.Time {
-	pl := &p.quiet
-	if pl.stop == 0 {
-		return t
+	if stop := p.quiet.stop; stop > 0 {
+		return min(p.pollAt(p.firstPoll(t)), stop)
 	}
-	m := p.firstPoll(t)
-	if pl.gap == 0 && m >= pl.n {
-		return t
-	}
-	return p.pollAt(m)
+	return t
 }
 
 // computeQuiet is Compute with every stretch of polls that find nothing
-// taken in one move (quietPlan with no loads): poll k from now is charged at
-// T(k) = now + g + P + k(I+P), and there are n = ceil((c-g)/I) of them
-// before the compute ends at now + c + nP. A poll finds something only if a
-// message is due (or a retransmission, which nextArrival includes) or if it
-// is the backend's pollTickEvery-th. So the stretch runs to the first T(k)
-// at or after the next arrival, or the tick if that comes first, or else to
-// the end of the compute, trailing task chunk included, unless a put wakes
-// the process first: a put wakes a process parked in a stretch at its first
-// poll at or after the arrival (wakeFor; every arrival is later than its
-// sender's clock, so nothing reaches a poll before), and any other wake at w
-// means the first T(j) >= w instead. (A wake for a message somebody else
-// then takes just makes poll j one more that finds nothing, unless the
-// taker spares it, spareWake.) There the process accounts for j polls and
-// the task time between them and does what Poll does after its charge. A
-// wake past T(n-1), inside the trailing chunk, is for no poll of this
-// compute, and the process sleeps on.
+// taken in one move: a stretch of c cycles runs to its end, or to the first
+// poll that may find something, and the compute goes on with the cycles it
+// has left. Cycles that reach no poll are charged as they come.
 func (p *Proc) computeQuiet(c sim.Time) {
-	if c > p.pollGap {
-		p.watchQueues()
-		for c > p.pollGap {
-			c = p.pollQuietly(c)
-		}
-		p.watching = false
+	for c > p.pollGap {
+		_, x := p.quietly(c, -1)
+		c -= x
 	}
 	if c > 0 {
 		p.charge(CatTask, c)
 		p.pollGap -= c
 	}
-}
-
-// pollQuietly runs a compute of c cycles, with a poll in it and the process
-// watching its queues, up to and including the first poll that may find
-// something, and returns the cycles of it still to do.
-func (p *Proc) pollQuietly(c sim.Time) sim.Time {
-	s := p.sys
-	interval := s.Cfg.PollInterval
-	start := p.Sim.Now()
-	n := (c - p.pollGap + interval - 1) / interval
-	p.quiet = quietPlan{start: start, g: p.pollGap, n: n}
-	k := n // the poll to take for real; n for none
-	if a, ok := p.nextArrival(); ok {
-		k = min(k, p.firstPoll(a))
-	}
-	if every := s.pollTickEvery; every > 0 {
-		k = min(k, every-1-p.stats.N[CntPolls]%every)
-	}
-	stop := start + c + n*s.Cfg.Cost.Poll
-	if k < n {
-		stop = p.pollAt(k)
-	}
-	p.quiet.stop = stop
-	for w := start; w < stop; {
-		w += p.Sim.AdvanceUnlessNotified(stop - w)
-		if j := p.firstPoll(w); w < stop && j < n {
-			k, stop = j, p.pollAt(j)
-			p.Sim.Advance(stop - w)
-			break
-		}
-	}
-	p.quiet.stop = 0
-	if k >= n {
-		p.chargedPolls(n, c)
-		p.pollGap += n*interval - c
-		return 0
-	}
-	task := p.pollGap + k*interval
-	p.chargedPolls(k+1, task)
-	p.pollGap = interval
-	p.polled()
-	return c - task
-}
-
-// chargedPolls accounts for n polls and the task cycles around them, which
-// the clock has already been moved over.
-func (p *Proc) chargedPolls(n int64, task sim.Time) {
-	p.stats.N[CntPolls] += n
-	p.stats.Time[p.chargedTo(CatPoll)] += n * p.sys.Cfg.Cost.Poll
-	p.stats.Time[p.chargedTo(CatTask)] += task
 }
 
 // SpinWhile is a synchronization loop's spin-wait on the word at addr, with
@@ -202,12 +138,21 @@ func (p *Proc) chargedPolls(n int64, task sim.Time) {
 // memory, which changes only when a process of the node writes it. So
 // where Compute takes its polls in closed form, and the process has no miss
 // outstanding, no stall override and no batch open, the iterations after
-// such a hit are a stretch too (spinQuietly).
+// such a hit are a stretch too. The stretch's loads read what the first did
+// until a process of the node writes the line (stored, fillFlag,
+// installData). At a load the spin takes the rest of Load; at a poll, the
+// rest of the compute around it and a Load.
 func (p *Proc) SpinWhile(addr uint64, gap sim.Time, v uint64, equal bool) uint64 {
 	got, hit := p.load(addr)
 	for (got == v) == equal {
 		if hit && gap > 0 && p.pollsQuietly() && p.outstanding == 0 && !p.overridden && p.curBatch == nil {
-			got, hit = p.spinQuietly(addr, gap)
+			line := p.sys.lineOf(addr)
+			if load, x := p.quietly(gap, line); load {
+				got, hit = p.loaded(p.sys.wordOf(addr), line)
+			} else {
+				p.Compute(gap - x%gap)
+				got, hit = p.load(addr)
+			}
 			continue
 		}
 		p.Compute(gap)
@@ -216,63 +161,54 @@ func (p *Proc) SpinWhile(addr uint64, gap sim.Time, v uint64, equal bool) uint64
 	return got
 }
 
-// spinQuietly runs SpinWhile's loop from just after a load that hit, parked
-// on its queues and on the line, up to and including the first event that
-// may end the spin or find something (spinNext), and returns what the
-// last load returned and whether it hit. The stretch's loads read what the
-// first did until a process of the node writes the line (stored, fillFlag,
-// installData); the writer wakes the spinner at the first load that sees
-// the write (sawWrite). A wake at an instant that is no such event, such as
-// a put's for a message a node-mate has taken, leaves the spinner parked on
-// to the next. At a load the spin takes the rest of Load; at a poll, what
-// Poll does after its charge, the rest of the compute around it and a
-// Load.
-func (p *Proc) spinQuietly(addr uint64, gap sim.Time) (uint64, bool) {
-	s := p.sys
-	line := s.lineOf(addr)
+// quietly takes a stretch from now, with loads gap task cycles apart: a
+// spin's, whose loads read line and are charged Cost.LoadCheck, the last
+// spinSpan cycles on, or, with line -1, a compute's of gap cycles. The
+// process parks on its queues up to and including the first event that may
+// end the stretch or find something (quietNext), and plans again on every
+// wake: one at an instant that is no event, such as a put's for a message a
+// node-mate has since taken, leaves it parked on to the next. There it
+// accounts for the stretch (quietCharged), does what Poll does after its
+// charge if the event is a poll, and returns whether it is a load and the
+// task cycles before it.
+func (p *Proc) quietly(gap sim.Time, line int) (bool, sim.Time) {
 	now := p.Sim.Now()
-	p.quiet = quietPlan{start: now, g: p.pollGap, gap: gap}
-	p.spinLine, p.spinSeen = line, sim.Forever
+	p.quiet = quietPlan{start: now, g: p.pollGap, gap: gap, seen: sim.Forever, last: 1, line: line}
+	if line >= 0 {
+		p.quiet.cost = p.sys.Cfg.Cost.LoadCheck
+		p.quiet.last = p.firstLoad(now + spinSpan)
+	}
 	p.watchQueues()
-	bound := p.firstLoad(now + spinSpan)
 	var load bool
 	var i int64
 	for {
 		var at sim.Time
-		at, load, i = p.spinNext(now, bound)
+		at, load, i = p.quietNext(now)
 		if now >= at {
 			break
 		}
 		p.quiet.stop = at
 		now += p.Sim.AdvanceUnlessNotified(at - now)
 	}
-	p.quiet.stop, p.spinLine, p.watching = 0, -1, false
-	interval := s.Cfg.PollInterval
-	if load {
-		x := i * gap
-		polls := p.pollsBefore(x)
-		p.spun(i, polls, x)
-		p.pollGap = p.quiet.g + polls*interval - x
-		return p.loaded(s.wordOf(addr), line)
+	p.watching = false
+	x := p.quietCharged(load, i)
+	p.quiet.stop, p.quiet.line = 0, -1
+	if !load {
+		p.polled()
 	}
-	x := p.quiet.g + i*interval
-	loads := x / gap
-	p.spun(loads, i+1, x)
-	p.pollGap = interval
-	p.polled()
-	p.Compute((loads+1)*gap - x)
-	return p.load(addr)
+	return load, x
 }
 
-// spinNext returns the first event of a spin's stretch at or after t that
-// may end the spin or find something, whether it is a load, and its
-// index: the first load that sees a write to the line, or load bound;
-// and, if earlier, the first poll at or after the next arrival, or the
-// backend's tick. Of a load and a poll at one instant the load comes first.
-func (p *Proc) spinNext(t sim.Time, bound int64) (sim.Time, bool, int64) {
-	j := bound
-	if p.spinSeen < sim.Forever {
-		j = min(j, p.firstLoad(p.spinSeen))
+// quietNext returns the first event of the stretch at or after t that may
+// end it or find something, whether it is a load, and its index: the first
+// load that sees a write to the line, or load last; and, if earlier, the
+// first poll at or after the next arrival (or retransmission, which
+// nextArrival includes), or the backend's tick. Of a load and a poll at one
+// instant the load comes first.
+func (p *Proc) quietNext(t sim.Time) (sim.Time, bool, int64) {
+	j := p.quiet.last
+	if seen := p.quiet.seen; seen < sim.Forever {
+		j = min(j, p.firstLoad(seen))
 	}
 	m := int64(-1)
 	if a, ok := p.nextArrival(); ok {
@@ -292,19 +228,39 @@ func (p *Proc) spinNext(t sim.Time, bound int64) (sim.Time, bool, int64) {
 	return at, true, j
 }
 
-// spun accounts for a spin's loads, polls and task cycles, which the clock
-// has already been moved over.
-func (p *Proc) spun(loads, polls int64, task sim.Time) {
-	p.stats.N[CntLoads] += loads
-	p.stats.N[CntLoadChecks] += loads
-	p.stats.Time[p.chargedTo(CatCheck)] += loads * p.sys.Cfg.Cost.LoadCheck
-	p.chargedPolls(polls, task)
+// quietCharged accounts for the stretch's loads, polls and task cycles up
+// to and including its load or poll i, which the clock has already been
+// moved over, moves the process's poll gap past them, and returns those
+// task cycles. A compute's load is its end, not a load.
+func (p *Proc) quietCharged(load bool, i int64) sim.Time {
+	c, pl := &p.sys.Cfg, &p.quiet
+	var polls int64
+	var x sim.Time
+	if load {
+		x = i * pl.gap
+		polls = p.pollsBefore(x)
+		p.pollGap = pl.g + polls*c.PollInterval - x
+	} else {
+		x = pl.g + i*c.PollInterval
+		polls = i + 1
+		p.pollGap = c.PollInterval
+	}
+	if pl.line >= 0 {
+		loads := x / pl.gap
+		p.stats.N[CntLoads] += loads
+		p.stats.N[CntLoadChecks] += loads
+		p.stats.Time[p.chargedTo(CatCheck)] += loads * pl.cost
+	}
+	p.stats.N[CntPolls] += polls
+	p.stats.Time[p.chargedTo(CatPoll)] += polls * c.Cost.Poll
+	p.stats.Time[p.chargedTo(CatTask)] += x
+	return x
 }
 
 // sawWrite is a write of w's, a process of p's node, to lines [first,
 // first+n) of their node memory.
 func (p *Proc) sawWrite(w *Proc, first, n int) {
-	if p.spinLine >= first && p.spinLine < first+n && p != w {
+	if l := p.quiet.line; l >= first && l < first+n && p != w {
 		p.spinSaw(w)
 	}
 }
@@ -319,8 +275,8 @@ func (p *Proc) spinSaw(w *Proc) {
 	if w.Sim.ID > p.Sim.ID {
 		t++
 	}
-	if at := p.loadAt(p.firstLoad(t)); at < p.spinSeen {
-		p.spinSeen = at
+	if at := p.loadAt(p.firstLoad(t)); at < p.quiet.seen {
+		p.quiet.seen = at
 		p.Sim.NotifyAt(at)
 	}
 }

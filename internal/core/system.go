@@ -38,23 +38,14 @@ func newQueueBox() *queueBox {
 }
 
 // put queues m and wakes, for its arrival, each process on the box that is
-// watching its queues. On a box several processes serve, one parked in a
-// stretch of polls is woken at the first of them that can find m
-// (Proc.wakeFor), not at the arrival, so that a node-mate that takes m
-// before that poll spares it the wake (spare). Alone on its box it takes m
-// at that poll whenever it wakes, and is woken at the arrival, which leaves
-// a cross-node put's clamp of its sender's window (sim.Proc.NotifyAt) where
-// it was.
+// watching its queues: one parked in a stretch at the first of its polls
+// that can find m (Proc.wakeFor), not at the arrival, so that a node-mate
+// that takes m before that poll spares it the wake (spare).
 func (b *queueBox) put(m msg, arrive sim.Time, ord memchannel.Ord) {
 	b.q.PutOrd(m, arrive, ord)
-	shared := len(b.waiters) > 1
 	for _, q := range b.waiters {
 		if q.watching {
-			t := arrive
-			if shared {
-				t = q.wakeFor(arrive)
-			}
-			q.Sim.NotifyAt(t)
+			q.Sim.NotifyAt(q.wakeFor(arrive))
 		}
 	}
 }
@@ -404,7 +395,7 @@ func (s *System) newProc(name string, cpu int) *Proc {
 		barrierSeen:  make([]int, len(s.barriers)),
 		barrierWaits: make([]int, len(s.barriers)),
 		pinnedLines:  make(map[int]bool),
-		spinLine:     -1,
+		quiet:        quietPlan{line: -1},
 		seed:         s.Cfg.Seed + int64(len(s.procs))*7919,
 	}
 	if !s.Cfg.SharedQueues {

@@ -496,7 +496,14 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // queue several processes serve began to wake one parked in a stretch of
 // polls at its first poll at or after the arrival: its processes yield at
 // other instants, so the driver runs its windows in another order, while
-// the multiset of events stays what it was.)
+// the multiset of events stays what it was. barnes-8p-8x1-tardis was
+// recorded again when a put to a queue only one process serves, as every
+// queue on Base-Shasta is, began to wake that process, parked in a stretch,
+// at its first poll at or after the arrival, no later than the park's
+// stop, and not at the arrival: the woken process no longer runs at the
+// arrival only to go on to that poll, and the put clamps its sender's
+// window at the later instant, so both yield at other instants and the
+// driver runs the windows in another order.)
 //
 // Regenerate with -update only when a change is meant to alter the
 // simulated schedule, and look at which of the two files moved.
