@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -157,15 +158,30 @@ func (b *Batch) Load(addr uint64) uint64 {
 
 // Store performs an unchecked store inside the batch window, recording it
 // for possible reissue (§4.1).
-func (b *Batch) Store(addr uint64, v uint64) {
-	p := b.p
-	line := p.sys.lineOf(addr)
-	p.stats.N[CntStores]++
-	p.charge(CatTask, 1)
-	p.mem.data[p.sys.wordOf(addr)] = v
-	p.stored(line)
-	if p.sys.Cfg.Checks {
-		b.stores = append(b.stores, pendingStore{addr, v})
+func (b *Batch) Store(addr uint64, v uint64) { b.StoreBlock(addr, []uint64{v}) }
+
+// StoreBlock stores vals to the consecutive words from addr inside the
+// batch window: len(vals) unchecked stores of a cycle each, charged as one
+// stretch. Their words, and what they do to node-mates (stored), land
+// together at its end: the process makes no other access between them, so
+// that is a legal execution under release and sequential consistency
+// alike. Each store is recorded for possible reissue, as Store's is.
+func (b *Batch) StoreBlock(addr uint64, vals []uint64) {
+	if len(vals) == 0 {
+		return
+	}
+	p, s := b.p, b.p.sys
+	first, last := s.lineOf(addr), s.lineOf(addr+uint64(8*len(vals)-8))
+	p.stats.N[CntStores] += int64(len(vals))
+	p.charge(CatTask, sim.Time(len(vals)))
+	copy(p.mem.data[s.wordOf(addr):], vals)
+	for l := first; l <= last; l++ {
+		p.stored(l)
+	}
+	if s.Cfg.Checks {
+		for i, v := range vals {
+			b.stores = append(b.stores, pendingStore{addr + uint64(8*i), v})
+		}
 	}
 }
 

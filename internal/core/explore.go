@@ -376,7 +376,7 @@ func (e *Explorer) applyDeliver(a ExpAction) {
 	e.events = append(e.events, trace.Event{
 		Cat: "mc", Ev: "deliver", P: a.Dst, O: a.Src, Blk: m.block, S: m.kind.String(),
 	})
-	e.sys.procs[a.Dst].handleMessage(&m, CatMessage)
+	e.sys.procs[a.Dst].handleMessage(&m, CatMessage, 0)
 }
 
 func (e *Explorer) applyStep(pid int) {

@@ -792,7 +792,7 @@ func (p *Proc) serviceReady(cat TimeCategory) bool {
 		return true
 	}
 	if m, ok := p.replyQ.q.Pop(now); ok {
-		p.handleMessage(&m, cat)
+		p.handleMessage(&m, cat, 0)
 		return true
 	}
 	box := p.procBox()
@@ -810,10 +810,11 @@ func (p *Proc) serviceReady(cat TimeCategory) bool {
 	if len(box.waiters) > 1 {
 		box.spare(p)
 	}
+	var lock sim.Time
 	if p.sys.Cfg.SharedQueues {
-		p.charge(cat, p.sys.Cfg.Cost.QueueLock)
+		lock = p.sys.Cfg.Cost.QueueLock
 	}
-	p.handleMessage(&m, cat)
+	p.handleMessage(&m, cat, lock)
 	return true
 }
 

@@ -59,7 +59,7 @@ func (p *Proc) send(to *Proc, m *msg, cat TimeCategory) {
 	case m.kind.isReply():
 		p.dispatch(m)
 	default:
-		p.handleMessage(m, CatMessage)
+		p.handleMessage(m, CatMessage, 0)
 	}
 }
 
@@ -79,21 +79,24 @@ var downgradeSiteNames = [...]string{Invalid: "downgradeAgent:invalid", Shared: 
 // The message is passed by pointer — the struct is ~128 bytes and used to
 // be copied at every level of the dispatch chain — but ownership stays
 // with the caller: retention points (home-side queues, deferred requests,
-// retransmit entries) store value copies.
-func (p *Proc) handleMessage(m *msg, cat TimeCategory) {
+// retransmit entries) store value copies. lock is what taking m from a
+// shared queue cost, 0 for any other message: it is charged with the
+// handler's entry, and m is handled once it is paid.
+func (p *Proc) handleMessage(m *msg, cat TimeCategory, lock sim.Time) {
 	s := p.sys
 	if t := s.tr(p); t != nil {
+		at := p.Sim.Now() + lock
 		var delay sim.Time
 		if m.arrive > 0 {
-			delay = p.Sim.Now() - m.arrive
+			delay = at - m.arrive
 		}
 		t.Emit(trace.Event{
-			T: p.Sim.Now(), Cat: "msg", Ev: "handle",
+			T: at, Cat: "msg", Ev: "handle",
 			P: p.ID, O: m.from, Blk: m.block, S: m.kind.String(), A: delay,
 		})
 	}
 	p.stats.N[CntMessagesHandled]++
-	p.charge(cat, s.Cfg.Cost.MsgHandle)
+	p.charge(cat, lock+s.Cfg.Cost.MsgHandle)
 	wasIn, outer := p.inProtocol, p.handling
 	p.inProtocol, p.handling = true, m.kind
 	p.depth++
@@ -467,7 +470,7 @@ func (p *Proc) downgradeApplied(blk *blockInfo) {
 		p.replyForward(blk, &rec.m, data)
 	}
 	for i := range rec.deferred {
-		p.handleMessage(&rec.deferred[i], CatMessage)
+		p.handleMessage(&rec.deferred[i], CatMessage, 0)
 	}
 }
 
@@ -591,7 +594,7 @@ func (p *Proc) finishMiss(m *mshrEntry) {
 		pending := p.deferredReqs
 		p.deferredReqs = nil
 		for i := range pending {
-			p.handleMessage(&pending[i], CatMessage)
+			p.handleMessage(&pending[i], CatMessage, 0)
 		}
 		if p.deferredReqs == nil {
 			// Nothing re-deferred during the replays: keep the slice's

@@ -76,3 +76,40 @@ func TestSendToSelf(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeMatesSendOneStepEach: a send is one charge, its queue lock's
+// included, so two ready node-mates that each send while the other runs
+// hand the node back and forth once per send, not once per cost term. On
+// 2x2, p0 and p1 each send 50 user messages to p2 on the other node,
+// which handles them all once it is done with a stretch longer than theirs.
+func TestNodeMatesSendOneStepEach(t *testing.T) {
+	const sends = 50
+	cfg := testConfig()
+	cfg.Nodes, cfg.CPUsPerNode = 2, 2
+	s := Build(WithConfig(cfg))
+	if !s.Cfg.SharedQueues {
+		t.Fatal("the configuration shares no queues")
+	}
+	handled := 0
+	s.SetUserHandler(func(*Proc, int, int, any) { handled++ })
+	for cpu := 0; cpu < 2; cpu++ {
+		s.Spawn("sender", cpu, func(p *Proc) {
+			for i := 0; i < sends; i++ {
+				p.SendUser(2, i, nil)
+			}
+		})
+	}
+	s.Spawn("receiver", 2, func(p *Proc) { p.ChargeTime(CatTask, 1_000_000) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if handled != 2*sends {
+		t.Fatalf("the receiver handled %d messages, want %d", handled, 2*sends)
+	}
+	// Besides the sends, a few steps start the processes and end the run.
+	c := s.Eng.SchedCounters()
+	t.Logf("%d sends: %d steps", 2*sends, c.Steps)
+	if most := int64(2*sends + 6); c.Steps > most {
+		t.Errorf("%d sends took %d scheduler steps, want at most %d", 2*sends, c.Steps, most)
+	}
+}

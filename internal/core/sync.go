@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -31,8 +32,8 @@ func (p *Proc) LockAcquire(id int) {
 	p.emitSync("lock-acquire", id)
 	p.enterProtocol()
 	defer p.exitProtocol()
-	p.charge(CatSyncStall, s.Cfg.Cost.ProtocolEntry)
-	if slot := p.lockSlot(lk, CatSyncStall); slot.busy {
+	p.charge(CatSyncStall, s.Cfg.Cost.ProtocolEntry+p.slotCost(lk))
+	if slot := &lk.slots[p.agent]; slot.busy {
 		slot.waiters = append(slot.waiters, p.ID)
 	} else {
 		slot.busy = true
@@ -77,8 +78,8 @@ func (p *Proc) LockRelease(id int) {
 	p.enterProtocol()
 	defer p.exitProtocol()
 	p.drainOutstanding()
-	p.charge(CatTask, s.Cfg.Cost.ProtocolEntry)
-	slot := p.lockSlot(lk, CatTask)
+	p.charge(CatTask, s.Cfg.Cost.ProtocolEntry+p.slotCost(lk))
+	slot := &lk.slots[p.agent]
 	rel := msg{kind: msgLockRelease, id: id, from: p.ID, reqProc: -1, ts: s.proto.syncTs(p)}
 	if len(slot.waiters) > 0 {
 		next := s.procs[slot.waiters[0]]
@@ -95,14 +96,15 @@ func (p *Proc) LockRelease(id int) {
 	p.toLockHome(lk, &rel, CatTask)
 }
 
-// lockSlot returns p's agent's slot of lk. Reading it is a SyncLocal step at
-// the home's agent, whose memory also holds the home's queue, and elsewhere
-// when node-mates share the slot.
-func (p *Proc) lockSlot(lk *lockState, cat TimeCategory) *lockSlot {
+// slotCost returns what reading p's agent's slot of lk costs: a SyncLocal
+// step at the home's agent, whose memory also holds the home's queue, and
+// elsewhere when node-mates share the slot; nothing for an agent's only
+// process away from the home. Callers charge it with the protocol entry.
+func (p *Proc) slotCost(lk *lockState) sim.Time {
 	if p.agent == p.sys.procs[lk.home].agent || len(p.sys.localProcs(p.agent)) > 1 {
-		p.charge(cat, p.sys.Cfg.Cost.SyncLocal)
+		return p.sys.Cfg.Cost.SyncLocal
 	}
-	return &lk.slots[p.agent]
+	return 0
 }
 
 // toLockHome delivers m, a lock request or release of p's agent, to lk's
@@ -206,16 +208,18 @@ func (p *Proc) BarrierWait(id int) {
 	p.enterProtocol()
 	defer p.exitProtocol()
 	p.drainOutstanding()
-	p.charge(CatSyncStall, s.Cfg.Cost.ProtocolEntry)
 	p.barrierWaits[id]++
 	target := p.barrierWaits[id]
 	slot := b.slotOf(p)
 	home := s.procs[b.home]
 	// An agent's only participant, away from the home, keeps nothing in
-	// the agent's memory: its arrival is the message.
+	// the agent's memory: its arrival is the message. Otherwise it reads
+	// the slot for a SyncLocal step, charged with the protocol entry.
+	cost := s.Cfg.Cost.ProtocolEntry
 	if slot.need > 1 || p.agent == home.agent {
-		p.charge(CatSyncStall, s.Cfg.Cost.SyncLocal)
+		cost += s.Cfg.Cost.SyncLocal
 	}
+	p.charge(CatSyncStall, cost)
 	slot.arrived.add(p.ID)
 	if ts := s.proto.syncTs(p); ts > slot.maxTs {
 		slot.maxTs = ts

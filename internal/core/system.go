@@ -751,13 +751,15 @@ func (s *System) deliver(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
 }
 
 // sendWire transmits m (an original send or a retransmission): it charges
-// the send cost, runs the network — including any injected faults — and
-// enqueues whatever copies survive the wire.
+// the send cost, with the queue lock's where queues are shared, in one
+// charge, runs the network — including any injected faults — and enqueues
+// whatever copies survive the wire.
 func (s *System) sendWire(sender *Proc, dst *Proc, m *msg, cat TimeCategory) {
-	sender.charge(cat, s.Cfg.Cost.MsgSend)
+	cost := s.Cfg.Cost.MsgSend
 	if s.Cfg.SharedQueues {
-		sender.charge(cat, s.Cfg.Cost.QueueLock)
+		cost += s.Cfg.Cost.QueueLock
 	}
+	sender.charge(cat, cost)
 	sender.stats.N[CntMessagesSent]++
 	size := m.wireSize(s.Cfg.LineSize)
 	now := sender.Sim.Now()

@@ -278,8 +278,8 @@ func (d *driver) homeWorker(page int) int { return page % d.workers }
 // free: a stretch of polls that find nothing is one move
 // (core.Proc.Compute), but one that ends past the instant a node-mate or
 // another node may act next parks, which is a scheduler step. In oltp-open's
-// 8-tenant rep (4 M cycles of arrivals) the dispatcher parks 1 745 times
-// and its 15 workers 2 033 times between them, of 18 224 steps.
+// 8-tenant rep (4 M cycles of arrivals) the dispatcher parks 1 686 times
+// and its 15 workers 1 967 times between them, of 8 981 steps.
 func pollUntil(p *core.Proc, target sim.Time) {
 	for {
 		now := p.Now()

@@ -122,19 +122,28 @@ func (e *Env) Pages() int { return e.prm.Pages }
 func (e *Env) PageHome(pg int) int { return e.pageHomes[pg%len(e.pageHomes)] }
 
 // WarmOwned seeds the contents of every page homed at proc home, using the
-// same pg*1000+w fill as Run. Called from that proc itself before the
+// same fill as Run (warmPages). Called from that proc itself before the
 // measured phase so warming costs no coherence traffic and the data set
 // starts fully cached at its homes (§6.5).
 func (e *Env) WarmOwned(c *core.Proc, home int) {
-	for pg := 0; pg < e.prm.Pages; pg++ {
-		if e.pageHomes[pg] != home {
+	warmPages(c, e.sga, e.prm.Pages, func(pg int) bool { return e.pageHomes[pg] == home })
+}
+
+// warmPages fills each page pg of the buffer cache at sga for which warm
+// says so with its pg*1000+w contents: one batch per page, whose stores
+// are one block store.
+func warmPages(c *core.Proc, sga uint64, pages int, warm func(pg int) bool) {
+	vals := make([]uint64, PageBytes/8)
+	for pg := 0; pg < pages; pg++ {
+		if !warm(pg) {
 			continue
 		}
-		base := e.sga + uint64(pg*PageBytes)
-		b := c.BatchStart(core.Range{Addr: base, Bytes: PageBytes, Write: true})
-		for w := 0; w < PageBytes/8; w++ {
-			b.Store(base+uint64(w*8), uint64(pg*1000+w))
+		for w := range vals {
+			vals[w] = uint64(pg*1000 + w)
 		}
+		base := sga + uint64(pg*PageBytes)
+		b := c.BatchStart(core.Range{Addr: base, Bytes: PageBytes, Write: true})
+		b.StoreBlock(base, vals)
 		c.BatchEnd(b)
 	}
 }

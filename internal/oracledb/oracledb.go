@@ -165,14 +165,7 @@ func Run(sys *core.System, osl *clusteros.OS, prm Params) (*Result, error) {
 		// Seed the datafile and warm the cache (the DSS tables are
 		// cached in memory before the measured run — §6.5).
 		fd, _ := osl.Open(p, "/db/datafile", 0)
-		for pg := 0; pg < prm.Pages; pg++ {
-			base := sga + uint64(pg*PageBytes)
-			b := p.BatchStart(core.Range{Addr: base, Bytes: PageBytes, Write: true})
-			for w := 0; w < PageBytes/8; w++ {
-				b.Store(base+uint64(w*8), uint64(pg*1000+w))
-			}
-			p.BatchEnd(b)
-		}
+		warmPages(p, sga, prm.Pages, func(int) bool { return true })
 		osl.Write(p, fd, sga, prm.Pages*PageBytes)
 		osl.Close(p, fd)
 

@@ -503,7 +503,14 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // stop, and not at the arrival: the woken process no longer runs at the
 // arrival only to go on to that poll, and the put clamps its sender's
 // window at the later instant, so both yield at other instants and the
-// driver runs the windows in another order.)
+// driver runs the windows in another order. ocean-16p-4x4-smp-dirinval,
+// barnes-8p-8x1-tardis and load-4-tenants were recorded again when each
+// action began to be one charge: a send with its shared queue's lock, a
+// take from a shared queue with its handler's entry, a lock's or barrier's
+// protocol entry with its read of the agent's slot, and the load
+// generator's warm-up fills a page in one block store. The same events
+// land at the same instants, but processes yield at fewer of them, so the
+// driver emits them in another host order.)
 //
 // Regenerate with -update only when a change is meant to alter the
 // simulated schedule, and look at which of the two files moved.
