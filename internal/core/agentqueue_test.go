@@ -132,10 +132,12 @@ func TestExitedProcessServesMessageOnTheWire(t *testing.T) {
 // three things there: compute (parked on its queues in a stretch, quietly),
 // stall on a miss of its own (a read of B, which p3 serves only when it
 // polls at wkBusy), or charge application time outside any compute, as p0
-// and p3 do until wkBusy. Every one of them is busy until then. The stalled process
+// and p3 do until wkBusy. A fourth role, wkComputeLate, computes too, but
+// starts its second stretch at wkLate, while the read-req is on the wire:
+// p4 sends it at 20 970 and it arrives at 22 250. Every one of them is busy until then. The stalled process
 // goes on the lower CPU: of two processes woken at one instant, the lower
 // CPU's runs first.
-const wkRead, wkBusy = 20_000, 200_000
+const wkRead, wkLate, wkBusy = 20_000, 21_000, 200_000
 
 type wkRole int
 
@@ -143,6 +145,7 @@ const (
 	wkCompute wkRole = iota
 	wkMiss
 	wkCharge
+	wkComputeLate
 )
 
 // putWakeRun runs the scenario with p1 and p2 in the given roles and returns
@@ -160,6 +163,11 @@ func putWakeRun(t *testing.T, proto string, p1, p2 wkRole) (trace.Event, sim.Sch
 			return func(p *Proc) { p.Compute(wkBusy) }
 		case wkMiss:
 			return func(p *Proc) { p.Load(b) }
+		case wkComputeLate:
+			return func(p *Proc) {
+				computeUntil(p, wkLate)
+				p.Compute(wkBusy)
+			}
 		}
 		return func(p *Proc) { p.ChargeTime(CatTask, wkBusy) }
 	}
@@ -233,5 +241,24 @@ func TestPutWakesTheProcessesWaitingOnTheQueue(t *testing.T) {
 				t.Errorf("p2 stalled on a miss: %d parks ended early, want none: p2 took the read, which spares p1's wake", sc.EarlyWakes)
 			}
 		})
+	}
+}
+
+// TestSparedStretchWakesOnce: p1 plans its second stretch at wkLate with
+// p4's read-req already queued, so the stretch's park stops at p1's first
+// poll after the arrival. p2, stalled, takes the read at its arrival and
+// spares p1, whose wake and stop move to the stretch's next event, the
+// compute's end: p1 parks once per compute, two parks in the run. While the
+// spare left the stop where it was, p1 woke there for the message p2 had
+// taken, planned again and parked on: three parks. On dirinval, where a
+// stretch has no backend tick to stop at.
+func TestSparedStretchWakesOnce(t *testing.T) {
+	cfg := testConfig()
+	ev, sc := putWakeRun(t, "dirinval", wkComputeLate, wkMiss)
+	if ev.P != 2 || ev.A != int64(cfg.Cost.QueueLock) {
+		t.Errorf("the read-req was handled by p%d at %d, %d cycles after its arrival, want by p2 at its arrival (%d cycles of queue lock)", ev.P, ev.T, ev.A, cfg.Cost.QueueLock)
+	}
+	if sc.Parks != 2 || sc.EarlyWakes != 0 {
+		t.Errorf("%d parks, %d of them ended early, want 2 and none: one per compute of p1's", sc.Parks, sc.EarlyWakes)
 	}
 }

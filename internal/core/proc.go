@@ -183,10 +183,10 @@ func (p *Proc) chargeWallClock(cat TimeCategory, c sim.Time) {
 // events (computeQuiet). Two kinds of process still take every poll as an
 // event of its own (computePolling): one on an engine without lookahead (a
 // system with the cluster OS or with protocol processes), because there
-// quantum expiry and sleeper displacement are taken where a process yields,
-// and one that shares its CPU, a protocol process's included, because a
-// process parked in the middle of a stretch would keep computing while the
-// quantum gives the CPU to another.
+// quantum expiry is taken where a process yields, and one that shares its
+// CPU, a protocol process's included, because a process parked in the
+// middle of a stretch would keep computing while the quantum gives the CPU
+// to another.
 func (p *Proc) Compute(c sim.Time) {
 	s := p.sys
 	switch {
@@ -759,26 +759,25 @@ func (p *Proc) nextArrival() (sim.Time, bool) {
 }
 
 // spareWake moves the wake of a process parked on its queues, woken for a
-// message another process has taken, to when it next has something to do:
-// the next arrival on its queues or a retransmission (at the poll that
-// finds it, in a stretch: wakeFor), the stop of the stretch's park, or the
-// load of a spin that sees a node-mate's write, whichever is first. One
-// parked in stallWhile keeps its wake if a node-mate has woken it since
-// (what its stall waits for may have come); a message that ends a stall is
-// on its queues. One serving after its exit waits for nothing else. The
-// wake it spares changes nothing: a poll, a stall or a server that finds
-// nothing just sleeps on.
+// message another process has taken, to when it next has something to do.
+// One parked in a stretch sleeps on to the stretch's next event
+// (quietNext), which becomes its park's stop: it wakes once, there, and
+// plans nothing in between. One parked in stallWhile sleeps on to the next
+// arrival on its queues or retransmission, unless a node-mate has woken it
+// since (what its stall waits for may have come); a message that ends a
+// stall is on its queues. One serving after its exit waits for nothing
+// else. The wake it spares changes nothing: a poll, a stall or a server that
+// finds nothing just sleeps on.
 func (p *Proc) spareWake() {
-	t := sim.Forever
+	var t sim.Time
 	switch {
 	case p.quiet.stop > 0:
-		t = min(p.quiet.stop, p.quiet.seen)
-	case p.exited:
-	case !p.stalled || p.poked:
+		t, _, _ = p.quietNext(p.Sim.Now())
+		p.quiet.stop = t
+	case p.exited || p.stalled && !p.poked:
+		t, _ = p.nextArrival()
+	default:
 		return
-	}
-	if a, ok := p.nextArrival(); ok {
-		t = min(t, p.wakeFor(a))
 	}
 	p.Sim.DelayWake(t)
 }

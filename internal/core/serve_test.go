@@ -26,7 +26,8 @@ func TestBlockedBesideProtocolProcessWakesOnTime(t *testing.T) {
 		for i := range start {
 			p.Compute(1000)
 			start[i] = p.Now()
-			p.Sim.Sleep(sleep)
+			p.Sim.NotifyAt(p.Now() + sleep)
+			p.Sim.Block()
 			end[i] = p.Now()
 		}
 	})

@@ -28,7 +28,8 @@ func stallSystem(workers int) error {
 	sys := core.Build(opts...)
 	sys.Spawn("drifter", 0, func(p *core.Proc) {
 		for {
-			p.Sim.Sleep(1000)
+			p.Sim.NotifyAt(p.Now() + 1000)
+			p.Sim.Block()
 		}
 	})
 	sys.Spawn("anchor", 1, func(p *core.Proc) {

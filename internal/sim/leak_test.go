@@ -63,7 +63,8 @@ func TestNoGoroutineLeak(t *testing.T) {
 					e.Spawn("bystander", 1, 0, func(p *sim.Proc) {
 						defer func() {
 							cleaned = true
-							p.Sleep(10) // a cleanup that blocks is unwound too
+							p.NotifyAt(p.Now() + 10) // a cleanup that blocks is unwound too
+							p.Block()
 						}()
 						p.Wait()
 					})

@@ -43,14 +43,10 @@ func linearPick(sh *shard, horizon Time) *Proc {
 	if best == nil || bestT >= horizon {
 		return nil
 	}
-	if best.state == stateWaiting || best.state == stateBlocked {
-		wasWaiting := best.state == stateWaiting
+	if best.state == stateWaiting {
 		best.now = max(best.now, best.wakeAt)
 		best.wakeAt = Forever
 		best.state = stateReady
-		if wasWaiting {
-			best.sleeping = false
-		}
 	}
 	if best.wakeAt <= best.now {
 		best.wakeAt = Forever
@@ -82,8 +78,7 @@ func (o *Oracle) linearStep(sh *shard, horizon Time) *Proc {
 		if sh.preemptIfStale(c, minEff) {
 			o.StalePreempts.Add(1)
 		}
-		preemptSleeper(c)
-		sh.dispatch(c)
+		sh.dispatch(c, minEff)
 	}
 	p := linearPick(sh, horizon)
 	if p != nil {
@@ -111,7 +106,7 @@ func cloneShard(sh *shard) *shard {
 		q, ok := procs[p]
 		if !ok {
 			q = &Proc{ID: p.ID, Name: p.Name, Priority: p.Priority, eng: p.eng, cpu: cpus[p.cpu],
-				now: p.now, window: p.window, state: p.state, wakeAt: p.wakeAt, sleeping: p.sleeping}
+				now: p.now, window: p.window, state: p.state, wakeAt: p.wakeAt}
 			procs[p] = q
 		}
 		return q
@@ -138,7 +133,7 @@ func procID(p *Proc) int {
 
 // describe renders everything the scheduler decides: per CPU the incumbent,
 // slice end, free time, last process and queue order; per live process its
-// clock, window, state, wake time and sleeping flag.
+// clock, window, state and wake time.
 func describe(sh *shard) string {
 	s := ""
 	for _, c := range sh.cpus {
@@ -160,7 +155,7 @@ func describe(sh *shard) string {
 			if p.state != stateRunning {
 				w = 0 // only the resumed process's window is a decision
 			}
-			s += fmt.Sprintf("p%d now=%d win=%d %v wake=%d sleeping=%v\n", id, p.now, w, p.state, p.wakeAt, p.sleeping)
+			s += fmt.Sprintf("p%d now=%d win=%d %v wake=%d\n", id, p.now, w, p.state, p.wakeAt)
 		}
 	}
 	return s

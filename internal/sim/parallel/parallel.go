@@ -41,7 +41,7 @@
 // equivalence reduces to three observations:
 //
 //  1. Shard projection. Scheduling decisions — dispatch, quantum expiry,
-//     sleeper displacement, pick order — read only shard-local state
+//     pick order — read only shard-local state
 //     (the shard's CPUs and the processes bound to them). The sequential
 //     schedule, restricted to one shard's processes, is therefore a legal
 //     schedule of that shard alone, and the shard scheduler reproduces it

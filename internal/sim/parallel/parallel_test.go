@@ -217,7 +217,8 @@ func TestFalseAlarmStallResyncs(t *testing.T) {
 	})
 	e.Spawn("napper", 1, 0, func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			p.Sleep(dogCycles + 2000) // each wake overshoots the shard-local mark
+			p.NotifyAt(p.Now() + dogCycles + 2000) // each wake overshoots the shard-local mark
+			p.Block()
 			p.Advance(1)
 		}
 	})

@@ -43,10 +43,6 @@ type Proc struct {
 	window Time // may run until local clock reaches this
 	state  procState
 	wakeAt Time
-	// sleeping marks a process that released its CPU via Block/Sleep; a
-	// dispatched sleeper is displaced instantly when another process
-	// becomes runnable earlier (it holds the CPU only nominally).
-	sleeping bool
 	// working marks a process parked in AdvanceUnlessNotified: its wait is
 	// charged work, which the stall watchdog credits at its wake (or when it
 	// is about to trip, see creditParkedWork).
@@ -219,8 +215,8 @@ func (p *Proc) AdvanceUnlessNotified(c Time) Time {
 
 // Wait parks the process until another process calls NotifyAt. The process
 // keeps its CPU while waiting (it models Shasta's spin-polling for protocol
-// replies), though it can still be preempted at quantum expiry if another
-// process wants the CPU.
+// replies), whatever it did before, a Block included; it loses the CPU only
+// at quantum expiry, if another process wants it then.
 func (p *Proc) Wait() {
 	p.state = stateWaiting
 	p.yieldBack()
@@ -228,10 +224,11 @@ func (p *Proc) Wait() {
 
 // Block parks the process and releases its CPU (models blocking in the OS,
 // e.g. pid_block or file I/O). It returns after another process calls
-// NotifyAt and the scheduler gives the CPU back.
+// NotifyAt and the scheduler gives the CPU back: the process waits in the
+// CPU's queue, and dispatch puts it on the CPU, woken, once the wake is due
+// and the CPU is free.
 func (p *Proc) Block() {
 	p.state = stateBlocked
-	p.sleeping = true
 	p.yieldBack()
 }
 
@@ -251,14 +248,6 @@ func (p *Proc) idle() bool {
 	return p.serving && p.state == stateBlocked && p.wakeAt >= Forever
 }
 
-// Sleep blocks the process for d cycles, releasing the CPU.
-func (p *Proc) Sleep(d Time) {
-	p.wakeAt = p.now + d
-	p.state = stateBlocked
-	p.sleeping = true
-	p.yieldBack()
-}
-
 // NotifyAt delivers an event to p at absolute time t: if p is waiting or
 // blocked, it becomes schedulable at max(t, its own clock). Multiple
 // notifications keep the earliest. Safe to call only from a running process
@@ -273,13 +262,6 @@ func (p *Proc) NotifyAt(t Time) {
 			// p may act from w on, and what it does reaches the notifier's
 			// shard a lookahead later.
 			cur.crossShard("notifies", p, t, w)
-		}
-		// A sleeper parked on its CPU had its quantum anchored to the old
-		// wake time; track the earlier wake.
-		if c := p.cpu; c.current == p && p.state == stateBlocked && c.sliceEnd < Forever {
-			if end := max(p.now, p.wakeAt) + p.eng.cfg.Quantum; end < c.sliceEnd {
-				c.sliceEnd = end
-			}
 		}
 	}
 	// The notifier must yield control by the wake time, or the waiter
@@ -296,14 +278,12 @@ func (p *Proc) NotifyAt(t Time) {
 // process that finds the reason it notified p gone before p woke (a message
 // it was woken for, taken by another). The caller answers for t: nothing
 // else p waits for may come before it, or that wake-up is lost. It covers a
-// process parked in Wait or AdvanceUnlessNotified, and one parked in Serve
-// off its CPU; one that dispatch has put on its CPU already holds the CPU
-// until its wake, which may then not move. A process in any other state, or
-// whose wake is t or later already, is left alone. Like NotifyAt, safe to
-// call only from a running process of p's shard.
+// process parked in Wait or AdvanceUnlessNotified, and one parked in Serve.
+// A process in any other state (one that dispatch has already woken
+// included), or whose wake is t or later already, is left alone. Like
+// NotifyAt, safe to call only from a running process of p's shard.
 func (p *Proc) DelayWake(t Time) {
-	parked := p.state == stateWaiting ||
-		p.serving && p.state == stateBlocked && p.cpu.current != p
+	parked := p.state == stateWaiting || p.serving && p.state == stateBlocked
 	if !parked || t <= p.wakeAt {
 		return
 	}
@@ -314,19 +294,12 @@ func (p *Proc) DelayWake(t Time) {
 // effectiveTime is the earliest simulated time at which this process could
 // next execute an action, from the scheduler's point of view.
 func (p *Proc) effectiveTime() Time {
-	var t Time
+	t := p.now
 	switch p.state {
 	case stateDone:
 		return Forever
-	case stateNew, stateReady, stateRunning:
-		t = p.now
 	case stateWaiting, stateBlocked:
 		t = p.wakeAt
-		if p.state == stateBlocked && p.cpu.current == p && p.now > t {
-			// Parked on its CPU after dispatch: the context-switch charge
-			// (already folded into p.now) floors the resume time.
-			t = p.now
-		}
 	}
 	if t >= Forever {
 		return Forever

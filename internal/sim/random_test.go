@@ -189,7 +189,8 @@ func randomProgram(t *testing.T, seed int64, drv driver, sh shape) *randomRun {
 					read()
 				case 6:
 					if d := sim.Time(r.Intn(1500)); sh.release && self >= 0 && self%4 == 3 {
-						p.Sleep(d)
+						p.NotifyAt(p.Now() + d)
+						p.Block()
 					}
 				case 7:
 					// A yield that charges nothing: the process resumes
@@ -273,7 +274,8 @@ func immediateProgram(t *testing.T, seed int64) *randomRun {
 						p.Block()
 					}
 				case 6:
-					p.Sleep(sim.Time(r.Intn(1500)))
+					p.NotifyAt(p.Now() + sim.Time(r.Intn(1500)))
+					p.Block()
 				case 7:
 					// A yield that charges nothing: the process resumes
 					// at its own clock, its pending wake consumed.

@@ -64,12 +64,17 @@
 // can depend on the order drivers deliver them in. A process that parks
 // must therefore re-arm from the state the notification stands for (the
 // DSM layer's queues: "next arrival"), as a device driver re-reads the
-// status register after an edge-triggered interrupt. Preemption points
-// (quantum expiry, displacing a process that released its CPU) are taken
-// when a process yields, so they too follow the driver wherever several
-// processes share a CPU; the DSM layer runs the two configurations that do
-// share CPUs, dedicated protocol processes and the cluster OS, with
-// lookahead 0.
+// status register after an edge-triggered interrupt.
+//
+// A CPU holds only a process that runs or spins. One that waits (Wait,
+// AdvanceUnlessNotified) keeps its CPU; one that blocks (Block, Serve)
+// releases it and waits in the CPU's queue, and an idle CPU takes the next
+// queued process only when it is due, when nothing in the shard can act
+// before it starts, so its wake is committed there. The one preemption
+// point, quantum expiry, is taken when a process yields, so it follows the
+// driver wherever several processes share a CPU under a quantum; the DSM
+// layer runs the two configurations that do share CPUs, dedicated protocol
+// processes and the cluster OS, with lookahead 0.
 //
 // Time is measured in CPU cycles of the modeled machine (300 MHz Alpha
 // 21164 in the Shasta configuration, so 300 cycles per microsecond).
@@ -477,7 +482,7 @@ func (e *Engine) SpawnAt(name string, cpu int, priority int, start Time, fn func
 // with the engine or any CPU queue). Code that charges time (Proc.Advance)
 // or reads clocks can execute for it directly on the calling goroutine —
 // the model checker invokes protocol handlers that way, as atomic steps —
-// and must not block there: Wait/Block/Sleep panic. A non-nil body runs on
+// and must not block there: Wait/Block panic. A non-nil body runs on
 // a coroutine of its own, only inside Step, and may block: Step returns when
 // it does, and the next Step resumes it. Stop unwinds it.
 func (e *Engine) ExternalProc(name string, cpu int, body func(*Proc)) *Proc {
@@ -870,8 +875,9 @@ func (sh *shard) minEffective() Time {
 
 // pass runs the preempt/dispatch pass on the dirty CPUs, in CPU order. On
 // a clean CPU it would change nothing: the CPU is as its last pass left it,
-// and only preemptIfStale also reads shard progress, which staleMin tracks.
-// A CPU whose pass changed something stays dirty for the next step.
+// and only preemptIfStale and dispatch also read shard progress, which
+// staleMin tracks. A CPU whose pass changed something stays dirty for the
+// next step.
 func (sh *shard) pass(minEff Time) {
 	if minEff >= sh.staleMin {
 		sh.staleMin = Forever
@@ -883,8 +889,7 @@ func (sh *shard) pass(minEff Time) {
 	for _, c := range sh.dirty {
 		sh.counters.CPUPasses++
 		changed := sh.preemptIfStale(c, minEff)
-		changed = preemptSleeper(c) || changed
-		changed = sh.dispatch(c) || changed
+		changed = sh.dispatch(c, minEff) || changed
 		if changed {
 			sh.rekey(c)
 			keep = append(keep, c)
@@ -896,13 +901,17 @@ func (sh *shard) pass(minEff Time) {
 	sh.dirty = keep
 }
 
-// staleAt returns the shard progress at which c's incumbent, waiting past
-// its quantum while others want the CPU, is to be switched out; Forever if
-// c is in no such state.
+// staleAt returns the shard progress at which c needs a pass that nothing
+// else asks for: when its incumbent, waiting past its quantum while others
+// want the CPU, is to be switched out, or, if c is idle, when its next
+// process is due (dispatch). Forever if neither.
 func (sh *shard) staleAt(c *CPU) Time {
 	p := c.current
-	if p != nil && sh.eng.cfg.Quantum > 0 && p.state == stateWaiting && !p.sleeping &&
-		p.wakeAt > c.sliceEnd && anyoneElseWants(c) {
+	if p == nil {
+		_, due := c.next()
+		return due
+	}
+	if sh.eng.cfg.Quantum > 0 && p.state == stateWaiting && p.wakeAt > c.sliceEnd && anyoneElseWants(c) {
 		return c.sliceEnd
 	}
 	return Forever
@@ -916,7 +925,7 @@ func (sh *shard) staleAt(c *CPU) Time {
 // (Cross-shard events cannot wake it before the slice end either: they
 // arrive at or after the horizon, which bounds every in-window wake.)
 func (sh *shard) preemptIfStale(c *CPU, minEff Time) bool {
-	if minEff < sh.staleAt(c) {
+	if c.current == nil || minEff < sh.staleAt(c) {
 		return false
 	}
 	p := c.current
@@ -931,60 +940,38 @@ func (sh *shard) preemptIfStale(c *CPU, minEff Time) bool {
 	return true
 }
 
-// preemptSleeper displaces a dispatched sleeping process (it merely parks
-// on the CPU until its wake time) as soon as any other process could run
-// earlier: the CPU is semantically idle while its occupant sleeps.
-func preemptSleeper(c *CPU) bool {
-	p := c.current
-	if p == nil || p.state != stateWaiting || !p.sleeping {
-		return false
-	}
-	for _, q := range c.queue {
-		t := q.now
-		if q.state == stateBlocked || q.state == stateWaiting {
-			t = q.wakeAt
-		}
-		if t < p.wakeAt {
-			c.lastRan = p
-			c.current = nil
-			c.queue = append(c.queue, p)
-			p.state = stateBlocked
-			return true
+// next returns the index in c's queue of the process an idle CPU c runs
+// next and when it can start: the earliest, ties going to the lowest
+// priority value, then FIFO order (ordering by readiness, not priority
+// alone, keeps a sleeping process's future wake from starving an
+// immediately ready one). -1 and Forever if every queued process waits for
+// a notification.
+func (c *CPU) next() (int, Time) {
+	best, due := -1, Forever
+	for i, q := range c.queue {
+		if t := q.effectiveTime(); t < due || t == due && best >= 0 && q.Priority < c.queue[best].Priority {
+			best, due = i, t
 		}
 	}
-	return false
+	return best, due
 }
 
-// dispatch installs a current process on an idle CPU, choosing the process
-// that can run earliest; ties go to the lowest priority value, then FIFO
-// order. Ordering by readiness (not priority alone) keeps a sleeping
-// process's future wake tick from starving an immediately-ready one.
-func (sh *shard) dispatch(c *CPU) bool {
+// dispatch installs c's next process on c if c is idle and that process is
+// due: the shard has progressed to its start (minEff), so nothing here can
+// act, let alone notify it, before then. A waiting or blocked process's wake
+// is committed here: its clock moves to the wake and the one wake consumes
+// whatever was pending. A process therefore holds a CPU only to run on it,
+// or to spin in Wait.
+func (sh *shard) dispatch(c *CPU, minEff Time) bool {
 	if c.current != nil {
 		return false
 	}
-	best := -1
-	var bestReady Time
-	for i, q := range c.queue {
-		if (q.state == stateBlocked || q.state == stateWaiting) && q.wakeAt >= Forever {
-			continue // nothing to run until notified
-		}
-		ready := max(q.now, c.freeAt)
-		if q.state == stateBlocked || q.state == stateWaiting {
-			ready = max(q.wakeAt, c.freeAt)
-		}
-		if best == -1 || ready < bestReady ||
-			(ready == bestReady && q.Priority < c.queue[best].Priority) {
-			best = i
-			bestReady = ready
-		}
-	}
-	if best == -1 {
+	i, due := c.next()
+	if due > minEff {
 		return false
 	}
-	p := c.queue[best]
-	copy(c.queue[best:], c.queue[best+1:])
-	c.queue = c.queue[:len(c.queue)-1]
+	p := c.queue[i]
+	c.queue = append(c.queue[:i], c.queue[i+1:]...)
 	start := max(p.now, c.freeAt)
 	if c.lastRan != nil && c.lastRan != p {
 		start += sh.eng.cfg.CtxSwitch
@@ -993,23 +980,16 @@ func (sh *shard) dispatch(c *CPU) bool {
 			sh.tracer.Emit(trace.Event{T: start, Cat: "sched", Ev: "switch", P: p.ID, O: c.id})
 		}
 	}
-	// A blocked process is parked on the CPU until its wake time. The clock
-	// advance to the wake is committed at pick time, not here: a
-	// notification sent later in global order may still pull the wake
-	// earlier, and the window engine's cross-shard notifications always
-	// land after dispatch (at a window barrier). Committing eagerly would
-	// make the two engines resume such sleepers at different times.
+	if p.state == stateWaiting || p.state == stateBlocked {
+		start = max(start, p.wakeAt)
+		p.wakeAt = Forever
+		p.state = stateReady
+	}
 	p.now = start
 	c.current = p
 	c.sliceEnd = Forever
 	if sh.eng.cfg.Quantum > 0 {
-		// For a parked sleeper the quantum starts at its (current) wake
-		// time; NotifyAt keeps sliceEnd in step if the wake moves earlier.
-		resumeAt := start
-		if p.state == stateBlocked {
-			resumeAt = max(start, p.wakeAt)
-		}
-		c.sliceEnd = resumeAt + sh.eng.cfg.Quantum
+		c.sliceEnd = start + sh.eng.cfg.Quantum
 	}
 	return true
 }
@@ -1045,20 +1025,15 @@ func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
 		return nil, WindowHorizon
 	}
 	best.cpu.touch()
-	if best.state == stateWaiting || best.state == stateBlocked {
+	if best.state == stateWaiting {
 		// Its event has arrived: the wake is committed here, in time order
 		// within the shard and before the horizon, so every notification
 		// that could still have made it earlier has been delivered. The
 		// clock moves to the wake time and the one wake consumes whatever
-		// was pending. (A blocked process parked on its CPU is woken here
-		// too — see dispatch; its sleeping flag stays set.)
-		wasWaiting := best.state == stateWaiting
+		// was pending.
 		best.now = max(best.now, best.wakeAt)
 		best.wakeAt = Forever
 		best.state = stateReady
-		if wasWaiting {
-			best.sleeping = false
-		}
 	}
 	if best.wakeAt <= best.now {
 		// A notification for a time the process is already at or past. It

@@ -186,12 +186,19 @@ func TestGuestPanicPropagates(t *testing.T) {
 	}
 }
 
+// sleep blocks p for d cycles, releasing its CPU, unless a wake is pending
+// earlier.
+func sleep(p *Proc, d Time) {
+	p.NotifyAt(p.Now() + d)
+	p.Block()
+}
+
 func TestSleepAdvancesTime(t *testing.T) {
 	e := NewEngine(Config{Nodes: 1, CPUsPerNode: 1})
 	var end Time
 	e.Spawn("s", 0, 0, func(p *Proc) {
 		p.Advance(100)
-		p.Sleep(5000)
+		sleep(p, 5000)
 		end = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -212,13 +219,13 @@ func TestPriorityProcessRunsOnlyWhenIdle(t *testing.T) {
 	var srv *Proc
 	var turns []bool // per server turn: the application was blocked or done
 	e.Spawn("app", 0, 0, func(p *Proc) {
-		p.Sleep(100) // the server starts and parks
+		sleep(p, 100) // the server starts and parks
 		for i := 0; i < 5; i++ {
 			p.Advance(100)
 			srv.NotifyAt(p.Now())
 			p.Advance(300)
 			appBlocked = true
-			p.Sleep(2000)
+			sleep(p, 2000)
 			appBlocked = false
 		}
 		p.Advance(100)
@@ -249,16 +256,18 @@ func TestPriorityProcessRunsOnlyWhenIdle(t *testing.T) {
 }
 
 // TestDelayWakeMovesServerOffItsCPU: DelayWake moves the wake of a server
-// parked in Serve off its CPU, as it does a waiting process's, and leaves
-// alone one that dispatch has already put on its CPU, which holds the CPU
-// until that wake.
+// parked in Serve, which waits off its CPU, as it does a waiting process's:
+// beside a busy process and on an idle CPU alike. Dispatch puts a woken
+// server on its CPU only when the wake is due, so one on an idle CPU does
+// not hold the CPU from its notification on, with a wake that may no longer
+// move (it woke at 1 000 while it did).
 func TestDelayWakeMovesServerOffItsCPU(t *testing.T) {
 	t.Run("off its CPU", func(t *testing.T) {
 		e := NewEngine(Config{Nodes: 1, CPUsPerNode: 1, Quantum: 1000, CtxSwitch: 10})
 		woke := Time(-1)
 		var srv *Proc
 		e.Spawn("app", 0, 0, func(p *Proc) {
-			p.Sleep(10) // the server starts and parks
+			sleep(p, 10) // the server starts and parks
 			p.Advance(90)
 			srv.NotifyAt(p.Now())
 			if srv.cpu.current == srv {
@@ -266,7 +275,7 @@ func TestDelayWakeMovesServerOffItsCPU(t *testing.T) {
 			}
 			srv.DelayWake(5000)
 			p.Advance(100)
-			p.Sleep(10000)
+			sleep(p, 10000)
 		})
 		srv = e.Spawn("srv", 0, 1, func(p *Proc) {
 			p.Serve()
@@ -279,7 +288,7 @@ func TestDelayWakeMovesServerOffItsCPU(t *testing.T) {
 			t.Errorf("the server woke at %d, want 5000", woke)
 		}
 	})
-	t.Run("on its CPU", func(t *testing.T) {
+	t.Run("on an idle CPU", func(t *testing.T) {
 		e := NewEngine(Config{Nodes: 1, CPUsPerNode: 2, Quantum: 1000, CtxSwitch: 10})
 		woke := Time(-1)
 		srv := e.Spawn("srv", 0, 1, func(p *Proc) {
@@ -289,10 +298,10 @@ func TestDelayWakeMovesServerOffItsCPU(t *testing.T) {
 		e.Spawn("app", 1, 0, func(p *Proc) {
 			p.Advance(100)
 			srv.NotifyAt(1000)
-			p.NotifyAt(p.Now()) // a step of the engine dispatches the server
+			p.NotifyAt(p.Now()) // a step of the engine passes the server's CPU
 			p.Wait()
-			if srv.cpu.current != srv {
-				t.Fatal("the server was not dispatched onto its idle CPU")
+			if srv.cpu.current == srv {
+				t.Error("the server is on its CPU before its wake is due")
 			}
 			srv.DelayWake(5000)
 			p.Advance(100)
@@ -300,10 +309,38 @@ func TestDelayWakeMovesServerOffItsCPU(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if woke != 1000 {
-			t.Errorf("the server woke at %d, want 1000", woke)
+		if woke != 5000 {
+			t.Errorf("the server woke at %d, want 5000", woke)
 		}
 	})
+}
+
+// TestWaitAfterBlockKeepsCPU: a process that has blocked and been woken
+// waits as any other does, holding its CPU until its quantum goes stale,
+// though a CPU-mate becomes ready before its wake. It used to give the CPU
+// away at its next Wait to anyone who could run earlier: the mate ran at
+// 1 010, mid-quantum.
+func TestWaitAfterBlockKeepsCPU(t *testing.T) {
+	e := NewEngine(Config{Nodes: 1, CPUsPerNode: 1, Quantum: 2000, CtxSwitch: 10})
+	var mateRan, woke Time
+	e.Spawn("waiter", 0, 0, func(p *Proc) {
+		sleep(p, 100) // the mate is switched in at 10 and blocks
+		// Back on the CPU at 100, its switch-in overlapped with its sleep,
+		// with its slice to 2 100.
+		p.NotifyAt(p.Now() + 5000)
+		p.Wait()
+		woke = p.Now()
+	})
+	e.Spawn("mate", 0, 0, func(p *Proc) {
+		sleep(p, 1000) // ready at 1 010, before the waiter's wake
+		mateRan = p.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if mateRan != 2110 || woke != 5100 {
+		t.Errorf("the mate ran at %d and the waiter woke at %d, want 2110 (the slice end and a switch) and 5100", mateRan, woke)
+	}
 }
 
 func TestMaxTimeStopsRunaway(t *testing.T) {
@@ -370,7 +407,7 @@ func TestRunPastNotificationDropped(t *testing.T) {
 				case "Block":
 					p.Block()
 				case "Sleep":
-					p.Sleep(1000)
+					sleep(p, 1000)
 				}
 				woke = p.Now()
 			})

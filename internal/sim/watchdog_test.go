@@ -114,7 +114,7 @@ func TestWatchdogQuietWhenProgressing(t *testing.T) {
 	})
 	e.Spawn("sleeper", 1, 0, func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			p.Sleep(10000) // long gaps, but the worker keeps advancing
+			sleep(p, 10000) // long gaps, but the worker keeps advancing
 		}
 		_ = worker
 	})
@@ -140,7 +140,7 @@ func TestWatchdogShardTripCheckedAgainstGlobalProgress(t *testing.T) {
 		})
 		e.Spawn("napper", 1, 0, func(p *Proc) {
 			for i := 0; i < 10; i++ {
-				p.Sleep(budget + 2000) // every wake is past the node's own mark
+				sleep(p, budget+2000) // every wake is past the node's own mark
 				p.Advance(1)
 			}
 		})
@@ -166,7 +166,7 @@ func TestWatchdogLivelockSameOnShards(t *testing.T) {
 		})
 		e.Spawn("drifter", 1, 0, func(p *Proc) {
 			for {
-				p.Sleep(1000)
+				sleep(p, 1000)
 			}
 		})
 		var se *StallError
@@ -212,7 +212,7 @@ func TestWatchdogParkedWorkIsProgress(t *testing.T) {
 		})
 		e.Spawn("napper", peerCPU, 0, func(p *Proc) {
 			for i := 0; i < naps; i++ {
-				p.Sleep(nap)
+				sleep(p, nap)
 			}
 		})
 		return e, e.Run()
