@@ -124,10 +124,7 @@ func main() {
 	fmt.Printf("  downgrades          %10d explicit, %d direct\n", st.DowngradesSent(), st.DowngradesDirect())
 	fmt.Printf("  LL/SC               %10d/%d (%d hw, %d failed)\n", st.LLs(), st.SCs(), st.SCHardware(), st.SCFailures())
 	fmt.Printf("  locks/barriers      %10d / %d\n", st.LockAcquires(), st.BarrierWaits())
-	sched := sys.Eng.SchedCounters()
-	fmt.Printf("  context switches    %10d (simulated)\n", sys.Eng.ContextSwitches())
-	fmt.Printf("  scheduler           %10d steps, %d coroutine switches, %d self-picks, %d heap fixes, %d cpu passes, %d windows, %d horizon clamps, %d parks, %d early wakes\n",
-		sched.Steps, sched.Switches, sched.SelfPicks, sched.HeapFixes, sched.CPUPasses, sched.Windows, sched.HorizonClamps, sched.Parks, sched.EarlyWakes)
+	printScheduler(sys)
 	if cfg.Faults.Enabled() {
 		net := sys.Net.Stats()
 		fmt.Printf("  faults (%s, seed %d): %d dropped, %d duplicated on the wire\n",
@@ -143,6 +140,15 @@ func main() {
 		}
 		fmt.Printf("    %-8s %6.1f%%\n", c, float64(st.Time[c])/float64(total)*100)
 	}
+}
+
+// printScheduler prints the engine's simulated context switches and its own
+// work: the steps, each one coroutine round trip, and what they were.
+func printScheduler(sys *core.System) {
+	sched := sys.Eng.SchedCounters()
+	fmt.Printf("  context switches    %10d (simulated)\n", sys.Eng.ContextSwitches())
+	fmt.Printf("  scheduler           %10d steps, %d coroutine switches, %d self-picks, %d heap fixes, %d cpu passes, %d windows, %d horizon clamps, %d parks, %d early wakes\n",
+		sched.Steps, sched.Switches, sched.SelfPicks, sched.HeapFixes, sched.CPUPasses, sched.Windows, sched.HorizonClamps, sched.Parks, sched.EarlyWakes)
 }
 
 // runLoadgen drives the multi-tenant open-loop load generator and prints
@@ -192,6 +198,7 @@ func runLoadgen(simFlags *cliflags.Sim, loadFlags *cliflags.Load, horizon sim.Ti
 	fmt.Printf("  mean latency split    %10d front door, %d dispatch, %d ring wait, %d service cycles\n",
 		m.MeanFrontDoor, m.MeanDispatch, m.MeanRingWait, m.MeanService)
 	fmt.Printf("  mean service split    %10d db, %d protocol, %d sync cycles\n", m.MeanDB, m.MeanProt, m.MeanSync)
+	printScheduler(sys)
 	for _, tm := range m.Tenants {
 		fmt.Printf("  %-6s offered=%-5d shed=%-4d p99=%-9d slo=%d attained=%.2f\n",
 			tm.Name, tm.Offered, tm.Shed, tm.P99, tm.SLOCycles, tm.SLOAttained)

@@ -3,13 +3,13 @@ package core
 import "repro/internal/sim"
 
 // The loops an idle process runs in closed form: Compute's back-edge polls
-// (computeQuiet) and a spin on a word cached in node memory (SpinWhile).
-// Both are stretches: a run of loop iterations that can observe nothing,
-// taken in one move (quietly). A compute of c cycles is a stretch whose one
-// load, at task cycle c, has no check cost and reads no line: its end. The
-// process parks on its queues, and a spinner on its line, until the first
-// iteration that may observe something, and the two differ only in what
-// they do there.
+// (computeQuiet), a compute to an absolute time (ComputeUntil) and a spin on
+// a word cached in node memory (SpinWhile). All are stretches: a run of loop
+// iterations that can observe nothing, taken in one move (quietly). A
+// compute's loads have no check cost and read no line: its end, or each
+// chunk end of one to an absolute time. The process parks on its queues, and
+// a spinner on its line, until the first iteration that may observe
+// something, and they differ only in what they do there.
 
 // quietPlan is the timetable of the stretch a process is taking. From
 // start, with g task cycles to the next poll, it runs task cycles with a
@@ -114,7 +114,7 @@ func (p *Proc) wakeFor(t sim.Time) sim.Time {
 // has left. Cycles that reach no poll are charged as they come.
 func (p *Proc) computeQuiet(c sim.Time) {
 	for c > p.pollGap {
-		_, x := p.quietly(c, -1)
+		_, x := p.quietly(c, -1, 0)
 		c -= x
 	}
 	if c > 0 {
@@ -147,7 +147,7 @@ func (p *Proc) SpinWhile(addr uint64, gap sim.Time, v uint64, equal bool) uint64
 	for (got == v) == equal {
 		if hit && gap > 0 && p.pollsQuietly() && p.outstanding == 0 && !p.overridden && p.curBatch == nil {
 			line := p.sys.lineOf(addr)
-			if load, x := p.quietly(gap, line); load {
+			if load, x := p.quietly(gap, line, p.Sim.Now()+spinSpan); load {
 				got, hit = p.loaded(p.sys.wordOf(addr), line)
 			} else {
 				p.Compute(gap - x%gap)
@@ -161,22 +161,45 @@ func (p *Proc) SpinWhile(addr uint64, gap sim.Time, v uint64, equal bool) uint64
 	return got
 }
 
-// quietly takes a stretch from now, with loads gap task cycles apart: a
-// spin's, whose loads read line and are charged Cost.LoadCheck, the last
-// spinSpan cycles on, or, with line -1, a compute's of gap cycles. The
-// process parks on its queues up to and including the first event that may
-// end the stretch or find something (quietNext), and plans again on every
-// wake: one at an instant that is no event, such as a put's for a message a
-// node-mate has since taken, leaves it parked on to the next. There it
-// accounts for the stretch (quietCharged), does what Poll does after its
-// charge if the event is a poll, and returns whether it is a load and the
-// task cycles before it.
-func (p *Proc) quietly(gap sim.Time, line int) (bool, sim.Time) {
+// ComputeUntil computes to the absolute time t in chunks of at most gap
+// cycles, as a loop that reads its clock between chunks does. It is exactly
+//
+//	for p.Now() < t {
+//		p.Compute(min(gap, t-p.Now()))
+//	}
+//
+// Where Compute runs in closed form, the full chunks before the last are a
+// stretch whose loads are the chunk ends, the last the first charged at or
+// after t-gap: where the loop first finds at most one chunk left. At a poll
+// the rest of its chunk is a Compute, and the loop plans again.
+func (p *Proc) ComputeUntil(t, gap sim.Time) {
+	for now := p.Now(); now < t; now = p.Now() {
+		if t-now <= gap || !p.sys.Cfg.Checks || !p.pollsQuietly() {
+			p.Compute(min(gap, t-now))
+		} else if load, x := p.quietly(gap, -1, t-gap); !load {
+			p.Compute(gap - x%gap)
+		}
+	}
+}
+
+// quietly takes a stretch from now, with loads gap task cycles apart, the
+// last the first charged at or after until: a spin's, whose loads read line
+// and cost Cost.LoadCheck, or, with line -1, a compute's ends. The process
+// parks on its queues up to and including the first event that may end the
+// stretch or find something (quietNext), and plans again on every wake: one
+// at an instant that is no event, such as a put's for a message a node-mate
+// has since taken, leaves it parked on to the next. There it accounts for
+// the stretch (quietCharged), does what Poll does after its charge if the
+// event is a poll, and returns whether it is a load and the task cycles
+// before it.
+func (p *Proc) quietly(gap sim.Time, line int, until sim.Time) (bool, sim.Time) {
 	now := p.Sim.Now()
 	p.quiet = quietPlan{start: now, g: p.pollGap, gap: gap, seen: sim.Forever, last: 1, line: line}
 	if line >= 0 {
 		p.quiet.cost = p.sys.Cfg.Cost.LoadCheck
-		p.quiet.last = p.firstLoad(now + spinSpan)
+	}
+	if until > now {
+		p.quiet.last = p.firstLoad(until)
 	}
 	p.watchQueues()
 	var load bool

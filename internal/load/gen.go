@@ -61,8 +61,9 @@ const (
 	ringSlots  = 64
 	entryWords = 8
 
-	// pollGap is the worker's idle poll interval: the gap between stamp
-	// checks while its ring is empty.
+	// pollGap is the worker's idle poll interval, the gap between stamp
+	// checks while its ring is empty, and the chunk the dispatcher computes
+	// in toward its next arrival.
 	pollGap = 500
 	// retryTick is how long the dispatcher waits before re-checking
 	// completion counters when admission or ring capacity is blocking it.
@@ -269,31 +270,6 @@ type driver struct {
 // match the round-robin page homing in Run.
 func (d *driver) homeWorker(page int) int { return page % d.workers }
 
-// pollUntil spins the process forward to absolute time target in pollGap
-// steps. The dispatcher never truly sleeps: it owns a ring line exclusively
-// after writing it, so it must keep executing inline polls for the workers'
-// coherence requests to be serviced. (ProtocolProcs would serve them for a
-// sleeping process, but they share its CPU, which puts the whole run in one
-// shard in strict global order.) The spin is cheap on the host but not
-// free: a stretch of polls that find nothing is one move
-// (core.Proc.Compute), but one that ends past the instant a node-mate or
-// another node may act next parks, which is a scheduler step. In oltp-open's
-// 8-tenant rep (4 M cycles of arrivals) the dispatcher parks 1 686 times
-// and its 15 workers 1 967 times between them, of 8 981 steps.
-func pollUntil(p *core.Proc, target sim.Time) {
-	for {
-		now := p.Now()
-		if now >= target {
-			return
-		}
-		step := target - now
-		if step > pollGap {
-			step = pollGap
-		}
-		p.Compute(step)
-	}
-}
-
 // refresh reads worker w's completion counter and credits finished
 // transactions back to the admission controller. The MemBar gives the
 // refresh acquire semantics so the load observes the worker's latest
@@ -328,7 +304,7 @@ func (d *driver) refreshAll(p *core.Proc) {
 func (d *driver) publish(p *core.Proc, w int, words [ewStamp]uint64, pub published) {
 	for d.issued[w]-d.doneView[w] >= ringSlots {
 		if d.refresh(p, w); d.issued[w]-d.doneView[w] >= ringSlots {
-			pollUntil(p, p.Now()+retryTick)
+			p.ComputeUntil(p.Now()+retryTick, pollGap)
 		}
 	}
 	base := d.ringAddr[w] + uint64(d.issued[w]%ringSlots)*entryWords*8
@@ -355,9 +331,13 @@ func (d *driver) dispatch(p *core.Proc, t Txn, view *ClusterView) {
 	}
 }
 
-// dispatcher is the load-balancer process: it sleeps until each scheduled
+// dispatcher is the load-balancer process: it computes until each scheduled
 // arrival, runs admission, places admitted transactions with the policy,
-// and drains tenant queues as completions come back.
+// and drains tenant queues as completions come back. It never truly sleeps:
+// it owns a ring line exclusively after writing it, so it must keep
+// executing inline polls for the workers' coherence requests to be served.
+// (ProtocolProcs would serve them for a sleeping process, but they share its
+// CPU, which puts the whole run in one shard in strict global order.)
 func (d *driver) dispatcher(p *core.Proc) {
 	d.bar.Wait(p)
 	d.t0 = p.Now()
@@ -419,7 +399,7 @@ func (d *driver) dispatcher(p *core.Proc) {
 			}
 		}
 		if next > now {
-			pollUntil(p, d.t0+next)
+			p.ComputeUntil(d.t0+next, pollGap)
 		}
 	}
 	// The poison entry that makes a worker exit after draining its ring.

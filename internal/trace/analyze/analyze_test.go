@@ -510,7 +510,10 @@ func runKernel(name string, procs int, opts ...core.Option) error {
 // protocol entry with its read of the agent's slot, and the load
 // generator's warm-up fills a page in one block store. The same events
 // land at the same instants, but processes yield at fewer of them, so the
-// driver emits them in another host order.)
+// driver emits them in another host order. load-4-tenants was recorded
+// again when the dispatcher began to compute toward its next arrival with
+// ComputeUntil, whose full chunks are one stretch, where a loop of 500-cycle
+// Computes parked once a chunk: the same events, yielded at other instants.)
 //
 // Regenerate with -update only when a change is meant to alter the
 // simulated schedule, and look at which of the two files moved.
